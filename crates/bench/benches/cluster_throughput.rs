@@ -1,6 +1,5 @@
 //! Cluster stepping throughput: epochs/sec through the [`EpochEngine`] at
-//! production fleet sizes — serial vs spawn-per-call sharding vs the
-//! persistent worker pool.
+//! production fleet sizes — serial vs the persistent worker pool.
 //!
 //! This is the scaling item the engine refactor unlocks: with per-`(vm,
 //! epoch)` RNG streams, machines are data-independent within an epoch, so
@@ -8,13 +7,9 @@
 //! merge reports in machine order — bit-identical to serial, but using
 //! every core.  The bench steps 64-, 256- and 512-machine Xeon fleets at
 //! the testbed's real density (four 2-vCPU VMs per 8-core machine, mixed
-//! serving/search/analytics/stress tenants) through `Serial`,
-//! `Sharded { 1, 2, 4, 8 }` (scoped threads spawned per call — the old
-//! baseline), `Pooled { 2, 4, 8 }` (persistent workers, barrier handoff —
-//! the production mode), plus the `CLOUDSIM_THREADS` env-default mode, and
-//! additionally through the batched `step_epochs` path (one barrier per
-//! 8-epoch batch instead of per epoch — the amortisation available to
-//! callers that do not mutate the cluster between epochs).
+//! serving/search/analytics/stress tenants) through `Serial` (the
+//! reference), `Pooled { 2, 4, 8 }` (persistent workers, barrier handoff)
+//! and the `CLOUDSIM_THREADS` env-default mode.
 //! A parallel run can only beat serial when the OS actually grants more
 //! than one hardware thread, so each JSON record carries
 //! `available_parallelism`, and rows with `threads > 1` on a single-core
@@ -69,18 +64,11 @@ fn fleet(machines: usize) -> Cluster {
     cluster
 }
 
-fn mode_label(mode: ExecutionMode) -> String {
+/// The dump's `mode` label and `threads` column for an execution mode.
+fn mode_columns(mode: ExecutionMode) -> (String, usize) {
     match mode {
-        ExecutionMode::Serial => "serial".to_string(),
-        ExecutionMode::Sharded { threads } => format!("sharded-{threads}"),
-        ExecutionMode::Pooled { threads } => format!("pooled-{threads}"),
-    }
-}
-
-fn mode_threads(mode: ExecutionMode) -> usize {
-    match mode {
-        ExecutionMode::Serial => 1,
-        ExecutionMode::Sharded { threads } | ExecutionMode::Pooled { threads } => threads,
+        ExecutionMode::Serial => ("serial".to_string(), 1),
+        ExecutionMode::Pooled { threads } => (format!("pooled-{threads}"), threads),
     }
 }
 
@@ -104,29 +92,6 @@ fn measure_epochs_per_sec(machines: usize, mode: ExecutionMode, budget: Duration
     while start.elapsed() < budget {
         criterion::black_box(engine.step(&mut cluster, |v| 0.4 + 0.05 * (v.0 % 8) as f64));
         epochs += 1;
-    }
-    epochs as f64 / start.elapsed().as_secs_f64()
-}
-
-/// Same measurement through the batched [`EpochEngine::step_epochs`] path:
-/// one `thread::scope` spawn per `batch` epochs instead of per epoch, the
-/// amortisation available whenever nothing mutates the cluster mid-batch.
-fn measure_batched_epochs_per_sec(
-    machines: usize,
-    mode: ExecutionMode,
-    batch: usize,
-    budget: Duration,
-) -> f64 {
-    let mut cluster = fleet(machines);
-    let engine = EpochEngine::new(ClusterSeed::new(machines as u64), mode);
-    criterion::black_box(engine.step(&mut cluster, |_| 0.7));
-    let start = Instant::now();
-    let mut epochs = 0u64;
-    while start.elapsed() < budget {
-        criterion::black_box(
-            engine.step_epochs(&mut cluster, batch, |_, v| 0.4 + 0.05 * (v.0 % 8) as f64),
-        );
-        epochs += batch as u64;
     }
     epochs as f64 / start.elapsed().as_secs_f64()
 }
@@ -157,10 +122,6 @@ fn run_measurements(budget: Duration) -> Vec<Measurement> {
         // The thread-count matrix, plus whatever CLOUDSIM_THREADS selects.
         let mut modes = vec![
             ExecutionMode::Serial,
-            ExecutionMode::Sharded { threads: 1 },
-            ExecutionMode::Sharded { threads: 2 },
-            ExecutionMode::Sharded { threads: 4 },
-            ExecutionMode::Sharded { threads: 8 },
             ExecutionMode::Pooled { threads: 2 },
             ExecutionMode::Pooled { threads: 4 },
             ExecutionMode::Pooled { threads: 8 },
@@ -175,33 +136,15 @@ fn run_measurements(budget: Duration) -> Vec<Measurement> {
             if mode == ExecutionMode::Serial {
                 serial_rate = Some(rate);
             }
+            let (label, threads) = mode_columns(mode);
             results.push(Measurement {
                 machines,
                 vms: machines * VMS_PER_MACHINE,
-                label: mode_label(mode),
-                threads: mode_threads(mode),
+                label,
+                threads,
                 epochs_per_sec: rate,
                 speedup_vs_serial: rate / serial_rate.expect("serial measured first"),
             });
-        }
-        // Batched stepping: one spawn set (Sharded) or one barrier (Pooled)
-        // per 8-epoch batch via step_epochs.
-        const BATCH: usize = 8;
-        for threads in [2usize, 4, 8] {
-            for mode in [
-                ExecutionMode::Sharded { threads },
-                ExecutionMode::Pooled { threads },
-            ] {
-                let rate = measure_batched_epochs_per_sec(machines, mode, BATCH, budget);
-                results.push(Measurement {
-                    machines,
-                    vms: machines * VMS_PER_MACHINE,
-                    label: format!("{}-batch{BATCH}", mode_label(mode)),
-                    threads,
-                    epochs_per_sec: rate,
-                    speedup_vs_serial: rate / serial_rate.expect("serial measured first"),
-                });
-            }
         }
     }
     results
@@ -209,10 +152,7 @@ fn run_measurements(budget: Duration) -> Vec<Measurement> {
 
 fn print_table(results: &[Measurement], migrations_per_sec: f64) {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    println!(
-        "# Cluster throughput — EpochEngine serial vs sharded vs pooled \
-         ({cores} core(s) available)"
-    );
+    println!("# Cluster throughput — EpochEngine serial vs pooled ({cores} core(s) available)");
     if cores == 1 {
         println!("# NOTE: single-core runner; parallel rows measure coordination overhead only.");
     }
@@ -268,10 +208,6 @@ fn bench_kernel(c: &mut Criterion) {
     group.sample_size(10);
     let cases = [
         ("epoch_64_machines_serial", ExecutionMode::Serial),
-        (
-            "epoch_64_machines_sharded_4",
-            ExecutionMode::Sharded { threads: 4 },
-        ),
         (
             "epoch_64_machines_pooled_4",
             ExecutionMode::Pooled { threads: 4 },

@@ -165,13 +165,6 @@ struct FaultRow {
     abandonments: u64,
 }
 
-fn mode_threads(mode: ExecutionMode) -> usize {
-    match mode {
-        ExecutionMode::Serial => 1,
-        ExecutionMode::Sharded { threads } | ExecutionMode::Pooled { threads } => threads,
-    }
-}
-
 /// Steps `cluster` for at least `budget` (always ≥ 1 epoch) and returns
 /// (epochs/sec).  The warm-up epoch grows resolver buffers and, in sparse
 /// mode, fills the quiescent caches, so the timed region measures the
@@ -450,7 +443,8 @@ fn run_measurements(smoke: bool) -> (Vec<EngineRow>, Vec<ServiceRow>) {
     // One pooled sparse row: exercises the scatter_map dispatch path at
     // scale (on a single-core runner this measures overhead only and the
     // dump says so).
-    let pooled_mode = ExecutionMode::Pooled { threads: 4 };
+    const LANES: usize = 4;
+    let pooled_mode = ExecutionMode::Pooled { threads: LANES };
     let pooled = measure_engine(small, pooled_mode, true, 100, budget);
     let dense_small = engine_rows[0].epochs_per_sec;
     engine_rows.push(EngineRow {
@@ -458,7 +452,7 @@ fn run_measurements(smoke: bool) -> (Vec<EngineRow>, Vec<ServiceRow>) {
         vms: small * VMS_PER_MACHINE,
         mode: "sparse-pooled",
         activity: 0.1,
-        threads: mode_threads(pooled_mode),
+        threads: LANES,
         epochs_per_sec: pooled,
         vm_epochs_per_sec: pooled * (small * VMS_PER_MACHINE) as f64,
         speedup_vs_dense: pooled / dense_small,

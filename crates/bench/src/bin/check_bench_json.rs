@@ -52,7 +52,7 @@ BENCH_resolver.json — contention-resolver microbench, one row per fleet:
   speedup, available_parallelism
 
 BENCH_cluster.json — epoch-stepping matrix plus a churn probe:
-  throughput rows: mode (string: serial/sharded-N/pooled-N), machines, vms,
+  throughput rows: mode (string: serial/pooled-N), machines, vms,
     threads, epochs_per_sec, speedup_vs_serial, available_parallelism
   churn probe row: migration_churn_per_sec, available_parallelism
 
@@ -217,7 +217,7 @@ fn validate(doc: &Value, schema: Schema) -> Vec<String> {
             }
             Schema::Cluster => {
                 if row.get("mode").is_some() {
-                    // A throughput row of the serial/sharded/pooled matrix.
+                    // A throughput row of the serial/pooled matrix.
                     measurement_rows += 1;
                     if !matches!(row.get("mode"), Some(Value::Str(_))) {
                         errors.push(format!("row {i}: \"mode\" must be a string"));

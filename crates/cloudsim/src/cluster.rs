@@ -8,12 +8,8 @@
 
 use std::collections::HashMap;
 
-use rand::rngs::StdRng;
-use rand::RngCore;
-
 use crate::migration::{estimate_migration, MigrationCost};
-use crate::pm::{PhysicalMachine, PmId, VmEpochReport};
-use crate::rngs::ClusterSeed;
+use crate::pm::{PhysicalMachine, PmId};
 use crate::scheduler::Scheduler;
 use crate::vm::{Vm, VmId};
 use hwsim::MachineSpec;
@@ -260,37 +256,6 @@ impl Cluster {
         Some(removed)
     }
 
-    /// Advances every machine one epoch and returns all per-VM reports.
-    ///
-    /// Compatibility wrapper over the old shared-`StdRng` signature: it
-    /// draws one value from `rng` to derive a per-epoch [`ClusterSeed`] and
-    /// then steps serially with the same per-`(vm, epoch)` streams
-    /// [`crate::engine::EpochEngine`] uses, so results remain deterministic
-    /// for a given caller RNG state (though numerically different from the
-    /// pre-engine shared-stream runs).  New code should hold an
-    /// [`crate::engine::EpochEngine`] and call
-    /// [`step`](crate::engine::EpochEngine::step) instead — it exposes the
-    /// sharded execution mode and keeps one seed for the whole run.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use cloudsim::EpochEngine::step with a ClusterSeed; it is placement- and \
-                thread-order independent and supports sharded execution"
-    )]
-    pub fn step_epoch(
-        &mut self,
-        load_for: &dyn Fn(VmId) -> f64,
-        rng: &mut StdRng,
-    ) -> Vec<VmEpochReport> {
-        let seed = ClusterSeed::new(rng.next_u64());
-        let epoch = self.epoch;
-        let mut reports = Vec::new();
-        for machine in self.machines.iter_mut() {
-            reports.extend(machine.step_epoch(epoch, load_for, seed));
-        }
-        self.epoch += 1;
-        reports
-    }
-
     /// Migrates a VM to the given destination machine, returning the
     /// estimated migration cost.
     pub fn migrate(&mut self, vm: VmId, to: PmId) -> Result<MigrationCost, ClusterError> {
@@ -346,7 +311,7 @@ impl std::fmt::Debug for Cluster {
 mod tests {
     use super::*;
     use crate::engine::EpochEngine;
-    use rand::SeedableRng;
+    use crate::rngs::ClusterSeed;
     use workloads::{AppId, ClientEmulator, DataServing, MemoryStress};
 
     fn engine() -> EpochEngine {
@@ -525,24 +490,6 @@ mod tests {
     #[should_panic(expected = "at least one machine")]
     fn heterogeneous_with_no_machines_is_rejected() {
         Cluster::heterogeneous(&[(MachineSpec::xeon_x5472(), 0)], Scheduler::default());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shared_rng_wrapper_still_steps_deterministically() {
-        let run = || {
-            let mut c = cluster(2);
-            c.place_on(PmId(0), serving_vm(1)).unwrap();
-            c.place_on(PmId(1), serving_vm(2)).unwrap();
-            let mut rng = StdRng::seed_from_u64(5);
-            let mut reports = c.step_epoch(&|_| 0.7, &mut rng);
-            reports.extend(c.step_epoch(&|_| 0.7, &mut rng));
-            reports
-        };
-        let a = run();
-        let b = run();
-        assert_eq!(a, b, "wrapper must stay deterministic per caller seed");
-        assert_eq!(a.len(), 4);
     }
 
     #[test]

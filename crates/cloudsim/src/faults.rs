@@ -14,8 +14,7 @@
 //! never of thread count, placement history or stepping order.  The same
 //! seed produces the same crashes on every platform, in every execution
 //! mode, which is what lets the chaos suite (`tests/fault_tolerance.rs`)
-//! pin Serial, Sharded and Pooled runs bit-identical *under* injected
-//! faults.
+//! pin Serial and Pooled runs bit-identical *under* injected faults.
 //!
 //! ## Physical topology
 //!

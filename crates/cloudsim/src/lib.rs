@@ -26,11 +26,11 @@
 //!   refits and benchmark training); plus [`pool::split_balanced`], the
 //!   shard partitioner every parallel path shares.
 //! * [`engine`] — [`engine::EpochEngine`]: epoch stepping as a policy
-//!   object — [`engine::ExecutionMode::Serial`],
-//!   [`engine::ExecutionMode::Sharded`] (spawn-per-call scoped threads,
-//!   the measured baseline) or [`engine::ExecutionMode::Pooled`]
-//!   (persistent [`pool::WorkerPool`], the production mode) — with
-//!   bit-identical output in every mode and a barrier-first panic policy.
+//!   object — [`engine::ExecutionMode::Serial`] (the reference every test
+//!   compares against) or [`engine::ExecutionMode::Pooled`] (persistent
+//!   [`pool::WorkerPool`]) — with bit-identical output in both modes and
+//!   two entry points: `step` returns an epoch's reports, `advance_epochs`
+//!   fast-forwards a stretch and returns none.
 //! * [`service`] — [`service::DatacenterService`]: the event-driven
 //!   datacenter front end — VM sessions arrive, run hot, go idle and
 //!   depart per a `traces` session stream, batched between epochs and fed

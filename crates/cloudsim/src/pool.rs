@@ -7,11 +7,11 @@
 //! order.  This is the execution substrate behind
 //! [`ExecutionMode::Pooled`](crate::engine::ExecutionMode::Pooled) — and,
 //! via the `deepdive` controller, behind parallel warning-model refits and
-//! synthetic-benchmark training.  It exists because spawn-per-step scoped
-//! threads made sharded stepping a *pessimization*: the controller loop
-//! steps one epoch at a time (it migrates VMs between epochs), so it paid a
-//! full thread spawn + join per epoch and could never amortise the way
-//! batched `step_epochs` callers do.
+//! synthetic-benchmark training.  The threads are persistent because the
+//! controller loop steps one epoch at a time (it migrates VMs between
+//! epochs): spawning per call would cost a full thread spawn + join every
+//! epoch.  The barrier-first panic policy below is the engine's panic
+//! policy — `engine.rs` has no unwinding code of its own.
 //!
 //! Two entry points share the machinery: [`WorkerPool::scatter_map`] maps a
 //! shared function over a mutable slice with **zero heap allocation per
@@ -105,11 +105,17 @@ unsafe fn run_map<I, T, F: Fn(&mut I) -> T>(ctx: *const ()) {
     // SAFETY: caller contract — `f` is a live `Sync` function shared by
     // every task, and `item` is storage this task exclusively owns.
     let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*ctx.f)(&mut *ctx.item) }));
+    // Signal through a sender this task owns: the coordinating thread may
+    // free the arena — and with it `ctx.done` and the channel's last other
+    // handles — the moment the signal is received, which can be while
+    // `send` is still waking the receiver.  The clone keeps the channel
+    // alive until `send` has returned.
+    let done = ctx.done.clone();
     // SAFETY: caller contract — `slot` is storage this task exclusively
     // owns; the write is published to the coordinating thread through the
     // completion channel's happens-before edge.
     unsafe { ctx.slot.write(Some(result)) };
-    let _ = ctx.done.send(());
+    let _ = done.send(());
 }
 
 /// Long-lived worker threads with one work queue each.

@@ -83,7 +83,7 @@
 //! // model present, so analyses never compare counters across models.
 //! let mut deepdive = DeepDive::for_cluster(DeepDiveConfig::default(), &cluster);
 //! // One seed determines every VM's demand stream; the engine can also run
-//! // `ExecutionMode::Sharded { threads }` with bit-identical results.
+//! // `ExecutionMode::Pooled { threads }` with bit-identical results.
 //! let engine = EpochEngine::serial(ClusterSeed::new(1));
 //!
 //! // Learn normal behaviour for a while...

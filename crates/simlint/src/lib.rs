@@ -3,7 +3,7 @@
 //! unsafety contracts
 //!
 //! The repository's north-star claim — interference detection that is
-//! **bit-identical** across `Serial`/`Sharded`/`Pooled` execution — rests on
+//! **bit-identical** across `Serial`/`Pooled` execution — rests on
 //! runtime proptests (`engine_equivalence`, `warning_equivalence`).  Nothing
 //! in `cargo test` stops the *next* PR from reintroducing a wall-clock read,
 //! a `HashMap`-iteration-order dependence, or an unaudited `unsafe` block.

@@ -33,7 +33,7 @@ fn main() {
     // to the pool matching the victim's host.
     let mut deepdive = DeepDive::for_cluster(DeepDiveConfig::default(), &cluster);
     // One cluster seed drives every VM's demand stream; serial stepping is
-    // plenty for two machines (Sharded mode would be bit-identical anyway).
+    // plenty for two machines (Pooled mode would be bit-identical anyway).
     let engine = EpochEngine::serial(ClusterSeed::new(42));
 
     println!("== phase 1: learning normal behaviour (no interference) ==");

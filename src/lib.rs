@@ -83,26 +83,30 @@
 //!   cannot perturb any other VM's stream (pinned by
 //!   `tests/engine_equivalence.rs`).
 //! * **The parallel epoch engine** — `cloudsim::engine::EpochEngine` steps
-//!   a cluster under `ExecutionMode::Serial`, `ExecutionMode::Sharded {
-//!   threads }` (scoped threads spawned per call — the baseline) or
-//!   `ExecutionMode::Pooled { threads }` (the production mode): a
-//!   persistent `cloudsim::WorkerPool` with per-worker queues and an
-//!   epoch-barrier scatter, stepping balanced contiguous machine shards
+//!   a cluster under `ExecutionMode::Serial` (one thread; the reference
+//!   every other configuration is compared against) or
+//!   `ExecutionMode::Pooled { threads }`: a persistent
+//!   `cloudsim::WorkerPool` with per-worker queues and an epoch-barrier
+//!   scatter, stepping balanced contiguous machine shards
 //!   (`pool::split_balanced` — exactly `threads` shards whenever enough
 //!   machines exist) and merging reports in machine-index order, output
-//!   **bit-identical** across all modes (a proptest pins Serial vs
-//!   Sharded vs Pooled at several thread counts). The pool joins its
-//!   workers on drop, and a panicking shard reaches the barrier first,
-//!   then re-raises the original payload without poisoning the workers
-//!   (`tests/pool_lifecycle.rs`). `EpochEngine::step_epochs` batches a
-//!   whole epoch horizon into one handoff for callers that do not mutate
-//!   the cluster between epochs.
+//!   **bit-identical** across both modes (a proptest pins Serial vs
+//!   Pooled at several thread counts). The pool joins its workers on
+//!   drop, and a panicking shard reaches the barrier first, then re-raises
+//!   the original payload without poisoning the workers
+//!   (`tests/pool_lifecycle.rs`). Two entry points: `EpochEngine::step`
+//!   advances one epoch and returns its reports — the call every loop that
+//!   mutates placement between epochs uses — and
+//!   `EpochEngine::advance_epochs` fast-forwards a stretch under fixed
+//!   loads without materialising reports. Dense stepping
+//!   (`set_sparse(false)`) stays as the reference the sparse path is
+//!   pinned bit-identical to.
 //!   The `CLOUDSIM_THREADS` env var selects the mode where callers defer
 //!   to `ExecutionMode::from_env()` (unset: `Pooled` over all available
 //!   cores; malformed values are a hard error, never a silent fallback).
 //!   Measured by `cargo bench -p bench --bench cluster_throughput`
-//!   (64–512-machine fleets at real density, serial vs sharded vs pooled
-//!   at 1/2/4/8 threads, plus migration churn; dumps `BENCH_cluster.json`
+//!   (64–512-machine fleets at real density, serial vs pooled at 2/4/8
+//!   threads, plus migration churn; dumps `BENCH_cluster.json`
 //!   with the runner's `available_parallelism`, and `threads > 1` rows on
 //!   a 1-core runner are flagged `overhead_only` so they are never
 //!   mistaken for scaling data).
@@ -173,13 +177,14 @@
 //!   apps, constant stressors) resolves once, caches its per-VM reports,
 //!   and replays them byte-for-byte until membership, offered loads, or
 //!   placement generation change (`EpochEngine::set_sparse`, default on;
-//!   dense mode remains for measurement).  For whole idle stretches,
+//!   dense mode remains as the reference the sparse path is compared
+//!   against).  For whole idle stretches,
 //!   `EpochEngine::advance_epochs` goes further and skips report
 //!   materialization entirely — quiescent machines are visited once per
 //!   batch, active machines resolve every epoch, and the returned
 //!   `AdvanceSummary` accounts resolved vs quiescent machine-epochs.
 //!   Both paths are pinned bit-identical to dense serial stepping across
-//!   all three execution modes under randomized arrival/departure/
+//!   both execution modes under randomized arrival/departure/
 //!   migration churn (`tests/engine_equivalence.rs`).
 //!   Measured by `cargo bench -p bench --bench datacenter_throughput`
 //!   (dumps `BENCH_datacenter.json`): on a 1-core container at 10k
@@ -281,21 +286,21 @@
 //!   contention monotonicity, queueing monotonicity),
 //! * `tests/persistence.rs` — repository JSON round-trip and the §5.5
 //!   "≈5 KB per VM per day" footprint bound,
-//! * `tests/engine_equivalence.rs` — proptest: serial, sharded and pooled
-//!   stepping bit-identical over arbitrary placements/loads/epochs
-//!   (including thread counts that exceed or do not divide the machine
-//!   count), sparse stepping bit-identical to dense under randomized
+//! * `tests/engine_equivalence.rs` — proptest: serial and pooled stepping
+//!   (`step` and `advance_epochs`) bit-identical over arbitrary
+//!   placements/loads/epochs (including thread counts that exceed or do
+//!   not divide the machine count), sparse stepping bit-identical to dense under randomized
 //!   arrival/departure/migration churn in every mode, and migrations
 //!   never perturb other VMs' demand streams,
 //! * `tests/pool_lifecycle.rs` — worker-pool guarantees: drop joins every
 //!   worker (no leaked threads across repeated construction), degenerate
-//!   clusters step on the calling thread, zero-epoch batches are no-ops,
-//!   and a panicking shard propagates its original payload after the
-//!   barrier without advancing the epoch or poisoning the pool,
+//!   clusters step on the calling thread, and a panicking shard (under
+//!   `step` or `advance_epochs`) propagates its original payload after
+//!   the barrier without advancing the epoch or poisoning the pool,
 //! * `tests/fault_tolerance.rs` — the chaos suite: randomized fault +
 //!   churn schedules (including random topologies, correlated rack/domain
 //!   outages and maintenance drains) through every execution mode with
-//!   the invariant audit green after every epoch, Serial/Sharded/Pooled
+//!   the invariant audit green after every epoch, Serial/Pooled
 //!   bit-identical under chaos, a disabled plane reproducing the
 //!   fault-free trajectory byte for byte, and deterministic hostile
 //!   schedules exercising every fault path (crashes, repairs,

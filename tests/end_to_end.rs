@@ -206,7 +206,7 @@ fn global_information_reduces_analyzer_invocations_for_shared_load_shifts() {
 fn heterogeneous_fleet_detects_and_migrates_across_machine_models() {
     // A mixed rack (ROADMAP heterogeneous-fleet scenario): two Xeon X5472
     // machines extended with two Core i7/Nehalem nodes (the §4.4 port),
-    // stepped sharded to exercise the parallel path end to end.
+    // stepped on the pooled engine to exercise the parallel path end to end.
     //
     // The interference victim lives on an *i7* node: with the spec-aware
     // sandbox fleet there is no longer any reason to keep analyzed tenants
@@ -233,7 +233,7 @@ fn heterogeneous_fleet_detects_and_migrates_across_machine_models() {
     // The fleet is derived from the cluster: one pool per machine model.
     let mut deepdive = DeepDive::for_cluster(DeepDiveConfig::default(), &cluster);
     assert_eq!(deepdive.sandbox_fleet().pools().len(), 2);
-    let engine = EpochEngine::new(ClusterSeed::new(6), ExecutionMode::Sharded { threads: 2 });
+    let engine = EpochEngine::new(ClusterSeed::new(6), ExecutionMode::Pooled { threads: 2 });
     run_epochs(&mut cluster, &mut deepdive, &engine, 50, 0.8);
 
     // A cache/bus aggressor lands next to the i7-hosted victim.

@@ -3,12 +3,12 @@
 //!
 //! Two properties the parallel engine is built on:
 //!
-//! 1. **Mode equivalence** — `Serial`, `Sharded` (spawn-per-call scoped
-//!    threads) and `Pooled` (persistent worker pool) produce bit-identical
-//!    `VmEpochReport` sequences over arbitrary placements, loads and epoch
-//!    counts — including thread counts that exceed or do not divide the
-//!    machine count (the thread count is a throughput knob, never a results
-//!    knob).
+//! 1. **Mode equivalence** — `Serial` (the reference) and `Pooled`
+//!    (persistent worker pool) produce bit-identical `VmEpochReport`
+//!    sequences over arbitrary placements, loads and epoch counts —
+//!    including thread counts that exceed or do not divide the machine
+//!    count (the thread count is a throughput knob, never a results knob) —
+//!    through both entry points, `step` and `advance_epochs`.
 //! 2. **Stream independence** — a mid-run migration does not change any
 //!    VM's subsequent demand stream, because streams are derived per
 //!    `(vm, epoch)` from the cluster seed rather than threaded through a
@@ -17,7 +17,8 @@
 //!    change perturbed every later draw.
 
 use cloudsim::{
-    Cluster, ClusterSeed, EpochEngine, ExecutionMode, PmId, Scheduler, Vm, VmEpochReport, VmId,
+    AdvanceSummary, Cluster, ClusterSeed, EpochEngine, ExecutionMode, PmId, Scheduler, Vm,
+    VmEpochReport, VmId,
 };
 use hwsim::MachineSpec;
 use proptest::prelude::*;
@@ -93,32 +94,44 @@ proptest! {
         vms in 1usize..20,
         stride in 1usize..5,
         epochs in 1usize..7,
+        advance in 0u64..5,
         seed in 0u64..1_000,
         base_load in 0.05f64..0.95,
     ) {
         let modes = [
             ExecutionMode::Serial,
-            ExecutionMode::Sharded { threads: 2 },
-            ExecutionMode::Sharded { threads: 8 },
+            ExecutionMode::Pooled { threads: 2 },
             ExecutionMode::Pooled { threads: 3 },
             ExecutionMode::Pooled { threads: 8 },
         ];
-        let mut runs: Vec<Vec<VmEpochReport>> = Vec::new();
+        // Per-VM loads, so shards cannot get away with evaluating the
+        // closure for the wrong VM; in the low-`base_load` half of the cases
+        // even-id VMs idle, so the bulk advance meets quiescent machines.
+        let load = |v: VmId| {
+            if v.0.is_multiple_of(2) && base_load < 0.5 {
+                0.0
+            } else {
+                (base_load + 0.07 * (v.0 % 8) as f64).min(1.0)
+            }
+        };
+        let mut runs: Vec<(Vec<VmEpochReport>, AdvanceSummary, Vec<VmEpochReport>)> = Vec::new();
         for mode in modes {
             let mut cluster = build_cluster(machines, vms, stride);
             let engine = EpochEngine::new(ClusterSeed::new(seed), mode);
-            let mut all = Vec::new();
+            let mut stepped = Vec::new();
             for _ in 0..epochs {
-                // Per-VM loads, so shards cannot get away with evaluating
-                // the closure for the wrong VM.
-                all.extend(
-                    engine.step(&mut cluster, |v| (base_load + 0.07 * (v.0 % 8) as f64).min(1.0)),
-                );
+                stepped.extend(engine.step(&mut cluster, load));
             }
-            runs.push(all);
+            // The report-free entry point, then one more reported epoch:
+            // the tail is only right if the advance left every machine in
+            // the state per-epoch stepping would have.
+            let summary = engine.advance_epochs(&mut cluster, advance, load);
+            let tail = engine.step(&mut cluster, load);
+            prop_assert_eq!(cluster.epoch(), epochs as u64 + advance + 1);
+            runs.push((stepped, summary, tail));
         }
         let serial = &runs[0];
-        prop_assert!(!serial.is_empty());
+        prop_assert!(!serial.0.is_empty());
         for (mode, run) in modes.iter().zip(&runs).skip(1) {
             prop_assert_eq!(serial, run, "{:?} diverged from Serial", mode);
         }
@@ -171,8 +184,8 @@ proptest! {
         let configs = [
             (false, ExecutionMode::Serial),
             (true, ExecutionMode::Serial),
-            (true, ExecutionMode::Sharded { threads: 3 }),
             (true, ExecutionMode::Pooled { threads: 2 }),
+            (true, ExecutionMode::Pooled { threads: 3 }),
         ];
         // Loads alternate between idle and busy in 3-epoch stretches per
         // VM, so quiescent stretches genuinely occur (and end) mid-run.

@@ -7,13 +7,13 @@
 //! 1. **Clean shutdown** — dropping a pooled engine joins every worker;
 //!    constructing engines in a loop leaks no threads.
 //! 2. **Degenerate clusters degrade gracefully** — VM-less and
-//!    single-machine clusters step entirely on the calling thread, and a
-//!    zero-epoch batch is a no-op.
-//! 3. **Panic containment** — a panicking `load_for` in a shard propagates
-//!    its original payload to the caller *after* the shard barrier, leaves
-//!    the cluster epoch counter un-advanced, and does **not** poison the
-//!    pool: the very next step on the same engine works and stays
-//!    bit-identical to serial.
+//!    single-machine clusters step entirely on the calling thread.
+//! 3. **Panic containment** — a panicking `load_for` in a shard, under
+//!    either entry point (`step`, `advance_epochs`), propagates its
+//!    original payload to the caller *after* the shard barrier, leaves the
+//!    cluster epoch counter un-advanced, and does **not** poison the pool:
+//!    the very next step on the same engine works and stays bit-identical
+//!    to serial.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -62,43 +62,23 @@ fn dropping_pooled_engines_joins_all_workers() {
 
 #[test]
 fn degenerate_clusters_step_on_the_calling_thread() {
-    for mode in [
-        ExecutionMode::Pooled { threads: 8 },
-        ExecutionMode::Sharded { threads: 8 },
-    ] {
-        let engine = EpochEngine::new(ClusterSeed::new(1), mode);
-        // Empty cluster (machines but no VMs — Cluster rejects zero
-        // machines at construction): no reports, epoch still counts.
-        let mut empty = cluster(2, 0);
-        let reports = engine.step(&mut empty, |_| 0.5);
-        assert!(reports.is_empty(), "VM-less step produced reports");
-        assert_eq!(empty.epoch(), 1);
-        // One machine: serial path, identical to a serial engine's output.
-        let serial = EpochEngine::serial(ClusterSeed::new(1));
-        let mut single_parallel = cluster(1, 2);
-        let mut single_serial = cluster(1, 2);
-        for _ in 0..3 {
-            assert_eq!(
-                engine.step(&mut single_parallel, |_| 0.7),
-                serial.step(&mut single_serial, |_| 0.7),
-                "single-machine divergence under {mode:?}"
-            );
-        }
-    }
-}
-
-#[test]
-fn zero_epoch_batches_are_no_ops() {
-    for mode in [
-        ExecutionMode::Serial,
-        ExecutionMode::Sharded { threads: 4 },
-        ExecutionMode::Pooled { threads: 4 },
-    ] {
-        let engine = EpochEngine::new(ClusterSeed::new(9), mode);
-        let mut c = cluster(3, 6);
-        let batches = engine.step_epochs(&mut c, 0, |_, _| 0.5);
-        assert!(batches.is_empty(), "zero epochs returned batches: {mode:?}");
-        assert_eq!(c.epoch(), 0, "zero-epoch batch advanced the epoch");
+    let engine = EpochEngine::new(ClusterSeed::new(1), ExecutionMode::Pooled { threads: 8 });
+    // Empty cluster (machines but no VMs — Cluster rejects zero machines at
+    // construction): no reports, epoch still counts.
+    let mut empty = cluster(2, 0);
+    let reports = engine.step(&mut empty, |_| 0.5);
+    assert!(reports.is_empty(), "VM-less step produced reports");
+    assert_eq!(empty.epoch(), 1);
+    // One machine: serial path, identical to a serial engine's output.
+    let serial = EpochEngine::serial(ClusterSeed::new(1));
+    let mut single_pooled = cluster(1, 2);
+    let mut single_serial = cluster(1, 2);
+    for _ in 0..3 {
+        assert_eq!(
+            engine.step(&mut single_pooled, |_| 0.7),
+            serial.step(&mut single_serial, |_| 0.7),
+            "single-machine divergence"
+        );
     }
 }
 
@@ -109,39 +89,50 @@ fn shard_panic_propagates_without_poisoning_the_pool() {
         .worker_pool()
         .expect("pooled engine owns a pool")
         .liveness();
-    let mut c = cluster(8, 16);
 
     // A load closure that blows up for one specific VM: some shards finish,
-    // the one holding VM 5 panics.
-    let crashed = catch_unwind(AssertUnwindSafe(|| {
-        engine.step(&mut c, |vm| {
-            if vm.0 == 5 {
-                panic!("load trace corrupted for vm {}", vm.0);
+    // the one holding VM 5 panics — under either entry point.
+    let corrupted = |vm: VmId| {
+        if vm.0 == 5 {
+            panic!("load trace corrupted for vm {}", vm.0);
+        }
+        0.5
+    };
+    for bulk in [false, true] {
+        let mut c = cluster(8, 16);
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            if bulk {
+                engine.advance_epochs(&mut c, 5, corrupted);
+            } else {
+                engine.step(&mut c, corrupted);
             }
-            0.5
-        })
-    }));
-    let payload = crashed.expect_err("the shard panic must propagate");
-    let message = payload
-        .downcast_ref::<String>()
-        .expect("original payload, not a join wrapper");
-    assert_eq!(message, "load trace corrupted for vm 5");
+        }));
+        let payload = crashed.expect_err("the shard panic must propagate");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("original payload, not a join wrapper");
+        assert_eq!(message, "load trace corrupted for vm 5");
 
-    // The failed step must not have advanced the epoch counter, and the
-    // pool's workers must all still be alive.
-    assert_eq!(c.epoch(), 0, "failed step advanced the cluster epoch");
-    assert!(
-        pool_probe.upgrade().is_some(),
-        "a shard panic killed pool workers"
-    );
+        // The failed call must not have advanced the epoch counter, and the
+        // pool's workers must all still be alive.
+        assert_eq!(c.epoch(), 0, "failed call (bulk={bulk}) advanced the epoch");
+        assert!(
+            pool_probe.upgrade().is_some(),
+            "a shard panic killed pool workers"
+        );
+    }
 
     // The engine remains fully usable and bit-identical to serial: compare
     // a post-panic run against a fresh serial run over the same horizon.
-    // (The panicking step half-stepped some machines' internal workload
+    // (The panicking calls half-stepped some machines' internal workload
     // state, so rebuild the cluster for the comparison.)
     let mut after_panic = cluster(8, 16);
     let mut reference = cluster(8, 16);
     let serial = EpochEngine::serial(ClusterSeed::new(7));
+    assert_eq!(
+        engine.advance_epochs(&mut after_panic, 2, |_| 0.5),
+        serial.advance_epochs(&mut reference, 2, |_| 0.5)
+    );
     for _ in 0..3 {
         assert_eq!(
             engine.step(&mut after_panic, |_| 0.5),
@@ -218,23 +209,4 @@ fn scatter_map_panic_leaks_no_arena_slots() {
     assert_eq!(Arc::strong_count(&token), 1 + results.len());
     drop(results);
     assert_eq!(Arc::strong_count(&token), 1);
-}
-
-#[test]
-fn sharded_mode_panic_also_reaches_the_barrier_first() {
-    // The scoped-thread baseline follows the same policy: original payload,
-    // epoch not advanced, no abort via a bare join().expect.
-    let engine = EpochEngine::new(ClusterSeed::new(3), ExecutionMode::Sharded { threads: 4 });
-    let mut c = cluster(8, 16);
-    let crashed = catch_unwind(AssertUnwindSafe(|| {
-        engine.step(&mut c, |vm| {
-            if vm.0 == 0 {
-                panic!("boom");
-            }
-            0.4
-        })
-    }));
-    let payload = crashed.expect_err("the shard panic must propagate");
-    assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom"));
-    assert_eq!(c.epoch(), 0);
 }
