@@ -925,9 +925,9 @@ pub fn fig11_placement_robustness(benchmark: &SyntheticBenchmark, seed: u64) -> 
         .demand();
 
     // Three candidates, each running one cloud workload at substantial load.
-    let mut candidates = Vec::new();
+    let mut resident_demands = Vec::new();
     let mut real_interference = Vec::new();
-    for (i, workload) in CloudWorkload::ALL.iter().enumerate() {
+    for workload in CloudWorkload::ALL.iter() {
         let mut wl = workload.workload();
         let resident_demand = wl.next_demand(0.9, &mut rng);
         let resident_solo = resolve_epoch(
@@ -946,18 +946,23 @@ pub fn fig11_placement_robustness(benchmark: &SyntheticBenchmark, seed: u64) -> 
             / resident_solo[0].achieved_fraction)
             .max(0.0);
         real_interference.push(real);
-        candidates.push(CandidateMachine {
-            pm_id: PmId(10 + i as u64),
-            spec: spec.clone(),
-            resident_demands: vec![resident_demand],
-            free_cores: 6,
-        });
+        resident_demands.push(resident_demand);
     }
 
     // DeepDive's prediction-based choice.
-    let predictions: Vec<(PmId, f64)> = candidates
+    let predictions: Vec<(PmId, f64)> = resident_demands
         .iter()
-        .map(|c| (c.pm_id, manager.predict_on_candidate(&clone_demand, 2, c)))
+        .enumerate()
+        .map(|(i, resident)| {
+            let candidate = CandidateMachine {
+                pm_id: PmId(10 + i as u64),
+                spec: &spec,
+                resident_demands: std::slice::from_ref(resident),
+                free_cores: 6,
+            };
+            let predicted = manager.predict_on_candidate(&clone_demand, 2, &candidate);
+            (candidate.pm_id, predicted)
+        })
         .collect();
     let chosen_pm = predictions
         .iter()

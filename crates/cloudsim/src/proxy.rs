@@ -19,9 +19,6 @@ use hwsim::ResourceDemand;
 use crate::pm::VmEpochReport;
 use crate::vm::VmId;
 
-/// Default number of recent epochs the proxy retains per VM.
-pub const DEFAULT_WINDOW: usize = 32;
-
 /// Sliding window of recent request streams (as demands) per VM.
 #[derive(Debug, Default)]
 pub struct RequestProxy {
@@ -40,11 +37,6 @@ impl RequestProxy {
             window,
             recorded: HashMap::new(),
         }
-    }
-
-    /// Creates a proxy with the default window.
-    pub fn with_default_window() -> Self {
-        Self::new(DEFAULT_WINDOW)
     }
 
     /// Records the traffic (demand) observed for a VM this epoch.
@@ -73,9 +65,10 @@ impl RequestProxy {
 
     /// The most recent `n` recorded demands for a VM (oldest first).
     pub fn replay_last(&self, vm_id: VmId, n: usize) -> Vec<ResourceDemand> {
-        let all = self.replay(vm_id);
-        let skip = all.len().saturating_sub(n);
-        all.into_iter().skip(skip).collect()
+        self.recorded
+            .get(&vm_id)
+            .map(|d| d.iter().skip(d.len().saturating_sub(n)).cloned().collect())
+            .unwrap_or_default()
     }
 
     /// Drops everything recorded for a VM (e.g. after it is terminated).
@@ -136,7 +129,7 @@ mod tests {
 
     #[test]
     fn unknown_vm_replays_nothing() {
-        let proxy = RequestProxy::with_default_window();
+        let proxy = RequestProxy::new(4);
         assert!(proxy.replay(VmId(42)).is_empty());
         assert_eq!(proxy.recorded_epochs(VmId(42)), 0);
     }

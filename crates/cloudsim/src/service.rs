@@ -290,6 +290,9 @@ pub struct DatacenterService {
     retry: VecDeque<RetryEntry>,
     /// Non-fatal faults absorbed so far, in occurrence order.
     errors: Vec<ServiceError>,
+    /// VMs that left for good (departed or abandoned) during the latest
+    /// [`DatacenterService::step_epoch`]; cleared at the start of the next.
+    departed: Vec<VmId>,
 }
 
 impl DatacenterService {
@@ -325,6 +328,7 @@ impl DatacenterService {
             app_domains: BTreeMap::new(),
             retry: VecDeque::new(),
             errors: Vec::new(),
+            departed: Vec::new(),
         }
     }
 
@@ -442,6 +446,16 @@ impl DatacenterService {
         self.events.len()
     }
 
+    /// The VMs that left the datacenter for good during the latest
+    /// [`DatacenterService::step_epoch`]: sessions whose departure fired
+    /// (resident or parked) and parked VMs abandoned after their retry
+    /// budget.  None of them reports again, so a controller keeping per-VM
+    /// state drops it for exactly these ids.  Evacuees waiting in the retry
+    /// queue are *not* listed — they are still in the system.
+    pub fn departed_last_epoch(&self) -> &[VmId] {
+        &self.departed
+    }
+
     /// Tells the placement hint queue that `pm` freed some capacity — the
     /// hook a migration controller calls for each machine it moved a VM
     /// *off* (departures handled by the service itself do this
@@ -468,6 +482,7 @@ impl DatacenterService {
     /// only once it lands).
     pub fn step_epoch(&mut self) -> Vec<VmEpochReport> {
         let epoch = self.cluster.epoch();
+        self.departed.clear();
         self.apply_faults(epoch);
         self.apply_due_events();
         self.apply_retries(epoch);
@@ -649,6 +664,7 @@ impl DatacenterService {
                     let attempts = attempts + 1;
                     if attempts >= RETRY_ATTEMPT_LIMIT {
                         self.stats.abandonments += 1;
+                        self.departed.push(id);
                         // An abandoned evacuee's stale GoIdle/Depart events
                         // fire harmlessly: the VM is neither resident nor
                         // parked by then.
@@ -687,6 +703,7 @@ impl DatacenterService {
                             self.note_spread_removed(pm, removed.app_id());
                         }
                         self.stats.departures += 1;
+                        self.departed.push(vm);
                         self.note_capacity_freed(pm);
                     } else if let Some(pos) = self.retry.iter().position(|e| e.vm == vm) {
                         // The session ended while the VM sat parked (an
@@ -694,6 +711,7 @@ impl DatacenterService {
                         // over, count the departure.
                         self.retry.remove(pos);
                         self.stats.departures += 1;
+                        self.departed.push(vm);
                     }
                 }
             }
@@ -923,12 +941,16 @@ mod tests {
         let second = svc.step_epoch(); // epoch 1: the t = 0.5 arrival joined
         assert_eq!(second.len(), 2);
         let mut reports = Vec::new();
-        for _ in 2..6 {
+        let mut departed = Vec::new();
+        for _ in 2..7 {
             reports.push(svc.step_epoch());
+            departed.push(svc.departed_last_epoch().to_vec());
         }
         // Epoch 4 still has VM 1 (departs at 4.5 → removed at epoch 5).
         assert_eq!(reports[2].len(), 3, "epoch 4: all three resident");
         assert_eq!(reports[3].len(), 2, "epoch 5: VM 1 departed");
+        // The departure is listed for the epoch it happened in, only.
+        assert_eq!(departed, [vec![], vec![], vec![], vec![VmId(1)], vec![]]);
         let stats = svc.stats();
         assert_eq!(stats.arrivals, 3);
         assert_eq!(stats.departures, 1);
@@ -999,7 +1021,12 @@ mod tests {
         let specs: Vec<(f64, f64, f64, usize)> =
             (0..6).map(|i| (i as f64 * 0.01, 200.0, 0.5, 1)).collect();
         let mut svc = DatacenterService::new(ServiceConfig::xeon_fleet(1, 4), sessions(&specs));
-        svc.run_epochs(80);
+        let mut gone = Vec::new();
+        for _ in 0..80 {
+            svc.step_epoch();
+            gone.extend_from_slice(svc.departed_last_epoch());
+        }
+        assert_eq!(gone, [VmId(4), VmId(5)], "abandoned VMs left for good");
         let stats = svc.stats();
         assert_eq!(stats.rejections, 2);
         assert_eq!(stats.retries, 12);

@@ -45,13 +45,13 @@ use cloudsim::cluster::ClusterError;
 use cloudsim::pm::VmEpochReport;
 use cloudsim::pool::WorkerPool;
 use cloudsim::{Cluster, PmId, RequestProxy, SandboxFleet, VmId};
-use hwsim::{CounterSnapshot, MachineSpec};
+use hwsim::{CounterSnapshot, MachineSpec, ResourceDemand};
 use serde::{Deserialize, Serialize};
 use workloads::AppId;
 
 use crate::analyzer::{AnalysisResult, InterferenceAnalyzer};
 use crate::cpi_stack::Resource;
-use crate::metrics::BehaviorVector;
+use crate::epoch_index::EpochIndex;
 use crate::placement::{CandidateMachine, PlacementManager, ResidentVm};
 use crate::repository::BehaviorRepository;
 use crate::synthetic::SyntheticBenchmark;
@@ -219,6 +219,16 @@ struct DeferredAnalysis {
     deadline: u64,
 }
 
+/// What the controller remembers about one VM between epochs.
+#[derive(Debug, Default)]
+struct VmRecord {
+    /// The VM's last `analysis_window` counter snapshots, oldest first.
+    recent_counters: VecDeque<CounterSnapshot>,
+    /// First epoch at which the VM may be analyzed again (a simple
+    /// controller against oscillating invocations, §4.4).
+    cooldown_until: u64,
+}
+
 /// A mitigation migration parked for a backed-off retry after a transient
 /// failure or a full destination.
 #[derive(Debug, Clone, Copy)]
@@ -255,8 +265,8 @@ pub struct DeepDive {
     /// experiments size profiling capacity from.
     profiling_by_pool: Vec<f64>,
     stats: DeepDiveStats,
-    recent_counters: HashMap<VmId, VecDeque<CounterSnapshot>>,
-    cooldown_until: HashMap<VmId, u64>,
+    /// Per-VM state, dropped by [`DeepDive::forget_vms`].
+    vms: HashMap<VmId, VmRecord>,
     /// Counter-derived fault schedule shared with the datacenter service;
     /// `None` (or a disabled plane) leaves every degradation path inert.
     fault_plane: Option<cloudsim::FaultPlane>,
@@ -271,16 +281,11 @@ pub struct DeepDive {
     /// share one set of threads; `None` keeps every path serial.  Results
     /// are bit-identical either way.
     pool: Option<Arc<WorkerPool>>,
-    // Reusable per-epoch scratch: cleared (not dropped) every epoch so the
+    // Reusable scratch: cleared (not dropped) between uses so the
     // steady-state warning path performs no heap allocation.
-    /// Current behaviour of every reporting VM.
-    behavior_scratch: HashMap<VmId, BehaviorVector>,
-    /// Reporting VMs grouped by application (the global-information index).
-    by_app_scratch: HashMap<AppId, Vec<VmId>>,
-    /// Applications reporting this epoch (the refresh sweep's work list).
-    apps_scratch: Vec<AppId>,
-    /// Same-application peer behaviours for the VM under evaluation.
-    peer_scratch: Vec<BehaviorVector>,
+    /// This epoch's reports, indexed: behaviours, application groups,
+    /// machine groups.
+    index: EpochIndex,
     /// Analysis window handed to the interference analyzer.
     window_scratch: Vec<CounterSnapshot>,
 }
@@ -310,27 +315,26 @@ impl DeepDive {
         }
         let warning = WarningSystem::new(config.warning.clone());
         let profiling_by_pool = vec![0.0; fleet.pools().len()];
+        // The analyzer replays `analysis_window` epochs; a longer proxy
+        // window would only hold demands nobody reads.
+        let proxy = RequestProxy::new(config.analysis_window.max(1));
         Self {
             config,
             warning,
             analyzer,
             repository: BehaviorRepository::new(),
-            proxy: RequestProxy::with_default_window(),
+            proxy,
             fleet,
             placement,
             synthetic: BTreeMap::new(),
             profiling_by_pool,
             stats: DeepDiveStats::default(),
-            recent_counters: HashMap::new(),
-            cooldown_until: HashMap::new(),
+            vms: HashMap::new(),
             fault_plane: None,
             deferred: Vec::new(),
             pending_migrations: Vec::new(),
             pool: None,
-            behavior_scratch: HashMap::new(),
-            by_app_scratch: HashMap::new(),
-            apps_scratch: Vec::new(),
-            peer_scratch: Vec::new(),
+            index: EpochIndex::default(),
             window_scratch: Vec::new(),
         }
     }
@@ -486,13 +490,39 @@ impl DeepDive {
         self.warning.in_conservative_mode(app)
     }
 
+    /// Drops everything the controller keeps per VM — counter history,
+    /// cooldown, recorded request stream, a deferred analysis — for VMs that
+    /// left the datacenter for good (departed or abandoned; see
+    /// `DatacenterService::departed_last_epoch`).  Without it that state
+    /// grows with every session ever admitted.  Do **not** pass VMs that
+    /// are merely parked between machines: they report again and their
+    /// analysis windows must survive.  A pending mitigation retry whose
+    /// victim is forgotten still drains on schedule (as a
+    /// `MigrationSkipped`), exactly as if the VM had only stopped reporting.
+    pub fn forget_vms(&mut self, gone: &[VmId]) {
+        for &vm in gone {
+            self.vms.remove(&vm);
+            self.proxy.forget(vm);
+        }
+        self.deferred.retain(|d| !gone.contains(&d.vm));
+    }
+
+    /// Number of VMs the controller currently holds state for.
+    pub fn tracked_vms(&self) -> usize {
+        self.vms.len()
+    }
+
     /// Processes one epoch of cluster reports: Algorithm 1 for every VM, and
     /// Algorithm 2 (plus placement) for whatever the warning system escalates.
     ///
-    /// The warning models are refreshed **once per application per epoch**,
-    /// before the per-VM loop (an O(1) generation check per app in the steady
-    /// state).  Behaviours the epoch itself adds to the repository are picked
-    /// up by the next epoch's refresh.
+    /// The reports are indexed once (`EpochIndex`: behaviours, application
+    /// groups, machine groups), and the warning models are refreshed **once
+    /// per application per epoch**, before the per-VM loop (an O(1)
+    /// generation check per app in the steady state).  Behaviours the epoch
+    /// itself adds to the repository are picked up by the next epoch's
+    /// refresh.  A VM whose behaviour its model accepts costs one model
+    /// check; its application's other VMs are looked at only when that
+    /// check fails.
     pub fn process_epoch(
         &mut self,
         cluster: &mut Cluster,
@@ -504,75 +534,52 @@ impl DeepDive {
         }
         let epoch = reports[0].epoch;
 
+        // The index is a pure function of the reports.  It leaves `self`
+        // for the epoch so the `&mut self` steps below can read it.
+        let mut index = std::mem::take(&mut self.index);
+        index.rebuild(reports);
+
         // Run mitigation migrations whose backoff expired before anything
         // else this epoch, so a retry sees the freshest reports.
-        events.extend(self.drain_pending_migrations(cluster, reports, epoch));
+        events.extend(self.drain_pending_migrations(cluster, reports, &index, epoch));
 
         // Record the duplicated request streams and the counter history.
         self.proxy.record_reports(reports);
         for r in reports {
-            let history = self.recent_counters.entry(r.vm_id).or_default();
+            let history = &mut self.vms.entry(r.vm_id).or_default().recent_counters;
             history.push_back(r.counters);
             while history.len() > self.config.analysis_window {
                 history.pop_front();
             }
         }
 
-        // Current behaviour of every VM, grouped by application (the global
-        // information the warning system may consult).  Rebuilt into scratch
-        // maps that keep their allocations across epochs; with a stable VM
-        // population this allocates nothing.
-        self.behavior_scratch.clear();
-        // Clearing every group touches each exactly once; nothing observes
-        // the visit order.  simlint: order-independent
-        for group in self.by_app_scratch.values_mut() {
-            group.clear();
-        }
-        for r in reports {
-            self.behavior_scratch
-                .insert(r.vm_id, BehaviorVector::from_counters(&r.counters));
-            self.by_app_scratch.entry(r.app).or_default().push(r.vm_id);
-        }
-
         // One model refresh per application per epoch.  Each refresh is O(1)
         // when that application's repository generation is unchanged, and
         // when several applications do need a refit the fits fan out over
         // the worker pool (bit-identical to the serial sweep).  The work
-        // list is **sorted** before it reaches the pool: models are
-        // independent so results would match in any order, but the sort
-        // keeps scatter job assignment, refit accounting and any future
-        // order-sensitive consumer a pure function of the reports — never
-        // of `by_app_scratch`'s per-process hash order.
-        self.apps_scratch.clear();
-        self.apps_scratch.extend(
-            self.by_app_scratch
-                // Hash-order collection, sorted below.  simlint: order-independent
-                .iter()
-                .filter(|(_, vms)| !vms.is_empty())
-                .map(|(&app, _)| app),
-        );
-        self.apps_scratch.sort_unstable();
+        // list is the index's application keys, ascending: scatter job
+        // assignment and refit accounting are a pure function of the
+        // reports.
         self.warning
-            .refresh_models(&self.apps_scratch, &self.repository, self.pool.as_deref());
+            .refresh_models(index.by_app.keys(), &self.repository, self.pool.as_deref());
 
-        for report in reports {
+        for (at, report) in reports.iter().enumerate() {
             self.stats.evaluations += 1;
-            let behavior = self.behavior_scratch[&report.vm_id];
             // Skip idle VMs: an empty behaviour carries no signal.
             if report.counters.inst_retired <= 0.0 {
                 continue;
             }
-            self.peer_scratch.clear();
-            if self.config.use_global_information {
-                for id in &self.by_app_scratch[&report.app] {
-                    if *id != report.vm_id {
-                        self.peer_scratch.push(self.behavior_scratch[id]);
-                    }
-                }
-            }
-            let decision = self
-                .warning
-                .evaluate(report.app, &behavior, &self.peer_scratch);
+            let behavior = index.behaviors[at];
+            // Global information: the application's other VMs, idle ones
+            // included.  A lazy view; `evaluate` pulls from it only once
+            // the local check has failed.
+            let peers = self
+                .config
+                .use_global_information
+                .then(|| index.peers_of(report.app, at))
+                .into_iter()
+                .flatten();
+            let decision = self.warning.evaluate(report.app, &behavior, peers);
             match decision {
                 WarningDecision::NormalLocal => {}
                 WarningDecision::NormalGlobal => {
@@ -583,9 +590,9 @@ impl DeepDive {
                 }
                 WarningDecision::SuspectInterference | WarningDecision::Bootstrap => {
                     if self
-                        .cooldown_until
+                        .vms
                         .get(&report.vm_id)
-                        .is_some_and(|until| epoch < *until)
+                        .is_some_and(|vm| epoch < vm.cooldown_until)
                     {
                         continue;
                     }
@@ -616,7 +623,7 @@ impl DeepDive {
                                 Some(pos) if epoch >= self.deferred[pos].deadline => {
                                     self.deferred.remove(pos);
                                     self.stats.degraded_decisions += 1;
-                                    self.cooldown_until.insert(
+                                    self.set_cooldown(
                                         report.vm_id,
                                         epoch + self.config.analysis_cooldown,
                                     );
@@ -640,7 +647,7 @@ impl DeepDive {
                     } else {
                         self.config.analysis_cooldown
                     };
-                    self.cooldown_until.insert(report.vm_id, epoch + cooldown);
+                    self.set_cooldown(report.vm_id, epoch + cooldown);
                     events.push(EpochEvent::Analyzed {
                         vm: report.vm_id,
                         trigger: decision,
@@ -649,14 +656,21 @@ impl DeepDive {
                     if result.interference_confirmed {
                         if let Some(culprit) = result.culprit {
                             if self.config.auto_migrate {
-                                events.extend(self.mitigate(cluster, reports, report, culprit, 0));
+                                events.extend(
+                                    self.mitigate(cluster, reports, &index, report, culprit, 0),
+                                );
                             }
                         }
                     }
                 }
             }
         }
+        self.index = index;
         events
+    }
+
+    fn set_cooldown(&mut self, vm: VmId, until: u64) {
+        self.vms.entry(vm).or_default().cooldown_until = until;
     }
 
     /// The machine model hosting `pm`.  Reports always come from machines
@@ -684,8 +698,8 @@ impl DeepDive {
         // for the duration of the borrow-heavy analyzer call).
         let mut window = std::mem::take(&mut self.window_scratch);
         window.clear();
-        match self.recent_counters.get(&report.vm_id) {
-            Some(history) => window.extend(history.iter().copied()),
+        match self.vms.get(&report.vm_id) {
+            Some(vm) => window.extend(vm.recent_counters.iter().copied()),
             None => window.push(report.counters),
         }
         let mut replay = self
@@ -733,6 +747,7 @@ impl DeepDive {
         &mut self,
         cluster: &mut Cluster,
         reports: &[VmEpochReport],
+        index: &EpochIndex,
         epoch: u64,
     ) -> Vec<EpochEvent> {
         let mut events = Vec::new();
@@ -754,6 +769,7 @@ impl DeepDive {
                     events.extend(self.mitigate(
                         cluster,
                         reports,
+                        index,
                         victim,
                         pending.culprit,
                         pending.attempts,
@@ -802,11 +818,13 @@ impl DeepDive {
 
     /// Mitigates confirmed interference on the machine hosting `victim`.
     /// `attempt` is zero on the first try and counts up across
-    /// backed-off retries of the same episode.
+    /// backed-off retries of the same episode.  `index` is this epoch's
+    /// index over `reports`.
     fn mitigate(
         &mut self,
         cluster: &mut Cluster,
         reports: &[VmEpochReport],
+        index: &EpochIndex,
         victim: &VmEpochReport,
         culprit: Resource,
         attempt: u32,
@@ -815,15 +833,19 @@ impl DeepDive {
         let pm = victim.pm_id;
         let epoch = victim.epoch;
         // Residents of the afflicted machine, from this epoch's reports.
-        let residents: Vec<ResidentVm> = reports
+        let residents: Vec<ResidentVm> = index
+            .by_machine
+            .group(pm)
             .iter()
-            .filter(|r| r.pm_id == pm)
-            .map(|r| ResidentVm {
-                vm_id: r.vm_id,
-                counters: r.counters,
-                behavior: BehaviorVector::from_counters(&r.counters),
-                demand: r.demand.clone(),
-                vcpus: 2,
+            .map(|&at| {
+                let r = &reports[at as usize];
+                ResidentVm {
+                    vm_id: r.vm_id,
+                    counters: r.counters,
+                    behavior: index.behaviors[at as usize],
+                    demand: r.demand.clone(),
+                    vcpus: 2,
+                }
             })
             .collect();
         if residents.len() < 2 {
@@ -835,19 +857,23 @@ impl DeepDive {
         }
         // Candidate destinations: every other machine, each with its own
         // hardware model and its residents' latest demands, so predictions
-        // run against the destination's actual spec.
+        // run against the destination's actual spec.  The demands are
+        // copied out once in machine-group order — parallel to the index's
+        // member list — so every candidate's residents are one slice.
+        let demands: Vec<ResourceDemand> = index
+            .by_machine
+            .members()
+            .iter()
+            .map(|&at| reports[at as usize].demand.clone())
+            .collect();
         let candidates: Vec<CandidateMachine> = cluster
             .machines()
             .iter()
             .filter(|m| m.id != pm && !self.machine_is_down(m.id, epoch))
             .map(|m| CandidateMachine {
                 pm_id: m.id,
-                spec: m.spec.clone(),
-                resident_demands: reports
-                    .iter()
-                    .filter(|r| r.pm_id == m.id)
-                    .map(|r| r.demand.clone())
-                    .collect(),
+                spec: &m.spec,
+                resident_demands: &demands[index.by_machine.span(m.id)],
                 free_cores: m.free_cores(),
             })
             .collect();
@@ -1135,6 +1161,36 @@ mod tests {
     }
 
     #[test]
+    fn forgetting_a_vm_drops_its_history_and_its_deferred_analysis() {
+        use cloudsim::faults::{FaultConfig, FaultPlane};
+
+        let mut cluster = Cluster::homogeneous(1, MachineSpec::xeon_x5472(), Scheduler::default());
+        cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
+        cluster.place_on(PmId(0), serving_vm(2, 1)).unwrap();
+        let mut dd = controller(false, &cluster);
+        // The pool is always down, so both bootstrap analyses defer.
+        dd.set_fault_plane(FaultPlane::new(
+            3,
+            FaultConfig {
+                sandbox_outage_per_epoch: 1.0,
+                outage_epochs: (1, 1),
+                ..FaultConfig::disabled()
+            },
+        ));
+        let engine = EpochEngine::serial(ClusterSeed::new(2));
+        run(&mut cluster, &mut dd, &engine, 3, 0.8);
+        assert_eq!((dd.tracked_vms(), dd.deferred_analyses()), (2, 2));
+        // VM 1's session ends while its analysis is still waiting.
+        cluster.remove_vm(VmId(1));
+        dd.forget_vms(&[VmId(1)]);
+        assert_eq!((dd.tracked_vms(), dd.deferred_analyses()), (1, 1));
+        // The survivor's window and deferral are untouched.
+        run(&mut cluster, &mut dd, &engine, 3, 0.8);
+        assert_eq!((dd.tracked_vms(), dd.deferred_analyses()), (1, 1));
+        assert_eq!(dd.stats().analyses_deferred, 2);
+    }
+
+    #[test]
     fn failed_migrations_retry_with_backoff_until_the_budget_runs_out() {
         use cloudsim::faults::{FaultConfig, FaultPlane};
 
@@ -1311,8 +1367,8 @@ mod tests {
         // per-model synthetic benchmarks inserted in opposite orders
         // (xeon→i7 vs i7→xeon) and the tenants placed in opposite orders.
         // If any control-plane decision leaked map insertion/iteration
-        // order — the bug class the `synthetic` BTreeMap and the sorted
-        // `apps_scratch` rebuild exist to prevent — the event or stat
+        // order — the bug class the `synthetic` BTreeMap and the epoch
+        // index's sorted keys exist to prevent — the event or stat
         // streams would diverge.
         let xeon = MachineSpec::xeon_x5472();
         let i7 = MachineSpec::core_i7_nehalem();

@@ -50,10 +50,13 @@
 //!   ([`analytics::constrained::fit_constrained_warm`]) and falls back to a
 //!   full cold fit every [`warning::WarningConfig::cold_refit_interval`]
 //!   refits so warm-start drift cannot accumulate;
-//! * [`controller::DeepDive::process_epoch`] refreshes each application's
-//!   model **once per epoch** before the per-VM loop and reuses all of its
-//!   epoch scratch (behaviour map, per-app groupings, peer buffers, the
-//!   analyzer window), so the steady-state warning sweep allocates nothing;
+//! * [`controller::DeepDive::process_epoch`] indexes the epoch's reports
+//!   once (behaviours beside the reports, report indices grouped by
+//!   application and by machine), refreshes each application's model
+//!   **once per epoch** before the per-VM loop, and consults a VM's
+//!   same-application peers only when its local check fails — the quiet
+//!   sweep is one model check per VM, allocates nothing and hashes nothing
+//!   but the per-VM history lookup;
 //! * [`synthetic::SyntheticBenchmark::train`] resolves its training samples
 //!   on scoped threads with counter-derived per-sample RNG streams —
 //!   bit-identical output for any thread count (`DEEPDIVE_TRAIN_THREADS`).
@@ -97,6 +100,7 @@
 pub mod analyzer;
 pub mod controller;
 pub mod cpi_stack;
+mod epoch_index;
 pub mod metrics;
 pub mod placement;
 pub mod repository;

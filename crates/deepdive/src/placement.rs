@@ -16,14 +16,17 @@
 //! epoch of contention is exactly "running the benchmark for a short time on
 //! another machine (with other VMs present)".
 //!
-//! Each [`CandidateMachine`] carries its own [`MachineSpec`], so on a
+//! Each [`CandidateMachine`] names its own [`MachineSpec`], so on a
 //! heterogeneous cluster the clone is evaluated against every destination's
 //! *actual* hardware model — a memory-bus hog predicts far worse on an
 //! FSB-attached Xeon than on a QuickPath i7, and the manager sees that.
+//! A decision over a whole fleet resolves through one reused
+//! [`EpochResolver`] per machine model, and the clone's uncontended
+//! baseline is computed once per model, not once per candidate.
 
 use cloudsim::{PmId, Topology, VmId};
-use hwsim::contention::{resolve_epoch, PlacedDemand};
-use hwsim::{CounterSnapshot, MachineSpec, ResourceDemand};
+use hwsim::contention::{EpochOutcome, PlacedDemand};
+use hwsim::{CounterSnapshot, EpochResolver, MachineSpec, ResourceDemand, EPOCH_SECONDS};
 use serde::{Deserialize, Serialize};
 
 use crate::cpi_stack::Resource;
@@ -48,16 +51,17 @@ pub struct ResidentVm {
     pub vcpus: usize,
 }
 
-/// A candidate destination machine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CandidateMachine {
+/// A candidate destination machine.  Borrows its model and its residents'
+/// demands: a fleet-wide decision builds one of these per machine.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CandidateMachine<'a> {
     /// The machine.
     pub pm_id: PmId,
     /// The machine's hardware model — interference is predicted against the
     /// destination's own spec, not some fleet-wide constant.
-    pub spec: MachineSpec,
+    pub spec: &'a MachineSpec,
     /// Latest demands of the VMs already hosted there.
-    pub resident_demands: Vec<ResourceDemand>,
+    pub resident_demands: &'a [ResourceDemand],
     /// Free cores available for the incoming VM.
     pub free_cores: usize,
 }
@@ -169,46 +173,7 @@ impl PlacementManager {
         clone_vcpus: usize,
         candidate: &CandidateMachine,
     ) -> f64 {
-        let spec = &candidate.spec;
-        // Baselines: every demand resolved alone on an idle machine of the
-        // candidate's model.
-        let solo_fraction = |demand: &ResourceDemand, vcpus: usize| -> f64 {
-            resolve_epoch(spec, &[PlacedDemand::new(0, demand.clone(), vcpus, 0)])[0]
-                .achieved_fraction
-        };
-
-        let mut placements = Vec::with_capacity(candidate.resident_demands.len() + 1);
-        let mut baselines = Vec::with_capacity(candidate.resident_demands.len() + 1);
-        for (i, demand) in candidate.resident_demands.iter().enumerate() {
-            placements.push(PlacedDemand::new(
-                i as u64,
-                demand.clone(),
-                2,
-                (i / 2) % spec.cache_groups().max(1),
-            ));
-            baselines.push(solo_fraction(demand, 2));
-        }
-        let clone_slot = placements.len();
-        placements.push(PlacedDemand::new(
-            u64::MAX,
-            clone_demand.clone(),
-            clone_vcpus,
-            (clone_slot / 2) % spec.cache_groups().max(1),
-        ));
-        baselines.push(solo_fraction(clone_demand, clone_vcpus));
-
-        let outcomes = resolve_epoch(spec, &placements);
-        outcomes
-            .iter()
-            .zip(&baselines)
-            .map(|(o, &solo)| {
-                if solo <= 0.0 {
-                    0.0
-                } else {
-                    ((solo - o.achieved_fraction) / solo).max(0.0)
-                }
-            })
-            .fold(0.0, f64::max)
+        ClonePredictor::new(candidate.spec, clone_demand, clone_vcpus).predict(candidate)
     }
 
     /// Full placement decision for a confirmed interference case.
@@ -242,16 +207,23 @@ impl PlacementManager {
         let clone_inputs = benchmark.mimic(&aggressor.behavior, aggressor.demand.instructions);
         let clone_demand = clone_inputs.demand();
 
+        // One predictor per machine model among the candidates (a fleet
+        // has a handful), so resolver scratch and the clone's solo baseline
+        // are shared by every candidate of a model.
+        let mut predictors: Vec<ClonePredictor> = Vec::new();
         let mut predictions: Vec<CandidatePrediction> = candidates
             .iter()
             .filter(|c| c.free_cores >= aggressor.vcpus)
-            .map(|c| CandidatePrediction {
-                pm_id: c.pm_id,
-                predicted_interference: self.predict_on_candidate(
-                    &clone_demand,
-                    aggressor.vcpus,
-                    c,
-                ),
+            .map(|c| {
+                let known = predictors.iter().position(|p| p.resolver.spec() == c.spec);
+                let at = known.unwrap_or_else(|| {
+                    predictors.push(ClonePredictor::new(c.spec, &clone_demand, aggressor.vcpus));
+                    predictors.len() - 1
+                });
+                CandidatePrediction {
+                    pm_id: c.pm_id,
+                    predicted_interference: predictors[at].predict(c),
+                }
             })
             .collect();
         predictions.sort_by_key(|p| p.pm_id);
@@ -291,9 +263,98 @@ impl PlacementManager {
     }
 }
 
+/// The synthetic clone placed on machines of one model: the model's
+/// resolver and scratch, and the clone's uncontended baseline there.
+struct ClonePredictor {
+    resolver: EpochResolver,
+    clone_demand: ResourceDemand,
+    clone_vcpus: usize,
+    /// The clone's achieved fraction alone on an idle machine of this model.
+    clone_solo: f64,
+    placements: Vec<PlacedDemand>,
+    baselines: Vec<f64>,
+    outcomes: Vec<EpochOutcome>,
+}
+
+impl ClonePredictor {
+    fn new(spec: &MachineSpec, clone_demand: &ResourceDemand, clone_vcpus: usize) -> Self {
+        let mut resolver = EpochResolver::new(spec.clone());
+        let mut outcomes = Vec::new();
+        let clone_solo = solo_fraction(&mut resolver, &mut outcomes, clone_demand, clone_vcpus);
+        Self {
+            resolver,
+            clone_demand: clone_demand.clone(),
+            clone_vcpus,
+            clone_solo,
+            placements: Vec::new(),
+            baselines: Vec::new(),
+            outcomes,
+        }
+    }
+
+    /// Worst fractional slowdown, against running alone, among the clone
+    /// and `candidate`'s residents once the clone lands beside them.
+    fn predict(&mut self, candidate: &CandidateMachine) -> f64 {
+        debug_assert!(self.resolver.spec() == candidate.spec);
+        let cache_groups = candidate.spec.cache_groups().max(1);
+        self.placements.clear();
+        self.baselines.clear();
+        for (i, demand) in candidate.resident_demands.iter().enumerate() {
+            self.placements.push(PlacedDemand::new(
+                i as u64,
+                demand.clone(),
+                2,
+                (i / 2) % cache_groups,
+            ));
+            self.baselines.push(solo_fraction(
+                &mut self.resolver,
+                &mut self.outcomes,
+                demand,
+                2,
+            ));
+        }
+        let clone_slot = self.placements.len();
+        self.placements.push(PlacedDemand::new(
+            u64::MAX,
+            self.clone_demand.clone(),
+            self.clone_vcpus,
+            (clone_slot / 2) % cache_groups,
+        ));
+        self.baselines.push(self.clone_solo);
+
+        self.resolver
+            .resolve_into(&self.placements, EPOCH_SECONDS, &mut self.outcomes);
+        self.outcomes
+            .iter()
+            .zip(&self.baselines)
+            .map(|(o, &solo)| {
+                if solo <= 0.0 {
+                    0.0
+                } else {
+                    ((solo - o.achieved_fraction) / solo).max(0.0)
+                }
+            })
+            .fold(0.0, f64::max)
+    }
+}
+
+/// `demand`'s achieved fraction alone on an idle machine of `resolver`'s
+/// model (`outcomes` is scratch).
+fn solo_fraction(
+    resolver: &mut EpochResolver,
+    outcomes: &mut Vec<EpochOutcome>,
+    demand: &ResourceDemand,
+    vcpus: usize,
+) -> f64 {
+    let alone = [PlacedDemand::new(0, demand.clone(), vcpus, 0)];
+    resolver.resolve_into(&alone, EPOCH_SECONDS, outcomes);
+    outcomes[0].achieved_fraction
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hwsim::contention::resolve_epoch;
     use hwsim::ResourceDemand;
     use workloads::AppId;
 
@@ -344,14 +405,15 @@ mod tests {
         PlacementManager::new(0.15)
     }
 
-    fn xeon_candidate(
+    fn candidate<'a>(
         id: u64,
-        resident_demands: Vec<ResourceDemand>,
+        spec: &'a MachineSpec,
+        resident_demands: &'a [ResourceDemand],
         free_cores: usize,
-    ) -> CandidateMachine {
+    ) -> CandidateMachine<'a> {
         CandidateMachine {
             pm_id: PmId(id),
-            spec: MachineSpec::xeon_x5472(),
+            spec,
             resident_demands,
             free_cores,
         }
@@ -381,8 +443,10 @@ mod tests {
     fn prediction_is_low_on_an_empty_machine_and_high_on_a_loaded_one() {
         let m = manager();
         let clone_demand = busy_memory_demand();
-        let empty = xeon_candidate(1, vec![], 8);
-        let loaded = xeon_candidate(2, vec![busy_memory_demand(), quiet_demand()], 4);
+        let xeon = MachineSpec::xeon_x5472();
+        let residents = [busy_memory_demand(), quiet_demand()];
+        let empty = candidate(1, &xeon, &[], 8);
+        let loaded = candidate(2, &xeon, &residents, 4);
         let empty_pred = m.predict_on_candidate(&clone_demand, 2, &empty);
         let loaded_pred = m.predict_on_candidate(&clone_demand, 2, &loaded);
         assert!(empty_pred < 0.05, "empty machine prediction {empty_pred}");
@@ -403,14 +467,10 @@ mod tests {
         // manager would report the same number for both.
         let m = manager();
         let clone_demand = busy_memory_demand();
-        let residents = vec![busy_memory_demand()];
-        let xeon = xeon_candidate(1, residents.clone(), 6);
-        let i7 = CandidateMachine {
-            pm_id: PmId(2),
-            spec: MachineSpec::core_i7_nehalem(),
-            resident_demands: residents,
-            free_cores: 6,
-        };
+        let residents = [busy_memory_demand()];
+        let (xeon_spec, i7_spec) = (MachineSpec::xeon_x5472(), MachineSpec::core_i7_nehalem());
+        let xeon = candidate(1, &xeon_spec, &residents, 6);
+        let i7 = candidate(2, &i7_spec, &residents, 6);
         let on_xeon = m.predict_on_candidate(&clone_demand, 2, &xeon);
         let on_i7 = m.predict_on_candidate(&clone_demand, 2, &i7);
         assert!(
@@ -448,10 +508,8 @@ mod tests {
                 vcpus: 2,
             },
         ];
-        let candidates = vec![
-            xeon_candidate(10, vec![busy_memory_demand(), busy_memory_demand()], 4),
-            xeon_candidate(11, vec![], 8),
-        ];
+        let busy = [busy_memory_demand(), busy_memory_demand()];
+        let candidates = [candidate(10, &spec, &busy, 4), candidate(11, &spec, &[], 8)];
         let decision = m.decide(
             &residents,
             Resource::CacheMemory,
@@ -473,19 +531,112 @@ mod tests {
     }
 
     #[test]
+    fn decisions_over_a_mixed_fleet_match_the_values_recorded_before_the_resolver_reuse() {
+        // Golden values printed by `decide` at commit 1e5d306, where every
+        // candidate owned its spec and demands and each prediction went
+        // through the thread-local `resolve_epoch`: sharing one resolver
+        // and one clone baseline per machine model must not move a bit.
+        let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 3);
+        let (xeon, i7) = (MachineSpec::xeon_x5472(), MachineSpec::core_i7_nehalem());
+        let contended = resolve_epoch(
+            &xeon,
+            &[
+                PlacedDemand::new(1, quiet_demand(), 2, 0),
+                PlacedDemand::new(2, busy_memory_demand(), 2, 0),
+            ],
+        );
+        let residents: Vec<ResidentVm> = [quiet_demand(), busy_memory_demand()]
+            .into_iter()
+            .zip(&contended)
+            .map(|(demand, outcome)| ResidentVm {
+                vm_id: VmId(outcome.vm_id),
+                counters: outcome.counters,
+                behavior: BehaviorVector::from_counters(&outcome.counters),
+                demand,
+                vcpus: 2,
+            })
+            .collect();
+        let half = [busy_memory_demand(), quiet_demand()];
+        let nearly_full = [busy_memory_demand(), quiet_demand(), busy_memory_demand()];
+        let full = [
+            quiet_demand(),
+            quiet_demand(),
+            quiet_demand(),
+            quiet_demand(),
+        ];
+        // Models interleaved and ids out of order on purpose; machine 4 has
+        // no free core and must not be evaluated at all.
+        let candidates = [
+            candidate(7, &i7, &nearly_full, 2),
+            candidate(1, &xeon, &[], 8),
+            candidate(2, &xeon, &half, 4),
+            candidate(3, &xeon, &nearly_full, 2),
+            candidate(4, &xeon, &full, 0),
+            candidate(5, &i7, &[], 8),
+            candidate(6, &i7, &half, 4),
+        ];
+        let golden: [(u64, u64); 6] = [
+            (1, 0x0000000000000000),
+            (2, 0x3fe124af7534d9d7), // 0.5357281960667092
+            (3, 0x3fe46b0d1a6e9a7b), // 0.6380677715540765
+            (5, 0x0000000000000000),
+            (6, 0x3fdc69d769dcb1ac), // 0.4439600499925074
+            (7, 0x3fecb8cf5fe9e58a), // 0.8975598214448592
+        ];
+        // Machines 0..4 are power domain 0, 4..8 domain 1; the source is 0.
+        let topology = Topology::new(1, 4);
+        for (manager, destination) in [
+            (manager(), PmId(1)),
+            (manager().with_spread(topology), PmId(5)),
+        ] {
+            let decision = manager.decide(
+                &residents,
+                Resource::CacheMemory,
+                PmId(0),
+                &candidates,
+                &benchmark,
+            );
+            assert_eq!(decision.vm_to_migrate, VmId(2));
+            assert_eq!(decision.destination, Some(destination));
+            let bits: Vec<(u64, u64)> = decision
+                .predictions
+                .iter()
+                .map(|p| (p.pm_id.0, p.predicted_interference.to_bits()))
+                .collect();
+            assert_eq!(bits, golden);
+        }
+        // Without the two idle machines the i7 half-full one is the least
+        // bad; whether it is good enough is the operator's limit.
+        let loaded: Vec<CandidateMachine> = candidates
+            .iter()
+            .filter(|c| !c.resident_demands.is_empty())
+            .copied()
+            .collect();
+        for (limit, destination) in [(0.5, Some(PmId(6))), (0.4, None)] {
+            let decision = PlacementManager::new(limit).decide(
+                &residents,
+                Resource::CacheMemory,
+                PmId(0),
+                &loaded,
+                &benchmark,
+            );
+            assert_eq!(decision.destination, destination);
+            assert_eq!(decision.predictions.len(), 4);
+        }
+    }
+
+    #[test]
     fn decision_declines_when_every_candidate_is_bad() {
         let m = PlacementManager::new(0.01);
         let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 3);
         let residents = vec![resident(1, counters_with(5.0e7, 0.0, 0.0))];
-        let candidates = vec![xeon_candidate(
-            10,
-            vec![
-                busy_memory_demand(),
-                busy_memory_demand(),
-                busy_memory_demand(),
-            ],
-            2,
-        )];
+        let xeon = MachineSpec::xeon_x5472();
+        let busy = [
+            busy_memory_demand(),
+            busy_memory_demand(),
+            busy_memory_demand(),
+        ];
+        let candidates = [candidate(10, &xeon, &busy, 2)];
         let decision = m.decide(
             &residents,
             Resource::CacheMemory,
@@ -501,7 +652,9 @@ mod tests {
         let m = manager();
         let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 3);
         let residents = vec![resident(1, counters_with(5.0e7, 0.0, 0.0))];
-        let candidates = vec![xeon_candidate(10, vec![quiet_demand()], 0)];
+        let xeon = MachineSpec::xeon_x5472();
+        let quiet = [quiet_demand()];
+        let candidates = [candidate(10, &xeon, &quiet, 0)];
         let decision = m.decide(
             &residents,
             Resource::CacheMemory,
@@ -522,7 +675,8 @@ mod tests {
         let topology = Topology::new(1, 4);
         let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 3);
         let residents = vec![resident(1, counters_with(5.0e7, 0.0, 0.0))];
-        let candidates = vec![xeon_candidate(1, vec![], 8), xeon_candidate(5, vec![], 8)];
+        let xeon = MachineSpec::xeon_x5472();
+        let candidates = [candidate(1, &xeon, &[], 8), candidate(5, &xeon, &[], 8)];
         let plain = manager().decide(
             &residents,
             Resource::CacheMemory,
@@ -553,7 +707,7 @@ mod tests {
         );
         // With no cross-domain candidate at all, the preference falls back
         // to the plain minimum instead of declining.
-        let same_domain = vec![xeon_candidate(1, vec![], 8)];
+        let same_domain = [candidate(1, &xeon, &[], 8)];
         let fallback = manager().with_spread(topology).decide(
             &residents,
             Resource::CacheMemory,

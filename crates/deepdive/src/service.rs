@@ -8,7 +8,8 @@
 //! [`DeepDive`] controller, and closes the loop each epoch —
 //!
 //! 1. the service applies due arrivals/idles/departures and steps one
-//!    epoch, producing the per-VM reports;
+//!    epoch, producing the per-VM reports, and the controller forgets the
+//!    VMs that left for good;
 //! 2. the controller's warning system sweeps the reports, analyzes
 //!    suspects in the sandbox and (optionally) migrates confirmed victims;
 //! 3. every machine a migration freed is reported back to the service's
@@ -75,6 +76,10 @@ impl ManagedDatacenter {
     /// controller's events alongside the epoch's reports.
     pub fn step_epoch(&mut self) -> (Vec<VmEpochReport>, Vec<EpochEvent>) {
         let reports = self.service.step_epoch();
+        // Sessions that ended take their controller state with them;
+        // parked evacuees keep theirs, they report again.
+        self.controller
+            .forget_vms(self.service.departed_last_epoch());
         let events = self
             .controller
             .process_epoch(self.service.cluster_mut(), &reports);

@@ -322,11 +322,16 @@ impl WarningSystem {
     /// * `behavior` — the VM's normalized behaviour this epoch.
     /// * `peers` — the current behaviours of *other* VMs running the same
     ///   application (across all PMs), used for the global check.
-    pub fn evaluate(
+    ///
+    /// As in the paper, peers are consulted only after the local check has
+    /// failed: `peers` is not turned into an iterator, let alone pulled
+    /// from, for a `Bootstrap` or `NormalLocal` decision, so a caller can
+    /// hand in a lazy view over a large application group at no cost.
+    pub fn evaluate<'a>(
         &self,
         app: AppId,
         behavior: &BehaviorVector,
-        peers: &[BehaviorVector],
+        peers: impl IntoIterator<Item = &'a BehaviorVector>,
     ) -> WarningDecision {
         let Some(state) = self.models.get(&app.0) else {
             return WarningDecision::Bootstrap;
@@ -337,12 +342,15 @@ impl WarningSystem {
             return WarningDecision::NormalLocal;
         }
         // Global check: are most peers deviating in the same way right now?
-        if !peers.is_empty() {
-            let similar = peers
-                .iter()
-                .filter(|p| behavior.max_relative_deviation(p) <= self.config.global_similarity)
-                .count();
-            let quorum = (peers.len() as f64 * self.config.global_quorum).ceil() as usize;
+        let (mut total, mut similar) = (0usize, 0usize);
+        for peer in peers {
+            total += 1;
+            if behavior.max_relative_deviation(peer) <= self.config.global_similarity {
+                similar += 1;
+            }
+        }
+        if total > 0 {
+            let quorum = (total as f64 * self.config.global_quorum).ceil() as usize;
             if similar >= quorum.max(1) {
                 return WarningDecision::NormalGlobal;
             }
@@ -470,6 +478,79 @@ mod tests {
             ws.evaluate(app, &new_behavior, &minority),
             WarningDecision::SuspectInterference
         );
+    }
+
+    /// A peer view that counts how many behaviours `evaluate` pulled.
+    fn counted<'a>(
+        peers: &'a [BehaviorVector],
+        pulls: &'a std::cell::Cell<usize>,
+    ) -> impl Iterator<Item = &'a BehaviorVector> {
+        peers.iter().inspect(|_| pulls.set(pulls.get() + 1))
+    }
+
+    #[test]
+    fn peers_are_pulled_only_after_a_local_miss() {
+        let app = AppId(1);
+        let repo = trained_repository(app);
+        let mut ws = WarningSystem::with_defaults();
+        let peers = vec![
+            behavior(2.62, 1.81),
+            behavior(2.58, 1.79),
+            behavior(1.5, 0.5),
+        ];
+        let pulls = std::cell::Cell::new(0);
+
+        // No model yet: Bootstrap without looking at anybody.
+        let d = ws.evaluate(app, &behavior(2.6, 1.8), counted(&peers, &pulls));
+        assert_eq!((d, pulls.get()), (WarningDecision::Bootstrap, 0));
+
+        ws.refresh_model(app, &repo);
+        // The local check passes: still nobody consulted.
+        let d = ws.evaluate(app, &behavior(1.51, 0.52), counted(&peers, &pulls));
+        assert_eq!((d, pulls.get()), (WarningDecision::NormalLocal, 0));
+
+        // A local miss reads every peer exactly once, quorum or not.
+        let d = ws.evaluate(app, &behavior(2.6, 1.8), counted(&peers, &pulls));
+        assert_eq!(
+            (d, pulls.get()),
+            (WarningDecision::NormalGlobal, peers.len())
+        );
+        pulls.set(0);
+        let d = ws.evaluate(app, &behavior(4.0, 6.0), counted(&peers, &pulls));
+        assert_eq!(
+            (d, pulls.get()),
+            (WarningDecision::SuspectInterference, peers.len())
+        );
+    }
+
+    #[test]
+    fn a_peer_iterator_decides_like_a_peer_slice() {
+        let app = AppId(1);
+        let repo = trained_repository(app);
+        let mut ws = WarningSystem::with_defaults();
+        ws.refresh_model(app, &repo);
+        let new_behavior = behavior(2.6, 1.8);
+        let quorum = vec![
+            behavior(2.62, 1.81),
+            behavior(2.58, 1.79),
+            behavior(2.61, 1.8),
+        ];
+        let minority = vec![behavior(2.6, 1.8), behavior(1.5, 0.5), behavior(1.5, 0.5)];
+        let cases = [
+            (&quorum, WarningDecision::NormalGlobal),
+            (&minority, WarningDecision::SuspectInterference),
+            (&Vec::new(), WarningDecision::SuspectInterference),
+        ];
+        for (peers, expected) in cases {
+            assert_eq!(ws.evaluate(app, &new_behavior, peers), expected);
+            // The same peers as a filtered, mapped view over a larger
+            // group — the shape the controller hands in.
+            let padded: Vec<(bool, BehaviorVector)> = std::iter::once((false, new_behavior))
+                .chain(peers.iter().map(|p| (true, *p)))
+                .collect();
+            let view = padded.iter().filter(|(keep, _)| *keep).map(|(_, p)| p);
+            assert_eq!(ws.evaluate(app, &new_behavior, view), expected);
+        }
     }
 
     #[test]

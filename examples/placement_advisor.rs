@@ -61,8 +61,8 @@ fn main() {
         // the manager would predict against each destination's actual spec.
         let candidate = CandidateMachine {
             pm_id: cloudsim::PmId(10 + i as u64),
-            spec: spec.clone(),
-            resident_demands: vec![resident_demand],
+            spec: &spec,
+            resident_demands: &[resident_demand],
             free_cores: 6,
         };
         let predicted = manager.predict_on_candidate(&clone_demand, 2, &candidate);
