@@ -15,8 +15,8 @@ use deepdive::metrics::BehaviorVector;
 use deepdive::placement::{CandidateMachine, PlacementManager};
 use deepdive::synthetic::SyntheticBenchmark;
 use deepdive::warning::WarningConfig;
-use hwsim::contention::{resolve_epoch, PlacedDemand};
-use hwsim::{CounterSnapshot, MachineSpec, ResourceDemand};
+use hwsim::contention::PlacedDemand;
+use hwsim::{CounterSnapshot, EpochResolver, MachineSpec, ResourceDemand};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use traces::{InterferenceSchedule, LoadTrace};
@@ -234,6 +234,7 @@ fn metric_cluster_experiment(
     seed: u64,
 ) -> MetricClusters {
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut resolver = EpochResolver::new(spec.clone());
     let mut points = Vec::new();
     let loads = [0.3, 0.6, 0.9];
     for (label, mut wl) in workload_variants(workload) {
@@ -246,7 +247,7 @@ fn metric_cluster_experiment(
                     continue;
                 }
                 // Without interference: the VM alone on the machine.
-                let solo = resolve_epoch(spec, &[PlacedDemand::new(1, demand.clone(), 2, 0)]);
+                let solo = resolver.resolve(&[PlacedDemand::new(1, demand.clone(), 2, 0)]);
                 points.push(MetricPoint {
                     setting: format!("{label},load={load},step={step}"),
                     coords: behavior_axes(&solo[0].counters, axes),
@@ -263,13 +264,10 @@ fn metric_cluster_experiment(
                         .locality(0.0)
                         .parallelism(2.0)
                         .build();
-                    let contended = resolve_epoch(
-                        spec,
-                        &[
-                            PlacedDemand::new(1, demand.clone(), 2, 0),
-                            PlacedDemand::new(2, aggressor, 2, 0),
-                        ],
-                    );
+                    let contended = resolver.resolve(&[
+                        PlacedDemand::new(1, demand.clone(), 2, 0),
+                        PlacedDemand::new(2, aggressor, 2, 0),
+                    ]);
                     points.push(MetricPoint {
                         setting: format!("{label},load={load},step={step},stress={intensity}"),
                         coords: behavior_axes(&contended[0].counters, axes),
@@ -846,16 +844,16 @@ pub fn fig10_synthetic_accuracy(
     benchmark: &SyntheticBenchmark,
     seed: u64,
 ) -> Vec<Fig10Point> {
-    let spec = benchmark.spec.clone();
+    let mut resolver = EpochResolver::new(benchmark.spec.clone());
     let stress = workload.paired_stress();
     let mut rng = StdRng::seed_from_u64(seed);
     // Representative demand and behaviour of the real VM at full load.
     let mut wl = workload.workload();
     let demand = wl.next_demand(1.0, &mut rng);
-    let solo = resolve_epoch(&spec, &[PlacedDemand::new(1, demand.clone(), 2, 0)]);
+    let solo = resolver.resolve(&[PlacedDemand::new(1, demand.clone(), 2, 0)]);
     let behavior = BehaviorVector::from_counters(&solo[0].counters);
     let clone_demand = benchmark.mimic(&behavior, demand.instructions).demand();
-    let clone_solo = resolve_epoch(&spec, &[PlacedDemand::new(1, clone_demand.clone(), 2, 0)]);
+    let clone_solo = resolver.resolve(&[PlacedDemand::new(1, clone_demand.clone(), 2, 0)]);
 
     let mut points = Vec::new();
     for &intensity in &[0.2, 0.4, 0.6, 0.8, 1.0] {
@@ -865,14 +863,11 @@ pub fn fig10_synthetic_accuracy(
             StressKind::Disk => StressKind::Disk.vm(99, intensity),
         };
         let stress_demand = stress_wl.workload.next_demand(1.0, &mut rng);
-        let degradation = |victim: &ResourceDemand, baseline: f64| -> f64 {
-            let out = resolve_epoch(
-                &spec,
-                &[
-                    PlacedDemand::new(1, victim.clone(), 2, 0),
-                    PlacedDemand::new(2, stress_demand.clone(), 2, 0),
-                ],
-            );
+        let mut degradation = |victim: &ResourceDemand, baseline: f64| -> f64 {
+            let out = resolver.resolve(&[
+                PlacedDemand::new(1, victim.clone(), 2, 0),
+                PlacedDemand::new(2, stress_demand.clone(), 2, 0),
+            ]);
             ((baseline - out[0].achieved_fraction) / baseline).max(0.0)
         };
         points.push(Fig10Point {
@@ -909,16 +904,14 @@ pub struct Fig11Result {
 /// interference at that choice against the best / average / worst placements.
 pub fn fig11_placement_robustness(benchmark: &SyntheticBenchmark, seed: u64) -> Fig11Result {
     let spec = benchmark.spec.clone();
+    let mut resolver = EpochResolver::new(spec.clone());
     let manager = PlacementManager::new(1.0);
     let mut rng = StdRng::seed_from_u64(seed);
 
     // The aggressive VM to place: a large memory-stress kernel.
     let mut aggressor = StressKind::Memory.vm(50, 0.6);
     let aggressor_demand = aggressor.workload.next_demand(1.0, &mut rng);
-    let solo = resolve_epoch(
-        &spec,
-        &[PlacedDemand::new(1, aggressor_demand.clone(), 2, 0)],
-    );
+    let solo = resolver.resolve(&[PlacedDemand::new(1, aggressor_demand.clone(), 2, 0)]);
     let aggressor_behavior = BehaviorVector::from_counters(&solo[0].counters);
     let clone_demand = benchmark
         .mimic(&aggressor_behavior, aggressor_demand.instructions)
@@ -930,18 +923,13 @@ pub fn fig11_placement_robustness(benchmark: &SyntheticBenchmark, seed: u64) -> 
     for workload in CloudWorkload::ALL.iter() {
         let mut wl = workload.workload();
         let resident_demand = wl.next_demand(0.9, &mut rng);
-        let resident_solo = resolve_epoch(
-            &spec,
-            &[PlacedDemand::new(1, resident_demand.clone(), 2, 0)],
-        );
+        let resident_solo =
+            resolver.resolve(&[PlacedDemand::new(1, resident_demand.clone(), 2, 0)]);
         // Ground truth: actually co-locate the real aggressor.
-        let together = resolve_epoch(
-            &spec,
-            &[
-                PlacedDemand::new(1, resident_demand.clone(), 2, 0),
-                PlacedDemand::new(2, aggressor_demand.clone(), 2, 0),
-            ],
-        );
+        let together = resolver.resolve(&[
+            PlacedDemand::new(1, resident_demand.clone(), 2, 0),
+            PlacedDemand::new(2, aggressor_demand.clone(), 2, 0),
+        ]);
         let real = ((resident_solo[0].achieved_fraction - together[0].achieved_fraction)
             / resident_solo[0].achieved_fraction)
             .max(0.0);

@@ -15,40 +15,13 @@
 //!   across experiments.
 //! * [`figures`] — one function per figure, returning printable data.
 //!
-//! The three throughput benches (`resolver_throughput`,
-//! `cluster_throughput`, `controller_throughput`) additionally dump
-//! machine-readable JSON at the workspace root via [`dump_path`], validated
-//! in CI by the `check_bench_json` bin.
+//! Performance is measured elsewhere: `src/bin/e2e_bench/` is the one
+//! benchmark (`BENCHMARK.json` at the workspace root is its contract) and
+//! times the closed loop end to end and layer by layer; this library holds
+//! no timing code and writes no files.
 
 pub mod figures;
 pub mod setup;
 
 pub use figures::*;
 pub use setup::*;
-
-/// Where a throughput bench dumps its JSON measurements: full-budget runs
-/// write the committed `BENCH_<name>.json` trajectory file at the workspace
-/// root, while `--smoke` runs write a gitignored `BENCH_<name>.smoke.json`
-/// sibling so short-budget CI numbers never overwrite the committed
-/// full-budget files.  CI's "Validate bench JSON dumps" step checks both;
-/// changing this policy here changes it for every bench at once.
-pub fn dump_path(name: &str, smoke: bool) -> String {
-    let suffix = if smoke { ".smoke.json" } else { ".json" };
-    format!("{}/../../BENCH_{name}{suffix}", env!("CARGO_MANIFEST_DIR"))
-}
-
-/// Writes a throughput bench's JSON dump to [`dump_path`] and reports the
-/// destination on stdout (`# wrote <path>`), or the failure on stderr —
-/// the one write/report policy shared by all three benches.
-pub fn write_dump(name: &str, smoke: bool, json: &str) {
-    let path = dump_path(name, smoke);
-    match std::fs::write(&path, json) {
-        Ok(()) => {
-            let shown = std::fs::canonicalize(&path)
-                .map(|p| p.display().to_string())
-                .unwrap_or_else(|_| path.clone());
-            println!("# wrote {shown}");
-        }
-        Err(e) => eprintln!("# could not write {path}: {e}"),
-    }
-}

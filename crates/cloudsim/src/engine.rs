@@ -70,14 +70,6 @@ use crate::pool::{split_balanced, WorkerPool};
 use crate::rngs::ClusterSeed;
 use crate::vm::VmId;
 
-/// Environment variable read by [`ExecutionMode::from_env`]: `serial` (or
-/// `1`) forces serial stepping, any larger integer selects
-/// `Pooled { threads: n }`, unset falls back to the machine's available
-/// parallelism.  Any other value — `0`, negatives, non-numeric — is a hard
-/// error (`from_env` panics with the offending value) rather than a silent
-/// fallback, so a typo in a CI matrix cannot masquerade as all-cores.
-pub const THREADS_ENV_VAR: &str = "CLOUDSIM_THREADS";
-
 /// How the engine walks the machines of one epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
@@ -96,51 +88,6 @@ pub enum ExecutionMode {
 }
 
 impl ExecutionMode {
-    /// Resolves the mode from the [`THREADS_ENV_VAR`] environment variable,
-    /// defaulting to `Pooled { threads: available_parallelism }` when the
-    /// variable is **unset**.
-    ///
-    /// A set-but-malformed value (`"0"`, `"-2"`, `"four"`, …) panics with
-    /// the offending value instead of silently falling back — CI matrices
-    /// set this variable, and a typo mapped to all-cores would make a
-    /// mislabelled lane look like a healthy one.
-    ///
-    /// This is the benches' thread-count matrix knob; tests that pin exact
-    /// values should construct [`ExecutionMode::Serial`] explicitly instead
-    /// (the results are bit-identical either way — serial merely avoids
-    /// paying parallelism overhead for tiny clusters).
-    pub fn from_env() -> Self {
-        match std::env::var(THREADS_ENV_VAR) {
-            Ok(raw) => match Self::parse_env_value(&raw) {
-                Ok(mode) => mode,
-                Err(message) => panic!("{message}"),
-            },
-            Err(_) => Self::available_parallelism(),
-        }
-    }
-
-    /// Strict parser behind [`ExecutionMode::from_env`], separated out so
-    /// tests can pin its behaviour without mutating process-global
-    /// environment (the test binary runs threads in parallel, and the CI
-    /// multi-thread lane sets the real variable).
-    ///
-    /// Accepts `serial` (case-insensitive) and positive integers, with
-    /// surrounding whitespace tolerated; everything else — including `0`
-    /// and negative numbers — is an error carrying the offending value.
-    pub fn parse_env_value(raw: &str) -> Result<Self, String> {
-        let value = raw.trim();
-        if value.eq_ignore_ascii_case("serial") {
-            return Ok(ExecutionMode::Serial);
-        }
-        match value.parse::<usize>() {
-            Ok(0) | Err(_) => Err(format!(
-                "{THREADS_ENV_VAR} must be `serial` or a positive thread count, got {raw:?}"
-            )),
-            Ok(1) => Ok(ExecutionMode::Serial),
-            Ok(n) => Ok(ExecutionMode::Pooled { threads: n }),
-        }
-    }
-
     /// `Pooled` over every hardware thread the OS grants this process
     /// (`Serial` on single-core machines).
     pub fn available_parallelism() -> Self {
@@ -228,14 +175,9 @@ impl EpochEngine {
         }
     }
 
-    /// Engine honouring the [`THREADS_ENV_VAR`] knob (default: all cores).
-    pub fn from_env(seed: ClusterSeed) -> Self {
-        Self::new(seed, ExecutionMode::from_env())
-    }
-
     /// Pooled engine running on an existing pool (shared via `Arc`), for
-    /// callers that already own one — the controller benches use this to
-    /// share a single pool between stepping and model refits.
+    /// callers that already own one and want stepping and model refits to
+    /// share it.
     pub fn with_pool(seed: ClusterSeed, pool: Arc<WorkerPool>) -> Self {
         Self {
             seed,
@@ -291,8 +233,8 @@ impl EpochEngine {
 
     /// Toggles sparse stepping (results are unaffected — bit-identical; see
     /// the [module docs](self)).  `false` forces a dense resolve of every
-    /// machine every epoch — the reference the sparse ≡ dense tests (and the
-    /// datacenter bench's speedup rows) compare against.
+    /// machine every epoch — the reference the sparse ≡ dense tests compare
+    /// against.
     pub fn set_sparse(&mut self, sparse: bool) {
         self.sparse = sparse;
     }
@@ -734,31 +676,5 @@ mod tests {
         let b = clone.worker_pool().expect("pooled");
         assert!(Arc::ptr_eq(a, b), "clone must not spawn a second pool");
         assert_eq!(engine, clone);
-    }
-
-    #[test]
-    fn strict_env_parsing_pins_the_documented_grammar() {
-        use ExecutionMode::{Pooled, Serial};
-        assert_eq!(ExecutionMode::parse_env_value("serial"), Ok(Serial));
-        assert_eq!(ExecutionMode::parse_env_value("SERIAL"), Ok(Serial));
-        assert_eq!(ExecutionMode::parse_env_value(" serial "), Ok(Serial));
-        assert_eq!(ExecutionMode::parse_env_value("1"), Ok(Serial));
-        assert_eq!(
-            ExecutionMode::parse_env_value(" 8 "),
-            Ok(Pooled { threads: 8 })
-        );
-        assert_eq!(
-            ExecutionMode::parse_env_value("4"),
-            Ok(Pooled { threads: 4 })
-        );
-        // Malformed values are hard errors, not an all-cores fallback.
-        for bad in ["0", "-2", "four", "", "  ", "8x", "1.5"] {
-            let err = ExecutionMode::parse_env_value(bad)
-                .expect_err(&format!("{bad:?} must be rejected"));
-            assert!(
-                err.contains(THREADS_ENV_VAR) && err.contains(&format!("{bad:?}")),
-                "error for {bad:?} must name the variable and the value: {err}"
-            );
-        }
     }
 }

@@ -299,7 +299,6 @@ impl From<Sandbox> for SandboxFleet {
 mod tests {
     use super::*;
     use crate::scheduler::Scheduler;
-    use hwsim::contention::resolve_epoch;
     use hwsim::ResourceDemand;
 
     fn demand() -> ResourceDemand {
@@ -338,13 +337,10 @@ mod tests {
             .locality(0.0)
             .parallelism(2.0)
             .build();
-        let production = resolve_epoch(
-            &sandbox.spec,
-            &[
-                PlacedDemand::new(1, demand(), 2, 0),
-                PlacedDemand::new(2, aggressor, 2, 0),
-            ],
-        );
+        let production = EpochResolver::new(sandbox.spec.clone()).resolve(&[
+            PlacedDemand::new(1, demand(), 2, 0),
+            PlacedDemand::new(2, aggressor, 2, 0),
+        ]);
         assert!(production[0].counters.inst_retired < run.counters[0].inst_retired);
     }
 

@@ -498,8 +498,7 @@ impl DatacenterService {
     }
 
     /// Runs `epochs` epochs, discarding reports, and returns the stats
-    /// accumulated so far — the bulk-throughput entry point the datacenter
-    /// bench drives.
+    /// accumulated so far.
     pub fn run_epochs(&mut self, epochs: u64) -> ServiceStats {
         for _ in 0..epochs {
             self.step_epoch();

@@ -179,8 +179,8 @@ fn mean_counters(counters: &[CounterSnapshot]) -> CounterSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwsim::contention::{resolve_epoch, PlacedDemand};
-    use hwsim::MachineSpec;
+    use hwsim::contention::PlacedDemand;
+    use hwsim::{EpochResolver, MachineSpec};
 
     fn victim_demand() -> ResourceDemand {
         ResourceDemand::builder()
@@ -205,13 +205,13 @@ mod tests {
     }
 
     fn production_counters(with_aggressor: bool, epochs: usize) -> Vec<CounterSnapshot> {
-        let spec = MachineSpec::xeon_x5472();
+        let mut resolver = EpochResolver::new(MachineSpec::xeon_x5472());
         let mut placements = vec![PlacedDemand::new(1, victim_demand(), 2, 0)];
         if with_aggressor {
             placements.push(PlacedDemand::new(2, cache_aggressor(), 2, 0));
         }
         (0..epochs)
-            .map(|_| resolve_epoch(&spec, &placements)[0].counters)
+            .map(|_| resolver.resolve(&placements)[0].counters)
             .collect()
     }
 
@@ -269,14 +269,10 @@ mod tests {
     #[test]
     fn degradation_estimate_tracks_ground_truth_loss() {
         // Ground truth: achieved fraction of the victim under interference.
-        let spec = MachineSpec::xeon_x5472();
-        let contended = resolve_epoch(
-            &spec,
-            &[
-                PlacedDemand::new(1, victim_demand(), 2, 0),
-                PlacedDemand::new(2, cache_aggressor(), 2, 0),
-            ],
-        );
+        let contended = EpochResolver::new(MachineSpec::xeon_x5472()).resolve(&[
+            PlacedDemand::new(1, victim_demand(), 2, 0),
+            PlacedDemand::new(2, cache_aggressor(), 2, 0),
+        ]);
         let truth = 1.0 - contended[0].achieved_fraction;
 
         let sandbox = Sandbox::xeon_pool(2);

@@ -180,8 +180,8 @@ impl CpiStack {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwsim::contention::{resolve_epoch, PlacedDemand};
-    use hwsim::ResourceDemand;
+    use hwsim::contention::PlacedDemand;
+    use hwsim::{EpochResolver, ResourceDemand};
 
     fn spec() -> MachineSpec {
         MachineSpec::xeon_x5472()
@@ -205,7 +205,7 @@ mod tests {
         if let Some(agg) = colocated {
             placements.push(PlacedDemand::new(2, agg, 2, 0));
         }
-        let out = resolve_epoch(&spec(), &placements);
+        let out = EpochResolver::new(spec()).resolve(&placements);
         (
             CpiStack::from_counters(&out[0].counters, &spec()),
             out[0].counters.inst_retired,
@@ -265,17 +265,12 @@ mod tests {
             .net_tx_mb(85.0)
             .net_rx_mb(85.0)
             .build();
-        let iso_out = resolve_epoch(
-            &spec,
-            &[PlacedDemand::new(1, network_victim_demand(), 2, 0)],
-        );
-        let prod_out = resolve_epoch(
-            &spec,
-            &[
-                PlacedDemand::new(1, network_victim_demand(), 2, 0),
-                PlacedDemand::new(2, aggressor, 2, 1),
-            ],
-        );
+        let mut resolver = EpochResolver::new(spec.clone());
+        let iso_out = resolver.resolve(&[PlacedDemand::new(1, network_victim_demand(), 2, 0)]);
+        let prod_out = resolver.resolve(&[
+            PlacedDemand::new(1, network_victim_demand(), 2, 0),
+            PlacedDemand::new(2, aggressor, 2, 1),
+        ]);
         let isolation = CpiStack::from_counters(&iso_out[0].counters, &spec);
         let production = CpiStack::from_counters(&prod_out[0].counters, &spec);
         let culprit = CpiStack::dominant_culprit(&production, &isolation).unwrap();

@@ -61,10 +61,11 @@
 //!   on scoped threads with counter-derived per-sample RNG streams —
 //!   bit-identical output for any thread count (`DEEPDIVE_TRAIN_THREADS`).
 //!
-//! `cargo bench -p bench --bench controller_throughput` measures this
-//! against a frozen copy of the clone-and-cold-refit path
-//! (`BENCH_controller.json`); `tests/warning_equivalence.rs` pins that warm
-//! and cold refreshes make equivalent decisions.
+//! `e2e_bench` measures this path inside the closed loop
+//! (`deepdive.warning.quiet_ns_per_eval`, `deepdive.controller.*` on the
+//! `managed_hotmail` and `interference_episodes` workloads);
+//! `tests/warning_equivalence.rs` pins that warm and cold refreshes make
+//! equivalent decisions.
 //!
 //! ## Quick start
 //!

@@ -354,7 +354,6 @@ fn solo_fraction(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwsim::contention::resolve_epoch;
     use hwsim::ResourceDemand;
     use workloads::AppId;
 
@@ -485,13 +484,10 @@ mod tests {
         let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 3);
         // The aggressor is a cache hog; the victim is quiet.
         let spec = MachineSpec::xeon_x5472();
-        let contended = resolve_epoch(
-            &spec,
-            &[
-                PlacedDemand::new(1, quiet_demand(), 2, 0),
-                PlacedDemand::new(2, busy_memory_demand(), 2, 0),
-            ],
-        );
+        let contended = EpochResolver::new(spec.clone()).resolve(&[
+            PlacedDemand::new(1, quiet_demand(), 2, 0),
+            PlacedDemand::new(2, busy_memory_demand(), 2, 0),
+        ]);
         let residents = vec![
             ResidentVm {
                 vm_id: VmId(1),
@@ -534,17 +530,14 @@ mod tests {
     fn decisions_over_a_mixed_fleet_match_the_values_recorded_before_the_resolver_reuse() {
         // Golden values printed by `decide` at commit 1e5d306, where every
         // candidate owned its spec and demands and each prediction went
-        // through the thread-local `resolve_epoch`: sharing one resolver
+        // through a hidden thread-local resolver: sharing one resolver
         // and one clone baseline per machine model must not move a bit.
         let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 3);
         let (xeon, i7) = (MachineSpec::xeon_x5472(), MachineSpec::core_i7_nehalem());
-        let contended = resolve_epoch(
-            &xeon,
-            &[
-                PlacedDemand::new(1, quiet_demand(), 2, 0),
-                PlacedDemand::new(2, busy_memory_demand(), 2, 0),
-            ],
-        );
+        let contended = EpochResolver::new(xeon.clone()).resolve(&[
+            PlacedDemand::new(1, quiet_demand(), 2, 0),
+            PlacedDemand::new(2, busy_memory_demand(), 2, 0),
+        ]);
         let residents: Vec<ResidentVm> = [quiet_demand(), busy_memory_demand()]
             .into_iter()
             .zip(&contended)

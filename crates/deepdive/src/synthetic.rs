@@ -18,7 +18,7 @@
 use analytics::regression::{invert_inputs, LinearRegression};
 use cloudsim::pool::{split_balanced, WorkerPool};
 use cloudsim::rngs::splitmix64;
-use hwsim::contention::{resolve_epoch, EpochOutcome, PlacedDemand};
+use hwsim::contention::{EpochOutcome, PlacedDemand};
 use hwsim::{EpochResolver, MachineSpec, ResourceDemand, EPOCH_SECONDS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -126,14 +126,15 @@ impl SyntheticBenchmark {
     /// machine model, and fits inputs → normalized metrics.
     ///
     /// Training samples are independent solo resolves, so they run on
-    /// scoped threads: `DEEPDIVE_TRAIN_THREADS` selects the width (default:
+    /// scoped threads: `DEEPDIVE_TRAIN_THREADS` selects the width (unset:
     /// all available cores).  Each sample draws from its own counter-derived
     /// RNG stream — a pure function of `(seed, sample index)`, the same
     /// SplitMix64 construction as `cloudsim::ClusterSeed` — so the fitted
     /// model is **bit-identical for any thread count**.
     ///
     /// # Panics
-    /// Panics if `samples` is smaller than the number of input knobs.
+    /// Panics if `samples` is smaller than the number of input knobs, or if
+    /// `DEEPDIVE_TRAIN_THREADS` is set to anything but a positive integer.
     pub fn train(spec: MachineSpec, samples: usize, seed: u64) -> Self {
         Self::train_with_threads(spec, samples, seed, trainer_threads())
     }
@@ -266,9 +267,11 @@ impl SyntheticBenchmark {
     /// Runs the benchmark with given inputs alone on the machine model and
     /// returns the observed normalized behaviour.
     pub fn run_solo(spec: &MachineSpec, inputs: &BenchmarkInputs) -> BehaviorVector {
-        let vcpus = inputs.parallelism.ceil().max(1.0) as usize;
-        let out = resolve_epoch(spec, &[PlacedDemand::new(0, inputs.demand(), vcpus, 0)]);
-        BehaviorVector::from_counters(&out[0].counters)
+        run_solo_with(
+            &mut EpochResolver::new(spec.clone()),
+            inputs,
+            &mut Vec::new(),
+        )
     }
 
     /// Mean squared error of the trained regression on its own training set
@@ -361,16 +364,31 @@ impl SyntheticBenchmark {
     }
 }
 
-/// Trainer width: `DEEPDIVE_TRAIN_THREADS` if set (minimum 1), otherwise
-/// every available core.
+/// Environment variable selecting [`SyntheticBenchmark::train`]'s width.
+const TRAIN_THREADS_ENV_VAR: &str = "DEEPDIVE_TRAIN_THREADS";
+
+/// Trainer width: [`TRAIN_THREADS_ENV_VAR`] if set, otherwise every
+/// available core.  A set-but-malformed value panics with the offending
+/// value instead of falling back — CI sets this variable, and a typo mapped
+/// to all cores would make a mislabelled lane look like a healthy one.
 fn trainer_threads() -> usize {
-    std::env::var("DEEPDIVE_TRAIN_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .map(|t| t.max(1))
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        })
+    match std::env::var_os(TRAIN_THREADS_ENV_VAR) {
+        Some(raw) => parse_trainer_threads(&raw.to_string_lossy())
+            .unwrap_or_else(|message| panic!("{message}")),
+        None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+    }
+}
+
+/// Strict parser behind [`trainer_threads`], separate so tests pin it
+/// without mutating the process environment: a positive integer, surrounding
+/// whitespace tolerated; `0`, negatives and non-numbers are errors.
+fn parse_trainer_threads(raw: &str) -> Result<usize, String> {
+    match raw.trim().parse::<usize>() {
+        Ok(threads) if threads >= 1 => Ok(threads),
+        _ => Err(format!(
+            "{TRAIN_THREADS_ENV_VAR} must be a positive thread count, got {raw:?}"
+        )),
+    }
 }
 
 /// Draws and resolves one training sample from its own counter-derived
@@ -586,6 +604,20 @@ mod tests {
         let narrow = SyntheticBenchmark::train_with_threads(spec.clone(), 8, 5, 1);
         let wide = SyntheticBenchmark::train_with_threads(spec, 8, 5, 64);
         assert_eq!(narrow.model(), wide.model());
+    }
+
+    #[test]
+    fn trainer_width_parsing_rejects_malformed_values() {
+        assert_eq!(parse_trainer_threads("4"), Ok(4));
+        assert_eq!(parse_trainer_threads(" 4 "), Ok(4));
+        // Malformed values are hard errors, not an all-cores (or 1) fallback.
+        for bad in ["0", "-2", "four", ""] {
+            let err = parse_trainer_threads(bad).expect_err("malformed width must be rejected");
+            assert!(
+                err.contains(TRAIN_THREADS_ENV_VAR) && err.contains(&format!("{bad:?}")),
+                "error for {bad:?} must name the variable and the value: {err}"
+            );
+        }
     }
 
     #[test]

@@ -1,30 +1,28 @@
 //! Reusable, allocation-free epoch resolver.
 //!
-//! [`resolve_epoch`](crate::contention::resolve_epoch) is the hottest function
-//! in the whole simulation: every epoch of every machine in every bench kernel
-//! funnels through it, and the original implementation re-allocated roughly a
-//! dozen intermediate vectors per call (per-group membership lists, demand
-//! reference slices, miss vectors, per-device outcome vectors, the result
-//! itself) and re-derived cache-group membership with one filtering pass per
-//! group.
+//! Resolving an epoch is the hottest function in the whole simulation: every
+//! epoch of every machine in every bench kernel funnels through it, and the
+//! original one-shot implementation re-allocated roughly a dozen intermediate
+//! vectors per call (per-group membership lists, demand reference slices,
+//! miss vectors, per-device outcome vectors, the result itself) and
+//! re-derived cache-group membership with one filtering pass per group.
 //!
-//! [`EpochResolver`] is the batch-friendly replacement: a stateful object
-//! built once per [`MachineSpec`] that owns every scratch buffer the pipeline
-//! needs and exposes [`EpochResolver::resolve_into`], which writes outcomes
-//! into a caller-provided vector.  After the first call on a machine the
-//! resolver performs **zero heap allocations per epoch**, and cache-group
-//! membership is derived in a single pass over the placements instead of one
-//! pass per group.  The arithmetic is performed in exactly the same order as
-//! the original allocating path, so outcomes are bit-identical to the old
+//! [`EpochResolver`] replaced it: a stateful object built once per
+//! [`MachineSpec`] that owns every scratch buffer the pipeline needs and
+//! exposes [`EpochResolver::resolve_into`], which writes outcomes into a
+//! caller-provided vector.  After the first call on a machine the resolver
+//! performs **zero heap allocations per epoch**, and cache-group membership
+//! is derived in a single pass over the placements instead of one pass per
+//! group.  The arithmetic is performed in exactly the same order as the
+//! original allocating path, so outcomes are bit-identical to the old
 //! pipeline (with the net-stall clamp fix that landed alongside the refactor
 //! applied to both) — a property pinned by the `resolver_equivalence`
 //! proptest suite.
 //!
-//! Call sites that resolve many epochs (the `cloudsim` physical machine, the
-//! sandbox replayer, synthetic-benchmark training, the figure benches) hold a
-//! resolver and reuse it; one-shot callers keep using the thin
-//! [`resolve_epoch`](crate::contention::resolve_epoch) wrappers, which
-//! delegate to a thread-local resolver.
+//! Every call site holds a resolver: the `cloudsim` physical machine, the
+//! sandbox replayer, synthetic-benchmark training and placement keep one and
+//! call `resolve_into` every epoch; one-off callers (figures, tests) build
+//! one per machine model and call [`EpochResolver::resolve`].
 
 use crate::cache::{resolve_cache_group_members_into, CacheScratch};
 use crate::contention::{EpochOutcome, PlacedDemand, StallBreakdown};
@@ -286,7 +284,6 @@ impl EpochResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::contention::resolve_epoch_with_duration;
     use crate::demand::ResourceDemand;
 
     fn demand(instr: f64, ws: f64) -> ResourceDemand {
@@ -302,22 +299,28 @@ mod tests {
     }
 
     #[test]
-    fn reused_resolver_matches_the_wrapper() {
+    fn reused_resolver_matches_a_fresh_one() {
         let spec = MachineSpec::xeon_x5472();
         let mut resolver = EpochResolver::new(spec.clone());
         let mut out = Vec::new();
+        let fresh = |placements: &[PlacedDemand], epoch_seconds: f64| {
+            let mut out = Vec::new();
+            EpochResolver::new(spec.clone()).resolve_into(placements, epoch_seconds, &mut out);
+            out
+        };
         let first = [
             PlacedDemand::new(1, demand(2.0e9, 8.0), 2, 0),
             PlacedDemand::new(2, demand(3.0e9, 256.0), 2, 1),
         ];
         let second = [PlacedDemand::new(9, demand(1.0e9, 64.0), 4, 3)];
         // Interleave two different placements through the same resolver and
-        // check each against the one-shot path: reuse must not leak state.
+        // check each against a resolver built for that call alone: reuse
+        // must not leak state.
         for _ in 0..3 {
             resolver.resolve_into(&first, 1.0, &mut out);
-            assert_eq!(out, resolve_epoch_with_duration(&spec, &first, 1.0));
+            assert_eq!(out, fresh(&first, 1.0));
             resolver.resolve_into(&second, 0.5, &mut out);
-            assert_eq!(out, resolve_epoch_with_duration(&spec, &second, 0.5));
+            assert_eq!(out, fresh(&second, 0.5));
         }
     }
 

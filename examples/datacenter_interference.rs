@@ -11,13 +11,12 @@
 //! analysis to the pool matching the victim's host, so both targets are
 //! analyzed without cross-model counter bias; the run ends with a report of
 //! detections, false alarms, migrations and the per-pool profiling
-//! overhead.  Epochs are stepped by an `EpochEngine` honouring the
-//! `CLOUDSIM_THREADS` knob (serial and pooled runs print identical
-//! numbers).
+//! overhead.  Epochs are stepped by an `EpochEngine` pooled over every
+//! available core (serial and pooled runs print identical numbers).
 //!
 //! Run with: `cargo run --release --example datacenter_interference`
 
-use cloudsim::{Cluster, ClusterSeed, EpochEngine, PmId, Scheduler, Vm, VmId};
+use cloudsim::{Cluster, ClusterSeed, EpochEngine, ExecutionMode, PmId, Scheduler, Vm, VmId};
 use deepdive::controller::{DeepDive, DeepDiveConfig, EpochEvent};
 use hwsim::MachineSpec;
 use traces::{InterferenceSchedule, LoadTrace};
@@ -110,9 +109,9 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    // CLOUDSIM_THREADS picks the execution mode; results are bit-identical
-    // across serial and any shard count.
-    let engine = EpochEngine::from_env(ClusterSeed::new(3));
+    // One lane per available core; results are bit-identical across serial
+    // and any lane count.
+    let engine = EpochEngine::new(ClusterSeed::new(3), ExecutionMode::available_parallelism());
 
     let mut aggressor_placed = false;
     let mut episodes_seen = 0usize;

@@ -13,8 +13,8 @@
 use deepdive::metrics::BehaviorVector;
 use deepdive::placement::{CandidateMachine, PlacementManager};
 use deepdive::synthetic::SyntheticBenchmark;
-use hwsim::contention::{resolve_epoch, PlacedDemand};
-use hwsim::MachineSpec;
+use hwsim::contention::PlacedDemand;
+use hwsim::{EpochResolver, MachineSpec};
 use rand::SeedableRng;
 use workloads::{AppId, DataAnalytics, DataServing, MemoryStress, WebSearch, Workload};
 
@@ -28,10 +28,12 @@ fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let mut aggressor = MemoryStress::new(AppId(900), 256.0);
     let aggressor_demand = aggressor.next_demand(1.0, &mut rng);
-    let solo = resolve_epoch(
-        &spec,
-        &[PlacedDemand::new(0, aggressor_demand.clone(), 2, 0)],
-    );
+    let solo = EpochResolver::new(spec.clone()).resolve(&[PlacedDemand::new(
+        0,
+        aggressor_demand.clone(),
+        2,
+        0,
+    )]);
     let behavior = BehaviorVector::from_counters(&solo[0].counters);
     let inputs = benchmark.mimic(&behavior, aggressor_demand.instructions);
     println!("synthetic clone inputs mimicking the VM: {inputs:#?}\n");

@@ -65,15 +65,14 @@
 //!   needs — per-cache-group membership lists, effective-MPKI/miss vectors,
 //!   per-device outcome buffers — and exposing
 //!   `resolve_into(&mut self, placements, epoch_seconds, &mut out)`.
-//!   Steady-state resolution performs **zero heap allocations**. The
-//!   stateless `hwsim::contention::resolve_epoch` wrappers remain for
-//!   one-shot callers and delegate to a thread-local resolver.
-//!   `cloudsim::pm::PhysicalMachine` holds its own resolver plus
-//!   demand/placement buffers across epochs; the sandbox replayer and
-//!   `deepdive`'s synthetic-benchmark training reuse one resolver across
-//!   all their solo runs. Measured by `cargo bench -p bench --bench
-//!   resolver_throughput` (dumps `BENCH_resolver.json`); pinned
-//!   bit-identical to the pre-refactor pipeline by
+//!   Steady-state resolution performs **zero heap allocations**; there is
+//!   no stateless entry point — one-off callers build a resolver and call
+//!   `resolve`.  `cloudsim::pm::PhysicalMachine` holds its own resolver
+//!   plus demand/placement buffers across epochs; the sandbox replayer
+//!   and `deepdive`'s synthetic-benchmark training reuse one resolver
+//!   across all their solo runs. Measured by `e2e_bench`'s
+//!   `hwsim.resolver.ns_per_vm` probe; pinned bit-identical to the
+//!   pre-refactor pipeline by
 //!   `crates/hwsim/tests/resolver_equivalence.rs`.
 //! * **Order-independent RNG streams** — `cloudsim::rngs::ClusterSeed`
 //!   derives an independent `StdRng` per `(vm, epoch)` via SplitMix64-style
@@ -100,16 +99,11 @@
 //!   `EpochEngine::advance_epochs` fast-forwards a stretch under fixed
 //!   loads without materialising reports. Dense stepping
 //!   (`set_sparse(false)`) stays as the reference the sparse path is
-//!   pinned bit-identical to.
-//!   The `CLOUDSIM_THREADS` env var selects the mode where callers defer
-//!   to `ExecutionMode::from_env()` (unset: `Pooled` over all available
-//!   cores; malformed values are a hard error, never a silent fallback).
-//!   Measured by `cargo bench -p bench --bench cluster_throughput`
-//!   (64–512-machine fleets at real density, serial vs pooled at 2/4/8
-//!   threads, plus migration churn; dumps `BENCH_cluster.json`
-//!   with the runner's `available_parallelism`, and `threads > 1` rows on
-//!   a 1-core runner are flagged `overhead_only` so they are never
-//!   mistaken for scaling data).
+//!   pinned bit-identical to.  Callers name the mode in code
+//!   (`ExecutionMode::available_parallelism()` for "every core"); no
+//!   environment variable selects it.  `e2e_bench` times the serial
+//!   engine only — pooled scaling is unmeasured until a benchmark
+//!   workload is added for it.
 //! * **O(1) bookkeeping** — `cloudsim::Cluster` keeps id→index maps so VM
 //!   location and machine lookups are O(1) per migration instead of scans.
 //! * **Incremental control plane** — the warning path (every VM, every
@@ -125,9 +119,9 @@
 //!   bound drift.  `DeepDive::process_epoch` refreshes once per
 //!   application per epoch (not per VM) and runs the whole sweep out of
 //!   reusable scratch, so the steady-state warning path allocates
-//!   nothing.  Measured by `cargo bench -p bench --bench
-//!   controller_throughput` (dumps `BENCH_controller.json`): ~8.6×
-//!   evaluations/sec at 1024 VMs over the cold-refit baseline.
+//!   nothing.  Measured by `e2e_bench`'s
+//!   `deepdive.warning.quiet_ns_per_eval` and `deepdive.controller.*`
+//!   on the `managed_hotmail` and `interference_episodes` workloads.
 //!   When the controller is handed the engine's pool
 //!   (`DeepDive::use_worker_pool`), the per-app refits of one epoch fan
 //!   out over it (`WarningSystem::refresh_models` — pure fits scattered,
@@ -186,12 +180,10 @@
 //!   Both paths are pinned bit-identical to dense serial stepping across
 //!   both execution modes under randomized arrival/departure/
 //!   migration churn (`tests/engine_equivalence.rs`).
-//!   Measured by `cargo bench -p bench --bench datacenter_throughput`
-//!   (dumps `BENCH_datacenter.json`): on a 1-core container at 10k
-//!   machines / 40k VMs / 10% activity, the report-free sparse advance
-//!   sustains ~33.7M VM-epochs/sec — ~12× the dense per-epoch sweep
-//!   (~18× at 100k machines) — while the service loop absorbs ~5.5–10k
-//!   VM-arrivals/sec under the trace presets.
+//!   The per-epoch sparse step is measured by `e2e_bench`'s
+//!   `engine_quiescent` workload (10k machines, 10% active) and the
+//!   service loop by `service_churn_ec2`; the `advance_epochs` bulk path
+//!   has no benchmark workload yet.
 //!
 //! # Fault model
 //!
@@ -261,16 +253,11 @@
 //!   chaos suite runs the audit after every epoch of every randomized
 //!   schedule.
 //!
-//! Measured by the fault rows of `cargo bench -p bench --bench
-//! datacenter_throughput`: with a disabled plane attached the service
-//! stays within noise of fault-free stepping (idle overhead under 5%,
-//! enforced shape via `check_bench_json`), and the blast-radius sweep —
-//! independent crashes (`light`), correlated `rack` and `domain` outages,
-//! planned `drain`s — reports per-scenario availability, evacuation
-//! latency, drain migrations and abandonments (schema reference:
-//! `crates/bench/README.md`).  At matched per-machine event rates the
-//! drain row lands near the `light` row's availability with **zero**
-//! crashes and emergency evacuations.
+//! Measured by `e2e_bench`'s `service_outage_domain` workload (domain
+//! outages plus maintenance drains on 10k machines) and the
+//! `cloudsim.faults.*` metrics on it and on `managed_hotmail`; that a
+//! drain is gentler than a crash (zero crashes, no emergency evacuation)
+//! is pinned by the drain-vs-crash unit test in `cloudsim::service`.
 //!
 //! # Test-suite map
 //!
@@ -318,12 +305,13 @@
 //! * `crates/bench/tests/figures_smoke.rs` — every figure entry point runs
 //!   under plain `cargo test`, not only under Criterion.
 //!
-//! CI runs the whole suite twice — once default (Serial engine pinned in
-//! tests) and once with `CLOUDSIM_THREADS=4 DEEPDIVE_TRAIN_THREADS=4` so
-//! the pooled engine and parallel trainer execute multi-threaded — with
-//! the fault-tolerance chaos suite called out as a named step in both
-//! lanes, and validates the four `BENCH_*.json` throughput dumps with
-//! `cargo run -p bench --bin check_bench_json` after the smoke steps.
+//! CI runs the whole suite twice — once default and once with
+//! `DEEPDIVE_TRAIN_THREADS=4` so every `SyntheticBenchmark::train` goes
+//! four threads wide (the pooled engine is exercised in both lanes: its
+//! tests construct `ExecutionMode::Pooled` explicitly) — with the
+//! fault-tolerance chaos suite also called out as a named step, and then
+//! runs all five `e2e_bench` workloads at `--quick` size under their
+//! digest, failed-epoch and audit checks.
 //!
 //! Everything is seeded: a `cloudsim::ClusterSeed` determines every VM's
 //! demand stream per `(vm, epoch)`, so the same seed gives the same

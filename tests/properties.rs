@@ -11,8 +11,8 @@
 //! * the queueing model reacts monotonically to capacity.
 
 use deepdive::metrics::BehaviorVector;
-use hwsim::contention::{resolve_epoch, PlacedDemand};
-use hwsim::{MachineSpec, ResourceDemand};
+use hwsim::contention::PlacedDemand;
+use hwsim::{EpochResolver, MachineSpec, ResourceDemand};
 use proptest::prelude::*;
 use queueing::events::{simulate_queue, Job};
 
@@ -47,8 +47,8 @@ proptest! {
 
     #[test]
     fn counters_are_well_formed_for_any_demand(demand in demand_strategy()) {
-        let spec = MachineSpec::xeon_x5472();
-        let out = resolve_epoch(&spec, &[PlacedDemand::new(1, demand, 2, 0)]);
+        let mut resolver = EpochResolver::new(MachineSpec::xeon_x5472());
+        let out = resolver.resolve(&[PlacedDemand::new(1, demand, 2, 0)]);
         prop_assert!(out[0].counters.is_well_formed());
         prop_assert!(out[0].achieved_fraction > 0.0);
         prop_assert!(out[0].achieved_fraction <= 1.0);
@@ -57,11 +57,11 @@ proptest! {
 
     #[test]
     fn normalized_behaviour_is_load_invariant(demand in demand_strategy(), scale in 0.2..1.0_f64) {
-        let spec = MachineSpec::xeon_x5472();
+        let mut resolver = EpochResolver::new(MachineSpec::xeon_x5472());
         // Only compare when neither run saturates the machine: saturation
         // legitimately changes per-instruction stalls.
-        let full = resolve_epoch(&spec, &[PlacedDemand::new(1, demand.clone(), 2, 0)]);
-        let scaled = resolve_epoch(&spec, &[PlacedDemand::new(1, demand.scaled_by_load(scale), 2, 0)]);
+        let full = resolver.resolve(&[PlacedDemand::new(1, demand.clone(), 2, 0)]);
+        let scaled = resolver.resolve(&[PlacedDemand::new(1, demand.scaled_by_load(scale), 2, 0)]);
         prop_assume!(full[0].achieved_fraction > 0.999 && scaled[0].achieved_fraction > 0.999);
         let a = BehaviorVector::from_counters(&full[0].counters);
         let b = BehaviorVector::from_counters(&scaled[0].counters);
@@ -78,11 +78,9 @@ proptest! {
 
     #[test]
     fn co_runners_never_speed_a_vm_up(victim in demand_strategy(), aggressor in demand_strategy()) {
-        let spec = MachineSpec::xeon_x5472();
-        let solo = resolve_epoch(&spec, &[PlacedDemand::new(1, victim.clone(), 2, 0)]);
-        let shared = resolve_epoch(
-            &spec,
-            &[
+        let mut resolver = EpochResolver::new(MachineSpec::xeon_x5472());
+        let solo = resolver.resolve(&[PlacedDemand::new(1, victim.clone(), 2, 0)]);
+        let shared = resolver.resolve(&[
                 PlacedDemand::new(1, victim, 2, 0),
                 PlacedDemand::new(2, aggressor, 2, 0),
             ],
@@ -111,7 +109,9 @@ proptest! {
 #[test]
 fn behaviour_of_a_vm_is_reproducible_across_identical_runs() {
     // Determinism end to end: identical seeds produce identical counters.
-    let spec = MachineSpec::xeon_x5472();
+    let run = |demand: ResourceDemand| {
+        EpochResolver::new(MachineSpec::xeon_x5472()).resolve(&[PlacedDemand::new(1, demand, 2, 0)])
+    };
     let demand = ResourceDemand::builder()
         .instructions(2.0e9)
         .working_set_mb(64.0)
@@ -119,7 +119,7 @@ fn behaviour_of_a_vm_is_reproducible_across_identical_runs() {
         .llc_mpki_solo(4.0)
         .parallelism(2.0)
         .build();
-    let a = resolve_epoch(&spec, &[PlacedDemand::new(1, demand.clone(), 2, 0)]);
-    let b = resolve_epoch(&spec, &[PlacedDemand::new(1, demand, 2, 0)]);
+    let a = run(demand.clone());
+    let b = run(demand);
     assert_eq!(a[0].counters, b[0].counters);
 }
