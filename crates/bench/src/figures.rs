@@ -557,7 +557,7 @@ pub fn fig8_detection(workload: CloudWorkload, seed: u64) -> Fig8Result {
         },
         ..DeepDiveConfig::default()
     };
-    let mut deepdive = DeepDive::new(config, Sandbox::xeon_pool(4));
+    let mut deepdive = DeepDive::for_cluster(config, &cluster);
     let engine = EpochEngine::serial(ClusterSeed::new(seed));
 
     let hours = 72usize;

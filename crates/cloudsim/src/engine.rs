@@ -127,9 +127,8 @@ pub struct AdvanceSummary {
 ///
 /// A `Pooled` engine owns (a shared handle to) its [`WorkerPool`]; cloning
 /// the engine shares the pool rather than spawning a second set of workers,
-/// and [`EpochEngine::worker_pool`] exposes the handle so other subsystems
-/// (the DeepDive controller's model refits and benchmark training) can ride
-/// the same threads.  Equality ignores the pool: two engines are equal when
+/// and [`EpochEngine::worker_pool`] exposes the handle so lifecycle tests
+/// can watch it.  Equality ignores the pool: two engines are equal when
 /// they produce identical results, i.e. same seed and mode.
 #[derive(Debug, Clone)]
 pub struct EpochEngine {
@@ -175,20 +174,6 @@ impl EpochEngine {
         }
     }
 
-    /// Pooled engine running on an existing pool (shared via `Arc`), for
-    /// callers that already own one and want stepping and model refits to
-    /// share it.
-    pub fn with_pool(seed: ClusterSeed, pool: Arc<WorkerPool>) -> Self {
-        Self {
-            seed,
-            mode: ExecutionMode::Pooled {
-                threads: pool.lanes(),
-            },
-            pool: Some(pool),
-            sparse: true,
-        }
-    }
-
     fn pool_for(mode: ExecutionMode) -> Option<Arc<WorkerPool>> {
         match mode {
             ExecutionMode::Pooled { threads } if threads > 1 => {
@@ -209,8 +194,7 @@ impl EpochEngine {
     }
 
     /// The engine's persistent worker pool (`Some` exactly for
-    /// `Pooled { threads > 1 }`).  Share it to fan other independent work —
-    /// model refits, benchmark training — across the same threads.
+    /// `Pooled { threads > 1 }`).
     pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
         self.pool.as_ref()
     }

@@ -21,10 +21,9 @@
 //!   sequence a pure function of its id, the epoch and the cluster seed —
 //!   independent of placement and stepping order.
 //! * [`pool`] — [`pool::WorkerPool`]: persistent worker threads with
-//!   per-worker queues and a barrier-style `scatter`, the execution
-//!   substrate behind pooled stepping (and, via `deepdive`, parallel model
-//!   refits and benchmark training); plus [`pool::split_balanced`], the
-//!   shard partitioner every parallel path shares.
+//!   per-worker queues and a barrier-style `scatter_map`, the execution
+//!   substrate behind pooled stepping; plus [`pool::split_balanced`], the
+//!   engine's shard partitioner.
 //! * [`engine`] — [`engine::EpochEngine`]: epoch stepping as a policy
 //!   object — [`engine::ExecutionMode::Serial`] (the reference every test
 //!   compares against) or [`engine::ExecutionMode::Pooled`] (persistent

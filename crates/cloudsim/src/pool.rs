@@ -5,39 +5,37 @@
 //! enqueues one task per item, runs the first item on the calling thread,
 //! blocks until every task has completed, and returns the results in item
 //! order.  This is the execution substrate behind
-//! [`ExecutionMode::Pooled`](crate::engine::ExecutionMode::Pooled) — and,
-//! via the `deepdive` controller, behind parallel warning-model refits and
-//! synthetic-benchmark training.  The threads are persistent because the
-//! controller loop steps one epoch at a time (it migrates VMs between
-//! epochs): spawning per call would cost a full thread spawn + join every
-//! epoch.  The barrier-first panic policy below is the engine's panic
-//! policy — `engine.rs` has no unwinding code of its own.
+//! [`ExecutionMode::Pooled`](crate::engine::ExecutionMode::Pooled), its one
+//! consumer.  The threads are persistent because the controller loop steps
+//! one epoch at a time (it migrates VMs between epochs): spawning per call
+//! would cost a full thread spawn + join every epoch.  The barrier-first
+//! panic policy below is the engine's panic policy — `engine.rs` has no
+//! unwinding code of its own.
 //!
-//! Two entry points share the machinery: [`WorkerPool::scatter_map`] maps a
-//! shared function over a mutable slice with **zero heap allocation per
-//! item** (tasks are two-word raw descriptors pointing into a caller-owned
-//! context arena — what per-epoch callers like the engine's pooled shard
-//! loop want, since they re-scatter every epoch), and [`WorkerPool::scatter`]
-//! wraps it for one-shot heterogeneous closures.
+//! [`WorkerPool::scatter_map`] is the one entry point: it maps a shared
+//! function over a mutable slice with **zero heap allocation per item**
+//! (tasks are two-word raw descriptors pointing into a caller-owned context
+//! arena — what the engine's pooled shard loop wants, since it re-scatters
+//! every epoch).
 //!
 //! ## Contract
 //!
-//! * **Determinism** — the pool never reorders results: `scatter(jobs)`
-//!   returns `jobs[i]`'s result at index `i` regardless of which worker ran
-//!   it or in what order jobs finished.  Callers that merge shard results
-//!   in input order therefore get output bit-identical to running the jobs
-//!   serially.
-//! * **Panic policy** — every job runs under [`std::panic::catch_unwind`].
-//!   A panicking job never takes its worker down; the scatter waits for the
-//!   full barrier (so no job can outlive the borrows it captured), then
-//!   re-raises the **first panicking job's payload** (lowest job index) on
+//! * **Determinism** — the pool never reorders results:
+//!   `scatter_map(items, f)` returns `f(items[i])` at index `i` regardless
+//!   of which worker ran it or in what order items finished.  Callers that
+//!   merge shard results in input order therefore get output bit-identical
+//!   to mapping the items serially.
+//! * **Panic policy** — every item runs under [`std::panic::catch_unwind`].
+//!   A panicking item never takes its worker down; the scatter waits for the
+//!   full barrier (so no task can outlive the borrows it captured), then
+//!   re-raises the **first panicking item's payload** (lowest item index) on
 //!   the calling thread via [`std::panic::resume_unwind`].  The pool stays
 //!   fully usable for the next scatter.
 //! * **Shutdown** — dropping the pool closes every queue and joins every
 //!   worker thread; no threads outlive the pool.
-//! * **No nesting** — a job must not scatter on the pool that is running
-//!   it: the inner call would enqueue work onto workers that may be
-//!   blocked on the outer barrier (including the job's own worker) and
+//! * **No nesting** — a map function must not scatter on the pool that is
+//!   running it: the inner call would enqueue work onto workers that may be
+//!   blocked on the outer barrier (including the function's own worker) and
 //!   deadlock.  Use a separate pool, or restructure so only the
 //!   coordinating thread scatters.
 
@@ -122,8 +120,7 @@ unsafe fn run_map<I, T, F: Fn(&mut I) -> T>(ctx: *const ()) {
 ///
 /// See the [module docs](self) for the determinism, panic and shutdown
 /// contract.  The pool is `Send + Sync`; share it across owners with
-/// [`std::sync::Arc`] (the epoch engine and the DeepDive controller are
-/// designed to share one pool this way).
+/// [`std::sync::Arc`] (clones of one epoch engine share one pool this way).
 pub struct WorkerPool {
     /// One queue per worker, index-aligned with `handles`.
     queues: Vec<Sender<RawTask>>,
@@ -147,11 +144,11 @@ impl std::fmt::Debug for WorkerPool {
 impl WorkerPool {
     /// Spawns `workers` persistent worker threads.
     ///
-    /// `workers` counts *helper* threads only: `scatter` always runs the
-    /// first job on the calling thread, so a pool built for `t`-way
+    /// `workers` counts *helper* threads only: `scatter_map` always runs the
+    /// first item on the calling thread, so a pool built for `t`-way
     /// parallelism wants `t - 1` workers (see [`WorkerPool::for_threads`]).
-    /// A pool with zero workers is valid — `scatter` then runs every job
-    /// inline, which is the degenerate serial case.
+    /// A pool with zero workers is valid — `scatter_map` then runs every
+    /// item inline, which is the degenerate serial case.
     pub fn new(workers: usize) -> Self {
         let token = Arc::new(());
         let liveness = Arc::downgrade(&token);
@@ -197,8 +194,8 @@ impl WorkerPool {
         self.handles.len()
     }
 
-    /// Total parallel lanes a `scatter` call can use: the workers plus the
-    /// calling thread.
+    /// Total parallel lanes a `scatter_map` call can use: the workers plus
+    /// the calling thread.
     pub fn lanes(&self) -> usize {
         self.workers() + 1
     }
@@ -302,24 +299,6 @@ impl WorkerPool {
         }
         out
     }
-
-    /// Runs the jobs concurrently and returns their results in job order.
-    ///
-    /// A convenience wrapper over [`WorkerPool::scatter_map`] for one-shot
-    /// heterogeneous closures; same dispatch, barrier and panic behaviour.
-    /// Costs one `Option` wrapper per job — callers on a per-epoch hot path
-    /// should use `scatter_map` directly over their shard slice.
-    pub fn scatter<T, F>(&self, jobs: Vec<F>) -> Vec<T>
-    where
-        F: FnOnce() -> T + Send,
-        T: Send,
-    {
-        let mut jobs: Vec<Option<F>> = jobs.into_iter().map(Some).collect();
-        self.scatter_map(&mut jobs, &|job: &mut Option<F>| match job.take() {
-            Some(job) => job(),
-            None => unreachable!("scatter_map visits each item exactly once"),
-        })
-    }
 }
 
 impl Drop for WorkerPool {
@@ -359,69 +338,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scatter_preserves_job_order() {
-        let pool = WorkerPool::new(3);
-        for jobs in [1usize, 2, 4, 17] {
-            let work: Vec<_> = (0..jobs).map(|i| move || i * i).collect();
-            let results = pool.scatter(work);
-            let expected: Vec<_> = (0..jobs).map(|i| i * i).collect();
-            assert_eq!(results, expected, "order lost at {jobs} jobs");
-        }
-    }
-
-    #[test]
-    fn scatter_runs_inline_with_zero_workers() {
-        let pool = WorkerPool::new(0);
-        assert_eq!(pool.workers(), 0);
-        assert_eq!(pool.lanes(), 1);
-        let results = pool.scatter((0..5).map(|i| move || i + 10).collect::<Vec<_>>());
-        assert_eq!(results, vec![10, 11, 12, 13, 14]);
-    }
-
-    #[test]
     fn scatter_borrows_caller_state_mutably() {
         let pool = WorkerPool::new(2);
         let mut buckets = [0u64; 6];
         {
-            let shards = split_balanced(&mut buckets, 3);
-            let jobs: Vec<_> = shards
+            let mut shards: Vec<_> = split_balanced(&mut buckets, 3)
                 .into_iter()
                 .enumerate()
-                .map(|(i, shard)| {
-                    move || {
-                        for slot in shard.iter_mut() {
-                            *slot = 100 + i as u64;
-                        }
-                    }
-                })
                 .collect();
-            pool.scatter(jobs);
+            pool.scatter_map(&mut shards, &|(i, shard): &mut (usize, &mut [u64])| {
+                for slot in shard.iter_mut() {
+                    *slot = 100 + *i as u64;
+                }
+            });
         }
         assert_eq!(buckets, [100, 100, 101, 101, 102, 102]);
-    }
-
-    #[test]
-    fn panic_payload_of_the_lowest_index_job_is_reraised() {
-        let pool = WorkerPool::new(3);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            pool.scatter(
-                (0..6)
-                    .map(|i| {
-                        move || {
-                            if i >= 2 {
-                                panic!("job {i} failed");
-                            }
-                            i
-                        }
-                    })
-                    .collect::<Vec<_>>(),
-            )
-        }));
-        let payload = result.expect_err("scatter must re-raise the panic");
-        let message = payload
-            .downcast_ref::<String>()
-            .expect("payload preserved verbatim");
-        assert_eq!(message, "job 2 failed");
     }
 
     #[test]
@@ -429,15 +360,16 @@ mod tests {
         let pool = WorkerPool::new(2);
         for round in 0..3 {
             let crashed = catch_unwind(AssertUnwindSafe(|| {
-                pool.scatter(
-                    (0..4)
-                        .map(|i| move || if i == 3 { panic!("boom {round}") } else { i })
-                        .collect::<Vec<_>>(),
-                )
+                pool.scatter_map(&mut [0, 1, 2, 3], &|i: &mut i32| {
+                    if *i == 3 {
+                        panic!("boom {round}")
+                    }
+                    *i
+                })
             }));
             assert!(crashed.is_err());
             // The pool must keep working after every crash.
-            let ok = pool.scatter((0..4).map(|i| move || i * 2).collect::<Vec<_>>());
+            let ok = pool.scatter_map(&mut [0, 1, 2, 3], &|i: &mut i32| *i * 2);
             assert_eq!(ok, vec![0, 2, 4, 6]);
         }
     }
@@ -459,7 +391,7 @@ mod tests {
         let mut probes = Vec::new();
         for _ in 0..32 {
             let pool = WorkerPool::new(4);
-            pool.scatter((0..8).map(|i| move || i).collect::<Vec<_>>());
+            pool.scatter_map(&mut [0u8; 8], &|i: &mut u8| *i);
             probes.push(pool.liveness());
         }
         for (i, probe) in probes.iter().enumerate() {
@@ -500,8 +432,9 @@ mod tests {
     #[test]
     fn more_jobs_than_workers_queue_fifo_per_worker() {
         let pool = WorkerPool::new(2);
-        let results = pool.scatter((0..33).map(|i| move || i).collect::<Vec<_>>());
-        assert_eq!(results, (0..33).collect::<Vec<_>>());
+        let mut items: Vec<i32> = (0..33).collect();
+        let results = pool.scatter_map(&mut items, &|i: &mut i32| *i);
+        assert_eq!(results, items);
     }
 
     #[test]
@@ -523,6 +456,7 @@ mod tests {
     #[test]
     fn scatter_map_runs_inline_with_zero_workers() {
         let pool = WorkerPool::new(0);
+        assert_eq!((pool.workers(), pool.lanes()), (0, 1));
         let mut items = [1u32, 2, 3];
         let results = pool.scatter_map(&mut items, &|item: &mut u32| *item * 10);
         assert_eq!(results, vec![10, 20, 30]);

@@ -18,8 +18,7 @@
 //! The paper's testbed is uniform (§5.1), so a single pool suffices there;
 //! a [`crate::Cluster::heterogeneous`] fleet instead needs one pool **per
 //! machine model**, selected by the victim's host spec at analysis time.
-//! That is what [`SandboxFleet`] provides; a fleet built with
-//! [`SandboxFleet::uniform`] (or `From<Sandbox>`) degenerates to the paper's
+//! That is what [`SandboxFleet`] provides; a one-pool fleet is the paper's
 //! single-pool setup and behaves identically to the bare [`Sandbox`].
 
 use hwsim::contention::PlacedDemand;
@@ -167,10 +166,9 @@ impl Sandbox {
 /// name are treated as one model (the first wins); give variants distinct
 /// names if they must be told apart.
 ///
-/// [`SandboxFleet::uniform`] — or the `From<Sandbox>` conversion — builds a
-/// one-pool fleet for homogeneous clusters; `tests/sandbox_fleet.rs` pins
-/// that this compat path makes decisions bit-identical to a fleet derived
-/// from the cluster's specs on uniform fleets.
+/// On a homogeneous cluster the derived fleet holds one pool;
+/// `tests/sandbox_fleet.rs` pins that its decisions are bit-identical to a
+/// hand-built single-pool fleet's there.
 #[derive(Debug, Clone)]
 pub struct SandboxFleet {
     /// The pools, in construction order; `select` falls back to the first.
@@ -193,12 +191,6 @@ impl SandboxFleet {
             );
         }
         Self { pools }
-    }
-
-    /// A single-pool fleet: the paper's homogeneous setup (§5.1), and the
-    /// compatibility path for uniform clusters.
-    pub fn uniform(pool: Sandbox) -> Self {
-        Self::new(vec![pool])
     }
 
     /// One pool per distinct machine model in `specs`, in first-appearance
@@ -286,12 +278,6 @@ impl SandboxFleet {
             Some(idx) => (idx, true),
             None => (0, false),
         }
-    }
-}
-
-impl From<Sandbox> for SandboxFleet {
-    fn from(pool: Sandbox) -> Self {
-        Self::uniform(pool)
     }
 }
 
@@ -393,7 +379,7 @@ mod tests {
 
     #[test]
     fn uniform_fleet_falls_back_to_its_only_pool_for_foreign_models() {
-        let fleet = SandboxFleet::from(Sandbox::xeon_pool(2));
+        let fleet = SandboxFleet::new(vec![Sandbox::xeon_pool(2)]);
         assert!(fleet.is_uniform());
         assert!(fleet.pool_for(&MachineSpec::core_i7_nehalem()).is_none());
         let (pool, matched) = fleet.select(&MachineSpec::core_i7_nehalem());

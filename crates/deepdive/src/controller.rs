@@ -22,28 +22,11 @@
 //! [`DeepDiveStats::sandbox_spec_fallbacks`].  Build the controller with
 //! [`DeepDive::for_cluster`] to derive the fleet from the cluster's actual
 //! machine models.
-//!
-//! ## Parallelism
-//!
-//! The control plane's two heavyweight jobs are embarrassingly parallel and
-//! can ride the epoch engine's persistent [`WorkerPool`]
-//! ([`DeepDive::use_worker_pool`]): per-application model refits fan out in
-//! [`WarningSystem::refresh_models`] (applications are independent), and
-//! per-machine-model synthetic-benchmark training fans out in
-//! [`DeepDive::pretrain_benchmarks`] / lazily in the mitigation path (models
-//! are independent, and each training sample has its own counter-derived
-//! RNG stream).  Every pooled path is **bit-identical** to its serial
-//! equivalent — the pool is a throughput knob, never a results knob — and a
-//! panic in pooled work follows the engine's policy (barrier first, payload
-//! re-raised on the controller's thread, workers survive; see
-//! [`cloudsim::pool`]).
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
-use std::sync::Arc;
 
 use cloudsim::cluster::ClusterError;
 use cloudsim::pm::VmEpochReport;
-use cloudsim::pool::WorkerPool;
 use cloudsim::{Cluster, PmId, RequestProxy, SandboxFleet, VmId};
 use hwsim::{CounterSnapshot, MachineSpec, ResourceDemand};
 use serde::{Deserialize, Serialize};
@@ -65,7 +48,8 @@ pub struct DeepDiveConfig {
     pub performance_threshold: f64,
     /// Warning-system configuration.
     pub warning: WarningConfig,
-    /// Number of recent epochs replayed in the sandbox per analysis.
+    /// Number of recent epochs replayed in the sandbox per analysis; an
+    /// analysis needs at least one, so [`DeepDive::new`] raises `0` to `1`.
     pub analysis_window: usize,
     /// Epochs to wait after analyzing a VM before analyzing it again
     /// (a simple controller against oscillating invocations, §4.4).
@@ -257,8 +241,8 @@ pub struct DeepDive {
     placement: PlacementManager,
     /// One trained synthetic benchmark per machine model (keyed by spec
     /// name), trained lazily the first time a placement decision needs it.
-    /// A `BTreeMap` so that if per-model iteration ever reaches the worker
-    /// pool or an RNG draw, the order is the key order, never hash order.
+    /// A `BTreeMap` so that if per-model iteration ever reaches an RNG draw
+    /// or an output, the order is the key order, never hash order.
     synthetic: BTreeMap<String, SyntheticBenchmark>,
     /// Profiling seconds consumed per sandbox pool, parallel to
     /// `fleet.pools()` — the per-farm load the Figs. 12–14 queueing
@@ -274,13 +258,6 @@ pub struct DeepDive {
     deferred: Vec<DeferredAnalysis>,
     /// Mitigation migrations awaiting a backed-off retry, in schedule order.
     pending_migrations: Vec<PendingMigration>,
-    /// Persistent worker pool the controller fans independent work over —
-    /// per-application model refits and synthetic-benchmark training.
-    /// Typically the epoch engine's own pool
-    /// ([`DeepDive::use_worker_pool`]), so stepping and the control plane
-    /// share one set of threads; `None` keeps every path serial.  Results
-    /// are bit-identical either way.
-    pool: Option<Arc<WorkerPool>>,
     // Reusable scratch: cleared (not dropped) between uses so the
     // steady-state warning path performs no heap allocation.
     /// This epoch's reports, indexed: behaviours, application groups,
@@ -301,13 +278,12 @@ const DEFAULT_CLONE_OVERHEAD_SECONDS: f64 = 30.0;
 impl DeepDive {
     /// Creates the controller with a sandbox fleet for the analyzer.
     ///
-    /// Accepts anything convertible into a [`SandboxFleet`]; passing a bare
-    /// [`cloudsim::Sandbox`] builds a uniform single-pool fleet (the
-    /// paper's homogeneous setup).  For a mixed-hardware cluster, prefer
-    /// [`DeepDive::for_cluster`], which derives one pool per machine model
-    /// actually present instead of hard-coding one.
-    pub fn new(config: DeepDiveConfig, sandboxes: impl Into<SandboxFleet>) -> Self {
-        let fleet = sandboxes.into();
+    /// Prefer [`DeepDive::for_cluster`], which derives one pool per machine
+    /// model actually present instead of hard-coding the fleet.
+    pub fn new(mut config: DeepDiveConfig, fleet: SandboxFleet) -> Self {
+        // Clamped once, here: the same window sizes the proxy, the counter
+        // history and the replay.
+        config.analysis_window = config.analysis_window.max(1);
         let analyzer = InterferenceAnalyzer::new(config.performance_threshold);
         let mut placement = PlacementManager::new(config.acceptable_destination_interference);
         if let Some(topology) = config.spread_topology {
@@ -317,7 +293,7 @@ impl DeepDive {
         let profiling_by_pool = vec![0.0; fleet.pools().len()];
         // The analyzer replays `analysis_window` epochs; a longer proxy
         // window would only hold demands nobody reads.
-        let proxy = RequestProxy::new(config.analysis_window.max(1));
+        let proxy = RequestProxy::new(config.analysis_window);
         Self {
             config,
             warning,
@@ -333,7 +309,6 @@ impl DeepDive {
             fault_plane: None,
             deferred: Vec::new(),
             pending_migrations: Vec::new(),
-            pool: None,
             index: EpochIndex::default(),
             window_scratch: Vec::new(),
         }
@@ -344,10 +319,10 @@ impl DeepDive {
     /// pool, the paper's 30-second cloning overhead).
     ///
     /// This is the right default for any cluster — on a uniform fleet it is
-    /// equivalent to the old `DeepDive::new(config, Sandbox::xeon_pool(4))`
-    /// construction (pinned by `tests/sandbox_fleet.rs`), and on a mixed
-    /// fleet it guarantees every analysis replays on the victim's host
-    /// model (`stats().sandbox_spec_fallbacks` stays zero).
+    /// the paper's single-pool setup (pinned against a hand-built
+    /// `Sandbox::xeon_pool(4)` fleet by `tests/sandbox_fleet.rs`), and on a
+    /// mixed fleet it guarantees every analysis replays on the victim's
+    /// host model (`stats().sandbox_spec_fallbacks` stays zero).
     pub fn for_cluster(config: DeepDiveConfig, cluster: &Cluster) -> Self {
         let fleet = SandboxFleet::for_cluster(
             cluster,
@@ -357,76 +332,30 @@ impl DeepDive {
         Self::new(config, fleet)
     }
 
-    /// Fans the controller's independent work — per-application model
-    /// refits, synthetic-benchmark training — out over a persistent
-    /// [`WorkerPool`].  Pass the epoch engine's pool
-    /// (`engine.worker_pool().cloned()` via the shared `Arc`) so the control
-    /// plane rides the same threads that step the cluster: the engine's
-    /// barrier has released the workers by the time `process_epoch` runs.
-    ///
-    /// Purely a throughput knob: every pooled path is bit-identical to its
-    /// serial equivalent (each refit and each training sample is a pure
-    /// function of its inputs), pinned by `tests/warning_equivalence.rs`
-    /// and the controller equivalence test below.
-    pub fn use_worker_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
-    }
-
-    /// The worker pool the control plane fans work over, if any.
-    pub fn worker_pool(&self) -> Option<&Arc<WorkerPool>> {
-        self.pool.as_ref()
-    }
-
     /// Trains the synthetic benchmark for every machine model in `cluster`
-    /// up front — one independent training job per model, fanned over the
-    /// worker pool when one is attached — instead of lazily on the first
-    /// placement decision per model.  Already-trained models are kept.
+    /// up front instead of lazily on the first placement decision per
+    /// model.  Already-trained models are kept.
     ///
-    /// Training is a pure function of `(spec, samples, seed)`, so eager,
-    /// lazy, pooled and serial training all produce bit-identical
-    /// benchmarks; pretraining only moves the cost out of the first
-    /// mitigation episode (and, with a pool, overlaps the models).
+    /// Training is a pure function of `(spec, samples, seed)`, so eager and
+    /// lazy training produce bit-identical benchmarks; pretraining only
+    /// moves the cost out of the first mitigation episode.
     pub fn pretrain_benchmarks(&mut self, cluster: &Cluster) {
-        let mut specs: Vec<MachineSpec> = Vec::new();
         for machine in cluster.machines() {
-            if !self.synthetic.contains_key(&machine.spec.name)
-                && !specs.iter().any(|s| s.name == machine.spec.name)
-            {
-                specs.push(machine.spec.clone());
-            }
+            Self::benchmark_for(&mut self.synthetic, &self.config, &machine.spec);
         }
-        if specs.is_empty() {
-            return;
-        }
-        let samples = self.config.synthetic_training_samples;
-        let seed = self.config.seed;
-        let trained: Vec<SyntheticBenchmark> = match &self.pool {
-            Some(pool) if pool.lanes() > 1 && specs.len() > 1 => {
-                // One job per machine model.  Jobs run *on* the pool, so
-                // each trains serially inside (nested scatter on the same
-                // pool would deadlock); the parallelism is across models.
-                let jobs: Vec<_> = specs
-                    .iter()
-                    .map(|spec| {
-                        let spec = spec.clone();
-                        move || SyntheticBenchmark::train_with_threads(spec, samples, seed, 1)
-                    })
-                    .collect();
-                pool.scatter(jobs)
-            }
-            Some(pool) => specs
-                .iter()
-                .map(|spec| SyntheticBenchmark::train_with_pool(spec.clone(), samples, seed, pool))
-                .collect(),
-            None => specs
-                .iter()
-                .map(|spec| SyntheticBenchmark::train(spec.clone(), samples, seed))
-                .collect(),
-        };
-        for benchmark in trained {
-            self.synthetic
-                .insert(benchmark.spec.name.clone(), benchmark);
-        }
+    }
+
+    /// The synthetic benchmark for `spec`'s server type, trained on first
+    /// use.  Takes the fields it needs rather than `&mut self` so the
+    /// returned borrow leaves the rest of the controller usable.
+    fn benchmark_for<'a>(
+        synthetic: &'a mut BTreeMap<String, SyntheticBenchmark>,
+        config: &DeepDiveConfig,
+        spec: &MachineSpec,
+    ) -> &'a SyntheticBenchmark {
+        synthetic.entry(spec.name.clone()).or_insert_with(|| {
+            SyntheticBenchmark::train(spec.clone(), config.synthetic_training_samples, config.seed)
+        })
     }
 
     /// Attaches the fault plane whose sandbox-outage and migration-failure
@@ -553,15 +482,13 @@ impl DeepDive {
             }
         }
 
-        // One model refresh per application per epoch.  Each refresh is O(1)
-        // when that application's repository generation is unchanged, and
-        // when several applications do need a refit the fits fan out over
-        // the worker pool (bit-identical to the serial sweep).  The work
-        // list is the index's application keys, ascending: scatter job
-        // assignment and refit accounting are a pure function of the
-        // reports.
-        self.warning
-            .refresh_models(index.by_app.keys(), &self.repository, self.pool.as_deref());
+        // One model refresh per application per epoch, O(1) when that
+        // application's repository generation is unchanged.  The work list
+        // is the index's application keys, ascending, so refit accounting
+        // is a pure function of the reports.
+        for &app in index.by_app.keys() {
+            self.warning.refresh_model(app, &self.repository);
+        }
 
         for (at, report) in reports.iter().enumerate() {
             self.stats.evaluations += 1;
@@ -887,26 +814,10 @@ impl DeepDive {
 
         // Train the synthetic benchmark lazily, once per server type: the
         // mimic inverts behaviours observed on the afflicted machine, so it
-        // is trained on that machine's model.  With a worker pool attached
-        // the sample resolves ride the pool; the fitted model is
-        // bit-identical either way (use `pretrain_benchmarks` to move this
-        // cost out of the episode entirely).
+        // is trained on that machine's model (use `pretrain_benchmarks` to
+        // move this cost out of the episode entirely).
         let host_spec = self.host_spec(cluster, pm);
-        if !self.synthetic.contains_key(&host_spec.name) {
-            let samples = self.config.synthetic_training_samples;
-            let seed = self.config.seed;
-            let benchmark = match &self.pool {
-                Some(pool) => {
-                    SyntheticBenchmark::train_with_pool(host_spec.clone(), samples, seed, pool)
-                }
-                None => SyntheticBenchmark::train(host_spec.clone(), samples, seed),
-            };
-            self.synthetic.insert(host_spec.name.clone(), benchmark);
-        }
-        let benchmark = self
-            .synthetic
-            .get(&host_spec.name)
-            .expect("benchmark trained above");
+        let benchmark = Self::benchmark_for(&mut self.synthetic, &self.config, &host_spec);
 
         let decision = self
             .placement
@@ -1250,6 +1161,29 @@ mod tests {
     }
 
     #[test]
+    fn a_zero_analysis_window_behaves_like_a_window_of_one() {
+        // Regression: the proxy window was clamped to 1 but the counter
+        // history was trimmed to the raw 0, so the first analysis got an
+        // empty window and panicked inside the analyzer.
+        let run_with = |analysis_window: usize| {
+            let mut cluster =
+                Cluster::homogeneous(1, MachineSpec::xeon_x5472(), Scheduler::default());
+            cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
+            let config = DeepDiveConfig {
+                analysis_window,
+                ..Default::default()
+            };
+            let mut dd = DeepDive::for_cluster(config, &cluster);
+            let engine = EpochEngine::serial(ClusterSeed::new(2));
+            // The first epoch is the bootstrap analysis; three more follow.
+            (run(&mut cluster, &mut dd, &engine, 4, 0.8), dd.stats())
+        };
+        let (events, stats) = run_with(0);
+        assert!(stats.analyzer_invocations >= 1, "bootstrap must analyze");
+        assert_eq!((events, stats), run_with(1));
+    }
+
+    #[test]
     fn stats_start_at_zero() {
         let cluster = Cluster::homogeneous(1, MachineSpec::xeon_x5472(), Scheduler::default());
         let dd = controller(true, &cluster);
@@ -1277,8 +1211,11 @@ mod tests {
                 machine.spec.name
             );
         }
-        // The uniform constructor keeps hard-coding possible but explicit.
-        let uniform = DeepDive::new(DeepDiveConfig::default(), cloudsim::Sandbox::xeon_pool(4));
+        // Hard-coding the fleet stays possible but explicit.
+        let uniform = DeepDive::new(
+            DeepDiveConfig::default(),
+            SandboxFleet::new(vec![cloudsim::Sandbox::xeon_pool(4)]),
+        );
         assert!(uniform.sandbox_fleet().is_uniform());
     }
 
@@ -1287,8 +1224,9 @@ mod tests {
         use cloudsim::ExecutionMode;
 
         // Three apps across three machines plus an aggressor, long enough to
-        // cover bootstrap, multi-app refits, confirmed interference, lazy
-        // benchmark training and migration — the full control plane.
+        // cover bootstrap, multi-app refits, confirmed interference,
+        // benchmark training (lazy beside the serial engine, eager beside
+        // the pooled one) and migration — the full control plane.
         let build = || {
             let mut cluster =
                 Cluster::homogeneous(4, MachineSpec::xeon_x5472(), Scheduler::default());
@@ -1312,9 +1250,6 @@ mod tests {
             EpochEngine::new(ClusterSeed::new(5), ExecutionMode::Pooled { threads: 3 });
         let mut pooled_cluster = build();
         let mut pooled_dd = controller(true, &pooled_cluster);
-        pooled_dd.use_worker_pool(Arc::clone(
-            pooled_engine.worker_pool().expect("pooled engine"),
-        ));
         pooled_dd.pretrain_benchmarks(&pooled_cluster);
         let pooled_events = run(&mut pooled_cluster, &mut pooled_dd, &pooled_engine, 50, 0.8);
 

@@ -57,9 +57,9 @@
 //!   same-application peers only when its local check fails — the quiet
 //!   sweep is one model check per VM, allocates nothing and hashes nothing
 //!   but the per-VM history lookup;
-//! * [`synthetic::SyntheticBenchmark::train`] resolves its training samples
-//!   on scoped threads with counter-derived per-sample RNG streams —
-//!   bit-identical output for any thread count (`DEEPDIVE_TRAIN_THREADS`).
+//! * [`synthetic::SyntheticBenchmark::train`] draws each training sample
+//!   from its own counter-derived RNG stream, so the model is a pure
+//!   function of `(spec, samples, seed)`.
 //!
 //! `e2e_bench` measures this path inside the closed loop
 //! (`deepdive.warning.quiet_ns_per_eval`, `deepdive.controller.*` on the

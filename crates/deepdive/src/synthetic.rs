@@ -16,7 +16,6 @@
 //! least-squares search in [`analytics::regression::invert_inputs`].
 
 use analytics::regression::{invert_inputs, LinearRegression};
-use cloudsim::pool::{split_balanced, WorkerPool};
 use cloudsim::rngs::splitmix64;
 use hwsim::contention::{EpochOutcome, PlacedDemand};
 use hwsim::{EpochResolver, MachineSpec, ResourceDemand, EPOCH_SECONDS};
@@ -125,130 +124,22 @@ impl SyntheticBenchmark {
     /// training phase): samples the input space, runs each sample solo on the
     /// machine model, and fits inputs → normalized metrics.
     ///
-    /// Training samples are independent solo resolves, so they run on
-    /// scoped threads: `DEEPDIVE_TRAIN_THREADS` selects the width (unset:
-    /// all available cores).  Each sample draws from its own counter-derived
-    /// RNG stream — a pure function of `(seed, sample index)`, the same
-    /// SplitMix64 construction as `cloudsim::ClusterSeed` — so the fitted
-    /// model is **bit-identical for any thread count**.
-    ///
-    /// # Panics
-    /// Panics if `samples` is smaller than the number of input knobs, or if
-    /// `DEEPDIVE_TRAIN_THREADS` is set to anything but a positive integer.
-    pub fn train(spec: MachineSpec, samples: usize, seed: u64) -> Self {
-        Self::train_with_threads(spec, samples, seed, trainer_threads())
-    }
-
-    /// [`Self::train`] with an explicit thread count (1 = serial).  Output
-    /// is bit-identical across thread counts; the env-driven default lives
-    /// in [`Self::train`].
-    pub fn train_with_threads(
-        spec: MachineSpec,
-        samples: usize,
-        seed: u64,
-        threads: usize,
-    ) -> Self {
-        assert!(samples >= 8, "training needs at least a handful of samples");
-        let threads = threads.clamp(1, samples);
-        let mut inputs = vec![Vec::new(); samples];
-        let mut outputs = vec![Vec::new(); samples];
-        if threads == 1 {
-            // One resolver serves every training run: each sample is a solo
-            // resolve on the same machine model, so all scratch is shared.
-            let mut resolver = EpochResolver::new(spec.clone());
-            let mut outcomes = Vec::with_capacity(1);
-            for (index, (input, output)) in inputs.iter_mut().zip(outputs.iter_mut()).enumerate() {
-                (*input, *output) = resolve_sample(seed, index, &mut resolver, &mut outcomes);
-            }
-        } else {
-            // Contiguous sample chunks on scoped threads, merged in index
-            // order by construction (each thread writes its own chunk).
-            let chunk = samples.div_ceil(threads);
-            let spec_ref = &spec;
-            std::thread::scope(|scope| {
-                for (t, (input_chunk, output_chunk)) in inputs
-                    .chunks_mut(chunk)
-                    .zip(outputs.chunks_mut(chunk))
-                    .enumerate()
-                {
-                    scope.spawn(move || {
-                        let mut resolver = EpochResolver::new(spec_ref.clone());
-                        let mut outcomes = Vec::with_capacity(1);
-                        let base = t * chunk;
-                        for (offset, (input, output)) in input_chunk
-                            .iter_mut()
-                            .zip(output_chunk.iter_mut())
-                            .enumerate()
-                        {
-                            (*input, *output) =
-                                resolve_sample(seed, base + offset, &mut resolver, &mut outcomes);
-                        }
-                    });
-                }
-            });
-        }
-        let model = LinearRegression::fit(&inputs, &outputs, 1e-6);
-        let training_error = model.mse(&inputs, &outputs);
-        Self {
-            spec,
-            model,
-            training_error,
-        }
-    }
-
-    /// [`Self::train`] running its sample resolves on a persistent
-    /// [`WorkerPool`] instead of freshly spawned scoped threads — the form
-    /// the DeepDive controller uses so lazy in-episode training rides the
-    /// epoch engine's pool rather than paying thread churn.
-    ///
-    /// Bit-identical to every other training path: each sample is a pure
-    /// function of `(seed, index)`, and balanced contiguous chunks preserve
-    /// index order no matter which worker resolves them.
+    /// Each sample draws from its own counter-derived RNG stream — a pure
+    /// function of `(seed, sample index)`, the same SplitMix64 construction
+    /// as `cloudsim::ClusterSeed` — so the fitted model is a pure function
+    /// of `(spec, samples, seed)`.
     ///
     /// # Panics
     /// Panics if `samples` is smaller than the number of input knobs.
-    pub fn train_with_pool(
-        spec: MachineSpec,
-        samples: usize,
-        seed: u64,
-        pool: &WorkerPool,
-    ) -> Self {
+    pub fn train(spec: MachineSpec, samples: usize, seed: u64) -> Self {
         assert!(samples >= 8, "training needs at least a handful of samples");
-        let lanes = pool.lanes().clamp(1, samples);
-        if lanes <= 1 {
-            return Self::train_with_threads(spec, samples, seed, 1);
-        }
-        let mut inputs = vec![Vec::new(); samples];
-        let mut outputs = vec![Vec::new(); samples];
-        {
-            let spec_ref = &spec;
-            // Equal-length slices split the same way yield index-aligned
-            // chunk pairs; each job owns one pair plus its base offset.
-            let input_chunks = split_balanced(&mut inputs, lanes);
-            let output_chunks = split_balanced(&mut outputs, lanes);
-            let mut base = 0usize;
-            let jobs: Vec<_> = input_chunks
-                .into_iter()
-                .zip(output_chunks)
-                .map(|(input_chunk, output_chunk)| {
-                    let start = base;
-                    base += input_chunk.len();
-                    move || {
-                        let mut resolver = EpochResolver::new(spec_ref.clone());
-                        let mut outcomes = Vec::with_capacity(1);
-                        for (offset, (input, output)) in input_chunk
-                            .iter_mut()
-                            .zip(output_chunk.iter_mut())
-                            .enumerate()
-                        {
-                            (*input, *output) =
-                                resolve_sample(seed, start + offset, &mut resolver, &mut outcomes);
-                        }
-                    }
-                })
-                .collect();
-            pool.scatter(jobs);
-        }
+        // One resolver serves every training run: each sample is a solo
+        // resolve on the same machine model, so all scratch is shared.
+        let mut resolver = EpochResolver::new(spec.clone());
+        let mut outcomes = Vec::with_capacity(1);
+        let (inputs, outputs): (Vec<_>, Vec<_>) = (0..samples)
+            .map(|index| resolve_sample(seed, index, &mut resolver, &mut outcomes))
+            .unzip();
         let model = LinearRegression::fit(&inputs, &outputs, 1e-6);
         let training_error = model.mse(&inputs, &outputs);
         Self {
@@ -364,36 +255,9 @@ impl SyntheticBenchmark {
     }
 }
 
-/// Environment variable selecting [`SyntheticBenchmark::train`]'s width.
-const TRAIN_THREADS_ENV_VAR: &str = "DEEPDIVE_TRAIN_THREADS";
-
-/// Trainer width: [`TRAIN_THREADS_ENV_VAR`] if set, otherwise every
-/// available core.  A set-but-malformed value panics with the offending
-/// value instead of falling back — CI sets this variable, and a typo mapped
-/// to all cores would make a mislabelled lane look like a healthy one.
-fn trainer_threads() -> usize {
-    match std::env::var_os(TRAIN_THREADS_ENV_VAR) {
-        Some(raw) => parse_trainer_threads(&raw.to_string_lossy())
-            .unwrap_or_else(|message| panic!("{message}")),
-        None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-    }
-}
-
-/// Strict parser behind [`trainer_threads`], separate so tests pin it
-/// without mutating the process environment: a positive integer, surrounding
-/// whitespace tolerated; `0`, negatives and non-numbers are errors.
-fn parse_trainer_threads(raw: &str) -> Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(threads) if threads >= 1 => Ok(threads),
-        _ => Err(format!(
-            "{TRAIN_THREADS_ENV_VAR} must be a positive thread count, got {raw:?}"
-        )),
-    }
-}
-
 /// Draws and resolves one training sample from its own counter-derived
-/// stream: a pure function of `(seed, index)`, independent of the thread it
-/// runs on and of every other sample.
+/// stream: a pure function of `(seed, index)`, independent of every other
+/// sample.
 fn resolve_sample(
     seed: u64,
     index: usize,
@@ -562,62 +426,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_training_is_bit_identical_across_thread_counts() {
-        let spec = MachineSpec::xeon_x5472();
-        let serial = SyntheticBenchmark::train_with_threads(spec.clone(), 64, 11, 1);
-        for threads in [2usize, 8] {
-            let parallel = SyntheticBenchmark::train_with_threads(spec.clone(), 64, 11, threads);
-            assert_eq!(
-                serial.model(),
-                parallel.model(),
-                "{threads}-thread training diverged from serial"
-            );
-            assert_eq!(
-                serial.training_error().to_bits(),
-                parallel.training_error().to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn pool_training_is_bit_identical_to_serial() {
-        let spec = MachineSpec::xeon_x5472();
-        let serial = SyntheticBenchmark::train_with_threads(spec.clone(), 64, 11, 1);
-        for workers in [0usize, 1, 3] {
-            let pool = WorkerPool::new(workers);
-            let pooled = SyntheticBenchmark::train_with_pool(spec.clone(), 64, 11, &pool);
-            assert_eq!(
-                serial.model(),
-                pooled.model(),
-                "{workers}-worker pool training diverged from serial"
-            );
-            assert_eq!(
-                serial.training_error().to_bits(),
-                pooled.training_error().to_bits()
-            );
-        }
-    }
-
-    #[test]
-    fn thread_counts_beyond_sample_count_are_clamped() {
-        let spec = MachineSpec::xeon_x5472();
-        let narrow = SyntheticBenchmark::train_with_threads(spec.clone(), 8, 5, 1);
-        let wide = SyntheticBenchmark::train_with_threads(spec, 8, 5, 64);
-        assert_eq!(narrow.model(), wide.model());
-    }
-
-    #[test]
-    fn trainer_width_parsing_rejects_malformed_values() {
-        assert_eq!(parse_trainer_threads("4"), Ok(4));
-        assert_eq!(parse_trainer_threads(" 4 "), Ok(4));
-        // Malformed values are hard errors, not an all-cores (or 1) fallback.
-        for bad in ["0", "-2", "four", ""] {
-            let err = parse_trainer_threads(bad).expect_err("malformed width must be rejected");
-            assert!(
-                err.contains(TRAIN_THREADS_ENV_VAR) && err.contains(&format!("{bad:?}")),
-                "error for {bad:?} must name the variable and the value: {err}"
-            );
-        }
+    fn training_reproduces_the_recorded_serial_model_bits() {
+        // Bit patterns printed by the serial trainer at the last commit that
+        // also had a scoped-thread and a pooled one (PR 15's tree): the one
+        // training path left is that serial one.
+        let bench = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 64, 11);
+        let weights = &bench.model().weights;
+        assert_eq!(bench.training_error().to_bits(), 0x419d_5e69_789a_9e0a);
+        assert_eq!(weights[0][0].to_bits(), 0x3e49_e263_6007_ab07);
+        assert_eq!(weights[9][5].to_bits(), 0xbf87_8289_c761_df6a);
     }
 
     #[test]

@@ -32,19 +32,11 @@
 //!   handful of EM iterations instead of a full from-scratch fit;
 //! * every [`WarningConfig::cold_refit_interval`]-th refit of an
 //!   application's model falls back to a full k-means++-seeded cold fit, so
-//!   warm-start drift cannot accumulate indefinitely;
-//! * applications are mutually independent, so when several need a refit in
-//!   the same epoch [`WarningSystem::refresh_models`] fans the fits out over
-//!   a persistent [`WorkerPool`] — each fit is a pure function of the
-//!   repository snapshot and the previous model, so the pooled sweep is
-//!   bit-identical to refreshing each application serially in order.
+//!   warm-start drift cannot accumulate indefinitely.
 
 use std::collections::HashMap;
 
-use analytics::constrained::{
-    fit_constrained, fit_constrained_warm, ConstrainedModel, LabelledBehaviour,
-};
-use cloudsim::pool::WorkerPool;
+use analytics::constrained::{fit_constrained, fit_constrained_warm, ConstrainedModel};
 use workloads::AppId;
 
 use crate::metrics::BehaviorVector;
@@ -203,93 +195,30 @@ impl WarningSystem {
             return; // Model is current: O(1) refresh.
         }
         behaviors.labelled_into(&mut self.labelled_scratch);
-        let (model, warm_refits_since_cold) = fit_app(
-            &self.config,
-            self.models.get(&app.0),
-            &self.labelled_scratch,
-            app,
-        );
-        self.install(app, model, generation, warm_refits_since_cold);
-    }
-
-    /// Refreshes every application in `apps`, fanning the actual EM fits out
-    /// over `pool` when one is available and more than one application needs
-    /// refitting this epoch.
-    ///
-    /// Bit-identical to calling [`WarningSystem::refresh_model`] for each
-    /// app in order: each fit is a pure function of that application's
-    /// repository snapshot, its previous model and the config — applications
-    /// share no state — and results are installed (and refit counters
-    /// bumped) serially in input order.  The O(1) generation short-circuit
-    /// runs in a serial planning pass first, so the steady-state epoch sweep
-    /// still costs nothing and never touches the pool.
-    pub fn refresh_models(
-        &mut self,
-        apps: &[AppId],
-        repository: &BehaviorRepository,
-        pool: Option<&WorkerPool>,
-    ) {
-        let pool = match pool {
-            Some(pool) if pool.lanes() > 1 => pool,
-            _ => {
-                for &app in apps {
-                    self.refresh_model(app, repository);
-                }
-                return;
-            }
+        let warm_source = self.models.get(&app.0).filter(|m| {
+            m.warm_refits_since_cold + 1 < self.config.cold_refit_interval
+                && m.model.mixture.k() > 0
+        });
+        let (model, warm_refits_since_cold) = match warm_source {
+            Some(prev) => (
+                fit_constrained_warm(
+                    &self.labelled_scratch,
+                    &prev.model.mixture,
+                    self.config.sigma_multiplier,
+                    WARM_REFIT_ITERS,
+                ),
+                prev.warm_refits_since_cold + 1,
+            ),
+            None => (
+                fit_constrained(
+                    &self.labelled_scratch,
+                    self.config.clusters_per_app,
+                    self.config.sigma_multiplier,
+                    self.config.seed ^ app.0,
+                ),
+                0,
+            ),
         };
-        // Planning pass (serial, O(1) per unchanged app): drop
-        // under-populated models, skip current generations, collect refits.
-        let mut pending: Vec<(AppId, u64)> = Vec::new();
-        for &app in apps {
-            let behaviors = repository.behaviors(app);
-            if behaviors.len() < self.config.min_behaviors_for_clustering {
-                self.models.remove(&app.0);
-                continue;
-            }
-            let generation = behaviors.generation();
-            if self
-                .models
-                .get(&app.0)
-                .is_some_and(|m| m.generation == generation)
-            {
-                continue;
-            }
-            pending.push((app, generation));
-        }
-        match pending.as_slice() {
-            [] => {}
-            [(app, _)] => self.refresh_model(*app, repository), // keep the scratch path
-            _ => {
-                let models = &self.models;
-                let config = &self.config;
-                let jobs: Vec<_> = pending
-                    .iter()
-                    .map(|&(app, generation)| {
-                        move || {
-                            let mut labelled: Vec<LabelledBehaviour> = Vec::new();
-                            repository.behaviors(app).labelled_into(&mut labelled);
-                            let (model, warm) = fit_app(config, models.get(&app.0), &labelled, app);
-                            (app, generation, model, warm)
-                        }
-                    })
-                    .collect();
-                let fitted = pool.scatter(jobs);
-                for (app, generation, model, warm_refits_since_cold) in fitted {
-                    self.install(app, model, generation, warm_refits_since_cold);
-                }
-            }
-        }
-    }
-
-    /// Installs a fitted model and updates the refit counters.
-    fn install(
-        &mut self,
-        app: AppId,
-        model: ConstrainedModel,
-        generation: u64,
-        warm_refits_since_cold: u64,
-    ) {
         if warm_refits_since_cold == 0 {
             self.cold_refits += 1;
         } else {
@@ -361,40 +290,6 @@ impl WarningSystem {
     /// Number of applications with a fitted (non-conservative) model.
     pub fn modeled_apps(&self) -> usize {
         self.models.len()
-    }
-}
-
-/// One application's refit, as a pure function of the config, the previous
-/// model and the labelled snapshot — shared by the serial and pooled refresh
-/// paths so they cannot drift apart.
-fn fit_app(
-    config: &WarningConfig,
-    prev: Option<&AppModel>,
-    labelled: &[LabelledBehaviour],
-    app: AppId,
-) -> (ConstrainedModel, u64) {
-    let warm_source = prev.filter(|m| {
-        m.warm_refits_since_cold + 1 < config.cold_refit_interval && m.model.mixture.k() > 0
-    });
-    match warm_source {
-        Some(prev) => (
-            fit_constrained_warm(
-                labelled,
-                &prev.model.mixture,
-                config.sigma_multiplier,
-                WARM_REFIT_ITERS,
-            ),
-            prev.warm_refits_since_cold + 1,
-        ),
-        None => (
-            fit_constrained(
-                labelled,
-                config.clusters_per_app,
-                config.sigma_multiplier,
-                config.seed ^ app.0,
-            ),
-            0,
-        ),
     }
 }
 
@@ -669,76 +564,5 @@ mod tests {
             clusters_per_app: 0,
             ..Default::default()
         });
-    }
-
-    /// Grows `apps` distinct applications' histories in `repo` by one batch.
-    fn grow(repo: &mut BehaviorRepository, apps: &[AppId], round: u64) {
-        for (i, &app) in apps.iter().enumerate() {
-            for j in 0..3u64 {
-                let jitter = ((round + j + i as u64) % 5) as f64 * 0.01;
-                repo.record_normal(
-                    app,
-                    behavior(1.5 + 0.2 * i as f64 + jitter, 0.5 + jitter),
-                    round * 10 + j,
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn pooled_refresh_is_bit_identical_to_serial_refresh() {
-        let apps: Vec<AppId> = (0..6).map(AppId).collect();
-        let pool = WorkerPool::new(3);
-        let mut repo = BehaviorRepository::new();
-        let mut serial = WarningSystem::with_defaults();
-        let mut pooled = WarningSystem::with_defaults();
-        for round in 0..8u64 {
-            grow(&mut repo, &apps, round);
-            serial.refresh_models(&apps, &repo, None);
-            pooled.refresh_models(&apps, &repo, Some(&pool));
-            assert_eq!(
-                serial.refit_counts(),
-                pooled.refit_counts(),
-                "round {round}: refit accounting diverged"
-            );
-            // Identical decisions on a probe sweep per app — model
-            // equivalence as the rest of the system observes it.
-            for (i, &app) in apps.iter().enumerate() {
-                assert_eq!(
-                    serial.in_conservative_mode(app),
-                    pooled.in_conservative_mode(app)
-                );
-                for probe in [
-                    behavior(1.5 + 0.2 * i as f64, 0.5),
-                    behavior(3.0 + 0.2 * i as f64, 4.0),
-                    behavior(9.0, 9.0),
-                ] {
-                    assert_eq!(
-                        serial.evaluate(app, &probe, &[]),
-                        pooled.evaluate(app, &probe, &[]),
-                        "round {round}: decision diverged for {app:?}"
-                    );
-                }
-            }
-        }
-        let (_, warm) = pooled.refit_counts();
-        assert!(warm > 0, "sweep never exercised the warm path");
-    }
-
-    #[test]
-    fn pooled_refresh_keeps_the_generation_short_circuit() {
-        let apps = [AppId(1), AppId(2)];
-        let pool = WorkerPool::new(2);
-        let mut repo = BehaviorRepository::new();
-        grow(&mut repo, &apps, 0);
-        grow(&mut repo, &apps, 1);
-        grow(&mut repo, &apps, 2);
-        let mut ws = WarningSystem::with_defaults();
-        ws.refresh_models(&apps, &repo, Some(&pool));
-        let fitted = ws.refit_counts();
-        for _ in 0..100 {
-            ws.refresh_models(&apps, &repo, Some(&pool));
-        }
-        assert_eq!(ws.refit_counts(), fitted, "unchanged generations refitted");
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! | rule id             | invariant                                        |
 //! |---------------------|--------------------------------------------------|
-//! | `wall-clock`        | no `Instant::now`/`SystemTime` outside `crates/bench` and `cloudsim`'s `pool.rs` |
+//! | `wall-clock`        | no `Instant::now`/`SystemTime` outside `crates/bench` |
 //! | `safety-comment`    | every `unsafe` keyword carries an adjacent `// SAFETY:` (or `# Safety` doc) comment |
 //! | `hashmap-iteration` | no iteration over `HashMap`/`HashSet` in simulation/control-plane crates without a `// simlint: order-independent` justification |
 //! | `forbid-unsafe`     | every functional crate except `cloudsim` declares `#![forbid(unsafe_code)]` |
@@ -129,15 +129,10 @@ fn count_occurrences(haystack: &str, needle: &str) -> usize {
 
 // ---------------------------------------------------------------- wall-clock
 
-/// Paths allowed to read the wall clock: benches time their own kernels and
-/// `pool.rs` may need monotonic clocks for future queue diagnostics; nothing
-/// that produces simulation results may observe real time.
-fn wall_clock_allowed(path: &str) -> bool {
-    crate_of(path) == "bench" || path == "crates/cloudsim/src/pool.rs"
-}
-
+/// Only `crates/bench` may read the wall clock: benches time their own
+/// kernels; nothing that produces simulation results may observe real time.
 fn check_wall_clock(path: &str, masked: &MaskedFile, findings: &mut Vec<Finding>) {
-    if wall_clock_allowed(path) {
+    if crate_of(path) == "bench" {
         return;
     }
     for (idx, line) in masked.code.iter().enumerate() {
@@ -467,10 +462,12 @@ mod tests {
     #[test]
     fn wall_clock_fires_in_simulation_crates() {
         let src = "fn t() { let t0 = std::time::Instant::now(); }\n";
-        assert_eq!(
-            rules_at("crates/cloudsim/src/engine.rs", src),
-            ["wall-clock:1"]
-        );
+        for path in [
+            "crates/cloudsim/src/engine.rs",
+            "crates/cloudsim/src/pool.rs",
+        ] {
+            assert_eq!(rules_at(path, src), ["wall-clock:1"]);
+        }
     }
 
     #[test]
@@ -486,7 +483,6 @@ mod tests {
     fn wall_clock_is_allowed_in_bench_and_pool() {
         let src = "fn t() { let t0 = Instant::now(); }\n";
         assert!(rules_at("crates/bench/src/lib.rs", src).is_empty());
-        assert!(rules_at("crates/cloudsim/src/pool.rs", src).is_empty());
     }
 
     #[test]

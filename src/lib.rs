@@ -122,23 +122,19 @@
 //!   nothing.  Measured by `e2e_bench`'s
 //!   `deepdive.warning.quiet_ns_per_eval` and `deepdive.controller.*`
 //!   on the `managed_hotmail` and `interference_episodes` workloads.
-//!   When the controller is handed the engine's pool
-//!   (`DeepDive::use_worker_pool`), the per-app refits of one epoch fan
-//!   out over it (`WarningSystem::refresh_models` — pure fits scattered,
-//!   results installed serially in input order, bit-identical to the
-//!   serial loop by proptest), and synthetic-benchmark training fans out
-//!   too: across machine models at pretrain time
-//!   (`DeepDive::pretrain_benchmarks`) and across samples within one
-//!   model (`SyntheticBenchmark::train_with_pool`), on top of the older
-//!   scoped-thread path (`DEEPDIVE_TRAIN_THREADS`) — per-sample
-//!   SplitMix64 streams keep every variant bit-identical to serial.
+//!   The control plane is single-threaded — parallelism lives in the
+//!   epoch engine only: synthetic-benchmark training
+//!   (`SyntheticBenchmark::train`, eager through
+//!   `DeepDive::pretrain_benchmarks` or lazy on a model's first
+//!   mitigation) is one serial loop over per-sample SplitMix64 streams,
+//!   a pure function of `(spec, samples, seed)`.
 //! * **Spec-aware sandbox fleets** — the analyzer's degradation estimate
 //!   divides production instruction rates by isolation rates, which is
 //!   only sound when the clone replays on the victim's host machine
 //!   model.  `cloudsim::SandboxFleet` therefore holds one sandbox pool
-//!   per model in the cluster (`DeepDive::for_cluster` derives it;
-//!   `From<Sandbox>` keeps the uniform single-pool path, pinned
-//!   bit-identical on homogeneous clusters by `tests/sandbox_fleet.rs`),
+//!   per model in the cluster (`DeepDive::for_cluster` derives it; on
+//!   homogeneous clusters that is the paper's single pool, pinned
+//!   bit-identical to a hand-built one by `tests/sandbox_fleet.rs`),
 //!   and the controller routes each analysis to the matching pool,
 //!   trains one synthetic benchmark per model, predicts placements
 //!   against each candidate's own spec, and accounts profiling seconds
@@ -294,21 +290,18 @@
 //!   evacuations, retries, correlated outages, drain migrations),
 //! * `tests/warning_equivalence.rs` — proptest: warm-started and forced-cold
 //!   model refreshes produce equivalent warning *decisions* (detections
-//!   always, divergence bounded) over randomized growing repositories, an
-//!   unchanged repository generation makes refreshes free, and the pooled
-//!   refit sweep is exactly equivalent to the serial refresh loop,
+//!   always, divergence bounded) over randomized growing repositories, and
+//!   an unchanged repository generation makes refreshes free,
 //! * `tests/sandbox_fleet.rs` — spec-aware fleet contracts: on uniform
-//!   clusters the derived fleet is bit-identical to the old single-pool
-//!   construction (proptest), and on a mixed Xeon+i7 cluster the
-//!   spec-matched fleet detects an i7-hosted victim that the frozen
-//!   Xeon-only path under-detects to zero,
+//!   clusters the derived fleet is bit-identical to a hand-built
+//!   single-pool fleet (proptest), and on a mixed Xeon+i7 cluster the
+//!   spec-matched fleet detects an i7-hosted victim that a hard-coded
+//!   Xeon-only pool under-detects to zero,
 //! * `crates/bench/tests/figures_smoke.rs` — every figure entry point runs
 //!   under plain `cargo test`, not only under Criterion.
 //!
-//! CI runs the whole suite twice — once default and once with
-//! `DEEPDIVE_TRAIN_THREADS=4` so every `SyntheticBenchmark::train` goes
-//! four threads wide (the pooled engine is exercised in both lanes: its
-//! tests construct `ExecutionMode::Pooled` explicitly) — with the
+//! CI runs the suite once (the pooled engine needs no lane of its own:
+//! its tests construct `ExecutionMode::Pooled` explicitly), with the
 //! fault-tolerance chaos suite also called out as a named step, and then
 //! runs all five `e2e_bench` workloads at `--quick` size under their
 //! digest, failed-epoch and audit checks.

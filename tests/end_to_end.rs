@@ -2,9 +2,7 @@
 //! the public API, from counter collection to detection, attribution and
 //! migration.
 
-use cloudsim::{
-    Cluster, ClusterSeed, EpochEngine, ExecutionMode, PmId, Sandbox, Scheduler, Vm, VmId,
-};
+use cloudsim::{Cluster, ClusterSeed, EpochEngine, ExecutionMode, PmId, Scheduler, Vm, VmId};
 use deepdive::controller::{DeepDive, DeepDiveConfig, EpochEvent};
 use deepdive::cpi_stack::Resource;
 use hwsim::MachineSpec;
@@ -39,7 +37,7 @@ fn quiet_cloud_never_migrates_and_profiling_flattens() {
     for i in 0..3 {
         cluster.place_first_fit(serving_vm(i)).unwrap();
     }
-    let mut deepdive = DeepDive::new(DeepDiveConfig::default(), Sandbox::xeon_pool(2));
+    let mut deepdive = DeepDive::for_cluster(DeepDiveConfig::default(), &cluster);
     let engine = EpochEngine::serial(ClusterSeed::new(1));
     run_epochs(&mut cluster, &mut deepdive, &engine, 60, 0.7);
     let mid = deepdive.stats();
@@ -60,12 +58,12 @@ fn quiet_cloud_never_migrates_and_profiling_flattens() {
 fn cache_aggressor_is_detected_attributed_and_migrated_away() {
     let mut cluster = Cluster::homogeneous(2, MachineSpec::xeon_x5472(), Scheduler::default());
     cluster.place_on(PmId(0), serving_vm(1)).unwrap();
-    let mut deepdive = DeepDive::new(
+    let mut deepdive = DeepDive::for_cluster(
         DeepDiveConfig {
             synthetic_training_samples: 100,
             ..DeepDiveConfig::default()
         },
-        Sandbox::xeon_pool(2),
+        &cluster,
     );
     let engine = EpochEngine::serial(ClusterSeed::new(2));
     run_epochs(&mut cluster, &mut deepdive, &engine, 50, 0.8);
@@ -130,13 +128,13 @@ fn network_interference_on_analytics_is_attributed_to_the_network() {
             ),
         )
         .unwrap();
-    let mut deepdive = DeepDive::new(
+    let mut deepdive = DeepDive::for_cluster(
         DeepDiveConfig {
             auto_migrate: false,
             analysis_cooldown: 5,
             ..DeepDiveConfig::default()
         },
-        Sandbox::xeon_pool(2),
+        &cluster,
     );
     let engine = EpochEngine::serial(ClusterSeed::new(3));
     // Learn through several full map/shuffle/reduce cycles.
@@ -179,13 +177,13 @@ fn global_information_reduces_analyzer_invocations_for_shared_load_shifts() {
         for i in 0..8 {
             cluster.place_first_fit(serving_vm(i)).unwrap();
         }
-        let mut deepdive = DeepDive::new(
+        let mut deepdive = DeepDive::for_cluster(
             DeepDiveConfig {
                 use_global_information: use_global,
                 auto_migrate: false,
                 ..DeepDiveConfig::default()
             },
-            Sandbox::xeon_pool(2),
+            &cluster,
         );
         let engine = EpochEngine::serial(ClusterSeed::new(4));
         run_epochs(&mut cluster, &mut deepdive, &engine, 40, 0.8);

@@ -5,7 +5,7 @@
 //! within the "less than 5 KB to record the VM's behavior for the whole day"
 //! budget.
 
-use cloudsim::{Cluster, ClusterSeed, EpochEngine, Sandbox, Scheduler, Vm, VmId};
+use cloudsim::{Cluster, ClusterSeed, EpochEngine, Scheduler, Vm, VmId};
 use deepdive::controller::{DeepDive, DeepDiveConfig};
 use deepdive::metrics::{BehaviorVector, DIMENSIONS};
 use deepdive::repository::BehaviorRepository;
@@ -30,7 +30,7 @@ fn learned_repository() -> BehaviorRepository {
             ClientEmulator::new(40.0, 400.0),
         ))
         .unwrap();
-    let mut deepdive = DeepDive::new(DeepDiveConfig::default(), Sandbox::xeon_pool(2));
+    let mut deepdive = DeepDive::for_cluster(DeepDiveConfig::default(), &cluster);
     let engine = EpochEngine::serial(ClusterSeed::new(0xDD));
     for _ in 0..80 {
         let reports = engine.step(&mut cluster, |_| 0.7);

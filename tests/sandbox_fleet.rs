@@ -5,20 +5,21 @@
 //!
 //! * **Uniform equivalence** — on a homogeneous cluster, a controller whose
 //!   fleet is derived from the cluster ([`DeepDive::for_cluster`]) must make
-//!   decisions bit-identical to one built the old way from a single
-//!   hard-coded pool (`DeepDive::new(config, Sandbox::xeon_pool(4))`, which
-//!   the `From<Sandbox>` conversion preserves as the frozen single-pool
-//!   path).  The fleet may only ever *add* routing, never change results
-//!   where routing is trivial.
+//!   decisions bit-identical to one handed a single hard-coded pool
+//!   (`SandboxFleet::new(vec![Sandbox::xeon_pool(4)])`, the paper's
+//!   single-pool setup).  The fleet may only ever *add* routing, never
+//!   change results where routing is trivial.
 //! * **Heterogeneity bias** — on a mixed Xeon + i7 cluster, an i7-hosted
 //!   memory-heavy victim under a cache/bus aggressor must be detected by the
 //!   spec-matched fleet with a near-truth degradation estimate, while the
-//!   frozen single-pool path replays it on the Xeon — whose FSB throttles
+//!   hard-coded single pool replays it on the Xeon — whose FSB throttles
 //!   the *isolation* run as badly as the contended production run — and
 //!   under-detects to the point of missing the episode entirely.  This is
 //!   the documented limitation the fleet exists to remove.
 
-use cloudsim::{Cluster, ClusterSeed, EpochEngine, PmId, Sandbox, Scheduler, Vm, VmId};
+use cloudsim::{
+    Cluster, ClusterSeed, EpochEngine, PmId, Sandbox, SandboxFleet, Scheduler, Vm, VmId,
+};
 use deepdive::analyzer::InterferenceAnalyzer;
 use deepdive::controller::{DeepDive, DeepDiveConfig, DeepDiveStats, EpochEvent};
 use hwsim::MachineSpec;
@@ -31,6 +32,11 @@ fn serving_vm(id: u64, app: u64) -> Vm {
         Box::new(DataServing::with_defaults(AppId(app))),
         ClientEmulator::new(8_000.0, 4.0),
     )
+}
+
+/// The hard-coded single-pool fleet: four Xeons whatever the cluster holds.
+fn single_xeon_pool() -> SandboxFleet {
+    SandboxFleet::new(vec![Sandbox::xeon_pool(4)])
 }
 
 fn memory_tenant(id: u64, app: u64, working_set_mb: f64) -> Vm {
@@ -169,10 +175,10 @@ fn spec_matched_fleet_detects_what_the_xeon_only_sandbox_misses() {
         }
     }
 
-    // The frozen single-pool path on the same cluster: every analysis falls
+    // A hard-coded single pool on the same cluster: every analysis falls
     // back to the Xeon pool, the degradation estimate collapses to ~0, the
     // episodes are all scored as false alarms and nothing is mitigated.
-    let (biased, aggressor_at, _) = run_bias_scenario(DeepDive::new(config, Sandbox::xeon_pool(4)));
+    let (biased, aggressor_at, _) = run_bias_scenario(DeepDive::new(config, single_xeon_pool()));
     assert_eq!(
         biased.interference_confirmed, 0,
         "the biased path unexpectedly detected: {biased:?}"
@@ -239,7 +245,7 @@ proptest! {
         };
 
         let (single_events, single_stats) =
-            run_one(DeepDive::new(config.clone(), Sandbox::xeon_pool(4)));
+            run_one(DeepDive::new(config.clone(), single_xeon_pool()));
         let (fleet_events, fleet_stats) =
             run_one(DeepDive::for_cluster(config.clone(), &build_cluster()));
         prop_assert_eq!(single_events, fleet_events);

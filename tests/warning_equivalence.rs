@@ -20,7 +20,6 @@
 //! `cold_refit_interval: 1` (every refit cold) — not a parallel
 //! implementation — so the comparison covers exactly what ships.
 
-use cloudsim::WorkerPool;
 use deepdive::metrics::{BehaviorVector, DIMENSIONS};
 use deepdive::repository::BehaviorRepository;
 use deepdive::warning::{WarningConfig, WarningDecision, WarningSystem};
@@ -143,80 +142,6 @@ proptest! {
             warm_cold_fits + warm_warm_fits,
             cold_cold_fits
         );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Refits fanned over the worker pool are **exactly** equivalent to the
-    /// serial per-app refresh loop: same decisions on every probe and the
-    /// same refit accounting, over randomized multi-app repositories.  This
-    /// is a stronger contract than the warm-vs-cold bound above — the
-    /// pooled sweep runs the *same* fits, merely on other threads.
-    #[test]
-    fn pooled_refresh_sweep_matches_serial_refresh_exactly(
-        seed in 0u64..4096,
-        app_count in 2usize..6,
-        rounds in 2usize..6,
-        workers in 1usize..4,
-    ) {
-        let apps: Vec<AppId> = (0..app_count as u64).map(AppId).collect();
-        let pool = WorkerPool::new(workers);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let offset = rng.gen_range(0.0..0.5);
-
-        let mut repo = BehaviorRepository::new();
-        let mut serial = WarningSystem::new(WarningConfig::default());
-        let mut pooled = WarningSystem::new(WarningConfig::default());
-
-        let mut epoch = 0u64;
-        for round in 0..rounds {
-            // Grow a staggered subset each round so some generations change
-            // and others hit the O(1) short-circuit.
-            for (i, &app) in apps.iter().enumerate() {
-                if round == 0 || (round + i) % 2 == 0 {
-                    for _ in 0..10 {
-                        let c = center(app.0, (epoch % 2) as usize, offset);
-                        repo.record_normal(app, jittered(&c, &mut rng, 0.01), epoch);
-                        epoch += 1;
-                    }
-                }
-            }
-            serial.refresh_models(&apps, &repo, None);
-            pooled.refresh_models(&apps, &repo, Some(&pool));
-            prop_assert_eq!(
-                serial.refit_counts(),
-                pooled.refit_counts(),
-                "round {}: refit accounting diverged",
-                round
-            );
-            for &app in &apps {
-                prop_assert_eq!(
-                    serial.in_conservative_mode(app),
-                    pooled.in_conservative_mode(app)
-                );
-                for mode in 0..2usize {
-                    let c = center(app.0, mode, offset);
-                    let inlier = jittered(&c, &mut rng, 0.01);
-                    let outlier = far_outlier(&c, &mut rng);
-                    prop_assert_eq!(
-                        serial.evaluate(app, &inlier, &[]),
-                        pooled.evaluate(app, &inlier, &[]),
-                        "round {}: inlier decision diverged for {:?}",
-                        round,
-                        app
-                    );
-                    prop_assert_eq!(
-                        serial.evaluate(app, &outlier, &[]),
-                        pooled.evaluate(app, &outlier, &[]),
-                        "round {}: outlier decision diverged for {:?}",
-                        round,
-                        app
-                    );
-                }
-            }
-        }
     }
 }
 
