@@ -1,14 +1,11 @@
 //! Figure 1: measured performance of a service under a fixed workload whose
 //! performance periodically collapses due to co-located VMs.
 //!
-//! Prints the hourly throughput/latency series (the paper's Fig. 1 shape) and
-//! benchmarks the per-hour simulation step.
+//! Prints the hourly throughput/latency series (the paper's Fig. 1 shape).
 
-use bench::{fig1_ec2_motivation, victim_cluster, CloudWorkload};
-use cloudsim::{ClusterSeed, EpochEngine};
-use criterion::{criterion_group, criterion_main, Criterion};
+use bench::fig1_ec2_motivation;
 
-fn print_figure() {
+fn main() {
     let points = fig1_ec2_motivation(1);
     println!("# Figure 1 — Cassandra-like service on a shared machine (3 days)");
     println!("hour,throughput_req_per_s,avg_latency_ms,interference_active");
@@ -29,18 +26,3 @@ fn print_figure() {
         mean(&noisy, |p| p.latency_ms)
     );
 }
-
-fn bench_kernel(c: &mut Criterion) {
-    print_figure();
-    let mut group = c.benchmark_group("fig01");
-    group.sample_size(10);
-    group.bench_function("epoch_step_single_vm", |b| {
-        let mut cluster = victim_cluster(CloudWorkload::DataServing, 1);
-        let engine = EpochEngine::serial(ClusterSeed::new(1));
-        b.iter(|| engine.step(&mut cluster, |_| 0.7));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel);
-criterion_main!(benches);

@@ -2,9 +2,8 @@
 //! interference for Data Serving, Web Search and Data Analytics.
 
 use bench::{fig4_metric_clusters, CloudWorkload};
-use criterion::{criterion_group, criterion_main, Criterion};
 
-fn print_figure() {
+fn main() {
     println!("# Figure 4 — metric-space clusters (L1 / L2 / memory-stall, per kilo-instruction)");
     for workload in CloudWorkload::ALL {
         let clusters = fig4_metric_clusters(workload, 3);
@@ -22,16 +21,3 @@ fn print_figure() {
         }
     }
 }
-
-fn bench_kernel(c: &mut Criterion) {
-    print_figure();
-    let mut group = c.benchmark_group("fig04");
-    group.sample_size(10);
-    group.bench_function("cluster_experiment_data_serving", |b| {
-        b.iter(|| fig4_metric_clusters(CloudWorkload::DataServing, 3));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel);
-criterion_main!(benches);

@@ -2,9 +2,8 @@
 //! lets DeepDive tell which machines suffer network interference.
 
 use bench::fig5_global_information;
-use criterion::{criterion_group, criterion_main, Criterion};
 
-fn print_figure() {
+fn main() {
     let points = fig5_global_information(3, 5);
     println!("# Figure 5 — Data Analytics on nine PMs, iperf on three of them");
     println!("pm,interfered,net_stall_s_per_gi,cpi");
@@ -15,16 +14,3 @@ fn print_figure() {
         );
     }
 }
-
-fn bench_kernel(c: &mut Criterion) {
-    print_figure();
-    let mut group = c.benchmark_group("fig05");
-    group.sample_size(10);
-    group.bench_function("nine_pm_analytics_cycle", |b| {
-        b.iter(|| fig5_global_information(3, 5));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel);
-criterion_main!(benches);

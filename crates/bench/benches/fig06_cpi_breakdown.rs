@@ -2,9 +2,8 @@
 //! isolation; the analyzer pinpoints the culprit resource in each scenario.
 
 use bench::{fig6_cpi_breakdown, CloudWorkload, Fig6Scenario};
-use criterion::{criterion_group, criterion_main, Criterion};
 
-fn print_figure() {
+fn main() {
     println!("# Figure 6 — augmented CPI stack, isolation vs production");
     println!("workload,scenario,environment,core,l2_miss,fsb,net_disk,culprit");
     for workload in CloudWorkload::ALL {
@@ -29,16 +28,3 @@ fn print_figure() {
         }
     }
 }
-
-fn bench_kernel(c: &mut Criterion) {
-    print_figure();
-    let mut group = c.benchmark_group("fig06");
-    group.sample_size(10);
-    group.bench_function("cpi_breakdown_one_cell", |b| {
-        b.iter(|| fig6_cpi_breakdown(CloudWorkload::DataServing, Fig6Scenario::LastLevelCache, 7));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel);
-criterion_main!(benches);

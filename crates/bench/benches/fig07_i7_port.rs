@@ -2,9 +2,8 @@
 //! normal behaviour (QPI / L3 / overall-CPI axes).
 
 use bench::fig7_i7_port;
-use criterion::{criterion_group, criterion_main, Criterion};
 
-fn print_figure() {
+fn main() {
     let clusters = fig7_i7_port(9);
     println!("# Figure 7 — Data Serving on the Core i7 (Nehalem) server");
     println!("# separation score {:.2}", clusters.separation_score);
@@ -16,16 +15,3 @@ fn print_figure() {
         );
     }
 }
-
-fn bench_kernel(c: &mut Criterion) {
-    print_figure();
-    let mut group = c.benchmark_group("fig07");
-    group.sample_size(10);
-    group.bench_function("i7_cluster_experiment", |b| {
-        b.iter(|| fig7_i7_port(9));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel);
-criterion_main!(benches);

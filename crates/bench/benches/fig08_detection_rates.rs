@@ -2,9 +2,8 @@
 //! HotMail traces with injected interference episodes, per day and workload.
 
 use bench::{fig8_detection, CloudWorkload};
-use criterion::{criterion_group, criterion_main, Criterion};
 
-fn print_figure() {
+fn main() {
     println!("# Figure 8 — detection and false-positive rates over three trace days");
     println!(
         "workload,day,detection_rate_pct,false_positive_rate_pct,episodes,analyzer_invocations"
@@ -29,16 +28,3 @@ fn print_figure() {
         );
     }
 }
-
-fn bench_kernel(c: &mut Criterion) {
-    print_figure();
-    let mut group = c.benchmark_group("fig08");
-    group.sample_size(10);
-    group.bench_function("three_day_detection_data_serving", |b| {
-        b.iter(|| fig8_detection(CloudWorkload::DataServing, 21));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel);
-criterion_main!(benches);

@@ -2,9 +2,8 @@
 //! client-reported degradation across interference intensities.
 
 use bench::{fig9_degradation_accuracy, CloudWorkload};
-use criterion::{criterion_group, criterion_main, Criterion};
 
-fn print_figure() {
+fn main() {
     println!("# Figure 9 — client-reported vs analyzer-estimated degradation");
     println!("workload,stress_intensity,client_reported_pct,estimated_pct,abs_error_pct");
     let mut errors = Vec::new();
@@ -30,16 +29,3 @@ fn print_figure() {
         worst * 100.0
     );
 }
-
-fn bench_kernel(c: &mut Criterion) {
-    print_figure();
-    let mut group = c.benchmark_group("fig09");
-    group.sample_size(10);
-    group.bench_function("accuracy_sweep_data_serving", |b| {
-        b.iter(|| fig9_degradation_accuracy(CloudWorkload::DataServing, 11));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel);
-criterion_main!(benches);

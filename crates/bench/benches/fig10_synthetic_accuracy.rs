@@ -2,11 +2,11 @@
 //! degradation as the real VM it mimics, across interference intensities.
 
 use bench::{fig10_synthetic_accuracy, CloudWorkload};
-use criterion::{criterion_group, criterion_main, Criterion};
 use deepdive::synthetic::SyntheticBenchmark;
 use hwsim::MachineSpec;
 
-fn print_figure(benchmark: &SyntheticBenchmark) {
+fn main() {
+    let benchmark = &SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 200, 7);
     println!("# Figure 10 — real VM vs synthetic clone degradation");
     println!(
         "workload,stress_intensity,real_degradation_pct,synthetic_degradation_pct,abs_error_pct"
@@ -35,17 +35,3 @@ fn print_figure(benchmark: &SyntheticBenchmark) {
         mean * 100.0
     );
 }
-
-fn bench_kernel(c: &mut Criterion) {
-    let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 200, 7);
-    print_figure(&benchmark);
-    let mut group = c.benchmark_group("fig10");
-    group.sample_size(10);
-    group.bench_function("mimic_and_colocate_data_serving", |b| {
-        b.iter(|| fig10_synthetic_accuracy(CloudWorkload::DataServing, &benchmark, 13));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel);
-criterion_main!(benches);

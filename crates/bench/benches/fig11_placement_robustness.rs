@@ -3,11 +3,11 @@
 //! without performing any real migration.
 
 use bench::fig11_placement_robustness;
-use criterion::{criterion_group, criterion_main, Criterion};
 use deepdive::synthetic::SyntheticBenchmark;
 use hwsim::MachineSpec;
 
-fn print_figure(benchmark: &SyntheticBenchmark) {
+fn main() {
+    let benchmark = &SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 200, 7);
     let r = fig11_placement_robustness(benchmark, 17);
     println!("# Figure 11 — interference at the chosen destination vs best/average/worst");
     println!("placement,real_interference_pct");
@@ -17,17 +17,3 @@ fn print_figure(benchmark: &SyntheticBenchmark) {
     println!("worst,{:.1}", r.worst * 100.0);
     println!("# chosen destination: {:?}", r.chosen_pm);
 }
-
-fn bench_kernel(c: &mut Criterion) {
-    let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 200, 7);
-    print_figure(&benchmark);
-    let mut group = c.benchmark_group("fig11");
-    group.sample_size(10);
-    group.bench_function("placement_prediction", |b| {
-        b.iter(|| fig11_placement_robustness(&benchmark, 17));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel);
-criterion_main!(benches);

@@ -3,9 +3,8 @@
 //! performance variation.
 
 use bench::fig12_profiling_overhead;
-use criterion::{criterion_group, criterion_main, Criterion};
 
-fn print_figure() {
+fn main() {
     let r = fig12_profiling_overhead(21);
     println!("# Figure 12 — accumulated profiling time over 72 hours (minutes)");
     println!("hour,deepdive,baseline_20pct,baseline_10pct,baseline_5pct");
@@ -20,16 +19,3 @@ fn print_figure() {
         r.deepdive[71], r.baseline_20[71], r.baseline_10[71], r.baseline_5[71]
     );
 }
-
-fn bench_kernel(c: &mut Criterion) {
-    print_figure();
-    let mut group = c.benchmark_group("fig12");
-    group.sample_size(10);
-    group.bench_function("three_day_overhead_run", |b| {
-        b.iter(|| fig12_profiling_overhead(21));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel);
-criterion_main!(benches);

@@ -2,11 +2,9 @@
 //! arrivals — (a) local information only, (b) with global information,
 //! (c) sweeping the Zipf popularity tail index.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use queueing::scenarios::{paper_fractions, reaction_time_curve, ScenarioConfig};
-use traces::ArrivalModel;
 
-fn print_curves() {
+fn main() {
     let fractions = paper_fractions();
     println!("# Figure 13(a) — local information only, Poisson arrivals, 1000 VMs/day");
     println!("servers,interference_fraction,mean_reaction_min");
@@ -72,25 +70,3 @@ fn print_curves() {
         }
     }
 }
-
-fn bench_kernel(c: &mut Criterion) {
-    print_curves();
-    let mut group = c.benchmark_group("fig13");
-    group.sample_size(10);
-    group.bench_function("reaction_curve_4_servers", |b| {
-        b.iter(|| {
-            reaction_time_curve(
-                &ScenarioConfig {
-                    servers: 4,
-                    arrival_model: ArrivalModel::Poisson,
-                    ..Default::default()
-                },
-                &paper_fractions(),
-            )
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel);
-criterion_main!(benches);

@@ -1,11 +1,10 @@
 //! Figure 14: the same reaction-time analysis under burstier, lognormally
 //! distributed VM arrivals.
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use queueing::scenarios::{paper_fractions, reaction_time_curve, ScenarioConfig};
 use traces::ArrivalModel;
 
-fn print_curves() {
+fn main() {
     let fractions = paper_fractions();
     let lognormal = ArrivalModel::Lognormal { sigma: 2.0 };
     println!("# Figure 14(a) — local information only, lognormal arrivals, 1000 VMs/day");
@@ -75,25 +74,3 @@ fn print_curves() {
         }
     }
 }
-
-fn bench_kernel(c: &mut Criterion) {
-    print_curves();
-    let mut group = c.benchmark_group("fig14");
-    group.sample_size(10);
-    group.bench_function("reaction_curve_lognormal_4_servers", |b| {
-        b.iter(|| {
-            reaction_time_curve(
-                &ScenarioConfig {
-                    servers: 4,
-                    arrival_model: ArrivalModel::Lognormal { sigma: 2.0 },
-                    ..Default::default()
-                },
-                &paper_fractions(),
-            )
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel);
-criterion_main!(benches);

@@ -2,24 +2,10 @@
 //! per VM per day even when the VM is analyzed every hour.
 
 use bench::memory_overhead_bytes_per_vm_day;
-use criterion::{criterion_group, criterion_main, Criterion};
 
-fn print_table() {
+fn main() {
     let bytes = memory_overhead_bytes_per_vm_day();
     println!("# §5.5 — repository footprint per VM per day");
     println!("analyses_per_day,bytes,under_5kb");
     println!("24,{},{}", bytes, (bytes < 5 * 1024) as u8);
 }
-
-fn bench_kernel(c: &mut Criterion) {
-    print_table();
-    let mut group = c.benchmark_group("tab_memory_overhead");
-    group.sample_size(10);
-    group.bench_function("footprint_accounting", |b| {
-        b.iter(memory_overhead_bytes_per_vm_day);
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_kernel);
-criterion_main!(benches);

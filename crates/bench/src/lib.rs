@@ -2,14 +2,13 @@
 //! # bench — experiment harness regenerating every figure of the paper
 //!
 //! Each figure or table of DeepDive's evaluation has a corresponding bench
-//! target under `benches/` that (a) re-runs the experiment on the simulated
-//! substrate and prints the same series/rows the paper reports, and (b)
-//! feeds a representative kernel of that experiment to Criterion so `cargo
-//! bench` also produces timing numbers.
+//! target under `benches/`: a plain `fn main()` that re-runs the experiment
+//! on the simulated substrate and prints the same series/rows the paper
+//! reports.
 //!
 //! The heavy lifting lives here, in plain library code, so integration tests
 //! can assert the *qualitative* claims (who wins, what is detected, which
-//! resource is blamed) without going through Criterion:
+//! resource is blamed) under `cargo test`:
 //!
 //! * [`setup`] — builders for the victim/aggressor VMs and clusters used
 //!   across experiments.

@@ -129,11 +129,6 @@ pub fn xeon_cluster(n: usize) -> Cluster {
     Cluster::homogeneous(n, MachineSpec::xeon_x5472(), Scheduler::default())
 }
 
-/// A cluster of `n` Core i7 machines (the §4.4 portability platform).
-pub fn i7_cluster(n: usize) -> Cluster {
-    Cluster::homogeneous(n, MachineSpec::core_i7_nehalem(), Scheduler::default())
-}
-
 /// Places a victim running `workload` on machine 0 of a fresh Xeon cluster
 /// with `machines` machines and returns the cluster.
 pub fn victim_cluster(workload: CloudWorkload, machines: usize) -> Cluster {

@@ -1,5 +1,5 @@
 //! Smoke tests: every figure/table entry point in `bench::figures` runs under
-//! plain `cargo test`, not only under Criterion.
+//! plain `cargo test`, not only under `cargo bench`.
 //!
 //! These are deliberately shallow — the *qualitative* claims behind each
 //! figure are asserted by `tests/paper_claims.rs` at the workspace root; here

@@ -87,13 +87,15 @@ pub fn check_cluster(cluster: &Cluster) -> Vec<String> {
             }
         }
 
-        if used_vcpus > machine.spec.cores {
+        if used_vcpus > machine.spec().cores {
             findings.push(format!(
                 "{} overcommitted: {} resident vCPUs on {} cores",
-                machine.id, used_vcpus, machine.spec.cores
+                machine.id,
+                used_vcpus,
+                machine.spec().cores
             ));
         }
-        let expected_free = machine.spec.cores.saturating_sub(used_vcpus);
+        let expected_free = machine.spec().cores.saturating_sub(used_vcpus);
         if machine.free_cores() != expected_free {
             findings.push(format!(
                 "{} capacity accounting drifted: free_cores() = {}, expected {}",

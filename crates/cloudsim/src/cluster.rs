@@ -145,10 +145,10 @@ impl Cluster {
         self.epoch += 1;
     }
 
-    /// Mutable access to one machine (its VM membership can only change
-    /// through cluster methods — [`Cluster::place_on`], [`Cluster::migrate`],
-    /// [`Cluster::remove_vm`] — which keep the VM-location index in sync).
-    pub fn machine_mut(&mut self, pm: PmId) -> Option<&mut PhysicalMachine> {
+    /// Mutable access to one machine, for the membership methods below
+    /// ([`Cluster::place_on`], [`Cluster::migrate`], [`Cluster::remove_vm`]),
+    /// which keep the VM-location index in sync.
+    fn machine_mut(&mut self, pm: PmId) -> Option<&mut PhysicalMachine> {
         let idx = *self.pm_index.get(&pm)?;
         Some(&mut self.machines[idx])
     }
@@ -480,10 +480,10 @@ mod tests {
         }
         assert!(c.machines()[..2]
             .iter()
-            .all(|m| m.spec == MachineSpec::xeon_x5472()));
+            .all(|m| *m.spec() == MachineSpec::xeon_x5472()));
         assert!(c.machines()[2..]
             .iter()
-            .all(|m| m.spec == MachineSpec::core_i7_nehalem()));
+            .all(|m| *m.spec() == MachineSpec::core_i7_nehalem()));
     }
 
     #[test]

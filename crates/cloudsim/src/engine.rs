@@ -26,11 +26,9 @@
 //! Serial and pooled runs are **bit-identical**, which means the thread
 //! count is purely a throughput knob, never a results knob.
 //!
-//! Two entry points exist: [`EpochEngine::step`] advances one epoch and
-//! returns its reports — the only call a loop that mutates placement
-//! between epochs can use — and [`EpochEngine::advance_epochs`] advances a
-//! whole stretch under fixed loads and returns no reports.  Both hand
-//! their shards to one private dispatch helper.
+//! There is one entry point: [`EpochEngine::step`] advances one epoch and
+//! returns its reports.  DeepDive reads every VM's counters every epoch and
+//! moves VMs between epochs, so nothing advances time without reports.
 //!
 //! ## Service mode & sparse stepping
 //!
@@ -100,21 +98,6 @@ impl ExecutionMode {
             ExecutionMode::Pooled { threads }
         }
     }
-}
-
-/// What one [`EpochEngine::advance_epochs`] call did, in machine-epochs.
-///
-/// `resolved_machine_epochs + quiescent_machine_epochs` accounts for every
-/// non-empty machine over every advanced epoch; the quiescent share is the
-/// work the sparse path skipped (a dense advance keeps it at zero).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct AdvanceSummary {
-    /// Resident VMs × epochs advanced — the throughput numerator.
-    pub vm_epochs: u64,
-    /// Machine-epochs that ran demand generation + contention resolution.
-    pub resolved_machine_epochs: u64,
-    /// Machine-epochs served by the quiescent fast path without resolving.
-    pub quiescent_machine_epochs: u64,
 }
 
 /// Steps a [`Cluster`] through epochs under a fixed seed and execution mode.
@@ -240,128 +223,52 @@ impl EpochEngine {
     {
         let epoch = cluster.epoch();
         let (seed, sparse) = (self.seed, self.sparse);
-        let reports = self.dispatch(
-            cluster,
-            |shard| {
-                // One report per resident VM: reserving up front keeps the
-                // output vector from realloc-copying its way to full size —
-                // at 10k+ machines that copy traffic would dominate the
-                // sparse path, whose real work is only a memcpy per
-                // quiescent machine.
-                let shard_vms: usize = shard.iter().map(PhysicalMachine::vm_count).sum();
-                let mut out = Vec::with_capacity(shard_vms);
-                for machine in shard.iter_mut() {
-                    // Reports land straight in the output vector — no
-                    // per-machine allocation on either the dense or the
-                    // cached path.
-                    machine.step_epoch_into(epoch, &load_for, seed, sparse, &mut out);
-                }
-                out
-            },
-            // Shards merge in machine order, which restores the serial
-            // report order.
-            |mut head: Vec<VmEpochReport>, tail| {
-                head.extend(tail);
-                head
-            },
-        );
-        cluster.advance_epoch();
-        reports
-    }
-
-    /// Advances the cluster `epochs` epochs **without materializing
-    /// reports**, with every VM's offered load held fixed at `load_for`'s
-    /// output for the whole batch (the closure is evaluated once per VM,
-    /// at batch entry — not once per epoch).
-    ///
-    /// This is the bulk-throughput entry point for callers that do not
-    /// consume per-epoch reports — fast-forwarding the quiescent valley of
-    /// a diurnal trace, capacity sweeps, warm-up.  Cluster state evolves
-    /// bit-identically to `epochs` calls of [`EpochEngine::step`] under the
-    /// same load closure: machines whose demand can still change resolve
-    /// every epoch exactly as they would, and a machine whose workloads are
-    /// all static at its loads resolves at most once, synthesizes its
-    /// reports into its quiescent cache (so a later [`EpochEngine::step`]
-    /// replays the same bytes), and is **never revisited** for the rest of
-    /// the batch.  With sparse stepping that makes bulk advancement
-    /// O(active machines), where `step` is O(machines) — it must at least
-    /// re-check and re-copy every quiescent machine's reports each epoch.
-    ///
-    /// Runs under the engine's [`ExecutionMode`] with the same balanced
-    /// sharding, bit-identical results and panic policy as
-    /// [`EpochEngine::step`].  With sparse stepping disabled every machine
-    /// resolves every epoch (the dense reference, minus report packaging).
-    /// `epochs == 0` is a no-op.
-    pub fn advance_epochs<F>(
-        &self,
-        cluster: &mut Cluster,
-        epochs: u64,
-        load_for: F,
-    ) -> AdvanceSummary
-    where
-        F: Fn(VmId) -> f64 + Sync,
-    {
-        if epochs == 0 {
-            return AdvanceSummary::default();
-        }
-        let vm_epochs = cluster.vm_count() as u64 * epochs;
-        let resolved_before = cluster.total_resolves();
-        let quiescent_before = cluster.total_quiescent_steps();
-        let first_epoch = cluster.epoch();
-        let (seed, sparse) = (self.seed, self.sparse);
-        self.dispatch(
-            cluster,
-            |shard| {
-                for machine in shard.iter_mut() {
-                    machine.advance_epochs(first_epoch, epochs, &load_for, seed, sparse);
-                }
-            },
-            |(), ()| (),
-        );
-        for _ in 0..epochs {
-            cluster.advance_epoch();
-        }
-        AdvanceSummary {
-            vm_epochs,
-            resolved_machine_epochs: cluster.total_resolves() - resolved_before,
-            quiescent_machine_epochs: cluster.total_quiescent_steps() - quiescent_before,
-        }
-    }
-
-    /// Runs `work` over the cluster's machines under the engine's mode and
-    /// folds the per-shard results, in machine order, with `merge`.
-    ///
-    /// Serial mode and zero- or one-machine clusters run `work` once over
-    /// the whole fleet on the calling thread and return its result as is: no
-    /// shards, no pool traffic, and no allocation of the helper's own (a
-    /// small allocation made right after the report vector cost the
-    /// controller that consumes the reports 6% on the `interference_episodes`
-    /// benchmark workload).
-    /// Otherwise the machines split into `min(threads, machines)` balanced
-    /// contiguous shards and [`WorkerPool::scatter_map`] shares `work` by
-    /// reference across them — no per-shard closure boxing, no per-epoch job
-    /// vector — blocking on the pool's barrier, which is also where a
-    /// shard's panic is re-raised.
-    fn dispatch<T, W, M>(&self, cluster: &mut Cluster, work: W, merge: M) -> T
-    where
-        T: Send + Default,
-        W: Fn(&mut [PhysicalMachine]) -> T + Sync,
-        M: FnMut(T, T) -> T,
-    {
+        let step_shard = |shard: &mut [PhysicalMachine]| {
+            // One report per resident VM: reserving up front keeps the
+            // output vector from realloc-copying its way to full size — at
+            // 10k+ machines that copy traffic would dominate the sparse
+            // path, whose real work is only a memcpy per quiescent machine.
+            let shard_vms: usize = shard.iter().map(PhysicalMachine::vm_count).sum();
+            let mut out = Vec::with_capacity(shard_vms);
+            for machine in shard.iter_mut() {
+                // Reports land straight in the output vector — no
+                // per-machine allocation on either the dense or the cached
+                // path.
+                machine.step_epoch_into(epoch, &load_for, seed, sparse, &mut out);
+            }
+            out
+        };
         let machines = cluster.machines_mut();
-        match (&self.pool, self.mode) {
+        let reports = match (&self.pool, self.mode) {
+            // `min(threads, machines)` balanced contiguous shards share
+            // `step_shard` by reference — no per-shard closure boxing, no
+            // per-epoch job vector — and block on the pool's barrier, which
+            // is also where a shard's panic is re-raised.
             (Some(pool), ExecutionMode::Pooled { threads }) if threads.min(machines.len()) > 1 => {
                 // `split_balanced` clamps the shard count to the fleet size.
                 let mut shards = split_balanced(machines, threads);
                 pool.scatter_map(&mut shards, &|shard: &mut &mut [PhysicalMachine]| {
-                    work(shard)
+                    step_shard(shard)
                 })
                 .into_iter()
-                .reduce(merge)
+                // Shards merge in machine order, which restores the serial
+                // report order.
+                .reduce(|mut head, tail| {
+                    head.extend(tail);
+                    head
+                })
                 .unwrap_or_default()
             }
-            _ => work(machines),
-        }
+            // Serial mode and zero- or one-machine clusters step the whole
+            // fleet on the calling thread and return its vector as is: no
+            // shards, no pool traffic, and no allocation besides the report
+            // vector (a small allocation made right after it cost the
+            // controller that consumes the reports 6% on the
+            // `interference_episodes` benchmark workload).
+            _ => step_shard(machines),
+        };
+        cluster.advance_epoch();
+        reports
     }
 }
 
@@ -579,63 +486,6 @@ mod tests {
                 assert_eq!(&patched, resolved);
             }
         }
-    }
-
-    #[test]
-    fn advance_epochs_matches_stepping_with_constant_loads() {
-        // VMs 0–3 idle (machine 0 all-static), the rest busy.
-        let load = |vm: VmId| if vm.0 < 4 { 0.0 } else { 0.6 };
-        // Reference: per-epoch report-returning stepping, dense serial.
-        let mut reference = cluster(4, 10);
-        let mut ref_engine = EpochEngine::serial(ClusterSeed::new(41));
-        ref_engine.set_sparse(false);
-        for _ in 0..5 {
-            ref_engine.step(&mut reference, load);
-        }
-        let expected_tail = ref_engine.step(&mut reference, load);
-        for mode in [ExecutionMode::Serial, ExecutionMode::Pooled { threads: 3 }] {
-            for sparse in [false, true] {
-                let mut c = cluster(4, 10);
-                let mut engine = EpochEngine::new(ClusterSeed::new(41), mode);
-                engine.set_sparse(sparse);
-                let summary = engine.advance_epochs(&mut c, 5, load);
-                assert_eq!(c.epoch(), 5);
-                assert_eq!(summary.vm_epochs, 50);
-                // 3 non-empty machines × 5 epochs, split between the paths.
-                assert_eq!(
-                    summary.resolved_machine_epochs + summary.quiescent_machine_epochs,
-                    15,
-                    "machine-epoch accounting broke under {mode:?} sparse={sparse}"
-                );
-                if sparse {
-                    // Machine 0 resolves once (filling its cache) and skips
-                    // the remaining 4 epochs of the batch.
-                    assert_eq!(summary.quiescent_machine_epochs, 4);
-                } else {
-                    assert_eq!(summary.quiescent_machine_epochs, 0);
-                }
-                // The real equivalence check: after advancing without
-                // reports, the next report-returning epoch must be byte-
-                // for-byte what per-epoch dense stepping would produce.
-                let tail = engine.step(&mut c, load);
-                assert_eq!(
-                    expected_tail, tail,
-                    "advance diverged from stepping under {mode:?} sparse={sparse}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn advancing_zero_epochs_is_a_no_op() {
-        let mut c = cluster(2, 4);
-        let engine = EpochEngine::serial(ClusterSeed::new(6));
-        assert_eq!(
-            engine.advance_epochs(&mut c, 0, |_| 0.5),
-            AdvanceSummary::default()
-        );
-        assert_eq!(c.epoch(), 0);
-        assert_eq!(c.total_resolves(), 0);
     }
 
     #[test]

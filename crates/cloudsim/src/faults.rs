@@ -480,17 +480,6 @@ impl FaultPlane {
         })
     }
 
-    /// True when a crash window starts on `pm` exactly at `epoch` (the
-    /// window itself may extend it; see [`FaultPlane::machine_down`]).
-    pub fn crash_starts(&self, pm: PmId, epoch: u64) -> bool {
-        self.fires(
-            KIND_CRASH_START,
-            pm.0,
-            epoch,
-            self.config.machine_crash_per_epoch,
-        )
-    }
-
     /// True when rack `rack` is inside a whole-rack outage window at
     /// `epoch`.  Every machine in the rack reports
     /// [`FaultPlane::machine_down`] for the full window.

@@ -28,8 +28,7 @@
 //!   object — [`engine::ExecutionMode::Serial`] (the reference every test
 //!   compares against) or [`engine::ExecutionMode::Pooled`] (persistent
 //!   [`pool::WorkerPool`]) — with bit-identical output in both modes and
-//!   two entry points: `step` returns an epoch's reports, `advance_epochs`
-//!   fast-forwards a stretch and returns none.
+//!   one entry point: `step` advances an epoch and returns its reports.
 //! * [`service`] — [`service::DatacenterService`]: the event-driven
 //!   datacenter front end — VM sessions arrive, run hot, go idle and
 //!   depart per a `traces` session stream, batched between epochs and fed
@@ -75,7 +74,7 @@ pub mod service;
 pub mod vm;
 
 pub use cluster::Cluster;
-pub use engine::{AdvanceSummary, EpochEngine, ExecutionMode};
+pub use engine::{EpochEngine, ExecutionMode};
 pub use faults::{FaultConfig, FaultPlane, Topology};
 pub use pm::{PhysicalMachine, PmId, VmEpochReport};
 pub use pool::WorkerPool;

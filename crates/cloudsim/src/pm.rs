@@ -14,9 +14,10 @@
 //! stepping enabled, the default) asks each machine to *reuse* its last
 //! resolved reports when nothing that could change them has changed: same
 //! VM membership (tracked by a generation counter bumped on every add and
-//! remove), same scheduler, same spec, same per-VM loads, and every hosted
-//! workload declaring its demand a pure function of its configuration at
-//! that load ([`workloads::Workload::demand_is_static_at`]).  Under those
+//! remove), same per-VM loads, and every hosted workload declaring its
+//! demand a pure function of its configuration at that load
+//! ([`workloads::Workload::demand_is_static_at`]; the machine's spec and
+//! scheduler are fixed at construction).  Under those
 //! conditions a fresh resolve would reproduce the cached reports bit for
 //! bit (the per-`(vm, epoch)` RNG draws are consumed and discarded, and a
 //! static demand ignores them by contract), so the machine clones the cache,
@@ -81,33 +82,17 @@ struct QuiescentCache {
     /// Membership generation the cache was filled at; any add/remove bumps
     /// the machine's generation and thereby invalidates the cache.
     generation: u64,
-    /// Scheduler in force at fill time (a policy change moves cache groups).
-    scheduler: Scheduler,
     /// Per-VM loads (placement order) the reports were resolved with.
     loads: Vec<f64>,
     /// The reports of that resolve; `epoch` is patched on reuse.
     reports: Vec<VmEpochReport>,
 }
 
-impl QuiescentCache {
-    /// True when the cache still describes the machine: same membership
-    /// generation, same scheduler, and the load closure produced exactly
-    /// the loads the cached reports were resolved with.  (Spec agreement
-    /// is checked separately by the caller — the spec is a public field,
-    /// so only `resolver.spec() == spec` proves the cache used it.)
-    fn is_current(&self, generation: u64, scheduler: Scheduler, loads: &[f64]) -> bool {
-        self.generation == generation && self.scheduler == scheduler && self.loads == loads
-    }
-}
-
 /// A physical machine hosting zero or more VMs.
 pub struct PhysicalMachine {
     /// Machine identity.
     pub id: PmId,
-    /// Hardware model.
-    pub spec: MachineSpec,
-    /// Placement/admission policy in force on this machine.
-    pub scheduler: Scheduler,
+    scheduler: Scheduler,
     vms: Vec<Vm>,
     /// VM id → index in `vms`, so migration/departure churn — which the
     /// datacenter service mode drives at far higher rates than the fixed
@@ -116,9 +101,9 @@ pub struct PhysicalMachine {
     /// Bumped on every membership change; the quiescent cache stores the
     /// generation it was filled at.
     generation: u64,
-    /// Reusable epoch-resolution pipeline for this machine's spec: scratch
-    /// buffers survive across `step_epoch` calls so the hot path performs no
-    /// per-epoch allocation beyond the returned reports.
+    /// Reusable epoch-resolution pipeline; it owns the machine's spec, and
+    /// its scratch buffers survive across `step_epoch` calls so the hot path
+    /// performs no per-epoch allocation beyond the returned reports.
     resolver: EpochResolver,
     loads: Vec<f64>,
     demands: Vec<ResourceDemand>,
@@ -133,15 +118,13 @@ impl PhysicalMachine {
     /// Creates an empty machine.
     pub fn new(id: PmId, spec: MachineSpec, scheduler: Scheduler) -> Self {
         assert!(spec.is_well_formed(), "malformed machine spec");
-        let resolver = EpochResolver::new(spec.clone());
         Self {
             id,
-            spec,
             scheduler,
             vms: Vec::new(),
             vm_index: HashMap::new(),
             generation: 0,
-            resolver,
+            resolver: EpochResolver::new(spec),
             loads: Vec::new(),
             demands: Vec::new(),
             placements: Vec::new(),
@@ -150,6 +133,17 @@ impl PhysicalMachine {
             resolves: 0,
             quiescent_steps: 0,
         }
+    }
+
+    /// Hardware model, fixed at construction.
+    pub fn spec(&self) -> &MachineSpec {
+        self.resolver.spec()
+    }
+
+    /// Placement/admission policy in force on this machine, fixed at
+    /// construction.
+    pub fn scheduler(&self) -> Scheduler {
+        self.scheduler
     }
 
     /// The VMs currently hosted, in placement order.
@@ -185,7 +179,7 @@ impl PhysicalMachine {
     /// methods ([`crate::cluster::Cluster::place_on`] and friends) so its
     /// O(1) VM-location index stays consistent with the machines.
     pub(crate) fn try_add_vm(&mut self, vm: Vm) -> Result<(), Vm> {
-        if self.scheduler.admits(&self.spec, &self.vms, &vm) {
+        if self.scheduler.admits(self.spec(), &self.vms, &vm) {
             self.vm_index.insert(vm.id, self.vms.len());
             self.vms.push(vm);
             self.generation = self.generation.wrapping_add(1);
@@ -234,7 +228,7 @@ impl PhysicalMachine {
     /// Unused core capacity.
     pub fn free_cores(&self) -> usize {
         let used: usize = self.vms.iter().map(|v| v.vcpus).sum();
-        self.spec.cores.saturating_sub(used)
+        self.spec().cores.saturating_sub(used)
     }
 
     /// Advances the machine one epoch.
@@ -263,14 +257,13 @@ impl PhysicalMachine {
 
     /// The stepping workhorse behind [`PhysicalMachine::step_epoch`] and the
     /// epoch engine: appends this machine's reports (placement order) to
-    /// `out` and returns `true` when the epoch was actually resolved,
-    /// `false` when it was served from the quiescent cache.
+    /// `out`.
     ///
     /// With `use_cache` the machine may skip demand generation and
     /// contention resolution entirely when it is provably quiescent: same
-    /// membership generation, scheduler and spec as the cached resolve, the
-    /// load closure returning the cached per-VM loads, and every workload
-    /// having declared its demand static at those loads
+    /// membership generation as the cached resolve, the load closure
+    /// returning the cached per-VM loads, and every workload having declared
+    /// its demand static at those loads
     /// ([`workloads::Workload::demand_is_static_at`]) when the cache was
     /// filled.  Replaying the cache is then bit-identical to resolving —
     /// static demands ignore their (discarded) per-epoch RNG streams by
@@ -284,12 +277,11 @@ impl PhysicalMachine {
         seed: ClusterSeed,
         use_cache: bool,
         out: &mut Vec<VmEpochReport>,
-    ) -> bool
-    where
+    ) where
         F: Fn(VmId) -> f64 + ?Sized,
     {
         if self.vms.is_empty() {
-            return false;
+            return;
         }
         // 1. Evaluate the load closure (always — quiescence is defined over
         // its output, so it can never be skipped).
@@ -297,29 +289,52 @@ impl PhysicalMachine {
         for vm in self.vms.iter() {
             self.loads.push(load_for(vm.id).clamp(0.0, 1.0));
         }
+        let start = out.len();
         if use_cache {
             if let Some(cache) = &self.cache {
-                // `resolver.spec()` tracks the spec the cache was resolved
-                // under: a spec swap leaves the resolver stale until the
-                // next dense resolve (which also drops the cache), so
-                // equality here proves the cached reports used this spec.
-                if cache.is_current(self.generation, self.scheduler, &self.loads)
-                    && self.resolver.spec() == &self.spec
-                {
+                if cache.generation == self.generation && cache.loads == self.loads {
                     self.quiescent_steps += 1;
-                    let start = out.len();
                     out.extend_from_slice(&cache.reports);
                     for report in &mut out[start..] {
                         report.epoch = epoch;
                     }
-                    return false;
+                    return;
                 }
             }
         }
-        self.resolve_current_loads(epoch, seed);
+
+        // 2. Collect intrinsic demands from every workload, each from its
+        // own per-(vm, epoch) stream.
+        self.demands.clear();
+        for (vm, &load) in self.vms.iter_mut().zip(&self.loads) {
+            let mut rng = seed.vm_epoch_rng(vm.id, epoch);
+            self.demands.push(vm.workload.next_demand(load, &mut rng));
+        }
+
+        // 3. Resolve hardware contention for the whole machine, reusing the
+        // machine's resolver and placement/outcome buffers across epochs.
+        let spec = self.resolver.spec();
+        self.placements.clear();
+        self.placements
+            .extend(
+                self.vms
+                    .iter()
+                    .enumerate()
+                    .zip(&self.demands)
+                    .map(|((slot, vm), demand)| {
+                        PlacedDemand::new(
+                            vm.id.0,
+                            demand.clone(),
+                            vm.vcpus,
+                            self.scheduler.cache_group_for_slot(spec, slot),
+                        )
+                    }),
+            );
+        self.resolver
+            .resolve_into(&self.placements, EPOCH_SECONDS, &mut self.outcomes);
+        self.resolves += 1;
 
         // 4. Package per-VM reports.
-        let start = out.len();
         out.extend(
             self.vms
                 .iter()
@@ -344,12 +359,17 @@ impl PhysicalMachine {
         // load it was just resolved with — the only state from which a
         // later epoch may be skipped.  Active machines never reach here
         // with all-static loads, so they never pay the report clone.
-        if use_cache && self.all_static() {
+        if use_cache
+            && self
+                .vms
+                .iter()
+                .zip(&self.loads)
+                .all(|(vm, &load)| vm.workload.demand_is_static_at(load))
+        {
             let reports = &out[start..];
             match &mut self.cache {
                 Some(cache) => {
                     cache.generation = self.generation;
-                    cache.scheduler = self.scheduler;
                     cache.loads.clear();
                     cache.loads.extend_from_slice(&self.loads);
                     cache.reports.clear();
@@ -358,162 +378,10 @@ impl PhysicalMachine {
                 None => {
                     self.cache = Some(QuiescentCache {
                         generation: self.generation,
-                        scheduler: self.scheduler,
                         loads: self.loads.clone(),
                         reports: reports.to_vec(),
                     });
                 }
-            }
-        }
-        true
-    }
-
-    /// Advances the machine `epochs` epochs with the offered loads held
-    /// fixed at `load_for`'s output (evaluated once, at batch entry),
-    /// without materializing reports.
-    ///
-    /// Bit-identical in *state* to `epochs` successive
-    /// [`PhysicalMachine::step_epoch_into`] calls whose closure returns
-    /// these same loads, with every report discarded: a machine whose
-    /// demand can still change resolves every epoch (workload state,
-    /// counters and RNG-consuming demands advance exactly as they would),
-    /// while a machine whose workloads are all static at these loads
-    /// resolves **at most once** — its reports are synthesized into the
-    /// quiescent cache on that resolve, so a later report-returning step
-    /// replays the same bytes the dense sweep would produce, and the
-    /// remaining epochs of the batch cost nothing at all.  This is what
-    /// makes bulk advancement O(active machines), not O(machines): the
-    /// per-epoch loop never revisits a quiescent machine.
-    pub(crate) fn advance_epochs<F>(
-        &mut self,
-        first_epoch: u64,
-        epochs: u64,
-        load_for: &F,
-        seed: ClusterSeed,
-        use_cache: bool,
-    ) where
-        F: Fn(VmId) -> f64 + ?Sized,
-    {
-        if self.vms.is_empty() || epochs == 0 {
-            return;
-        }
-        self.loads.clear();
-        for vm in self.vms.iter() {
-            self.loads.push(load_for(vm.id).clamp(0.0, 1.0));
-        }
-        for offset in 0..epochs {
-            if use_cache
-                && self
-                    .cache
-                    .as_ref()
-                    .is_some_and(|c| c.is_current(self.generation, self.scheduler, &self.loads))
-                && self.resolver.spec() == &self.spec
-            {
-                // Loads are fixed for the rest of the batch by contract, so
-                // one hit covers every remaining epoch.
-                self.quiescent_steps += epochs - offset;
-                return;
-            }
-            let epoch = first_epoch + offset;
-            self.resolve_current_loads(epoch, seed);
-            if use_cache && self.all_static() {
-                self.fill_cache_from_outcomes(epoch);
-            }
-        }
-    }
-
-    /// Steps 2–3 of the epoch pipeline: per-(vm, epoch) demand generation
-    /// and whole-machine contention resolution over `self.loads` (which the
-    /// caller has already filled), bumping the resolve counter.
-    fn resolve_current_loads(&mut self, epoch: u64, seed: ClusterSeed) {
-        // 2. Collect intrinsic demands from every workload, each from its
-        // own per-(vm, epoch) stream.
-        self.demands.clear();
-        for (vm, &load) in self.vms.iter_mut().zip(&self.loads) {
-            let mut rng = seed.vm_epoch_rng(vm.id, epoch);
-            self.demands.push(vm.workload.next_demand(load, &mut rng));
-        }
-        // 3. Resolve hardware contention for the whole machine, reusing the
-        // machine's resolver and placement/outcome buffers across epochs.
-        // `spec` is a public field, so guard against it having been swapped
-        // out from under the resolver since the last epoch (the quiescent
-        // cache was resolved under the old spec, so it goes too).
-        if self.resolver.spec() != &self.spec {
-            self.resolver = EpochResolver::new(self.spec.clone());
-            self.cache = None;
-        }
-        self.placements.clear();
-        self.placements
-            .extend(
-                self.vms
-                    .iter()
-                    .enumerate()
-                    .zip(&self.demands)
-                    .map(|((slot, vm), demand)| {
-                        PlacedDemand::new(
-                            vm.id.0,
-                            demand.clone(),
-                            vm.vcpus,
-                            self.scheduler.cache_group_for_slot(&self.spec, slot),
-                        )
-                    }),
-            );
-        self.resolver
-            .resolve_into(&self.placements, EPOCH_SECONDS, &mut self.outcomes);
-        self.resolves += 1;
-    }
-
-    /// True when every hosted workload declares its demand static at the
-    /// load in `self.loads` — the precondition for filling the cache.
-    fn all_static(&self) -> bool {
-        self.vms
-            .iter()
-            .zip(&self.loads)
-            .all(|(vm, &load)| vm.workload.demand_is_static_at(load))
-    }
-
-    /// Builds this resolve's reports straight into the quiescent cache
-    /// (used by the report-free [`PhysicalMachine::advance_epochs`] path,
-    /// where there is no output vector to copy them from).  Every field is
-    /// a pure function of the resolve, so the bytes match what step 4 of
-    /// [`PhysicalMachine::step_epoch_into`] would have produced.
-    fn fill_cache_from_outcomes(&mut self, epoch: u64) {
-        let pm_id = self.id;
-        let reports = self
-            .vms
-            .iter()
-            .zip(&self.demands)
-            .zip(&self.loads)
-            .zip(&self.outcomes)
-            .map(|(((vm, demand), &load), outcome)| VmEpochReport {
-                vm_id: vm.id,
-                pm_id,
-                app: vm.app_id(),
-                epoch,
-                offered_load: load,
-                counters: outcome.counters,
-                demand: demand.clone(),
-                achieved_fraction: outcome.achieved_fraction,
-                observation: vm.client.observe(load, outcome.achieved_fraction),
-                breakdown: outcome.breakdown,
-            });
-        match &mut self.cache {
-            Some(cache) => {
-                cache.generation = self.generation;
-                cache.scheduler = self.scheduler;
-                cache.loads.clear();
-                cache.loads.extend_from_slice(&self.loads);
-                cache.reports.clear();
-                cache.reports.extend(reports);
-            }
-            None => {
-                let reports = reports.collect();
-                self.cache = Some(QuiescentCache {
-                    generation: self.generation,
-                    scheduler: self.scheduler,
-                    loads: self.loads.clone(),
-                    reports,
-                });
             }
         }
     }
@@ -523,7 +391,7 @@ impl std::fmt::Debug for PhysicalMachine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PhysicalMachine")
             .field("id", &self.id)
-            .field("spec", &self.spec.name)
+            .field("spec", &self.spec().name)
             .field("vms", &self.vms.iter().map(|v| v.id).collect::<Vec<_>>())
             .finish()
     }

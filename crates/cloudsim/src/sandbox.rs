@@ -230,7 +230,7 @@ impl SandboxFleet {
         clone_overhead_seconds: f64,
     ) -> Self {
         Self::for_specs(
-            cluster.machines().iter().map(|m| &m.spec),
+            cluster.machines().iter().map(|m| m.spec()),
             machines_per_pool,
             clone_overhead_seconds,
         )
@@ -399,9 +399,9 @@ mod tests {
         let fleet = SandboxFleet::for_cluster(&cluster, 4, 30.0);
         assert_eq!(fleet.pools().len(), 2);
         for machine in cluster.machines() {
-            let (pool, matched) = fleet.select(&machine.spec);
-            assert!(matched, "no pool for {}", machine.spec.name);
-            assert_eq!(pool.spec, machine.spec);
+            let (pool, matched) = fleet.select(machine.spec());
+            assert!(matched, "no pool for {}", machine.spec().name);
+            assert_eq!(&pool.spec, machine.spec());
         }
     }
 

@@ -440,12 +440,6 @@ impl DatacenterService {
         self.stats
     }
 
-    /// Lifecycle events not yet applied (arrivals not yet due, idles and
-    /// departures of resident VMs).
-    pub fn pending_events(&self) -> usize {
-        self.events.len()
-    }
-
     /// The VMs that left the datacenter for good during the latest
     /// [`DatacenterService::step_epoch`]: sessions whose departure fired
     /// (resident or parked) and parked VMs abandoned after their retry

@@ -341,7 +341,7 @@ impl DeepDive {
     /// moves the cost out of the first mitigation episode.
     pub fn pretrain_benchmarks(&mut self, cluster: &Cluster) {
         for machine in cluster.machines() {
-            Self::benchmark_for(&mut self.synthetic, &self.config, &machine.spec);
+            Self::benchmark_for(&mut self.synthetic, &self.config, machine.spec());
         }
     }
 
@@ -607,7 +607,7 @@ impl DeepDive {
     fn host_spec(&self, cluster: &Cluster, pm: PmId) -> MachineSpec {
         cluster
             .machine(pm)
-            .map(|m| m.spec.clone())
+            .map(|m| m.spec().clone())
             .unwrap_or_else(|| self.fleet.pools()[0].spec.clone())
     }
 
@@ -760,19 +760,24 @@ impl DeepDive {
         let pm = victim.pm_id;
         let epoch = victim.epoch;
         // Residents of the afflicted machine, from this epoch's reports.
+        // Reports carry no VM shape, so each resident's width is read from
+        // the cluster — wherever the VM lives now: an earlier mitigation
+        // this epoch may have moved it.
         let residents: Vec<ResidentVm> = index
             .by_machine
             .group(pm)
             .iter()
-            .map(|&at| {
+            .filter_map(|&at| {
                 let r = &reports[at as usize];
-                ResidentVm {
+                let host = cluster.machine(cluster.locate(r.vm_id)?)?;
+                let vcpus = host.vms().iter().find(|vm| vm.id == r.vm_id)?.vcpus;
+                Some(ResidentVm {
                     vm_id: r.vm_id,
                     counters: r.counters,
                     behavior: index.behaviors[at as usize],
                     demand: r.demand.clone(),
-                    vcpus: 2,
-                }
+                    vcpus,
+                })
             })
             .collect();
         if residents.len() < 2 {
@@ -799,7 +804,7 @@ impl DeepDive {
             .filter(|m| m.id != pm && !self.machine_is_down(m.id, epoch))
             .map(|m| CandidateMachine {
                 pm_id: m.id,
-                spec: &m.spec,
+                spec: m.spec(),
                 resident_demands: &demands[index.by_machine.span(m.id)],
                 free_cores: m.free_cores(),
             })
@@ -1140,6 +1145,66 @@ mod tests {
     }
 
     #[test]
+    fn mitigation_respects_the_aggressors_real_vcpu_count() {
+        let mut cluster = Cluster::homogeneous(2, MachineSpec::xeon_x5472(), Scheduler::default());
+        cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
+        // Machine 1 keeps two of its eight cores free: room for a default
+        // 2-vCPU VM, not for the 4-vCPU aggressor below.
+        for id in 10..13 {
+            cluster.place_on(PmId(1), serving_vm(id, 2)).unwrap();
+        }
+        let mut dd = controller(true, &cluster);
+        let engine = EpochEngine::serial(ClusterSeed::new(3));
+        // Machine 1's tenants idle — at the shared `run` helper's uniform
+        // load placement rejects machine 1 for interference and the width
+        // never matters.
+        let step = |cluster: &mut Cluster, dd: &mut DeepDive, epochs: usize| {
+            let mut events = Vec::new();
+            for _ in 0..epochs {
+                let reports = engine.step(cluster, |vm| if vm.0 >= 10 { 0.0 } else { 0.8 });
+                events.extend(dd.process_epoch(cluster, &reports));
+            }
+            events
+        };
+        step(&mut cluster, &mut dd, 50);
+        let wide_aggressor = cloudsim::Vm::with_shape(
+            VmId(99),
+            4,
+            2_048.0,
+            Box::new(MemoryStress::new(AppId(900), 512.0)),
+            ClientEmulator::new(1.0, 1.0),
+        );
+        cluster.place_on(PmId(0), wide_aggressor).unwrap();
+        let placement = |c: &Cluster| -> Vec<Vec<VmId>> {
+            let ids = c.machines().iter();
+            ids.map(|m| m.vms().iter().map(|vm| vm.id).collect())
+                .collect()
+        };
+        let before = placement(&cluster);
+        let confirmed_before = dd.stats().interference_confirmed;
+        let events = step(&mut cluster, &mut dd, 40);
+        let stats = dd.stats();
+        assert_eq!(
+            stats.interference_confirmed - confirmed_before,
+            1,
+            "{stats:?}"
+        );
+        // No destination has four free cores, so the decision is one skip:
+        // no doomed migration attempt, hence nothing to retry.
+        assert_eq!((stats.migrations, stats.migration_retries), (0, 0));
+        let skips: Vec<&str> = events
+            .iter()
+            .filter_map(|e| match e {
+                EpochEvent::MigrationSkipped { reason, .. } => Some(reason.as_str()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(skips.len(), 1, "{events:?}");
+        assert_ne!(skips[0], "destination ran out of capacity");
+        assert_eq!(placement(&cluster), before, "placement must be untouched");
+    }
+
+    #[test]
     fn a_disabled_fault_plane_leaves_the_controller_unchanged() {
         use cloudsim::faults::{FaultConfig, FaultPlane};
 
@@ -1206,9 +1271,9 @@ mod tests {
         assert_eq!(fleet.pools().len(), 2);
         for machine in mixed.machines() {
             assert!(
-                fleet.pool_for(&machine.spec).is_some(),
+                fleet.pool_for(machine.spec()).is_some(),
                 "no pool for {}",
-                machine.spec.name
+                machine.spec().name
             );
         }
         // Hard-coding the fleet stays possible but explicit.

@@ -66,14 +66,6 @@ impl QueueResult {
         self.outcomes.iter().map(|o| o.waiting_s()).sum::<f64>() / self.outcomes.len() as f64
     }
 
-    /// Largest waiting time observed.
-    pub fn max_waiting_s(&self) -> f64 {
-        self.outcomes
-            .iter()
-            .map(|o| o.waiting_s())
-            .fold(0.0, f64::max)
-    }
-
     /// Total busy time summed over all servers (the accumulated profiling
     /// time of Fig. 12).
     pub fn total_busy_s(&self) -> f64 {

@@ -93,11 +93,9 @@
 //!   Pooled at several thread counts). The pool joins its workers on
 //!   drop, and a panicking shard reaches the barrier first, then re-raises
 //!   the original payload without poisoning the workers
-//!   (`tests/pool_lifecycle.rs`). Two entry points: `EpochEngine::step`
-//!   advances one epoch and returns its reports — the call every loop that
-//!   mutates placement between epochs uses — and
-//!   `EpochEngine::advance_epochs` fast-forwards a stretch under fixed
-//!   loads without materialising reports. Dense stepping
+//!   (`tests/pool_lifecycle.rs`). One entry point: `EpochEngine::step`
+//!   advances one epoch and returns its reports — DeepDive reads every
+//!   VM's counters every epoch, so nothing steps without them. Dense stepping
 //!   (`set_sparse(false)`) stays as the reference the sparse path is
 //!   pinned bit-identical to.  Callers name the mode in code
 //!   (`ExecutionMode::available_parallelism()` for "every core"); no
@@ -168,18 +166,12 @@
 //!   and replays them byte-for-byte until membership, offered loads, or
 //!   placement generation change (`EpochEngine::set_sparse`, default on;
 //!   dense mode remains as the reference the sparse path is compared
-//!   against).  For whole idle stretches,
-//!   `EpochEngine::advance_epochs` goes further and skips report
-//!   materialization entirely — quiescent machines are visited once per
-//!   batch, active machines resolve every epoch, and the returned
-//!   `AdvanceSummary` accounts resolved vs quiescent machine-epochs.
-//!   Both paths are pinned bit-identical to dense serial stepping across
-//!   both execution modes under randomized arrival/departure/
-//!   migration churn (`tests/engine_equivalence.rs`).
+//!   against).  The sparse path is pinned bit-identical to dense serial
+//!   stepping across both execution modes under randomized
+//!   arrival/departure/migration churn (`tests/engine_equivalence.rs`).
 //!   The per-epoch sparse step is measured by `e2e_bench`'s
 //!   `engine_quiescent` workload (10k machines, 10% active) and the
-//!   service loop by `service_churn_ec2`; the `advance_epochs` bulk path
-//!   has no benchmark workload yet.
+//!   service loop by `service_churn_ec2`.
 //!
 //! # Fault model
 //!
@@ -270,16 +262,14 @@
 //! * `tests/persistence.rs` — repository JSON round-trip and the §5.5
 //!   "≈5 KB per VM per day" footprint bound,
 //! * `tests/engine_equivalence.rs` — proptest: serial and pooled stepping
-//!   (`step` and `advance_epochs`) bit-identical over arbitrary
-//!   placements/loads/epochs (including thread counts that exceed or do
+//!   bit-identical over arbitrary placements/loads/epochs (including thread counts that exceed or do
 //!   not divide the machine count), sparse stepping bit-identical to dense under randomized
 //!   arrival/departure/migration churn in every mode, and migrations
 //!   never perturb other VMs' demand streams,
 //! * `tests/pool_lifecycle.rs` — worker-pool guarantees: drop joins every
 //!   worker (no leaked threads across repeated construction), degenerate
-//!   clusters step on the calling thread, and a panicking shard (under
-//!   `step` or `advance_epochs`) propagates its original payload after
-//!   the barrier without advancing the epoch or poisoning the pool,
+//!   clusters step on the calling thread, and a panicking shard
+//!   propagates its original payload after the barrier without advancing the epoch or poisoning the pool,
 //! * `tests/fault_tolerance.rs` — the chaos suite: randomized fault +
 //!   churn schedules (including random topologies, correlated rack/domain
 //!   outages and maintenance drains) through every execution mode with
@@ -298,7 +288,7 @@
 //!   spec-matched fleet detects an i7-hosted victim that a hard-coded
 //!   Xeon-only pool under-detects to zero,
 //! * `crates/bench/tests/figures_smoke.rs` — every figure entry point runs
-//!   under plain `cargo test`, not only under Criterion.
+//!   under plain `cargo test`, not only under `cargo bench`.
 //!
 //! CI runs the suite once (the pooled engine needs no lane of its own:
 //! its tests construct `ExecutionMode::Pooled` explicitly), with the
@@ -350,7 +340,7 @@
 //!
 //! The build environment has no network access, so the handful of external
 //! crates the code uses (`rand`, `rand_distr`, `serde`, `serde_json`,
-//! `proptest`, `criterion`) are vendored as minimal in-tree stand-ins under
+//! `proptest`) are vendored as minimal in-tree stand-ins under
 //! `crates/shims/`, exposing exactly the API surface this workspace
 //! exercises. Swapping back to the real crates is a `[workspace.dependencies]`
 //! edit away; no source file would change.

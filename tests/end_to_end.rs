@@ -219,7 +219,7 @@ fn heterogeneous_fleet_detects_and_migrates_across_machine_models() {
         Scheduler::default(),
     );
     assert_eq!(
-        cluster.machine(PmId(3)).unwrap().spec,
+        *cluster.machine(PmId(3)).unwrap().spec(),
         MachineSpec::core_i7_nehalem(),
         "the i7 group must actually back the high-numbered machines"
     );

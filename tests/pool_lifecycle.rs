@@ -8,9 +8,8 @@
 //!    constructing engines in a loop leaks no threads.
 //! 2. **Degenerate clusters degrade gracefully** — VM-less and
 //!    single-machine clusters step entirely on the calling thread.
-//! 3. **Panic containment** — a panicking `load_for` in a shard, under
-//!    either entry point (`step`, `advance_epochs`), propagates its
-//!    original payload to the caller *after* the shard barrier, leaves the
+//! 3. **Panic containment** — a panicking `load_for` in a shard propagates
+//!    its original payload to the caller *after* the shard barrier, leaves the
 //!    cluster epoch counter un-advanced, and does **not** poison the pool:
 //!    the very next step on the same engine works and stays bit-identical
 //!    to serial.
@@ -91,48 +90,37 @@ fn shard_panic_propagates_without_poisoning_the_pool() {
         .liveness();
 
     // A load closure that blows up for one specific VM: some shards finish,
-    // the one holding VM 5 panics — under either entry point.
-    let corrupted = |vm: VmId| {
-        if vm.0 == 5 {
-            panic!("load trace corrupted for vm {}", vm.0);
-        }
-        0.5
-    };
-    for bulk in [false, true] {
-        let mut c = cluster(8, 16);
-        let crashed = catch_unwind(AssertUnwindSafe(|| {
-            if bulk {
-                engine.advance_epochs(&mut c, 5, corrupted);
-            } else {
-                engine.step(&mut c, corrupted);
+    // the one holding VM 5 panics.
+    let mut c = cluster(8, 16);
+    let crashed = catch_unwind(AssertUnwindSafe(|| {
+        engine.step(&mut c, |vm| {
+            if vm.0 == 5 {
+                panic!("load trace corrupted for vm {}", vm.0);
             }
-        }));
-        let payload = crashed.expect_err("the shard panic must propagate");
-        let message = payload
-            .downcast_ref::<String>()
-            .expect("original payload, not a join wrapper");
-        assert_eq!(message, "load trace corrupted for vm 5");
+            0.5
+        });
+    }));
+    let payload = crashed.expect_err("the shard panic must propagate");
+    let message = payload
+        .downcast_ref::<String>()
+        .expect("original payload, not a join wrapper");
+    assert_eq!(message, "load trace corrupted for vm 5");
 
-        // The failed call must not have advanced the epoch counter, and the
-        // pool's workers must all still be alive.
-        assert_eq!(c.epoch(), 0, "failed call (bulk={bulk}) advanced the epoch");
-        assert!(
-            pool_probe.upgrade().is_some(),
-            "a shard panic killed pool workers"
-        );
-    }
+    // The failed step must not have advanced the epoch counter, and the
+    // pool's workers must all still be alive.
+    assert_eq!(c.epoch(), 0, "failed step advanced the epoch");
+    assert!(
+        pool_probe.upgrade().is_some(),
+        "a shard panic killed pool workers"
+    );
 
     // The engine remains fully usable and bit-identical to serial: compare
     // a post-panic run against a fresh serial run over the same horizon.
-    // (The panicking calls half-stepped some machines' internal workload
+    // (The panicking call half-stepped some machines' internal workload
     // state, so rebuild the cluster for the comparison.)
     let mut after_panic = cluster(8, 16);
     let mut reference = cluster(8, 16);
     let serial = EpochEngine::serial(ClusterSeed::new(7));
-    assert_eq!(
-        engine.advance_epochs(&mut after_panic, 2, |_| 0.5),
-        serial.advance_epochs(&mut reference, 2, |_| 0.5)
-    );
     for _ in 0..3 {
         assert_eq!(
             engine.step(&mut after_panic, |_| 0.5),
