@@ -12,8 +12,6 @@
 //! cluster contains it within the per-metric thresholds; otherwise the
 //! warning system escalates.
 
-use serde::{Deserialize, Serialize};
-
 use crate::gmm::GaussianMixture;
 
 /// Default number of standard deviations allowed before a metric is
@@ -31,7 +29,7 @@ pub const ABSOLUTE_FLOOR: f64 = 1e-3;
 pub const RELATIVE_FLOOR: f64 = 0.10;
 
 /// The per-metric threshold vector `MT`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricThresholds {
     /// Allowed absolute deviation per metric dimension.
     pub per_metric: Vec<f64>,

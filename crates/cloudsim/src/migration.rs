@@ -7,13 +7,11 @@
 //! module estimates what a migration costs: how long the pre-copy takes, how
 //! long the VM is paused, and how much network traffic the transfer adds.
 
-use serde::{Deserialize, Serialize};
-
 /// Pre-copy rounds performed before the stop-and-copy phase.
 const PRECOPY_ROUNDS: u32 = 3;
 
 /// Estimated cost of live-migrating one VM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MigrationCost {
     /// Total migration duration (pre-copy + stop-and-copy), in seconds.
     pub total_seconds: f64,

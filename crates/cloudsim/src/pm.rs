@@ -36,9 +36,7 @@ use crate::scheduler::Scheduler;
 use crate::vm::{Vm, VmId};
 
 /// Unique identifier of a physical machine within the simulated datacenter.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct PmId(pub u64);
 
 impl std::fmt::Display for PmId {

@@ -10,9 +10,7 @@
 use workloads::{AppId, ClientEmulator, Workload};
 
 /// Unique identifier of a VM within the simulated cloud.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct VmId(pub u64);
 
 impl std::fmt::Display for VmId {

@@ -29,13 +29,12 @@
 use cloudsim::sandbox::Sandbox;
 use cloudsim::VmId;
 use hwsim::{CounterSnapshot, ResourceDemand};
-use serde::{Deserialize, Serialize};
 
 use crate::cpi_stack::{CpiStack, Resource};
 use crate::metrics::BehaviorVector;
 
 /// Outcome of one analyzer invocation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalysisResult {
     /// The VM that was analyzed.
     pub vm_id: VmId,

@@ -29,7 +29,6 @@ use cloudsim::cluster::ClusterError;
 use cloudsim::pm::VmEpochReport;
 use cloudsim::{Cluster, PmId, RequestProxy, SandboxFleet, VmId};
 use hwsim::{CounterSnapshot, MachineSpec, ResourceDemand};
-use serde::{Deserialize, Serialize};
 use workloads::AppId;
 
 use crate::analyzer::{AnalysisResult, InterferenceAnalyzer};
@@ -106,7 +105,7 @@ impl Default for DeepDiveConfig {
 }
 
 /// Counters the evaluation harness reads after (or during) a run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DeepDiveStats {
     /// Epoch-level warning evaluations performed.
     pub evaluations: u64,

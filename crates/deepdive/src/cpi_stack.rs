@@ -20,10 +20,9 @@
 //! (Fig. 6) without the estimator ever peeking at it.
 
 use hwsim::{CounterSnapshot, MachineSpec};
-use serde::{Deserialize, Serialize};
 
 /// Server resources DeepDive can blame for interference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Resource {
     /// In-core execution (not a shared resource; listed for completeness).
     Core,
@@ -61,7 +60,7 @@ impl Resource {
 
 /// Estimated per-resource time breakdown for one VM over one monitoring
 /// window, in seconds of (possibly overlapping) stall/execution time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpiStack {
     /// Seconds executing on the core (including private-cache hits).
     pub core_seconds: f64,

@@ -7,7 +7,6 @@
 //! load-intensity changes do not move the point.
 
 use hwsim::CounterSnapshot;
-use serde::{Deserialize, Serialize};
 
 /// Names of the metric-space dimensions, in vector order.
 pub const DIMENSION_NAMES: [&str; 10] = [
@@ -30,7 +29,7 @@ pub const DIMENSIONS: usize = DIMENSION_NAMES.len();
 ///
 /// `Copy`: the vector is a small fixed-size array, so the controller's
 /// steady-state epoch path can pass behaviours around without heap traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BehaviorVector {
     /// The dimension values, in [`DIMENSION_NAMES`] order.
     pub values: [f64; DIMENSIONS],

@@ -27,7 +27,6 @@
 use cloudsim::{PmId, Topology, VmId};
 use hwsim::contention::{EpochOutcome, PlacedDemand};
 use hwsim::{CounterSnapshot, EpochResolver, MachineSpec, ResourceDemand, EPOCH_SECONDS};
-use serde::{Deserialize, Serialize};
 
 use crate::cpi_stack::Resource;
 use crate::metrics::BehaviorVector;
@@ -67,7 +66,7 @@ pub struct CandidateMachine<'a> {
 }
 
 /// Predicted outcome of migrating the aggressor to one candidate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CandidatePrediction {
     /// The candidate machine.
     pub pm_id: PmId,
@@ -77,7 +76,7 @@ pub struct CandidatePrediction {
 }
 
 /// The placement manager's recommendation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementDecision {
     /// The VM selected for migration (most aggressive on the culprit).
     pub vm_to_migrate: VmId,

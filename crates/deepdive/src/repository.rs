@@ -16,13 +16,13 @@
 use std::collections::{HashMap, VecDeque};
 
 use analytics::constrained::LabelledBehaviour;
-use serde::{Deserialize, Serialize};
+use serde::{Error, Value};
 use workloads::AppId;
 
-use crate::metrics::BehaviorVector;
+use crate::metrics::{BehaviorVector, DIMENSIONS};
 
 /// A stored behaviour together with its label.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StoredBehavior {
     /// The normalized behaviour vector.
     pub behavior: BehaviorVector,
@@ -130,8 +130,51 @@ impl PartialEq for AppBehaviors {
     }
 }
 
-// The entries keep the pre-ring-buffer `"entries": [...]` layout (a
-// `VecDeque` serializes as a plain JSON array).  The generation counter is
+// The durable-store wire format, written out by hand: the repository is the
+// only typed data this workspace serializes.  `tests/persistence.rs` pins the
+// exact text.
+
+fn object<const N: usize>(fields: [(&str, Value); N]) -> Value {
+    Value::Object(fields.map(|(k, v)| (k.to_string(), v)).into())
+}
+
+impl StoredBehavior {
+    fn to_value(&self) -> Value {
+        let values = self.behavior.values.iter().map(|x| Value::F64(*x));
+        object([
+            (
+                "behavior",
+                object([("values", Value::Array(values.collect()))]),
+            ),
+            ("interference", Value::Bool(self.interference)),
+            ("epoch", Value::U64(self.epoch)),
+        ])
+    }
+
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let values = v.field("behavior")?.field("values")?.as_array()?;
+        if values.len() != DIMENSIONS {
+            return Err(Error::new(format!(
+                "expected {DIMENSIONS} behaviour values, found {}",
+                values.len()
+            )));
+        }
+        let mut behavior = BehaviorVector {
+            values: [0.0; DIMENSIONS],
+        };
+        for (slot, value) in behavior.values.iter_mut().zip(values) {
+            *slot = value.as_f64()?;
+        }
+        Ok(Self {
+            behavior,
+            interference: v.field("interference")?.as_bool()?,
+            epoch: v.field("epoch")?.as_u64()?,
+        })
+    }
+}
+
+// The entries keep the pre-ring-buffer `"entries": [...]` layout (the ring
+// buffer is written as a plain JSON array).  The generation counter is
 // persisted too, so "equal generations imply identical contents" holds
 // across a save/restore: a reader (e.g. a live `WarningSystem`) that cached
 // state at generation G stays correct against the restored store, because
@@ -139,23 +182,23 @@ impl PartialEq for AppBehaviors {
 // post-restore record moves past it.  Restoring at `entries.len()` instead
 // could *re-collide* with a pre-save generation after evictions.  Legacy
 // payloads without the field fall back to the entry count.
-impl Serialize for AppBehaviors {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("entries".to_string(), self.entries.to_value()),
-            ("generation".to_string(), self.generation.to_value()),
+impl AppBehaviors {
+    fn to_value(&self) -> Value {
+        let entries = self.entries.iter().map(StoredBehavior::to_value);
+        object([
+            ("entries", Value::Array(entries.collect())),
+            ("generation", Value::U64(self.generation)),
         ])
     }
-}
 
-impl Deserialize for AppBehaviors {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let entries: VecDeque<StoredBehavior> = Deserialize::from_value(
-            v.get("entries")
-                .ok_or_else(|| serde::Error::missing_field("AppBehaviors", "entries"))?,
-        )?;
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let entries = v.field("entries")?.as_array()?;
+        let entries: VecDeque<StoredBehavior> = entries
+            .iter()
+            .map(StoredBehavior::from_value)
+            .collect::<Result<_, _>>()?;
         let generation = match v.get("generation") {
-            Some(g) => Deserialize::from_value(g)?,
+            Some(g) => g.as_u64()?,
             None => entries.len() as u64,
         };
         Ok(Self {
@@ -166,7 +209,7 @@ impl Deserialize for AppBehaviors {
 }
 
 /// The repository: per-application behaviour history.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BehaviorRepository {
     apps: HashMap<u64, AppBehaviors>,
     /// Maximum entries retained per application (oldest evicted first).
@@ -282,13 +325,49 @@ impl BehaviorRepository {
     }
 
     /// Serializes the repository to JSON (the durable NoSQL-store stand-in).
+    /// Applications are written in the string order of their ids (`"10"`
+    /// before `"2"`), whatever the hasher.
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("repository serializes")
+        // Hash-order walk, sorted two lines down.  simlint: order-independent
+        let apps = self.apps.iter();
+        let mut apps: Vec<(String, Value)> = apps
+            .map(|(app, store)| (app.to_string(), store.to_value()))
+            .collect();
+        apps.sort_by(|a, b| a.0.cmp(&b.0));
+        let doc = object([
+            ("apps", Value::Object(apps)),
+            ("capacity_per_app", Value::U64(self.capacity_per_app as u64)),
+        ]);
+        // The codec refuses only non-finite floats, and every stored value is
+        // finite: `record` takes well-formed behaviours (debug-asserted) and
+        // `from_json`'s parser rejects numbers that overflow an `f64`.
+        serde_json::to_string(&doc).expect("repository serializes")
     }
 
-    /// Restores a repository from JSON produced by [`Self::to_json`].
+    /// Restores a repository from JSON produced by [`Self::to_json`].  A
+    /// payload of the wrong shape — or one [`Self::with_capacity`] would
+    /// refuse, such as a zero capacity — is an error, never a panic.
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
-        serde_json::from_str(json)
+        let doc = serde_json::from_str(json)?;
+        let capacity_per_app = usize::try_from(doc.field("capacity_per_app")?.as_u64()?)
+            .ok()
+            .filter(|capacity| *capacity > 0)
+            .ok_or_else(|| Error::new("capacity_per_app must be a positive `usize`"))?;
+        let apps = doc
+            .field("apps")?
+            .as_object()?
+            .iter()
+            .map(|(key, store)| {
+                let app: u64 = key
+                    .parse()
+                    .map_err(|_| Error::new(format!("invalid application id `{key}`")))?;
+                Ok((app, AppBehaviors::from_value(store)?))
+            })
+            .collect::<Result<_, Error>>()?;
+        Ok(Self {
+            apps,
+            capacity_per_app,
+        })
     }
 }
 

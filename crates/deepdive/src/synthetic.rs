@@ -21,14 +21,13 @@ use hwsim::contention::{EpochOutcome, PlacedDemand};
 use hwsim::{EpochResolver, MachineSpec, ResourceDemand, EPOCH_SECONDS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use workloads::{AppId, Workload, WorkloadKind};
 
 use crate::metrics::BehaviorVector;
 
 /// Tunable knobs of the synthetic benchmark — the inputs whose values the
 /// training phase learns to map onto metric values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchmarkInputs {
     /// Instructions executed per epoch (the compute loop's iteration count).
     pub instructions: f64,

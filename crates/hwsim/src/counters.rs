@@ -12,14 +12,12 @@
 //! insensitive to load intensity so that the warning system can distinguish
 //! workload changes from interference.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier for each low-level metric used by DeepDive (Table 1).
 ///
 /// The `iostat`/`netstat` entries are not hardware counters but system-level
 /// statistics; they are included here because DeepDive treats all of them
 /// uniformly as dimensions of its metric space.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Metric {
     /// Clock cycles when the core was not halted.
     CpuUnhalted,
@@ -95,7 +93,7 @@ impl Metric {
 ///
 /// All counter fields are event counts over the epoch (not rates); the two
 /// I/O stall fields are in seconds of stalled (idle-but-waiting) CPU time.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CounterSnapshot {
     /// Clock cycles when the core was not halted.
     pub cpu_unhalted: f64,

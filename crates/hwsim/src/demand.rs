@@ -9,14 +9,12 @@
 //! [`crate::contention`] decides how much of it actually completes once the
 //! VM shares a physical machine with others.
 
-use serde::{Deserialize, Serialize};
-
 /// Intrinsic resource demand of one VM for one epoch.
 ///
 /// All fields describe the demand assuming no contention.  Rates are per
 /// instruction (or per kilo-instruction) so that scaling the instruction
 /// count up or down with load intensity keeps the demand self-consistent.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ResourceDemand {
     /// Instructions the workload wants to retire this epoch.
     pub instructions: f64,

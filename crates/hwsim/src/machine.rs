@@ -13,11 +13,9 @@
 //! two constructors reproduce these machines so the benches can re-run the
 //! paper's experiments on both.
 
-use serde::{Deserialize, Serialize};
-
 /// Kind of processor interconnect to memory; affects naming in the CPI stack
 /// (FSB on the Xeon X5472, QPI on the Core i7 port) but not the model shape.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemoryInterconnect {
     /// Shared front-side bus (older Xeon generation used in the main testbed).
     FrontSideBus,
@@ -36,7 +34,7 @@ impl MemoryInterconnect {
 }
 
 /// Static description of a physical machine model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MachineSpec {
     /// Human-readable model name.
     pub name: String,

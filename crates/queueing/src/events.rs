@@ -8,10 +8,8 @@
 //! with FCFS and identical servers, each job simply takes the earliest-free
 //! server.
 
-use serde::{Deserialize, Serialize};
-
 /// One profiling request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Job {
     /// Arrival instant, in seconds.
     pub arrival_s: f64,
@@ -20,7 +18,7 @@ pub struct Job {
 }
 
 /// Completion record for one job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct JobOutcome {
     /// The job as submitted.
     pub job: Job,
@@ -43,7 +41,7 @@ impl JobOutcome {
 }
 
 /// Aggregate result of a queue simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueueResult {
     /// Per-job outcomes, in arrival order.
     pub outcomes: Vec<JobOutcome>,

@@ -10,13 +10,12 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use traces::arrivals::VmArrival;
 
 use crate::events::{simulate_queue, Job, QueueResult};
 
 /// Configuration of the profiling farm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FarmConfig {
     /// Number of dedicated profiling servers.
     pub servers: usize,
@@ -51,7 +50,7 @@ impl Default for FarmConfig {
 }
 
 /// Result of running the farm over an arrival stream.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FarmResult {
     /// The underlying queueing result.
     pub queue: QueueResult,

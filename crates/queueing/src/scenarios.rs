@@ -7,7 +7,6 @@
 //! excessively slow"; we reproduce that by returning `None` for sweep points
 //! where the farm is overloaded or the mean wait exceeds ten minutes.
 
-use serde::{Deserialize, Serialize};
 use traces::arrivals::{generate_arrivals, ArrivalModel};
 
 use crate::profiler_farm::{FarmConfig, ProfilerFarm};
@@ -17,7 +16,7 @@ use crate::profiler_farm::{FarmConfig, ProfilerFarm};
 pub const MAX_ACCEPTABLE_WAIT_S: f64 = 600.0;
 
 /// Scenario parameters shared by a whole curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioConfig {
     /// New VMs per day (the paper uses 1000).
     pub arrivals_per_day: f64,
@@ -49,7 +48,7 @@ impl Default for ScenarioConfig {
 }
 
 /// One point of a reaction-time curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// Fraction of VMs undergoing interference (the x-axis).
     pub interference_fraction: f64,

@@ -1,17 +1,13 @@
-//! Offline stand-in for the `serde` crate.
+//! The workspace's JSON value model.
 //!
-//! The build environment has no crates.io access, so the workspace vendors a
-//! minimal serialization framework with the same *spelling* as serde — `use
-//! serde::{Serialize, Deserialize}` and `#[derive(Serialize, Deserialize)]`
-//! work unchanged — but a much simpler model: values serialize to an
-//! in-memory JSON [`Value`] tree, which the `serde_json` shim renders to and
-//! parses from text. Derived encodings follow serde's defaults: structs as
-//! objects, newtype structs as their inner value, unit enum variants as
-//! strings, data-carrying variants as single-key objects.
-
-pub use serde_derive::{Deserialize, Serialize};
-
-use std::collections::{BTreeMap, HashMap, VecDeque};
+//! Not a serde-compatible API: there are no `Serialize`/`Deserialize` traits
+//! and no derive macros, only the in-memory [`Value`] tree, its [`Error`] and
+//! the typed accessors a hand-written codec needs.  The `serde_json` crate
+//! beside this one renders the tree to text and parses it back.  Two things
+//! in the workspace speak JSON, and both build and read `Value`s by hand:
+//! the behaviour repository's durable-store round-trip
+//! (`deepdive::repository`) and `e2e_bench`'s result lines.  The crate keeps
+//! the `serde` name and path because the benchmark's own manifest names it.
 
 /// An in-memory JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,14 +35,19 @@ impl Value {
         }
     }
 
+    /// Required member lookup: an error naming `key` if this is not an
+    /// object or has no such member.
+    pub fn field(&self, key: &str) -> Result<&Value, Error> {
+        self.as_object()?;
+        self.get(key)
+            .ok_or_else(|| Error::new(format!("missing field `{key}`")))
+    }
+
     /// The object's fields, or an error if this is not an object.
     pub fn as_object(&self) -> Result<&[(String, Value)], Error> {
         match self {
             Value::Object(fields) => Ok(fields),
-            other => Err(Error::new(format!(
-                "expected object, found {}",
-                other.kind()
-            ))),
+            other => Err(other.mismatch("object")),
         }
     }
 
@@ -54,28 +55,59 @@ impl Value {
     pub fn as_array(&self) -> Result<&[Value], Error> {
         match self {
             Value::Array(items) => Ok(items),
-            other => Err(Error::new(format!(
-                "expected array, found {}",
-                other.kind()
-            ))),
+            other => Err(other.mismatch("array")),
+        }
+    }
+
+    /// The boolean, or an error if this is not one.
+    pub fn as_bool(&self) -> Result<bool, Error> {
+        match self {
+            Value::Bool(b) => Ok(*b),
+            other => Err(other.mismatch("bool")),
+        }
+    }
+
+    /// The non-negative integer, or an error if this is anything else
+    /// (negative integers and floats included).
+    pub fn as_u64(&self) -> Result<u64, Error> {
+        match self {
+            Value::U64(n) => Ok(*n),
+            other => Err(other.mismatch("unsigned integer")),
+        }
+    }
+
+    /// The number as a float (integers widen), or an error if this is not
+    /// a number.
+    pub fn as_f64(&self) -> Result<f64, Error> {
+        match self {
+            Value::F64(x) => Ok(*x),
+            Value::U64(n) => Ok(*n as f64),
+            Value::I64(n) => Ok(*n as f64),
+            other => Err(other.mismatch("number")),
         }
     }
 
     /// Human-readable kind name for error messages.
-    pub fn kind(&self) -> &'static str {
+    fn kind(&self) -> &'static str {
         match self {
             Value::Null => "null",
             Value::Bool(_) => "bool",
-            Value::U64(_) | Value::I64(_) => "integer",
+            Value::U64(_) => "integer",
+            Value::I64(_) => "negative integer",
             Value::F64(_) => "number",
             Value::Str(_) => "string",
             Value::Array(_) => "array",
             Value::Object(_) => "object",
         }
     }
+
+    fn mismatch(&self, expected: &str) -> Error {
+        Error::new(format!("expected {expected}, found {}", self.kind()))
+    }
 }
 
-/// Serialization/deserialization error.
+/// The one error type of the JSON layer: malformed text, a value of the
+/// wrong kind, a missing field, or a payload a codec refuses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error {
     msg: String,
@@ -85,16 +117,6 @@ impl Error {
     /// Builds an error with a message.
     pub fn new(msg: impl Into<String>) -> Self {
         Self { msg: msg.into() }
-    }
-
-    /// Standard "missing field" error used by derived impls.
-    pub fn missing_field(ty: &str, field: &str) -> Self {
-        Self::new(format!("missing field `{field}` while deserializing {ty}"))
-    }
-
-    /// Standard "unknown variant" error used by derived impls.
-    pub fn unknown_variant(ty: &str, variant: &str) -> Self {
-        Self::new(format!("unknown variant `{variant}` for enum {ty}"))
     }
 }
 
@@ -106,391 +128,35 @@ impl std::fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-/// Types that can be converted to a JSON [`Value`].
-pub trait Serialize {
-    /// Converts `self` into a value tree.
-    fn to_value(&self) -> Value;
-}
-
-/// Types that can be reconstructed from a JSON [`Value`].
-pub trait Deserialize: Sized {
-    /// Rebuilds `Self` from a value tree.
-    fn from_value(v: &Value) -> Result<Self, Error>;
-}
-
-impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-}
-
-// A `Value` converts to and from itself, so callers can deserialize into
-// the dynamic tree and inspect it structurally (as `serde_json::Value`
-// permits) — e.g. the bench-JSON validator checking dumps whose rows are
-// heterogeneous objects.
-impl Serialize for Value {
-    fn to_value(&self) -> Value {
-        self.clone()
-    }
-}
-
-impl Deserialize for Value {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(v.clone())
-    }
-}
-
-impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-}
-
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::new(format!("expected bool, found {}", other.kind()))),
-        }
-    }
-}
-
-macro_rules! impl_unsigned {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::U64(*self as u64)
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = match v {
-                    Value::U64(n) => *n,
-                    Value::I64(n) if *n >= 0 => *n as u64,
-                    other => {
-                        return Err(Error::new(format!(
-                            "expected unsigned integer, found {}",
-                            other.kind()
-                        )))
-                    }
-                };
-                <$t>::try_from(n)
-                    .map_err(|_| Error::new(format!("integer {n} out of range for {}", stringify!($t))))
-            }
-        }
-    )*};
-}
-
-impl_unsigned!(u8, u16, u32, u64, usize);
-
-macro_rules! impl_signed {
-    ($($t:ty),*) => {$(
-        impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let n = *self as i64;
-                if n >= 0 { Value::U64(n as u64) } else { Value::I64(n) }
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = match v {
-                    Value::I64(n) => *n,
-                    Value::U64(n) => i64::try_from(*n)
-                        .map_err(|_| Error::new(format!("integer {n} out of range for i64")))?,
-                    other => {
-                        return Err(Error::new(format!(
-                            "expected integer, found {}",
-                            other.kind()
-                        )))
-                    }
-                };
-                <$t>::try_from(n)
-                    .map_err(|_| Error::new(format!("integer {n} out of range for {}", stringify!($t))))
-            }
-        }
-    )*};
-}
-
-impl_signed!(i8, i16, i32, i64, isize);
-
-impl Serialize for f64 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self)
-    }
-}
-
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::F64(x) => Ok(*x),
-            Value::U64(n) => Ok(*n as f64),
-            Value::I64(n) => Ok(*n as f64),
-            other => Err(Error::new(format!(
-                "expected number, found {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
-impl Serialize for f32 {
-    fn to_value(&self) -> Value {
-        Value::F64(*self as f64)
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        f64::from_value(v).map(|x| x as f32)
-    }
-}
-
-impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Str(s) => Ok(s.clone()),
-            other => Err(Error::new(format!(
-                "expected string, found {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
-impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-}
-
-impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            Some(inner) => inner.to_value(),
-            None => Value::Null,
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => T::from_value(other).map(Some),
-        }
-    }
-}
-
-impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()?.iter().map(T::from_value).collect()
-    }
-}
-
-impl<T: Serialize> Serialize for VecDeque<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for VecDeque<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_array()?.iter().map(T::from_value).collect()
-    }
-}
-
-impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Serialize, const N: usize> Serialize for [T; N] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize + std::fmt::Debug, const N: usize> Deserialize for [T; N] {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        let items: Vec<T> = Deserialize::from_value(v)?;
-        let len = items.len();
-        <[T; N]>::try_from(items)
-            .map_err(|_| Error::new(format!("expected array of length {N}, found {len}")))
-    }
-}
-
-macro_rules! impl_tuple {
-    ($(($($name:ident : $idx:tt),+))*) => {$(
-        impl<$($name: Serialize),+> Serialize for ($($name,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$idx.to_value()),+])
-            }
-        }
-        impl<$($name: Deserialize),+> Deserialize for ($($name,)+) {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let items = v.as_array()?;
-                let expected = [$($idx),+].len();
-                if items.len() != expected {
-                    return Err(Error::new(format!(
-                        "expected tuple of length {expected}, found array of {}",
-                        items.len()
-                    )));
-                }
-                Ok(($($name::from_value(&items[$idx])?,)+))
-            }
-        }
-    )*};
-}
-
-impl_tuple! {
-    (A: 0)
-    (A: 0, B: 1)
-    (A: 0, B: 1, C: 2)
-    (A: 0, B: 1, C: 2, D: 3)
-    (A: 0, B: 1, C: 2, D: 3, E: 4)
-    (A: 0, B: 1, C: 2, D: 3, E: 4, F: 5)
-}
-
-/// Types usable as JSON object keys (JSON keys are always strings).
-pub trait MapKey: Sized {
-    /// Renders the key as a string.
-    fn to_key(&self) -> String;
-    /// Parses the key back from a string.
-    fn from_key(key: &str) -> Result<Self, Error>;
-}
-
-impl MapKey for String {
-    fn to_key(&self) -> String {
-        self.clone()
-    }
-
-    fn from_key(key: &str) -> Result<Self, Error> {
-        Ok(key.to_string())
-    }
-}
-
-macro_rules! impl_int_key {
-    ($($t:ty),*) => {$(
-        impl MapKey for $t {
-            fn to_key(&self) -> String {
-                self.to_string()
-            }
-
-            fn from_key(key: &str) -> Result<Self, Error> {
-                key.parse()
-                    .map_err(|_| Error::new(format!("invalid {} map key `{key}`", stringify!($t))))
-            }
-        }
-    )*};
-}
-
-impl_int_key!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl<K: MapKey, V: Serialize, S> Serialize for HashMap<K, V, S> {
-    fn to_value(&self) -> Value {
-        // Sort keys so serialization is deterministic regardless of hasher.
-        let mut fields: Vec<(String, Value)> = self
-            .iter()
-            .map(|(k, v)| (k.to_key(), v.to_value()))
-            .collect();
-        fields.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(fields)
-    }
-}
-
-impl<K, V, S> Deserialize for HashMap<K, V, S>
-where
-    K: MapKey + std::hash::Hash + Eq,
-    V: Deserialize,
-    S: std::hash::BuildHasher + Default,
-{
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_object()?
-            .iter()
-            .map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?)))
-            .collect()
-    }
-}
-
-impl<K: MapKey, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (k.to_key(), v.to_value()))
-                .collect(),
-        )
-    }
-}
-
-impl<K: MapKey + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_object()?
-            .iter()
-            .map(|(k, v)| Ok((K::from_key(k)?, V::from_value(v)?)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn primitives_round_trip() {
-        assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
-        assert_eq!(i64::from_value(&(-7i64).to_value()).unwrap(), -7);
-        assert_eq!(f64::from_value(&1.5f64.to_value()).unwrap(), 1.5);
-        assert!(bool::from_value(&true.to_value()).unwrap());
-        assert_eq!(
-            String::from_value(&"hi".to_string().to_value()).unwrap(),
-            "hi"
-        );
-    }
+    fn accessors_return_the_payload_or_a_typed_error() {
+        let doc = Value::Object(vec![
+            ("flag".to_string(), Value::Bool(true)),
+            ("count".to_string(), Value::U64(7)),
+            ("items".to_string(), Value::Array(vec![Value::F64(1.5)])),
+        ]);
+        assert_eq!(doc.field("flag").unwrap().as_bool(), Ok(true));
+        assert_eq!(doc.field("count").unwrap().as_u64(), Ok(7));
+        assert_eq!(doc.field("count").unwrap().as_f64(), Ok(7.0));
+        let items = doc.field("items").unwrap().as_array().unwrap();
+        assert_eq!(items[0].as_f64(), Ok(1.5));
+        assert_eq!(doc.as_object().unwrap().len(), 3);
+        assert_eq!(doc.get("absent"), None);
 
-    #[test]
-    fn collections_round_trip() {
-        let v = vec![1.0f64, 2.0, 3.0];
-        assert_eq!(Vec::<f64>::from_value(&v.to_value()).unwrap(), v);
-        // A VecDeque serializes exactly like a Vec (a JSON array), so
-        // swapping the backing collection never changes the wire format.
-        let dq: VecDeque<f64> = v.iter().copied().collect();
-        assert_eq!(dq.to_value(), v.to_value());
-        assert_eq!(VecDeque::<f64>::from_value(&dq.to_value()).unwrap(), dq);
-        let mut m = HashMap::new();
-        m.insert(3u64, "three".to_string());
-        m.insert(1u64, "one".to_string());
-        assert_eq!(
-            HashMap::<u64, String>::from_value(&m.to_value()).unwrap(),
-            m
-        );
-    }
-
-    #[test]
-    fn hashmap_serialization_is_deterministic() {
-        let mut m = HashMap::new();
-        for i in 0..20u64 {
-            m.insert(i, i as f64);
-        }
-        assert_eq!(m.to_value(), m.clone().to_value());
-    }
-
-    #[test]
-    fn type_mismatches_error() {
-        assert!(u64::from_value(&Value::Str("x".into())).is_err());
-        assert!(bool::from_value(&Value::U64(1)).is_err());
-        assert!(Vec::<f64>::from_value(&Value::Bool(true)).is_err());
+        let missing = doc.field("absent").unwrap_err().to_string();
+        assert!(missing.contains("missing field `absent`"), "{missing}");
+        // A required field of a non-object reports the kind, not the key.
+        assert!(Value::U64(1).field("x").is_err());
+        assert!(Value::Str("x".into()).as_u64().is_err());
+        assert!(Value::I64(-1).as_u64().is_err());
+        assert!(Value::F64(1.0).as_u64().is_err());
+        assert!(Value::U64(1).as_bool().is_err());
+        assert!(Value::Bool(true).as_array().is_err());
+        assert!(Value::Null.as_f64().is_err());
+        assert!(Value::Array(vec![]).as_object().is_err());
     }
 }

@@ -1,50 +1,34 @@
-//! Offline stand-in for the `serde_json` crate.
+//! The workspace's JSON text codec.
 //!
-//! Renders the workspace `serde` shim's [`serde::Value`] tree to JSON text
-//! and parses it back: [`to_string`] and [`from_str`] cover everything this
-//! workspace uses (the DeepDive behaviour repository's durable-store
-//! round-trip). Floats are written with Rust's shortest round-trip
-//! formatting, so `f64` values survive a round trip bit-exactly.
+//! Renders the `serde` crate's [`Value`] tree to JSON text and parses it
+//! back: [`to_string`] and [`from_str`] are the whole API, and they have two
+//! consumers — the behaviour repository's durable-store round-trip
+//! (`deepdive::repository`) and `e2e_bench`'s result lines.  Not a
+//! `serde_json`-compatible API (nothing here is generic over a type to
+//! serialize); the crate keeps the name and path because the benchmark's own
+//! manifest names it.  Floats are written with Rust's shortest round-trip
+//! formatting, so `f64` values survive a round trip bit-exactly.  The parser
+//! is the workspace's one hostile-input surface: it bounds nesting depth and
+//! rejects numbers that overflow to a non-finite float.
 
-use serde::{Deserialize, Serialize, Value};
+pub use serde::Error;
+use serde::Value;
 
-/// JSON serialization or parse error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Error {
-    msg: String,
-}
+/// Deepest nesting of arrays and objects [`from_str`] accepts (crates.io
+/// `serde_json`'s limit).  The parser recurses once per level, so without a
+/// bound a payload of `[[[[…` overflows the stack.
+const MAX_DEPTH: usize = 128;
 
-impl Error {
-    fn new(msg: impl Into<String>) -> Self {
-        Self { msg: msg.into() }
-    }
-}
-
-impl std::fmt::Display for Error {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.msg)
-    }
-}
-
-impl std::error::Error for Error {}
-
-impl From<serde::Error> for Error {
-    fn from(e: serde::Error) -> Self {
-        Self::new(e.to_string())
-    }
-}
-
-/// Serializes a value to compact JSON text.
-pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
+/// Renders a value as compact JSON text.
+pub fn to_string(value: &Value) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&value.to_value(), &mut out)?;
+    write_value(value, &mut out)?;
     Ok(out)
 }
 
-/// Deserializes a value from JSON text.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let value = Parser::new(s).parse_document()?;
-    Ok(T::from_value(&value)?)
+/// Parses JSON text into a value.
+pub fn from_str(s: &str) -> Result<Value, Error> {
+    Parser::new(s).parse_document()
 }
 
 fn write_value(v: &Value, out: &mut String) -> Result<(), Error> {
@@ -108,6 +92,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -115,6 +101,7 @@ impl<'a> Parser<'a> {
         Self {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -158,8 +145,22 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<Value, Error> {
         match self.peek()? {
-            b'{' => self.parse_object(),
-            b'[' => self.parse_array(),
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::new(format!(
+                        "recursion limit exceeded at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             b'"' => Ok(Value::Str(self.parse_string()?)),
             b't' => self.parse_literal("true", Value::Bool(true)),
             b'f' => self.parse_literal("false", Value::Bool(false)),
@@ -321,9 +322,12 @@ impl<'a> Parser<'a> {
                 return Ok(Value::I64(n));
             }
         }
-        text.parse::<f64>()
-            .map(Value::F64)
-            .map_err(|_| Error::new(format!("invalid number `{text}`")))
+        match text.parse::<f64>() {
+            // `1e999` parses to infinity, which `to_string` cannot write back.
+            Ok(x) if x.is_finite() => Ok(Value::F64(x)),
+            Ok(_) => Err(Error::new(format!("number out of range at byte {start}"))),
+            Err(_) => Err(Error::new(format!("invalid number `{text}`"))),
+        }
     }
 }
 
@@ -338,46 +342,82 @@ fn utf8_len(first: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+
+    fn round_trip(v: &Value) -> Value {
+        from_str(&to_string(v).unwrap()).unwrap()
+    }
 
     #[test]
     fn scalars_round_trip_through_text() {
-        let x = 0.1234567890123456_f64;
-        let json = to_string(&x).unwrap();
-        let back: f64 = from_str(&json).unwrap();
-        assert_eq!(x, back);
-        let n: u64 = from_str(&to_string(&u64::MAX).unwrap()).unwrap();
-        assert_eq!(n, u64::MAX);
+        for v in [
+            Value::F64(0.1234567890123456),
+            Value::U64(u64::MAX),
+            Value::I64(i64::MIN),
+            Value::Bool(false),
+            Value::Null,
+        ] {
+            assert_eq!(round_trip(&v), v);
+        }
+        assert!(to_string(&Value::F64(f64::NAN)).is_err());
     }
 
     #[test]
     fn collections_round_trip_through_text() {
-        let mut m: HashMap<u64, Vec<f64>> = HashMap::new();
-        m.insert(1, vec![1.0, 2.5]);
-        m.insert(9, vec![]);
-        let back: HashMap<u64, Vec<f64>> = from_str(&to_string(&m).unwrap()).unwrap();
-        assert_eq!(m, back);
+        let doc = Value::Object(vec![
+            (
+                "1".to_string(),
+                Value::Array(vec![Value::F64(1.0), Value::F64(2.5)]),
+            ),
+            ("9".to_string(), Value::Array(vec![])),
+            ("empty".to_string(), Value::Object(vec![])),
+        ]);
+        assert_eq!(
+            to_string(&doc).unwrap(),
+            r#"{"1":[1.0,2.5],"9":[],"empty":{}}"#
+        );
+        assert_eq!(round_trip(&doc), doc);
     }
 
     #[test]
     fn strings_with_escapes_round_trip() {
-        let s = "line\none \"two\" \\three\\ \ttab é漢".to_string();
-        let back: String = from_str(&to_string(&s).unwrap()).unwrap();
-        assert_eq!(s, back);
+        let s = Value::Str("line\none \"two\" \\three\\ \ttab \u{1} é漢".to_string());
+        assert_eq!(round_trip(&s), s);
     }
 
     #[test]
     fn malformed_documents_error() {
-        assert!(from_str::<f64>("").is_err());
-        assert!(from_str::<f64>("1.0 trailing").is_err());
-        assert!(from_str::<Vec<f64>>("[1.0,").is_err());
-        assert!(from_str::<String>("\"unterminated").is_err());
-        assert!(from_str::<bool>("tru").is_err());
+        for text in [
+            "",
+            "1.0 trailing",
+            "[1.0,",
+            "\"unterminated",
+            "tru",
+            "{\"a\" 1}",
+        ] {
+            assert!(from_str(text).is_err(), "{text:?} parsed");
+        }
+        // A float literal too large for an f64 is refused, not read as
+        // infinity; so is nesting past the depth bound, from either bracket.
+        let range = from_str("[1e999]").unwrap_err().to_string();
+        assert_eq!(range, "number out of range at byte 1");
+        assert!(from_str("-1e999").is_err());
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(from_str(&at_limit).is_ok());
+        let deep = from_str(&"[".repeat(MAX_DEPTH + 1))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(deep, "recursion limit exceeded at byte 128");
+        assert!(from_str(&"{\"a\":".repeat(100_000)).is_err());
+        // Siblings do not count as depth.
+        assert!(from_str(&format!("[{}[]]", "[],".repeat(1_000))).is_ok());
     }
 
     #[test]
     fn whitespace_is_tolerated() {
-        let v: Vec<u64> = from_str(" [ 1 , 2 ,\n3 ] ").unwrap();
-        assert_eq!(v, vec![1, 2, 3]);
+        let v = from_str(" [ 1 , 2 ,\n3 ] ").unwrap();
+        assert_eq!(
+            v,
+            Value::Array(vec![Value::U64(1), Value::U64(2), Value::U64(3)])
+        );
     }
 }

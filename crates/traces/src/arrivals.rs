@@ -16,12 +16,11 @@
 use analytics::distributions::{lognormal_arrivals, lognormal_durations, poisson_arrivals, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::hotmail::LoadTrace;
 
 /// Which inter-arrival process generates the stream.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ArrivalModel {
     /// Memoryless arrivals (Fig. 13).
     Poisson,
@@ -34,7 +33,7 @@ pub enum ArrivalModel {
 }
 
 /// One VM arriving at the datacenter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmArrival {
     /// Arrival time in seconds from the start of the experiment.
     pub arrival_s: f64,
@@ -90,7 +89,7 @@ pub fn generate_arrivals(
 /// its application at `active_load` until its lifetime elapses, and then
 /// departs.  Consumed by the event-driven datacenter service, which turns
 /// sessions into placements, per-epoch offered loads and deallocations.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VmSession {
     /// Arrival time in seconds from the start of the experiment.
     pub arrival_s: f64,

@@ -14,10 +14,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One contiguous period during which a co-located aggressor is active.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterferenceEpisode {
     /// Episode start, in seconds from the beginning of the schedule.
     pub start_s: u64,
@@ -41,7 +40,7 @@ impl InterferenceEpisode {
 }
 
 /// A full schedule of interference episodes over an experiment horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InterferenceSchedule {
     /// Episodes ordered by start time, non-overlapping.
     pub episodes: Vec<InterferenceEpisode>,

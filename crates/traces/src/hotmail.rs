@@ -10,10 +10,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A load-intensity trace sampled at one-hour granularity.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadTrace {
     /// Load level per hour, each in `[0, 1]` (fraction of peak capacity).
     pub hourly_load: Vec<f64>,

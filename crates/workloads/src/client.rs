@@ -12,10 +12,8 @@
 //! DeepDive itself never reads these numbers — they exist purely so the
 //! benches can score DeepDive's estimates, exactly as in the paper.
 
-use serde::{Deserialize, Serialize};
-
 /// One epoch of client-side measurements for a VM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClientObservation {
     /// Requests (or tasks) per second the clients completed.
     pub throughput_rps: f64,
@@ -47,7 +45,7 @@ impl ClientObservation {
 }
 
 /// Client emulator for one VM.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientEmulator {
     /// Request rate the clients offer at load 1.0.
     pub peak_rps: f64,

@@ -14,9 +14,7 @@ use rand::rngs::StdRng;
 /// run the same application — "a reasonable assumption, since VMs can be
 /// rented in a pre-configured state".  Two VMs share an `AppId` exactly when
 /// they execute the same workload configuration.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AppId(pub u64);
 
 /// Coarse classification of workloads, used by the evaluation harness when

@@ -339,11 +339,14 @@
 //! # Dependency shims
 //!
 //! The build environment has no network access, so the handful of external
-//! crates the code uses (`rand`, `rand_distr`, `serde`, `serde_json`,
-//! `proptest`) are vendored as minimal in-tree stand-ins under
-//! `crates/shims/`, exposing exactly the API surface this workspace
-//! exercises. Swapping back to the real crates is a `[workspace.dependencies]`
-//! edit away; no source file would change.
+//! crates the code uses (`rand`, `rand_distr`, `proptest`) are vendored as
+//! minimal in-tree stand-ins under `crates/shims/`, exposing exactly the API
+//! surface this workspace exercises; swapping those back to the real crates
+//! is a `[workspace.dependencies]` edit away. The `serde` and `serde_json`
+//! crates beside them are not stand-ins for their namesakes: they are the
+//! workspace's own JSON value model and text codec (no traits, no derives),
+//! used by `BehaviorRepository::{to_json, from_json}` and `e2e_bench`'s
+//! result lines, and keep the names because the benchmark's manifest does.
 //!
 //! # Crates
 //!
