@@ -1075,6 +1075,104 @@ mod tests {
             .any(|e| matches!(e, EpochEvent::AnalysisDegraded { vm } if *vm == VmId(1))));
     }
 
+    /// Tags each event with its epoch, one token per event, so a golden can
+    /// pin the order of decisions as well as their counts.
+    fn timeline(events: &[(u64, EpochEvent)]) -> String {
+        let tokens: Vec<String> = events
+            .iter()
+            .map(|(epoch, event)| match event {
+                EpochEvent::Analyzed { vm, result, .. } => {
+                    let verdict = if result.interference_confirmed {
+                        "!"
+                    } else {
+                        ""
+                    };
+                    format!("{epoch}:analyzed({}){verdict}", vm.0)
+                }
+                EpochEvent::Migrated { vm, from, to, .. } => {
+                    format!("{epoch}:migrated({},{}>{})", vm.0, from.0, to.0)
+                }
+                EpochEvent::MigrationSkipped { vm, .. } => format!("{epoch}:skipped({})", vm.0),
+                EpochEvent::AnalysisDeferred { vm, deadline } => {
+                    format!("{epoch}:deferred({},{deadline})", vm.0)
+                }
+                EpochEvent::AnalysisDegraded { vm } => format!("{epoch}:degraded({})", vm.0),
+            })
+            .collect();
+        tokens.join(" ")
+    }
+
+    #[test]
+    fn golden_run_under_sandbox_outages_and_flaky_migrations() {
+        use cloudsim::faults::{FaultConfig, FaultPlane};
+
+        // One victim, an aggressor landing beside it at epoch 50, two empty
+        // machines to flee to, a sandbox pool that is down about half the
+        // time and migrations that fail every other attempt.  The fault seed
+        // is chosen so one run walks every branch of the deferral and retry
+        // state machines: a deferral that expires into a degraded decision
+        // (0 → 12), deferrals that *resume* into an analysis once the pool
+        // is back (42 → 43, 80 → 87), and a failed migration whose retry
+        // *succeeds* (73 → 74).  Values printed by the pre-split controller.
+        let mut cluster = Cluster::homogeneous(3, MachineSpec::xeon_x5472(), Scheduler::default());
+        cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
+        let mut dd = controller(true, &cluster);
+        dd.set_fault_plane(FaultPlane::new(
+            16,
+            FaultConfig {
+                sandbox_outage_per_epoch: 0.2,
+                outage_epochs: (2, 4),
+                migration_failure: 0.5,
+                ..FaultConfig::disabled()
+            },
+        ));
+        let engine = EpochEngine::serial(ClusterSeed::new(3));
+        let mut events = Vec::new();
+        for epoch in 0..150 {
+            if epoch == 50 {
+                cluster.place_on(PmId(0), aggressor_vm(99)).unwrap();
+            }
+            let reports = engine.step(&mut cluster, |_| 0.8);
+            let emitted = dd.process_epoch(&mut cluster, &reports);
+            events.extend(emitted.into_iter().map(|e| (epoch, e)));
+        }
+        assert_eq!(
+            timeline(&events),
+            "0:deferred(1,12) 12:degraded(1) 42:deferred(1,54) 43:analyzed(1) \
+             50:analyzed(99) 73:analyzed(1)! 73:skipped(99) 74:migrated(99,0>1) \
+             80:deferred(99,92) 87:analyzed(99)"
+        );
+        let count = |pred: fn(&EpochEvent) -> bool| events.iter().filter(|(_, e)| pred(e)).count();
+        assert_eq!(
+            [
+                count(|e| matches!(e, EpochEvent::Analyzed { .. })),
+                count(|e| matches!(e, EpochEvent::Migrated { .. })),
+                count(|e| matches!(e, EpochEvent::MigrationSkipped { .. })),
+                count(|e| matches!(e, EpochEvent::AnalysisDeferred { .. })),
+                count(|e| matches!(e, EpochEvent::AnalysisDegraded { .. })),
+            ],
+            [4, 1, 1, 3, 1]
+        );
+        assert_eq!(
+            dd.stats(),
+            DeepDiveStats {
+                evaluations: 250,
+                analyzer_invocations: 4,
+                interference_confirmed: 1,
+                false_alarms: 3,
+                migrations: 1,
+                profiling_seconds: 136.0,
+                global_matches: 0,
+                sandbox_spec_fallbacks: 0,
+                analyses_deferred: 3,
+                degraded_decisions: 1,
+                migration_retries: 1,
+            }
+        );
+        assert_eq!((dd.deferred_analyses(), dd.pending_migrations()), (0, 0));
+        assert_eq!(cluster.locate(VmId(99)), Some(PmId(1)));
+    }
+
     #[test]
     fn forgetting_a_vm_drops_its_history_and_its_deferred_analysis() {
         use cloudsim::faults::{FaultConfig, FaultPlane};
@@ -1103,6 +1201,24 @@ mod tests {
         run(&mut cluster, &mut dd, &engine, 3, 0.8);
         assert_eq!((dd.tracked_vms(), dd.deferred_analyses()), (1, 1));
         assert_eq!(dd.stats().analyses_deferred, 2);
+        // Nothing of VM 1 is left in any of the per-VM containers ...
+        assert!(!dd.vms.contains_key(&VmId(1)));
+        assert_eq!(dd.proxy.recorded_epochs(VmId(1)), 0);
+        assert!(dd.deferred.iter().all(|d| d.vm != VmId(1)));
+        // ... so when the id re-appears it starts over: a one-epoch window,
+        // no cooldown, and a *new* deferral (counted) rather than the old
+        // one's deadline.
+        cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
+        run(&mut cluster, &mut dd, &engine, 1, 0.8);
+        let reborn = &dd.vms[&VmId(1)];
+        assert_eq!(
+            (reborn.recent_counters.len(), reborn.cooldown_until),
+            (1, 0)
+        );
+        assert_eq!(dd.proxy.recorded_epochs(VmId(1)), 1);
+        assert_eq!((dd.tracked_vms(), dd.deferred_analyses()), (2, 2));
+        assert_eq!(dd.stats().analyses_deferred, 3);
+        assert_eq!(dd.deferred[1].deadline, 6 + 12);
     }
 
     #[test]
