@@ -7,7 +7,7 @@
 //! qualitative shape — what separates, what is detected, which resource is
 //! blamed, who wins — is asserted by the integration tests.
 
-use cloudsim::{ClusterSeed, EpochEngine, PmId, RequestProxy, Sandbox, Vm, VmId};
+use cloudsim::{ClusterSeed, EpochEngine, PmId, Sandbox, Vm, VmId};
 use deepdive::analyzer::InterferenceAnalyzer;
 use deepdive::controller::{DeepDive, DeepDiveConfig, EpochEvent};
 use deepdive::cpi_stack::{CpiStack, Resource};
@@ -791,20 +791,20 @@ pub fn fig9_degradation_accuracy(workload: CloudWorkload, seed: u64) -> Vec<Fig9
         let mut prod = victim_cluster(workload, 1);
         prod.place_on(PmId(0), stress.vm(99, intensity))
             .expect("capacity");
-        let mut proxy = RequestProxy::new(window);
+        let mut demands = Vec::new();
         let mut counters = Vec::new();
         let mut prod_latency = 0.0;
         for _ in 0..window {
             let reports = engine.step(&mut prod, |_| 1.0);
             let victim = reports.iter().find(|r| r.vm_id == VmId(1)).unwrap();
-            proxy.record(victim.vm_id, victim.demand.clone());
+            demands.push(victim.demand.clone());
             counters.push(victim.counters);
             prod_latency += victim.observation.latency_ms;
         }
         prod_latency /= window as f64;
 
         let client_reported = ((prod_latency - baseline_latency) / baseline_latency).max(0.0);
-        let result = analyzer.analyze(VmId(1), &counters, &proxy.replay(VmId(1)), &sandbox, 2);
+        let result = analyzer.analyze(VmId(1), &counters, &demands, &sandbox, 2);
         // Convert the instruction-rate degradation into the same slowdown
         // domain the clients report (latency inflation).
         let estimated = if result.degradation >= 1.0 {

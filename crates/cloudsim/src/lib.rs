@@ -5,7 +5,9 @@
 //! duplicate requests towards a sandboxed clone, and the placement manager
 //! migrates VMs between physical machines (§4, §5.1).  None of that
 //! infrastructure exists here, so this crate provides the equivalent
-//! simulated objects:
+//! simulated objects (all but the proxy: the request stream it would
+//! duplicate is each report's `demand`, and `deepdive`'s controller keeps
+//! the window of them it replays):
 //!
 //! * [`vm`] — a virtual machine: identity, size, attached workload and
 //!   client emulator.
@@ -34,8 +36,6 @@
 //!   depart per a `traces` session stream, batched between epochs and fed
 //!   to the sparse engine (see `engine`'s "Service mode & sparse
 //!   stepping").
-//! * [`proxy`] — records each VM's offered load / demand stream so it can be
-//!   replayed, mimicking the request-duplicating proxy of §4.2.
 //! * [`sandbox`] — the sandboxed environment: dedicated machines on which a
 //!   recorded demand stream is re-run in isolation (non-work-conserving,
 //!   nothing co-located).  [`sandbox::Sandbox`] is one pool of a single
@@ -66,7 +66,6 @@ pub mod faults;
 pub mod migration;
 pub mod pm;
 pub mod pool;
-pub mod proxy;
 pub mod rngs;
 pub mod sandbox;
 pub mod scheduler;
@@ -78,7 +77,6 @@ pub use engine::{EpochEngine, ExecutionMode};
 pub use faults::{FaultConfig, FaultPlane, Topology};
 pub use pm::{PhysicalMachine, PmId, VmEpochReport};
 pub use pool::WorkerPool;
-pub use proxy::RequestProxy;
 pub use rngs::ClusterSeed;
 pub use sandbox::{Sandbox, SandboxFleet};
 pub use scheduler::{PlacementPolicy, Scheduler};

@@ -60,8 +60,9 @@ pub struct VmEpochReport {
     pub offered_load: f64,
     /// The Table 1 counters — the only field the `deepdive` crate reads.
     pub counters: CounterSnapshot,
-    /// The intrinsic demand the workload generated (recorded by the proxy so
-    /// the analyzer can replay it in the sandbox).
+    /// The intrinsic demand the workload generated — what the paper's
+    /// request-duplicating proxy (§4.2) copies towards the sandbox.  The
+    /// controller keeps a window of these per VM for the analyzer to replay.
     pub demand: ResourceDemand,
     /// Fraction of the demanded work that completed (evaluation ground truth).
     pub achieved_fraction: f64,

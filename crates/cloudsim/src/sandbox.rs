@@ -2,9 +2,9 @@
 //!
 //! "DeepDive clones the VM under test in a sandboxed environment that uses
 //! non-work-conserving schedulers to tightly control the resource allocation"
-//! (§4.2).  The clone, fed the duplicated request stream by the proxy, then
-//! produces the *isolation* counters the analyzer compares against
-//! production.
+//! (§4.2).  The clone, fed the duplicated request stream — here the demands
+//! the controller recorded from the VM's own reports — then produces the
+//! *isolation* counters the analyzer compares against production.
 //!
 //! Here a [`Sandbox`] is a small pool of dedicated physical machines of one
 //! hardware model (the paper shows a handful suffice, §5.5).  Running an

@@ -2,8 +2,8 @@
 //!
 //! When the warning system cannot explain a behaviour, the analyzer obtains
 //! ground truth: it clones the VM into the sandbox, replays the duplicated
-//! request stream (recorded by the proxy), and compares the *instructions
-//! retired per second* in production against isolation:
+//! request stream (the controller's per-VM window), and compares the
+//! *instructions retired per second* in production against isolation:
 //!
 //! ```text
 //! Degradation = 1 − Inst_production / Inst_isolation
@@ -90,8 +90,8 @@ impl InterferenceAnalyzer {
     ///
     /// * `production_counters` — the per-epoch counters observed in
     ///   production over the analysis window.
-    /// * `replayed_demands` — the request stream recorded by the proxy for
-    ///   the same window (what the sandbox clone executes).
+    /// * `replayed_demands` — the request stream recorded over the same
+    ///   window (what the sandbox clone executes).
     /// * `sandbox` — the sandboxed environment to run the clone in.  Its
     ///   machine model supplies the datasheet constants for both CPI stacks,
     ///   so it must match the victim's production host for the comparison to

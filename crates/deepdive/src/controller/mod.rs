@@ -23,21 +23,24 @@
 //! [`DeepDive::for_cluster`] to derive the fleet from the cluster's actual
 //! machine models.
 
+mod attribute;
+mod mitigate;
+
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use cloudsim::cluster::ClusterError;
 use cloudsim::pm::VmEpochReport;
-use cloudsim::{Cluster, PmId, RequestProxy, SandboxFleet, VmId};
-use hwsim::{CounterSnapshot, MachineSpec, ResourceDemand};
+use cloudsim::{Cluster, PmId, SandboxFleet, VmId};
+use hwsim::{CounterSnapshot, ResourceDemand};
 use workloads::AppId;
 
 use crate::analyzer::{AnalysisResult, InterferenceAnalyzer};
 use crate::cpi_stack::Resource;
 use crate::epoch_index::EpochIndex;
-use crate::placement::{CandidateMachine, PlacementManager, ResidentVm};
+use crate::placement::PlacementManager;
 use crate::repository::BehaviorRepository;
 use crate::synthetic::SyntheticBenchmark;
 use crate::warning::{WarningConfig, WarningDecision, WarningSystem};
+use mitigate::PendingMigration;
 
 /// Configuration of the end-to-end controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -193,37 +196,28 @@ pub enum EpochEvent {
     },
 }
 
-/// An analysis parked while the victim's sandbox pool rides out an outage
-/// window.
-#[derive(Debug, Clone, Copy)]
-struct DeferredAnalysis {
-    vm: VmId,
-    /// Epoch at which waiting turns into a degraded (warning-only) decision.
-    deadline: u64,
-}
-
-/// What the controller remembers about one VM between epochs.
+/// Everything the controller remembers about one VM between epochs: one
+/// record, one owner ([`DeepDive`]'s `vms` map), one lifetime (until
+/// [`DeepDive::forget_vms`]).
+///
+/// The window is the simulation's request-duplicating proxy: "DeepDive
+/// relies on a proxy that intercepts the clients' traffic to: 1) duplicate
+/// and send copies of the requests to the sandboxed environment, and 2)
+/// forward the traffic to/from the production VM" (§4.2), so the sandboxed
+/// clone experiences *the same workload* as the production VM.  Here "the
+/// same workload" is the intrinsic [`ResourceDemand`] the production VM
+/// generated each epoch, kept beside the counters that epoch produced.
 #[derive(Debug, Default)]
 struct VmRecord {
-    /// The VM's last `analysis_window` counter snapshots, oldest first.
-    recent_counters: VecDeque<CounterSnapshot>,
+    /// The VM's last `analysis_window` epochs, oldest first: the counters
+    /// observed in production and the demand to replay in the sandbox.
+    window: VecDeque<(CounterSnapshot, ResourceDemand)>,
     /// First epoch at which the VM may be analyzed again (a simple
     /// controller against oscillating invocations, §4.4).
     cooldown_until: u64,
-}
-
-/// A mitigation migration parked for a backed-off retry after a transient
-/// failure or a full destination.
-#[derive(Debug, Clone, Copy)]
-struct PendingMigration {
-    /// The interference victim whose episode is being mitigated (the VM to
-    /// move is re-decided from fresh reports at retry time).
-    victim: VmId,
-    culprit: Resource,
-    /// Attempts already consumed, the original try included.
-    attempts: u32,
-    /// Earliest epoch the retry may run.
-    next_epoch: u64,
+    /// While the VM's analysis waits out a sandbox-pool outage: the epoch
+    /// at which waiting turns into a degraded (warning-only) decision.
+    deferred_until: Option<u64>,
 }
 
 /// The end-to-end DeepDive system.
@@ -232,7 +226,6 @@ pub struct DeepDive {
     warning: WarningSystem,
     analyzer: InterferenceAnalyzer,
     repository: BehaviorRepository,
-    proxy: RequestProxy,
     /// One sandbox pool per machine model; each analysis replays in the pool
     /// matching the victim's host so counters are never compared across
     /// models (a uniform fleet reproduces the paper's single-pool setup).
@@ -248,22 +241,17 @@ pub struct DeepDive {
     /// experiments size profiling capacity from.
     profiling_by_pool: Vec<f64>,
     stats: DeepDiveStats,
-    /// Per-VM state, dropped by [`DeepDive::forget_vms`].
+    /// All per-VM state, dropped by [`DeepDive::forget_vms`].
     vms: HashMap<VmId, VmRecord>,
     /// Counter-derived fault schedule shared with the datacenter service;
     /// `None` (or a disabled plane) leaves every degradation path inert.
     fault_plane: Option<cloudsim::FaultPlane>,
-    /// Analyses waiting out a sandbox-pool outage, in deferral order.
-    deferred: Vec<DeferredAnalysis>,
     /// Mitigation migrations awaiting a backed-off retry, in schedule order.
     pending_migrations: Vec<PendingMigration>,
-    // Reusable scratch: cleared (not dropped) between uses so the
-    // steady-state warning path performs no heap allocation.
     /// This epoch's reports, indexed: behaviours, application groups,
-    /// machine groups.
+    /// machine groups.  Reused scratch: cleared (not dropped) between
+    /// epochs so the steady-state warning path performs no heap allocation.
     index: EpochIndex,
-    /// Analysis window handed to the interference analyzer.
-    window_scratch: Vec<CounterSnapshot>,
 }
 
 /// Machines per pool when the fleet is derived from a cluster
@@ -280,8 +268,7 @@ impl DeepDive {
     /// Prefer [`DeepDive::for_cluster`], which derives one pool per machine
     /// model actually present instead of hard-coding the fleet.
     pub fn new(mut config: DeepDiveConfig, fleet: SandboxFleet) -> Self {
-        // Clamped once, here: the same window sizes the proxy, the counter
-        // history and the replay.
+        // Clamped once, here: the analyzer needs at least one epoch.
         config.analysis_window = config.analysis_window.max(1);
         let analyzer = InterferenceAnalyzer::new(config.performance_threshold);
         let mut placement = PlacementManager::new(config.acceptable_destination_interference);
@@ -290,15 +277,11 @@ impl DeepDive {
         }
         let warning = WarningSystem::new(config.warning.clone());
         let profiling_by_pool = vec![0.0; fleet.pools().len()];
-        // The analyzer replays `analysis_window` epochs; a longer proxy
-        // window would only hold demands nobody reads.
-        let proxy = RequestProxy::new(config.analysis_window);
         Self {
             config,
             warning,
             analyzer,
             repository: BehaviorRepository::new(),
-            proxy,
             fleet,
             placement,
             synthetic: BTreeMap::new(),
@@ -306,10 +289,8 @@ impl DeepDive {
             stats: DeepDiveStats::default(),
             vms: HashMap::new(),
             fault_plane: None,
-            deferred: Vec::new(),
             pending_migrations: Vec::new(),
             index: EpochIndex::default(),
-            window_scratch: Vec::new(),
         }
     }
 
@@ -331,32 +312,6 @@ impl DeepDive {
         Self::new(config, fleet)
     }
 
-    /// Trains the synthetic benchmark for every machine model in `cluster`
-    /// up front instead of lazily on the first placement decision per
-    /// model.  Already-trained models are kept.
-    ///
-    /// Training is a pure function of `(spec, samples, seed)`, so eager and
-    /// lazy training produce bit-identical benchmarks; pretraining only
-    /// moves the cost out of the first mitigation episode.
-    pub fn pretrain_benchmarks(&mut self, cluster: &Cluster) {
-        for machine in cluster.machines() {
-            Self::benchmark_for(&mut self.synthetic, &self.config, machine.spec());
-        }
-    }
-
-    /// The synthetic benchmark for `spec`'s server type, trained on first
-    /// use.  Takes the fields it needs rather than `&mut self` so the
-    /// returned borrow leaves the rest of the controller usable.
-    fn benchmark_for<'a>(
-        synthetic: &'a mut BTreeMap<String, SyntheticBenchmark>,
-        config: &DeepDiveConfig,
-        spec: &MachineSpec,
-    ) -> &'a SyntheticBenchmark {
-        synthetic.entry(spec.name.clone()).or_insert_with(|| {
-            SyntheticBenchmark::train(spec.clone(), config.synthetic_training_samples, config.seed)
-        })
-    }
-
     /// Attaches the fault plane whose sandbox-outage and migration-failure
     /// schedules the controller must degrade around.  Share the plane (it
     /// is `Copy`) with the datacenter service so both layers see the same
@@ -372,7 +327,9 @@ impl DeepDive {
 
     /// Analyses currently waiting out a sandbox-pool outage.
     pub fn deferred_analyses(&self) -> usize {
-        self.deferred.len()
+        // A count over the records.  simlint: order-independent
+        let records = self.vms.values();
+        records.filter(|vm| vm.deferred_until.is_some()).count()
     }
 
     /// Mitigation migrations currently awaiting a backed-off retry.
@@ -418,9 +375,9 @@ impl DeepDive {
         self.warning.in_conservative_mode(app)
     }
 
-    /// Drops everything the controller keeps per VM — counter history,
-    /// cooldown, recorded request stream, a deferred analysis — for VMs that
-    /// left the datacenter for good (departed or abandoned; see
+    /// Drops everything the controller keeps per VM — the one record holding
+    /// its window, cooldown and deferral — for VMs that left the datacenter
+    /// for good (departed or abandoned; see
     /// `DatacenterService::departed_last_epoch`).  Without it that state
     /// grows with every session ever admitted.  Do **not** pass VMs that
     /// are merely parked between machines: they report again and their
@@ -428,11 +385,9 @@ impl DeepDive {
     /// victim is forgotten still drains on schedule (as a
     /// `MigrationSkipped`), exactly as if the VM had only stopped reporting.
     pub fn forget_vms(&mut self, gone: &[VmId]) {
-        for &vm in gone {
-            self.vms.remove(&vm);
-            self.proxy.forget(vm);
+        for vm in gone {
+            self.vms.remove(vm);
         }
-        self.deferred.retain(|d| !gone.contains(&d.vm));
     }
 
     /// Number of VMs the controller currently holds state for.
@@ -471,13 +426,13 @@ impl DeepDive {
         // else this epoch, so a retry sees the freshest reports.
         events.extend(self.drain_pending_migrations(cluster, reports, &index, epoch));
 
-        // Record the duplicated request streams and the counter history.
-        self.proxy.record_reports(reports);
+        // Record the epoch — counters and the duplicated request stream —
+        // in every reporting VM's window.
         for r in reports {
-            let history = &mut self.vms.entry(r.vm_id).or_default().recent_counters;
-            history.push_back(r.counters);
-            while history.len() > self.config.analysis_window {
-                history.pop_front();
+            let window = &mut self.vms.entry(r.vm_id).or_default().window;
+            window.push_back((r.counters, r.demand.clone()));
+            while window.len() > self.config.analysis_window {
+                window.pop_front();
             }
         }
 
@@ -515,375 +470,11 @@ impl DeepDive {
                     self.repository.record_normal(report.app, behavior, epoch);
                 }
                 WarningDecision::SuspectInterference | WarningDecision::Bootstrap => {
-                    if self
-                        .vms
-                        .get(&report.vm_id)
-                        .is_some_and(|vm| epoch < vm.cooldown_until)
-                    {
-                        continue;
-                    }
-                    // Route the analysis to the sandbox pool matching the
-                    // victim's host model.
-                    let host_spec = self.host_spec(cluster, report.pm_id);
-                    if let Some(plane) = self.fault_plane.filter(|p| p.is_enabled()) {
-                        let (pool_idx, _) = self.fleet.select_index(&host_spec);
-                        if plane.sandbox_down(pool_idx, epoch) {
-                            // The victim's pool is inside an outage window:
-                            // wait for it rather than replay against the
-                            // wrong hardware — and once the deadline
-                            // passes, degrade to a warning-only decision
-                            // rather than panic or analyze blind.
-                            match self.deferred.iter().position(|d| d.vm == report.vm_id) {
-                                None => {
-                                    let deadline = epoch + self.config.analysis_deferral_epochs;
-                                    self.deferred.push(DeferredAnalysis {
-                                        vm: report.vm_id,
-                                        deadline,
-                                    });
-                                    self.stats.analyses_deferred += 1;
-                                    events.push(EpochEvent::AnalysisDeferred {
-                                        vm: report.vm_id,
-                                        deadline,
-                                    });
-                                }
-                                Some(pos) if epoch >= self.deferred[pos].deadline => {
-                                    self.deferred.remove(pos);
-                                    self.stats.degraded_decisions += 1;
-                                    self.set_cooldown(
-                                        report.vm_id,
-                                        epoch + self.config.analysis_cooldown,
-                                    );
-                                    events.push(EpochEvent::AnalysisDegraded { vm: report.vm_id });
-                                }
-                                Some(_) => {}
-                            }
-                            continue;
-                        }
-                        // Pool came back before the deadline: the deferral
-                        // is over, analyze normally.
-                        if let Some(pos) = self.deferred.iter().position(|d| d.vm == report.vm_id) {
-                            self.deferred.remove(pos);
-                        }
-                    }
-                    let result = self.run_analysis(report, &host_spec);
-                    let cooldown = if result.interference_confirmed {
-                        self.config
-                            .confirmed_cooldown
-                            .max(self.config.analysis_cooldown)
-                    } else {
-                        self.config.analysis_cooldown
-                    };
-                    self.set_cooldown(report.vm_id, epoch + cooldown);
-                    events.push(EpochEvent::Analyzed {
-                        vm: report.vm_id,
-                        trigger: decision,
-                        result: result.clone(),
-                    });
-                    if result.interference_confirmed {
-                        if let Some(culprit) = result.culprit {
-                            if self.config.auto_migrate {
-                                events.extend(
-                                    self.mitigate(cluster, reports, &index, report, culprit, 0),
-                                );
-                            }
-                        }
-                    }
+                    events.extend(self.attribute(cluster, reports, &index, report, decision));
                 }
             }
         }
         self.index = index;
-        events
-    }
-
-    fn set_cooldown(&mut self, vm: VmId, until: u64) {
-        self.vms.entry(vm).or_default().cooldown_until = until;
-    }
-
-    /// The machine model hosting `pm`.  Reports always come from machines
-    /// in `cluster`, so the fallback to the fleet's first pool model is
-    /// belt-and-braces; an actual cross-model fallback is detected (and
-    /// counted) by the fleet selection in [`DeepDive::run_analysis`].
-    fn host_spec(&self, cluster: &Cluster, pm: PmId) -> MachineSpec {
-        cluster
-            .machine(pm)
-            .map(|m| m.spec().clone())
-            .unwrap_or_else(|| self.fleet.pools()[0].spec.clone())
-    }
-
-    /// Runs the interference analyzer for one VM in the sandbox pool
-    /// matching `host_spec` and updates the repository.
-    fn run_analysis(&mut self, report: &VmEpochReport, host_spec: &MachineSpec) -> AnalysisResult {
-        self.stats.analyzer_invocations += 1;
-        let (pool_idx, matched) = self.fleet.select_index(host_spec);
-        if !matched {
-            // Cross-model replay: the estimate is biased (the old
-            // single-pool behaviour on mixed fleets); surface it in stats.
-            self.stats.sandbox_spec_fallbacks += 1;
-        }
-        // The analysis window lives in reused scratch (taken out of `self`
-        // for the duration of the borrow-heavy analyzer call).
-        let mut window = std::mem::take(&mut self.window_scratch);
-        window.clear();
-        match self.vms.get(&report.vm_id) {
-            Some(vm) => window.extend(vm.recent_counters.iter().copied()),
-            None => window.push(report.counters),
-        }
-        let mut replay = self
-            .proxy
-            .replay_last(report.vm_id, self.config.analysis_window);
-        if replay.is_empty() {
-            replay.push(report.demand.clone());
-        }
-        let result = self.analyzer.analyze(
-            report.vm_id,
-            &window,
-            &replay,
-            &self.fleet.pools()[pool_idx],
-            2,
-        );
-        self.window_scratch = window;
-        self.stats.profiling_seconds += result.profiling_seconds;
-        self.profiling_by_pool[pool_idx] += result.profiling_seconds;
-        // Every isolation epoch is a verified normal behaviour — the set S
-        // the analyzer hands the warning system (§4.1).
-        for behavior in &result.isolation_behaviors {
-            self.repository
-                .record_normal(report.app, *behavior, report.epoch);
-        }
-        if result.interference_confirmed {
-            self.stats.interference_confirmed += 1;
-            self.repository.record_interference(
-                report.app,
-                result.production_behavior,
-                report.epoch,
-            );
-        } else {
-            self.stats.false_alarms += 1;
-            // A false alarm means the production behaviour is genuinely
-            // normal (e.g. a workload change): learn it.
-            self.repository
-                .record_normal(report.app, result.production_behavior, report.epoch);
-        }
-        result
-    }
-
-    /// Runs every pending-migration retry whose backoff expired, deciding
-    /// the move afresh from this epoch's reports.
-    fn drain_pending_migrations(
-        &mut self,
-        cluster: &mut Cluster,
-        reports: &[VmEpochReport],
-        index: &EpochIndex,
-        epoch: u64,
-    ) -> Vec<EpochEvent> {
-        let mut events = Vec::new();
-        if self.pending_migrations.is_empty() {
-            return events;
-        }
-        let mut due = Vec::new();
-        self.pending_migrations.retain(|pending| {
-            if pending.next_epoch <= epoch {
-                due.push(*pending);
-                false
-            } else {
-                true
-            }
-        });
-        for pending in due {
-            match reports.iter().find(|r| r.vm_id == pending.victim) {
-                Some(victim) => {
-                    events.extend(self.mitigate(
-                        cluster,
-                        reports,
-                        index,
-                        victim,
-                        pending.culprit,
-                        pending.attempts,
-                    ));
-                }
-                None => events.push(EpochEvent::MigrationSkipped {
-                    vm: pending.victim,
-                    reason: "victim stopped reporting before the migration retry".to_string(),
-                }),
-            }
-        }
-        events
-    }
-
-    /// Books a backed-off retry for a failed mitigation, or reports the
-    /// budget exhausted.  `attempt` counts tries already consumed (the
-    /// original included); waits double per attempt (1, 2, 4, … epochs).
-    fn schedule_migration_retry(
-        &mut self,
-        victim: VmId,
-        culprit: Resource,
-        attempt: u32,
-        epoch: u64,
-    ) -> Option<EpochEvent> {
-        if attempt >= self.config.migration_retry_attempts {
-            return Some(EpochEvent::MigrationSkipped {
-                vm: victim,
-                reason: "migration retry budget exhausted".to_string(),
-            });
-        }
-        self.stats.migration_retries += 1;
-        self.pending_migrations.push(PendingMigration {
-            victim,
-            culprit,
-            attempts: attempt + 1,
-            next_epoch: epoch + (1u64 << attempt.min(16)),
-        });
-        None
-    }
-
-    /// True while `pm` is inside the fault plane's crash window.
-    fn machine_is_down(&self, pm: PmId, epoch: u64) -> bool {
-        self.fault_plane
-            .is_some_and(|plane| plane.machine_down(pm, epoch))
-    }
-
-    /// Mitigates confirmed interference on the machine hosting `victim`.
-    /// `attempt` is zero on the first try and counts up across
-    /// backed-off retries of the same episode.  `index` is this epoch's
-    /// index over `reports`.
-    fn mitigate(
-        &mut self,
-        cluster: &mut Cluster,
-        reports: &[VmEpochReport],
-        index: &EpochIndex,
-        victim: &VmEpochReport,
-        culprit: Resource,
-        attempt: u32,
-    ) -> Vec<EpochEvent> {
-        let mut events = Vec::new();
-        let pm = victim.pm_id;
-        let epoch = victim.epoch;
-        // Residents of the afflicted machine, from this epoch's reports.
-        // Reports carry no VM shape, so each resident's width is read from
-        // the cluster — wherever the VM lives now: an earlier mitigation
-        // this epoch may have moved it.
-        let residents: Vec<ResidentVm> = index
-            .by_machine
-            .group(pm)
-            .iter()
-            .filter_map(|&at| {
-                let r = &reports[at as usize];
-                let host = cluster.machine(cluster.locate(r.vm_id)?)?;
-                let vcpus = host.vms().iter().find(|vm| vm.id == r.vm_id)?.vcpus;
-                Some(ResidentVm {
-                    vm_id: r.vm_id,
-                    counters: r.counters,
-                    behavior: index.behaviors[at as usize],
-                    demand: r.demand.clone(),
-                    vcpus,
-                })
-            })
-            .collect();
-        if residents.len() < 2 {
-            events.push(EpochEvent::MigrationSkipped {
-                vm: victim.vm_id,
-                reason: "no co-located VM to migrate away".to_string(),
-            });
-            return events;
-        }
-        // Candidate destinations: every other machine, each with its own
-        // hardware model and its residents' latest demands, so predictions
-        // run against the destination's actual spec.  The demands are
-        // copied out once in machine-group order — parallel to the index's
-        // member list — so every candidate's residents are one slice.
-        let demands: Vec<ResourceDemand> = index
-            .by_machine
-            .members()
-            .iter()
-            .map(|&at| reports[at as usize].demand.clone())
-            .collect();
-        let candidates: Vec<CandidateMachine> = cluster
-            .machines()
-            .iter()
-            .filter(|m| m.id != pm && !self.machine_is_down(m.id, epoch))
-            .map(|m| CandidateMachine {
-                pm_id: m.id,
-                spec: m.spec(),
-                resident_demands: &demands[index.by_machine.span(m.id)],
-                free_cores: m.free_cores(),
-            })
-            .collect();
-        if candidates.is_empty() {
-            events.push(EpochEvent::MigrationSkipped {
-                vm: victim.vm_id,
-                reason: "no candidate destination machine".to_string(),
-            });
-            return events;
-        }
-
-        // Train the synthetic benchmark lazily, once per server type: the
-        // mimic inverts behaviours observed on the afflicted machine, so it
-        // is trained on that machine's model (use `pretrain_benchmarks` to
-        // move this cost out of the episode entirely).
-        let host_spec = self.host_spec(cluster, pm);
-        let benchmark = Self::benchmark_for(&mut self.synthetic, &self.config, &host_spec);
-
-        let decision = self
-            .placement
-            .decide(&residents, culprit, pm, &candidates, benchmark);
-        match decision.destination {
-            Some(destination) => {
-                // A transiently failing migration (the fault plane's
-                // per-(vm, epoch) stream) is retried with backoff, like a
-                // full destination below — never silently dropped.
-                let transient_failure = self
-                    .fault_plane
-                    .is_some_and(|plane| plane.migration_fails(decision.vm_to_migrate, epoch));
-                if transient_failure {
-                    events.push(EpochEvent::MigrationSkipped {
-                        vm: decision.vm_to_migrate,
-                        reason: "transient migration failure".to_string(),
-                    });
-                    events.extend(self.schedule_migration_retry(
-                        victim.vm_id,
-                        culprit,
-                        attempt,
-                        epoch,
-                    ));
-                    return events;
-                }
-                match cluster.migrate(decision.vm_to_migrate, destination) {
-                    Ok(_cost) => {
-                        self.stats.migrations += 1;
-                        events.push(EpochEvent::Migrated {
-                            vm: decision.vm_to_migrate,
-                            from: pm,
-                            to: destination,
-                            culprit,
-                        });
-                    }
-                    Err(ClusterError::NoCapacity { .. }) => {
-                        events.push(EpochEvent::MigrationSkipped {
-                            vm: decision.vm_to_migrate,
-                            reason: "destination ran out of capacity".to_string(),
-                        });
-                        events.extend(self.schedule_migration_retry(
-                            victim.vm_id,
-                            culprit,
-                            attempt,
-                            epoch,
-                        ));
-                    }
-                    Err(e) => {
-                        events.push(EpochEvent::MigrationSkipped {
-                            vm: decision.vm_to_migrate,
-                            reason: e.to_string(),
-                        });
-                    }
-                }
-            }
-            None => {
-                events.push(EpochEvent::MigrationSkipped {
-                    vm: decision.vm_to_migrate,
-                    reason: "every candidate destination would interfere too much".to_string(),
-                });
-            }
-        }
         events
     }
 }
@@ -1201,10 +792,8 @@ mod tests {
         run(&mut cluster, &mut dd, &engine, 3, 0.8);
         assert_eq!((dd.tracked_vms(), dd.deferred_analyses()), (1, 1));
         assert_eq!(dd.stats().analyses_deferred, 2);
-        // Nothing of VM 1 is left in any of the per-VM containers ...
+        // Nothing of VM 1 is left: one record is all there ever was ...
         assert!(!dd.vms.contains_key(&VmId(1)));
-        assert_eq!(dd.proxy.recorded_epochs(VmId(1)), 0);
-        assert!(dd.deferred.iter().all(|d| d.vm != VmId(1)));
         // ... so when the id re-appears it starts over: a one-epoch window,
         // no cooldown, and a *new* deferral (counted) rather than the old
         // one's deadline.
@@ -1212,13 +801,15 @@ mod tests {
         run(&mut cluster, &mut dd, &engine, 1, 0.8);
         let reborn = &dd.vms[&VmId(1)];
         assert_eq!(
-            (reborn.recent_counters.len(), reborn.cooldown_until),
-            (1, 0)
+            (
+                reborn.window.len(),
+                reborn.cooldown_until,
+                reborn.deferred_until
+            ),
+            (1, 0, Some(6 + 12))
         );
-        assert_eq!(dd.proxy.recorded_epochs(VmId(1)), 1);
         assert_eq!((dd.tracked_vms(), dd.deferred_analyses()), (2, 2));
         assert_eq!(dd.stats().analyses_deferred, 3);
-        assert_eq!(dd.deferred[1].deadline, 6 + 12);
     }
 
     #[test]
