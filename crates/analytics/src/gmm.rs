@@ -42,17 +42,6 @@ impl Component {
         }
         acc
     }
-
-    /// Largest per-dimension deviation of `point` from the component mean,
-    /// measured in that dimension's standard deviations.
-    pub fn max_sigma_deviation(&self, point: &[f64]) -> f64 {
-        assert_eq!(point.len(), self.mean.len(), "dimension mismatch");
-        point
-            .iter()
-            .zip(self.mean.iter().zip(&self.variance))
-            .map(|(x, (m, v))| (x - m).abs() / v.max(VARIANCE_FLOOR).sqrt())
-            .fold(0.0, f64::max)
-    }
 }
 
 /// A fitted Gaussian-mixture model.
@@ -199,16 +188,6 @@ impl GaussianMixture {
         (best, (best_log - max).exp() / sum)
     }
 
-    /// Smallest max-σ deviation of `point` from any component: "how many
-    /// standard deviations away from the closest normal behaviour is this
-    /// observation, in its worst dimension?"
-    pub fn min_max_sigma_deviation(&self, point: &[f64]) -> f64 {
-        self.components
-            .iter()
-            .map(|c| c.max_sigma_deviation(point))
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Number of mixture components.
     pub fn k(&self) -> usize {
         self.components.len()
@@ -327,15 +306,6 @@ mod tests {
         for c in &model.components {
             assert!((c.weight - 0.5).abs() < 0.1, "weight {}", c.weight);
         }
-    }
-
-    #[test]
-    fn outlier_has_large_sigma_deviation() {
-        let model = GaussianMixture::fit(&blobs(), 2, 100, 3);
-        let inlier = model.min_max_sigma_deviation(&[1.0, 2.0, 0.5]);
-        let outlier = model.min_max_sigma_deviation(&[50.0, -30.0, 20.0]);
-        assert!(inlier < 5.0, "inlier deviation {inlier}");
-        assert!(outlier > 50.0, "outlier deviation {outlier}");
     }
 
     #[test]

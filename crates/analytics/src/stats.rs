@@ -22,11 +22,6 @@ pub fn variance(values: &[f64]) -> f64 {
     values.iter().map(|v| (v - m) * (v - m)).sum::<f64>() / values.len() as f64
 }
 
-/// Population standard deviation.
-pub fn std_dev(values: &[f64]) -> f64 {
-    variance(values).sqrt()
-}
-
 /// Median (average of the two middle values for even-length input).
 pub fn median(values: &[f64]) -> f64 {
     percentile(values, 50.0)
@@ -136,24 +131,9 @@ impl ZScore {
             .collect()
     }
 
-    /// Transforms every row.
-    pub fn transform_all(&self, rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
-        rows.iter().map(|r| self.transform(r)).collect()
-    }
-
     /// Number of dimensions the normalizer was fitted on.
     pub fn dims(&self) -> usize {
         self.means.len()
-    }
-}
-
-/// Relative error `|estimate - truth| / |truth|`; falls back to the absolute
-/// error when the truth is (near) zero.
-pub fn relative_error(estimate: f64, truth: f64) -> f64 {
-    if truth.abs() < 1e-12 {
-        (estimate - truth).abs()
-    } else {
-        (estimate - truth).abs() / truth.abs()
     }
 }
 
@@ -166,7 +146,6 @@ mod tests {
         let data = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
         assert!((mean(&data) - 5.0).abs() < 1e-12);
         assert!((variance(&data) - 4.0).abs() < 1e-12);
-        assert!((std_dev(&data) - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -199,10 +178,9 @@ mod tests {
     fn zscore_standardizes_training_data() {
         let rows = vec![vec![10.0, 100.0], vec![20.0, 200.0], vec![30.0, 300.0]];
         let z = ZScore::fit(&rows);
-        let t = z.transform_all(&rows);
-        let col0: Vec<f64> = t.iter().map(|r| r[0]).collect();
+        let col0: Vec<f64> = rows.iter().map(|r| z.transform(r)[0]).collect();
         assert!(mean(&col0).abs() < 1e-12);
-        assert!((std_dev(&col0) - 1.0).abs() < 1e-9);
+        assert!((variance(&col0) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -212,12 +190,6 @@ mod tests {
         let out = z.transform(&[5.0, 2.0]);
         assert_eq!(out[0], 0.0);
         assert!(out.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn relative_error_handles_zero_truth() {
-        assert!((relative_error(1.1, 1.0) - 0.1).abs() < 1e-12);
-        assert!((relative_error(0.05, 0.0) - 0.05).abs() < 1e-12);
     }
 
     #[test]

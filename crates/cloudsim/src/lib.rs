@@ -42,7 +42,6 @@
 //!   machine model; [`sandbox::SandboxFleet`] holds one pool per model in a
 //!   mixed-hardware cluster and routes each analysis to the pool matching
 //!   the victim's host, so counters are never compared across models.
-//! * [`migration`] — live-migration cost model.
 //! * [`faults`] — [`faults::FaultPlane`]: a counter-derived, topology-aware
 //!   fault schedule (machine crash/repair windows, correlated rack and
 //!   power-domain outages over a [`faults::Topology`], planned maintenance
@@ -63,7 +62,6 @@ pub mod audit;
 pub mod cluster;
 pub mod engine;
 pub mod faults;
-pub mod migration;
 pub mod pm;
 pub mod pool;
 pub mod rngs;

@@ -43,11 +43,6 @@ pub struct IsolationRun {
 }
 
 impl IsolationRun {
-    /// Sum of instructions retired across the replayed window.
-    pub fn total_instructions(&self) -> f64 {
-        self.counters.iter().map(|c| c.inst_retired).sum()
-    }
-
     /// Element-wise average of the per-epoch counters.
     pub fn mean_counters(&self) -> CounterSnapshot {
         if self.counters.is_empty() {
@@ -156,7 +151,7 @@ impl Sandbox {
 /// by isolation instruction rates, so the isolation replay must run on the
 /// same machine model that hosted the victim.  A `SandboxFleet` makes that
 /// routing explicit: [`SandboxFleet::pool_for`] returns the pool whose spec
-/// matches the victim's host, and [`SandboxFleet::select`] adds the
+/// matches the victim's host, and [`SandboxFleet::select_index`] adds the
 /// fallback policy (first pool, flagged as unmatched) that reproduces the
 /// old single-pool behaviour when no model matches.
 ///
@@ -171,7 +166,7 @@ impl Sandbox {
 /// hand-built single-pool fleet's there.
 #[derive(Debug, Clone)]
 pub struct SandboxFleet {
-    /// The pools, in construction order; `select` falls back to the first.
+    /// The pools, in construction order; `select_index` falls back to the first.
     pools: Vec<Sandbox>,
 }
 
@@ -241,38 +236,22 @@ impl SandboxFleet {
         &self.pools
     }
 
-    /// True when the fleet holds a single pool (the homogeneous setup).
-    pub fn is_uniform(&self) -> bool {
-        self.pools.len() == 1
-    }
-
-    /// Total number of profiling machines across every pool (the capacity
-    /// the Figs. 12–14 queueing picture divides work over).
-    pub fn total_machines(&self) -> usize {
-        self.pools.iter().map(|p| p.machines).sum()
-    }
-
     /// The pool for the machine model named by `spec`, if any (models are
     /// identified by [`MachineSpec::name`]).
     pub fn pool_for(&self, spec: &MachineSpec) -> Option<&Sandbox> {
         self.pools.iter().find(|p| p.spec.name == spec.name)
     }
 
-    /// Selects the pool for a victim hosted on `spec`, falling back to the
-    /// first pool when no model matches.
+    /// Selects the pool for a victim hosted on `spec` — as an index into
+    /// [`SandboxFleet::pools`], so callers can keep per-pool accounting in
+    /// arrays parallel to it — falling back to the first pool when no model
+    /// matches.
     ///
     /// The boolean is `true` when the pool's model matches the host — i.e.
     /// the isolation counters are directly comparable to production.  A
     /// `false` means the caller is on the old cross-model path (a uniform
     /// fleet analyzing a foreign model) and the degradation estimate is
     /// biased; `deepdive` counts these as `sandbox_spec_fallbacks`.
-    pub fn select(&self, spec: &MachineSpec) -> (&Sandbox, bool) {
-        let (idx, matched) = self.select_index(spec);
-        (&self.pools[idx], matched)
-    }
-
-    /// Index-returning form of [`SandboxFleet::select`], for callers that
-    /// keep per-pool accounting in arrays parallel to [`SandboxFleet::pools`].
     pub fn select_index(&self, spec: &MachineSpec) -> (usize, bool) {
         match self.pools.iter().position(|p| p.spec.name == spec.name) {
             Some(idx) => (idx, true),
@@ -286,6 +265,12 @@ mod tests {
     use super::*;
     use crate::scheduler::Scheduler;
     use hwsim::ResourceDemand;
+
+    /// The pool `select_index` routes `spec` to, and whether it matched.
+    fn select<'a>(fleet: &'a SandboxFleet, spec: &MachineSpec) -> (&'a Sandbox, bool) {
+        let (idx, matched) = fleet.select_index(spec);
+        (&fleet.pools()[idx], matched)
+    }
 
     fn demand() -> ResourceDemand {
         ResourceDemand::builder()
@@ -336,7 +321,6 @@ mod tests {
         let run = sandbox.run_in_isolation(VmId(1), &[demand(), demand()], 2);
         let mean = run.mean_counters();
         assert!((mean.inst_retired - run.counters[0].inst_retired).abs() < 1e-3);
-        assert!(run.total_instructions() > mean.inst_retired);
     }
 
     #[test]
@@ -345,7 +329,6 @@ mod tests {
         let run = sandbox.run_in_isolation(VmId(1), &[], 2);
         assert!(run.counters.is_empty());
         assert_eq!(run.mean_counters(), CounterSnapshot::zero());
-        assert_eq!(run.total_instructions(), 0.0);
     }
 
     #[test]
@@ -367,12 +350,11 @@ mod tests {
             30.0,
         );
         assert_eq!(fleet.pools().len(), 2);
-        assert!(!fleet.is_uniform());
-        assert_eq!(fleet.total_machines(), 6);
-        let (xeon, matched) = fleet.select(&MachineSpec::xeon_x5472());
+        assert!(fleet.pools().iter().all(|pool| pool.machines == 3));
+        let (xeon, matched) = select(&fleet, &MachineSpec::xeon_x5472());
         assert!(matched);
         assert_eq!(xeon.spec, MachineSpec::xeon_x5472());
-        let (i7, matched) = fleet.select(&MachineSpec::core_i7_nehalem());
+        let (i7, matched) = select(&fleet, &MachineSpec::core_i7_nehalem());
         assert!(matched);
         assert_eq!(i7.spec, MachineSpec::core_i7_nehalem());
     }
@@ -380,9 +362,8 @@ mod tests {
     #[test]
     fn uniform_fleet_falls_back_to_its_only_pool_for_foreign_models() {
         let fleet = SandboxFleet::new(vec![Sandbox::xeon_pool(2)]);
-        assert!(fleet.is_uniform());
         assert!(fleet.pool_for(&MachineSpec::core_i7_nehalem()).is_none());
-        let (pool, matched) = fleet.select(&MachineSpec::core_i7_nehalem());
+        let (pool, matched) = select(&fleet, &MachineSpec::core_i7_nehalem());
         assert!(!matched, "cross-model selection must be flagged");
         assert_eq!(pool.spec, MachineSpec::xeon_x5472());
     }
@@ -399,7 +380,7 @@ mod tests {
         let fleet = SandboxFleet::for_cluster(&cluster, 4, 30.0);
         assert_eq!(fleet.pools().len(), 2);
         for machine in cluster.machines() {
-            let (pool, matched) = fleet.select(machine.spec());
+            let (pool, matched) = select(&fleet, machine.spec());
             assert!(matched, "no pool for {}", machine.spec().name);
             assert_eq!(&pool.spec, machine.spec());
         }
@@ -421,9 +402,9 @@ mod tests {
         let mut overclocked = MachineSpec::xeon_x5472();
         overclocked.clock_hz *= 1.1;
         let fleet = SandboxFleet::for_specs([&stock, &overclocked], 2, 30.0);
-        assert!(fleet.is_uniform());
+        assert_eq!(fleet.pools().len(), 1);
         assert_eq!(fleet.pools()[0].spec, stock);
-        let (pool, matched) = fleet.select(&overclocked);
+        let (pool, matched) = select(&fleet, &overclocked);
         assert!(matched, "same-named variant must route to its name's pool");
         assert_eq!(pool.spec.name, stock.name);
     }

@@ -90,6 +90,10 @@ use crate::rngs::ClusterSeed;
 use crate::scheduler::Scheduler;
 use crate::vm::{Vm, VmId};
 
+/// Fraction of each VM's lifetime spent at its active load before it idles
+/// at load zero.  The idle tail is where the sparse engine earns its keep.
+const ACTIVE_FRACTION: f64 = 0.3;
+
 /// Configuration of the datacenter front end.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -101,10 +105,6 @@ pub struct ServiceConfig {
     pub scheduler: Scheduler,
     /// Cluster seed driving every VM's demand streams.
     pub seed: ClusterSeed,
-    /// Fraction of each VM's lifetime spent at its active load before it
-    /// idles at load zero (clamped to `[0, 1]`).  The idle tail is where
-    /// the sparse engine earns its keep.
-    pub active_fraction: f64,
     /// Failure-domain spread policy: `Some(topology)` makes placement
     /// prefer the power domain currently holding the fewest of the
     /// arriving application's VMs (best-effort — capacity pressure falls
@@ -122,7 +122,6 @@ impl ServiceConfig {
             spec: MachineSpec::xeon_x5472(),
             scheduler: Scheduler::default(),
             seed: ClusterSeed::new(seed),
-            active_fraction: 0.3,
             spread: None,
         }
     }
@@ -741,7 +740,7 @@ impl DatacenterService {
     /// arrival instant on first admission, or the landing epoch's boundary
     /// when a parked arrival finally places.
     fn schedule_lifecycle(&mut self, id: VmId, session: &VmSession, start_s: f64) {
-        let active_s = session.lifetime_s * self.config.active_fraction.clamp(0.0, 1.0);
+        let active_s = session.lifetime_s * ACTIVE_FRACTION;
         self.events
             .push(start_s + active_s, SessionEvent::GoIdle(id));
         self.events

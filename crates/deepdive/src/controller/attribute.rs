@@ -15,6 +15,11 @@ use crate::analyzer::AnalysisResult;
 use crate::epoch_index::EpochIndex;
 use crate::warning::WarningDecision;
 
+/// Epochs a warning may wait for its sandbox pool to come back from an
+/// outage before the controller gives up on analyzing and falls back to a
+/// warning-only (degraded) decision.
+const ANALYSIS_DEFERRAL_EPOCHS: u64 = 12;
+
 impl DeepDive {
     /// Handles one warning the warning system escalated (`trigger` is
     /// `SuspectInterference` or `Bootstrap`): cooldown gate, pool routing,
@@ -54,7 +59,7 @@ impl DeepDive {
             // than panic or analyze blind.
             return match record.deferred_until {
                 None => {
-                    let deadline = epoch + self.config.analysis_deferral_epochs;
+                    let deadline = epoch + ANALYSIS_DEFERRAL_EPOCHS;
                     record.deferred_until = Some(deadline);
                     self.stats.analyses_deferred += 1;
                     vec![EpochEvent::AnalysisDeferred { vm, deadline }]

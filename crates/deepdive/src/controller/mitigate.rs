@@ -17,6 +17,10 @@ use crate::epoch_index::EpochIndex;
 use crate::placement::{CandidateMachine, ResidentVm};
 use crate::synthetic::SyntheticBenchmark;
 
+/// Retry budget for failed mitigation migrations (transient failures and
+/// full destinations back off exponentially, then give up).
+const MIGRATION_RETRY_ATTEMPTS: u32 = 3;
+
 /// A mitigation migration parked for a backed-off retry after a transient
 /// failure or a full destination.
 #[derive(Debug, Clone, Copy)]
@@ -113,7 +117,7 @@ impl DeepDive {
         attempt: u32,
     ) {
         events.push(skipped(vm, reason));
-        if attempt >= self.config.migration_retry_attempts {
+        if attempt >= MIGRATION_RETRY_ATTEMPTS {
             events.push(skipped(victim.vm_id, "migration retry budget exhausted"));
             return;
         }
@@ -228,7 +232,7 @@ impl DeepDive {
             "transient migration failure"
         } else {
             match cluster.migrate(moved, destination) {
-                Ok(_cost) => {
+                Ok(()) => {
                     self.stats.migrations += 1;
                     return vec![EpochEvent::Migrated {
                         vm: moved,

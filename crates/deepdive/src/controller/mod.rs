@@ -62,8 +62,6 @@ pub struct DeepDiveConfig {
     pub confirmed_cooldown: u64,
     /// Whether confirmed interference triggers an automatic migration.
     pub auto_migrate: bool,
-    /// Maximum predicted interference accepted at a migration destination.
-    pub acceptable_destination_interference: f64,
     /// Whether the global-information check may consult peer VMs running the
     /// same application (disable to reproduce the "local only" curves).
     pub use_global_information: bool,
@@ -72,13 +70,6 @@ pub struct DeepDiveConfig {
     pub synthetic_training_samples: usize,
     /// RNG seed for the synthetic benchmark training.
     pub seed: u64,
-    /// Epochs a warning may wait for its sandbox pool to come back from an
-    /// outage before the controller gives up on analyzing and falls back to
-    /// a warning-only (degraded) decision.
-    pub analysis_deferral_epochs: u64,
-    /// Retry budget for failed mitigation migrations (transient failures
-    /// and full destinations back off exponentially, then give up).
-    pub migration_retry_attempts: u32,
     /// Failure-domain spread preference for mitigation migrations: with
     /// `Some(topology)`, acceptable destinations outside the afflicted
     /// machine's power domain win over same-domain ones (see
@@ -96,12 +87,9 @@ impl Default for DeepDiveConfig {
             analysis_cooldown: 30,
             confirmed_cooldown: 60,
             auto_migrate: true,
-            acceptable_destination_interference: 0.15,
             use_global_information: true,
             synthetic_training_samples: 150,
             seed: 0xDEE9,
-            analysis_deferral_epochs: 12,
-            migration_retry_attempts: 3,
             spread_topology: None,
         }
     }
@@ -254,6 +242,8 @@ pub struct DeepDive {
     index: EpochIndex,
 }
 
+/// Maximum predicted interference accepted at a migration destination.
+const ACCEPTABLE_DESTINATION_INTERFERENCE: f64 = 0.15;
 /// Machines per pool when the fleet is derived from a cluster
 /// ([`DeepDive::for_cluster`]); matches [`cloudsim::Sandbox::xeon_pool`]'s
 /// historical default so uniform clusters behave identically either way.
@@ -271,7 +261,7 @@ impl DeepDive {
         // Clamped once, here: the analyzer needs at least one epoch.
         config.analysis_window = config.analysis_window.max(1);
         let analyzer = InterferenceAnalyzer::new(config.performance_threshold);
-        let mut placement = PlacementManager::new(config.acceptable_destination_interference);
+        let mut placement = PlacementManager::new(ACCEPTABLE_DESTINATION_INTERFERENCE);
         if let Some(topology) = config.spread_topology {
             placement = placement.with_spread(topology);
         }
@@ -987,7 +977,7 @@ mod tests {
             DeepDiveConfig::default(),
             SandboxFleet::new(vec![cloudsim::Sandbox::xeon_pool(4)]),
         );
-        assert!(uniform.sandbox_fleet().is_uniform());
+        assert_eq!(uniform.sandbox_fleet().pools().len(), 1);
     }
 
     #[test]

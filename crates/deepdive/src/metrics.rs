@@ -85,25 +85,6 @@ impl BehaviorVector {
         Self { values: out }
     }
 
-    /// Element-wise mean of a set of behaviours; the origin for an empty set.
-    pub fn mean_of(behaviors: &[BehaviorVector]) -> Self {
-        if behaviors.is_empty() {
-            return Self {
-                values: [0.0; DIMENSIONS],
-            };
-        }
-        let mut sums = [0.0; DIMENSIONS];
-        for b in behaviors {
-            for (s, v) in sums.iter_mut().zip(&b.values) {
-                *s += v;
-            }
-        }
-        for s in sums.iter_mut() {
-            *s /= behaviors.len() as f64;
-        }
-        Self { values: sums }
-    }
-
     /// Largest relative per-dimension deviation between two behaviours,
     /// using `other` as the reference (with a small floor to keep
     /// near-zero dimensions from exploding).
@@ -190,15 +171,6 @@ mod tests {
         let b = BehaviorVector::from_counters(&sample_counters(1.0));
         assert!((b.values[0] - 1.5).abs() < 1e-12);
         assert_eq!(DIMENSION_NAMES[0], "cpi");
-    }
-
-    #[test]
-    fn mean_of_behaviors_averages_dimensions() {
-        let a = BehaviorVector::from_vec(&[1.0; DIMENSIONS]);
-        let b = BehaviorVector::from_vec(&[3.0; DIMENSIONS]);
-        let m = BehaviorVector::mean_of(&[a, b]);
-        assert!(m.values.iter().all(|v| (*v - 2.0).abs() < 1e-12));
-        assert_eq!(BehaviorVector::mean_of(&[]).values, [0.0; DIMENSIONS]);
     }
 
     #[test]

@@ -728,7 +728,7 @@ mod tests {
         // identity it was asked to impersonate.
         let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 3);
         let target = BehaviorVector::from_counters(&counters_with(5.0e7, 0.0, 0.0));
-        let clone = benchmark.clone_for(AppId(42), &target, 2.0e9);
+        let clone = crate::SyntheticClone::new(AppId(42), benchmark.mimic(&target, 2.0e9));
         assert_eq!(workloads::Workload::app_id(&clone), AppId(42));
     }
 }

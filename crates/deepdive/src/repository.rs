@@ -55,15 +55,6 @@ static EMPTY_APP_BEHAVIORS: AppBehaviors = AppBehaviors {
 };
 
 impl AppBehaviors {
-    /// Verified-normal behaviours only.
-    pub fn normals(&self) -> Vec<&BehaviorVector> {
-        self.entries
-            .iter()
-            .filter(|e| !e.interference)
-            .map(|e| &e.behavior)
-            .collect()
-    }
-
     /// Confirmed-interference behaviours only.
     pub fn interference(&self) -> Vec<&BehaviorVector> {
         self.entries
@@ -282,11 +273,6 @@ impl BehaviorRepository {
             .unwrap_or(0)
     }
 
-    /// True when the application has never been analyzed.
-    pub fn is_unknown(&self, app: AppId) -> bool {
-        self.apps.get(&app.0).map(|s| s.is_empty()).unwrap_or(true)
-    }
-
     /// Applications with at least one stored behaviour, in ascending id
     /// order (never hash order — callers sum footprints and drive figure
     /// sweeps off this list).
@@ -384,14 +370,12 @@ mod tests {
     fn records_and_separates_normal_from_interference() {
         let mut repo = BehaviorRepository::new();
         let app = AppId(3);
-        assert!(repo.is_unknown(app));
+        assert!(repo.behaviors(app).is_empty());
         repo.record_normal(app, behavior(1.0), 0);
         repo.record_normal(app, behavior(1.1), 1);
         repo.record_interference(app, behavior(9.0), 2);
-        assert!(!repo.is_unknown(app));
         assert_eq!(repo.normal_count(app), 2);
         let stored = repo.behaviors(app);
-        assert_eq!(stored.normals().len(), 2);
         assert_eq!(stored.interference().len(), 1);
         assert_eq!(stored.labelled().len(), 3);
     }
@@ -405,7 +389,7 @@ mod tests {
         }
         let stored = repo.behaviors(app);
         assert_eq!(stored.len(), 3);
-        assert_eq!(stored.normals()[0].values[0], 2.0);
+        assert_eq!(stored.labelled()[0].metrics[0], 2.0);
     }
 
     #[test]

@@ -240,18 +240,6 @@ impl SyntheticBenchmark {
         }
         BenchmarkInputs::from_vec(&current)
     }
-
-    /// Convenience: mimic a target behaviour at the observed work rate and
-    /// wrap the result in a [`SyntheticClone`] workload that can be placed on
-    /// a candidate machine.
-    pub fn clone_for(
-        &self,
-        app: AppId,
-        target: &BehaviorVector,
-        instructions_per_epoch: f64,
-    ) -> SyntheticClone {
-        SyntheticClone::new(app, self.mimic(target, instructions_per_epoch))
-    }
 }
 
 /// Draws and resolves one training sample from its own counter-derived

@@ -62,32 +62,23 @@ pub enum WarningDecision {
     Bootstrap,
 }
 
-impl WarningDecision {
-    /// True when the decision requires invoking the interference analyzer.
-    pub fn triggers_analyzer(&self) -> bool {
-        matches!(
-            self,
-            WarningDecision::SuspectInterference | WarningDecision::Bootstrap
-        )
-    }
-}
+/// Mixture components fitted per application.
+const CLUSTERS_PER_APP: usize = 3;
+/// σ-multiplier used to derive the metric thresholds `MT`.
+const SIGMA_MULTIPLIER: f64 = 3.0;
+/// Fraction of peers that must exhibit the same new behaviour for the
+/// global check to call it a workload change.
+const GLOBAL_QUORUM: f64 = 0.6;
+/// Maximum relative deviation between a VM's behaviour and a peer's for
+/// them to count as "behaving similarly".
+const GLOBAL_SIMILARITY: f64 = 0.25;
 
 /// Configuration of the warning system.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WarningConfig {
-    /// Number of mixture components fitted per application.
-    pub clusters_per_app: usize,
-    /// σ-multiplier used to derive the metric thresholds `MT`.
-    pub sigma_multiplier: f64,
     /// Minimum number of verified normal behaviours before leaving
     /// conservative mode.
     pub min_behaviors_for_clustering: usize,
-    /// Fraction of peers that must exhibit the same new behaviour for the
-    /// global check to call it a workload change.
-    pub global_quorum: f64,
-    /// Maximum relative deviation between this VM's behaviour and a peer's
-    /// for them to count as "behaving similarly".
-    pub global_similarity: f64,
     /// Seed for the clustering initialization.
     pub seed: u64,
     /// Refits per application between full cold refits: after
@@ -101,11 +92,7 @@ pub struct WarningConfig {
 impl Default for WarningConfig {
     fn default() -> Self {
         Self {
-            clusters_per_app: 3,
-            sigma_multiplier: 3.0,
             min_behaviors_for_clustering: 8,
-            global_quorum: 0.6,
-            global_similarity: 0.25,
             seed: 0xDEE9_D1DE,
             cold_refit_interval: 32,
         }
@@ -141,15 +128,6 @@ pub struct WarningSystem {
 impl WarningSystem {
     /// Creates a warning system with the given configuration.
     pub fn new(config: WarningConfig) -> Self {
-        assert!(config.clusters_per_app > 0, "need at least one cluster");
-        assert!(
-            config.sigma_multiplier > 0.0,
-            "sigma multiplier must be positive"
-        );
-        assert!(
-            (0.0..=1.0).contains(&config.global_quorum),
-            "quorum must be a fraction"
-        );
         Self {
             config,
             models: HashMap::new(),
@@ -204,7 +182,7 @@ impl WarningSystem {
                 fit_constrained_warm(
                     &self.labelled_scratch,
                     &prev.model.mixture,
-                    self.config.sigma_multiplier,
+                    SIGMA_MULTIPLIER,
                     WARM_REFIT_ITERS,
                 ),
                 prev.warm_refits_since_cold + 1,
@@ -212,8 +190,8 @@ impl WarningSystem {
             None => (
                 fit_constrained(
                     &self.labelled_scratch,
-                    self.config.clusters_per_app,
-                    self.config.sigma_multiplier,
+                    CLUSTERS_PER_APP,
+                    SIGMA_MULTIPLIER,
                     self.config.seed ^ app.0,
                 ),
                 0,
@@ -274,22 +252,17 @@ impl WarningSystem {
         let (mut total, mut similar) = (0usize, 0usize);
         for peer in peers {
             total += 1;
-            if behavior.max_relative_deviation(peer) <= self.config.global_similarity {
+            if behavior.max_relative_deviation(peer) <= GLOBAL_SIMILARITY {
                 similar += 1;
             }
         }
         if total > 0 {
-            let quorum = (total as f64 * self.config.global_quorum).ceil() as usize;
+            let quorum = (total as f64 * GLOBAL_QUORUM).ceil() as usize;
             if similar >= quorum.max(1) {
                 return WarningDecision::NormalGlobal;
             }
         }
         WarningDecision::SuspectInterference
-    }
-
-    /// Number of applications with a fitted (non-conservative) model.
-    pub fn modeled_apps(&self) -> usize {
-        self.models.len()
     }
 }
 
@@ -322,7 +295,6 @@ mod tests {
         let ws = WarningSystem::with_defaults();
         let d = ws.evaluate(AppId(1), &behavior(1.5, 0.5), &[]);
         assert_eq!(d, WarningDecision::Bootstrap);
-        assert!(d.triggers_analyzer());
         assert!(ws.in_conservative_mode(AppId(1)));
     }
 
@@ -335,7 +307,6 @@ mod tests {
         assert!(!ws.in_conservative_mode(app));
         let d = ws.evaluate(app, &behavior(1.51, 0.52), &[]);
         assert_eq!(d, WarningDecision::NormalLocal);
-        assert!(!d.triggers_analyzer());
     }
 
     #[test]
@@ -454,9 +425,10 @@ mod tests {
         let repo = trained_repository(app);
         let mut ws = WarningSystem::with_defaults();
         ws.refresh_model(app, &repo);
-        let before = ws.modeled_apps();
+        let before = ws.refit_counts();
         ws.refresh_model(app, &repo);
-        assert_eq!(ws.modeled_apps(), before);
+        assert_eq!(ws.refit_counts(), before);
+        assert!(!ws.in_conservative_mode(app));
     }
 
     #[test]
@@ -555,14 +527,5 @@ mod tests {
             ws.evaluate(app, &behavior(1.5, 0.5), &[]),
             WarningDecision::Bootstrap
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one cluster")]
-    fn zero_clusters_rejected() {
-        WarningSystem::new(WarningConfig {
-            clusters_per_app: 0,
-            ..Default::default()
-        });
     }
 }

@@ -29,21 +29,6 @@ pub struct CacheOutcome {
     pub solo_mpki: f64,
 }
 
-impl CacheOutcome {
-    /// Ratio of contended to solo miss rate (1.0 = no inflation).
-    pub fn miss_inflation(&self) -> f64 {
-        if self.solo_mpki <= 0.0 {
-            if self.effective_mpki > 0.0 {
-                f64::INFINITY
-            } else {
-                1.0
-            }
-        } else {
-            self.effective_mpki / self.solo_mpki
-        }
-    }
-}
-
 /// Reusable scratch buffers for [`resolve_cache_group_members_into`].
 ///
 /// Constructed once (typically inside an `EpochResolver`) and reused across
@@ -233,7 +218,7 @@ mod tests {
         let out = resolve_cache_group(12.0, &[&d]);
         assert_eq!(out.len(), 1);
         assert!((out[0].effective_mpki - 1.0).abs() < 1e-12);
-        assert!((out[0].miss_inflation() - 1.0).abs() < 1e-12);
+        assert!((out[0].effective_mpki - out[0].solo_mpki).abs() < 1e-12);
         assert!((out[0].occupancy_mb - 8.0).abs() < 1e-9);
     }
 

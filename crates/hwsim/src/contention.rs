@@ -83,21 +83,6 @@ impl StallBreakdown {
             + self.disk_seconds
             + self.net_seconds
     }
-
-    /// Stalled cycles per instruction for each component, given a clock and
-    /// an instruction count — the unit used in Fig. 6.
-    pub fn per_instruction_cycles(&self, clock_hz: f64, instructions: f64) -> [f64; 4] {
-        if instructions <= 0.0 {
-            return [0.0; 4];
-        }
-        let to_cpi = clock_hz / instructions;
-        [
-            self.core_seconds * to_cpi,
-            self.llc_miss_seconds * to_cpi,
-            self.bus_queue_seconds * to_cpi,
-            (self.disk_seconds + self.net_seconds) * to_cpi,
-        ]
-    }
 }
 
 /// Everything the hardware reports about one VM after one epoch.
@@ -245,21 +230,6 @@ mod tests {
         assert!(out[0].achieved_fraction > 0.0);
         assert!(out[0].achieved_fraction < 1.0);
         assert!(out[0].counters.is_well_formed());
-    }
-
-    #[test]
-    fn breakdown_per_instruction_cycles_has_four_components() {
-        let spec = MachineSpec::xeon_x5472();
-        let mut resolver = EpochResolver::new(spec.clone());
-        let out = resolver.resolve(&[PlacedDemand::new(1, cache_victim(), 2, 0)]);
-        let cpis = out[0]
-            .breakdown
-            .per_instruction_cycles(spec.clock_hz, out[0].demanded_instructions);
-        assert!(cpis.iter().all(|c| c.is_finite() && *c >= 0.0));
-        assert!(
-            cpis[0] > 0.0,
-            "core component must be non-zero for a CPU-bound VM"
-        );
     }
 
     #[test]

@@ -113,11 +113,6 @@ impl MachineSpec {
         self.cores / self.cores_per_cache_group
     }
 
-    /// Total cycles one core can execute in an epoch of `seconds`.
-    pub fn cycles_per_epoch(&self, seconds: f64) -> f64 {
-        self.clock_hz * seconds
-    }
-
     /// True when the spec is internally consistent (non-zero capacities,
     /// cores divisible into cache groups).
     pub fn is_well_formed(&self) -> bool {
@@ -163,12 +158,6 @@ mod tests {
         // QPI offers far more bandwidth than the old FSB — the property the
         // portability experiment relies on.
         assert!(spec.memory_bandwidth_mbps > MachineSpec::xeon_x5472().memory_bandwidth_mbps);
-    }
-
-    #[test]
-    fn cycles_per_epoch_scales_with_duration() {
-        let spec = MachineSpec::xeon_x5472();
-        assert_eq!(spec.cycles_per_epoch(2.0), 2.0 * spec.clock_hz);
     }
 
     #[test]

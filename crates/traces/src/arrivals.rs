@@ -103,13 +103,6 @@ pub struct VmSession {
     pub app_rank: usize,
 }
 
-impl VmSession {
-    /// The instant the VM leaves the datacenter.
-    pub fn departure_s(&self) -> f64 {
-        self.arrival_s + self.lifetime_s
-    }
-}
-
 /// Hotmail-style session preset: Poisson arrivals thinned by the diurnal
 /// load pattern of Fig. 2 (nights and weekends arrive fewer VMs), lognormal
 /// lifetimes with a 2-hour median, and per-VM active loads that track the
@@ -262,7 +255,6 @@ mod tests {
         for s in &sessions {
             assert!(s.lifetime_s > 0.0);
             assert!((0.0..=1.0).contains(&s.active_load));
-            assert!(s.departure_s() > s.arrival_s);
             assert!(s.app_rank >= 1 && s.app_rank <= 500);
         }
         // Thinning keeps strictly fewer VMs than the peak-rate stream, but

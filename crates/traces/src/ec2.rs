@@ -125,16 +125,6 @@ impl InterferenceSchedule {
         let covered: u64 = self.episodes.iter().map(|e| e.duration_s).sum();
         covered as f64 / self.horizon_s as f64
     }
-
-    /// Episodes that start within day `day` (0-based).
-    pub fn episodes_on_day(&self, day: usize) -> Vec<&InterferenceEpisode> {
-        let start = day as u64 * 86_400;
-        let end = start + 86_400;
-        self.episodes
-            .iter()
-            .filter(|e| e.start_s >= start && e.start_s < end)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -173,13 +163,6 @@ mod tests {
         let s = InterferenceSchedule::generate(3, 4, 600, 1_800, 11);
         assert!(s.coverage() > 0.0);
         assert!(s.coverage() < 0.5, "coverage {}", s.coverage());
-    }
-
-    #[test]
-    fn episodes_on_day_partitions_the_schedule() {
-        let s = InterferenceSchedule::generate(3, 3, 600, 1_200, 13);
-        let total: usize = (0..3).map(|d| s.episodes_on_day(d).len()).sum();
-        assert_eq!(total, s.episodes.len());
     }
 
     #[test]

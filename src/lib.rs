@@ -224,13 +224,13 @@
 //!   `cloudsim::ServiceError` records (`DatacenterService::errors`), never
 //!   as panics.
 //! * **Controller degradation** — during a sandbox-pool outage, `DeepDive`
-//!   defers confirmed-warning analyses with a deadline
-//!   (`DeepDiveConfig::analysis_deferral_epochs`); if the outage outlives
+//!   defers confirmed-warning analyses with a deadline (12 epochs, kept in
+//!   the VM's one controller record); if the outage outlives
 //!   the deadline the controller falls back to warning-only operation for
 //!   that VM (a *degraded decision*, with the usual cooldown) instead of
 //!   blocking or crashing.  Transiently failed and capacity-blocked
-//!   migrations retry with exponential backoff up to
-//!   `DeepDiveConfig::migration_retry_attempts`.  `DeepDiveStats` counts
+//!   migrations retry with exponential backoff, three times at most.
+//!   `DeepDiveStats` counts
 //!   deferred analyses, degraded decisions and migration retries, and the
 //!   epoch event stream reports each transition.
 //! * **Invariant auditing** — `cloudsim::audit::check_cluster` sweeps a
