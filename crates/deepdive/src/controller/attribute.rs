@@ -5,9 +5,20 @@
 //! mitigation.  Around the analysis sit the two gates that keep it from
 //! running when it should not: the per-VM cooldown and the deferral that
 //! waits out a sandbox-pool outage.
+//!
+//! On heterogeneous clusters the controller holds a [`SandboxFleet`] — one
+//! sandbox pool per machine model — and routes every analysis to the pool
+//! matching the victim's host, so isolation counters are never compared
+//! across machine models.  Profiling time is accounted both in total and
+//! per pool ([`DeepDive::profiling_seconds_by_pool`], the per-farm load of
+//! the Figs. 12–14 queueing picture), and analyses that had to fall back to
+//! a mismatched pool are counted in
+//! [`DeepDiveStats::sandbox_spec_fallbacks`](super::DeepDiveStats).  Build
+//! the controller with [`DeepDive::for_cluster`] to derive the fleet from
+//! the cluster's actual machine models.
 
 use cloudsim::pm::VmEpochReport;
-use cloudsim::Cluster;
+use cloudsim::{Cluster, SandboxFleet};
 use hwsim::{CounterSnapshot, ResourceDemand};
 
 use super::{DeepDive, EpochEvent};
@@ -21,6 +32,24 @@ use crate::warning::WarningDecision;
 const ANALYSIS_DEFERRAL_EPOCHS: u64 = 12;
 
 impl DeepDive {
+    /// The sandbox fleet backing the analyzer.
+    pub fn sandbox_fleet(&self) -> &SandboxFleet {
+        &self.fleet
+    }
+
+    /// Profiling seconds consumed per sandbox pool, as `(machine model,
+    /// seconds)` in pool order.  The sum equals
+    /// [`DeepDiveStats::profiling_seconds`](super::DeepDiveStats); the split
+    /// is what sizes each per-model profiling farm in the Figs. 12–14
+    /// queueing picture.
+    pub fn profiling_seconds_by_pool(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
+        self.fleet
+            .pools()
+            .iter()
+            .zip(&self.profiling_by_pool)
+            .map(|(pool, &seconds)| (pool.spec.name.as_str(), seconds))
+    }
+
     /// Handles one warning the warning system escalated (`trigger` is
     /// `SuspectInterference` or `Bootstrap`): cooldown gate, pool routing,
     /// deferral, analysis, and — when interference is confirmed and

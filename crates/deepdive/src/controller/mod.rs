@@ -12,16 +12,11 @@
 //! analyzer invocations, confirmed detections, false alarms, migrations and
 //! accumulated profiling time (Figs. 8 and 12).
 //!
-//! On heterogeneous clusters the controller holds a [`SandboxFleet`] — one
-//! sandbox pool per machine model — and routes every analysis to the pool
-//! matching the victim's host, so isolation counters are never compared
-//! across machine models.  Profiling time is accounted both in total and
-//! per pool ([`DeepDive::profiling_seconds_by_pool`], the per-farm load of
-//! the Figs. 12–14 queueing picture), and analyses that had to fall back to
-//! a mismatched pool are counted in
-//! [`DeepDiveStats::sandbox_spec_fallbacks`].  Build the controller with
-//! [`DeepDive::for_cluster`] to derive the fleet from the cluster's actual
-//! machine models.
+//! One type, three files along the loop's seam: this one holds the state,
+//! its constructors and *detect* ([`DeepDive::process_epoch`], §4.1);
+//! `attribute.rs` the cooldown and deferral gates, sandbox routing and the
+//! analysis (§4.2); `mitigate.rs` placement, migration and its retries
+//! (§4.3).
 
 mod attribute;
 mod mitigate;
@@ -330,23 +325,6 @@ impl DeepDive {
     /// The running statistics.
     pub fn stats(&self) -> DeepDiveStats {
         self.stats
-    }
-
-    /// The sandbox fleet backing the analyzer.
-    pub fn sandbox_fleet(&self) -> &SandboxFleet {
-        &self.fleet
-    }
-
-    /// Profiling seconds consumed per sandbox pool, as `(machine model,
-    /// seconds)` in pool order.  The sum equals
-    /// [`DeepDiveStats::profiling_seconds`]; the split is what sizes each
-    /// per-model profiling farm in the Figs. 12–14 queueing picture.
-    pub fn profiling_seconds_by_pool(&self) -> impl Iterator<Item = (&str, f64)> + '_ {
-        self.fleet
-            .pools()
-            .iter()
-            .zip(&self.profiling_by_pool)
-            .map(|(pool, &seconds)| (pool.spec.name.as_str(), seconds))
     }
 
     /// The behaviour repository (read access for the evaluation).
