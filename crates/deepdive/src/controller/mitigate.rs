@@ -152,17 +152,29 @@ impl DeepDive {
         let pm = victim.pm_id;
         let epoch = victim.epoch;
         // Residents of the afflicted machine, from this epoch's reports.
+        // An earlier mitigation this epoch may already have moved one of
+        // them (bootstrap synchronises cooldowns, so co-located victims
+        // confirm together): the reports then describe a machine that no
+        // longer exists, and re-deciding from them would pick the departed
+        // aggressor again — or, with it filtered out, an innocent tenant.
+        let group = index.by_machine.group(pm);
+        if group
+            .iter()
+            .any(|&at| cluster.locate(reports[at as usize].vm_id) != Some(pm))
+        {
+            return vec![skipped(
+                victim.vm_id,
+                "machine membership changed since this epoch's reports",
+            )];
+        }
         // Reports carry no VM shape, so each resident's width is read from
-        // the cluster — wherever the VM lives now: an earlier mitigation
-        // this epoch may have moved it.
-        let residents: Vec<ResidentVm> = index
-            .by_machine
-            .group(pm)
+        // its host.
+        let host = cluster.machine(pm);
+        let residents: Vec<ResidentVm> = group
             .iter()
             .filter_map(|&at| {
                 let r = &reports[at as usize];
-                let host = cluster.machine(cluster.locate(r.vm_id)?)?;
-                let vcpus = host.vms().iter().find(|vm| vm.id == r.vm_id)?.vcpus;
+                let vcpus = host?.vms().iter().find(|vm| vm.id == r.vm_id)?.vcpus;
                 Some(ResidentVm {
                     vm_id: r.vm_id,
                     counters: r.counters,

@@ -781,6 +781,60 @@ mod tests {
     }
 
     #[test]
+    fn two_victims_confirmed_in_one_epoch_mitigate_their_machine_once() {
+        // Two tenants of different applications share PM 0 with one memory
+        // aggressor.  Bootstrap synchronised their cooldowns, so both
+        // confirm interference in the same epoch.  The first confirmation
+        // moves the aggressor; the second must not re-decide the machine
+        // from reports that still list the aggressor as resident.
+        let mut cluster = Cluster::homogeneous(3, MachineSpec::xeon_x5472(), Scheduler::default());
+        cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
+        cluster.place_on(PmId(0), serving_vm(2, 2)).unwrap();
+        let mut dd = controller(true, &cluster);
+        let engine = EpochEngine::serial(ClusterSeed::new(3));
+        run(&mut cluster, &mut dd, &engine, 50, 0.8);
+        cluster.place_on(PmId(0), aggressor_vm(99)).unwrap();
+
+        let mut double_confirmations = 0;
+        for _ in 0..40 {
+            let reports = engine.step(&mut cluster, |_| 0.8);
+            let mut location: HashMap<VmId, PmId> =
+                reports.iter().map(|r| (r.vm_id, r.pm_id)).collect();
+            let events = dd.process_epoch(&mut cluster, &reports);
+            let confirmed = events.iter().filter(|e| {
+                matches!(e, EpochEvent::Analyzed { result, .. } if result.interference_confirmed)
+            });
+            double_confirmations += usize::from(confirmed.count() == 2);
+            let mut moved = Vec::new();
+            for event in &events {
+                match event {
+                    EpochEvent::Migrated { vm, from, to, .. } => {
+                        assert_eq!(location[vm], *from, "moved from where it was not");
+                        assert!(!moved.contains(vm), "{vm:?} moved twice in one epoch");
+                        moved.push(*vm);
+                        location.insert(*vm, *to);
+                    }
+                    EpochEvent::MigrationSkipped { reason, .. } => {
+                        assert!(
+                            !reason.contains("is already on"),
+                            "asked to migrate a VM to where it is: {reason}"
+                        );
+                    }
+                    _ => {}
+                }
+            }
+        }
+        assert_eq!(
+            double_confirmations, 1,
+            "scenario must confirm both at once"
+        );
+        assert_eq!(dd.stats().migrations, 1);
+        assert_eq!(cluster.locate(VmId(99)), Some(PmId(1)));
+        assert_eq!(cluster.locate(VmId(1)), Some(PmId(0)));
+        assert_eq!(cluster.locate(VmId(2)), Some(PmId(0)));
+    }
+
+    #[test]
     fn failed_migrations_retry_with_backoff_until_the_budget_runs_out() {
         use cloudsim::faults::{FaultConfig, FaultPlane};
 
