@@ -80,7 +80,7 @@ impl DeepDive {
             .map_or((0, true), |host| self.fleet.select_index(host.spec()));
         let pool_down = self
             .fault_plane
-            .is_some_and(|plane| plane.is_enabled() && plane.sandbox_down(pool_idx, epoch));
+            .is_some_and(|plane| plane.sandbox_down(pool_idx, epoch));
         if pool_down {
             // The victim's pool is inside an outage window: wait for it
             // rather than replay against the wrong hardware — and once the

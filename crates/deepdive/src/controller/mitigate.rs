@@ -109,17 +109,16 @@ impl DeepDive {
     /// original included); waits double per attempt (1, 2, 4, … epochs).
     fn schedule_migration_retry(
         &mut self,
-        events: &mut Vec<EpochEvent>,
         vm: VmId,
         reason: &str,
         victim: &VmEpochReport,
         culprit: Resource,
         attempt: u32,
-    ) {
-        events.push(skipped(vm, reason));
+    ) -> Vec<EpochEvent> {
+        let failed = skipped(vm, reason);
         if attempt >= MIGRATION_RETRY_ATTEMPTS {
-            events.push(skipped(victim.vm_id, "migration retry budget exhausted"));
-            return;
+            let exhausted = skipped(victim.vm_id, "migration retry budget exhausted");
+            return vec![failed, exhausted];
         }
         self.stats.migration_retries += 1;
         self.pending_migrations.push(PendingMigration {
@@ -128,6 +127,7 @@ impl DeepDive {
             attempts: attempt + 1,
             next_epoch: victim.epoch + (1u64 << attempt.min(16)),
         });
+        vec![failed]
     }
 
     /// True while `pm` is inside the fault plane's crash window.
@@ -219,9 +219,7 @@ impl DeepDive {
         // move this cost out of the episode entirely).  Reports come from
         // machines in `cluster`, so the fallback to the fleet's first pool
         // model is belt-and-braces.
-        let host_spec = cluster
-            .machine(pm)
-            .map_or(&self.fleet.pools()[0].spec, |m| m.spec());
+        let host_spec = host.map_or(&self.fleet.pools()[0].spec, |m| m.spec());
         let benchmark = Self::benchmark_for(&mut self.synthetic, &self.config, host_spec);
 
         let decision = self
@@ -257,9 +255,7 @@ impl DeepDive {
                 Err(e) => return vec![skipped(moved, &e.to_string())],
             }
         };
-        let mut events = Vec::new();
-        self.schedule_migration_retry(&mut events, moved, retry_reason, victim, culprit, attempt);
-        events
+        self.schedule_migration_retry(moved, retry_reason, victim, culprit, attempt)
     }
 }
 
