@@ -127,8 +127,8 @@ impl Cluster {
     }
 
     /// Mutable access to every machine at once, for the epoch engine's
-    /// shard partitioning (crate-private: VM membership must change through
-    /// the cluster's methods so the VM-location index stays consistent).
+    /// machine loop (crate-private: VM membership must change through the
+    /// cluster's methods so the VM-location index stays consistent).
     pub(crate) fn machines_mut(&mut self) -> &mut [PhysicalMachine] {
         &mut self.machines
     }

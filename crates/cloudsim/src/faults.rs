@@ -11,10 +11,10 @@
 //! established for demand streams: every fault draw is derived by hashing
 //! `(fault seed, fault kind, entity id, epoch)` through SplitMix64
 //! finalizers, so a fault schedule is a pure function of identity and time —
-//! never of thread count, placement history or stepping order.  The same
-//! seed produces the same crashes on every platform, in every execution
-//! mode, which is what lets the chaos suite (`tests/fault_tolerance.rs`)
-//! pin Serial and Pooled runs bit-identical *under* injected faults.
+//! never of placement history or stepping order.  The same seed produces
+//! the same crashes on every platform, which is what lets the chaos suite
+//! (`tests/fault_tolerance.rs`) check a run's down and draining flags
+//! against the plane's pointwise answers *under* injected faults.
 //!
 //! ## Physical topology
 //!

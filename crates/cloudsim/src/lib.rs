@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 //! # cloudsim — virtualization substrate (the IaaS "cloud")
 //!
 //! The paper deploys DeepDive on a 10-server Xen testbed: VMs are pinned to
@@ -22,15 +23,10 @@
 //!   independent RNG stream per `(vm, epoch)`, making every VM's demand
 //!   sequence a pure function of its id, the epoch and the cluster seed —
 //!   independent of placement and stepping order.
-//! * [`pool`] — [`pool::WorkerPool`]: persistent worker threads with
-//!   per-worker queues and a barrier-style `scatter_map`, the execution
-//!   substrate behind pooled stepping; plus [`pool::split_balanced`], the
-//!   engine's shard partitioner.
 //! * [`engine`] — [`engine::EpochEngine`]: epoch stepping as a policy
-//!   object — [`engine::ExecutionMode::Serial`] (the reference every test
-//!   compares against) or [`engine::ExecutionMode::Pooled`] (persistent
-//!   [`pool::WorkerPool`]) — with bit-identical output in both modes and
-//!   one entry point: `step` advances an epoch and returns its reports.
+//!   object (seed and sparseness), walking the machines serially on the
+//!   calling thread, with one entry point: `step` advances an epoch and
+//!   returns its reports.
 //! * [`service`] — [`service::DatacenterService`]: the event-driven
 //!   datacenter front end — VM sessions arrive, run hot, go idle and
 //!   depart per a `traces` session stream, batched between epochs and fed
@@ -48,7 +44,7 @@
 //!   drains with graceful notice windows, transient migration failures,
 //!   sandbox pool outages) that is a pure function of `(fault seed, kind,
 //!   entity, epoch)` — same SplitMix64 discipline as [`rngs::ClusterSeed`],
-//!   so fault runs stay bit-identical across execution modes.
+//!   so a fault run is reproducible from its seeds alone.
 //! * [`audit`] — [`audit::check_cluster`]: the cluster invariant sweep (no
 //!   VM lost or doubly resident, id→index maps consistent, capacity
 //!   accounting exact) the chaos suite asserts after every epoch; plus
@@ -63,7 +59,6 @@ pub mod cluster;
 pub mod engine;
 pub mod faults;
 pub mod pm;
-pub mod pool;
 pub mod rngs;
 pub mod sandbox;
 pub mod scheduler;
@@ -71,10 +66,9 @@ pub mod service;
 pub mod vm;
 
 pub use cluster::Cluster;
-pub use engine::{EpochEngine, ExecutionMode};
+pub use engine::EpochEngine;
 pub use faults::{FaultConfig, FaultPlane, Topology};
 pub use pm::{PhysicalMachine, PmId, VmEpochReport};
-pub use pool::WorkerPool;
 pub use rngs::ClusterSeed;
 pub use sandbox::{Sandbox, SandboxFleet};
 pub use scheduler::{PlacementPolicy, Scheduler};

@@ -197,9 +197,8 @@ impl PhysicalMachine {
     /// removal can change the *slot* — and therefore the cache group via
     /// [`Scheduler::cache_group_for_slot`] — of the VM that backfills the
     /// hole.  That is still fully deterministic (a pure function of the
-    /// operation sequence, identical across execution modes and thread
-    /// counts), which is the property every equivalence proof in this crate
-    /// rests on; no caller depends on removal preserving the relative order
+    /// operation sequence), which is the property every equivalence proof
+    /// in this crate rests on; no caller depends on removal preserving the relative order
     /// of the surviving VMs.  The old order-preserving linear scan was fine
     /// for fixed fleets but the service mode's continuous arrive/depart/
     /// migrate churn puts this on the per-event path.
@@ -236,10 +235,8 @@ impl PhysicalMachine {
     /// trace-driven client intensity).  Each VM draws its demand from its
     /// own `(vm, epoch)` stream derived from `seed`, so the reports are a
     /// pure function of `(seed, epoch, loads, placement)` — independent of
-    /// how many other machines exist or the order they are stepped in, which
-    /// is what lets [`crate::engine::EpochEngine`] step machines on
-    /// concurrent shards.  Returns one report per hosted VM, in placement
-    /// order.
+    /// how many other machines exist or the order they are stepped in.
+    /// Returns one report per hosted VM, in placement order.
     pub fn step_epoch<F>(
         &mut self,
         epoch: u64,

@@ -4,18 +4,16 @@
 //! through every machine and VM: each demand draw consumed from the same
 //! shared stream, so a VM's inputs depended on *where it sat in the
 //! iteration order*.  Any placement change — a migration, a removal, even
-//! reordering machines — silently perturbed every later VM's stream, and
-//! machines could never step concurrently.
+//! reordering machines — silently perturbed every later VM's stream.
 //!
 //! [`ClusterSeed`] replaces that with counter-based derivation: an
 //! independent [`StdRng`] per `(vm, epoch)` pair, obtained by hashing the
 //! cluster seed, the VM id and the epoch index through SplitMix64-style
 //! finalizers.  A VM's demand sequence is therefore a pure function of its
 //! identity, the epoch and the cluster seed — independent of which machine
-//! hosts it, of what else is placed, and of the order (or thread) in which
-//! machines are stepped.  That property is what lets
-//! [`crate::engine::EpochEngine`] run shards on different threads and still
-//! produce output bit-identical to a serial sweep.
+//! hosts it, of what else is placed, and of the order in which machines are
+//! stepped.  That property is what lets a migration leave every other VM's
+//! stream untouched (`tests/engine_equivalence.rs`).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -27,9 +25,9 @@ use crate::vm::VmId;
 /// shim uses to expand seeds.
 ///
 /// Public because other crates derive their own counter-based streams from
-/// it (e.g. `deepdive`'s parallel synthetic-benchmark trainer hashes
+/// it (e.g. `deepdive`'s synthetic-benchmark trainer hashes
 /// `(training seed, sample index)` so every training sample gets an
-/// independent stream regardless of which thread resolves it).
+/// independent stream).
 pub const fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

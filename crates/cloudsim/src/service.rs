@@ -56,9 +56,9 @@
 //! ([`RETRY_ATTEMPT_LIMIT`] attempts, doubling waits capped at
 //! [`RETRY_BACKOFF_CAP_EPOCHS`] epochs) and either land when capacity frees
 //! or are counted as abandoned.  All fault handling runs serially between
-//! engine steps as a pure function of the epoch index, so runs stay
-//! bit-identical across Serial/Pooled execution — and a disabled
-//! plane (or none) changes nothing, byte for byte.
+//! engine steps as a pure function of the epoch index, so a run is
+//! reproducible from its seeds alone — and a disabled plane (or none)
+//! changes nothing, byte for byte.
 //!
 //! ## Drain protocol
 //!
@@ -445,8 +445,8 @@ impl DatacenterService {
         &self.engine
     }
 
-    /// Mutable engine access — switch execution mode or toggle sparse
-    /// stepping without rebuilding the service.
+    /// Mutable engine access — toggle sparse stepping without rebuilding
+    /// the service.
     pub fn engine_mut(&mut self) -> &mut EpochEngine {
         &mut self.engine
     }

@@ -106,8 +106,17 @@ impl DeepDive {
         record.deferred_until = None;
         let (counters, replay): (Vec<CounterSnapshot>, Vec<ResourceDemand>) =
             record.window.iter().cloned().unzip();
+        // The clone runs as wide as the VM.  Reports carry no VM shape, so
+        // the width is read from the cluster (where the VM is now: an
+        // earlier mitigation this epoch may have moved it); a VM the
+        // cluster no longer holds gets the default 2-vCPU shape.
+        let vcpus = cluster
+            .locate(vm)
+            .and_then(|pm| cluster.machine(pm))
+            .and_then(|host| host.vms().iter().find(|v| v.id == vm))
+            .map_or(2, |v| v.vcpus);
 
-        let result = self.run_analysis(report, pool_idx, matched, &counters, &replay);
+        let result = self.run_analysis(report, pool_idx, matched, vcpus, &counters, &replay);
         let cooldown = if result.interference_confirmed {
             self.config
                 .confirmed_cooldown
@@ -131,14 +140,16 @@ impl DeepDive {
         events
     }
 
-    /// Runs the interference analyzer for one VM in sandbox pool `pool_idx`
-    /// — `counters` in production against `replay` in isolation, the two
-    /// halves of the VM's window — and updates the repository.
+    /// Runs the interference analyzer for one `vcpus`-wide VM in sandbox
+    /// pool `pool_idx` — `counters` in production against `replay` in
+    /// isolation, the two halves of the VM's window — and updates the
+    /// repository.
     fn run_analysis(
         &mut self,
         report: &VmEpochReport,
         pool_idx: usize,
         matched: bool,
+        vcpus: usize,
         counters: &[CounterSnapshot],
         replay: &[ResourceDemand],
     ) -> AnalysisResult {
@@ -153,7 +164,7 @@ impl DeepDive {
             counters,
             replay,
             &self.fleet.pools()[pool_idx],
-            2,
+            vcpus,
         );
         self.stats.profiling_seconds += result.profiling_seconds;
         self.profiling_by_pool[pool_idx] += result.profiling_seconds;

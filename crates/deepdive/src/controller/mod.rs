@@ -976,6 +976,35 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_one_vcpu_tenant_is_replayed_at_its_own_width() {
+        // No neighbour, so nothing can interfere: the sandbox clone must run
+        // as wide as the tenant does in production, or the isolation run's
+        // extra vCPU reads as degradation.
+        let mut cluster = Cluster::homogeneous(1, MachineSpec::xeon_x5472(), Scheduler::default());
+        let narrow = cloudsim::Vm::with_shape(
+            VmId(1),
+            1,
+            2_048.0,
+            Box::new(DataServing::with_defaults(AppId(1))),
+            ClientEmulator::new(8_000.0, 4.0),
+        );
+        cluster.place_on(PmId(0), narrow).unwrap();
+        let mut dd = controller(false, &cluster);
+        let engine = EpochEngine::serial(ClusterSeed::new(2));
+        let events = run(&mut cluster, &mut dd, &engine, 60, 0.8);
+        let degradations: Vec<f64> = events
+            .iter()
+            .filter_map(|e| match e {
+                EpochEvent::Analyzed { result, .. } => Some(result.degradation),
+                _ => None,
+            })
+            .collect();
+        assert!(!degradations.is_empty(), "bootstrap must analyze");
+        assert!(degradations.iter().all(|&d| d < 0.05), "{degradations:?}");
+        assert_eq!(dd.stats().interference_confirmed, 0, "{:?}", dd.stats());
+    }
+
+    #[test]
     fn a_disabled_fault_plane_leaves_the_controller_unchanged() {
         use cloudsim::faults::{FaultConfig, FaultPlane};
 
@@ -1056,13 +1085,11 @@ mod tests {
     }
 
     #[test]
-    fn pooled_controller_run_is_bit_identical_to_serial() {
-        use cloudsim::ExecutionMode;
-
+    fn pretrained_and_lazily_trained_benchmarks_decide_identically() {
         // Three apps across three machines plus an aggressor, long enough to
         // cover bootstrap, multi-app refits, confirmed interference,
-        // benchmark training (lazy beside the serial engine, eager beside
-        // the pooled one) and migration — the full control plane.
+        // benchmark training (lazy in one run, eager `pretrain_benchmarks`
+        // in the other) and migration — the full control plane.
         let build = || {
             let mut cluster =
                 Cluster::homogeneous(4, MachineSpec::xeon_x5472(), Scheduler::default());
@@ -1077,23 +1104,21 @@ mod tests {
             cluster
         };
 
-        let serial_engine = EpochEngine::serial(ClusterSeed::new(5));
-        let mut serial_cluster = build();
-        let mut serial_dd = controller(true, &serial_cluster);
-        let serial_events = run(&mut serial_cluster, &mut serial_dd, &serial_engine, 50, 0.8);
+        let engine = EpochEngine::serial(ClusterSeed::new(5));
+        let mut lazy_cluster = build();
+        let mut lazy_dd = controller(true, &lazy_cluster);
+        let lazy_events = run(&mut lazy_cluster, &mut lazy_dd, &engine, 50, 0.8);
 
-        let pooled_engine =
-            EpochEngine::new(ClusterSeed::new(5), ExecutionMode::Pooled { threads: 3 });
-        let mut pooled_cluster = build();
-        let mut pooled_dd = controller(true, &pooled_cluster);
-        pooled_dd.pretrain_benchmarks(&pooled_cluster);
-        let pooled_events = run(&mut pooled_cluster, &mut pooled_dd, &pooled_engine, 50, 0.8);
+        let mut eager_cluster = build();
+        let mut eager_dd = controller(true, &eager_cluster);
+        eager_dd.pretrain_benchmarks(&eager_cluster);
+        let eager_events = run(&mut eager_cluster, &mut eager_dd, &engine, 50, 0.8);
 
-        assert_eq!(serial_events, pooled_events, "event streams diverged");
-        assert_eq!(serial_dd.stats(), pooled_dd.stats(), "stats diverged");
+        assert_eq!(lazy_events, eager_events, "event streams diverged");
+        assert_eq!(lazy_dd.stats(), eager_dd.stats(), "stats diverged");
         assert_eq!(
-            serial_cluster.locate(VmId(99)),
-            pooled_cluster.locate(VmId(99)),
+            lazy_cluster.locate(VmId(99)),
+            eager_cluster.locate(VmId(99)),
             "final placements diverged"
         );
     }

@@ -86,8 +86,7 @@
 //! // The sandbox fleet is derived from the cluster: one pool per machine
 //! // model present, so analyses never compare counters across models.
 //! let mut deepdive = DeepDive::for_cluster(DeepDiveConfig::default(), &cluster);
-//! // One seed determines every VM's demand stream; the engine can also run
-//! // `ExecutionMode::Pooled { threads }` with bit-identical results.
+//! // One seed determines every VM's demand stream.
 //! let engine = EpochEngine::serial(ClusterSeed::new(1));
 //!
 //! // Learn normal behaviour for a while...

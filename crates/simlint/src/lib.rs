@@ -3,8 +3,8 @@
 //! unsafety contracts
 //!
 //! The repository's north-star claim — interference detection that is
-//! **bit-identical** across `Serial`/`Pooled` execution — rests on
-//! runtime proptests (`engine_equivalence`, `warning_equivalence`).  Nothing
+//! **bit-identical** for a given seed, sparse or dense — rests on runtime
+//! proptests (`engine_equivalence`, `warning_equivalence`).  Nothing
 //! in `cargo test` stops the *next* PR from reintroducing a wall-clock read,
 //! a `HashMap`-iteration-order dependence, or an unaudited `unsafe` block.
 //! This crate is that missing gate: an offline, dependency-free static
@@ -75,10 +75,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
             path: crate_root_path(crate_name),
             line: 1,
             rule: "forbid-unsafe",
-            message: format!(
-                "crate `{crate_name}` must declare `#![forbid(unsafe_code)]` \
-                 (only cloudsim's audited pool.rs may use unsafe)"
-            ),
+            message: format!("crate `{crate_name}` must declare `#![forbid(unsafe_code)]`"),
         });
     }
 

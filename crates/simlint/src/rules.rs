@@ -6,7 +6,7 @@
 //! | `wall-clock`        | no `Instant::now`/`SystemTime` outside `crates/bench` |
 //! | `safety-comment`    | every `unsafe` keyword carries an adjacent `// SAFETY:` (or `# Safety` doc) comment |
 //! | `hashmap-iteration` | no iteration over `HashMap`/`HashSet` in simulation/control-plane crates without a `// simlint: order-independent` justification |
-//! | `forbid-unsafe`     | every functional crate except `cloudsim` declares `#![forbid(unsafe_code)]` |
+//! | `forbid-unsafe`     | every functional crate declares `#![forbid(unsafe_code)]` |
 //! | `unwrap-budget`     | `.unwrap()`/`.expect(` in non-test library code never exceeds the committed per-crate baseline, which may only shrink |
 //!
 //! Suppression grammar: a justification comment holds on the flagged line
@@ -56,11 +56,10 @@ const ORDER_SENSITIVE_CRATES: &[&str] = &[
 ];
 
 /// Crates that must declare `#![forbid(unsafe_code)]` at their root.
-/// `cloudsim` is exempt: its `pool.rs` worker pool is the one audited
-/// `unsafe` island in the workspace.
 pub const FORBID_UNSAFE_CRATES: &[&str] = &[
     "analytics",
     "bench",
+    "cloudsim",
     "deepdive",
     "hwsim",
     "queueing",
@@ -464,7 +463,7 @@ mod tests {
         let src = "fn t() { let t0 = std::time::Instant::now(); }\n";
         for path in [
             "crates/cloudsim/src/engine.rs",
-            "crates/cloudsim/src/pool.rs",
+            "crates/deepdive/src/controller/mod.rs",
         ] {
             assert_eq!(rules_at(path, src), ["wall-clock:1"]);
         }
@@ -480,7 +479,7 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_is_allowed_in_bench_and_pool() {
+    fn wall_clock_is_allowed_in_bench() {
         let src = "fn t() { let t0 = Instant::now(); }\n";
         assert!(rules_at("crates/bench/src/lib.rs", src).is_empty());
     }
@@ -497,7 +496,7 @@ mod tests {
     fn unsafe_without_safety_comment_fires() {
         let src = "fn f() {\n    unsafe { do_it() };\n}\n";
         assert_eq!(
-            rules_at("crates/cloudsim/src/pool.rs", src),
+            rules_at("crates/cloudsim/src/pm.rs", src),
             ["safety-comment:2"]
         );
     }
@@ -506,7 +505,7 @@ mod tests {
     fn unsafe_with_adjacent_safety_comment_is_clean() {
         let src =
             "fn f() {\n    // SAFETY: the pointer outlives the call.\n    unsafe { do_it() };\n}\n";
-        assert!(rules_at("crates/cloudsim/src/pool.rs", src).is_empty());
+        assert!(rules_at("crates/cloudsim/src/pm.rs", src).is_empty());
     }
 
     #[test]
@@ -514,19 +513,19 @@ mod tests {
         // The comment sits above the statement *start*, the `unsafe` is on a
         // later line of the same statement.
         let src = "fn f() {\n    // SAFETY: closure outlives the scope.\n    let t: Task =\n        unsafe { std::mem::transmute(boxed) };\n}\n";
-        assert!(rules_at("crates/cloudsim/src/pool.rs", src).is_empty());
+        assert!(rules_at("crates/cloudsim/src/pm.rs", src).is_empty());
     }
 
     #[test]
     fn doc_safety_section_satisfies_unsafe_fn() {
         let src = "/// Writes the slot.\n///\n/// # Safety\n/// Caller must hold the token.\nunsafe fn write(p: *mut u8) {}\n";
-        assert!(rules_at("crates/cloudsim/src/pool.rs", src).is_empty());
+        assert!(rules_at("crates/cloudsim/src/pm.rs", src).is_empty());
     }
 
     #[test]
     fn unsafe_in_string_or_comment_does_not_fire() {
         let src = "// unsafe is a keyword\nlet s = \"unsafe { }\";\n";
-        assert!(rules_at("crates/cloudsim/src/pool.rs", src).is_empty());
+        assert!(rules_at("crates/cloudsim/src/pm.rs", src).is_empty());
     }
 
     // ---- hashmap-iteration ---------------------------------------------

@@ -73,13 +73,14 @@ fn matching_budget_is_clean_and_test_code_is_free() {
 fn missing_forbid_attribute_is_reported_per_crate() {
     let root = mini_workspace("forbid_missing");
     write_file(&root, "crates/simlint/unwrap_budget.txt", "");
-    // hwsim declares the attribute, queueing does not.
+    // hwsim declares the attribute, queueing and cloudsim do not.
     write_file(
         &root,
         "crates/hwsim/src/lib.rs",
         "#![forbid(unsafe_code)]\npub fn f() {}\n",
     );
     write_file(&root, "crates/queueing/src/lib.rs", "pub fn g() {}\n");
+    write_file(&root, "crates/cloudsim/src/lib.rs", "pub fn h() {}\n");
 
     let findings = simlint::lint_workspace(&root).unwrap();
     let forbid = rules_of(&findings, "forbid-unsafe");
@@ -87,8 +88,10 @@ fn missing_forbid_attribute_is_reported_per_crate() {
         .iter()
         .any(|f| f.path == "crates/queueing/src/lib.rs" && f.message.contains("`queueing`")));
     assert!(!forbid.iter().any(|f| f.message.contains("`hwsim`")));
-    // cloudsim is the audited-unsafe island and must never be required.
-    assert!(!forbid.iter().any(|f| f.message.contains("`cloudsim` must")));
+    // No crate is exempt: cloudsim is held to the attribute too.
+    assert!(forbid
+        .iter()
+        .any(|f| f.path == "crates/cloudsim/src/lib.rs" && f.message.contains("`cloudsim` must")));
 }
 
 #[test]

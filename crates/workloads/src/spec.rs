@@ -39,7 +39,7 @@ pub enum WorkloadKind {
 }
 
 /// A per-epoch demand generator for one VM.
-pub trait Workload: Send {
+pub trait Workload {
     /// Human-readable name.
     fn name(&self) -> &str;
 

@@ -11,12 +11,12 @@
 //! analysis to the pool matching the victim's host, so both targets are
 //! analyzed without cross-model counter bias; the run ends with a report of
 //! detections, false alarms, migrations and the per-pool profiling
-//! overhead.  Epochs are stepped by an `EpochEngine` pooled over every
-//! available core (serial and pooled runs print identical numbers).
+//! overhead.  Epochs are stepped by a seeded `EpochEngine`, so every run
+//! prints identical numbers.
 //!
 //! Run with: `cargo run --release --example datacenter_interference`
 
-use cloudsim::{Cluster, ClusterSeed, EpochEngine, ExecutionMode, PmId, Scheduler, Vm, VmId};
+use cloudsim::{Cluster, ClusterSeed, EpochEngine, PmId, Scheduler, Vm, VmId};
 use deepdive::controller::{DeepDive, DeepDiveConfig, EpochEvent};
 use hwsim::MachineSpec;
 use traces::{InterferenceSchedule, LoadTrace};
@@ -109,9 +109,8 @@ fn main() {
             .collect::<Vec<_>>()
             .join(", ")
     );
-    // One lane per available core; results are bit-identical across serial
-    // and any lane count.
-    let engine = EpochEngine::new(ClusterSeed::new(3), ExecutionMode::available_parallelism());
+    // One cluster seed drives every VM's demand stream.
+    let engine = EpochEngine::serial(ClusterSeed::new(3));
 
     let mut aggressor_placed = false;
     let mut episodes_seen = 0usize;

@@ -32,8 +32,8 @@ fn main() {
     // the same constructor adds a pool per model and routes each analysis
     // to the pool matching the victim's host.
     let mut deepdive = DeepDive::for_cluster(DeepDiveConfig::default(), &cluster);
-    // One cluster seed drives every VM's demand stream; serial stepping is
-    // plenty for two machines (Pooled mode would be bit-identical anyway).
+    // One cluster seed drives every VM's demand stream; the engine steps
+    // the machines in index order on the calling thread.
     let engine = EpochEngine::serial(ClusterSeed::new(42));
 
     println!("== phase 1: learning normal behaviour (no interference) ==");

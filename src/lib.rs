@@ -57,8 +57,7 @@
 //! # The epoch-stepping hot path
 //!
 //! Everything the simulation does funnels through resolving one epoch of
-//! hardware contention per machine, so that pipeline is built for reuse and
-//! for parallelism:
+//! hardware contention per machine, so that pipeline is built for reuse:
 //!
 //! * **Allocation-free resolution** — `hwsim::EpochResolver` is a stateful
 //!   object (one per machine model) owning every scratch buffer resolution
@@ -81,27 +80,15 @@
 //!   neighbours, or the order machines are stepped in. A mid-run migration
 //!   cannot perturb any other VM's stream (pinned by
 //!   `tests/engine_equivalence.rs`).
-//! * **The parallel epoch engine** — `cloudsim::engine::EpochEngine` steps
-//!   a cluster under `ExecutionMode::Serial` (one thread; the reference
-//!   every other configuration is compared against) or
-//!   `ExecutionMode::Pooled { threads }`: a persistent
-//!   `cloudsim::WorkerPool` with per-worker queues and an epoch-barrier
-//!   scatter, stepping balanced contiguous machine shards
-//!   (`pool::split_balanced` — exactly `threads` shards whenever enough
-//!   machines exist) and merging reports in machine-index order, output
-//!   **bit-identical** across both modes (a proptest pins Serial vs
-//!   Pooled at several thread counts). The pool joins its workers on
-//!   drop, and a panicking shard reaches the barrier first, then re-raises
-//!   the original payload without poisoning the workers
-//!   (`tests/pool_lifecycle.rs`). One entry point: `EpochEngine::step`
+//! * **The serial epoch engine** — `cloudsim::engine::EpochEngine` steps a
+//!   cluster's machines in index order on the calling thread; the library
+//!   spawns no threads and holds no `unsafe` code (every functional crate
+//!   declares `#![forbid(unsafe_code)]`). One entry point: `EpochEngine::step`
 //!   advances one epoch and returns its reports — DeepDive reads every
-//!   VM's counters every epoch, so nothing steps without them. Dense stepping
-//!   (`set_sparse(false)`) stays as the reference the sparse path is
-//!   pinned bit-identical to.  Callers name the mode in code
-//!   (`ExecutionMode::available_parallelism()` for "every core"); no
-//!   environment variable selects it.  `e2e_bench` times the serial
-//!   engine only — pooled scaling is unmeasured until a benchmark
-//!   workload is added for it.
+//!   VM's counters every epoch, so nothing steps without them. Dense
+//!   stepping (`set_sparse(false)`) stays as the reference the sparse path
+//!   is pinned bit-identical to. A pooled engine was measured and removed:
+//!   on the closed loop it gained less than 1.15× on a 2-core host.
 //! * **O(1) bookkeeping** — `cloudsim::Cluster` keeps id→index maps so VM
 //!   location and machine lookups are O(1) per migration instead of scans.
 //! * **Incremental control plane** — the warning path (every VM, every
@@ -120,8 +107,8 @@
 //!   nothing.  Measured by `e2e_bench`'s
 //!   `deepdive.warning.quiet_ns_per_eval` and `deepdive.controller.*`
 //!   on the `managed_hotmail` and `interference_episodes` workloads.
-//!   The control plane is single-threaded — parallelism lives in the
-//!   epoch engine only: synthetic-benchmark training
+//!   The control plane is single-threaded like the engine:
+//!   synthetic-benchmark training
 //!   (`SyntheticBenchmark::train`, eager through
 //!   `DeepDive::pretrain_benchmarks` or lazy on a model's first
 //!   mitigation) is one serial loop over per-sample SplitMix64 streams,
@@ -166,9 +153,8 @@
 //!   and replays them byte-for-byte until membership, offered loads, or
 //!   placement generation change (`EpochEngine::set_sparse`, default on;
 //!   dense mode remains as the reference the sparse path is compared
-//!   against).  The sparse path is pinned bit-identical to dense serial
-//!   stepping across both execution modes under randomized
-//!   arrival/departure/migration churn (`tests/engine_equivalence.rs`).
+//!   against).  The sparse path is pinned bit-identical to dense
+//!   stepping under randomized arrival/departure/migration churn (`tests/engine_equivalence.rs`).
 //!   The per-epoch sparse step is measured by `e2e_bench`'s
 //!   `engine_quiescent` workload (10k machines, 10% active) and the
 //!   service loop by `service_churn_ec2`.
@@ -183,8 +169,8 @@
 //! * **The fault plane** — `cloudsim::FaultPlane` is a stateless, `Copy`
 //!   schedule: every draw is a SplitMix64 hash of `(fault seed, fault
 //!   kind, entity id, epoch)`, so whether machine *m* crashes at epoch *e*
-//!   is a pure function of the seed — independent of execution mode,
-//!   thread count, query order, or how often the question is asked.
+//!   is a pure function of the seed — independent of query order or how
+//!   often the question is asked.
 //!   `cloudsim::FaultConfig` sets the rates: machine crash probability and
 //!   repair windows, transient migration-failure probability, and
 //!   sandbox-pool outage probability and durations.  A plane with all
@@ -263,20 +249,13 @@
 //!   contention monotonicity, queueing monotonicity),
 //! * `tests/persistence.rs` — repository JSON round-trip and the §5.5
 //!   "≈5 KB per VM per day" footprint bound,
-//! * `tests/engine_equivalence.rs` — proptest: serial and pooled stepping
-//!   bit-identical over arbitrary placements/loads/epochs (including thread counts that exceed or do
-//!   not divide the machine count), sparse stepping bit-identical to dense under randomized
-//!   arrival/departure/migration churn in every mode, and migrations
-//!   never perturb other VMs' demand streams,
-//! * `tests/pool_lifecycle.rs` — worker-pool guarantees: drop joins every
-//!   worker (no leaked threads across repeated construction), degenerate
-//!   clusters step on the calling thread, and a panicking shard
-//!   propagates its original payload after the barrier without advancing the epoch or poisoning the pool,
+//! * `tests/engine_equivalence.rs` — proptest: sparse stepping
+//!   bit-identical to dense under randomized arrival/departure/migration
+//!   churn, and migrations never perturb other VMs' demand streams,
 //! * `tests/fault_tolerance.rs` — the chaos suite: randomized fault +
 //!   churn schedules (including random topologies, correlated rack/domain
-//!   outages and maintenance drains) through every execution mode with
-//!   the invariant audit green after every epoch, Serial/Pooled
-//!   bit-identical under chaos, a disabled plane reproducing the
+//!   outages and maintenance drains) with the invariant audit and the
+//!   fault-flag check green after every epoch, a disabled plane reproducing the
 //!   fault-free trajectory byte for byte, and deterministic hostile
 //!   schedules exercising every fault path (crashes, repairs,
 //!   evacuations, retries, correlated outages, drain migrations),
@@ -292,17 +271,15 @@
 //! * `crates/bench/tests/figures_smoke.rs` — every figure entry point runs
 //!   under plain `cargo test`, not only under `cargo bench`.
 //!
-//! CI runs the suite once (the pooled engine needs no lane of its own:
-//! its tests construct `ExecutionMode::Pooled` explicitly), with the
+//! CI runs the suite once, with the
 //! fault-tolerance chaos suite also called out as a named step, and then
 //! runs all five `e2e_bench` workloads at `--quick` size under their
 //! digest, failed-epoch and audit checks.
 //!
 //! Everything is seeded: a `cloudsim::ClusterSeed` determines every VM's
 //! demand stream per `(vm, epoch)`, so the same seed gives the same
-//! counters and decisions on every platform, at every thread count, under
-//! any placement history. No test depends on wall-clock time or thread
-//! order.
+//! counters and decisions on every platform, under any placement history.
+//! No test depends on wall-clock time.
 //!
 //! # Static analysis: the determinism and unsafety contracts
 //!
@@ -313,9 +290,8 @@
 //! `HashMap` in a doc comment never trips a rule) and enforces:
 //!
 //! * **`wall-clock`** — no `Instant::now`/`SystemTime` outside
-//!   `crates/bench` and the worker pool's park-timeout path
-//!   (`crates/cloudsim/src/pool.rs`).  Simulated time comes from epochs,
-//!   never the host clock.
+//!   `crates/bench`.  Simulated time comes from epochs, never the host
+//!   clock.
 //! * **`safety-comment`** — every `unsafe` carries a `// SAFETY:` comment
 //!   (or `# Safety` doc section) adjacent to its statement.
 //! * **`hashmap-iteration`** — no iteration over `HashMap`/`HashSet`
@@ -324,9 +300,8 @@
 //!   directly above it — carries a `// simlint: order-independent`
 //!   comment stating why hash order cannot reach an observable output.
 //!   Iterate a `BTreeMap`, or collect-and-sort, instead.
-//! * **`forbid-unsafe`** — every functional crate except `cloudsim` (the
-//!   one audited unsafe island, `pool.rs`) declares
-//!   `#![forbid(unsafe_code)]` at its crate root.
+//! * **`forbid-unsafe`** — every functional crate declares
+//!   `#![forbid(unsafe_code)]` at its crate root; none is exempt.
 //! * **`unwrap-budget`** — `.unwrap()`/`.expect(` counts in non-test
 //!   library code ratchet against `crates/simlint/unwrap_budget.txt`.
 //!   Over budget fails; *under* budget also fails until the baseline is

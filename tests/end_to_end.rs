@@ -2,7 +2,7 @@
 //! the public API, from counter collection to detection, attribution and
 //! migration.
 
-use cloudsim::{Cluster, ClusterSeed, EpochEngine, ExecutionMode, PmId, Scheduler, Vm, VmId};
+use cloudsim::{Cluster, ClusterSeed, EpochEngine, PmId, Scheduler, Vm, VmId};
 use deepdive::controller::{DeepDive, DeepDiveConfig, EpochEvent};
 use deepdive::cpi_stack::Resource;
 use hwsim::MachineSpec;
@@ -231,7 +231,7 @@ fn heterogeneous_fleet_detects_and_migrates_across_machine_models() {
     // The fleet is derived from the cluster: one pool per machine model.
     let mut deepdive = DeepDive::for_cluster(DeepDiveConfig::default(), &cluster);
     assert_eq!(deepdive.sandbox_fleet().pools().len(), 2);
-    let engine = EpochEngine::new(ClusterSeed::new(6), ExecutionMode::Pooled { threads: 2 });
+    let engine = EpochEngine::serial(ClusterSeed::new(6));
     run_epochs(&mut cluster, &mut deepdive, &engine, 50, 0.8);
 
     // A cache/bus aggressor lands next to the i7-hosted victim.

@@ -1,13 +1,11 @@
-//! Execution-mode equivalence and stream-independence guarantees of the
-//! epoch engine.
+//! Sparse ≡ dense and stream-independence guarantees of the epoch engine.
 //!
-//! Two properties the parallel engine is built on:
+//! Two properties the engine is built on:
 //!
-//! 1. **Mode equivalence** — `Serial` (the reference) and `Pooled`
-//!    (persistent worker pool) produce bit-identical `VmEpochReport`
-//!    sequences over arbitrary placements, loads and epoch counts —
-//!    including thread counts that exceed or do not divide the machine
-//!    count (the thread count is a throughput knob, never a results knob).
+//! 1. **Sparse ≡ dense** — replaying a quiescent machine's cached reports
+//!    produces the same `VmEpochReport` sequence as resolving it, under
+//!    arrival, departure and migration churn (sparseness is a throughput
+//!    knob, never a results knob).
 //! 2. **Stream independence** — a mid-run migration does not change any
 //!    VM's subsequent demand stream, because streams are derived per
 //!    `(vm, epoch)` from the cluster seed rather than threaded through a
@@ -15,9 +13,7 @@
 //!    before the engine refactor: with one shared `StdRng`, any placement
 //!    change perturbed every later draw.
 
-use cloudsim::{
-    Cluster, ClusterSeed, EpochEngine, ExecutionMode, PmId, Scheduler, Vm, VmEpochReport, VmId,
-};
+use cloudsim::{Cluster, ClusterSeed, EpochEngine, PmId, Scheduler, Vm, VmEpochReport, VmId};
 use hwsim::MachineSpec;
 use proptest::prelude::*;
 use workloads::{
@@ -83,53 +79,6 @@ fn build_cluster(machines: usize, vms: usize, stride: usize) -> Cluster {
     cluster
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn serial_and_sharded_runs_are_bit_identical(
-        machines in 1usize..7,
-        vms in 1usize..20,
-        stride in 1usize..5,
-        epochs in 1usize..7,
-        seed in 0u64..1_000,
-        base_load in 0.05f64..0.95,
-    ) {
-        let modes = [
-            ExecutionMode::Serial,
-            ExecutionMode::Pooled { threads: 2 },
-            ExecutionMode::Pooled { threads: 3 },
-            ExecutionMode::Pooled { threads: 8 },
-        ];
-        // Per-VM loads, so shards cannot get away with evaluating the
-        // closure for the wrong VM; in the low-`base_load` half of the cases
-        // even-id VMs idle, so every mode also replays quiescent machines.
-        let load = |v: VmId| {
-            if v.0.is_multiple_of(2) && base_load < 0.5 {
-                0.0
-            } else {
-                (base_load + 0.07 * (v.0 % 8) as f64).min(1.0)
-            }
-        };
-        let mut runs: Vec<Vec<VmEpochReport>> = Vec::new();
-        for mode in modes {
-            let mut cluster = build_cluster(machines, vms, stride);
-            let engine = EpochEngine::new(ClusterSeed::new(seed), mode);
-            let mut stepped = Vec::new();
-            for _ in 0..epochs {
-                stepped.extend(engine.step(&mut cluster, load));
-            }
-            prop_assert_eq!(cluster.epoch(), epochs as u64);
-            runs.push(stepped);
-        }
-        let serial = &runs[0];
-        prop_assert!(!serial.is_empty());
-        for (mode, run) in modes.iter().zip(&runs).skip(1) {
-            prop_assert_eq!(serial, run, "{:?} diverged from Serial", mode);
-        }
-    }
-}
-
 /// One lifecycle event per epoch, interpreted deterministically against the
 /// current resident set so every cluster in a case sees the same sequence.
 #[derive(Debug, Clone, Copy)]
@@ -159,9 +108,9 @@ proptest! {
 
     /// The sparse engine's quiescent caching must be invisible under live
     /// churn: arrivals, departures and migrations invalidate exactly the
-    /// machines they touch, and every execution mode replays or resolves
-    /// its way to the same bytes the dense serial sweep produces — per-epoch
-    /// reports and final cluster state alike.
+    /// machines they touch, and the sparse engine replays or resolves its
+    /// way to the same bytes the dense sweep produces — per-epoch reports
+    /// and final cluster state alike.
     #[test]
     fn sparse_and_dense_agree_under_churn(
         machines in 2usize..6,
@@ -171,14 +120,6 @@ proptest! {
         base_load in 0.05f64..0.95,
         ops in proptest::collection::vec(churn_op(), 1..24),
     ) {
-        // (engine-sparseness, mode) configurations; index 0 is the dense
-        // serial reference everything else must match bit for bit.
-        let configs = [
-            (false, ExecutionMode::Serial),
-            (true, ExecutionMode::Serial),
-            (true, ExecutionMode::Pooled { threads: 2 }),
-            (true, ExecutionMode::Pooled { threads: 3 }),
-        ];
         // Loads alternate between idle and busy in 3-epoch stretches per
         // VM, so quiescent stretches genuinely occur (and end) mid-run.
         let load = |epoch: u64, v: VmId| {
@@ -188,16 +129,18 @@ proptest! {
                 base_load
             }
         };
-        // Per-config outcome: (reports per epoch, final placement, quiescent steps).
+        // Per-run outcome: (reports per epoch, final placement, quiescent
+        // steps); run 0 is the dense reference the sparse run 1 must match
+        // bit for bit.
         type ChurnRun = (Vec<Vec<VmEpochReport>>, Vec<(VmId, PmId)>, u64);
         let mut runs: Vec<ChurnRun> = Vec::new();
-        for (sparse, mode) in configs {
+        for sparse in [false, true] {
             let mut cluster = build_cluster(machines, initial_vms, stride);
-            let mut engine = EpochEngine::new(ClusterSeed::new(seed), mode);
+            let mut engine = EpochEngine::serial(ClusterSeed::new(seed));
             engine.set_sparse(sparse);
             // The resident list drives op interpretation; it is a pure
-            // function of the op sequence, so every config tracks the
-            // same membership.
+            // function of the op sequence, so both runs track the same
+            // membership.
             let mut resident: Vec<VmId> =
                 cluster.machines().iter().flat_map(|m| m.vms().iter().map(|v| v.id)).collect();
             resident.sort_unstable();
@@ -235,13 +178,9 @@ proptest! {
         }
         let (dense_reports, dense_placement, dense_quiescent) = &runs[0];
         prop_assert_eq!(*dense_quiescent, 0u64, "dense mode must never use the cache");
-        for ((reports, placement, _), (sparse, mode)) in runs.iter().zip(configs).skip(1) {
-            prop_assert_eq!(
-                dense_reports, reports,
-                "sparse={} {:?} diverged from the dense serial sweep", sparse, mode
-            );
-            prop_assert_eq!(dense_placement, placement);
-        }
+        let (sparse_reports, sparse_placement, _) = &runs[1];
+        prop_assert_eq!(dense_reports, sparse_reports, "sparse diverged from the dense sweep");
+        prop_assert_eq!(dense_placement, sparse_placement);
     }
 }
 

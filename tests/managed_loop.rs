@@ -10,8 +10,6 @@
 //! controller's unit tests and the `interference_episodes` benchmark):
 //!
 //! * the service's invariant audit stays clean after every epoch;
-//! * Serial and Pooled stepping agree on every controller event, both
-//!   stats structs and the final placement;
 //! * the run's counters equal the values recorded before the controller's
 //!   epoch index replaced its hash-map scratch (a speed-only change);
 //! * the controller holds per-VM state for no more VMs than are still in
@@ -19,7 +17,6 @@
 
 use cloudsim::faults::{FaultConfig, FaultPlane};
 use cloudsim::service::{DatacenterService, ServiceConfig, ServiceStats};
-use cloudsim::{ExecutionMode, PmId, VmId};
 use deepdive::controller::{DeepDiveConfig, DeepDiveStats, EpochEvent};
 use deepdive::ManagedDatacenter;
 use traces::VmSession;
@@ -46,14 +43,12 @@ struct Outcome {
     events: Vec<EpochEvent>,
     service: ServiceStats,
     controller: DeepDiveStats,
-    placement: Vec<(PmId, Vec<VmId>)>,
     tracked_vms: usize,
     in_system: usize,
 }
 
-fn run(mode: ExecutionMode) -> Outcome {
-    let mut service = DatacenterService::new(ServiceConfig::xeon_fleet(MACHINES, 7), sessions());
-    service.engine_mut().set_mode(mode);
+fn run() -> Outcome {
+    let service = DatacenterService::new(ServiceConfig::xeon_fleet(MACHINES, 7), sessions());
     let mut dc = ManagedDatacenter::new(service, DeepDiveConfig::default());
     dc.set_fault_plane(FaultPlane::new(1, FaultConfig::light()));
     let mut events = Vec::new();
@@ -72,43 +67,27 @@ fn run(mode: ExecutionMode) -> Outcome {
         events,
         service: dc.service_stats(),
         controller: dc.controller_stats(),
-        placement: cluster
-            .machines()
-            .iter()
-            .map(|m| (m.id, m.vms().iter().map(|vm| vm.id).collect()))
-            .collect(),
         tracked_vms: dc.controller().tracked_vms(),
         in_system: cluster.vm_count() + dc.service().parked(),
     }
 }
 
 #[test]
-fn the_managed_loop_survives_faults_identically_in_every_mode_and_forgets_the_departed() {
-    let serial = run(ExecutionMode::Serial);
-    let pooled = run(ExecutionMode::Pooled { threads: 3 });
-    assert_eq!(serial.events, pooled.events, "event streams diverged");
-    assert_eq!(serial.service, pooled.service, "service stats diverged");
-    assert_eq!(
-        serial.controller, pooled.controller,
-        "controller stats diverged"
-    );
-    assert_eq!(
-        serial.placement, pooled.placement,
-        "final placements diverged"
-    );
+fn the_managed_loop_survives_faults_reproducibly_and_forgets_the_departed() {
+    let outcome = run();
 
     // Recorded at commit 1e5d306 (per-VM hash-map scratch, eager peer
     // copies, per-machine report scans): this run is a speed-only change.
-    assert_eq!(serial.events.len(), GOLDEN_EVENTS);
-    assert_eq!(serial.controller, golden_controller_stats());
-    assert_eq!(serial.service, golden_service_stats());
+    assert_eq!(outcome.events.len(), GOLDEN_EVENTS);
+    assert_eq!(outcome.controller, golden_controller_stats());
+    assert_eq!(outcome.service, golden_service_stats());
 
     // Leak guard: state only for VMs still resident or parked.
     assert!(
-        serial.tracked_vms <= serial.in_system,
+        outcome.tracked_vms <= outcome.in_system,
         "controller tracks {} VMs, {} are in the system",
-        serial.tracked_vms,
-        serial.in_system
+        outcome.tracked_vms,
+        outcome.in_system
     );
 }
 
