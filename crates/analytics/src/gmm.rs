@@ -402,6 +402,131 @@ mod tests {
         }
     }
 
+    /// A deterministic value in `[0, 1)` for `state` (SplitMix64 finalizer).
+    fn unit(state: u64) -> f64 {
+        let mut z = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) as f64 / 2f64.powi(64)
+    }
+
+    /// `n` ten-dimensional points around three centres.  Point `i` depends
+    /// only on `(salt, i)`, so a longer set extends a shorter one.  The last
+    /// dimension is the same for every point: its variance sits on
+    /// [`VARIANCE_FLOOR`].
+    fn ten_dim(n: usize, salt: u64) -> Vec<Vec<f64>> {
+        (0..n)
+            .map(|i| {
+                let centre = (i % 3) as f64 * 0.25;
+                (0..10)
+                    .map(|d| match d {
+                        9 => 0.25,
+                        _ => centre + d as f64 * 0.1 + unit((salt << 32) | (i * 10 + d) as u64),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// `log_likelihood`, then every component's weight, means and
+    /// variances, as IEEE bit patterns.
+    fn bits(model: &GaussianMixture) -> Vec<u64> {
+        let mut out = vec![model.log_likelihood.to_bits()];
+        for c in &model.components {
+            out.push(c.weight.to_bits());
+            out.extend(c.mean.iter().chain(&c.variance).map(|v| v.to_bits()));
+        }
+        out
+    }
+
+    #[test]
+    fn em_fits_match_bits_recorded_at_the_parent() {
+        // A cold fit on 8 points, a cold fit on 200, and a warm refit on 512
+        // (the repository's capacity) that extends the 200 and adds a
+        // far-away component whose responsibilities all underflow to zero.
+        let small = GaussianMixture::fit(&ten_dim(8, 1), 2, 100, 3);
+        let medium = GaussianMixture::fit(&ten_dim(200, 2), 3, 100, 7);
+        let mut warm_start = medium.components.clone();
+        warm_start.push(Component {
+            weight: 0.1,
+            mean: vec![1.0e3; 10],
+            variance: vec![1.0; 10],
+        });
+        let full = GaussianMixture::fit_warm(&ten_dim(512, 2), &warm_start, 10);
+        assert_eq!(
+            full.components[3].mean, warm_start[3].mean,
+            "the far-away component collapses and keeps its mean"
+        );
+        // Recorded from the kernel that evaluated `ln(2π·var)` and
+        // `ln(weight)` afresh for every point; `run_em` must reproduce
+        // every bit.
+        #[rustfmt::skip]
+        const SMALL: [u64; 43] = [
+            0x4016c62da0bc0474, 0x3fd7ffb0c733db65, 0x3fe6aa2332cd65b2, 0x3fd259356146133a,
+            0x3fe68f8c46b76f6a, 0x3fef22a6fccf663c, 0x3fefc438c0348972, 0x3fee97af89b543b2,
+            0x3ff1040f006b772b, 0x3ff5022bb2333597, 0x3ff2f3ea39cd9379, 0x3fd0000000000000,
+            0x3f815b5155ac7f49, 0x3f920406345f2e6d, 0x3f93db537e5c26e0, 0x3fa5ac9a34093b31,
+            0x3fad04698a2d834b, 0x3fa690c2330983e0, 0x3fbbd2f269e9f286, 0x3fbeb0a316059a09,
+            0x3f80df2fb50f4145, 0x3eb0c6f7a0b5ed8d, 0x3fe400279c66124e, 0x3fea2e2b42556a9b,
+            0x3fedd60944f88aa5, 0x3ff2f31b7c127351, 0x3ff12a41f17cd636, 0x3ff2eb8dc746a9f9,
+            0x3ff2a61e81dfa99d, 0x3ff6fd578a38b8b1, 0x3ff87aaa66464743, 0x3ffb1b63599ca237,
+            0x3fd0000000000000, 0x3fc45de444c7ce5f, 0x3fc782dc144e19ca, 0x3fafb872239b2984,
+            0x3fad88ba98892bd2, 0x3fba7c3329a8e80e, 0x3fa3c5e051ddda87, 0x3fb3092ca644d466,
+            0x3fb2e627adfc42f6, 0x3f9e7d61dbfd2272, 0x3eb0c6f7a0b5ed8d,
+        ];
+        #[rustfmt::skip]
+        const MEDIUM: [u64; 64] = [
+            0x400cffca904c1fbc, 0x3fd40264ff93ac81, 0x3ff1460731dd946a, 0x3ff109a8adaeed19,
+            0x3ff4e338ee82ffb1, 0x3ff42e624c557022, 0x3ff71019b3738982, 0x3ff851a7b24d8281,
+            0x3ff9c136e19b2e44, 0x3ffa7aca00e1ebdb, 0x3ffcfa715fc8d2e9, 0x3fd0000000000000,
+            0x3fb4024ed26441a9, 0x3fb87266ebf4d921, 0x3fad2b45ca895bae, 0x3fbc6b578df1d8bd,
+            0x3fb3584e7ab6fcf3, 0x3fb694a07ec0bb1e, 0x3fb9e4c25d06131b, 0x3fb9d72bd99dcf0a,
+            0x3faefef1fc809bd4, 0x3eb0c6f7a0b5ed8d, 0x3fdec1f9e3957024, 0x3fe257abeb137fd8,
+            0x3fe44b2444b6be20, 0x3fe8706e8977114a, 0x3febfce2f614a6b8, 0x3fefd5bd31adb640,
+            0x3ff05faab52caf42, 0x3ff2681ae84190e3, 0x3ff35e98bd43c994, 0x3ff57a25bfe5017f,
+            0x3fd0000000000000, 0x3fb5d3e58672ff67, 0x3fb6a22b44545ccc, 0x3fb9bfee67d64f42,
+            0x3fb8dc0c336ab69d, 0x3fb56e084f3c7636, 0x3fb535a07917b5bc, 0x3fb26195c0d18a68,
+            0x3fb8458b5064b964, 0x3fb48f426c51216e, 0x3eb0c6f7a0b5ed8d, 0x3fca774239adc6b6,
+            0x3fe6e16c801dbb5f, 0x3fef087ffc7853e6, 0x3fe91e74d7884926, 0x3ff15f6accae5b06,
+            0x3ff2b4e7e25cdb25, 0x3ff53c998f346ac8, 0x3ff73d94356e8391, 0x3ff928b467159ed4,
+            0x3ffb38d56194b228, 0x3fd0000000000000, 0x3fac3ed6e8c893ab, 0x3fb1037bb3ab386e,
+            0x3fa454e3aa560e23, 0x3fb2a50d6261c8a6, 0x3fb09b79526a900c, 0x3fb6853c10126a8b,
+            0x3fb59f022479d864, 0x3fb466e92ae09b98, 0x3fb7d0b489f6e882, 0x3eb0c6f7a0b5ed8d,
+        ];
+        #[rustfmt::skip]
+        const FULL: [u64; 85] = [
+            0x400cfcf7d5683395, 0x3fd357b45b898420, 0x3ff0f8260049a6ee, 0x3ff15a721c3f3bb3,
+            0x3ff3943a46232bed, 0x3ff4e41ea7234a9c, 0x3ff6f9324816db5a, 0x3ff7d89f431ce706,
+            0x3ff97934668b5742, 0x3ffb2bdde27bbc89, 0x3ffc866ef52e1ee7, 0x3fd0000000000000,
+            0x3fb2fd0d4357923c, 0x3fb4c61dfd425a0e, 0x3fb3cf440d1a4948, 0x3fb6e70adfb3ce6d,
+            0x3fb3f67c47eead6d, 0x3fb659c01352e300, 0x3fb782e74ba9e2f4, 0x3fb4b51ac31714ef,
+            0x3fb4fc67b32ff52e, 0x3eb0c6f7a0b5ed8d, 0x3fd9bd10b57b735e, 0x3fe2b82c2fc8986a,
+            0x3fe40432cbd78f96, 0x3fe8271cc6754723, 0x3feb6ff51cdd31b0, 0x3fef02226418d77b,
+            0x3ff04977d33e42f2, 0x3ff2849cbcb4bdfa, 0x3ff3691741e40ed6, 0x3ff57e515970e01d,
+            0x3fd0000000000000, 0x3fb487adb4638105, 0x3fb4797e9caff08d, 0x3fb5f15f92099a9a,
+            0x3fb64ead4e08e597, 0x3fb741e37a2f7421, 0x3fb6b7d063bc19a1, 0x3fb403bcb44ccced,
+            0x3fb9fca8426d6545, 0x3fb6a568d2b49ec1, 0x3eb0c6f7a0b5ed8d, 0x3fcfbe1457ddaf78,
+            0x3fe763bb05304b20, 0x3fed4a13b1a86031, 0x3fee7ab0df7980a3, 0x3ff17e24a6229a82,
+            0x3ff2735b83fbe078, 0x3ff493a7e347153c, 0x3ff69c49e7b7bad0, 0x3ff7fa4fd854d275,
+            0x3ff93c7a80e18707, 0x3fd0000000000000, 0x3fb217c412e2686f, 0x3fb2c46415d5650d,
+            0x3fb5c751166424b6, 0x3fb3a34e644e6ab4, 0x3fb3e5e8797bccc2, 0x3fb2990ceed330c4,
+            0x3fb3ee5b23d81194, 0x3fb35ae16cb24b4c, 0x3fb741991ffc87a4, 0x3eb0c6f7a0b5ed8d,
+            0x3fa8618618618620, 0x408f400000000000, 0x408f400000000000, 0x408f400000000000,
+            0x408f400000000000, 0x408f400000000000, 0x408f400000000000, 0x408f400000000000,
+            0x408f400000000000, 0x408f400000000000, 0x408f400000000000, 0x3ff0000000000000,
+            0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000,
+            0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000, 0x3ff0000000000000,
+            0x3ff0000000000000,
+        ];
+        assert_eq!(
+            [small.iterations, medium.iterations, full.iterations],
+            [9, 61, 10]
+        );
+        assert_eq!(bits(&small), SMALL);
+        assert_eq!(bits(&medium), MEDIUM);
+        assert_eq!(bits(&full), FULL);
+    }
+
     #[test]
     #[should_panic(expected = "empty mixture")]
     fn predict_on_empty_model_panics() {
