@@ -25,25 +25,6 @@ pub struct Component {
     pub variance: Vec<f64>,
 }
 
-impl Component {
-    /// Log probability density of `point` under this component (ignoring the
-    /// mixing weight).
-    pub fn log_density(&self, point: &[f64]) -> f64 {
-        assert_eq!(
-            point.len(),
-            self.mean.len(),
-            "dimension mismatch in log_density"
-        );
-        let mut acc = 0.0;
-        for ((&p, &m), &v) in point.iter().zip(&self.mean).zip(&self.variance) {
-            let var = v.max(VARIANCE_FLOOR);
-            let diff = p - m;
-            acc += -0.5 * ((2.0 * std::f64::consts::PI * var).ln() + diff * diff / var);
-        }
-        acc
-    }
-}
-
 /// A fitted Gaussian-mixture model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GaussianMixture {
@@ -168,26 +149,6 @@ impl GaussianMixture {
         }
     }
 
-    /// Index of the most likely component for `point` and its posterior
-    /// probability.
-    pub fn predict(&self, point: &[f64]) -> (usize, f64) {
-        assert!(!self.components.is_empty(), "predict on an empty mixture");
-        let logs: Vec<f64> = self
-            .components
-            .iter()
-            .map(|c| c.weight.max(1e-300).ln() + c.log_density(point))
-            .collect();
-        let max = logs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let sum: f64 = logs.iter().map(|l| (l - max).exp()).sum();
-        let (best, best_log) = logs
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("NaN log density"))
-            .map(|(i, l)| (i, *l))
-            .expect("non-empty mixture");
-        (best, (best_log - max).exp() / sum)
-    }
-
     /// Number of mixture components.
     pub fn k(&self) -> usize {
         self.components.len()
@@ -198,8 +159,19 @@ impl GaussianMixture {
 /// [`GaussianMixture::fit_warm`]: refines `components` on `points` until the
 /// per-point log-likelihood stabilizes or `max_iters` is exhausted.
 ///
-/// The responsibility matrix and per-point log buffers are allocated once
-/// per call (not per iteration), so iteration cost is pure arithmetic.
+/// Each component's log-density of a point is
+/// `Σ_d −0.5·(ln(2π·var_d) + (p_d − m_d)²/var_d)`, on variances floored
+/// at [`VARIANCE_FLOOR`], plus `ln(max(weight, 1e-300))`.  Only the
+/// squared distance depends on the point, so the logarithms are taken once
+/// per component and iteration, not once per point.  The points are copied
+/// once into a contiguous row-major `n × dims` buffer, and the E-step
+/// computes each `exp(l − max)` once.
+///
+/// The result is a pure function of the inputs' bits: every sum adds its
+/// terms in point (or component) order starting from `-0.0`, as
+/// `Iterator::sum` does, and no expression is reassociated or fused, so the
+/// fitted model is bit-identical to evaluating the density formula afresh
+/// for every point (`em_fits_match_bits_recorded_at_the_parent` pins this).
 fn run_em<P: AsRef<[f64]>>(
     points: &[P],
     mut components: Vec<Component>,
@@ -208,56 +180,95 @@ fn run_em<P: AsRef<[f64]>>(
     let k = components.len();
     let n = points.len();
     let dims = points[0].as_ref().len();
+    let data: Vec<f64> = points.iter().flat_map(|p| p.as_ref()).copied().collect();
     let mut resp = vec![0.0_f64; n * k];
-    let mut logs = vec![0.0_f64; k];
+    // Per component: ln(max(weight, 1e-300)); per component and dimension:
+    // the floored variance and ln(2π·var).
+    let mut log_weight = vec![0.0_f64; k];
+    let mut var = vec![0.0_f64; k * dims];
+    let mut log_norm = vec![0.0_f64; k * dims];
+    let mut sums = vec![0.0_f64; dims];
 
     let mut log_likelihood = f64::NEG_INFINITY;
     let mut iterations = 0;
     for iter in 0..max_iters.max(1) {
         iterations = iter + 1;
+        for (c, comp) in components.iter().enumerate() {
+            log_weight[c] = comp.weight.max(1e-300).ln();
+            let span = c * dims..(c + 1) * dims;
+            for ((v, ln), &raw) in var[span.clone()]
+                .iter_mut()
+                .zip(&mut log_norm[span])
+                .zip(&comp.variance)
+            {
+                *v = raw.max(VARIANCE_FLOOR);
+                *ln = (2.0 * std::f64::consts::PI * *v).ln();
+            }
+        }
+
         // E-step: responsibilities.
         let mut new_ll = 0.0;
-        for (i, p) in points.iter().enumerate() {
-            let p = p.as_ref();
-            for (l, c) in logs.iter_mut().zip(&components) {
-                *l = c.weight.max(1e-300).ln() + c.log_density(p);
+        for (i, row) in resp.chunks_exact_mut(k).enumerate() {
+            let p = &data[i * dims..(i + 1) * dims];
+            let mut max = f64::NEG_INFINITY;
+            for (c, (l, comp)) in row.iter_mut().zip(&components).enumerate() {
+                let span = c * dims..(c + 1) * dims;
+                let mut acc = 0.0;
+                for (((&x, &m), &v), &ln) in p
+                    .iter()
+                    .zip(&comp.mean)
+                    .zip(&var[span.clone()])
+                    .zip(&log_norm[span])
+                {
+                    let diff = x - m;
+                    acc += -0.5 * (ln + diff * diff / v);
+                }
+                *l = log_weight[c] + acc;
+                max = f64::max(max, *l);
             }
-            let max = logs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            let sum: f64 = logs.iter().map(|l| (l - max).exp()).sum();
+            let mut sum = -0.0;
+            for r in row.iter_mut() {
+                *r = (*r - max).exp();
+                sum += *r;
+            }
             new_ll += max + sum.ln();
-            for (r, l) in resp[i * k..(i + 1) * k].iter_mut().zip(&logs) {
-                *r = (l - max).exp() / sum;
+            for r in row.iter_mut() {
+                *r /= sum;
             }
         }
         new_ll /= n as f64;
 
-        // M-step.
-        for c in 0..k {
-            let nk: f64 = (0..n).map(|i| resp[i * k + c]).sum();
+        // M-step: per component, one pass for the weight and means, one for
+        // the variances.
+        for (c, comp) in components.iter_mut().enumerate() {
+            let mut nk = -0.0;
+            sums.fill(-0.0);
+            for (i, row) in resp.chunks_exact(k).enumerate() {
+                let p = &data[i * dims..(i + 1) * dims];
+                let r = row[c];
+                nk += r;
+                for (s, &x) in sums.iter_mut().zip(p) {
+                    *s += r * x;
+                }
+            }
             if nk < 1e-12 {
                 continue;
             }
-            components[c].weight = nk / n as f64;
-            for d in 0..dims {
-                let mean = points
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| resp[i * k + c] * p.as_ref()[d])
-                    .sum::<f64>()
-                    / nk;
-                components[c].mean[d] = mean;
+            comp.weight = nk / n as f64;
+            for (m, &s) in comp.mean.iter_mut().zip(&sums) {
+                *m = s / nk;
             }
-            for d in 0..dims {
-                let var = points
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| {
-                        let diff = p.as_ref()[d] - components[c].mean[d];
-                        resp[i * k + c] * diff * diff
-                    })
-                    .sum::<f64>()
-                    / nk;
-                components[c].variance[d] = var.max(VARIANCE_FLOOR);
+            sums.fill(-0.0);
+            for (i, row) in resp.chunks_exact(k).enumerate() {
+                let p = &data[i * dims..(i + 1) * dims];
+                let r = row[c];
+                for ((s, &x), &m) in sums.iter_mut().zip(p).zip(&comp.mean) {
+                    let diff = x - m;
+                    *s += r * diff * diff;
+                }
+            }
+            for (v, &s) in comp.variance.iter_mut().zip(&sums) {
+                *v = (s / nk).max(VARIANCE_FLOOR);
             }
         }
         normalize_weights(&mut components);
@@ -294,17 +305,27 @@ mod tests {
         pts
     }
 
+    /// Asserts that `model` puts one component on each of [`blobs`]'s two
+    /// clusters, each holding about half the weight.
+    fn assert_one_component_per_blob(model: &GaussianMixture) {
+        assert_eq!(model.k(), 2);
+        let mut components: Vec<&Component> = model.components.iter().collect();
+        components.sort_by(|a, b| a.mean[0].total_cmp(&b.mean[0]));
+        for (c, centre) in components.iter().zip([[1.0, 2.0, 0.5], [8.0, 9.0, 4.0]]) {
+            for (m, x) in c.mean.iter().zip(centre) {
+                assert!((m - x).abs() < 0.2, "mean {m} vs blob centre {x}");
+            }
+            assert!((c.weight - 0.5).abs() < 0.1, "weight {}", c.weight);
+        }
+    }
+
     #[test]
     fn fits_two_separated_components() {
         let model = GaussianMixture::fit(&blobs(), 2, 100, 3);
-        assert_eq!(model.k(), 2);
-        let (a, pa) = model.predict(&[1.0, 2.0, 0.5]);
-        let (b, pb) = model.predict(&[8.0, 9.0, 4.0]);
-        assert_ne!(a, b);
-        assert!(pa > 0.99 && pb > 0.99);
-        // Weights should be roughly balanced for balanced blobs.
-        for c in &model.components {
-            assert!((c.weight - 0.5).abs() < 0.1, "weight {}", c.weight);
+        assert_one_component_per_blob(&model);
+        // Each component is as tight as its blob.
+        for v in model.components.iter().flat_map(|c| &c.variance) {
+            assert!(*v < 0.05, "variance {v}");
         }
     }
 
@@ -351,14 +372,10 @@ mod tests {
             "warm start took {} iterations",
             warm.iterations
         );
-        // Same clustering decisions as a cold refit on the grown data.
+        // The same clusters as a cold refit on the grown data.
         let refit = GaussianMixture::fit(&pts, 2, 100, 3);
-        let (wa, _) = warm.predict(&[1.0, 2.0, 0.5]);
-        let (wb, _) = warm.predict(&[8.0, 9.0, 4.0]);
-        let (ca, _) = refit.predict(&[1.0, 2.0, 0.5]);
-        let (cb, _) = refit.predict(&[8.0, 9.0, 4.0]);
-        assert_ne!(wa, wb);
-        assert_ne!(ca, cb);
+        assert_one_component_per_blob(&warm);
+        assert_one_component_per_blob(&refit);
         for (w, c) in warm.components.iter().zip(&refit.components) {
             for (wm, cm) in w.mean.iter().zip(&c.mean) {
                 assert!((wm - cm).abs() < 0.2, "warm mean {wm} vs cold {cm}");
@@ -525,12 +542,5 @@ mod tests {
         assert_eq!(bits(&small), SMALL);
         assert_eq!(bits(&medium), MEDIUM);
         assert_eq!(bits(&full), FULL);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty mixture")]
-    fn predict_on_empty_model_panics() {
-        let model = GaussianMixture::fit::<Vec<f64>>(&[], 2, 10, 1);
-        model.predict(&[1.0]);
     }
 }

@@ -946,6 +946,7 @@ pub fn fig11_placement_robustness(benchmark: &SyntheticBenchmark, seed: u64) -> 
                 pm_id: PmId(10 + i as u64),
                 spec: &spec,
                 resident_demands: std::slice::from_ref(resident),
+                resident_vcpus: &[2],
                 free_cores: 6,
             };
             let predicted = manager.predict_on_candidate(&clone_demand, 2, &candidate);

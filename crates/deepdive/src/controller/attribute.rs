@@ -21,6 +21,7 @@ use cloudsim::pm::VmEpochReport;
 use cloudsim::{Cluster, SandboxFleet};
 use hwsim::{CounterSnapshot, ResourceDemand};
 
+use super::mitigate::vcpus_of;
 use super::{DeepDive, EpochEvent};
 use crate::analyzer::AnalysisResult;
 use crate::epoch_index::EpochIndex;
@@ -106,15 +107,9 @@ impl DeepDive {
         record.deferred_until = None;
         let (counters, replay): (Vec<CounterSnapshot>, Vec<ResourceDemand>) =
             record.window.iter().cloned().unzip();
-        // The clone runs as wide as the VM.  Reports carry no VM shape, so
-        // the width is read from the cluster (where the VM is now: an
-        // earlier mitigation this epoch may have moved it); a VM the
-        // cluster no longer holds gets the default 2-vCPU shape.
-        let vcpus = cluster
-            .locate(vm)
-            .and_then(|pm| cluster.machine(pm))
-            .and_then(|host| host.vms().iter().find(|v| v.id == vm))
-            .map_or(2, |v| v.vcpus);
+        // The clone runs as wide as the VM (an earlier mitigation this
+        // epoch may have moved it; its width moved with it).
+        let vcpus = vcpus_of(cluster, vm);
 
         let result = self.run_analysis(report, pool_idx, matched, vcpus, &counters, &replay);
         let cooldown = if result.interference_confirmed {

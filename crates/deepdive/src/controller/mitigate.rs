@@ -191,25 +191,42 @@ impl DeepDive {
             return vec![skipped(victim.vm_id, "no co-located VM to migrate away")];
         }
         // Candidate destinations: every other machine, each with its own
-        // hardware model and its residents' latest demands, so predictions
-        // run against the destination's actual spec.  The demands are
+        // hardware model and its residents' latest demands and widths, so
+        // predictions run against the destination's actual spec.  Both are
         // copied out once in machine-group order — parallel to the index's
-        // member list — so every candidate's residents are one slice.
-        let demands: Vec<ResourceDemand> = index
-            .by_machine
-            .members()
+        // member list — so every candidate's residents are one slice.  A
+        // width is read from the reporting machine, or from wherever an
+        // earlier mitigation this epoch moved the VM.
+        let members = index.by_machine.members();
+        let demands: Vec<ResourceDemand> = members
             .iter()
             .map(|&at| reports[at as usize].demand.clone())
             .collect();
+        let mut widths = vec![2; members.len()];
+        for m in cluster.machines() {
+            let span = index.by_machine.span(m.id);
+            for (width, &at) in widths[span.clone()].iter_mut().zip(&members[span]) {
+                let vm = reports[at as usize].vm_id;
+                *width = m
+                    .vms()
+                    .iter()
+                    .find(|v| v.id == vm)
+                    .map_or_else(|| vcpus_of(cluster, vm), |v| v.vcpus);
+            }
+        }
         let candidates: Vec<CandidateMachine> = cluster
             .machines()
             .iter()
             .filter(|m| m.id != pm && !self.machine_unavailable(m.id, epoch))
-            .map(|m| CandidateMachine {
-                pm_id: m.id,
-                spec: m.spec(),
-                resident_demands: &demands[index.by_machine.span(m.id)],
-                free_cores: m.free_cores(),
+            .map(|m| {
+                let span = index.by_machine.span(m.id);
+                CandidateMachine {
+                    pm_id: m.id,
+                    spec: m.spec(),
+                    resident_demands: &demands[span.clone()],
+                    resident_vcpus: &widths[span],
+                    free_cores: m.free_cores(),
+                }
             })
             .collect();
         if candidates.is_empty() {
@@ -260,6 +277,17 @@ impl DeepDive {
         };
         self.schedule_migration_retry(moved, retry_reason, victim, culprit, attempt)
     }
+}
+
+/// vCPUs of `vm` on whichever machine holds it now (reports carry no VM
+/// shape, and a VM keeps its width when it migrates), or the default
+/// 2-vCPU shape for a VM the cluster no longer holds.
+pub(super) fn vcpus_of(cluster: &Cluster, vm: VmId) -> usize {
+    cluster
+        .locate(vm)
+        .and_then(|pm| cluster.machine(pm))
+        .and_then(|host| host.vms().iter().find(|v| v.id == vm))
+        .map_or(2, |v| v.vcpus)
 }
 
 /// The event for a migration that was recommended but did not happen.

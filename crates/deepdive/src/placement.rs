@@ -12,9 +12,10 @@
 //!    nothing if every candidate would be worse than an operator-set limit.
 //!
 //! Candidate evaluation works on the candidates' most recent per-VM demand
-//! snapshots: placing the clone's demand next to them and resolving one
-//! epoch of contention is exactly "running the benchmark for a short time on
-//! another machine (with other VMs present)".
+//! snapshots, each at its VM's own vCPU width: placing the clone's demand
+//! next to them and resolving one epoch of contention is exactly "running
+//! the benchmark for a short time on another machine (with other VMs
+//! present)".
 //!
 //! Each [`CandidateMachine`] names its own [`MachineSpec`], so on a
 //! heterogeneous cluster the clone is evaluated against every destination's
@@ -61,6 +62,10 @@ pub struct CandidateMachine<'a> {
     pub spec: &'a MachineSpec,
     /// Latest demands of the VMs already hosted there.
     pub resident_demands: &'a [ResourceDemand],
+    /// vCPUs of each resident, parallel to `resident_demands` (a length
+    /// mismatch panics): a resident is resolved at its own width, as the
+    /// engine resolves it.
+    pub resident_vcpus: &'a [usize],
     /// Free cores available for the incoming VM.
     pub free_cores: usize,
 }
@@ -295,21 +300,31 @@ impl ClonePredictor {
     /// and `candidate`'s residents once the clone lands beside them.
     fn predict(&mut self, candidate: &CandidateMachine) -> f64 {
         debug_assert!(self.resolver.spec() == candidate.spec);
+        assert_eq!(
+            candidate.resident_demands.len(),
+            candidate.resident_vcpus.len(),
+            "every resident needs a width"
+        );
         let cache_groups = candidate.spec.cache_groups().max(1);
         self.placements.clear();
         self.baselines.clear();
-        for (i, demand) in candidate.resident_demands.iter().enumerate() {
+        for (i, (demand, &vcpus)) in candidate
+            .resident_demands
+            .iter()
+            .zip(candidate.resident_vcpus)
+            .enumerate()
+        {
             self.placements.push(PlacedDemand::new(
                 i as u64,
                 demand.clone(),
-                2,
+                vcpus,
                 (i / 2) % cache_groups,
             ));
             self.baselines.push(solo_fraction(
                 &mut self.resolver,
                 &mut self.outcomes,
                 demand,
-                2,
+                vcpus,
             ));
         }
         let clone_slot = self.placements.len();
@@ -403,6 +418,7 @@ mod tests {
         PlacementManager::new(0.15)
     }
 
+    /// A candidate whose residents are all 2 vCPUs wide.
     fn candidate<'a>(
         id: u64,
         spec: &'a MachineSpec,
@@ -413,6 +429,7 @@ mod tests {
             pm_id: PmId(id),
             spec,
             resident_demands,
+            resident_vcpus: &[2; 8][..resident_demands.len()],
             free_cores,
         }
     }
@@ -475,6 +492,62 @@ mod tests {
             (on_xeon - on_i7).abs() > 0.05,
             "spec-blind prediction: xeon {on_xeon} vs i7 {on_i7}"
         );
+    }
+
+    #[test]
+    fn residents_are_predicted_at_their_own_width() {
+        // A 4-vCPU resident beside a disk-heavy 2-vCPU clone on a Xeon.
+        // Sized at 2 vCPUs the resident predicted 0.194 — past the 0.15
+        // limit, so the destination was rejected.  The expected value
+        // (0.090) resolves the machine as the engine would: each VM at its
+        // own width, cache groups by slot under the default scheduler, every
+        // slowdown against the VM running alone at that width.
+        let xeon = MachineSpec::xeon_x5472();
+        let resident = ResourceDemand::builder()
+            .instructions(4.0e9)
+            .parallelism(4.0)
+            .disk_read_mb(30.0)
+            .build();
+        let clone = ResourceDemand::builder()
+            .instructions(1.0e9)
+            .parallelism(2.0)
+            .disk_read_mb(120.0)
+            .build();
+        let shapes = [(resident.clone(), 4), (clone.clone(), 2)];
+        let scheduler = cloudsim::Scheduler::default();
+        let mut resolver = EpochResolver::new(xeon.clone());
+        let together: Vec<PlacedDemand> = shapes
+            .iter()
+            .enumerate()
+            .map(|(slot, (demand, vcpus))| {
+                let group = scheduler.cache_group_for_slot(&xeon, slot);
+                PlacedDemand::new(slot as u64, demand.clone(), *vcpus, group)
+            })
+            .collect();
+        let contended = resolver.resolve(&together);
+        let expected = shapes
+            .iter()
+            .zip(&contended)
+            .map(|((demand, vcpus), outcome)| {
+                let alone = resolver.resolve(&[PlacedDemand::new(0, demand.clone(), *vcpus, 0)]);
+                let solo = alone[0].achieved_fraction;
+                ((solo - outcome.achieved_fraction) / solo).max(0.0)
+            })
+            .fold(0.0, f64::max);
+        let candidate = CandidateMachine {
+            pm_id: PmId(1),
+            spec: &xeon,
+            resident_demands: std::slice::from_ref(&resident),
+            resident_vcpus: &[4],
+            free_cores: 4,
+        };
+        let predicted = manager().predict_on_candidate(&clone, 2, &candidate);
+        assert_eq!(
+            predicted.to_bits(),
+            expected.to_bits(),
+            "{predicted} vs {expected}"
+        );
+        assert!(predicted <= manager().acceptable_interference);
     }
 
     #[test]

@@ -29,7 +29,9 @@
 //! * when the repository *did* grow, the refit is **warm-started** from the
 //!   previous model's mixture components
 //!   ([`analytics::constrained::fit_constrained_warm`]), converging in a
-//!   handful of EM iterations instead of a full from-scratch fit;
+//!   handful of EM iterations instead of a full from-scratch fit.  An
+//!   iteration costs, per point, `k × dims` divisions, `k` exponentials and
+//!   one logarithm; the density's logarithms are taken once per component;
 //! * every [`WarningConfig::cold_refit_interval`]-th refit of an
 //!   application's model falls back to a full k-means++-seeded cold fit, so
 //!   warm-start drift cannot accumulate indefinitely.

@@ -65,6 +65,7 @@ fn main() {
             pm_id: cloudsim::PmId(10 + i as u64),
             spec: &spec,
             resident_demands: &[resident_demand],
+            resident_vcpus: &[2],
             free_cores: 6,
         };
         let predicted = manager.predict_on_candidate(&clone_demand, 2, &candidate);
