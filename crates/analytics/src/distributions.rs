@@ -20,7 +20,6 @@ use rand_distr::{Distribution, Exp, LogNormal};
 pub struct Zipf {
     probabilities: Vec<f64>,
     cumulative: Vec<f64>,
-    alpha: f64,
 }
 
 impl Zipf {
@@ -47,14 +46,7 @@ impl Zipf {
         Self {
             probabilities,
             cumulative,
-            alpha,
         }
-    }
-
-    /// Probability of rank `k` (1-based).
-    pub fn probability(&self, k: usize) -> f64 {
-        assert!(k >= 1 && k <= self.probabilities.len(), "rank out of range");
-        self.probabilities[k - 1]
     }
 
     /// Samples a rank in `1..=n`.
@@ -67,11 +59,6 @@ impl Zipf {
             Ok(idx) => idx + 1,
             Err(idx) => (idx + 1).min(self.probabilities.len()),
         }
-    }
-
-    /// The tail index α the distribution was built with.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
     }
 
     /// Number of ranks.
@@ -155,6 +142,7 @@ pub fn lognormal_durations(median_s: f64, sigma: f64, count: usize, seed: u64) -
 /// Squared coefficient of variation of the gaps between consecutive arrival
 /// times — a standard burstiness measure (1.0 for Poisson, larger for
 /// heavier-tailed processes).
+// simlint: test-accessor (the arrival-process tests compare streams by it)
 pub fn burstiness(arrivals: &[f64]) -> f64 {
     if arrivals.len() < 3 {
         return 0.0;
@@ -174,17 +162,17 @@ mod tests {
     #[test]
     fn zipf_probabilities_sum_to_one_and_decay() {
         let z = Zipf::new(100, 1.5);
-        let total: f64 = (1..=100).map(|k| z.probability(k)).sum();
-        assert!((total - 1.0).abs() < 1e-9);
-        assert!(z.probability(1) > z.probability(2));
-        assert!(z.probability(2) > z.probability(50));
+        let p = &z.probabilities;
+        assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        assert!(p[0] > p[1]);
+        assert!(p[1] > p[49]);
     }
 
     #[test]
     fn zipf_higher_alpha_concentrates_mass_on_head() {
         let light = Zipf::new(1000, 1.0);
         let heavy = Zipf::new(1000, 2.5);
-        assert!(heavy.probability(1) > light.probability(1));
+        assert!(heavy.probabilities[0] > light.probabilities[0]);
     }
 
     #[test]

@@ -119,6 +119,7 @@ impl ZScore {
     }
 
     /// Transforms a single vector into z-scores.
+    // simlint: test-accessor (ZScore's own tests)
     pub fn transform(&self, row: &[f64]) -> Vec<f64> {
         assert_eq!(
             row.len(),

@@ -66,16 +66,6 @@ impl MetricThresholds {
         }
     }
 
-    /// Uniform thresholds (used by the conservative bootstrap mode before any
-    /// cluster exists).
-    pub fn uniform(dims: usize, value: f64) -> Self {
-        assert!(value >= 0.0, "threshold must be non-negative");
-        Self {
-            per_metric: vec![value; dims],
-            sigma_multiplier: 0.0,
-        }
-    }
-
     /// True when `point` lies within the thresholds of `center` in *every*
     /// dimension — the "within distance T from previous VM behaviors" test of
     /// Algorithm 1.
@@ -125,6 +115,13 @@ mod tests {
         GaussianMixture::fit(&pts, 2, 100, 17)
     }
 
+    fn uniform(dims: usize, value: f64) -> MetricThresholds {
+        MetricThresholds {
+            per_metric: vec![value; dims],
+            sigma_multiplier: 0.0,
+        }
+    }
+
     #[test]
     fn thresholds_cover_every_dimension() {
         let mt = MetricThresholds::from_mixture(&tight_and_wide_clusters(), 3.0);
@@ -164,7 +161,7 @@ mod tests {
 
     #[test]
     fn uniform_thresholds_have_requested_value() {
-        let mt = MetricThresholds::uniform(4, 0.25);
+        let mt = uniform(4, 0.25);
         assert_eq!(mt.dims(), 4);
         assert!(mt.matches(&[0.0; 4], &[0.2, -0.2, 0.1, 0.0]));
         assert!(!mt.matches(&[0.0; 4], &[0.3, 0.0, 0.0, 0.0]));
@@ -172,14 +169,14 @@ mod tests {
 
     #[test]
     fn scaled_multiplies_every_threshold() {
-        let mt = MetricThresholds::uniform(3, 1.0).scaled(2.0);
+        let mt = uniform(3, 1.0).scaled(2.0);
         assert!(mt.per_metric.iter().all(|t| (*t - 2.0).abs() < 1e-12));
     }
 
     #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn mismatched_dimensions_are_rejected() {
-        let mt = MetricThresholds::uniform(2, 1.0);
+        let mt = uniform(2, 1.0);
         mt.matches(&[0.0, 0.0], &[0.0]);
     }
 }

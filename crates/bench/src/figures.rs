@@ -17,9 +17,10 @@ use deepdive::synthetic::SyntheticBenchmark;
 use deepdive::warning::WarningConfig;
 use hwsim::contention::PlacedDemand;
 use hwsim::{CounterSnapshot, EpochResolver, MachineSpec, ResourceDemand};
+use queueing::scenarios::{paper_fractions, reaction_time_curve, ScenarioConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use traces::{InterferenceSchedule, LoadTrace};
+use traces::{ArrivalModel, InterferenceSchedule, LoadTrace};
 use workloads::{
     AppId, ClientEmulator, DataAnalytics, DataServing, NetworkStress, WebSearch, Workload,
 };
@@ -572,6 +573,7 @@ pub fn fig8_detection(workload: CloudWorkload, seed: u64) -> Fig8Result {
     let mut false_positives_per_day = [0usize; 3];
     let mut cumulative_profiling_minutes = Vec::with_capacity(hours);
 
+    let baseline = workload.client().base_latency_ms;
     for hour in 0..hours {
         let day = hour / 24;
         let t = hour as u64 * 3_600;
@@ -602,7 +604,6 @@ pub fn fig8_detection(workload: CloudWorkload, seed: u64) -> Fig8Result {
             let reports = engine.step(&mut cluster, |_| load);
             // Ground truth: does the victim suffer >20% client degradation?
             let victim = reports.iter().find(|r| r.vm_id == VmId(1)).unwrap();
-            let baseline = victim_baseline_latency(workload);
             let degradation = ((victim.observation.latency_ms - baseline) / baseline).max(0.0);
             if let Some(idx) = active_episode {
                 episode_degradation[idx].0 += degradation;
@@ -671,14 +672,6 @@ pub fn fig8_detection(workload: CloudWorkload, seed: u64) -> Fig8Result {
         days,
         cumulative_profiling_minutes,
         missed_episodes: missed,
-    }
-}
-
-fn victim_baseline_latency(workload: CloudWorkload) -> f64 {
-    match workload {
-        CloudWorkload::DataServing => 4.0,
-        CloudWorkload::WebSearch => 25.0,
-        CloudWorkload::DataAnalytics => 400.0,
     }
 }
 
@@ -857,11 +850,7 @@ pub fn fig10_synthetic_accuracy(
 
     let mut points = Vec::new();
     for &intensity in &[0.2, 0.4, 0.6, 0.8, 1.0] {
-        let mut stress_wl = match stress {
-            StressKind::Memory => StressKind::Memory.vm(99, intensity),
-            StressKind::Network => StressKind::Network.vm(99, intensity),
-            StressKind::Disk => StressKind::Disk.vm(99, intensity),
-        };
+        let mut stress_wl = stress.vm(99, intensity);
         let stress_demand = stress_wl.workload.next_demand(1.0, &mut rng);
         let mut degradation = |victim: &ResourceDemand, baseline: f64| -> f64 {
             let out = resolver.resolve(&[
@@ -947,7 +936,6 @@ pub fn fig11_placement_robustness(benchmark: &SyntheticBenchmark, seed: u64) -> 
                 spec: &spec,
                 resident_demands: std::slice::from_ref(resident),
                 resident_vcpus: &[2],
-                free_cores: 6,
             };
             let predicted = manager.predict_on_candidate(&clone_demand, 2, &candidate);
             (candidate.pm_id, predicted)
@@ -971,6 +959,54 @@ pub fn fig11_placement_robustness(benchmark: &SyntheticBenchmark, seed: u64) -> 
         average,
         worst,
         chosen_pm,
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Figures 13 and 14 — profiling-farm reaction time
+// ---------------------------------------------------------------------------
+
+/// Prints Fig. 13 or 14: the profiling farm's mean reaction time under
+/// `arrival_model` (named `arrivals` in the header) — (a) local information
+/// only, (b) with global information, (c) four servers sweeping the
+/// popularity tail index.
+pub fn print_reaction_time_figure(figure: u32, arrivals: &str, arrival_model: ArrivalModel) {
+    let fractions = paper_fractions();
+    let print_curve = |label: &str, servers: usize, popularity: Option<(usize, f64)>| {
+        let config = ScenarioConfig {
+            servers,
+            arrival_model,
+            popularity,
+            ..Default::default()
+        };
+        for p in reaction_time_curve(&config, &fractions) {
+            let value = p
+                .mean_reaction_minutes
+                .map(|m| format!("{m:.2}"))
+                .unwrap_or_else(|| "unstable".into());
+            println!("{label},{:.1},{value}", p.interference_fraction);
+        }
+    };
+    println!("# Figure {figure}(a) — local information only, {arrivals} arrivals, 1000 VMs/day");
+    println!("servers,interference_fraction,mean_reaction_min");
+    for servers in [2usize, 4, 8, 16] {
+        print_curve(&servers.to_string(), servers, None);
+    }
+    println!("# Figure {figure}(b) — with global information (Zipf alpha = 1.5 over 200 apps)");
+    println!("servers,interference_fraction,mean_reaction_min");
+    for servers in [2usize, 4, 8, 16] {
+        print_curve(&servers.to_string(), servers, Some((200, 1.5)));
+    }
+    println!("# Figure {figure}(c) — four servers, sweeping the popularity tail index alpha");
+    println!("alpha,interference_fraction,mean_reaction_min");
+    for (label, popularity) in [
+        ("inf (no global info)", None),
+        ("2.5", Some((200usize, 2.5))),
+        ("2.0", Some((200, 2.0))),
+        ("1.5", Some((200, 1.5))),
+        ("1.0", Some((200, 1.0))),
+    ] {
+        print_curve(label, 4, popularity);
     }
 }
 

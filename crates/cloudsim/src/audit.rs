@@ -126,6 +126,7 @@ pub fn check_cluster(cluster: &Cluster) -> Vec<String> {
 /// This is advisory, not a hard invariant — under capacity pressure the
 /// service places wherever room exists rather than reject, so callers
 /// assert emptiness only in scenarios with known headroom.
+// simlint: test-accessor (the spread placement tests assert it)
 pub fn check_spread(cluster: &Cluster, topology: &Topology) -> Vec<String> {
     let mut fleet_domains: BTreeSet<u64> = BTreeSet::new();
     let mut apps: BTreeMap<AppId, (usize, BTreeSet<u64>)> = BTreeMap::new();

@@ -222,6 +222,7 @@ impl Cluster {
 
     /// Places a VM on the first machine with capacity (first-fit); returns
     /// the chosen machine.
+    // simlint: test-accessor (builds the test fleets)
     pub fn place_first_fit(&mut self, vm: Vm) -> Result<PmId, ClusterError> {
         let vm_id = vm.id;
         let mut vm = vm;

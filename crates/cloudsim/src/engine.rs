@@ -77,6 +77,7 @@ impl EpochEngine {
     /// the [module docs](self)).  `false` forces a dense resolve of every
     /// machine every epoch — the reference the sparse ≡ dense tests compare
     /// against.
+    // simlint: test-accessor (selects the dense reference path)
     pub fn set_sparse(&mut self, sparse: bool) {
         self.sparse = sparse;
     }

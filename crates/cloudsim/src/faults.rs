@@ -322,6 +322,7 @@ impl FaultConfig {
     /// [`FaultConfig::light`] (same start rate and window lengths, applied
     /// per rack instead of per machine), so availability matches while the
     /// blast radius grows to `topology.machines_per_rack` machines at once.
+    // simlint: test-accessor (a named preset for rack-outage scenarios)
     pub const fn rack_outages(topology: Topology) -> Self {
         Self {
             topology,
@@ -353,6 +354,7 @@ impl FaultConfig {
     /// [`FaultConfig::light`]'s crashes, but with an 8-epoch drain notice:
     /// the graceful counterpart to `light`, isolating what advance warning
     /// buys (lower disruption at equal machine downtime).
+    // simlint: test-accessor (a named preset for maintenance scenarios)
     pub const fn maintenance() -> Self {
         Self {
             machine_drain_per_epoch: 0.004,

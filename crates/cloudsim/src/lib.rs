@@ -15,8 +15,7 @@
 //! * [`pm`] — a physical machine: a [`hwsim::MachineSpec`] plus the VMs
 //!   currently hosted on it; stepping an epoch resolves contention and
 //!   yields per-VM reports (counters + client-side ground truth).
-//! * [`scheduler`] — vCPU/cache-group placement policies (packed vs spread)
-//!   and admission checks.
+//! * [`scheduler`] — the one fixed cache-group packing and admission policy.
 //! * [`cluster`] — the datacenter: a set of PMs (homogeneous or mixed
 //!   hardware) and VM migration.
 //! * [`rngs`] — [`rngs::ClusterSeed`]: counter-based derivation of one
@@ -50,8 +49,8 @@
 //!   accounting exact) the chaos suite asserts after every epoch; plus
 //!   [`audit::check_spread`], the advisory failure-domain spread check.
 //!
-//! DeepDive (crate `deepdive`) consumes only the [`pm::VmEpochReport`]s'
-//! counter snapshots and app identities; the client observations and stall
+//! DeepDive (crate `deepdive`) reads the [`pm::VmEpochReport`]s' identities,
+//! widths, counter snapshots and demands; the client observations and stall
 //! breakdowns in the same struct are evaluation-only ground truth.
 
 pub mod audit;
@@ -71,6 +70,6 @@ pub use faults::{FaultConfig, FaultPlane, Topology};
 pub use pm::{PhysicalMachine, PmId, VmEpochReport};
 pub use rngs::ClusterSeed;
 pub use sandbox::{Sandbox, SandboxFleet};
-pub use scheduler::{PlacementPolicy, Scheduler};
+pub use scheduler::Scheduler;
 pub use service::{DatacenterService, ServiceConfig, ServiceError, ServiceStats};
 pub use vm::{Vm, VmId};

@@ -54,11 +54,14 @@ pub struct VmEpochReport {
     pub pm_id: PmId,
     /// The application the VM runs (for DeepDive's global-information check).
     pub app: AppId,
+    /// The VM's vCPU count ([`Vm::vcpus`]); it keeps its width when it
+    /// migrates.
+    pub vcpus: usize,
     /// Epoch index at which the report was taken.
     pub epoch: u64,
     /// The offered load the VM received this epoch (0..=1 of its peak).
     pub offered_load: f64,
-    /// The Table 1 counters — the only field the `deepdive` crate reads.
+    /// The Table 1 counters DeepDive's warning system and analyzer read.
     pub counters: CounterSnapshot,
     /// The intrinsic demand the workload generated — what the paper's
     /// request-duplicating proxy (§4.2) copies towards the sandbox.  The
@@ -341,6 +344,7 @@ impl PhysicalMachine {
                     vm_id: vm.id,
                     pm_id: self.id,
                     app: vm.app_id(),
+                    vcpus: vm.vcpus,
                     epoch,
                     offered_load: load,
                     counters: outcome.counters,
@@ -474,9 +478,8 @@ mod tests {
         assert!(victim.achieved_fraction < baseline.achieved_fraction);
         assert!(victim.observation.latency_ms > baseline.observation.latency_ms);
         // Normalized cache-miss signature moves, which is what DeepDive sees.
-        let n_base = baseline.counters.normalized_per_kilo_instruction();
-        let n_victim = victim.counters.normalized_per_kilo_instruction();
-        assert!(n_victim.l2_lines_in > n_base.l2_lines_in);
+        let per_instr = |c: &CounterSnapshot| c.l2_lines_in / c.inst_retired;
+        assert!(per_instr(&victim.counters) > per_instr(&baseline.counters));
     }
 
     #[test]

@@ -42,20 +42,6 @@ pub struct IsolationRun {
     pub profiling_seconds: f64,
 }
 
-impl IsolationRun {
-    /// Element-wise average of the per-epoch counters.
-    pub fn mean_counters(&self) -> CounterSnapshot {
-        if self.counters.is_empty() {
-            return CounterSnapshot::zero();
-        }
-        let sum = self
-            .counters
-            .iter()
-            .fold(CounterSnapshot::zero(), |acc, c| acc.add(c));
-        sum.scale(1.0 / self.counters.len() as f64)
-    }
-}
-
 /// A pool of dedicated profiling machines of one hardware model.
 ///
 /// The pool is homogeneous by construction: isolation counters are only
@@ -150,10 +136,9 @@ impl Sandbox {
 /// The analyzer's degradation estimate divides production instruction rates
 /// by isolation instruction rates, so the isolation replay must run on the
 /// same machine model that hosted the victim.  A `SandboxFleet` makes that
-/// routing explicit: [`SandboxFleet::pool_for`] returns the pool whose spec
-/// matches the victim's host, and [`SandboxFleet::select_index`] adds the
-/// fallback policy (first pool, flagged as unmatched) that reproduces the
-/// old single-pool behaviour when no model matches.
+/// routing explicit: [`SandboxFleet::select_index`] returns the pool whose
+/// spec matches the victim's host, falling back (flagged as unmatched) to
+/// the first pool — the old single-pool behaviour — when no model matches.
 ///
 /// A machine model's **identity is its [`MachineSpec::name`]** — pools are
 /// deduplicated, routed and accounted by name, consistently with how
@@ -202,7 +187,7 @@ impl SandboxFleet {
     ) -> Self {
         let mut pools: Vec<Sandbox> = Vec::new();
         for spec in specs {
-            // Dedup by name — the same key `new` enforces and `pool_for`
+            // Dedup by name — the same key `new` enforces and `select_index`
             // routes on — so a name can never reach `new` twice.
             if pools.iter().all(|p| p.spec.name != spec.name) {
                 pools.push(Sandbox::new(
@@ -234,12 +219,6 @@ impl SandboxFleet {
     /// The pools, in construction order.
     pub fn pools(&self) -> &[Sandbox] {
         &self.pools
-    }
-
-    /// The pool for the machine model named by `spec`, if any (models are
-    /// identified by [`MachineSpec::name`]).
-    pub fn pool_for(&self, spec: &MachineSpec) -> Option<&Sandbox> {
-        self.pools.iter().find(|p| p.spec.name == spec.name)
     }
 
     /// Selects the pool for a victim hosted on `spec` — as an index into
@@ -316,19 +295,10 @@ mod tests {
     }
 
     #[test]
-    fn mean_counters_average_the_window() {
-        let sandbox = Sandbox::xeon_pool(1);
-        let run = sandbox.run_in_isolation(VmId(1), &[demand(), demand()], 2);
-        let mean = run.mean_counters();
-        assert!((mean.inst_retired - run.counters[0].inst_retired).abs() < 1e-3);
-    }
-
-    #[test]
     fn empty_replay_yields_empty_run() {
         let sandbox = Sandbox::xeon_pool(1);
         let run = sandbox.run_in_isolation(VmId(1), &[], 2);
         assert!(run.counters.is_empty());
-        assert_eq!(run.mean_counters(), CounterSnapshot::zero());
     }
 
     #[test]
@@ -362,7 +332,6 @@ mod tests {
     #[test]
     fn uniform_fleet_falls_back_to_its_only_pool_for_foreign_models() {
         let fleet = SandboxFleet::new(vec![Sandbox::xeon_pool(2)]);
-        assert!(fleet.pool_for(&MachineSpec::core_i7_nehalem()).is_none());
         let (pool, matched) = select(&fleet, &MachineSpec::core_i7_nehalem());
         assert!(!matched, "cross-model selection must be flagged");
         assert_eq!(pool.spec, MachineSpec::xeon_x5472());

@@ -1,88 +1,34 @@
-//! vCPU / cache-group placement policies and admission control.
+//! vCPU / cache-group placement and admission control.
 //!
 //! The Xen configuration in the paper pins each VM's vCPUs to dedicated
 //! cores (§5.1).  What the scheduler decides in our model is *which
 //! last-level-cache group* a VM's cores belong to, because that determines
-//! which VMs contend in the shared cache:
-//!
-//! * [`PlacementPolicy::Pack`] groups consecutive VMs onto the same cache
-//!   group, reproducing the co-location that makes cache interference
-//!   possible (the paper's default situation), while
-//! * [`PlacementPolicy::Spread`] spreads VMs across cache groups, which the
-//!   ablation benches use to show cache interference disappearing while
-//!   machine-wide resources (bus, disk, NIC) still contend.
-//!
-//! The scheduler also performs admission control (core and memory capacity)
-//! and offers the non-work-conserving flag used by the sandbox (§4.2), which
-//! in this model simply means the sandbox never hosts more than one VM.
+//! which VMs contend in the shared cache: it fills cache groups two VMs at
+//! a time, reproducing the co-location that makes cache interference
+//! possible (the paper's default situation).  It also performs admission
+//! control (core and memory capacity).
 
 use hwsim::MachineSpec;
 
 use crate::vm::Vm;
 
-/// How VMs are distributed over the machine's shared-cache groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PlacementPolicy {
-    /// Fill cache groups two VMs at a time: co-located VMs share a cache.
-    Pack,
-    /// Round-robin VMs across cache groups: minimal cache sharing.
-    Spread,
-}
-
-/// The per-PM scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Scheduler {
-    /// Cache-group placement policy.
-    pub policy: PlacementPolicy,
-    /// When true the machine admits only a single VM and gives it exclusive,
-    /// tightly-controlled resources — the sandbox configuration of §4.2.
-    pub non_work_conserving: bool,
-}
-
-impl Default for Scheduler {
-    fn default() -> Self {
-        Self {
-            policy: PlacementPolicy::Pack,
-            non_work_conserving: false,
-        }
-    }
-}
+/// The per-PM scheduler: one fixed packing and admission policy, built
+/// with `Scheduler::default()`.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[non_exhaustive]
+pub struct Scheduler;
 
 impl Scheduler {
-    /// Production scheduler with the given placement policy.
-    pub fn production(policy: PlacementPolicy) -> Self {
-        Self {
-            policy,
-            non_work_conserving: false,
-        }
-    }
-
-    /// Sandbox scheduler: exclusive, non-work-conserving.
-    pub fn sandbox() -> Self {
-        Self {
-            policy: PlacementPolicy::Pack,
-            non_work_conserving: true,
-        }
-    }
-
     /// Returns the cache-group index for the VM occupying `slot` (its index
-    /// in the host's VM list).
+    /// in the host's VM list): two VMs per group before moving on, so slots
+    /// 0,1 -> group 0, slots 2,3 -> group 1, ...
     pub fn cache_group_for_slot(&self, spec: &MachineSpec, slot: usize) -> usize {
-        let groups = spec.cache_groups().max(1);
-        match self.policy {
-            // Two VMs per group before moving on: slot 0,1 -> group 0,
-            // slot 2,3 -> group 1, ...
-            PlacementPolicy::Pack => (slot / 2) % groups,
-            PlacementPolicy::Spread => slot % groups,
-        }
+        (slot / 2) % spec.cache_groups().max(1)
     }
 
     /// Admission check: can `candidate` be added to a machine already hosting
     /// `resident` VMs?
     pub fn admits(&self, spec: &MachineSpec, resident: &[Vm], candidate: &Vm) -> bool {
-        if self.non_work_conserving && !resident.is_empty() {
-            return false;
-        }
         let used_cores: usize = resident.iter().map(|v| v.vcpus).sum();
         let used_memory: f64 = resident.iter().map(|v| v.memory_mb).sum();
         used_cores + candidate.vcpus <= spec.cores
@@ -107,7 +53,7 @@ mod tests {
     #[test]
     fn pack_policy_pairs_vms_on_the_same_cache_group() {
         let spec = MachineSpec::xeon_x5472();
-        let s = Scheduler::production(PlacementPolicy::Pack);
+        let s = Scheduler;
         assert_eq!(s.cache_group_for_slot(&spec, 0), 0);
         assert_eq!(s.cache_group_for_slot(&spec, 1), 0);
         assert_eq!(s.cache_group_for_slot(&spec, 2), 1);
@@ -115,23 +61,10 @@ mod tests {
     }
 
     #[test]
-    fn spread_policy_separates_consecutive_vms() {
-        let spec = MachineSpec::xeon_x5472();
-        let s = Scheduler::production(PlacementPolicy::Spread);
-        assert_ne!(
-            s.cache_group_for_slot(&spec, 0),
-            s.cache_group_for_slot(&spec, 1)
-        );
-    }
-
-    #[test]
     fn cache_group_is_always_within_range() {
         let spec = MachineSpec::xeon_x5472();
-        for policy in [PlacementPolicy::Pack, PlacementPolicy::Spread] {
-            let s = Scheduler::production(policy);
-            for slot in 0..16 {
-                assert!(s.cache_group_for_slot(&spec, slot) < spec.cache_groups());
-            }
+        for slot in 0..16 {
+            assert!(Scheduler.cache_group_for_slot(&spec, slot) < spec.cache_groups());
         }
     }
 
@@ -157,15 +90,6 @@ mod tests {
             ClientEmulator::new(1_000.0, 5.0),
         );
         let resident = vec![big];
-        assert!(!s.admits(&spec, &resident, &vm(2)));
-    }
-
-    #[test]
-    fn sandbox_scheduler_admits_only_one_vm() {
-        let spec = MachineSpec::xeon_x5472();
-        let s = Scheduler::sandbox();
-        assert!(s.admits(&spec, &[], &vm(1)));
-        let resident = vec![vm(1)];
         assert!(!s.admits(&spec, &resident, &vm(2)));
     }
 }

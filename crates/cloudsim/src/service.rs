@@ -313,8 +313,7 @@ impl DatacenterService {
     /// Builds the fleet and schedules every session's arrival.
     ///
     /// Sessions may arrive in any order; the event queue orders them.  The
-    /// engine defaults to sparse serial stepping — swap it via
-    /// [`DatacenterService::engine_mut`] for pooled or dense runs.
+    /// engine steps sparsely.
     ///
     /// # Panics
     /// Panics if `machines` is zero (the cluster constructor's contract).
@@ -372,6 +371,7 @@ impl DatacenterService {
     }
 
     /// VMs currently parked in the retry queue.
+    // simlint: test-accessor (the leak checks of the loop and chaos suites)
     pub fn parked(&self) -> usize {
         self.retry.len()
     }
@@ -412,18 +412,6 @@ impl DatacenterService {
         findings
     }
 
-    /// Runs the advisory failure-domain spread check
-    /// ([`audit::check_spread`]) under the configured spread topology.
-    /// Always empty when spread placement is off.  Not part of
-    /// [`DatacenterService::audit`] because capacity pressure legitimately
-    /// forces co-location — assert emptiness only with known headroom.
-    pub fn audit_spread(&self) -> Vec<String> {
-        match &self.config.spread {
-            Some(topology) => audit::check_spread(&self.cluster, topology),
-            None => Vec::new(),
-        }
-    }
-
     /// The cluster being driven.
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
@@ -438,17 +426,6 @@ impl DatacenterService {
     /// the hints warm.
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.cluster
-    }
-
-    /// The stepping engine (sparse serial by default).
-    pub fn engine(&self) -> &EpochEngine {
-        &self.engine
-    }
-
-    /// Mutable engine access — toggle sparse stepping without rebuilding
-    /// the service.
-    pub fn engine_mut(&mut self) -> &mut EpochEngine {
-        &mut self.engine
     }
 
     /// Counters accumulated so far.
@@ -815,52 +792,25 @@ impl DatacenterService {
             if self.down[index] || self.draining[index] {
                 continue;
             }
-            let pm = PmId(index as u64);
-            match self.cluster.place_on_returning(pm, vm) {
-                Ok(()) => {
+            match self.try_place(index, vm) {
+                Ok(pm) => {
                     // The machine may still have room; keep it warm for
                     // the next arrival.
                     self.free_hint.push_front(index);
                     return Ok(pm);
                 }
-                Err((returned, ClusterError::NoCapacity { .. })) => vm = returned,
-                Err((returned, error)) => {
-                    self.record_placement_error(returned.id, pm, error);
-                    vm = returned;
-                }
+                Err(returned) => vm = returned,
             }
         }
-        let n = self.config.machines;
-        for probe in 0..n {
-            let index = (self.scan_cursor + probe) % n;
-            if self.down[index] || self.draining[index] {
-                continue;
-            }
-            let pm = PmId(index as u64);
-            match self.cluster.place_on_returning(pm, vm) {
-                Ok(()) => {
-                    self.scan_cursor = index;
-                    return Ok(pm);
-                }
-                Err((returned, ClusterError::NoCapacity { .. })) => vm = returned,
-                Err((returned, error)) => {
-                    self.record_placement_error(returned.id, pm, error);
-                    vm = returned;
-                }
-            }
-        }
-        Err(vm)
+        self.scan(vm, |_| true)
     }
 
-    /// The spread-aware scan: pass 1 offers only machines whose power
-    /// domain currently holds the application's minimum VM count, pass 2
-    /// falls back to any surviving machine.  Both passes are next-fit from
-    /// the shared cursor, skip down/draining machines, and record
-    /// non-capacity errors like the plain scan.
-    fn place_spread(&mut self, mut vm: Vm, topology: Topology) -> Result<PmId, Vm> {
+    /// The spread-aware placement: a first scan offers only machines whose
+    /// power domain currently holds the application's minimum VM count, a
+    /// second falls back to any surviving machine.
+    fn place_spread(&mut self, vm: Vm, topology: Topology) -> Result<PmId, Vm> {
         let app = vm.app_id();
-        let n = self.config.machines;
-        let domains = topology.domains_in_fleet(n).max(1);
+        let domains = topology.domains_in_fleet(self.config.machines).max(1);
         let counts: Vec<u32> = {
             let existing = self.app_domains.get(&app);
             (0..domains)
@@ -868,32 +818,54 @@ impl DatacenterService {
                 .collect()
         };
         let min_count = counts.iter().copied().min().unwrap_or(0);
-        for pass in 0..2 {
-            for probe in 0..n {
-                let index = (self.scan_cursor + probe) % n;
-                if self.down[index] || self.draining[index] {
-                    continue;
+        let in_emptiest_domain = |pm: PmId| {
+            counts
+                .get(topology.domain_of(pm) as usize)
+                .copied()
+                .unwrap_or(0)
+                == min_count
+        };
+        let pm = self
+            .scan(vm, in_emptiest_domain)
+            .or_else(|vm| self.scan(vm, |_| true))?;
+        self.note_spread_placed(pm, app);
+        Ok(pm)
+    }
+
+    /// One next-fit pass from the shared cursor, wrapping once around the
+    /// fleet, over the machines that are neither down nor draining and that
+    /// `accept` admits.  A landing moves the cursor there.
+    fn scan(&mut self, mut vm: Vm, accept: impl Fn(PmId) -> bool) -> Result<PmId, Vm> {
+        let n = self.config.machines;
+        for probe in 0..n {
+            let index = (self.scan_cursor + probe) % n;
+            if self.down[index] || self.draining[index] || !accept(PmId(index as u64)) {
+                continue;
+            }
+            match self.try_place(index, vm) {
+                Ok(pm) => {
+                    self.scan_cursor = index;
+                    return Ok(pm);
                 }
-                let pm = PmId(index as u64);
-                let domain = topology.domain_of(pm) as usize;
-                if pass == 0 && counts.get(domain).copied().unwrap_or(0) != min_count {
-                    continue;
-                }
-                match self.cluster.place_on_returning(pm, vm) {
-                    Ok(()) => {
-                        self.scan_cursor = index;
-                        self.note_spread_placed(pm, app);
-                        return Ok(pm);
-                    }
-                    Err((returned, ClusterError::NoCapacity { .. })) => vm = returned,
-                    Err((returned, error)) => {
-                        self.record_placement_error(returned.id, pm, error);
-                        vm = returned;
-                    }
-                }
+                Err(returned) => vm = returned,
             }
         }
         Err(vm)
+    }
+
+    /// One placement attempt on machine `index`: the machine on success,
+    /// the VM back otherwise.  An error other than `NoCapacity` is recorded
+    /// before the VM is handed back.
+    fn try_place(&mut self, index: usize, vm: Vm) -> Result<PmId, Vm> {
+        let pm = PmId(index as u64);
+        match self.cluster.place_on_returning(pm, vm) {
+            Ok(()) => Ok(pm),
+            Err((returned, ClusterError::NoCapacity { .. })) => Err(returned),
+            Err((returned, error)) => {
+                self.record_placement_error(returned.id, pm, error);
+                Err(returned)
+            }
+        }
     }
 
     /// Bumps the spread bookkeeping for a VM of `app` landing on `pm`.
@@ -1131,7 +1103,6 @@ mod tests {
         let mut packed = DatacenterService::new(ServiceConfig::xeon_fleet(8, 3), sessions(&specs));
         packed.run_epochs(2);
         assert_eq!(packed.stats().arrivals, 6);
-        assert!(packed.audit_spread().is_empty(), "spread off → no findings");
         assert_eq!(
             audit::check_spread(packed.cluster(), &topo).len(),
             1,
@@ -1146,7 +1117,10 @@ mod tests {
         assert_eq!(spread.stats().arrivals, 6);
         assert_eq!(spread.stats().rejections, 0);
         assert_eq!(spread.audit(), Vec::<String>::new());
-        assert_eq!(spread.audit_spread(), Vec::<String>::new());
+        assert_eq!(
+            audit::check_spread(spread.cluster(), &topo),
+            Vec::<String>::new()
+        );
         let per_domain: Vec<usize> = [0..4usize, 4..8]
             .into_iter()
             .map(|range| {
@@ -1224,7 +1198,7 @@ mod tests {
         assert!(stream.len() > 20, "want a busy little stream");
         let run = |sparse: bool| {
             let mut svc = DatacenterService::new(ServiceConfig::xeon_fleet(12, 7), stream.clone());
-            svc.engine_mut().set_sparse(sparse);
+            svc.engine.set_sparse(sparse);
             let mut all = Vec::new();
             for _ in 0..400 {
                 all.push(svc.step_epoch());

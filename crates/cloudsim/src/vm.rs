@@ -51,6 +51,7 @@ impl Vm {
     ///
     /// # Panics
     /// Panics if `vcpus` is zero or `memory_mb` is not positive.
+    // simlint: test-accessor (builds 1- and 4-vCPU and memory-heavy tenants)
     pub fn with_shape(
         id: VmId,
         vcpus: usize,

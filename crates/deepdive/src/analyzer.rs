@@ -123,7 +123,7 @@ impl InterferenceAnalyzer {
 
         // Average counters over both windows.
         let production_mean = mean_counters(production_counters);
-        let isolation_mean = isolation.mean_counters();
+        let isolation_mean = mean_counters(&isolation.counters);
 
         // Degradation from the instructions-retired rates (§4.2).
         let inst_prod = production_mean.inst_retired;
@@ -314,6 +314,14 @@ mod tests {
     fn empty_production_window_rejected() {
         let sandbox = Sandbox::xeon_pool(1);
         analyzer().analyze(VmId(1), &[], &[victim_demand()], &sandbox, 2);
+    }
+
+    #[test]
+    fn mean_counters_average_the_window() {
+        let run = Sandbox::xeon_pool(1).run_in_isolation(VmId(1), &vec![victim_demand(); 2], 2);
+        let mean = mean_counters(&run.counters);
+        assert!((mean.inst_retired - run.counters[0].inst_retired).abs() < 1e-3);
+        assert_eq!(mean_counters(&[]), CounterSnapshot::zero());
     }
 
     #[test]

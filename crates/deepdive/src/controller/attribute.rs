@@ -21,7 +21,6 @@ use cloudsim::pm::VmEpochReport;
 use cloudsim::{Cluster, SandboxFleet};
 use hwsim::{CounterSnapshot, ResourceDemand};
 
-use super::mitigate::vcpus_of;
 use super::{DeepDive, EpochEvent};
 use crate::analyzer::AnalysisResult;
 use crate::epoch_index::EpochIndex;
@@ -107,11 +106,8 @@ impl DeepDive {
         record.deferred_until = None;
         let (counters, replay): (Vec<CounterSnapshot>, Vec<ResourceDemand>) =
             record.window.iter().cloned().unzip();
-        // The clone runs as wide as the VM (an earlier mitigation this
-        // epoch may have moved it; its width moved with it).
-        let vcpus = vcpus_of(cluster, vm);
-
-        let result = self.run_analysis(report, pool_idx, matched, vcpus, &counters, &replay);
+        // The clone runs as wide as the VM.
+        let result = self.run_analysis(report, pool_idx, matched, &counters, &replay);
         let cooldown = if result.interference_confirmed {
             self.config
                 .confirmed_cooldown
@@ -135,16 +131,15 @@ impl DeepDive {
         events
     }
 
-    /// Runs the interference analyzer for one `vcpus`-wide VM in sandbox
-    /// pool `pool_idx` — `counters` in production against `replay` in
-    /// isolation, the two halves of the VM's window — and updates the
-    /// repository.
+    /// Runs the interference analyzer for `report`'s VM, at its own width,
+    /// in sandbox pool `pool_idx` — `counters` in production against
+    /// `replay` in isolation, the two halves of the VM's window — and
+    /// updates the repository.
     fn run_analysis(
         &mut self,
         report: &VmEpochReport,
         pool_idx: usize,
         matched: bool,
-        vcpus: usize,
         counters: &[CounterSnapshot],
         replay: &[ResourceDemand],
     ) -> AnalysisResult {
@@ -159,7 +154,7 @@ impl DeepDive {
             counters,
             replay,
             &self.fleet.pools()[pool_idx],
-            vcpus,
+            report.vcpus,
         );
         self.stats.profiling_seconds += result.profiling_seconds;
         self.profiling_by_pool[pool_idx] += result.profiling_seconds;

@@ -1,8 +1,8 @@
 //! Mitigate (§4.3): once interference is confirmed, pick the resident of
 //! the afflicted machine that is most aggressive on the culprit resource,
-//! predict its interference on every candidate destination with the
-//! synthetic-benchmark mimic, and migrate it — retrying with backoff when
-//! the migration fails transiently or the destination filled up.
+//! predict its interference on every destination that can admit it with
+//! the synthetic-benchmark mimic, and migrate it — retrying with backoff
+//! when the migration fails transiently or the destination filled up.
 
 use std::collections::BTreeMap;
 
@@ -14,7 +14,7 @@ use hwsim::{MachineSpec, ResourceDemand};
 use super::{DeepDive, DeepDiveConfig, EpochEvent};
 use crate::cpi_stack::Resource;
 use crate::epoch_index::EpochIndex;
-use crate::placement::{CandidateMachine, ResidentVm};
+use crate::placement::{CandidateMachine, PlacementManager, ResidentVm};
 use crate::synthetic::SyntheticBenchmark;
 
 /// Retry budget for failed mitigation migrations (transient failures and
@@ -170,54 +170,57 @@ impl DeepDive {
                 "machine membership changed since this epoch's reports",
             )];
         }
-        // Reports carry no VM shape, so each resident's width is read from
-        // its host.
-        let host = cluster.machine(pm);
         let residents: Vec<ResidentVm> = group
             .iter()
-            .filter_map(|&at| {
+            .map(|&at| {
                 let r = &reports[at as usize];
-                let vcpus = host?.vms().iter().find(|vm| vm.id == r.vm_id)?.vcpus;
-                Some(ResidentVm {
+                ResidentVm {
                     vm_id: r.vm_id,
                     counters: r.counters,
                     behavior: index.behaviors[at as usize],
                     demand: r.demand.clone(),
-                    vcpus,
-                })
+                    vcpus: r.vcpus,
+                }
             })
             .collect();
         if residents.len() < 2 {
             return vec![skipped(victim.vm_id, "no co-located VM to migrate away")];
         }
-        // Candidate destinations: every other machine, each with its own
-        // hardware model and its residents' latest demands and widths, so
-        // predictions run against the destination's actual spec.  Both are
-        // copied out once in machine-group order — parallel to the index's
-        // member list — so every candidate's residents are one slice.  A
-        // width is read from the reporting machine, or from wherever an
-        // earlier mitigation this epoch moved the VM.
+        let aggressor = PlacementManager::select_aggressor(&residents, culprit);
+        let moved = aggressor.vm_id;
+        // The membership check above placed every resident on `pm`.
+        let host = cluster.machine(pm);
+        let Some(mover) = host.and_then(|h| h.vms().iter().find(|vm| vm.id == moved)) else {
+            return vec![skipped(moved, "the aggressor left its machine")];
+        };
+        // Candidate destinations: every other machine accepting placements,
+        // each with its own hardware model and its residents' latest demands
+        // and widths, so predictions run against the destination's actual
+        // spec.  Both are copied out once in machine-group order — parallel
+        // to the index's member list — so every candidate's residents are
+        // one slice.
         let members = index.by_machine.members();
         let demands: Vec<ResourceDemand> = members
             .iter()
             .map(|&at| reports[at as usize].demand.clone())
             .collect();
-        let mut widths = vec![2; members.len()];
-        for m in cluster.machines() {
-            let span = index.by_machine.span(m.id);
-            for (width, &at) in widths[span.clone()].iter_mut().zip(&members[span]) {
-                let vm = reports[at as usize].vm_id;
-                *width = m
-                    .vms()
-                    .iter()
-                    .find(|v| v.id == vm)
-                    .map_or_else(|| vcpus_of(cluster, vm), |v| v.vcpus);
-            }
-        }
-        let candidates: Vec<CandidateMachine> = cluster
+        let widths: Vec<usize> = members
+            .iter()
+            .map(|&at| reports[at as usize].vcpus)
+            .collect();
+        let available: Vec<_> = cluster
             .machines()
             .iter()
             .filter(|m| m.id != pm && !self.machine_unavailable(m.id, epoch))
+            .collect();
+        if available.is_empty() {
+            return vec![skipped(victim.vm_id, "no candidate destination machine")];
+        }
+        // Only machines whose scheduler admits the aggressor are candidates:
+        // the same check `migrate` makes, cores and memory both.
+        let candidates: Vec<CandidateMachine> = available
+            .into_iter()
+            .filter(|m| m.scheduler().admits(m.spec(), m.vms(), mover))
             .map(|m| {
                 let span = index.by_machine.span(m.id);
                 CandidateMachine {
@@ -225,13 +228,9 @@ impl DeepDive {
                     spec: m.spec(),
                     resident_demands: &demands[span.clone()],
                     resident_vcpus: &widths[span],
-                    free_cores: m.free_cores(),
                 }
             })
             .collect();
-        if candidates.is_empty() {
-            return vec![skipped(victim.vm_id, "no candidate destination machine")];
-        }
 
         // Train the synthetic benchmark lazily, once per server type: the
         // mimic inverts behaviours observed on the afflicted machine, so it
@@ -242,11 +241,8 @@ impl DeepDive {
         let host_spec = host.map_or(&self.fleet.pools()[0].spec, |m| m.spec());
         let benchmark = Self::benchmark_for(&mut self.synthetic, &self.config, host_spec);
 
-        let decision = self
-            .placement
-            .decide(&residents, culprit, pm, &candidates, benchmark);
-        let moved = decision.vm_to_migrate;
-        let Some(destination) = decision.destination else {
+        let decision = self.placement.decide(aggressor, pm, &candidates, benchmark);
+        let Some(destination) = decision else {
             return vec![skipped(
                 moved,
                 "every candidate destination would interfere too much",
@@ -277,17 +273,6 @@ impl DeepDive {
         };
         self.schedule_migration_retry(moved, retry_reason, victim, culprit, attempt)
     }
-}
-
-/// vCPUs of `vm` on whichever machine holds it now (reports carry no VM
-/// shape, and a VM keeps its width when it migrates), or the default
-/// 2-vCPU shape for a VM the cluster no longer holds.
-pub(super) fn vcpus_of(cluster: &Cluster, vm: VmId) -> usize {
-    cluster
-        .locate(vm)
-        .and_then(|pm| cluster.machine(pm))
-        .and_then(|host| host.vms().iter().find(|v| v.id == vm))
-        .map_or(2, |v| v.vcpus)
 }
 
 /// The event for a migration that was recommended but did not happen.

@@ -310,13 +310,6 @@ impl DeepDive {
         self.fault_plane.as_ref()
     }
 
-    /// Analyses currently waiting out a sandbox-pool outage.
-    pub fn deferred_analyses(&self) -> usize {
-        // A count over the records.  simlint: order-independent
-        let records = self.vms.values();
-        records.filter(|vm| vm.deferred_until.is_some()).count()
-    }
-
     /// Mitigation migrations currently awaiting a backed-off retry.
     pub fn pending_migrations(&self) -> usize {
         self.pending_migrations.len()
@@ -359,6 +352,7 @@ impl DeepDive {
     }
 
     /// Number of VMs the controller currently holds state for.
+    // simlint: test-accessor (the leak checks of the closed-loop tests)
     pub fn tracked_vms(&self) -> usize {
         self.vms.len()
     }
@@ -479,6 +473,14 @@ mod tests {
             ..Default::default()
         };
         DeepDive::for_cluster(config, cluster)
+    }
+
+    /// Analyses currently waiting out a sandbox-pool outage.
+    fn deferred_analyses(dd: &DeepDive) -> usize {
+        dd.vms
+            .values()
+            .filter(|vm| vm.deferred_until.is_some())
+            .count()
     }
 
     /// Runs `epochs` epochs through `engine` and returns all events.
@@ -728,7 +730,7 @@ mod tests {
                 migration_retries: 1,
             }
         );
-        assert_eq!((dd.deferred_analyses(), dd.pending_migrations()), (0, 0));
+        assert_eq!((deferred_analyses(&dd), dd.pending_migrations()), (0, 0));
         assert_eq!(cluster.locate(VmId(99)), Some(PmId(1)));
     }
 
@@ -751,14 +753,14 @@ mod tests {
         ));
         let engine = EpochEngine::serial(ClusterSeed::new(2));
         run(&mut cluster, &mut dd, &engine, 3, 0.8);
-        assert_eq!((dd.tracked_vms(), dd.deferred_analyses()), (2, 2));
+        assert_eq!((dd.tracked_vms(), deferred_analyses(&dd)), (2, 2));
         // VM 1's session ends while its analysis is still waiting.
         cluster.remove_vm(VmId(1));
         dd.forget_vms(&[VmId(1)]);
-        assert_eq!((dd.tracked_vms(), dd.deferred_analyses()), (1, 1));
+        assert_eq!((dd.tracked_vms(), deferred_analyses(&dd)), (1, 1));
         // The survivor's window and deferral are untouched.
         run(&mut cluster, &mut dd, &engine, 3, 0.8);
-        assert_eq!((dd.tracked_vms(), dd.deferred_analyses()), (1, 1));
+        assert_eq!((dd.tracked_vms(), deferred_analyses(&dd)), (1, 1));
         assert_eq!(dd.stats().analyses_deferred, 2);
         // Nothing of VM 1 is left: one record is all there ever was ...
         assert!(!dd.vms.contains_key(&VmId(1)));
@@ -776,7 +778,7 @@ mod tests {
             ),
             (1, 0, Some(6 + 12))
         );
-        assert_eq!((dd.tracked_vms(), dd.deferred_analyses()), (2, 2));
+        assert_eq!((dd.tracked_vms(), deferred_analyses(&dd)), (2, 2));
         assert_eq!(dd.stats().analyses_deferred, 3);
     }
 
@@ -915,6 +917,41 @@ mod tests {
         assert_eq!(cluster.locate(VmId(99)), Some(PmId(0)), "nothing moved");
     }
 
+    /// Like `run`, but the tenants with ids from 10 up idle: they hold room
+    /// on their machines without interfering, so placement weighs capacity
+    /// rather than predicted interference there.
+    fn run_beside_idle_tenants(
+        cluster: &mut Cluster,
+        dd: &mut DeepDive,
+        engine: &EpochEngine,
+        epochs: usize,
+    ) -> Vec<EpochEvent> {
+        let mut events = Vec::new();
+        for _ in 0..epochs {
+            let reports = engine.step(cluster, |vm| if vm.0 >= 10 { 0.0 } else { 0.8 });
+            events.extend(dd.process_epoch(cluster, &reports));
+        }
+        events
+    }
+
+    fn placement(cluster: &Cluster) -> Vec<Vec<VmId>> {
+        let machines = cluster.machines().iter();
+        machines
+            .map(|m| m.vms().iter().map(|vm| vm.id).collect())
+            .collect()
+    }
+
+    /// The reasons of every `MigrationSkipped` event.
+    fn skip_reasons(events: &[EpochEvent]) -> Vec<&str> {
+        events
+            .iter()
+            .filter_map(|e| match e {
+                EpochEvent::MigrationSkipped { reason, .. } => Some(reason.as_str()),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn mitigation_respects_the_aggressors_real_vcpu_count() {
         let mut cluster = Cluster::homogeneous(2, MachineSpec::xeon_x5472(), Scheduler::default());
@@ -926,18 +963,7 @@ mod tests {
         }
         let mut dd = controller(true, &cluster);
         let engine = EpochEngine::serial(ClusterSeed::new(3));
-        // Machine 1's tenants idle — at the shared `run` helper's uniform
-        // load placement rejects machine 1 for interference and the width
-        // never matters.
-        let step = |cluster: &mut Cluster, dd: &mut DeepDive, epochs: usize| {
-            let mut events = Vec::new();
-            for _ in 0..epochs {
-                let reports = engine.step(cluster, |vm| if vm.0 >= 10 { 0.0 } else { 0.8 });
-                events.extend(dd.process_epoch(cluster, &reports));
-            }
-            events
-        };
-        step(&mut cluster, &mut dd, 50);
+        run_beside_idle_tenants(&mut cluster, &mut dd, &engine, 50);
         let wide_aggressor = cloudsim::Vm::with_shape(
             VmId(99),
             4,
@@ -946,14 +972,9 @@ mod tests {
             ClientEmulator::new(1.0, 1.0),
         );
         cluster.place_on(PmId(0), wide_aggressor).unwrap();
-        let placement = |c: &Cluster| -> Vec<Vec<VmId>> {
-            let ids = c.machines().iter();
-            ids.map(|m| m.vms().iter().map(|vm| vm.id).collect())
-                .collect()
-        };
         let before = placement(&cluster);
         let confirmed_before = dd.stats().interference_confirmed;
-        let events = step(&mut cluster, &mut dd, 40);
+        let events = run_beside_idle_tenants(&mut cluster, &mut dd, &engine, 40);
         let stats = dd.stats();
         assert_eq!(
             stats.interference_confirmed - confirmed_before,
@@ -963,16 +984,66 @@ mod tests {
         // No destination has four free cores, so the decision is one skip:
         // no doomed migration attempt, hence nothing to retry.
         assert_eq!((stats.migrations, stats.migration_retries), (0, 0));
-        let skips: Vec<&str> = events
-            .iter()
-            .filter_map(|e| match e {
-                EpochEvent::MigrationSkipped { reason, .. } => Some(reason.as_str()),
-                _ => None,
-            })
-            .collect();
+        let skips = skip_reasons(&events);
         assert_eq!(skips.len(), 1, "{events:?}");
         assert_ne!(skips[0], "destination ran out of capacity");
         assert_eq!(placement(&cluster), before, "placement must be untouched");
+    }
+
+    #[test]
+    fn candidates_without_capacity_are_skipped() {
+        // Machine 1 is full, so it is never a candidate: the decision is
+        // one skip, with no migration attempted and nothing to retry.
+        let mut cluster = Cluster::homogeneous(2, MachineSpec::xeon_x5472(), Scheduler::default());
+        cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
+        for id in 10..14 {
+            cluster.place_on(PmId(1), serving_vm(id, 2)).unwrap();
+        }
+        let mut dd = controller(true, &cluster);
+        let engine = EpochEngine::serial(ClusterSeed::new(3));
+        run_beside_idle_tenants(&mut cluster, &mut dd, &engine, 50);
+        cluster.place_on(PmId(0), aggressor_vm(99)).unwrap();
+        let before = placement(&cluster);
+        let events = run_beside_idle_tenants(&mut cluster, &mut dd, &engine, 40);
+        let stats = dd.stats();
+        assert!(stats.interference_confirmed >= 1, "{stats:?}");
+        assert_eq!((stats.migrations, stats.migration_retries), (0, 0));
+        let skips = skip_reasons(&events);
+        assert!(!skips.is_empty(), "{events:?}");
+        assert!(skips
+            .iter()
+            .all(|&r| r != "destination ran out of capacity"));
+        assert_eq!(placement(&cluster), before, "placement must be untouched");
+    }
+
+    #[test]
+    fn mitigation_skips_a_destination_without_free_memory() {
+        // Machines 1 and 2 each host one idle tenant and predict the same
+        // interference, so the lowest id, machine 1, is the best-predicted
+        // destination.  Its tenant holds 7 000 of the Xeon's 8 192 MiB: six
+        // cores are free but the 2 048 MiB aggressor does not fit.  Judged
+        // by free cores alone, every retry picks machine 1 and fails with
+        // `NoCapacity`; judged by admission, the aggressor lands on 2.
+        let mut cluster = Cluster::homogeneous(3, MachineSpec::xeon_x5472(), Scheduler::default());
+        cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
+        let memory_heavy = cloudsim::Vm::with_shape(
+            VmId(10),
+            2,
+            7_000.0,
+            Box::new(DataServing::with_defaults(AppId(2))),
+            ClientEmulator::new(8_000.0, 4.0),
+        );
+        cluster.place_on(PmId(1), memory_heavy).unwrap();
+        cluster.place_on(PmId(2), serving_vm(11, 2)).unwrap();
+        let mut dd = controller(true, &cluster);
+        let engine = EpochEngine::serial(ClusterSeed::new(3));
+        run_beside_idle_tenants(&mut cluster, &mut dd, &engine, 50);
+        cluster.place_on(PmId(0), aggressor_vm(99)).unwrap();
+        let events = run_beside_idle_tenants(&mut cluster, &mut dd, &engine, 40);
+        assert_eq!(cluster.locate(VmId(99)), Some(PmId(2)), "{events:?}");
+        let stats = dd.stats();
+        assert_eq!((stats.migrations, stats.migration_retries), (1, 0));
+        assert!(skip_reasons(&events).is_empty(), "{events:?}");
     }
 
     #[test]
@@ -1071,7 +1142,7 @@ mod tests {
         assert_eq!(fleet.pools().len(), 2);
         for machine in mixed.machines() {
             assert!(
-                fleet.pool_for(machine.spec()).is_some(),
+                fleet.select_index(machine.spec()).1,
                 "no pool for {}",
                 machine.spec().name
             );

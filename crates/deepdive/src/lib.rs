@@ -112,8 +112,8 @@ pub use analyzer::{AnalysisResult, InterferenceAnalyzer};
 pub use controller::{DeepDive, DeepDiveConfig, DeepDiveStats};
 pub use cpi_stack::{CpiStack, Resource};
 pub use metrics::BehaviorVector;
-pub use placement::{PlacementDecision, PlacementManager};
+pub use placement::PlacementManager;
 pub use repository::BehaviorRepository;
 pub use service::ManagedDatacenter;
-pub use synthetic::{SyntheticBenchmark, SyntheticClone};
+pub use synthetic::SyntheticBenchmark;
 pub use warning::{WarningDecision, WarningSystem};

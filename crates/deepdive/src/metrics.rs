@@ -96,16 +96,6 @@ impl BehaviorVector {
             .fold(0.0, f64::max)
     }
 
-    /// Euclidean distance to another behaviour.
-    pub fn distance(&self, other: &BehaviorVector) -> f64 {
-        self.values
-            .iter()
-            .zip(&other.values)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Approximate serialized footprint in bytes (used for the §5.5 memory
     /// overhead accounting: one f64 per dimension).
     pub fn footprint_bytes(&self) -> usize {
@@ -153,11 +143,8 @@ mod tests {
     fn normalization_makes_load_scaling_invisible() {
         let half = BehaviorVector::from_counters(&sample_counters(0.5));
         let full = BehaviorVector::from_counters(&sample_counters(1.0));
-        assert!(
-            half.distance(&full) < 1e-9,
-            "distance {}",
-            half.distance(&full)
-        );
+        let distance = analytics::stats::euclidean(&half.values, &full.values);
+        assert!(distance < 1e-9, "distance {distance}");
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! [`EpochResolver`] per machine model, and the clone's uncontended
 //! baseline is computed once per model, not once per candidate.
 
-use cloudsim::{PmId, Topology, VmId};
+use cloudsim::{PmId, Scheduler, Topology, VmId};
 use hwsim::contention::{EpochOutcome, PlacedDemand};
 use hwsim::{CounterSnapshot, EpochResolver, MachineSpec, ResourceDemand, EPOCH_SECONDS};
 
@@ -66,30 +66,6 @@ pub struct CandidateMachine<'a> {
     /// mismatch panics): a resident is resolved at its own width, as the
     /// engine resolves it.
     pub resident_vcpus: &'a [usize],
-    /// Free cores available for the incoming VM.
-    pub free_cores: usize,
-}
-
-/// Predicted outcome of migrating the aggressor to one candidate.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CandidatePrediction {
-    /// The candidate machine.
-    pub pm_id: PmId,
-    /// Predicted interference on the destination: the largest fractional
-    /// slowdown among the clone and the VMs already resident there.
-    pub predicted_interference: f64,
-}
-
-/// The placement manager's recommendation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PlacementDecision {
-    /// The VM selected for migration (most aggressive on the culprit).
-    pub vm_to_migrate: VmId,
-    /// The chosen destination, or `None` when every candidate would suffer
-    /// more than the acceptable interference limit.
-    pub destination: Option<PmId>,
-    /// Predictions for every evaluated candidate (sorted by machine id).
-    pub predictions: Vec<CandidatePrediction>,
 }
 
 /// The placement manager.
@@ -153,7 +129,7 @@ impl PlacementManager {
     ///
     /// # Panics
     /// Panics if `residents` is empty.
-    pub fn select_aggressor(residents: &[ResidentVm], culprit: Resource) -> VmId {
+    pub fn select_aggressor(residents: &[ResidentVm], culprit: Resource) -> &ResidentVm {
         assert!(!residents.is_empty(), "no resident VMs to choose from");
         residents
             .iter()
@@ -162,7 +138,6 @@ impl PlacementManager {
                     .partial_cmp(&Self::aggressiveness(&b.behavior, culprit))
                     .expect("finite aggressiveness")
             })
-            .map(|v| v.vm_id)
             .expect("non-empty residents")
     }
 
@@ -180,29 +155,25 @@ impl PlacementManager {
         ClonePredictor::new(candidate.spec, clone_demand, clone_vcpus).predict(candidate)
     }
 
-    /// Full placement decision for a confirmed interference case.
+    /// The destination for a confirmed interference case, or `None` when
+    /// every candidate would suffer more than the acceptable interference
+    /// limit.
     ///
-    /// * `residents` — the VMs on the afflicted machine.
-    /// * `culprit` — the resource the analyzer blamed.
+    /// * `aggressor` — the VM to move ([`PlacementManager::select_aggressor`]).
     /// * `source` — the afflicted machine itself (the migration source;
     ///   only consulted by the spread preference).
-    /// * `candidates` — possible destination machines (the afflicted machine
-    ///   itself must not be among them).
+    /// * `candidates` — possible destination machines, each able to admit
+    ///   the aggressor (the afflicted machine itself must not be among them).
     /// * `benchmark` — the trained synthetic benchmark for this server type.
+    ///
+    /// Ties in predicted interference go to the lowest machine id.
     pub fn decide(
         &self,
-        residents: &[ResidentVm],
-        culprit: Resource,
+        aggressor: &ResidentVm,
         source: PmId,
         candidates: &[CandidateMachine],
         benchmark: &SyntheticBenchmark,
-    ) -> PlacementDecision {
-        let aggressor_id = Self::select_aggressor(residents, culprit);
-        let aggressor = residents
-            .iter()
-            .find(|r| r.vm_id == aggressor_id)
-            .expect("aggressor is a resident");
-
+    ) -> Option<PmId> {
         // Build the synthetic clone that mimics the aggressor at its
         // *demanded* work rate. The counters' inst_retired is throttled by
         // the very contention that triggered this decision, so pinning the
@@ -215,55 +186,37 @@ impl PlacementManager {
         // has a handful), so resolver scratch and the clone's solo baseline
         // are shared by every candidate of a model.
         let mut predictors: Vec<ClonePredictor> = Vec::new();
-        let mut predictions: Vec<CandidatePrediction> = candidates
-            .iter()
-            .filter(|c| c.free_cores >= aggressor.vcpus)
-            .map(|c| {
-                let known = predictors.iter().position(|p| p.resolver.spec() == c.spec);
-                let at = known.unwrap_or_else(|| {
-                    predictors.push(ClonePredictor::new(c.spec, &clone_demand, aggressor.vcpus));
-                    predictors.len() - 1
-                });
-                CandidatePrediction {
-                    pm_id: c.pm_id,
-                    predicted_interference: predictors[at].predict(c),
-                }
-            })
-            .collect();
-        predictions.sort_by_key(|p| p.pm_id);
-
-        let best_of = |preds: &mut dyn Iterator<Item = &CandidatePrediction>| {
-            preds
-                .min_by(|a, b| {
-                    a.predicted_interference
-                        .partial_cmp(&b.predicted_interference)
-                        .expect("finite predictions")
-                })
-                .filter(|p| p.predicted_interference <= self.acceptable_interference)
-                .map(|p| p.pm_id)
+        // The least interfering candidate (lowest id on ties) over all
+        // candidates, and over those outside the source's power domain.
+        // With a spread topology an acceptable cross-domain destination
+        // beats any same-domain one — the migration doubles as a
+        // failure-domain spread move — and the plain minimum is the fallback.
+        let cross_domain = |pm: PmId| {
+            self.spread
+                .is_some_and(|t| t.domain_of(pm) != t.domain_of(source))
         };
-        // With a spread topology, an acceptable destination outside the
-        // source's power domain beats any same-domain one — the migration
-        // doubles as a failure-domain spread move.  Fall back to the plain
-        // minimum when no cross-domain candidate is acceptable.
-        let destination = match &self.spread {
-            Some(topology) => {
-                let source_domain = topology.domain_of(source);
-                best_of(
-                    &mut predictions
-                        .iter()
-                        .filter(|p| topology.domain_of(p.pm_id) != source_domain),
-                )
-                .or_else(|| best_of(&mut predictions.iter()))
+        let (mut best, mut best_cross_domain) = (None, None);
+        for c in candidates {
+            let known = predictors.iter().position(|p| p.resolver.spec() == c.spec);
+            let at = known.unwrap_or_else(|| {
+                predictors.push(ClonePredictor::new(c.spec, &clone_demand, aggressor.vcpus));
+                predictors.len() - 1
+            });
+            // Ordered by prediction, then machine id.
+            let scored = (predictors[at].predict(c), c.pm_id);
+            if best.is_none_or(|b| scored < b) {
+                best = Some(scored);
             }
-            None => best_of(&mut predictions.iter()),
-        };
-
-        PlacementDecision {
-            vm_to_migrate: aggressor_id,
-            destination,
-            predictions,
+            if cross_domain(c.pm_id) && best_cross_domain.is_none_or(|b| scored < b) {
+                best_cross_domain = Some(scored);
+            }
         }
+        let acceptable = |scored: Option<(f64, PmId)>| {
+            scored
+                .filter(|&(p, _)| p <= self.acceptable_interference)
+                .map(|(_, pm)| pm)
+        };
+        acceptable(best_cross_domain).or_else(|| acceptable(best))
     }
 }
 
@@ -305,7 +258,6 @@ impl ClonePredictor {
             candidate.resident_vcpus.len(),
             "every resident needs a width"
         );
-        let cache_groups = candidate.spec.cache_groups().max(1);
         self.placements.clear();
         self.baselines.clear();
         for (i, (demand, &vcpus)) in candidate
@@ -318,7 +270,7 @@ impl ClonePredictor {
                 i as u64,
                 demand.clone(),
                 vcpus,
-                (i / 2) % cache_groups,
+                Scheduler::default().cache_group_for_slot(candidate.spec, i),
             ));
             self.baselines.push(solo_fraction(
                 &mut self.resolver,
@@ -332,7 +284,7 @@ impl ClonePredictor {
             u64::MAX,
             self.clone_demand.clone(),
             self.clone_vcpus,
-            (clone_slot / 2) % cache_groups,
+            Scheduler::default().cache_group_for_slot(candidate.spec, clone_slot),
         ));
         self.baselines.push(self.clone_solo);
 
@@ -369,7 +321,6 @@ fn solo_fraction(
 mod tests {
     use super::*;
     use hwsim::ResourceDemand;
-    use workloads::AppId;
 
     fn counters_with(llc: f64, net_stall: f64, disk_stall: f64) -> CounterSnapshot {
         CounterSnapshot {
@@ -423,14 +374,12 @@ mod tests {
         id: u64,
         spec: &'a MachineSpec,
         resident_demands: &'a [ResourceDemand],
-        free_cores: usize,
     ) -> CandidateMachine<'a> {
         CandidateMachine {
             pm_id: PmId(id),
             spec,
             resident_demands,
             resident_vcpus: &[2; 8][..resident_demands.len()],
-            free_cores,
         }
     }
 
@@ -440,18 +389,10 @@ mod tests {
         let net_hog = resident(2, counters_with(1.0e6, 0.6, 0.0));
         let disk_hog = resident(3, counters_with(1.0e6, 0.0, 0.7));
         let residents = vec![cache_hog, net_hog, disk_hog];
-        assert_eq!(
-            PlacementManager::select_aggressor(&residents, Resource::CacheMemory),
-            VmId(1)
-        );
-        assert_eq!(
-            PlacementManager::select_aggressor(&residents, Resource::Network),
-            VmId(2)
-        );
-        assert_eq!(
-            PlacementManager::select_aggressor(&residents, Resource::Disk),
-            VmId(3)
-        );
+        let pick = |culprit| PlacementManager::select_aggressor(&residents, culprit).vm_id;
+        assert_eq!(pick(Resource::CacheMemory), VmId(1));
+        assert_eq!(pick(Resource::Network), VmId(2));
+        assert_eq!(pick(Resource::Disk), VmId(3));
     }
 
     #[test]
@@ -460,8 +401,8 @@ mod tests {
         let clone_demand = busy_memory_demand();
         let xeon = MachineSpec::xeon_x5472();
         let residents = [busy_memory_demand(), quiet_demand()];
-        let empty = candidate(1, &xeon, &[], 8);
-        let loaded = candidate(2, &xeon, &residents, 4);
+        let empty = candidate(1, &xeon, &[]);
+        let loaded = candidate(2, &xeon, &residents);
         let empty_pred = m.predict_on_candidate(&clone_demand, 2, &empty);
         let loaded_pred = m.predict_on_candidate(&clone_demand, 2, &loaded);
         assert!(empty_pred < 0.05, "empty machine prediction {empty_pred}");
@@ -484,8 +425,8 @@ mod tests {
         let clone_demand = busy_memory_demand();
         let residents = [busy_memory_demand()];
         let (xeon_spec, i7_spec) = (MachineSpec::xeon_x5472(), MachineSpec::core_i7_nehalem());
-        let xeon = candidate(1, &xeon_spec, &residents, 6);
-        let i7 = candidate(2, &i7_spec, &residents, 6);
+        let xeon = candidate(1, &xeon_spec, &residents);
+        let i7 = candidate(2, &i7_spec, &residents);
         let on_xeon = m.predict_on_candidate(&clone_demand, 2, &xeon);
         let on_i7 = m.predict_on_candidate(&clone_demand, 2, &i7);
         assert!(
@@ -539,7 +480,6 @@ mod tests {
             spec: &xeon,
             resident_demands: std::slice::from_ref(&resident),
             resident_vcpus: &[4],
-            free_cores: 4,
         };
         let predicted = manager().predict_on_candidate(&clone, 2, &candidate);
         assert_eq!(
@@ -577,33 +517,24 @@ mod tests {
             },
         ];
         let busy = [busy_memory_demand(), busy_memory_demand()];
-        let candidates = [candidate(10, &spec, &busy, 4), candidate(11, &spec, &[], 8)];
-        let decision = m.decide(
-            &residents,
-            Resource::CacheMemory,
-            PmId(0),
-            &candidates,
-            &benchmark,
-        );
+        let candidates = [candidate(10, &spec, &busy), candidate(11, &spec, &[])];
+        let aggressor = PlacementManager::select_aggressor(&residents, Resource::CacheMemory);
+        assert_eq!(aggressor.vm_id, VmId(2), "the cache hog must be selected");
         assert_eq!(
-            decision.vm_to_migrate,
-            VmId(2),
-            "the cache hog must be selected"
-        );
-        assert_eq!(
-            decision.destination,
+            m.decide(aggressor, PmId(0), &candidates, &benchmark),
             Some(PmId(11)),
             "the idle machine wins"
         );
-        assert_eq!(decision.predictions.len(), 2);
     }
 
     #[test]
     fn decisions_over_a_mixed_fleet_match_the_values_recorded_before_the_resolver_reuse() {
         // Golden values printed by `decide` at commit 1e5d306, where every
         // candidate owned its spec and demands and each prediction went
-        // through a hidden thread-local resolver: sharing one resolver
-        // and one clone baseline per machine model must not move a bit.
+        // through a hidden thread-local resolver.  `predict_on_candidate`
+        // still predicts each candidate on its own; `decide` shares one
+        // resolver and one clone baseline per machine model, and must pick
+        // the destination those predictions name.
         let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 3);
         let (xeon, i7) = (MachineSpec::xeon_x5472(), MachineSpec::core_i7_nehalem());
         let contended = EpochResolver::new(xeon.clone()).resolve(&[
@@ -621,54 +552,46 @@ mod tests {
                 vcpus: 2,
             })
             .collect();
+        let aggressor = PlacementManager::select_aggressor(&residents, Resource::CacheMemory);
+        assert_eq!(aggressor.vm_id, VmId(2));
         let half = [busy_memory_demand(), quiet_demand()];
         let nearly_full = [busy_memory_demand(), quiet_demand(), busy_memory_demand()];
-        let full = [
-            quiet_demand(),
-            quiet_demand(),
-            quiet_demand(),
-            quiet_demand(),
-        ];
-        // Models interleaved and ids out of order on purpose; machine 4 has
-        // no free core and must not be evaluated at all.
+        // Models interleaved and ids out of order on purpose.
         let candidates = [
-            candidate(7, &i7, &nearly_full, 2),
-            candidate(1, &xeon, &[], 8),
-            candidate(2, &xeon, &half, 4),
-            candidate(3, &xeon, &nearly_full, 2),
-            candidate(4, &xeon, &full, 0),
-            candidate(5, &i7, &[], 8),
-            candidate(6, &i7, &half, 4),
+            candidate(7, &i7, &nearly_full),
+            candidate(1, &xeon, &[]),
+            candidate(2, &xeon, &half),
+            candidate(3, &xeon, &nearly_full),
+            candidate(5, &i7, &[]),
+            candidate(6, &i7, &half),
         ];
         let golden: [(u64, u64); 6] = [
+            (7, 0x3fecb8cf5fe9e58a), // 0.8975598214448592
             (1, 0x0000000000000000),
             (2, 0x3fe124af7534d9d7), // 0.5357281960667092
             (3, 0x3fe46b0d1a6e9a7b), // 0.6380677715540765
             (5, 0x0000000000000000),
             (6, 0x3fdc69d769dcb1ac), // 0.4439600499925074
-            (7, 0x3fecb8cf5fe9e58a), // 0.8975598214448592
         ];
+        let clone = benchmark.mimic(&aggressor.behavior, aggressor.demand.instructions);
+        let bits: Vec<(u64, u64)> = candidates
+            .iter()
+            .map(|c| {
+                let predicted = manager().predict_on_candidate(&clone.demand(), 2, c);
+                (c.pm_id.0, predicted.to_bits())
+            })
+            .collect();
+        assert_eq!(bits, golden);
         // Machines 0..4 are power domain 0, 4..8 domain 1; the source is 0.
+        // Machines 1 and 5 tie at zero: the lowest id wins unless spread
+        // prefers the other domain.
         let topology = Topology::new(1, 4);
         for (manager, destination) in [
             (manager(), PmId(1)),
             (manager().with_spread(topology), PmId(5)),
         ] {
-            let decision = manager.decide(
-                &residents,
-                Resource::CacheMemory,
-                PmId(0),
-                &candidates,
-                &benchmark,
-            );
-            assert_eq!(decision.vm_to_migrate, VmId(2));
-            assert_eq!(decision.destination, Some(destination));
-            let bits: Vec<(u64, u64)> = decision
-                .predictions
-                .iter()
-                .map(|p| (p.pm_id.0, p.predicted_interference.to_bits()))
-                .collect();
-            assert_eq!(bits, golden);
+            let decided = manager.decide(aggressor, PmId(0), &candidates, &benchmark);
+            assert_eq!(decided, Some(destination));
         }
         // Without the two idle machines the i7 half-full one is the least
         // bad; whether it is good enough is the operator's limit.
@@ -678,15 +601,9 @@ mod tests {
             .copied()
             .collect();
         for (limit, destination) in [(0.5, Some(PmId(6))), (0.4, None)] {
-            let decision = PlacementManager::new(limit).decide(
-                &residents,
-                Resource::CacheMemory,
-                PmId(0),
-                &loaded,
-                &benchmark,
-            );
-            assert_eq!(decision.destination, destination);
-            assert_eq!(decision.predictions.len(), 4);
+            let manager = PlacementManager::new(limit);
+            let decided = manager.decide(aggressor, PmId(0), &loaded, &benchmark);
+            assert_eq!(decided, destination);
         }
     }
 
@@ -694,41 +611,15 @@ mod tests {
     fn decision_declines_when_every_candidate_is_bad() {
         let m = PlacementManager::new(0.01);
         let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 3);
-        let residents = vec![resident(1, counters_with(5.0e7, 0.0, 0.0))];
+        let aggressor = resident(1, counters_with(5.0e7, 0.0, 0.0));
         let xeon = MachineSpec::xeon_x5472();
         let busy = [
             busy_memory_demand(),
             busy_memory_demand(),
             busy_memory_demand(),
         ];
-        let candidates = [candidate(10, &xeon, &busy, 2)];
-        let decision = m.decide(
-            &residents,
-            Resource::CacheMemory,
-            PmId(0),
-            &candidates,
-            &benchmark,
-        );
-        assert_eq!(decision.destination, None);
-    }
-
-    #[test]
-    fn candidates_without_capacity_are_skipped() {
-        let m = manager();
-        let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 3);
-        let residents = vec![resident(1, counters_with(5.0e7, 0.0, 0.0))];
-        let xeon = MachineSpec::xeon_x5472();
-        let quiet = [quiet_demand()];
-        let candidates = [candidate(10, &xeon, &quiet, 0)];
-        let decision = m.decide(
-            &residents,
-            Resource::CacheMemory,
-            PmId(0),
-            &candidates,
-            &benchmark,
-        );
-        assert!(decision.predictions.is_empty());
-        assert_eq!(decision.destination, None);
+        let candidates = [candidate(10, &xeon, &busy)];
+        assert_eq!(m.decide(&aggressor, PmId(0), &candidates, &benchmark), None);
     }
 
     #[test]
@@ -739,48 +630,27 @@ mod tests {
         // the other domain.
         let topology = Topology::new(1, 4);
         let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 3);
-        let residents = vec![resident(1, counters_with(5.0e7, 0.0, 0.0))];
+        let aggressor = resident(1, counters_with(5.0e7, 0.0, 0.0));
         let xeon = MachineSpec::xeon_x5472();
-        let candidates = [candidate(1, &xeon, &[], 8), candidate(5, &xeon, &[], 8)];
-        let plain = manager().decide(
-            &residents,
-            Resource::CacheMemory,
-            PmId(0),
-            &candidates,
-            &benchmark,
-        );
+        let candidates = [candidate(1, &xeon, &[]), candidate(5, &xeon, &[])];
         assert_eq!(
-            plain.destination,
+            manager().decide(&aggressor, PmId(0), &candidates, &benchmark),
             Some(PmId(1)),
             "spread off: lowest machine id wins the interference tie"
         );
-        let spread = manager().with_spread(topology).decide(
-            &residents,
-            Resource::CacheMemory,
-            PmId(0),
-            &candidates,
-            &benchmark,
-        );
+        let spread = manager().with_spread(topology);
         assert_eq!(
-            spread.vm_to_migrate, plain.vm_to_migrate,
-            "spread only reorders destinations"
-        );
-        assert_eq!(
-            spread.destination,
+            spread.decide(&aggressor, PmId(0), &candidates, &benchmark),
             Some(PmId(5)),
             "spread on: the cross-domain candidate wins"
         );
         // With no cross-domain candidate at all, the preference falls back
         // to the plain minimum instead of declining.
-        let same_domain = [candidate(1, &xeon, &[], 8)];
-        let fallback = manager().with_spread(topology).decide(
-            &residents,
-            Resource::CacheMemory,
-            PmId(0),
-            &same_domain,
-            &benchmark,
+        let same_domain = [candidate(1, &xeon, &[])];
+        assert_eq!(
+            spread.decide(&aggressor, PmId(0), &same_domain, &benchmark),
+            Some(PmId(1))
         );
-        assert_eq!(fallback.destination, Some(PmId(1)));
     }
 
     #[test]
@@ -793,15 +663,5 @@ mod tests {
     #[should_panic(expected = "acceptable interference")]
     fn invalid_limit_rejected() {
         PlacementManager::new(0.0);
-    }
-
-    #[test]
-    fn synthetic_clone_uses_app_namespace_for_identity() {
-        // Smoke-check that the clone built by the benchmark carries the app
-        // identity it was asked to impersonate.
-        let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 3);
-        let target = BehaviorVector::from_counters(&counters_with(5.0e7, 0.0, 0.0));
-        let clone = crate::SyntheticClone::new(AppId(42), benchmark.mimic(&target, 2.0e9));
-        assert_eq!(workloads::Workload::app_id(&clone), AppId(42));
     }
 }

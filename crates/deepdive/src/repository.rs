@@ -68,6 +68,7 @@ impl AppBehaviors {
     ///
     /// Allocates a fresh vector per call; the hot path uses
     /// [`Self::labelled_into`] with a reused buffer instead.
+    // simlint: test-accessor (the reference `labelled_into` is tested against)
     pub fn labelled(&self) -> Vec<LabelledBehaviour> {
         let mut out = Vec::new();
         self.labelled_into(&mut out);
@@ -313,6 +314,7 @@ impl BehaviorRepository {
     /// Serializes the repository to JSON (the durable NoSQL-store stand-in).
     /// Applications are written in the string order of their ids (`"10"`
     /// before `"2"`), whatever the hasher.
+    // simlint: test-accessor (the persistence suite pins the wire format)
     pub fn to_json(&self) -> String {
         // Hash-order walk, sorted two lines down.  simlint: order-independent
         let apps = self.apps.iter();
@@ -333,6 +335,7 @@ impl BehaviorRepository {
     /// Restores a repository from JSON produced by [`Self::to_json`].  A
     /// payload of the wrong shape — or one [`Self::with_capacity`] would
     /// refuse, such as a zero capacity — is an error, never a panic.
+    // simlint: test-accessor (the persistence suite's round trips)
     pub fn from_json(json: &str) -> Result<Self, serde_json::Error> {
         let doc = serde_json::from_str(json)?;
         let capacity_per_app = usize::try_from(doc.field("capacity_per_app")?.as_u64()?)

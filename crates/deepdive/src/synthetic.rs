@@ -21,7 +21,6 @@ use hwsim::contention::{EpochOutcome, PlacedDemand};
 use hwsim::{EpochResolver, MachineSpec, ResourceDemand, EPOCH_SECONDS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use workloads::{AppId, Workload, WorkloadKind};
 
 use crate::metrics::BehaviorVector;
 
@@ -154,16 +153,6 @@ impl SyntheticBenchmark {
         &self.model
     }
 
-    /// Runs the benchmark with given inputs alone on the machine model and
-    /// returns the observed normalized behaviour.
-    pub fn run_solo(spec: &MachineSpec, inputs: &BenchmarkInputs) -> BehaviorVector {
-        run_solo_with(
-            &mut EpochResolver::new(spec.clone()),
-            inputs,
-            &mut Vec::new(),
-        )
-    }
-
     /// Mean squared error of the trained regression on its own training set
     /// (useful as a sanity check on the fit quality).
     pub fn training_error(&self) -> f64 {
@@ -261,8 +250,9 @@ fn resolve_sample(
     (raw, behavior.to_vec())
 }
 
-/// Solo run of the benchmark through a reusable resolver — the hot-path form
-/// of [`SyntheticBenchmark::run_solo`] used by training and refinement.
+/// Runs the benchmark with given inputs alone on `resolver`'s machine model
+/// and returns the observed normalized behaviour (training and refinement
+/// share one resolver across their runs).
 fn run_solo_with(
     resolver: &mut EpochResolver,
     inputs: &BenchmarkInputs,
@@ -277,60 +267,20 @@ fn run_solo_with(
     BehaviorVector::from_counters(&outcomes[0].counters)
 }
 
-/// A workload that replays a fixed set of benchmark inputs each epoch — the
-/// synthetic stand-in for a real VM during placement evaluation.
-#[derive(Debug, Clone)]
-pub struct SyntheticClone {
-    app_id: AppId,
-    inputs: BenchmarkInputs,
-}
-
-impl SyntheticClone {
-    /// Creates a clone for the given application identity and inputs.
-    pub fn new(app_id: AppId, inputs: BenchmarkInputs) -> Self {
-        Self { app_id, inputs }
-    }
-
-    /// The benchmark inputs the clone replays.
-    pub fn inputs(&self) -> &BenchmarkInputs {
-        &self.inputs
-    }
-}
-
-impl Workload for SyntheticClone {
-    fn name(&self) -> &str {
-        "synthetic-clone"
-    }
-
-    fn app_id(&self) -> AppId {
-        self.app_id
-    }
-
-    fn kind(&self) -> WorkloadKind {
-        WorkloadKind::SyntheticClone
-    }
-
-    fn next_demand(&mut self, _load: f64, _rng: &mut StdRng) -> ResourceDemand {
-        // The benchmark runs its loops flat-out regardless of client load.
-        self.inputs.demand()
-    }
-
-    fn peak_request_rate(&self) -> f64 {
-        1.0
-    }
-
-    fn demand_is_static_at(&self, _load: f64) -> bool {
-        // Replays fixed inputs regardless of load and RNG.
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn trained() -> SyntheticBenchmark {
         SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 200, 7)
+    }
+
+    fn run_solo(spec: &MachineSpec, inputs: &BenchmarkInputs) -> BehaviorVector {
+        run_solo_with(
+            &mut EpochResolver::new(spec.clone()),
+            inputs,
+            &mut Vec::new(),
+        )
     }
 
     fn memory_heavy_inputs() -> BenchmarkInputs {
@@ -378,9 +328,9 @@ mod tests {
         // ~10% average error bound is the reference point).
         let bench = trained();
         for target_inputs in [memory_heavy_inputs(), io_heavy_inputs()] {
-            let target = SyntheticBenchmark::run_solo(&bench.spec, &target_inputs);
+            let target = run_solo(&bench.spec, &target_inputs);
             let mimicked_inputs = bench.mimic(&target, target_inputs.instructions);
-            let mimicked = SyntheticBenchmark::run_solo(&bench.spec, &mimicked_inputs);
+            let mimicked = run_solo(&bench.spec, &mimicked_inputs);
             let deviation = mimicked.max_relative_deviation(&target);
             assert!(
                 deviation < 0.6,
@@ -392,24 +342,13 @@ mod tests {
     #[test]
     fn mimicked_inputs_respect_bounds() {
         let bench = trained();
-        let target = SyntheticBenchmark::run_solo(&bench.spec, &memory_heavy_inputs());
+        let target = run_solo(&bench.spec, &memory_heavy_inputs());
         let inputs = bench
             .mimic(&target, memory_heavy_inputs().instructions)
             .to_vec();
         for (v, (lo, hi)) in inputs.iter().zip(&BenchmarkInputs::BOUNDS) {
             assert!(v >= lo && v <= hi, "input {v} outside [{lo}, {hi}]");
         }
-    }
-
-    #[test]
-    fn clone_is_a_constant_workload() {
-        let mut clone = SyntheticClone::new(AppId(77), memory_heavy_inputs());
-        let mut rng = StdRng::seed_from_u64(1);
-        let a = clone.next_demand(0.1, &mut rng);
-        let b = clone.next_demand(1.0, &mut rng);
-        assert_eq!(a, b);
-        assert_eq!(clone.kind(), WorkloadKind::SyntheticClone);
-        assert_eq!(clone.app_id(), AppId(77));
     }
 
     #[test]

@@ -217,6 +217,7 @@ impl WarningSystem {
     /// `(cold, warm)` refit counts since construction — lets tests and
     /// benches verify that unchanged generations perform no work and that
     /// the warm/cold cadence follows the configured interval.
+    // simlint: test-accessor (the warm/cold refit equivalence tests)
     pub fn refit_counts(&self) -> (u64, u64) {
         (self.cold_refits, self.warm_refits)
     }

@@ -56,6 +56,7 @@ impl CacheScratch {
 ///
 /// `cache_mb` is the capacity of the group.  The slice may be empty (returns
 /// an empty vector) or contain a single demand (returns the solo behaviour).
+// simlint: test-accessor (the frozen reference in tests/resolver_equivalence.rs)
 pub fn resolve_cache_group<D: AsDemand>(cache_mb: f64, demands: &[D]) -> Vec<CacheOutcome> {
     let members: Vec<usize> = (0..demands.len()).collect();
     let mut scratch = CacheScratch::new();

@@ -175,9 +175,8 @@ mod tests {
         );
         // Normalized miss rate (per retired instruction) must also rise —
         // this is the signal the warning system clusters on.
-        let n_solo = solo[0].counters.normalized_per_kilo_instruction();
-        let n_shared = shared[0].counters.normalized_per_kilo_instruction();
-        assert!(n_shared.l2_lines_in > n_solo.l2_lines_in);
+        let per_instr = |c: &CounterSnapshot| c.l2_lines_in / c.inst_retired;
+        assert!(per_instr(&shared[0].counters) > per_instr(&solo[0].counters));
     }
 
     #[test]

@@ -7,10 +7,9 @@
 //! this set for one VM over one monitoring epoch.
 //!
 //! Snapshots support the arithmetic DeepDive needs: differencing consecutive
-//! samples, accumulating over longer windows, and *normalizing by the number
-//! of instructions retired* — the trick (§4.1) that makes metric values
-//! insensitive to load intensity so that the warning system can distinguish
-//! workload changes from interference.
+//! samples and accumulating over longer windows.  The §4.1 normalization by
+//! instructions retired lives in the `deepdive` crate
+//! (`BehaviorVector::from_counters`).
 
 /// Identifier for each low-level metric used by DeepDive (Table 1).
 ///
@@ -234,37 +233,6 @@ impl CounterSnapshot {
         }
     }
 
-    /// Normalizes every counter by the number of instructions retired,
-    /// yielding *per-kilo-instruction* values (and stall seconds per billion
-    /// instructions for the two I/O metrics).
-    ///
-    /// This is the normalization of §4.1: it makes the metric vector
-    /// insensitive to the load intensity, so that a workload running at 30%
-    /// and 90% load maps to (nearly) the same point in the metric space while
-    /// genuine interference moves the point.
-    pub fn normalized_per_kilo_instruction(&self) -> CounterSnapshot {
-        if self.inst_retired <= 0.0 {
-            return CounterSnapshot::zero();
-        }
-        let per_ki = 1_000.0 / self.inst_retired;
-        let mut out = CounterSnapshot::zero();
-        for metric in Metric::ALL {
-            let value = match metric {
-                // Instructions normalize to a constant; keep the raw count so
-                // the consumer can still recover absolute scale if needed.
-                Metric::InstRetired => self.inst_retired,
-                // I/O stall *seconds* are normalized per billion instructions
-                // so they land in a comparable numeric range.
-                Metric::DiskStallSeconds | Metric::NetStallSeconds => {
-                    self.get(metric) * 1.0e9 / self.inst_retired
-                }
-                _ => self.get(metric) * per_ki,
-            };
-            out.set(metric, value);
-        }
-        out
-    }
-
     /// True when every field is finite and non-negative — the well-formedness
     /// invariant every producer in this workspace maintains.
     pub fn is_well_formed(&self) -> bool {
@@ -331,37 +299,6 @@ mod tests {
         let snap = sample();
         assert!((snap.cpi() - 1.5).abs() < 1e-12);
         assert_eq!(CounterSnapshot::zero().cpi(), 0.0);
-    }
-
-    #[test]
-    fn normalization_is_load_invariant() {
-        // Doubling the work done in an epoch must not move the normalized
-        // metric vector (other than the raw instruction count itself).
-        let one = sample();
-        let two = sample().scale(2.0);
-        let n1 = one.normalized_per_kilo_instruction();
-        let n2 = two.normalized_per_kilo_instruction();
-        for m in Metric::ALL {
-            if m == Metric::InstRetired {
-                continue;
-            }
-            assert!(
-                (n1.get(m) - n2.get(m)).abs() < 1e-9 * n1.get(m).abs().max(1e-12),
-                "metric {:?} not load-invariant: {} vs {}",
-                m,
-                n1.get(m),
-                n2.get(m)
-            );
-        }
-    }
-
-    #[test]
-    fn normalization_of_idle_epoch_is_zero() {
-        let idle = CounterSnapshot::zero();
-        assert_eq!(
-            idle.normalized_per_kilo_instruction(),
-            CounterSnapshot::zero()
-        );
     }
 
     #[test]

@@ -85,6 +85,7 @@ impl ResourceDemand {
     ///
     /// This is how workload models express load-intensity changes: the
     /// *normalized* behaviour stays identical, only the amount of work moves.
+    // simlint: test-accessor (the load-invariance property test)
     pub fn scaled_by_load(&self, factor: f64) -> Self {
         let factor = factor.max(0.0);
         Self {

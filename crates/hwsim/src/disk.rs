@@ -30,6 +30,7 @@ pub struct DiskOutcome {
 /// * `seq_mbps` / `rand_mbps` — the disk's sequential and random bandwidth.
 /// * `demands` — one entry per VM (VMs without disk traffic get a zero outcome).
 /// * `epoch_seconds` — epoch length.
+// simlint: test-accessor (the frozen reference in tests/resolver_equivalence.rs)
 pub fn resolve_disk<D: AsDemand>(
     seq_mbps: f64,
     rand_mbps: f64,

@@ -28,6 +28,7 @@ pub struct NicOutcome {
 /// interfering workload is unthrottled bidirectional UDP (`iperf`), which
 /// does not back off, so a small well-behaved flow loses roughly its
 /// proportional share rather than being protected max-min-fairly.
+// simlint: test-accessor (the frozen reference in tests/resolver_equivalence.rs)
 pub fn resolve_nic<D: AsDemand>(
     nic_mbps: f64,
     demands: &[D],

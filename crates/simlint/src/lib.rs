@@ -25,6 +25,12 @@
 //! with a message telling you to shrink the baseline — that keeps the file
 //! in lockstep with the tree, so the budget can only ever go down.
 //!
+//! The `test-only-pub` rule needs every file at once — a `pub fn` is
+//! test-only when no file outside `#[cfg(test)]` code and `tests/`
+//! directories names it — so it runs here, beside `forbid-unsafe`, with no
+//! baseline: every finding is deleted or justified with
+//! `// simlint: test-accessor`.
+//!
 //! Everything under `crates/shims/` is excluded: shims mimic external
 //! crates' APIs and live outside the project's own invariants.
 
@@ -52,12 +58,13 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let mut findings = Vec::new();
     let mut unwraps: Vec<(String, usize)> = Vec::new();
     let mut forbid_missing: Vec<&str> = FORBID_UNSAFE_CRATES.to_vec();
-    for rel in &files {
-        let source = fs::read_to_string(root.join(rel)).map_err(|e| format!("{rel}: {e}"))?;
-        findings.extend(rules::lint_file(rel, &source));
+    let mut sources = Vec::with_capacity(files.len());
+    for rel in files {
+        let source = fs::read_to_string(root.join(&rel)).map_err(|e| format!("{rel}: {e}"))?;
+        findings.extend(rules::lint_file(&rel, &source));
 
-        let crate_name = rules::crate_of(rel).to_string();
-        let count = rules::count_unwraps(rel, &source);
+        let crate_name = rules::crate_of(&rel).to_string();
+        let count = rules::count_unwraps(&rel, &source);
         if count > 0 {
             match unwraps.iter_mut().find(|(c, _)| *c == crate_name) {
                 Some((_, total)) => *total += count,
@@ -65,10 +72,12 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
             }
         }
 
-        if is_crate_root(rel) && declares_forbid_unsafe(&source) {
+        if is_crate_root(&rel) && declares_forbid_unsafe(&source) {
             forbid_missing.retain(|c| *c != crate_name);
         }
+        sources.push((rel, source));
     }
+    findings.extend(rules::check_test_only_pub(&sources));
 
     for crate_name in forbid_missing {
         findings.push(Finding {

@@ -8,14 +8,18 @@
 //! | `hashmap-iteration` | no iteration over `HashMap`/`HashSet` in simulation/control-plane crates without a `// simlint: order-independent` justification |
 //! | `forbid-unsafe`     | every functional crate declares `#![forbid(unsafe_code)]` |
 //! | `unwrap-budget`     | `.unwrap()`/`.expect(` in non-test library code never exceeds the committed per-crate baseline, which may only shrink |
+//! | `test-only-pub`     | no library `pub fn` whose name occurs, outside its own definition, only in `#[cfg(test)]` code and `tests/` directories, without a `// simlint: test-accessor` justification |
 //!
 //! Suppression grammar: a justification comment holds on the flagged line
 //! or the line directly above it.  `// simlint: order-independent` is the
-//! only accepted justification for `hashmap-iteration`; `// SAFETY:` (or a
-//! `/// # Safety` doc section) is the only one for `safety-comment`.
-//! Nothing suppresses `wall-clock`, `forbid-unsafe` or `unwrap-budget` —
-//! those are fixed by moving the code, adding the attribute, or editing the
-//! baseline file (shrinking only).
+//! only accepted justification for `hashmap-iteration`, and
+//! `// simlint: test-accessor` the only one for `test-only-pub`;
+//! `// SAFETY:` (or a `/// # Safety` doc section) is the only one for
+//! `safety-comment`.  Nothing suppresses `wall-clock`, `forbid-unsafe` or
+//! `unwrap-budget` — those are fixed by moving the code, adding the
+//! attribute, or editing the baseline file (shrinking only).
+
+use std::collections::BTreeMap;
 
 use crate::lexer::{lex, MaskedFile};
 
@@ -244,7 +248,7 @@ fn check_hashmap_iteration(path: &str, masked: &MaskedFile, findings: &mut Vec<F
                 .copied()
                 .or_else(|| iterated_in_for(line, name).then_some("for … in"));
             let Some(how) = hit else { continue };
-            if has_order_justification(masked, idx) {
+            if has_marker(masked, idx, "simlint: order-independent") {
                 continue;
             }
             findings.push(Finding {
@@ -411,10 +415,82 @@ fn iterated_in_for(line: &str, name: &str) -> bool {
 }
 
 /// True when the flagged line (or the line directly above) carries the
-/// `// simlint: order-independent` justification.
-fn has_order_justification(masked: &MaskedFile, idx: usize) -> bool {
-    let marker = "simlint: order-independent";
+/// justification `marker` in a comment.
+fn has_marker(masked: &MaskedFile, idx: usize, marker: &str) -> bool {
     masked.comments[idx].contains(marker) || (idx > 0 && masked.comments[idx - 1].contains(marker))
+}
+
+// ------------------------------------------------------------ test-only-pub
+
+/// Library `pub fn`s reached only from tests, across the whole workspace.
+///
+/// *Definitions* are `pub fn` / `pub const fn` lines of non-test library
+/// code; a binary's items (`src/bin/`) are not library surface.  *Uses* are
+/// identifier tokens on the code view of every file, the definition line
+/// excepted; a use is real unless it sits in a `#[cfg(test)]` span or
+/// under a `tests/` directory, so benches, examples and binaries are real
+/// callers.  A name defined more than once is skipped (collisions err
+/// toward silence), and `// simlint: test-accessor` justifies a finding.
+pub(crate) fn check_test_only_pub(files: &[(String, String)]) -> Vec<Finding> {
+    let masked: Vec<MaskedFile> = files.iter().map(|(_, source)| lex(source)).collect();
+    let mut defs: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
+    for (f, (path, _)) in files.iter().enumerate() {
+        if !is_library_path(path) || path.starts_with("src/bin/") || path.contains("/src/bin/") {
+            continue;
+        }
+        for (idx, line) in masked[f].code.iter().enumerate() {
+            if let Some(name) = defined_pub_fn(line).filter(|_| !masked[f].in_test[idx]) {
+                defs.entry(name).or_default().push((f, idx));
+            }
+        }
+    }
+    // The one definition of each uncontested name, and whether a real
+    // caller has been seen.
+    let mut unique: BTreeMap<&str, ((usize, usize), bool)> = defs
+        .into_iter()
+        .filter(|(_, at)| at.len() == 1)
+        .map(|(name, at)| (name, (at[0], false)))
+        .collect();
+    for (f, (path, _)) in files.iter().enumerate() {
+        let test_dir = path.starts_with("tests/") || path.contains("/tests/");
+        for (idx, line) in masked[f].code.iter().enumerate() {
+            let real = !test_dir && !masked[f].in_test[idx];
+            for token in identifiers(line) {
+                if let Some((def, used)) = unique.get_mut(token) {
+                    *used |= real && *def != (f, idx);
+                }
+            }
+        }
+    }
+    unique
+        .into_iter()
+        .filter(|&(_, ((f, idx), used))| {
+            !used && !has_marker(&masked[f], idx, "simlint: test-accessor")
+        })
+        .map(|(name, ((f, idx), _))| Finding {
+            path: files[f].0.clone(),
+            line: idx + 1,
+            rule: "test-only-pub",
+            message: format!(
+                "`pub fn {name}` is reached only from tests: delete it, make it \
+                 private, or justify with `// simlint: test-accessor`"
+            ),
+        })
+        .collect()
+}
+
+/// The name a `pub fn` / `pub const fn` line defines (CI's `pub fn` count
+/// uses the same shape).
+fn defined_pub_fn(line: &str) -> Option<&str> {
+    let rest = line.trim_start().strip_prefix("pub ")?;
+    let rest = rest.strip_prefix("const ").unwrap_or(rest);
+    identifiers(rest.strip_prefix("fn ")?).next()
+}
+
+/// The identifier tokens of a code line, in order.
+fn identifiers(line: &str) -> impl Iterator<Item = &str> {
+    line.split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .filter(|t| t.starts_with(|c: char| c.is_alphabetic() || c == '_'))
 }
 
 // -------------------------------------------------------------- find helpers
@@ -604,6 +680,69 @@ mod tests {
     fn hashmap_iteration_not_enforced_outside_order_sensitive_crates() {
         let src = "fn f(m: &HashMap<u32, u32>) {\n    for v in m.values() { touch(v); }\n}\n";
         assert!(rules_at("crates/simlint/src/rules.rs", src).is_empty());
+    }
+
+    // ---- test-only-pub -------------------------------------------------
+
+    fn test_only(files: &[(&str, &str)]) -> Vec<String> {
+        let files: Vec<(String, String)> = files
+            .iter()
+            .map(|&(path, source)| (path.to_string(), source.to_string()))
+            .collect();
+        check_test_only_pub(&files)
+            .into_iter()
+            .map(|f| format!("{}:{}", f.path, f.line))
+            .collect()
+    }
+
+    const LIB: &str = "crates/hwsim/src/lib.rs";
+    const DEF: &str = "pub fn helper() {}\n";
+
+    #[test]
+    fn test_only_pub_fires_on_cfg_test_and_tests_dir_callers() {
+        let lib = "pub const fn helper() {}\n#[cfg(test)]\nmod tests {\n    fn t() { super::helper(); }\n}\n";
+        let suite = (
+            "crates/hwsim/tests/suite.rs",
+            "fn t() { hwsim::helper(); }\n",
+        );
+        assert_eq!(test_only(&[(LIB, lib), suite]), [format!("{LIB}:1")]);
+    }
+
+    #[test]
+    fn test_only_pub_is_justified_on_or_above_the_definition() {
+        let above = "// simlint: test-accessor (pins the reference)\npub fn helper() {}\n";
+        let same = "pub fn helper() {} // simlint: test-accessor\n";
+        for lib in [above, same] {
+            assert!(test_only(&[(LIB, lib)]).is_empty(), "{lib}");
+        }
+    }
+
+    #[test]
+    fn test_only_pub_counts_examples_benches_and_binaries_as_callers() {
+        for caller in [
+            "examples/demo.rs",
+            "crates/bench/benches/fig.rs",
+            "crates/bench/src/bin/e2e_bench/main.rs",
+        ] {
+            let files = [(LIB, DEF), (caller, "fn main() { hwsim::helper(); }\n")];
+            assert!(test_only(&files).is_empty(), "{caller}");
+        }
+        // A binary's own `pub fn`s are not library surface.
+        let bin = ("crates/bench/src/bin/e2e_bench/run.rs", DEF);
+        assert!(test_only(&[bin]).is_empty());
+    }
+
+    #[test]
+    fn test_only_pub_skips_names_defined_twice() {
+        let other = ("crates/cloudsim/src/lib.rs", DEF);
+        assert!(test_only(&[(LIB, DEF), other]).is_empty());
+    }
+
+    #[test]
+    fn test_only_pub_ignores_comments_and_strings() {
+        let caller = "// helper() is great\nfn main() { let _ = \"helper\"; }\n";
+        let files = [(LIB, DEF), ("examples/demo.rs", caller)];
+        assert_eq!(test_only(&files), [format!("{LIB}:1")]);
     }
 
     // ---- unwrap budget counting ----------------------------------------

@@ -163,26 +163,17 @@ pub fn ec2_sessions(arrivals_per_day: f64, horizon_days: f64, seed: u64) -> Vec<
         .collect()
 }
 
-/// Fraction of arrivals whose application has already been seen earlier in
-/// the stream — exactly the fraction of analyzer invocations that global
-/// information can skip once the first VM of each application is profiled.
-pub fn repeat_fraction(arrivals: &[VmArrival]) -> f64 {
-    if arrivals.is_empty() {
-        return 0.0;
-    }
-    let mut seen = std::collections::HashSet::new();
-    let mut repeats = 0usize;
-    for a in arrivals {
-        if !seen.insert(a.app_rank) {
-            repeats += 1;
-        }
-    }
-    repeats as f64 / arrivals.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Fraction of arrivals whose application has already been seen earlier
+    /// in the stream — the analyzer invocations global information can skip.
+    fn repeat_fraction(arrivals: &[VmArrival]) -> f64 {
+        let mut seen = std::collections::HashSet::new();
+        let repeats = arrivals.iter().filter(|a| !seen.insert(a.app_rank)).count();
+        repeats as f64 / arrivals.len().max(1) as f64
+    }
 
     #[test]
     fn poisson_stream_matches_requested_rate() {

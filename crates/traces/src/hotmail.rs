@@ -51,16 +51,6 @@ impl LoadTrace {
         }
     }
 
-    /// A constant-load trace (used for the EC2 motivation experiment, where
-    /// the workload and resources are fixed and only interference varies).
-    pub fn constant(days: usize, load: f64) -> Self {
-        assert!(days > 0, "trace must span at least one day");
-        assert!((0.0..=1.0).contains(&load), "load must be in [0, 1]");
-        Self {
-            hourly_load: vec![load; days * 24],
-        }
-    }
-
     /// Load level at a given epoch (one epoch = one second), holding each
     /// hourly value for the whole hour and wrapping around at the end of the
     /// trace.
@@ -78,16 +68,6 @@ impl LoadTrace {
     pub fn hours(&self) -> usize {
         self.hourly_load.len()
     }
-
-    /// Peak load in the trace.
-    pub fn peak(&self) -> f64 {
-        self.hourly_load.iter().cloned().fold(0.0, f64::max)
-    }
-
-    /// Trough load in the trace.
-    pub fn trough(&self) -> f64 {
-        self.hourly_load.iter().cloned().fold(1.0, f64::min)
-    }
 }
 
 #[cfg(test)]
@@ -99,8 +79,10 @@ mod tests {
         let t = LoadTrace::diurnal(3, 0.2, 0.9, 1);
         assert_eq!(t.hours(), 72);
         assert!(t.hourly_load.iter().all(|l| (0.0..=1.0).contains(l)));
-        assert!(t.peak() > 0.7, "peak {}", t.peak());
-        assert!(t.trough() < 0.4, "trough {}", t.trough());
+        let peak = t.hourly_load.iter().cloned().fold(0.0, f64::max);
+        let trough = t.hourly_load.iter().cloned().fold(1.0, f64::min);
+        assert!(peak > 0.7, "peak {peak}");
+        assert!(trough < 0.4, "trough {trough}");
     }
 
     #[test]
@@ -123,13 +105,6 @@ mod tests {
         assert_eq!(t.load_at_epoch(3_600), t.load_at_hour(1));
         // Wraps after 24 hours.
         assert_eq!(t.load_at_epoch(24 * 3_600), t.load_at_hour(0));
-    }
-
-    #[test]
-    fn constant_trace_is_flat() {
-        let t = LoadTrace::constant(2, 0.6);
-        assert_eq!(t.hours(), 48);
-        assert!(t.hourly_load.iter().all(|l| (*l - 0.6).abs() < 1e-12));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use hwsim::ResourceDemand;
 use rand::rngs::StdRng;
 
-use crate::spec::{effective_load, AppId, Workload, WorkloadKind};
+use crate::spec::{effective_load, AppId, Workload};
 
 /// Role of a VM inside the Hadoop-style cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,15 +115,6 @@ impl DataAnalytics {
         )
     }
 
-    /// Creates the master with the default configuration.
-    pub fn master(app_id: AppId) -> Self {
-        Self::new(
-            app_id,
-            AnalyticsRole::Master,
-            DataAnalyticsConfig::default(),
-        )
-    }
-
     /// Phase the worker will execute on its next epoch.
     pub fn current_phase(&self) -> AnalyticsPhase {
         let c = &self.config;
@@ -159,10 +150,6 @@ impl Workload for DataAnalytics {
 
     fn app_id(&self) -> AppId {
         self.app_id
-    }
-
-    fn kind(&self) -> WorkloadKind {
-        WorkloadKind::DataAnalytics
     }
 
     fn next_demand(&mut self, load: f64, rng: &mut StdRng) -> ResourceDemand {
@@ -319,7 +306,7 @@ mod tests {
 
     #[test]
     fn master_is_lightweight() {
-        let mut m = DataAnalytics::master(AppId(5));
+        let mut m = DataAnalytics::new(AppId(5), AnalyticsRole::Master, Default::default());
         let mut w = DataAnalytics::worker(AppId(5));
         let mut r = rng();
         let dm = m.next_demand(1.0, &mut r);

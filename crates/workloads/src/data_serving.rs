@@ -17,7 +17,7 @@
 use hwsim::ResourceDemand;
 use rand::rngs::StdRng;
 
-use crate::spec::{effective_load, AppId, Workload, WorkloadKind};
+use crate::spec::{effective_load, AppId, Workload};
 
 /// Instructions executed per key-value request.
 const INSTRUCTIONS_PER_REQUEST: f64 = 400_000.0;
@@ -98,10 +98,6 @@ impl Workload for DataServing {
 
     fn app_id(&self) -> AppId {
         self.app_id
-    }
-
-    fn kind(&self) -> WorkloadKind {
-        WorkloadKind::DataServing
     }
 
     fn next_demand(&mut self, load: f64, rng: &mut StdRng) -> ResourceDemand {

@@ -40,6 +40,6 @@ pub mod web_search;
 pub use client::{ClientEmulator, ClientObservation};
 pub use data_analytics::DataAnalytics;
 pub use data_serving::DataServing;
-pub use spec::{AppId, Workload, WorkloadKind};
+pub use spec::{AppId, Workload};
 pub use stress::{DiskStress, MemoryStress, NetworkStress};
 pub use web_search::WebSearch;

@@ -17,27 +17,6 @@ use rand::rngs::StdRng;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct AppId(pub u64);
 
-/// Coarse classification of workloads, used by the evaluation harness when
-/// pairing victims with the stress workload that pressures the resource they
-/// depend on (§5.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum WorkloadKind {
-    /// Latency-sensitive key-value serving (memory-subsystem bound).
-    DataServing,
-    /// Index search (CPU and disk bound).
-    WebSearch,
-    /// MapReduce-style batch analytics (CPU and network bound).
-    DataAnalytics,
-    /// Synthetic aggressor targeting the memory subsystem.
-    MemoryStress,
-    /// Synthetic aggressor targeting the network interface.
-    NetworkStress,
-    /// Synthetic aggressor targeting the disk.
-    DiskStress,
-    /// Synthetic benchmark clone generated by DeepDive's placement manager.
-    SyntheticClone,
-}
-
 /// A per-epoch demand generator for one VM.
 pub trait Workload {
     /// Human-readable name.
@@ -45,9 +24,6 @@ pub trait Workload {
 
     /// Application identity for the global-information check.
     fn app_id(&self) -> AppId;
-
-    /// Workload classification.
-    fn kind(&self) -> WorkloadKind;
 
     /// Produces the intrinsic demand for the next epoch at the given load
     /// level.  `load` is a fraction of the workload's maximum sustainable
@@ -117,14 +93,16 @@ mod tests {
 
     #[test]
     fn static_at_claims_hold_for_every_concrete_workload() {
+        use crate::data_analytics::AnalyticsRole;
         use crate::{
             DataAnalytics, DataServing, DiskStress, MemoryStress, NetworkStress, WebSearch,
         };
+        let master = DataAnalytics::new(AppId(3), AnalyticsRole::Master, Default::default());
         // (workload, load at which it claims to be static)
         let cases: Vec<(Box<dyn Workload>, f64)> = vec![
             (Box::new(DataServing::with_defaults(AppId(1))), 0.0),
             (Box::new(WebSearch::with_defaults(AppId(2))), 0.0),
-            (Box::new(DataAnalytics::master(AppId(3))), 0.0),
+            (Box::new(master), 0.0),
             (Box::new(MemoryStress::new(AppId(4), 256.0)), 0.8),
             (Box::new(NetworkStress::new(AppId(5), 300.0)), 0.5),
             (Box::new(DiskStress::new(AppId(6), 5.0)), 1.0),

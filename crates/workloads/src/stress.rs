@@ -16,7 +16,7 @@
 use hwsim::ResourceDemand;
 use rand::rngs::StdRng;
 
-use crate::spec::{AppId, Workload, WorkloadKind};
+use crate::spec::{AppId, Workload};
 
 /// Memory-subsystem aggressor (Bubble-Up-style stress kernel).
 #[derive(Debug, Clone)]
@@ -51,10 +51,6 @@ impl Workload for MemoryStress {
 
     fn app_id(&self) -> AppId {
         self.app_id
-    }
-
-    fn kind(&self) -> WorkloadKind {
-        WorkloadKind::MemoryStress
     }
 
     fn next_demand(&mut self, _load: f64, _rng: &mut StdRng) -> ResourceDemand {
@@ -127,10 +123,6 @@ impl Workload for NetworkStress {
         self.app_id
     }
 
-    fn kind(&self) -> WorkloadKind {
-        WorkloadKind::NetworkStress
-    }
-
     fn next_demand(&mut self, _load: f64, _rng: &mut StdRng) -> ResourceDemand {
         let mib = self.throughput_mib_per_s();
         ResourceDemand::builder()
@@ -189,10 +181,6 @@ impl Workload for DiskStress {
 
     fn app_id(&self) -> AppId {
         self.app_id
-    }
-
-    fn kind(&self) -> WorkloadKind {
-        WorkloadKind::DiskStress
     }
 
     fn next_demand(&mut self, _load: f64, _rng: &mut StdRng) -> ResourceDemand {
@@ -277,18 +265,14 @@ mod tests {
 
     #[test]
     fn kinds_identify_the_targeted_resource() {
-        assert_eq!(
-            MemoryStress::new(AppId(1), 8.0).kind(),
-            WorkloadKind::MemoryStress
-        );
-        assert_eq!(
-            NetworkStress::new(AppId(1), 50.0).kind(),
-            WorkloadKind::NetworkStress
-        );
-        assert_eq!(
-            DiskStress::new(AppId(1), 5.0).kind(),
-            WorkloadKind::DiskStress
-        );
+        let mut r = rng();
+        let mem = MemoryStress::new(AppId(1), 64.0).next_demand(1.0, &mut r);
+        let net = NetworkStress::new(AppId(1), 50.0).next_demand(1.0, &mut r);
+        let disk = DiskStress::new(AppId(1), 5.0).next_demand(1.0, &mut r);
+        assert!(mem.llc_mpki_solo > 10.0 * net.llc_mpki_solo.max(disk.llc_mpki_solo));
+        assert_eq!(mem.net_total_mb() + mem.disk_total_mb(), 0.0);
+        assert!(net.net_total_mb() > 0.0 && net.disk_total_mb() == 0.0);
+        assert!(disk.disk_total_mb() > 0.0 && disk.net_total_mb() == 0.0);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use hwsim::ResourceDemand;
 use rand::rngs::StdRng;
 
-use crate::spec::{effective_load, AppId, Workload, WorkloadKind};
+use crate::spec::{effective_load, AppId, Workload};
 
 /// Instructions per search query (scoring, ranking, snippet generation).
 const INSTRUCTIONS_PER_QUERY: f64 = 2_500_000.0;
@@ -86,10 +86,6 @@ impl Workload for WebSearch {
 
     fn app_id(&self) -> AppId {
         self.app_id
-    }
-
-    fn kind(&self) -> WorkloadKind {
-        WorkloadKind::WebSearch
     }
 
     fn next_demand(&mut self, load: f64, rng: &mut StdRng) -> ResourceDemand {

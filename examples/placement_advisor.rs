@@ -66,7 +66,6 @@ fn main() {
             spec: &spec,
             resident_demands: &[resident_demand],
             resident_vcpus: &[2],
-            free_cores: 6,
         };
         let predicted = manager.predict_on_candidate(&clone_demand, 2, &candidate);
         println!(

@@ -197,8 +197,7 @@
 //!   `deepdive::PlacementManager::with_spread` biases interference
 //!   migrations toward acceptable cross-domain destinations.
 //!   `cloudsim::audit::check_spread` is the advisory invariant: any app
-//!   with ≥ 2 VMs all in one power domain is flagged
-//!   (`DatacenterService::audit_spread`).
+//!   with ≥ 2 VMs all in one power domain is flagged.
 //! * **Crash handling in the service** — when a machine's crash window
 //!   opens, `DatacenterService` drains it and evacuates the residents
 //!   first-fit across the surviving fleet; VMs that do not fit park in a
