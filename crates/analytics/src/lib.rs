@@ -12,7 +12,7 @@
 //! the required subset from scratch so the reproduction has no external
 //! system dependencies:
 //!
-//! * [`stats`] — descriptive statistics, z-scoring and distance helpers.
+//! * [`stats`] — descriptive statistics and distance helpers.
 //! * [`kmeans`] — seeded k-means++ (used to initialize EM).
 //! * [`gmm`] — diagonal-covariance Gaussian-mixture model fitted by EM.
 //! * [`constrained`] — cannot-link constraints: behaviours the analyzer

@@ -59,85 +59,6 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
         .sqrt()
 }
 
-/// Per-dimension mean of a set of equal-length vectors.
-pub fn column_means(rows: &[Vec<f64>]) -> Vec<f64> {
-    if rows.is_empty() {
-        return Vec::new();
-    }
-    let dims = rows[0].len();
-    let mut sums = vec![0.0; dims];
-    for row in rows {
-        assert_eq!(row.len(), dims, "ragged input to column_means");
-        for (s, v) in sums.iter_mut().zip(row) {
-            *s += v;
-        }
-    }
-    sums.iter().map(|s| s / rows.len() as f64).collect()
-}
-
-/// Per-dimension population standard deviation of a set of vectors.
-pub fn column_std_devs(rows: &[Vec<f64>]) -> Vec<f64> {
-    if rows.is_empty() {
-        return Vec::new();
-    }
-    let dims = rows[0].len();
-    let means = column_means(rows);
-    let mut sums = vec![0.0; dims];
-    for row in rows {
-        for d in 0..dims {
-            let diff = row[d] - means[d];
-            sums[d] += diff * diff;
-        }
-    }
-    sums.iter()
-        .map(|s| (s / rows.len() as f64).sqrt())
-        .collect()
-}
-
-/// Z-score normalizer fitted on a training set and applied to new vectors.
-///
-/// Clustering raw counter values would let high-magnitude metrics (cycles,
-/// instructions) drown out low-magnitude ones (stall seconds); all DeepDive
-/// components therefore standardize dimensions before computing distances.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ZScore {
-    /// Per-dimension means of the training data.
-    pub means: Vec<f64>,
-    /// Per-dimension standard deviations (zero-variance dimensions keep 1.0).
-    pub stds: Vec<f64>,
-}
-
-impl ZScore {
-    /// Fits the normalizer on `rows` (each row one observation).
-    pub fn fit(rows: &[Vec<f64>]) -> Self {
-        let means = column_means(rows);
-        let stds = column_std_devs(rows)
-            .into_iter()
-            .map(|s| if s > 1e-12 { s } else { 1.0 })
-            .collect();
-        Self { means, stds }
-    }
-
-    /// Transforms a single vector into z-scores.
-    // simlint: test-accessor (ZScore's own tests)
-    pub fn transform(&self, row: &[f64]) -> Vec<f64> {
-        assert_eq!(
-            row.len(),
-            self.means.len(),
-            "dimension mismatch in ZScore::transform"
-        );
-        row.iter()
-            .zip(self.means.iter().zip(&self.stds))
-            .map(|(v, (m, s))| (v - m) / s)
-            .collect()
-    }
-
-    /// Number of dimensions the normalizer was fitted on.
-    pub fn dims(&self) -> usize {
-        self.means.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,30 +94,5 @@ mod tests {
     #[should_panic(expected = "equal-length")]
     fn euclidean_rejects_mismatched_lengths() {
         euclidean(&[1.0], &[1.0, 2.0]);
-    }
-
-    #[test]
-    fn zscore_standardizes_training_data() {
-        let rows = vec![vec![10.0, 100.0], vec![20.0, 200.0], vec![30.0, 300.0]];
-        let z = ZScore::fit(&rows);
-        let col0: Vec<f64> = rows.iter().map(|r| z.transform(r)[0]).collect();
-        assert!(mean(&col0).abs() < 1e-12);
-        assert!((variance(&col0) - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zscore_handles_zero_variance_dimensions() {
-        let rows = vec![vec![5.0, 1.0], vec![5.0, 2.0], vec![5.0, 3.0]];
-        let z = ZScore::fit(&rows);
-        let out = z.transform(&[5.0, 2.0]);
-        assert_eq!(out[0], 0.0);
-        assert!(out.iter().all(|v| v.is_finite()));
-    }
-
-    #[test]
-    fn column_stats_shapes_match_dims() {
-        let rows = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]];
-        assert_eq!(column_means(&rows).len(), 3);
-        assert_eq!(column_std_devs(&rows).len(), 3);
     }
 }

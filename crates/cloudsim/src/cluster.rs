@@ -140,8 +140,8 @@ impl Cluster {
     }
 
     /// Mutable access to one machine, for the membership methods below
-    /// ([`Cluster::place_on`], [`Cluster::migrate`], [`Cluster::remove_vm`]),
-    /// which keep the VM-location index in sync.
+    /// ([`Cluster::place_on_returning`], [`Cluster::drain_machine`]), which
+    /// keep the VM-location index in sync.
     fn machine_mut(&mut self, pm: PmId) -> Option<&mut PhysicalMachine> {
         let idx = *self.pm_index.get(&pm)?;
         Some(&mut self.machines[idx])
@@ -242,11 +242,8 @@ impl Cluster {
     /// expired synthetic clone) and returns it; `None` if it is not placed
     /// anywhere.
     pub fn remove_vm(&mut self, vm: VmId) -> Option<Vm> {
-        let pm = self.locate(vm)?;
-        let removed = self
-            .machine_mut(pm)
-            .expect("located machine exists")
-            .remove_vm(vm)?;
+        let source = self.pm_index.get(&self.locate(vm)?).copied()?;
+        let removed = self.machines[source].remove_vm(vm)?;
         self.vm_locations.remove(&vm);
         Some(removed)
     }
@@ -258,27 +255,22 @@ impl Cluster {
         if from == to {
             return Err(ClusterError::AlreadyPlaced { vm, pm: to });
         }
-        if self.machine(to).is_none() {
-            return Err(ClusterError::UnknownPm(to));
-        }
-        let moved = self
-            .machine_mut(from)
-            .expect("source machine exists")
+        let destination = *self.pm_index.get(&to).ok_or(ClusterError::UnknownPm(to))?;
+        let source = *self
+            .pm_index
+            .get(&from)
+            .ok_or(ClusterError::UnknownPm(from))?;
+        let moved = self.machines[source]
             .remove_vm(vm)
-            .expect("vm located on source");
-        match self
-            .machine_mut(to)
-            .expect("destination exists")
-            .try_add_vm(moved)
-        {
+            .ok_or(ClusterError::UnknownVm(vm))?;
+        match self.machines[destination].try_add_vm(moved) {
             Ok(()) => {
                 self.vm_locations.insert(vm, to);
                 Ok(())
             }
             Err(rejected) => {
                 // Roll back: put the VM where it came from.
-                self.machine_mut(from)
-                    .expect("source machine exists")
+                self.machines[source]
                     .try_add_vm(rejected)
                     .expect("source still has room for its own VM");
                 Err(ClusterError::NoCapacity { vm, pm: to })

@@ -85,8 +85,16 @@
 //! orthogonal to the fault plane: it changes placement whether or not
 //! faults are enabled, and leaving it `None` preserves the hint-queue +
 //! next-fit policy byte for byte.
+//!
+//! A power domain is a contiguous id range, so the first pass walks only
+//! the minimum-count domains' ranges: a placement costs O(domains +
+//! machines in those domains), not O(fleet).  That matters during a domain
+//! outage.  The downed domain holds none of an evacuated app's VMs, so it
+//! is often the app's only minimum-count domain, and the first pass finds
+//! every one of its machines down before falling back.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::ops::Range;
 
 use hwsim::{MachineSpec, EPOCH_SECONDS};
 use queueing::EventQueue;
@@ -802,44 +810,50 @@ impl DatacenterService {
                 Err(returned) => vm = returned,
             }
         }
-        self.scan(vm, |_| true)
+        self.scan(vm, std::iter::once(0..self.config.machines))
     }
 
-    /// The spread-aware placement: a first scan offers only machines whose
-    /// power domain currently holds the application's minimum VM count, a
-    /// second falls back to any surviving machine.
+    /// The spread-aware placement: a first scan offers only the power
+    /// domains currently holding the application's minimum VM count, a
+    /// second falls back to any surviving machine.  A landing bumps the
+    /// application's count in its domain.
     fn place_spread(&mut self, vm: Vm, topology: Topology) -> Result<PmId, Vm> {
         let app = vm.app_id();
-        let domains = topology.domains_in_fleet(self.config.machines).max(1);
-        let counts: Vec<u32> = {
-            let existing = self.app_domains.get(&app);
-            (0..domains)
-                .map(|d| existing.and_then(|c| c.get(d)).copied().unwrap_or(0))
-                .collect()
-        };
-        let min_count = counts.iter().copied().min().unwrap_or(0);
-        let in_emptiest_domain = |pm: PmId| {
-            counts
-                .get(topology.domain_of(pm) as usize)
-                .copied()
-                .unwrap_or(0)
-                == min_count
-        };
-        let pm = self
-            .scan(vm, in_emptiest_domain)
-            .or_else(|vm| self.scan(vm, |_| true))?;
-        self.note_spread_placed(pm, app);
-        Ok(pm)
+        let machines = self.config.machines;
+        // Out of the map while the scans borrow `self`; put back below.
+        let mut counts = std::mem::take(self.app_domains.entry(app).or_default());
+        let count = |domain: usize| counts.get(domain).copied().unwrap_or(0);
+        let min_count = (0..topology.domains_in_fleet(machines))
+            .map(count)
+            .min()
+            .unwrap_or(0);
+        let emptiest = domain_ranges(topology, machines, |domain| count(domain) == min_count);
+        let placed = self
+            .scan(vm, emptiest)
+            .or_else(|vm| self.scan(vm, std::iter::once(0..machines)));
+        if let Ok(pm) = placed {
+            let domain = topology.domain_of(pm) as usize;
+            if counts.len() <= domain {
+                counts.resize(domain + 1, 0);
+            }
+            counts[domain] += 1;
+        }
+        self.app_domains.insert(app, counts);
+        placed
     }
 
-    /// One next-fit pass from the shared cursor, wrapping once around the
-    /// fleet, over the machines that are neither down nor draining and that
-    /// `accept` admits.  A landing moves the cursor there.
-    fn scan(&mut self, mut vm: Vm, accept: impl Fn(PmId) -> bool) -> Result<PmId, Vm> {
-        let n = self.config.machines;
-        for probe in 0..n {
-            let index = (self.scan_cursor + probe) % n;
-            if self.down[index] || self.draining[index] || !accept(PmId(index as u64)) {
+    /// One next-fit pass from the shared cursor over the machines in
+    /// `ranges` (ascending, disjoint id ranges), wrapping once, skipping
+    /// machines that are down or draining.  A landing moves the cursor
+    /// there.  The walk costs O(ranges + machines in them): a spread pass
+    /// over the emptiest domains never touches the rest of the fleet.
+    fn scan(
+        &mut self,
+        mut vm: Vm,
+        ranges: impl Iterator<Item = Range<usize>> + Clone,
+    ) -> Result<PmId, Vm> {
+        for index in next_fit_order(self.scan_cursor, ranges) {
+            if self.down[index] || self.draining[index] {
                 continue;
             }
             match self.try_place(index, vm) {
@@ -868,20 +882,6 @@ impl DatacenterService {
         }
     }
 
-    /// Bumps the spread bookkeeping for a VM of `app` landing on `pm`.
-    /// No-op unless spread placement is configured.
-    fn note_spread_placed(&mut self, pm: PmId, app: AppId) {
-        let Some(topology) = self.config.spread else {
-            return;
-        };
-        let domain = topology.domain_of(pm) as usize;
-        let counts = self.app_domains.entry(app).or_default();
-        if counts.len() <= domain {
-            counts.resize(domain + 1, 0);
-        }
-        counts[domain] += 1;
-    }
-
     /// Drops the spread bookkeeping for a VM of `app` leaving `pm` (depart,
     /// evacuation, or drain migration).  No-op unless spread placement is
     /// configured.
@@ -904,6 +904,31 @@ impl DatacenterService {
         self.errors
             .push(ServiceError::UnexpectedPlacement { vm, pm, error });
     }
+}
+
+/// The machine-id ranges of the power domains `accept` admits, ascending.
+/// A domain is `machines_per_domain` consecutive ids; the fleet's last
+/// domain may be partial.
+fn domain_ranges(
+    topology: Topology,
+    machines: usize,
+    accept: impl Fn(usize) -> bool + Clone,
+) -> impl Iterator<Item = Range<usize>> + Clone {
+    let per_domain = topology.machines_per_domain();
+    (0..topology.domains_in_fleet(machines))
+        .filter(move |&domain| accept(domain))
+        .map(move |domain| domain * per_domain..((domain + 1) * per_domain).min(machines))
+}
+
+/// The ids in `ranges` (ascending, disjoint) in next-fit order from
+/// `cursor`: those at or after it, then those before it.
+fn next_fit_order(
+    cursor: usize,
+    ranges: impl Iterator<Item = Range<usize>> + Clone,
+) -> impl Iterator<Item = usize> {
+    let tail = ranges.clone().map(move |r| r.start.max(cursor)..r.end);
+    let head = ranges.map(move |r| r.start..r.end.min(cursor));
+    tail.chain(head).flatten()
 }
 
 #[cfg(test)]
@@ -1131,6 +1156,64 @@ mod tests {
             })
             .collect();
         assert_eq!(per_domain, vec![3, 3], "placement alternates domains");
+    }
+
+    /// The per-probe order the range walk replaces: every machine from the
+    /// cursor, wrapping once, whose domain is accepted.
+    fn reference_order(n: usize, cursor: usize, topo: Topology, accepted: &[bool]) -> Vec<usize> {
+        (0..n)
+            .map(|p| (cursor + p) % n)
+            .filter(|&i| accepted[topo.domain_of(PmId(i as u64)) as usize])
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_range_walk_visits_what_the_per_probe_loop_accepts_in_order(
+            n in 1..701_usize,
+            machines_per_rack in 1..42_usize,
+            racks_per_domain in 1..10_usize,
+            cursor in 0..u64::MAX,
+            draws in proptest::collection::vec(0..4_u8, 700..701),
+            threshold in 0..5_u8,
+        ) {
+            let topo = Topology::new(machines_per_rack, racks_per_domain);
+            let cursor = (cursor % n as u64) as usize;
+            let accepted: Vec<bool> = draws.iter().map(|&d| d < threshold).collect();
+            let walked: Vec<usize> =
+                next_fit_order(cursor, domain_ranges(topo, n, |d| accepted[d])).collect();
+            proptest::prop_assert_eq!(walked, reference_order(n, cursor, topo, &accepted));
+        }
+    }
+
+    #[test]
+    fn an_app_whose_only_emptiest_domain_is_down_lands_where_the_reference_lands() {
+        // Three domains of four machines: 0..4, 4..8, 8..12.
+        let topo = Topology::new(2, 2);
+        let stream = sessions(&[(0.0, 500.0, 0.5, 1); 3]);
+        let mut svc =
+            DatacenterService::new(ServiceConfig::xeon_fleet(12, 3).with_spread(topo), stream);
+        for id in 0..2 {
+            let vm = DatacenterService::session_vm(VmId(id), &svc.sessions[0]);
+            svc.place_vm(vm).expect("an empty fleet has room");
+        }
+        assert_eq!(svc.app_domains[&AppId(1)], [1, 1]);
+        // Domain 2, the app's only emptiest, goes down; the cursor sits in
+        // it, so the fallback wraps.
+        svc.down[8..12].fill(true);
+        svc.scan_cursor = 10;
+        let emptiest = reference_order(12, 10, topo, &[false, false, true]);
+        assert!(emptiest.iter().all(|&i| svc.down[i]));
+        let expected = reference_order(12, 10, topo, &[true; 3])
+            .into_iter()
+            .find(|&i| !svc.down[i])
+            .expect("a surviving machine");
+        let vm = DatacenterService::session_vm(VmId(2), &svc.sessions[0]);
+        assert_eq!(svc.place_vm(vm).ok(), Some(PmId(expected as u64)));
+        assert_eq!(svc.scan_cursor, expected);
+        assert_eq!(svc.app_domains[&AppId(1)], [2, 1]);
     }
 
     #[test]

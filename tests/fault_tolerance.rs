@@ -24,10 +24,12 @@ use cloudsim::service::{DatacenterService, ServiceConfig, ServiceStats};
 use cloudsim::{PmId, VmEpochReport};
 use proptest::prelude::*;
 
-/// One run: build the service, attach the plane before epoch
-/// `attach_epoch`, step `epochs` epochs, and return the full trajectory.
-/// After every epoch the audit must be clean and the service's down and
-/// draining flags must equal the plane's pointwise answers for that epoch.
+/// One run: build the service (spread-placing over the plane's topology
+/// when `spread` is set and a plane is given), attach the plane before
+/// epoch `attach_epoch`, step `epochs` epochs, and return the full
+/// trajectory.  After every epoch the audit must be clean and the
+/// service's down and draining flags must equal the plane's pointwise
+/// answers for that epoch.
 fn run_chaos(
     machines: usize,
     cluster_seed: u64,
@@ -35,9 +37,14 @@ fn run_chaos(
     plane: Option<FaultPlane>,
     attach_epoch: u64,
     epochs: u64,
+    spread: bool,
 ) -> (Vec<Vec<VmEpochReport>>, ServiceStats, usize) {
     let stream = traces::hotmail_sessions(25_000.0, 0.01, trace_seed);
-    let mut svc = DatacenterService::new(ServiceConfig::xeon_fleet(machines, cluster_seed), stream);
+    let mut config = ServiceConfig::xeon_fleet(machines, cluster_seed);
+    if let (true, Some(plane)) = (spread, plane) {
+        config = config.with_spread(plane.config().topology);
+    }
+    let mut svc = DatacenterService::new(config, stream);
     let mut trajectory = Vec::new();
     for epoch in 0..epochs {
         if epoch == attach_epoch {
@@ -130,11 +137,12 @@ proptest! {
         trace_seed in 0..1_000_u64,
         machines in 3..8_usize,
         attach_epoch in 0..40_u64,
+        spread in 0..2_u8,
     ) {
         let plane = Some(FaultPlane::new(fault_seed, config));
         let epochs = 120;
         let (trajectory, stats, parked) =
-            run_chaos(machines, cluster_seed, trace_seed, plane, attach_epoch, epochs);
+            run_chaos(machines, cluster_seed, trace_seed, plane, attach_epoch, epochs, spread == 1);
         // Accounting sanity: every admitted VM is somewhere — departed,
         // resident, parked, or abandoned (an abandoned evacuee was admitted
         // once; its departure never fires).
@@ -156,8 +164,8 @@ proptest! {
         machines in 3..8_usize,
     ) {
         let disabled = Some(FaultPlane::new(fault_seed, FaultConfig::disabled()));
-        let bare = run_chaos(machines, cluster_seed, trace_seed, None, 0, 100);
-        let gated = run_chaos(machines, cluster_seed, trace_seed, disabled, 0, 100);
+        let bare = run_chaos(machines, cluster_seed, trace_seed, None, 0, 100, false);
+        let gated = run_chaos(machines, cluster_seed, trace_seed, disabled, 0, 100, false);
         prop_assert_eq!(bare, gated);
     }
 }
@@ -175,7 +183,15 @@ fn a_hostile_schedule_exercises_every_fault_path() {
         outage_epochs: (4, 10),
         ..FaultConfig::disabled()
     };
-    let (_, stats, _) = run_chaos(4, 7, 7, Some(FaultPlane::new(0xC0FFEE, config)), 0, 400);
+    let (_, stats, _) = run_chaos(
+        4,
+        7,
+        7,
+        Some(FaultPlane::new(0xC0FFEE, config)),
+        0,
+        400,
+        false,
+    );
     assert!(
         stats.crashes > 0,
         "hostile schedule never crashed: {stats:?}"
@@ -211,33 +227,36 @@ fn correlated_outages_and_drains_survive_chaos_bit_identically() {
     };
     let plane = Some(FaultPlane::new(0xDECAF, config));
     let epochs = 400;
-    let first = run_chaos(4, 11, 11, plane, 0, epochs);
-    // A second run in the same process: any state that leaked between
-    // services, or any per-instance hash order, would show up here.
-    assert_eq!(
-        first,
-        run_chaos(4, 11, 11, plane, 0, epochs),
-        "reruns diverged"
-    );
+    // Both placement policies: plain next-fit and failure-domain spread.
+    for spread in [false, true] {
+        let first = run_chaos(4, 11, 11, plane, 0, epochs, spread);
+        // A second run in the same process: any state that leaked between
+        // services, or any per-instance hash order, would show up here.
+        assert_eq!(
+            first,
+            run_chaos(4, 11, 11, plane, 0, epochs, spread),
+            "reruns diverged (spread: {spread})"
+        );
 
-    let (_, stats, _) = first;
-    // Correlated windows: with no independent crash stream configured,
-    // every hard down-edge here is a rack or domain outage.
-    assert!(
-        stats.crashes > 0,
-        "correlated outages never felled a machine: {stats:?}"
-    );
-    assert!(stats.repairs > 0, "outage windows never ended: {stats:?}");
-    // Drains: notice windows opened, machines went into maintenance, and
-    // at least one resident VM was migrated off gracefully.
-    assert!(stats.drains > 0, "no drain ever started: {stats:?}");
-    assert!(
-        stats.maintenance_windows > 0,
-        "no drain reached its offline window: {stats:?}"
-    );
-    assert!(
-        stats.drain_migrations > 0,
-        "drains never migrated a resident VM: {stats:?}"
-    );
-    assert!(stats.draining_machine_epochs > 0);
+        let (_, stats, _) = first;
+        // Correlated windows: with no independent crash stream configured,
+        // every hard down-edge here is a rack or domain outage.
+        assert!(
+            stats.crashes > 0,
+            "correlated outages never felled a machine: {stats:?}"
+        );
+        assert!(stats.repairs > 0, "outage windows never ended: {stats:?}");
+        // Drains: notice windows opened, machines went into maintenance,
+        // and at least one resident VM was migrated off gracefully.
+        assert!(stats.drains > 0, "no drain ever started: {stats:?}");
+        assert!(
+            stats.maintenance_windows > 0,
+            "no drain reached its offline window: {stats:?}"
+        );
+        assert!(
+            stats.drain_migrations > 0,
+            "drains never migrated a resident VM: {stats:?}"
+        );
+        assert!(stats.draining_machine_epochs > 0);
+    }
 }
