@@ -653,6 +653,103 @@ mod tests {
         );
     }
 
+    /// A trained benchmark and three aggressors — a cache, a network and a
+    /// disk hog — each with its clone's demand.
+    type Fixture = (SyntheticBenchmark, Vec<(ResidentVm, ResourceDemand)>);
+
+    fn fixture() -> &'static Fixture {
+        static FIXTURE: std::sync::OnceLock<Fixture> = std::sync::OnceLock::new();
+        FIXTURE.get_or_init(|| {
+            let benchmark = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 3);
+            let aggressors = [(5.0e7, 0.0, 0.0), (1.0e6, 0.6, 0.0), (1.0e6, 0.0, 0.7)]
+                .into_iter()
+                .map(|(llc, net_stall, disk_stall)| {
+                    let vm = resident(1, counters_with(llc, net_stall, disk_stall));
+                    let clone = benchmark.mimic(&vm.behavior, vm.demand.instructions);
+                    (vm, clone.demand())
+                })
+                .collect();
+            (benchmark, aggressors)
+        })
+    }
+
+    /// What an exhaustive scan over `predict_on_candidate` picks: the least
+    /// acceptable candidate (lowest id on ties) outside the source's power
+    /// domain under spread, else the least acceptable one.
+    fn exhaustive_choice(
+        manager: &PlacementManager,
+        clone: &ResourceDemand,
+        clone_vcpus: usize,
+        source: PmId,
+        candidates: &[CandidateMachine],
+    ) -> Option<PmId> {
+        let domain = |pm: PmId| manager.spread.map(|t| t.domain_of(pm));
+        let least = |cross_only: bool| {
+            candidates
+                .iter()
+                .filter(|c| !cross_only || domain(c.pm_id) != domain(source))
+                .map(|c| (manager.predict_on_candidate(clone, clone_vcpus, c), c.pm_id))
+                .filter(|&(p, _)| p <= manager.acceptable_interference)
+                .min_by(|a, b| a.partial_cmp(b).expect("finite predictions"))
+                .map(|(_, pm)| pm)
+        };
+        least(true).or_else(|| least(false))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn decide_picks_what_an_exhaustive_scan_picks(
+            aggressor in 0..3_usize,
+            // Residents (shape, width) that the machines borrow runs of.
+            tape in proptest::collection::vec((0..4_usize, 0..3_usize), 64..65),
+            // Per machine: model, resident count (0 = empty), run start.
+            machines in proptest::collection::vec((0..2_usize, 0..4_usize, 0..61_usize), 0..41),
+            few in 0..4_u8,
+            shuffle in 0..u64::MAX,
+            spread in proptest::prop_oneof![proptest::Just(None), proptest::Just(Some(Topology::new(2, 4)))],
+            limit in proptest::prop_oneof![3 => 0.01..=1.0_f64, 1 => proptest::Just(0.01)],
+        ) {
+            let (benchmark, aggressors) = fixture();
+            let (aggressor, clone) = &aggressors[aggressor];
+            // Idle (predicts exactly 0.0 beside any clone, as an empty
+            // machine does), quiet, memory- and disk-heavy residents.  A
+            // quarter of the cases keep at most three candidates, none
+            // empty, idle or quiet, so that a low limit can reject them all.
+            let shapes = [
+                ResourceDemand::builder().instructions(0.0).build(),
+                quiet_demand(),
+                busy_memory_demand(),
+                ResourceDemand::builder().instructions(1.0e9).disk_read_mb(120.0).build(),
+            ];
+            let few = usize::from(few == 0);
+            let machines = &machines[..machines.len().min(if few == 1 { 3 } else { 40 })];
+            let demands: Vec<_> = tape.iter().map(|&(s, _)| shapes[s.max(2 * few)].clone()).collect();
+            let widths: Vec<usize> = tape.iter().map(|&(_, w)| [1, 2, 4][w]).collect();
+            // Machine ids 0..64 in a drawn order: the first is the source,
+            // the rest go to the candidates.  Eight machines per domain.
+            let mut ids: Vec<u64> = (0..64).collect();
+            ids.sort_by_key(|&id| cloudsim::rngs::splitmix64(shuffle ^ id));
+            let specs = [MachineSpec::xeon_x5472(), MachineSpec::core_i7_nehalem()];
+            let candidates: Vec<CandidateMachine> = machines
+                .iter()
+                .zip(&ids[1..])
+                .map(|(&(model, count, at), &id)| CandidateMachine {
+                    pm_id: PmId(id),
+                    spec: &specs[model],
+                    resident_demands: &demands[at..at + count.max(few)],
+                    resident_vcpus: &widths[at..at + count.max(few)],
+                })
+                .collect();
+            let manager = PlacementManager { acceptable_interference: limit, spread };
+            let source = PmId(ids[0]);
+            let expected = exhaustive_choice(&manager, clone, aggressor.vcpus, source, &candidates);
+            let decided = manager.decide(aggressor, source, &candidates, benchmark);
+            proptest::prop_assert_eq!(decided, expected);
+        }
+    }
+
     #[test]
     #[should_panic(expected = "no resident VMs")]
     fn empty_residents_rejected() {

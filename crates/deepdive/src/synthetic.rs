@@ -364,6 +364,41 @@ mod tests {
     }
 
     #[test]
+    fn mimicked_inputs_match_the_bits_recorded_before_the_inversion_rewrite() {
+        // Golden bits printed by `mimic` while `invert_inputs` still built a
+        // prediction vector and a trial copy per probe: the rewritten error
+        // closure must keep every sum in its original order.  Targets are
+        // the solo behaviours of three stressors at 2 vCPUs, six inputs each.
+        use workloads::{AppId, DiskStress, MemoryStress, NetworkStress, Workload};
+        let bench = trained();
+        let mut rng = StdRng::seed_from_u64(0);
+        let stressors: [Box<dyn Workload>; 3] = [
+            Box::new(MemoryStress::new(AppId(1), 384.0)),
+            Box::new(NetworkStress::new(AppId(2), 900.0)),
+            Box::new(DiskStress::new(AppId(3), 80.0)),
+        ];
+        let mut bits = Vec::new();
+        for mut stressor in stressors {
+            let demand = stressor.next_demand(1.0, &mut rng);
+            let alone = [PlacedDemand::new(0, demand.clone(), 2, 0)];
+            let solo = EpochResolver::new(bench.spec.clone()).resolve(&alone);
+            let target = BehaviorVector::from_counters(&solo[0].counters);
+            let inputs = bench.mimic(&target, demand.instructions).to_vec();
+            bits.extend(inputs.iter().map(|v| v.to_bits()));
+        }
+        #[rustfmt::skip]
+        const GOLDEN: [u64; 18] = [
+            0x41e2a05f20000000, 0x4080000000000000, 0x3ff0000000000000, // memory
+            0x402e000000000000, 0x405e000000000000, 0x3ff0000000000000,
+            0x41b1e1a300000000, 0x3ff0000000000000, 0x3fbf010000010000, // network
+            0x0000000000000000, 0x404b2fffffffc400, 0x4000000000000000,
+            0x41a7d78400000000, 0x3ff0000000000000, 0x3fbef00000010000, // disk
+            0x404157ffffffe200, 0x3ffdfffffff88000, 0x4000000000000000,
+        ];
+        assert_eq!(bits, GOLDEN);
+    }
+
+    #[test]
     fn training_error_is_reported_and_finite() {
         let bench = trained();
         assert!(bench.training_error().is_finite());
