@@ -197,12 +197,16 @@ pub fn invert_inputs(
     // stall seconds (~10⁻²) — contribute comparably to the residual.
     let max_abs = target.iter().fold(0.0_f64, |m, t| m.max(t.abs()));
     let floor = (1e-3 * max_abs).max(1e-9);
+    // `predict` without its output vector: each dot product and residual
+    // in the same order, so the error keeps its bits.
     let error = |x: &[f64]| -> f64 {
         model
-            .predict(x)
+            .weights
             .iter()
+            .zip(&model.intercepts)
             .zip(target)
-            .map(|(p, t)| {
+            .map(|((w, b), t)| {
+                let p = w.iter().zip(x).map(|(wi, xi)| wi * xi).sum::<f64>() + b;
                 let r = (p - t) / t.abs().max(floor);
                 r * r
             })
@@ -227,13 +231,19 @@ pub fn invert_inputs(
                 lo,
                 hi,
             ] {
-                let mut trial = current.clone();
-                trial[dim] = candidate;
-                let e = error(&trial);
+                // A probe that leaves the point where it is (every probe of
+                // a pinned knob does) scores `best_err` again and cannot be
+                // taken.  Others probe in place; a rejection restores the knob.
+                if candidate.to_bits() == current[dim].to_bits() {
+                    continue;
+                }
+                let kept = std::mem::replace(&mut current[dim], candidate);
+                let e = error(&current);
                 if e + 1e-15 < best_err {
                     best_err = e;
-                    current = trial;
                     improved = true;
+                } else {
+                    current[dim] = kept;
                 }
             }
         }

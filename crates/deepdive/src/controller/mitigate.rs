@@ -183,10 +183,10 @@ impl DeepDive {
                 }
             })
             .collect();
-        if residents.len() < 2 {
-            return vec![skipped(victim.vm_id, "no co-located VM to migrate away")];
-        }
-        let aggressor = PlacementManager::select_aggressor(&residents, culprit);
+        let aggressor = match PlacementManager::select_aggressor(&residents, culprit) {
+            Some(vm) if residents.len() >= 2 => vm,
+            _ => return vec![skipped(victim.vm_id, "no co-located VM to migrate away")],
+        };
         let moved = aggressor.vm_id;
         // The membership check above placed every resident on `pm`.
         let host = cluster.machine(pm);

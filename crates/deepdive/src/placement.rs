@@ -24,6 +24,9 @@
 //! A decision over a whole fleet resolves through one reused
 //! [`EpochResolver`] per machine model, and the clone's uncontended
 //! baseline is computed once per model, not once per candidate.
+//! A decision resolves only the candidates that can still win: a lower bound on
+//! each prediction skips the rest ([`PlacementManager::decide`] states the
+//! bound, the visit order and the cost).
 
 use cloudsim::{PmId, Scheduler, Topology, VmId};
 use hwsim::contention::{EpochOutcome, PlacedDemand};
@@ -125,20 +128,14 @@ impl PlacementManager {
         }
     }
 
-    /// Selects the most aggressive VM on the culprit resource.
-    ///
-    /// # Panics
-    /// Panics if `residents` is empty.
-    pub fn select_aggressor(residents: &[ResidentVm], culprit: Resource) -> &ResidentVm {
-        assert!(!residents.is_empty(), "no resident VMs to choose from");
-        residents
-            .iter()
-            .max_by(|a, b| {
-                Self::aggressiveness(&a.behavior, culprit)
-                    .partial_cmp(&Self::aggressiveness(&b.behavior, culprit))
-                    .expect("finite aggressiveness")
-            })
-            .expect("non-empty residents")
+    /// Selects the most aggressive VM on the culprit resource; `None` when
+    /// there are no residents.
+    pub fn select_aggressor(residents: &[ResidentVm], culprit: Resource) -> Option<&ResidentVm> {
+        residents.iter().max_by(|a, b| {
+            Self::aggressiveness(&a.behavior, culprit)
+                .partial_cmp(&Self::aggressiveness(&b.behavior, culprit))
+                .expect("finite aggressiveness")
+        })
     }
 
     /// Predicts the interference the aggressor's synthetic clone would cause
@@ -152,7 +149,9 @@ impl PlacementManager {
         clone_vcpus: usize,
         candidate: &CandidateMachine,
     ) -> f64 {
-        ClonePredictor::new(candidate.spec, clone_demand, clone_vcpus).predict(candidate)
+        let mut predictor = ClonePredictor::new(candidate.spec, clone_demand, clone_vcpus);
+        let clone_term = predictor.joint(candidate);
+        predictor.finish(candidate, clone_term, |_| true)
     }
 
     /// The destination for a confirmed interference case, or `None` when
@@ -166,7 +165,21 @@ impl PlacementManager {
     ///   the aggressor (the afflicted machine itself must not be among them).
     /// * `benchmark` — the trained synthetic benchmark for this server type.
     ///
-    /// Ties in predicted interference go to the lowest machine id.
+    /// Ties in predicted interference go to the lowest machine id.  The
+    /// answer is the minimum of a total order, so the visit order cannot
+    /// change it.  A prediction is the worst of several slowdowns, each at
+    /// least 0, so a candidate whose `(0.0, id)` sorts after the incumbent
+    /// costs no resolve.  The joint resolve (residents plus clone) comes
+    /// first; the clone's slowdown then bounds the prediction from below,
+    /// and each resident's solo baseline is resolved only while the worst
+    /// slowdown so far is within the limit and sorts before the incumbent.
+    ///
+    /// Residents-free candidates are visited first, then the rest in the
+    /// order given.  With candidates in id order a decision costs one
+    /// resolve per machine model for the clone's baseline, one for the
+    /// lowest-id empty candidate (it predicts 0.0, so no higher id can win),
+    /// one joint resolve per candidate that can still win, and solo
+    /// baselines only where the clone's slowdown allows.
     pub fn decide(
         &self,
         aggressor: &ResidentVm,
@@ -180,44 +193,72 @@ impl PlacementManager {
         // clone to it would underestimate the load the VM brings to an
         // uncontended destination.
         let clone_inputs = benchmark.mimic(&aggressor.behavior, aggressor.demand.instructions);
-        let clone_demand = clone_inputs.demand();
+        self.search(&clone_inputs.demand(), aggressor.vcpus, source, candidates)
+            .0
+    }
 
+    /// [`PlacementManager::decide`] once the clone is built: the destination
+    /// and the number of contention resolves it took.
+    fn search(
+        &self,
+        clone_demand: &ResourceDemand,
+        clone_vcpus: usize,
+        source: PmId,
+        candidates: &[CandidateMachine],
+    ) -> (Option<PmId>, usize) {
         // One predictor per machine model among the candidates (a fleet
         // has a handful), so resolver scratch and the clone's solo baseline
         // are shared by every candidate of a model.
         let mut predictors: Vec<ClonePredictor> = Vec::new();
-        // The least interfering candidate (lowest id on ties) over all
-        // candidates, and over those outside the source's power domain.
+        // The least interfering acceptable candidate (lowest id on ties),
+        // kept apart for candidates outside the source's power domain.
         // With a spread topology an acceptable cross-domain destination
         // beats any same-domain one — the migration doubles as a
-        // failure-domain spread move — and the plain minimum is the fallback.
+        // failure-domain spread move — so once one is found, same-domain
+        // candidates cannot change the answer.
         let cross_domain = |pm: PmId| {
             self.spread
                 .is_some_and(|t| t.domain_of(pm) != t.domain_of(source))
         };
         let (mut best, mut best_cross_domain) = (None, None);
-        for c in candidates {
+        let empty = candidates.iter().filter(|c| c.resident_demands.is_empty());
+        let occupied = candidates.iter().filter(|c| !c.resident_demands.is_empty());
+        for c in empty.chain(occupied) {
+            let incumbent = if cross_domain(c.pm_id) {
+                &mut best_cross_domain
+            } else if best_cross_domain.is_some() {
+                continue;
+            } else {
+                &mut best
+            };
+            // Whether a candidate predicting at least `floor` can still
+            // become the incumbent.  Every prediction is at least 0.
+            let wins = |floor: f64| {
+                floor <= self.acceptable_interference && !out_of_reach(floor, c.pm_id, *incumbent)
+            };
+            if !wins(0.0) {
+                continue;
+            }
             let known = predictors.iter().position(|p| p.resolver.spec() == c.spec);
             let at = known.unwrap_or_else(|| {
-                predictors.push(ClonePredictor::new(c.spec, &clone_demand, aggressor.vcpus));
+                predictors.push(ClonePredictor::new(c.spec, clone_demand, clone_vcpus));
                 predictors.len() - 1
             });
-            // Ordered by prediction, then machine id.
-            let scored = (predictors[at].predict(c), c.pm_id);
-            if best.is_none_or(|b| scored < b) {
-                best = Some(scored);
-            }
-            if cross_domain(c.pm_id) && best_cross_domain.is_none_or(|b| scored < b) {
-                best_cross_domain = Some(scored);
+            let clone_term = predictors[at].joint(c);
+            let predicted = predictors[at].finish(c, clone_term, wins);
+            if wins(predicted) {
+                *incumbent = Some((predicted, c.pm_id));
             }
         }
-        let acceptable = |scored: Option<(f64, PmId)>| {
-            scored
-                .filter(|&(p, _)| p <= self.acceptable_interference)
-                .map(|(_, pm)| pm)
-        };
-        acceptable(best_cross_domain).or_else(|| acceptable(best))
+        let resolves = predictors.iter().map(|p| p.resolves).sum();
+        (best_cross_domain.or(best).map(|(_, pm)| pm), resolves)
     }
+}
+
+/// Whether a candidate predicting at least `floor` sorts after `incumbent`
+/// — by prediction, then machine id — whatever it predicts.
+fn out_of_reach(floor: f64, pm: PmId, incumbent: Option<(f64, PmId)>) -> bool {
+    incumbent.is_some_and(|(predicted, id)| floor > predicted || (floor == predicted && pm > id))
 }
 
 /// The synthetic clone placed on machines of one model: the model's
@@ -229,29 +270,34 @@ struct ClonePredictor {
     /// The clone's achieved fraction alone on an idle machine of this model.
     clone_solo: f64,
     placements: Vec<PlacedDemand>,
-    baselines: Vec<f64>,
-    outcomes: Vec<EpochOutcome>,
+    /// Outcomes of the last joint resolve: residents in slot order, clone
+    /// last.
+    joint: Vec<EpochOutcome>,
+    solo: Vec<EpochOutcome>,
+    /// Contention resolves so far, the clone's baseline included.
+    resolves: usize,
 }
 
 impl ClonePredictor {
     fn new(spec: &MachineSpec, clone_demand: &ResourceDemand, clone_vcpus: usize) -> Self {
-        let mut resolver = EpochResolver::new(spec.clone());
-        let mut outcomes = Vec::new();
-        let clone_solo = solo_fraction(&mut resolver, &mut outcomes, clone_demand, clone_vcpus);
-        Self {
-            resolver,
+        let mut predictor = Self {
+            resolver: EpochResolver::new(spec.clone()),
             clone_demand: clone_demand.clone(),
             clone_vcpus,
-            clone_solo,
+            clone_solo: 0.0,
             placements: Vec::new(),
-            baselines: Vec::new(),
-            outcomes,
-        }
+            joint: Vec::new(),
+            solo: Vec::new(),
+            resolves: 0,
+        };
+        predictor.clone_solo = predictor.solo_fraction(clone_demand, clone_vcpus);
+        predictor
     }
 
-    /// Worst fractional slowdown, against running alone, among the clone
-    /// and `candidate`'s residents once the clone lands beside them.
-    fn predict(&mut self, candidate: &CandidateMachine) -> f64 {
+    /// Lands the clone beside `candidate`'s residents, resolves one epoch,
+    /// and returns the clone's own slowdown against running alone — a lower
+    /// bound on the prediction [`ClonePredictor::finish`] completes.
+    fn joint(&mut self, candidate: &CandidateMachine) -> f64 {
         debug_assert!(self.resolver.spec() == candidate.spec);
         assert_eq!(
             candidate.resident_demands.len(),
@@ -259,7 +305,6 @@ impl ClonePredictor {
             "every resident needs a width"
         );
         self.placements.clear();
-        self.baselines.clear();
         for (i, (demand, &vcpus)) in candidate
             .resident_demands
             .iter()
@@ -272,12 +317,6 @@ impl ClonePredictor {
                 vcpus,
                 Scheduler::default().cache_group_for_slot(candidate.spec, i),
             ));
-            self.baselines.push(solo_fraction(
-                &mut self.resolver,
-                &mut self.outcomes,
-                demand,
-                vcpus,
-            ));
         }
         let clone_slot = self.placements.len();
         self.placements.push(PlacedDemand::new(
@@ -286,35 +325,56 @@ impl ClonePredictor {
             self.clone_vcpus,
             Scheduler::default().cache_group_for_slot(candidate.spec, clone_slot),
         ));
-        self.baselines.push(self.clone_solo);
-
+        self.resolves += 1;
         self.resolver
-            .resolve_into(&self.placements, EPOCH_SECONDS, &mut self.outcomes);
-        self.outcomes
+            .resolve_into(&self.placements, EPOCH_SECONDS, &mut self.joint);
+        slowdown(self.clone_solo, self.joint[clone_slot].achieved_fraction)
+    }
+
+    /// Worst slowdown among `candidate`'s residents, in slot order, and
+    /// the clone (`clone_term` from [`ClonePredictor::joint`]), last.  Stops
+    /// resolving solo baselines, and returns the worst so far, once `wins`
+    /// fails for it.
+    fn finish(
+        &mut self,
+        candidate: &CandidateMachine,
+        clone_term: f64,
+        wins: impl Fn(f64) -> bool,
+    ) -> f64 {
+        let mut worst = 0.0;
+        for (i, (demand, &vcpus)) in candidate
+            .resident_demands
             .iter()
-            .zip(&self.baselines)
-            .map(|(o, &solo)| {
-                if solo <= 0.0 {
-                    0.0
-                } else {
-                    ((solo - o.achieved_fraction) / solo).max(0.0)
-                }
-            })
-            .fold(0.0, f64::max)
+            .zip(candidate.resident_vcpus)
+            .enumerate()
+        {
+            if !wins(f64::max(worst, clone_term)) {
+                break;
+            }
+            let solo = self.solo_fraction(demand, vcpus);
+            worst = f64::max(worst, slowdown(solo, self.joint[i].achieved_fraction));
+        }
+        f64::max(worst, clone_term)
+    }
+
+    /// `demand`'s achieved fraction alone on an idle machine of this model.
+    fn solo_fraction(&mut self, demand: &ResourceDemand, vcpus: usize) -> f64 {
+        let alone = [PlacedDemand::new(0, demand.clone(), vcpus, 0)];
+        self.resolves += 1;
+        self.resolver
+            .resolve_into(&alone, EPOCH_SECONDS, &mut self.solo);
+        self.solo[0].achieved_fraction
     }
 }
 
-/// `demand`'s achieved fraction alone on an idle machine of `resolver`'s
-/// model (`outcomes` is scratch).
-fn solo_fraction(
-    resolver: &mut EpochResolver,
-    outcomes: &mut Vec<EpochOutcome>,
-    demand: &ResourceDemand,
-    vcpus: usize,
-) -> f64 {
-    let alone = [PlacedDemand::new(0, demand.clone(), vcpus, 0)];
-    resolver.resolve_into(&alone, EPOCH_SECONDS, outcomes);
-    outcomes[0].achieved_fraction
+/// Fractional slowdown of a workload achieving `achieved` against `solo`
+/// alone; 0 for one that makes no progress even alone.
+fn slowdown(solo: f64, achieved: f64) -> f64 {
+    if solo <= 0.0 {
+        0.0
+    } else {
+        ((solo - achieved) / solo).max(0.0)
+    }
 }
 
 #[cfg(test)]
@@ -389,10 +449,11 @@ mod tests {
         let net_hog = resident(2, counters_with(1.0e6, 0.6, 0.0));
         let disk_hog = resident(3, counters_with(1.0e6, 0.0, 0.7));
         let residents = vec![cache_hog, net_hog, disk_hog];
-        let pick = |culprit| PlacementManager::select_aggressor(&residents, culprit).vm_id;
-        assert_eq!(pick(Resource::CacheMemory), VmId(1));
-        assert_eq!(pick(Resource::Network), VmId(2));
-        assert_eq!(pick(Resource::Disk), VmId(3));
+        let pick =
+            |culprit| PlacementManager::select_aggressor(&residents, culprit).map(|vm| vm.vm_id);
+        assert_eq!(pick(Resource::CacheMemory), Some(VmId(1)));
+        assert_eq!(pick(Resource::Network), Some(VmId(2)));
+        assert_eq!(pick(Resource::Disk), Some(VmId(3)));
     }
 
     #[test]
@@ -518,7 +579,8 @@ mod tests {
         ];
         let busy = [busy_memory_demand(), busy_memory_demand()];
         let candidates = [candidate(10, &spec, &busy), candidate(11, &spec, &[])];
-        let aggressor = PlacementManager::select_aggressor(&residents, Resource::CacheMemory);
+        let aggressor = PlacementManager::select_aggressor(&residents, Resource::CacheMemory)
+            .expect("two residents");
         assert_eq!(aggressor.vm_id, VmId(2), "the cache hog must be selected");
         assert_eq!(
             m.decide(aggressor, PmId(0), &candidates, &benchmark),
@@ -552,7 +614,8 @@ mod tests {
                 vcpus: 2,
             })
             .collect();
-        let aggressor = PlacementManager::select_aggressor(&residents, Resource::CacheMemory);
+        let aggressor = PlacementManager::select_aggressor(&residents, Resource::CacheMemory)
+            .expect("two residents");
         assert_eq!(aggressor.vm_id, VmId(2));
         let half = [busy_memory_demand(), quiet_demand()];
         let nearly_full = [busy_memory_demand(), quiet_demand(), busy_memory_demand()];
@@ -751,9 +814,52 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no resident VMs")]
+    fn an_episode_shaped_decision_resolves_at_most_half_of_the_exhaustive_count() {
+        // 96 Xeons with a Data Serving and a Web Search tenant, then 32
+        // empty ones: an exhaustive search resolves 1 + 3 × 96 + 32 = 321
+        // times (clone baseline; two solos and a joint per tenant machine).
+        use rand::SeedableRng;
+        use workloads::*;
+        let xeon = MachineSpec::xeon_x5472();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut pair: [Box<dyn Workload>; 2] = [
+            Box::new(DataServing::with_defaults(AppId(1))),
+            Box::new(WebSearch::with_defaults(AppId(2))),
+        ];
+        let tenants: Vec<ResourceDemand> = (0..192)
+            .map(|i| pair[i % 2].next_demand(0.9, &mut rng))
+            .collect();
+        let pairs = tenants.chunks(2).chain([&[][..]; 32]);
+        let candidates: Vec<CandidateMachine> = (0..)
+            .zip(pairs)
+            .map(|(m, pair)| candidate(m, &xeon, pair))
+            .collect();
+        let stressors: [Box<dyn Workload>; 3] = [
+            Box::new(MemoryStress::new(AppId(900), 384.0)),
+            Box::new(NetworkStress::new(AppId(901), 900.0)),
+            Box::new(DiskStress::new(AppId(902), 80.0)),
+        ];
+        let mut resolves = Vec::new();
+        for mut stressor in stressors {
+            let demand = stressor.next_demand(1.0, &mut rng);
+            let alone = [PlacedDemand::new(0, demand.clone(), 2, 0)];
+            let solo = EpochResolver::new(xeon.clone()).resolve(&alone);
+            let behavior = BehaviorVector::from_counters(&solo[0].counters);
+            let clone = fixture().0.mimic(&behavior, demand.instructions).demand();
+            let (decided, count) = manager().search(&clone, 2, PmId(200), &candidates);
+            let expected = exhaustive_choice(&manager(), &clone, 2, PmId(200), &candidates);
+            assert_eq!(decided, expected);
+            resolves.push(count);
+        }
+        // The memory clone is slowed beside every tenant pair, so joint
+        // resolves settle them; the network and disk clones never are.
+        assert!(2 * resolves[0] <= 321);
+        assert_eq!(resolves, [98, 219, 194]);
+    }
+
+    #[test]
     fn empty_residents_rejected() {
-        PlacementManager::select_aggressor(&[], Resource::Disk);
+        assert!(PlacementManager::select_aggressor(&[], Resource::Disk).is_none());
     }
 
     #[test]
