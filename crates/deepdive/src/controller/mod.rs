@@ -1291,4 +1291,184 @@ mod tests {
             "final placements diverged"
         );
     }
+
+    /// The window an analysis of `vm` would replay now, oldest epoch
+    /// first; `None` while the controller holds no record for it.
+    fn replay_window(dd: &DeepDive, vm: VmId) -> Option<Vec<(CounterSnapshot, ResourceDemand)>> {
+        dd.vms
+            .get(&vm)
+            .map(|record| record.window.iter().cloned().collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn replayed_windows_match_a_per_vm_deque_reference(
+            analysis_window in 1usize..7,
+            // Per epoch: which of twelve VM ids report (a clear bit is a VM
+            // that skips the epoch, as a parked evacuee does), and two masks
+            // whose conjunction is forgotten before the epoch.
+            steps in proptest::collection::vec((0u16..4096, 0u16..4096, 0u16..4096), 1..40),
+        ) {
+            let mut cluster =
+                Cluster::homogeneous(1, MachineSpec::xeon_x5472(), Scheduler::default());
+            cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
+            let template = EpochEngine::serial(ClusterSeed::new(5)).step(&mut cluster, |_| 0.8)[0].clone();
+            let config = DeepDiveConfig {
+                analysis_window,
+                ..Default::default()
+            };
+            let mut dd = DeepDive::for_cluster(config, &cluster);
+            // The pool is always down: every escalation defers, so the
+            // stream exercises the records without running the sandbox.
+            dd.set_fault_plane(cloudsim::FaultPlane::new(
+                3,
+                cloudsim::faults::FaultConfig {
+                    sandbox_outage_per_epoch: 1.0,
+                    outage_epochs: (1, 1),
+                    ..cloudsim::faults::FaultConfig::disabled()
+                },
+            ));
+            let mut reference: HashMap<VmId, VecDeque<(CounterSnapshot, ResourceDemand)>> =
+                HashMap::new();
+            for (epoch, &(present, forget_a, forget_b)) in steps.iter().enumerate() {
+                let epoch = epoch as u64;
+                // About one id in four is forgotten; it may report again at
+                // once, a fresh VM under a recycled id.
+                let gone: Vec<VmId> = (0..12u64)
+                    .filter(|id| forget_a & forget_b & (1 << id) != 0)
+                    .map(VmId)
+                    .collect();
+                dd.forget_vms(&gone);
+                for vm in &gone {
+                    reference.remove(vm);
+                }
+                let reports: Vec<VmEpochReport> = (0..12u64)
+                    .filter(|id| present & (1 << id) != 0)
+                    .map(|id| {
+                        let mut report = template.clone();
+                        report.vm_id = VmId(id);
+                        report.app = AppId(1 + id % 3);
+                        report.epoch = epoch;
+                        report.counters.cpu_unhalted = (epoch * 100 + id) as f64;
+                        report.demand.instructions = (epoch * 1000 + id) as f64;
+                        // Every third VM idles every other epoch.
+                        if id % 3 == 0 && epoch % 2 == 1 {
+                            report.counters.inst_retired = 0.0;
+                        }
+                        report
+                    })
+                    .collect();
+                dd.process_epoch(&mut cluster, &reports);
+                for r in &reports {
+                    let window = reference.entry(r.vm_id).or_default();
+                    window.push_back((r.counters, r.demand.clone()));
+                    if window.len() > analysis_window {
+                        window.pop_front();
+                    }
+                }
+                proptest::prop_assert_eq!(dd.tracked_vms(), reference.len());
+                for id in 0..12u64 {
+                    let expected = reference.get(&VmId(id)).map(|w| w.iter().cloned().collect());
+                    proptest::prop_assert_eq!(
+                        replay_window(&dd, VmId(id)),
+                        expected,
+                        "vm {} at epoch {}",
+                        id,
+                        epoch
+                    );
+                }
+            }
+        }
+    }
+
+    /// FNV-1a over `text`, continuing from `hash`.
+    fn fold(hash: u64, text: &str) -> u64 {
+        text.bytes().fold(hash, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn a_small_world_with_parked_vms_folds_to_the_recorded_digest() {
+        use crate::service::ManagedDatacenter;
+        use cloudsim::faults::{FaultConfig, FaultPlane};
+        use cloudsim::service::{DatacenterService, ServiceConfig};
+        use traces::VmSession;
+
+        // Three machines, fourteen long busy sessions and frequent crashes:
+        // evacuees often find no room and park in the service's retry queue,
+        // skipping epochs before they report again with their windows
+        // intact.  Sandbox outages and failing migrations run beside them.
+        let sessions: Vec<VmSession> = (0..14)
+            .map(|i| VmSession {
+                arrival_s: i as f64 * 0.25,
+                lifetime_s: 900.0 + 40.0 * i as f64,
+                active_load: 0.85,
+                app_rank: 1 + i % 3,
+            })
+            .collect();
+        let service = DatacenterService::new(ServiceConfig::xeon_fleet(3, 8), sessions);
+        let config = DeepDiveConfig {
+            performance_threshold: 0.03,
+            analysis_cooldown: 12,
+            confirmed_cooldown: 24,
+            synthetic_training_samples: 60,
+            // Conservative mode lasts long enough for parked VMs to be
+            // analysed after they come back.
+            warning: WarningConfig {
+                min_behaviors_for_clustering: 150,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut dc = ManagedDatacenter::new(service, config);
+        dc.set_fault_plane(FaultPlane::new(
+            4,
+            FaultConfig {
+                machine_crash_per_epoch: 0.03,
+                repair_epochs: (3, 9),
+                migration_failure: 0.2,
+                sandbox_outage_per_epoch: 0.05,
+                outage_epochs: (2, 6),
+                ..FaultConfig::disabled()
+            },
+        ));
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut last_seen: HashMap<VmId, u64> = HashMap::new();
+        let mut gaps = 0;
+        for epoch in 0..240u64 {
+            let (reports, events) = dc.step_epoch();
+            for r in &reports {
+                if last_seen
+                    .insert(r.vm_id, epoch)
+                    .is_some_and(|last| last + 1 < epoch)
+                {
+                    gaps += 1;
+                }
+            }
+            for event in &events {
+                digest = fold(digest, &format!("{epoch}:{event:?};"));
+            }
+        }
+        digest = fold(digest, &format!("{:?}", dc.controller_stats()));
+        let service = dc.service_stats();
+        assert!(service.retries > 0, "no VM ever parked: {service:?}");
+        assert!(gaps > 0, "no VM skipped an epoch and reported again");
+        let stats = dc.controller_stats();
+        assert_eq!(
+            (
+                gaps,
+                service.retries,
+                stats.analyzer_invocations,
+                stats.migrations,
+                stats.global_matches
+            ),
+            (60, 216, 88, 4, 641)
+        );
+        // Every event and the final stats, folded; recorded before the
+        // per-VM windows moved into one slab.
+        assert_eq!(digest, 0x0011_52bc_eeed_955d);
+    }
 }
