@@ -21,6 +21,7 @@ use cloudsim::pm::VmEpochReport;
 use cloudsim::{Cluster, SandboxFleet};
 use hwsim::{CounterSnapshot, ResourceDemand};
 
+use super::records::Ring;
 use super::{DeepDive, EpochEvent};
 use crate::analyzer::AnalysisResult;
 use crate::epoch_index::EpochIndex;
@@ -53,20 +54,21 @@ impl DeepDive {
     /// Handles one warning the warning system escalated (`trigger` is
     /// `SuspectInterference` or `Bootstrap`): cooldown gate, pool routing,
     /// deferral, analysis, and — when interference is confirmed and
-    /// `auto_migrate` is on — mitigation.  Returns the events produced.
+    /// `auto_migrate` is on — mitigation.  `ring` is the VM's window as
+    /// `process_epoch` left it after writing this epoch's row.  Returns the
+    /// events produced.
     pub(super) fn attribute(
         &mut self,
         cluster: &mut Cluster,
         reports: &[VmEpochReport],
-        index: &EpochIndex,
+        index: &mut EpochIndex,
         report: &VmEpochReport,
+        ring: Ring,
         trigger: WarningDecision,
     ) -> Vec<EpochEvent> {
         let vm = report.vm_id;
         let epoch = report.epoch;
-        // `process_epoch` pushed this epoch into the VM's window, so the
-        // record exists and its window is not empty.
-        let record = self.vms.entry(vm).or_default();
+        let record = self.vms.record_mut(ring);
         if epoch < record.cooldown_until {
             return Vec::new();
         }
@@ -105,7 +107,7 @@ impl DeepDive {
         // The pool is up — if the VM was waiting for it, the wait is over.
         record.deferred_until = None;
         let (counters, replay): (Vec<CounterSnapshot>, Vec<ResourceDemand>) =
-            record.window.iter().cloned().unzip();
+            self.vms.window(ring).cloned().unzip();
         // The clone runs as wide as the VM.
         let result = self.run_analysis(report, pool_idx, matched, &counters, &replay);
         let cooldown = if result.interference_confirmed {
@@ -115,7 +117,7 @@ impl DeepDive {
         } else {
             self.config.analysis_cooldown
         };
-        self.vms.entry(vm).or_default().cooldown_until = epoch + cooldown;
+        self.vms.record_mut(ring).cooldown_until = epoch + cooldown;
         let mitigation = match result.culprit {
             Some(culprit) if result.interference_confirmed && self.config.auto_migrate => {
                 self.mitigate(cluster, reports, index, report, culprit, 0)

@@ -68,7 +68,7 @@ impl DeepDive {
         &mut self,
         cluster: &mut Cluster,
         reports: &[VmEpochReport],
-        index: &EpochIndex,
+        index: &mut EpochIndex,
         epoch: u64,
     ) -> Vec<EpochEvent> {
         let mut events = Vec::new();
@@ -142,25 +142,28 @@ impl DeepDive {
     /// Mitigates confirmed interference on the machine hosting `victim`.
     /// `attempt` is zero on the first try and counts up across
     /// backed-off retries of the same episode.  `index` is this epoch's
-    /// index over `reports`.
+    /// index over `reports`; the first mitigation of an epoch groups its
+    /// reports by machine.
     pub(super) fn mitigate(
         &mut self,
         cluster: &mut Cluster,
         reports: &[VmEpochReport],
-        index: &EpochIndex,
+        index: &mut EpochIndex,
         victim: &VmEpochReport,
         culprit: Resource,
         attempt: u32,
     ) -> Vec<EpochEvent> {
         let pm = victim.pm_id;
         let epoch = victim.epoch;
+        let index = index.with_machines(reports);
+        let by_machine = index.by_machine();
         // Residents of the afflicted machine, from this epoch's reports.
         // An earlier mitigation this epoch may already have moved one of
         // them (bootstrap synchronises cooldowns, so co-located victims
         // confirm together): the reports then describe a machine that no
         // longer exists, and re-deciding from them would pick the departed
         // aggressor again — or, with it filtered out, an innocent tenant.
-        let group = index.by_machine.group(pm);
+        let group = by_machine.group(pm);
         if group
             .iter()
             .any(|&at| cluster.locate(reports[at as usize].vm_id) != Some(pm))
@@ -199,7 +202,7 @@ impl DeepDive {
         // spec.  Both are copied out once in machine-group order — parallel
         // to the index's member list — so every candidate's residents are
         // one slice.
-        let members = index.by_machine.members();
+        let members = by_machine.members();
         let demands: Vec<ResourceDemand> = members
             .iter()
             .map(|&at| reports[at as usize].demand.clone())
@@ -222,7 +225,7 @@ impl DeepDive {
             .into_iter()
             .filter(|m| m.scheduler().admits(m.spec(), m.vms(), mover))
             .map(|m| {
-                let span = index.by_machine.span(m.id);
+                let span = by_machine.span(m.id);
                 CandidateMachine {
                     pm_id: m.id,
                     spec: m.spec(),

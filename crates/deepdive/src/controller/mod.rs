@@ -20,12 +20,12 @@
 
 mod attribute;
 mod mitigate;
+mod records;
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 
 use cloudsim::pm::VmEpochReport;
 use cloudsim::{Cluster, PmId, SandboxFleet, VmId};
-use hwsim::{CounterSnapshot, ResourceDemand};
 use workloads::AppId;
 
 use crate::analyzer::{AnalysisResult, InterferenceAnalyzer};
@@ -36,6 +36,7 @@ use crate::repository::BehaviorRepository;
 use crate::synthetic::SyntheticBenchmark;
 use crate::warning::{WarningConfig, WarningDecision, WarningSystem};
 use mitigate::PendingMigration;
+use records::{Ring, VmRecords};
 
 /// Configuration of the end-to-end controller.
 #[derive(Debug, Clone, PartialEq)]
@@ -179,30 +180,6 @@ pub enum EpochEvent {
     },
 }
 
-/// Everything the controller remembers about one VM between epochs: one
-/// record, one owner ([`DeepDive`]'s `vms` map), one lifetime (until
-/// [`DeepDive::forget_vms`]).
-///
-/// The window is the simulation's request-duplicating proxy: "DeepDive
-/// relies on a proxy that intercepts the clients' traffic to: 1) duplicate
-/// and send copies of the requests to the sandboxed environment, and 2)
-/// forward the traffic to/from the production VM" (§4.2), so the sandboxed
-/// clone experiences *the same workload* as the production VM.  Here "the
-/// same workload" is the intrinsic [`ResourceDemand`] the production VM
-/// generated each epoch, kept beside the counters that epoch produced.
-#[derive(Debug, Default)]
-struct VmRecord {
-    /// The VM's last `analysis_window` epochs, oldest first: the counters
-    /// observed in production and the demand to replay in the sandbox.
-    window: VecDeque<(CounterSnapshot, ResourceDemand)>,
-    /// First epoch at which the VM may be analyzed again (a simple
-    /// controller against oscillating invocations, §4.4).
-    cooldown_until: u64,
-    /// While the VM's analysis waits out a sandbox-pool outage: the epoch
-    /// at which waiting turns into a degraded (warning-only) decision.
-    deferred_until: Option<u64>,
-}
-
 /// The end-to-end DeepDive system.
 pub struct DeepDive {
     config: DeepDiveConfig,
@@ -224,17 +201,24 @@ pub struct DeepDive {
     /// experiments size profiling capacity from.
     profiling_by_pool: Vec<f64>,
     stats: DeepDiveStats,
-    /// All per-VM state, dropped by [`DeepDive::forget_vms`].
-    vms: HashMap<VmId, VmRecord>,
+    /// All per-VM state — cooldown, deferral and the analysis window, in
+    /// one slab — dropped by [`DeepDive::forget_vms`].
+    vms: VmRecords,
     /// Counter-derived fault schedule shared with the datacenter service;
     /// `None` (or a disabled plane) leaves every degradation path inert.
     fault_plane: Option<cloudsim::FaultPlane>,
     /// Mitigation migrations awaiting a backed-off retry, in schedule order.
     pending_migrations: Vec<PendingMigration>,
-    /// This epoch's reports, indexed: behaviours, application groups,
-    /// machine groups.  Reused scratch: cleared (not dropped) between
-    /// epochs so the steady-state warning path performs no heap allocation.
+    /// This epoch's reports, indexed: behaviours, application groups and,
+    /// once a mitigation asks, machine groups.  Reused scratch: cleared
+    /// (not dropped) between epochs so the steady-state warning path
+    /// performs no heap allocation.
     index: EpochIndex,
+    /// This epoch's window ring of every report, parallel to the reports.
+    report_rings: Vec<Ring>,
+    /// This epoch's decisions other than `NormalLocal`, by report index —
+    /// the only ones the controller acts on.  Reused scratch.
+    decisions: Vec<(u32, WarningDecision)>,
 }
 
 /// Maximum predicted interference accepted at a migration destination.
@@ -262,6 +246,7 @@ impl DeepDive {
         }
         let warning = WarningSystem::new(config.warning.clone());
         let profiling_by_pool = vec![0.0; fleet.pools().len()];
+        let vms = VmRecords::new(config.analysis_window);
         Self {
             config,
             warning,
@@ -272,10 +257,12 @@ impl DeepDive {
             synthetic: BTreeMap::new(),
             profiling_by_pool,
             stats: DeepDiveStats::default(),
-            vms: HashMap::new(),
+            vms,
             fault_plane: None,
             pending_migrations: Vec::new(),
             index: EpochIndex::default(),
+            report_rings: Vec::new(),
+            decisions: Vec::new(),
         }
     }
 
@@ -337,8 +324,9 @@ impl DeepDive {
     }
 
     /// Drops everything the controller keeps per VM — the one record holding
-    /// its window, cooldown and deferral — for VMs that left the datacenter
-    /// for good (departed or abandoned; see
+    /// its cooldown and deferral, and its window's slot in the slab, which
+    /// the next new VM reuses — for VMs that left the datacenter for good
+    /// (departed or abandoned; see
     /// `DatacenterService::departed_last_epoch`).  Without it that state
     /// grows with every session ever admitted.  Do **not** pass VMs that
     /// are merely parked between machines: they report again and their
@@ -346,8 +334,8 @@ impl DeepDive {
     /// victim is forgotten still drains on schedule (as a
     /// `MigrationSkipped`), exactly as if the VM had only stopped reporting.
     pub fn forget_vms(&mut self, gone: &[VmId]) {
-        for vm in gone {
-            self.vms.remove(vm);
+        for &vm in gone {
+            self.vms.forget(vm);
         }
     }
 
@@ -360,14 +348,18 @@ impl DeepDive {
     /// Processes one epoch of cluster reports: Algorithm 1 for every VM, and
     /// Algorithm 2 (plus placement) for whatever the warning system escalates.
     ///
-    /// The reports are indexed once (`EpochIndex`: behaviours, application
-    /// groups, machine groups), and the warning models are refreshed **once
-    /// per application per epoch**, before the per-VM loop (an O(1)
-    /// generation check per app in the steady state).  Behaviours the epoch
-    /// itself adds to the repository are picked up by the next epoch's
-    /// refresh.  A VM whose behaviour its model accepts costs one model
-    /// check; its application's other VMs are looked at only when that
-    /// check fails.
+    /// Each report costs one record probe (its window row) and one model
+    /// check.  The reports are indexed once (`EpochIndex`: behaviours and
+    /// application groups; machine groups only if a mitigation needs them),
+    /// and the warning models are refreshed **once per application per
+    /// epoch**, before the sweep (an O(1) generation check per app in the
+    /// steady state).  Behaviours the epoch itself adds to the repository
+    /// are picked up by the next epoch's refresh, so every decision is a
+    /// pure function of the refreshed models and the index: the sweep
+    /// decides application group by application group, one model lookup
+    /// per group, and only the decisions other than `NormalLocal` are then
+    /// acted on, in report order.  A VM's application's other VMs are
+    /// looked at only when its own model check fails.
     pub fn process_epoch(
         &mut self,
         cluster: &mut Cluster,
@@ -386,17 +378,11 @@ impl DeepDive {
 
         // Run mitigation migrations whose backoff expired before anything
         // else this epoch, so a retry sees the freshest reports.
-        events.extend(self.drain_pending_migrations(cluster, reports, &index, epoch));
+        events.extend(self.drain_pending_migrations(cluster, reports, &mut index, epoch));
 
         // Record the epoch — counters and the duplicated request stream —
         // in every reporting VM's window.
-        for r in reports {
-            let window = &mut self.vms.entry(r.vm_id).or_default().window;
-            window.push_back((r.counters, r.demand.clone()));
-            while window.len() > self.config.analysis_window {
-                window.pop_front();
-            }
-        }
+        self.vms.record_epoch(reports, &mut self.report_rings);
 
         // One model refresh per application per epoch, O(1) when that
         // application's repository generation is unchanged.  The work list
@@ -406,36 +392,54 @@ impl DeepDive {
             self.warning.refresh_model(app, &self.repository);
         }
 
-        for (at, report) in reports.iter().enumerate() {
-            self.stats.evaluations += 1;
-            // Skip idle VMs: an empty behaviour carries no signal.
-            if report.counters.inst_retired <= 0.0 {
-                continue;
-            }
-            let behavior = index.behaviors[at];
-            // Global information: the application's other VMs, idle ones
-            // included.  A lazy view; `evaluate` pulls from it only once
-            // the local check has failed.
-            let peers = self
-                .config
-                .use_global_information
-                .then(|| index.peers_of(report.app, at))
-                .into_iter()
-                .flatten();
-            let decision = self.warning.evaluate(report.app, &behavior, peers);
-            match decision {
-                WarningDecision::NormalLocal => {}
-                WarningDecision::NormalGlobal => {
-                    // Workload change shared across the application's VMs:
-                    // extend the set of known behaviours without profiling.
-                    self.stats.global_matches += 1;
-                    self.repository.record_normal(report.app, behavior, epoch);
+        // Algorithm 1, one application group at a time: one model lookup,
+        // and the group's other members as each VM's peers, idle ones
+        // included.  Idle VMs are skipped: an empty behaviour carries no
+        // signal.
+        self.stats.evaluations += reports.len() as u64;
+        for (app, group) in index.by_app.iter() {
+            let warning = self.warning.for_app(app);
+            for (at_group, &at) in group.iter().enumerate() {
+                if reports[at as usize].counters.inst_retired <= 0.0 {
+                    continue;
                 }
-                WarningDecision::SuspectInterference | WarningDecision::Bootstrap => {
-                    events.extend(self.attribute(cluster, reports, &index, report, decision));
+                // A lazy view; `evaluate` pulls from it only once the local
+                // check has failed.
+                let peers = self
+                    .config
+                    .use_global_information
+                    .then(|| {
+                        let (before, rest) = group.split_at(at_group);
+                        before.iter().chain(&rest[1..])
+                    })
+                    .into_iter()
+                    .flatten()
+                    .map(|&peer| &index.behaviors[peer as usize]);
+                let decision = warning.evaluate(&index.behaviors[at as usize], peers);
+                if decision != WarningDecision::NormalLocal {
+                    self.decisions.push((at, decision));
                 }
             }
         }
+
+        let mut decisions = std::mem::take(&mut self.decisions);
+        // Report indices are distinct: one order.
+        decisions.sort_unstable_by_key(|&(at, _)| at);
+        for &(at, decision) in &decisions {
+            let report = &reports[at as usize];
+            if decision == WarningDecision::NormalGlobal {
+                // Workload change shared across the application's VMs:
+                // extend the set of known behaviours without profiling.
+                self.stats.global_matches += 1;
+                let behavior = index.behaviors[at as usize];
+                self.repository.record_normal(report.app, behavior, epoch);
+            } else {
+                let ring = self.report_rings[at as usize];
+                events.extend(self.attribute(cluster, reports, &mut index, report, ring, decision));
+            }
+        }
+        decisions.clear();
+        self.decisions = decisions;
         self.index = index;
         events
     }
@@ -444,8 +448,10 @@ impl DeepDive {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{HashMap, VecDeque};
+
     use cloudsim::{ClusterSeed, EpochEngine, Scheduler};
-    use hwsim::MachineSpec;
+    use hwsim::{CounterSnapshot, MachineSpec, ResourceDemand};
     use workloads::{ClientEmulator, DataServing, MemoryStress};
 
     fn serving_vm(id: u64, app: u64) -> cloudsim::Vm {
@@ -477,8 +483,10 @@ mod tests {
 
     /// Analyses currently waiting out a sandbox-pool outage.
     fn deferred_analyses(dd: &DeepDive) -> usize {
+        // A free slot holds a default record, so every slot can be counted.
         dd.vms
-            .values()
+            .records()
+            .iter()
             .filter(|vm| vm.deferred_until.is_some())
             .count()
     }
@@ -763,16 +771,17 @@ mod tests {
         assert_eq!((dd.tracked_vms(), deferred_analyses(&dd)), (1, 1));
         assert_eq!(dd.stats().analyses_deferred, 2);
         // Nothing of VM 1 is left: one record is all there ever was ...
-        assert!(!dd.vms.contains_key(&VmId(1)));
+        assert_eq!(dd.vms.ring(VmId(1)), None);
         // ... so when the id re-appears it starts over: a one-epoch window,
         // no cooldown, and a *new* deferral (counted) rather than the old
         // one's deadline.
         cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
         run(&mut cluster, &mut dd, &engine, 1, 0.8);
-        let reborn = &dd.vms[&VmId(1)];
+        let ring = dd.vms.ring(VmId(1)).unwrap();
+        let reborn = dd.vms.record(ring);
         assert_eq!(
             (
-                reborn.window.len(),
+                dd.vms.window(ring).count(),
                 reborn.cooldown_until,
                 reborn.deferred_until
             ),
@@ -1292,12 +1301,63 @@ mod tests {
         );
     }
 
+    #[test]
+    fn the_sweep_probes_each_record_once_and_looks_up_each_model_once() {
+        // Twelve tenants of three applications on four machines, and a
+        // memory aggressor beside three of them after bootstrap: bootstrap
+        // analyses, quiet epochs, confirmed interference and mitigation.
+        let mut cluster = Cluster::homogeneous(4, MachineSpec::xeon_x5472(), Scheduler::default());
+        for vm in 0..12u64 {
+            cluster
+                .place_on(PmId(vm % 4), serving_vm(vm + 1, 1 + vm % 3))
+                .unwrap();
+        }
+        let mut dd = controller(true, &cluster);
+        let engine = EpochEngine::serial(ClusterSeed::new(3));
+        for epoch in 0..70 {
+            if epoch == 40 {
+                cluster.place_on(PmId(0), aggressor_vm(99)).unwrap();
+            }
+            let reports = engine.step(&mut cluster, |_| 0.8);
+            let apps: std::collections::BTreeSet<AppId> = reports.iter().map(|r| r.app).collect();
+            let (probes, lookups) = (dd.vms.probes(), dd.warning.model_lookups());
+            let events = dd.process_epoch(&mut cluster, &reports);
+            // Escalations that got past their cooldown; the ones it gated
+            // count as none, which only tightens the bound.
+            let escalations = events
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        EpochEvent::Analyzed { .. }
+                            | EpochEvent::AnalysisDeferred { .. }
+                            | EpochEvent::AnalysisDegraded { .. }
+                    )
+                })
+                .count() as u64;
+            let probes = dd.vms.probes() - probes;
+            assert!(
+                probes <= reports.len() as u64 + 2 * escalations,
+                "epoch {epoch}: {probes} record probes for {} reports and {escalations} escalations",
+                reports.len()
+            );
+            let lookups = dd.warning.model_lookups() - lookups;
+            assert!(
+                lookups <= apps.len() as u64,
+                "epoch {epoch}: {lookups} model lookups for {} applications",
+                apps.len()
+            );
+        }
+        let stats = dd.stats();
+        assert!(stats.interference_confirmed >= 1, "{stats:?}");
+        assert!(stats.analyzer_invocations >= 12, "{stats:?}");
+    }
+
     /// The window an analysis of `vm` would replay now, oldest epoch
     /// first; `None` while the controller holds no record for it.
     fn replay_window(dd: &DeepDive, vm: VmId) -> Option<Vec<(CounterSnapshot, ResourceDemand)>> {
-        dd.vms
-            .get(&vm)
-            .map(|record| record.window.iter().cloned().collect())
+        let ring = dd.vms.ring(vm)?;
+        Some(dd.vms.window(ring).cloned().collect())
     }
 
     proptest::proptest! {

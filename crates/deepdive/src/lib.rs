@@ -52,11 +52,13 @@
 //!   refits so warm-start drift cannot accumulate;
 //! * [`controller::DeepDive::process_epoch`] indexes the epoch's reports
 //!   once (behaviours beside the reports, report indices grouped by
-//!   application and by machine), refreshes each application's model
-//!   **once per epoch** before the per-VM loop, and consults a VM's
+//!   application, and by machine only when a mitigation needs them),
+//!   refreshes each application's model **once per epoch** before the
+//!   sweep, looks each model up once per epoch, and consults a VM's
 //!   same-application peers only when its local check fails — the quiet
-//!   sweep is one model check per VM, allocates nothing and hashes nothing
-//!   but the per-VM history lookup;
+//!   sweep is one window write and one model check per VM, allocates
+//!   nothing and hashes nothing but the per-VM record probe and the
+//!   application's dense id;
 //! * [`synthetic::SyntheticBenchmark::train`] draws each training sample
 //!   from its own counter-derived RNG stream, so the model is a pure
 //!   function of `(spec, samples, seed)`.

@@ -36,6 +36,7 @@
 //!   application's model falls back to a full k-means++-seeded cold fit, so
 //!   warm-start drift cannot accumulate indefinitely.
 
+use std::cell::Cell;
 use std::collections::HashMap;
 
 use analytics::constrained::{fit_constrained, fit_constrained_warm, ConstrainedModel};
@@ -125,6 +126,20 @@ pub struct WarningSystem {
     cold_refits: u64,
     /// Warm-started fits performed.
     warm_refits: u64,
+    /// Model lookups made to evaluate behaviours, a clock-free work
+    /// counter: the controller's sweep makes one per application per epoch.
+    model_lookups: Cell<u64>,
+}
+
+/// One application's side of the warning system: its model, looked up
+/// once, and Algorithm 1 over it.  [`WarningSystem::evaluate`] is one
+/// lookup and one call of [`AppWarning::evaluate`]; the controller's sweep
+/// makes the lookup once per application group and evaluates the whole
+/// group against it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AppWarning<'a> {
+    /// `None` while the application is in conservative mode.
+    model: Option<&'a ConstrainedModel>,
 }
 
 impl WarningSystem {
@@ -136,6 +151,7 @@ impl WarningSystem {
             labelled_scratch: Vec::new(),
             cold_refits: 0,
             warm_refits: 0,
+            model_lookups: Cell::new(0),
         }
     }
 
@@ -227,6 +243,20 @@ impl WarningSystem {
         !self.models.contains_key(&app.0)
     }
 
+    /// Looks up `app`'s model once, for any number of evaluations.
+    pub(crate) fn for_app(&self, app: AppId) -> AppWarning<'_> {
+        self.model_lookups.set(self.model_lookups.get() + 1);
+        AppWarning {
+            model: self.models.get(&app.0).map(|state| &state.model),
+        }
+    }
+
+    /// Model lookups since construction.
+    #[cfg(test)]
+    pub(crate) fn model_lookups(&self) -> u64 {
+        self.model_lookups.get()
+    }
+
     /// Algorithm 1: classifies one VM's current behaviour.
     ///
     /// * `behavior` — the VM's normalized behaviour this epoch.
@@ -243,12 +273,24 @@ impl WarningSystem {
         behavior: &BehaviorVector,
         peers: impl IntoIterator<Item = &'a BehaviorVector>,
     ) -> WarningDecision {
-        let Some(state) = self.models.get(&app.0) else {
+        self.for_app(app).evaluate(behavior, peers)
+    }
+}
+
+impl AppWarning<'_> {
+    /// Algorithm 1 for one VM of this application; see
+    /// [`WarningSystem::evaluate`].
+    pub(crate) fn evaluate<'a>(
+        &self,
+        behavior: &BehaviorVector,
+        peers: impl IntoIterator<Item = &'a BehaviorVector>,
+    ) -> WarningDecision {
+        let Some(model) = self.model else {
             return WarningDecision::Bootstrap;
         };
         // Local check: does the behaviour match a learned normal cluster
         // within the per-metric thresholds MT?
-        if state.model.accepts(&behavior.values) {
+        if model.accepts(&behavior.values) {
             return WarningDecision::NormalLocal;
         }
         // Global check: are most peers deviating in the same way right now?
