@@ -49,7 +49,7 @@ pub(super) struct Ring {
 /// generated each epoch, kept beside the counters that epoch produced.  The
 /// VM's last `analysis_window` epochs live in its slot of the slab, a ring
 /// its [`Ring`] indexes; the record itself is read only by an analysis.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(super) struct VmRecord {
     /// First epoch at which the VM may be analyzed again (a simple
     /// controller against oscillating invocations, §4.4).

@@ -136,7 +136,7 @@ pub struct WarningSystem {
 /// lookup and one call of [`AppWarning::evaluate`]; the controller's sweep
 /// makes the lookup once per application group and evaluates the whole
 /// group against it.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 pub(crate) struct AppWarning<'a> {
     /// `None` while the application is in conservative mode.
     model: Option<&'a ConstrainedModel>,
