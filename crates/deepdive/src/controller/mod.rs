@@ -16,7 +16,8 @@
 //! its constructors and *detect* ([`DeepDive::process_epoch`], §4.1);
 //! `attribute.rs` the cooldown and deferral gates, sandbox routing and the
 //! analysis (§4.2); `mitigate.rs` placement, migration and its retries
-//! (§4.3).
+//! (§4.3).  `records.rs` is the per-VM memory they share: each VM's record
+//! and its analysis window.
 
 mod attribute;
 mod mitigate;
