@@ -4,7 +4,7 @@
 //! transitions — crash drains, evacuations, retried placements, repairs —
 //! and a bug in any of them would silently corrupt the bookkeeping the
 //! whole simulation rests on.  [`check_cluster`] sweeps a [`Cluster`] and
-//! verifies, from the public API alone:
+//! verifies:
 //!
 //! * **No VM is resident on two machines** — every VM id appears on at most
 //!   one machine's resident list.
@@ -12,9 +12,11 @@
 //!   cluster's O(1) id→machine index, the index points back at the hosting
 //!   machine, and the index holds no phantom entries (its count equals the
 //!   scanned resident count).
-//! * **id→index maps are consistent** — [`Cluster::machine`] resolves every
-//!   machine id to the machine carrying that id, machine ids are unique,
-//!   and each machine's own id→slot map agrees with its resident list.
+//! * **Machine ids are indices** — machine `i` carries `PmId(i)`, which is
+//!   what lets [`Cluster::machine`] index its list directly.
+//! * **Domain counts are exact** — when the cluster keeps per-application
+//!   power-domain counts for spread placement, they equal a recount from
+//!   the machines' resident lists.
 //! * **Capacity accounting is exact** — per machine, resident vCPUs never
 //!   exceed the spec's cores and [`cloudsim::pm::PhysicalMachine::free_cores`]
 //!   equals spec cores minus resident vCPUs.
@@ -37,6 +39,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cluster::Cluster;
 use crate::faults::Topology;
+use crate::pm::PmId;
 use crate::vm::VmId;
 use workloads::AppId;
 
@@ -45,20 +48,16 @@ use workloads::AppId;
 pub fn check_cluster(cluster: &Cluster) -> Vec<String> {
     let mut findings = Vec::new();
     let mut seen_vms: BTreeSet<VmId> = BTreeSet::new();
-    let mut seen_pms = BTreeSet::new();
     let mut scanned = 0usize;
+    let tracked = cluster.tracked_domains();
+    let domains = tracked.map_or(0, |(topology, _)| {
+        topology.domains_in_fleet(cluster.machines().len())
+    });
+    let mut recount: BTreeMap<AppId, Vec<u32>> = BTreeMap::new();
 
-    for machine in cluster.machines() {
-        if !seen_pms.insert(machine.id) {
-            findings.push(format!("duplicate machine id {}", machine.id));
-        }
-        match cluster.machine(machine.id) {
-            Some(resolved) if resolved.id == machine.id => {}
-            Some(resolved) => findings.push(format!(
-                "pm index maps {} to a machine carrying id {}",
-                machine.id, resolved.id
-            )),
-            None => findings.push(format!("{} missing from the pm index", machine.id)),
+    for (index, machine) in cluster.machines().iter().enumerate() {
+        if machine.id != PmId(index as u64) {
+            findings.push(format!("machine {index} carries id {}", machine.id));
         }
 
         let mut used_vcpus = 0usize;
@@ -67,12 +66,6 @@ pub fn check_cluster(cluster: &Cluster) -> Vec<String> {
             used_vcpus += vm.vcpus;
             if !seen_vms.insert(vm.id) {
                 findings.push(format!("{} is resident on two machines", vm.id));
-            }
-            if !machine.hosts(vm.id) {
-                findings.push(format!(
-                    "{} holds {} but its vm-slot map disagrees",
-                    machine.id, vm.id
-                ));
             }
             match cluster.locate(vm.id) {
                 Some(pm) if pm == machine.id => {}
@@ -84,6 +77,12 @@ pub fn check_cluster(cluster: &Cluster) -> Vec<String> {
                     "{} is resident on {} but lost from the location index",
                     vm.id, machine.id
                 )),
+            }
+            if let Some((topology, _)) = tracked {
+                let counts = recount
+                    .entry(vm.app_id())
+                    .or_insert_with(|| vec![0; domains]);
+                counts[topology.domain_of(machine.id) as usize] += 1;
             }
         }
 
@@ -102,6 +101,20 @@ pub fn check_cluster(cluster: &Cluster) -> Vec<String> {
                 machine.id,
                 machine.free_cores(),
                 expected_free
+            ));
+        }
+    }
+
+    if let Some((_, kept)) = tracked {
+        // Applications whose VMs have all left keep a row of zeros.
+        let kept: BTreeMap<AppId, Vec<u32>> = kept
+            .iter()
+            .filter(|(_, counts)| counts.iter().any(|&n| n > 0))
+            .map(|(app, counts)| (*app, counts.clone()))
+            .collect();
+        if kept != recount {
+            findings.push(format!(
+                "domain counts drifted: kept {kept:?}, recount {recount:?}"
             ));
         }
     }
@@ -159,7 +172,6 @@ pub fn check_spread(cluster: &Cluster, topology: &Topology) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
-    use crate::pm::PmId;
     use crate::scheduler::Scheduler;
     use crate::vm::Vm;
     use hwsim::MachineSpec;
@@ -176,24 +188,30 @@ mod tests {
     #[test]
     fn a_consistent_cluster_audits_clean() {
         let mut cluster = Cluster::homogeneous(3, MachineSpec::xeon_x5472(), Scheduler::default());
+        // One machine per power domain, so every move below crosses one.
+        cluster.track_domains(Topology::new(1, 1));
         for i in 0..7 {
             cluster.place_first_fit(vm(i)).unwrap();
         }
         cluster.migrate(VmId(0), PmId(2)).unwrap();
         cluster.remove_vm(VmId(3)).unwrap();
         assert_eq!(check_cluster(&cluster), Vec::<String>::new());
+        assert_eq!(cluster.domain_counts(AppId(1)), [2, 3, 1]);
     }
 
     #[test]
     fn a_drained_machine_audits_clean() {
         let mut cluster = Cluster::homogeneous(2, MachineSpec::xeon_x5472(), Scheduler::default());
+        cluster.track_domains(Topology::new(1, 1));
         for i in 0..5 {
             cluster.place_first_fit(vm(i)).unwrap();
         }
-        let drained = cluster.drain_machine(PmId(0));
-        assert_eq!(drained.len(), 4);
+        for i in 0..4 {
+            cluster.remove_vm(VmId(i)).unwrap();
+        }
         assert_eq!(check_cluster(&cluster), Vec::<String>::new());
         assert_eq!(cluster.vm_count(), 1);
+        assert_eq!(cluster.domain_counts(AppId(1)), [0, 1]);
     }
 
     #[test]

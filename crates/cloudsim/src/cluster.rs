@@ -5,13 +5,22 @@
 //! epoch it produces the full set of per-VM reports (counters for DeepDive,
 //! ground truth for the evaluation), and the placement manager calls
 //! [`Cluster::migrate`] when interference mitigation requires moving a VM.
+//!
+//! The cluster is the one owner of placement state.  Machine ids are
+//! indices into its machine list, and every membership change — placement,
+//! removal, migration — goes through its methods, which keep the VM-location
+//! index and, once a service asks for spread placement, the per-application
+//! power-domain counts.  A caller that moves a VM behind the service's back
+//! (DeepDive's migrations) therefore cannot leave either view stale.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
+use crate::faults::Topology;
 use crate::pm::{PhysicalMachine, PmId};
 use crate::scheduler::Scheduler;
 use crate::vm::{Vm, VmId};
 use hwsim::MachineSpec;
+use workloads::AppId;
 
 /// Errors returned by cluster operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,14 +69,19 @@ impl std::error::Error for ClusterError {}
 
 /// The datacenter.
 pub struct Cluster {
+    /// The machines; machine `i` carries id `PmId(i)`.
     machines: Vec<PhysicalMachine>,
     epoch: u64,
-    /// Machine id → index into `machines`, so per-machine lookups are O(1)
-    /// instead of a scan per migration or report.
-    pm_index: HashMap<PmId, usize>,
     /// VM id → hosting machine, maintained by every placement, migration and
     /// removal; the backing store for O(1) [`Cluster::locate`].
     vm_locations: HashMap<VmId, PmId>,
+    /// The power-domain layout spread placement steers by; `None` keeps no
+    /// domain counts.
+    spread: Option<Topology>,
+    /// Per-application resident VM counts, one slot per power domain of
+    /// the fleet, kept by every membership change while `spread` is set.
+    /// `BTreeMap` for deterministic iteration.
+    app_domains: BTreeMap<AppId, Vec<u32>>,
 }
 
 impl Cluster {
@@ -82,9 +96,9 @@ impl Cluster {
 
     /// Creates a mixed-hardware cluster: for each `(spec, count)` group, in
     /// order, `count` machines of that model, with machine ids assigned
-    /// sequentially across groups.  Sugar over [`Cluster::from_machines`]
-    /// for the ROADMAP's heterogeneous-fleet scenario (e.g. a Xeon X5472
-    /// rack extended with Core i7/Nehalem nodes, §4.4).
+    /// sequentially across groups — the ROADMAP's heterogeneous-fleet
+    /// scenario (e.g. a Xeon X5472 rack extended with Core i7/Nehalem
+    /// nodes, §4.4).
     ///
     /// # Panics
     /// Panics if the groups describe zero machines in total.
@@ -98,27 +112,51 @@ impl Cluster {
         Self::from_machines(machines)
     }
 
-    /// Creates a cluster from explicit machines.
-    ///
-    /// # Panics
-    /// Panics if the machine list is empty or two machines share an id.
-    pub fn from_machines(machines: Vec<PhysicalMachine>) -> Self {
+    /// Wraps empty machines numbered `0..n`.
+    fn from_machines(machines: Vec<PhysicalMachine>) -> Self {
         assert!(!machines.is_empty(), "a cluster needs at least one machine");
-        let mut pm_index = HashMap::with_capacity(machines.len());
-        let mut vm_locations = HashMap::new();
-        for (idx, machine) in machines.iter().enumerate() {
-            let previous = pm_index.insert(machine.id, idx);
-            assert!(previous.is_none(), "duplicate machine id {}", machine.id);
-            for vm in machine.vms() {
-                vm_locations.insert(vm.id, machine.id);
-            }
-        }
         Self {
             machines,
             epoch: 0,
-            pm_index,
-            vm_locations,
+            vm_locations: HashMap::new(),
+            spread: None,
+            app_domains: BTreeMap::new(),
         }
+    }
+
+    /// Starts keeping per-application power-domain counts under `topology`
+    /// (the service calls this on its freshly built, empty cluster when
+    /// spread placement is configured).
+    pub(crate) fn track_domains(&mut self, topology: Topology) {
+        debug_assert_eq!(self.vm_count(), 0, "counts start from an empty fleet");
+        self.spread = Some(topology);
+    }
+
+    /// Resident VMs of `app` per power domain (empty if it has none and
+    /// never had any, or if no counts are kept).
+    pub(crate) fn domain_counts(&self, app: AppId) -> &[u32] {
+        self.app_domains.get(&app).map_or(&[], Vec::as_slice)
+    }
+
+    /// The topology and every application's maintained domain counts, for
+    /// the audit; `None` unless counts are kept.
+    pub(crate) fn tracked_domains(&self) -> Option<(Topology, &BTreeMap<AppId, Vec<u32>>)> {
+        Some((self.spread?, &self.app_domains))
+    }
+
+    /// Counts a VM of `app` arriving on (`arrived`) or leaving `pm`; a no-op
+    /// unless [`Cluster::track_domains`] was called.
+    fn count_domain(&mut self, app: AppId, pm: PmId, arrived: bool) {
+        let Some(topology) = self.spread else {
+            return;
+        };
+        let domains = topology.domains_in_fleet(self.machines.len());
+        let counts = self
+            .app_domains
+            .entry(app)
+            .or_insert_with(|| vec![0; domains]);
+        let count = &mut counts[topology.domain_of(pm) as usize];
+        *count = if arrived { *count + 1 } else { *count - 1 };
     }
 
     /// The machines, in id order.
@@ -139,18 +177,9 @@ impl Cluster {
         self.epoch += 1;
     }
 
-    /// Mutable access to one machine, for the membership methods below
-    /// ([`Cluster::place_on_returning`], [`Cluster::drain_machine`]), which
-    /// keep the VM-location index in sync.
-    fn machine_mut(&mut self, pm: PmId) -> Option<&mut PhysicalMachine> {
-        let idx = *self.pm_index.get(&pm)?;
-        Some(&mut self.machines[idx])
-    }
-
     /// Shared access to one machine.
     pub fn machine(&self, pm: PmId) -> Option<&PhysicalMachine> {
-        let idx = *self.pm_index.get(&pm)?;
-        Some(&self.machines[idx])
+        self.machines.get(pm.0 as usize)
     }
 
     /// Current epoch index (number of completed epochs).
@@ -190,92 +219,72 @@ impl Cluster {
     /// (the service's hint/scan and crash-evacuation paths), which would
     /// otherwise have to rebuild the VM per attempt.
     pub fn place_on_returning(&mut self, pm: PmId, vm: Vm) -> Result<(), (Vm, ClusterError)> {
-        let vm_id = vm.id;
-        let Some(machine) = self.machine_mut(pm) else {
+        let (vm_id, app) = (vm.id, vm.app_id());
+        let Some(machine) = self.machines.get_mut(pm.0 as usize) else {
             return Err((vm, ClusterError::UnknownPm(pm)));
         };
         match machine.try_add_vm(vm) {
             Ok(()) => {
                 self.vm_locations.insert(vm_id, pm);
+                self.count_domain(app, pm, true);
                 Ok(())
             }
             Err(rejected) => Err((rejected, ClusterError::NoCapacity { vm: vm_id, pm })),
         }
     }
 
-    /// Removes every VM from `pm` (a machine crash being drained), in
-    /// placement order, keeping the location index consistent.  Returns the
-    /// evacuees so the caller can re-place them across the surviving fleet;
-    /// an unknown machine drains to an empty list.  The machine's membership
-    /// generation is bumped, so its quiescent cache can never replay
-    /// pre-crash reports after it rejoins.
-    pub fn drain_machine(&mut self, pm: PmId) -> Vec<Vm> {
-        let Some(machine) = self.machine_mut(pm) else {
-            return Vec::new();
-        };
-        let drained = machine.drain_vms();
-        for vm in &drained {
-            self.vm_locations.remove(&vm.id);
-        }
-        drained
-    }
-
     /// Places a VM on the first machine with capacity (first-fit); returns
     /// the chosen machine.
     // simlint: test-accessor (builds the test fleets)
     pub fn place_first_fit(&mut self, vm: Vm) -> Result<PmId, ClusterError> {
-        let vm_id = vm.id;
-        let mut vm = vm;
-        for machine in self.machines.iter_mut() {
-            match machine.try_add_vm(vm) {
-                Ok(()) => {
-                    self.vm_locations.insert(vm_id, machine.id);
-                    return Ok(machine.id);
-                }
-                Err(rejected) => vm = rejected,
-            }
-        }
-        Err(ClusterError::ClusterFull { vm: vm_id })
+        let (vm_id, app) = (vm.id, vm.app_id());
+        let Some(pm) = self.machines.iter().find(|m| m.admits(&vm)).map(|m| m.id) else {
+            return Err(ClusterError::ClusterFull { vm: vm_id });
+        };
+        self.machines[pm.0 as usize].push_vm(vm);
+        self.vm_locations.insert(vm_id, pm);
+        self.count_domain(app, pm, true);
+        Ok(pm)
     }
 
-    /// Removes a VM from the cluster (e.g. a terminated aggressor or an
-    /// expired synthetic clone) and returns it; `None` if it is not placed
-    /// anywhere.
+    /// Removes a VM from the cluster (a departure, an evacuee leaving a
+    /// failed machine, or a terminated aggressor) and returns it; `None` if
+    /// it is not placed anywhere.
     pub fn remove_vm(&mut self, vm: VmId) -> Option<Vm> {
-        let source = self.pm_index.get(&self.locate(vm)?).copied()?;
-        let removed = self.machines[source].remove_vm(vm)?;
+        let pm = self.locate(vm)?;
+        let removed = self.machines[pm.0 as usize].remove_vm(vm)?;
         self.vm_locations.remove(&vm);
+        self.count_domain(removed.app_id(), pm, false);
         Some(removed)
     }
 
-    /// Migrates a VM to the given destination machine; on any error the VM
-    /// stays where it was.
+    /// Migrates a VM to the given destination machine.  Admission is checked
+    /// before anything moves, so on any error the VM stays where it was, in
+    /// its slot.
     pub fn migrate(&mut self, vm: VmId, to: PmId) -> Result<(), ClusterError> {
         let from = self.locate(vm).ok_or(ClusterError::UnknownVm(vm))?;
         if from == to {
             return Err(ClusterError::AlreadyPlaced { vm, pm: to });
         }
-        let destination = *self.pm_index.get(&to).ok_or(ClusterError::UnknownPm(to))?;
-        let source = *self
-            .pm_index
-            .get(&from)
-            .ok_or(ClusterError::UnknownPm(from))?;
-        let moved = self.machines[source]
+        let destination = self.machine(to).ok_or(ClusterError::UnknownPm(to))?;
+        let source = &self.machines[from.0 as usize];
+        let moving = source
+            .vms()
+            .iter()
+            .find(|v| v.id == vm)
+            .ok_or(ClusterError::UnknownVm(vm))?;
+        if !destination.admits(moving) {
+            return Err(ClusterError::NoCapacity { vm, pm: to });
+        }
+        let moved = self.machines[from.0 as usize]
             .remove_vm(vm)
             .ok_or(ClusterError::UnknownVm(vm))?;
-        match self.machines[destination].try_add_vm(moved) {
-            Ok(()) => {
-                self.vm_locations.insert(vm, to);
-                Ok(())
-            }
-            Err(rejected) => {
-                // Roll back: put the VM where it came from.
-                self.machines[source]
-                    .try_add_vm(rejected)
-                    .expect("source still has room for its own VM");
-                Err(ClusterError::NoCapacity { vm, pm: to })
-            }
-        }
+        let app = moved.app_id();
+        self.machines[to.0 as usize].push_vm(moved);
+        self.vm_locations.insert(vm, to);
+        self.count_domain(app, from, false);
+        self.count_domain(app, to, true);
+        Ok(())
     }
 }
 
@@ -387,26 +396,19 @@ mod tests {
     #[test]
     fn location_index_stays_consistent_under_interleaved_migrations() {
         // Drive every mutation path — placements, successful and failed
-        // migrations, removals — and after each step check the O(1) index
-        // against a brute-force scan of the machines.
+        // migrations, removals — and after each step audit the location
+        // index and the domain counts against a scan of the machines.
         let mut c = cluster(3);
-        let assert_consistent = |c: &Cluster| {
-            let mut scanned = 0;
-            for m in c.machines() {
-                for vm in m.vms() {
-                    scanned += 1;
-                    assert_eq!(c.locate(vm.id), Some(m.id), "index disagrees for {}", vm.id);
-                }
-            }
-            assert_eq!(c.vm_count(), scanned);
-        };
+        c.track_domains(crate::faults::Topology::new(1, 1));
+        let assert_consistent =
+            |c: &Cluster| assert_eq!(crate::audit::check_cluster(c), Vec::<String>::new());
 
         for i in 0..6 {
             c.place_first_fit(serving_vm(i)).unwrap();
             assert_consistent(&c);
         }
-        // Bounce VMs around; some of these moves hit full machines and roll
-        // back, which must leave the index untouched.
+        // Bounce VMs around; some of these moves hit full machines and are
+        // rejected, which must leave the index untouched.
         let moves = [
             (VmId(0), PmId(2)),
             (VmId(4), PmId(0)),
@@ -423,16 +425,6 @@ mod tests {
         assert_consistent(&c);
         c.place_first_fit(serving_vm(40)).unwrap();
         assert_consistent(&c);
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate machine id")]
-    fn duplicate_machine_ids_are_rejected() {
-        let spec = MachineSpec::xeon_x5472();
-        Cluster::from_machines(vec![
-            PhysicalMachine::new(PmId(3), spec.clone(), Scheduler::default()),
-            PhysicalMachine::new(PmId(3), spec, Scheduler::default()),
-        ]);
     }
 
     #[test]
@@ -490,11 +482,17 @@ mod tests {
         for i in 0..4 {
             c.place_on(PmId(1), serving_vm(100 + i)).unwrap();
         }
-        c.place_on(PmId(0), serving_vm(1)).unwrap();
+        for i in 1..4 {
+            c.place_on(PmId(0), serving_vm(i)).unwrap();
+        }
         let err = c.migrate(VmId(1), PmId(1)).unwrap_err();
         assert!(matches!(err, ClusterError::NoCapacity { .. }));
-        // The VM must still be on its source machine after the failed move.
+        // The VM must still be on its source machine after the failed move,
+        // in its own slot: the resident order (and so every cache group) is
+        // unchanged.
         assert_eq!(c.locate(VmId(1)), Some(PmId(0)));
+        let order: Vec<VmId> = c.machines()[0].vms().iter().map(|vm| vm.id).collect();
+        assert_eq!(order, [VmId(1), VmId(2), VmId(3)]);
     }
 
     #[test]

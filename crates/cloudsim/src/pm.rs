@@ -25,8 +25,6 @@
 //! resolution entirely.  [`PhysicalMachine::resolves`] /
 //! [`PhysicalMachine::quiescent_steps`] count both outcomes.
 
-use std::collections::HashMap;
-
 use hwsim::contention::{EpochOutcome, PlacedDemand, StallBreakdown};
 use hwsim::{CounterSnapshot, EpochResolver, MachineSpec, ResourceDemand, EPOCH_SECONDS};
 use workloads::{AppId, ClientObservation};
@@ -96,10 +94,6 @@ pub struct PhysicalMachine {
     pub id: PmId,
     scheduler: Scheduler,
     vms: Vec<Vm>,
-    /// VM id → index in `vms`, so migration/departure churn — which the
-    /// datacenter service mode drives at far higher rates than the fixed
-    /// fleets did — stays O(1) per removal instead of a scan.
-    vm_index: HashMap<VmId, usize>,
     /// Bumped on every membership change; the quiescent cache stores the
     /// generation it was filled at.
     generation: u64,
@@ -124,7 +118,6 @@ impl PhysicalMachine {
             id,
             scheduler,
             vms: Vec::new(),
-            vm_index: HashMap::new(),
             generation: 0,
             resolver: EpochResolver::new(spec),
             loads: Vec::new(),
@@ -158,11 +151,6 @@ impl PhysicalMachine {
         self.vms.len()
     }
 
-    /// True when the machine hosts the given VM.
-    pub fn hosts(&self, vm_id: VmId) -> bool {
-        self.vm_index.contains_key(&vm_id)
-    }
-
     /// Number of epochs this machine actually ran demand generation and
     /// contention resolution for (as opposed to serving the quiescent cache).
     pub fn resolves(&self) -> u64 {
@@ -174,56 +162,51 @@ impl PhysicalMachine {
         self.quiescent_steps
     }
 
+    /// True when the scheduler would admit `vm` here now.
+    pub(crate) fn admits(&self, vm: &Vm) -> bool {
+        self.scheduler.admits(self.spec(), &self.vms, vm)
+    }
+
     /// Attempts to place a VM on this machine; returns the VM back if the
     /// scheduler rejects it (no capacity).
     ///
     /// Crate-private: VM membership must change through the cluster's
     /// methods ([`crate::cluster::Cluster::place_on`] and friends) so its
-    /// O(1) VM-location index stays consistent with the machines.
+    /// VM-location index and domain counts stay consistent with the
+    /// machines.
     pub(crate) fn try_add_vm(&mut self, vm: Vm) -> Result<(), Vm> {
-        if self.scheduler.admits(self.spec(), &self.vms, &vm) {
-            self.vm_index.insert(vm.id, self.vms.len());
-            self.vms.push(vm);
-            self.generation = self.generation.wrapping_add(1);
+        if self.admits(&vm) {
+            self.push_vm(vm);
             Ok(())
         } else {
             Err(vm)
         }
     }
 
+    /// Appends a VM the caller has already checked with
+    /// [`PhysicalMachine::admits`].
+    pub(crate) fn push_vm(&mut self, vm: Vm) {
+        self.vms.push(vm);
+        self.generation = self.generation.wrapping_add(1);
+    }
+
     /// Removes and returns a VM (for migration or departure); `None` if it
     /// is not here.  Crate-private for the same reason as
     /// [`PhysicalMachine::try_add_vm`].
     ///
-    /// O(1): the id→index map locates the slot and `swap_remove` backfills
-    /// it with the last VM (whose index entry is updated).  The swap means a
+    /// A machine hosts a handful of VMs, so a scan finds the slot, and
+    /// `swap_remove` backfills it with the last VM.  The swap means a
     /// removal can change the *slot* — and therefore the cache group via
     /// [`Scheduler::cache_group_for_slot`] — of the VM that backfills the
     /// hole.  That is still fully deterministic (a pure function of the
     /// operation sequence), which is the property every equivalence proof
-    /// in this crate rests on; no caller depends on removal preserving the relative order
-    /// of the surviving VMs.  The old order-preserving linear scan was fine
-    /// for fixed fleets but the service mode's continuous arrive/depart/
-    /// migrate churn puts this on the per-event path.
+    /// in this crate rests on; no caller depends on removal preserving the
+    /// relative order of the surviving VMs.
     pub(crate) fn remove_vm(&mut self, vm_id: VmId) -> Option<Vm> {
-        let idx = self.vm_index.remove(&vm_id)?;
+        let idx = self.vms.iter().position(|vm| vm.id == vm_id)?;
         let vm = self.vms.swap_remove(idx);
-        if let Some(swapped) = self.vms.get(idx) {
-            self.vm_index.insert(swapped.id, idx);
-        }
         self.generation = self.generation.wrapping_add(1);
         Some(vm)
-    }
-
-    /// Removes and returns every hosted VM at once (a crash being drained),
-    /// in placement order.  One generation bump covers the whole drain, so
-    /// the quiescent cache filled before the crash can never serve a repaired
-    /// machine's first post-repair epoch.  Crate-private like the other
-    /// membership mutators.
-    pub(crate) fn drain_vms(&mut self) -> Vec<Vm> {
-        self.vm_index.clear();
-        self.generation = self.generation.wrapping_add(1);
-        std::mem::take(&mut self.vms)
     }
 
     /// Unused core capacity.
@@ -444,7 +427,7 @@ mod tests {
         assert_eq!(pm.free_cores(), 0);
         let removed = pm.remove_vm(VmId(2)).expect("vm present");
         assert_eq!(removed.id, VmId(2));
-        assert!(!pm.hosts(VmId(2)));
+        assert!(pm.vms().iter().all(|vm| vm.id != VmId(2)));
         assert!(pm.try_add_vm(serving_vm(4)).is_ok());
     }
 

@@ -86,6 +86,11 @@
 //! faults are enabled, and leaving it `None` preserves the hint-queue +
 //! next-fit policy byte for byte.
 //!
+//! The per-application domain counts the scan steers by belong to the
+//! [`Cluster`]: the service hands it the topology at construction, and
+//! every placement, removal and migration updates them, including the
+//! migrations a controller makes through [`DatacenterService::cluster_mut`].
+//!
 //! A power domain is a contiguous id range, so the first pass walks only
 //! the minimum-count domains' ranges: a placement costs O(domains +
 //! machines in those domains), not O(fleet).  That matters during a domain
@@ -93,7 +98,7 @@
 //! is often the app's only minimum-count domain, and the first pass finds
 //! every one of its machines down before falling back.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 
 use hwsim::{MachineSpec, EPOCH_SECONDS};
@@ -303,10 +308,6 @@ pub struct DatacenterService {
     /// Placement skips draining machines; the drain sweep migrates their
     /// residents out incrementally.
     draining: Vec<bool>,
-    /// Per-application resident counts by power domain, maintained only
-    /// when [`ServiceConfig::spread`] is set (the spread scan's working
-    /// state).  `BTreeMap` for deterministic iteration.
-    app_domains: BTreeMap<AppId, Vec<u32>>,
     /// Parked VMs (rejected arrivals and stranded evacuees) waiting out
     /// their backoff.
     retry: VecDeque<RetryEntry>,
@@ -326,7 +327,11 @@ impl DatacenterService {
     /// # Panics
     /// Panics if `machines` is zero (the cluster constructor's contract).
     pub fn new(config: ServiceConfig, sessions: Vec<VmSession>) -> Self {
-        let cluster = Cluster::homogeneous(config.machines, config.spec.clone(), config.scheduler);
+        let mut cluster =
+            Cluster::homogeneous(config.machines, config.spec.clone(), config.scheduler);
+        if let Some(topology) = config.spread {
+            cluster.track_domains(topology);
+        }
         let engine = EpochEngine::serial(config.seed);
         let mut events = EventQueue::new();
         for (index, session) in sessions.iter().enumerate() {
@@ -347,7 +352,6 @@ impl DatacenterService {
             calendar: None,
             down: vec![false; machines],
             draining: vec![false; machines],
-            app_domains: BTreeMap::new(),
             retry: VecDeque::new(),
             errors: Vec::new(),
             departed: Vec::new(),
@@ -426,12 +430,12 @@ impl DatacenterService {
     }
 
     /// Mutable cluster access, for a controller layered on top (DeepDive
-    /// migrates VMs between epochs).  The service's placement hints are
+    /// migrates VMs between epochs).  The cluster keeps all placement
+    /// state, spread placement's domain counts included, so a migration
+    /// made here leaves nothing stale.  The service's next-fit hints are
     /// only hints — every candidate is revalidated at admission time — so
-    /// external mutation cannot corrupt placement, only make the next
-    /// arrival's scan marginally longer.  Pair controller-driven
-    /// migrations with [`DatacenterService::note_capacity_freed`] to keep
-    /// the hints warm.
+    /// external mutation can at most make the next arrival's scan longer;
+    /// [`DatacenterService::note_capacity_freed`] keeps them warm.
     pub fn cluster_mut(&mut self) -> &mut Cluster {
         &mut self.cluster
     }
@@ -451,10 +455,11 @@ impl DatacenterService {
         &self.departed
     }
 
-    /// Tells the placement hint queue that `pm` freed some capacity — the
+    /// Tells the next-fit hint queue that `pm` freed some capacity — the
     /// hook a migration controller calls for each machine it moved a VM
     /// *off* (departures handled by the service itself do this
-    /// automatically).
+    /// automatically).  It only warms a hint: skipping it costs a longer
+    /// scan, never a wrong placement.
     pub fn note_capacity_freed(&mut self, pm: PmId) {
         // Spread placement scans by domain count and never consults the
         // hint queue; don't let it grow unbounded.
@@ -575,20 +580,7 @@ impl DatacenterService {
     /// Empties a machine entering a down window and re-places its residents
     /// on the surviving fleet; VMs that find no room are parked for retry.
     fn evacuate_machine(&mut self, pm: PmId, epoch: u64) {
-        for vm in self.cluster.drain_machine(pm) {
-            self.note_spread_removed(pm, vm.app_id());
-            let id = vm.id;
-            match self.place_vm(vm) {
-                Ok(_) => self.stats.evacuations += 1,
-                Err(evacuee) => self.park(RetryEntry {
-                    vm: id,
-                    payload: RetryPayload::Evacuee(evacuee),
-                    attempts: 0,
-                    next_epoch: epoch + 1,
-                    parked_epoch: epoch,
-                }),
-            }
-        }
+        self.stats.evacuations += self.relocate(pm, usize::MAX, epoch);
     }
 
     /// One notice epoch of a maintenance drain: migrate
@@ -597,21 +589,31 @@ impl DatacenterService {
     /// smoothly by the time it goes offline.  Migrations that find no room
     /// park for retry like crash evacuees.
     fn drain_step(&mut self, pm: PmId, epoch: u64, remaining: u64) {
+        let residents = self.cluster.machine(pm).map_or(0, |m| m.vm_count());
+        let batch = residents.div_ceil(remaining.max(1) as usize);
+        self.stats.drain_migrations += self.relocate(pm, batch, epoch);
+    }
+
+    /// Moves the first `limit` residents of `pm` (placement order) one at a
+    /// time: each leaves through [`Cluster::remove_vm`], then is re-placed
+    /// on the surviving fleet or parked for retry.  `pm` is down or
+    /// draining, so placement skips it.  Returns how many were re-placed.
+    ///
+    /// One removal at a time matters under spread placement: a VM still
+    /// waiting its turn keeps counting in its domain while the ones before
+    /// it choose where to land.
+    fn relocate(&mut self, pm: PmId, limit: usize, epoch: u64) -> u64 {
         let residents: Vec<VmId> = match self.cluster.machine(pm) {
-            Some(machine) => machine.vms().iter().map(|vm| vm.id).collect(),
-            None => return,
+            Some(machine) => machine.vms().iter().take(limit).map(|vm| vm.id).collect(),
+            None => return 0,
         };
-        if residents.is_empty() {
-            return;
-        }
-        let batch = residents.len().div_ceil(remaining.max(1) as usize);
-        for id in residents.into_iter().take(batch) {
+        let mut placed = 0;
+        for id in residents {
             let Some(vm) = self.cluster.remove_vm(id) else {
                 continue;
             };
-            self.note_spread_removed(pm, vm.app_id());
             match self.place_vm(vm) {
-                Ok(_) => self.stats.drain_migrations += 1,
+                Ok(_) => placed += 1,
                 Err(evacuee) => self.park(RetryEntry {
                     vm: id,
                     payload: RetryPayload::Evacuee(evacuee),
@@ -621,6 +623,7 @@ impl DatacenterService {
                 }),
             }
         }
+        placed
     }
 
     fn park(&mut self, entry: RetryEntry) {
@@ -708,9 +711,7 @@ impl DatacenterService {
                 }
                 SessionEvent::Depart(vm) => {
                     if let Some(pm) = self.cluster.locate(vm) {
-                        if let Some(removed) = self.cluster.remove_vm(vm) {
-                            self.note_spread_removed(pm, removed.app_id());
-                        }
+                        self.cluster.remove_vm(vm);
                         self.stats.departures += 1;
                         self.departed.push(vm);
                         self.note_capacity_freed(pm);
@@ -815,31 +816,21 @@ impl DatacenterService {
 
     /// The spread-aware placement: a first scan offers only the power
     /// domains currently holding the application's minimum VM count, a
-    /// second falls back to any surviving machine.  A landing bumps the
-    /// application's count in its domain.
+    /// second falls back to any surviving machine.  The cluster counts the
+    /// landing.
     fn place_spread(&mut self, vm: Vm, topology: Topology) -> Result<PmId, Vm> {
-        let app = vm.app_id();
         let machines = self.config.machines;
-        // Out of the map while the scans borrow `self`; put back below.
-        let mut counts = std::mem::take(self.app_domains.entry(app).or_default());
+        // A copy: the scans below place through the cluster, which owns
+        // the counts.
+        let counts = self.cluster.domain_counts(vm.app_id()).to_vec();
         let count = |domain: usize| counts.get(domain).copied().unwrap_or(0);
         let min_count = (0..topology.domains_in_fleet(machines))
             .map(count)
             .min()
             .unwrap_or(0);
         let emptiest = domain_ranges(topology, machines, |domain| count(domain) == min_count);
-        let placed = self
-            .scan(vm, emptiest)
-            .or_else(|vm| self.scan(vm, std::iter::once(0..machines)));
-        if let Ok(pm) = placed {
-            let domain = topology.domain_of(pm) as usize;
-            if counts.len() <= domain {
-                counts.resize(domain + 1, 0);
-            }
-            counts[domain] += 1;
-        }
-        self.app_domains.insert(app, counts);
-        placed
+        self.scan(vm, emptiest)
+            .or_else(|vm| self.scan(vm, std::iter::once(0..machines)))
     }
 
     /// One next-fit pass from the shared cursor over the machines in
@@ -879,23 +870,6 @@ impl DatacenterService {
                 self.record_placement_error(returned.id, pm, error);
                 Err(returned)
             }
-        }
-    }
-
-    /// Drops the spread bookkeeping for a VM of `app` leaving `pm` (depart,
-    /// evacuation, or drain migration).  No-op unless spread placement is
-    /// configured.
-    fn note_spread_removed(&mut self, pm: PmId, app: AppId) {
-        let Some(topology) = self.config.spread else {
-            return;
-        };
-        let domain = topology.domain_of(pm) as usize;
-        if let Some(count) = self
-            .app_domains
-            .get_mut(&app)
-            .and_then(|counts| counts.get_mut(domain))
-        {
-            *count = count.saturating_sub(1);
         }
     }
 
@@ -1199,7 +1173,7 @@ mod tests {
             let vm = DatacenterService::session_vm(VmId(id), &svc.sessions[0]);
             svc.place_vm(vm).expect("an empty fleet has room");
         }
-        assert_eq!(svc.app_domains[&AppId(1)], [1, 1]);
+        assert_eq!(svc.cluster.domain_counts(AppId(1)), [1, 1, 0]);
         // Domain 2, the app's only emptiest, goes down; the cursor sits in
         // it, so the fallback wraps.
         svc.down[8..12].fill(true);
@@ -1213,7 +1187,29 @@ mod tests {
         let vm = DatacenterService::session_vm(VmId(2), &svc.sessions[0]);
         assert_eq!(svc.place_vm(vm).ok(), Some(PmId(expected as u64)));
         assert_eq!(svc.scan_cursor, expected);
-        assert_eq!(svc.app_domains[&AppId(1)], [2, 1]);
+        assert_eq!(svc.cluster.domain_counts(AppId(1)), [2, 1, 0]);
+    }
+
+    #[test]
+    fn a_controller_migration_moves_the_spread_counts_with_the_vm() {
+        // Domain 0 holds machines 0..4, domain 1 holds 4..8.
+        let topo = Topology::new(2, 2);
+        let stream = sessions(&[(0.0, 500.0, 0.5, 1), (5.0, 500.0, 0.5, 1)]);
+        let mut svc =
+            DatacenterService::new(ServiceConfig::xeon_fleet(8, 3).with_spread(topo), stream);
+        svc.step_epoch();
+        assert_eq!(svc.cluster().locate(VmId(0)), Some(PmId(0)));
+        // Move the app's only VM into domain 1, as DeepDive does.
+        svc.cluster_mut()
+            .migrate(VmId(0), PmId(4))
+            .expect("room on pm 4");
+        assert_eq!(svc.audit(), Vec::<String>::new());
+        // The next arrival of the app spreads away from it, into domain 0.
+        svc.run_epochs(6);
+        let landed = svc.cluster().locate(VmId(1)).expect("vm 1 placed");
+        assert_eq!(topo.domain_of(landed), 0, "landed on {landed}");
+        assert_eq!(svc.audit(), Vec::<String>::new());
+        assert!(audit::check_spread(svc.cluster(), &topo).is_empty());
     }
 
     #[test]

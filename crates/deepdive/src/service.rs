@@ -13,7 +13,9 @@
 //! 2. the controller's warning system sweeps the reports, analyzes
 //!    suspects in the sandbox and (optionally) migrates confirmed victims;
 //! 3. every machine a migration freed is reported back to the service's
-//!    placement hints, so the next arrival finds the hole without a scan.
+//!    next-fit hints, so the next arrival finds the hole without a scan;
+//!    [`cloudsim::Cluster::migrate`] itself moved the VM's location and
+//!    spread placement's power-domain counts.
 //!
 //! The composition stays deterministic end to end: the service is
 //! bit-reproducible by construction and the controller is a pure function
