@@ -33,9 +33,10 @@ pub struct LabelledBehaviour {
     pub interference: bool,
 }
 
+#[cfg(test)]
 impl LabelledBehaviour {
     /// Convenience constructor for a normal (non-interference) behaviour.
-    pub fn normal(metrics: Vec<f64>) -> Self {
+    pub(crate) fn normal(metrics: Vec<f64>) -> Self {
         Self {
             metrics,
             interference: false,
@@ -43,7 +44,7 @@ impl LabelledBehaviour {
     }
 
     /// Convenience constructor for a confirmed-interference behaviour.
-    pub fn interference(metrics: Vec<f64>) -> Self {
+    pub(crate) fn interference(metrics: Vec<f64>) -> Self {
         Self {
             metrics,
             interference: true,
@@ -88,7 +89,7 @@ pub fn fit_constrained(
 }
 
 /// Warm-started variant of [`fit_constrained`]: the mixture is re-fitted by
-/// EM seeded from `previous`'s components ([`GaussianMixture::fit_warm`])
+/// EM seeded from `previous`'s components (`GaussianMixture::fit_warm`)
 /// instead of a fresh k-means++ initialization, converging in a handful of
 /// iterations when `behaviours` grew incrementally since `previous` was
 /// fitted.  Threshold derivation and the cannot-link shrink loop are

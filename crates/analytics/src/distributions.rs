@@ -60,16 +60,6 @@ impl Zipf {
             Err(idx) => (idx + 1).min(self.probabilities.len()),
         }
     }
-
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.probabilities.len()
-    }
-
-    /// True when the distribution covers zero ranks (never, by construction).
-    pub fn is_empty(&self) -> bool {
-        self.probabilities.is_empty()
-    }
 }
 
 /// Generates arrival times (seconds from 0) over a horizon for a Poisson

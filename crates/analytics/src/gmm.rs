@@ -45,7 +45,12 @@ impl GaussianMixture {
     /// `&[f64]` rows), so callers can fit borrowed data without copying it.
     /// `k` is clamped to the number of points; empty input yields a model
     /// with no components.
-    pub fn fit<P: AsRef<[f64]>>(points: &[P], k: usize, max_iters: usize, seed: u64) -> Self {
+    pub(crate) fn fit<P: AsRef<[f64]>>(
+        points: &[P],
+        k: usize,
+        max_iters: usize,
+        seed: u64,
+    ) -> Self {
         if points.is_empty() || k == 0 {
             return Self {
                 components: Vec::new(),
@@ -116,7 +121,7 @@ impl GaussianMixture {
     /// # Panics
     /// Panics if `points` is ragged or its dimensionality differs from the
     /// warm-start components'.
-    pub fn fit_warm<P: AsRef<[f64]>>(
+    pub(crate) fn fit_warm<P: AsRef<[f64]>>(
         points: &[P],
         prev_components: &[Component],
         max_iters: usize,

@@ -12,7 +12,7 @@ use crate::stats::euclidean;
 
 /// A fitted k-means model.
 #[derive(Debug, Clone, PartialEq)]
-pub struct KMeans {
+pub(crate) struct KMeans {
     /// Cluster centroids, one row per cluster.
     pub centroids: Vec<Vec<f64>>,
     /// Assignment of each training point to a centroid index.
@@ -31,7 +31,12 @@ impl KMeans {
     ///
     /// # Panics
     /// Panics if `points` is ragged (rows of differing dimension).
-    pub fn fit<P: AsRef<[f64]>>(points: &[P], k: usize, max_iters: usize, seed: u64) -> Self {
+    pub(crate) fn fit<P: AsRef<[f64]>>(
+        points: &[P],
+        k: usize,
+        max_iters: usize,
+        seed: u64,
+    ) -> Self {
         if points.is_empty() || k == 0 {
             return Self {
                 centroids: Vec::new(),
@@ -97,16 +102,6 @@ impl KMeans {
             assignments,
             inertia,
         }
-    }
-
-    /// Index and distance of the nearest centroid to `point`.
-    pub fn predict(&self, point: &[f64]) -> (usize, f64) {
-        nearest(point, &self.centroids)
-    }
-
-    /// Number of clusters in the fitted model.
-    pub fn k(&self) -> usize {
-        self.centroids.len()
     }
 }
 
@@ -175,11 +170,12 @@ mod tests {
     fn separates_two_blobs() {
         let pts = two_blobs();
         let model = KMeans::fit(&pts, 2, 50, 42);
-        assert_eq!(model.k(), 2);
-        // Points near the origin and points near (10, 10) must not share a cluster.
-        let a = model.predict(&[0.0, 0.0]).0;
-        let b = model.predict(&[10.0, 10.0]).0;
+        assert_eq!(model.centroids.len(), 2);
+        // Points near the origin (even indices) and points near (10, 10)
+        // (odd indices) must not share a cluster.
+        let (a, b) = (model.assignments[0], model.assignments[1]);
         assert_ne!(a, b);
+        assert!(model.assignments.chunks(2).all(|pair| pair == [a, b]));
         assert!(
             model.inertia < 1.0,
             "inertia {} too large for tight blobs",
@@ -200,13 +196,13 @@ mod tests {
     fn k_is_clamped_to_point_count() {
         let pts = vec![vec![1.0], vec![2.0]];
         let model = KMeans::fit(&pts, 10, 10, 1);
-        assert_eq!(model.k(), 2);
+        assert_eq!(model.centroids.len(), 2);
     }
 
     #[test]
     fn empty_input_gives_degenerate_model() {
         let model = KMeans::fit::<Vec<f64>>(&[], 3, 10, 1);
-        assert_eq!(model.k(), 0);
+        assert!(model.centroids.is_empty());
         assert_eq!(model.inertia, 0.0);
     }
 
@@ -216,14 +212,6 @@ mod tests {
         let model = KMeans::fit(&pts, 3, 10, 1);
         assert!(model.inertia < 1e-12);
         assert_eq!(model.assignments.len(), 10);
-    }
-
-    #[test]
-    fn predict_returns_distance_to_nearest_centroid() {
-        let pts = two_blobs();
-        let model = KMeans::fit(&pts, 2, 50, 42);
-        let (_, dist) = model.predict(&[0.0, 0.0]);
-        assert!(dist < 0.1);
     }
 
     #[test]

@@ -29,7 +29,4 @@ pub mod regression;
 pub mod stats;
 pub mod thresholds;
 
-pub use gmm::GaussianMixture;
-pub use kmeans::KMeans;
 pub use regression::LinearRegression;
-pub use thresholds::MetricThresholds;

@@ -91,7 +91,7 @@ impl LinearRegression {
     }
 
     /// Predicts the output vector for one input vector.
-    pub fn predict(&self, input: &[f64]) -> Vec<f64> {
+    pub(crate) fn predict(&self, input: &[f64]) -> Vec<f64> {
         assert_eq!(
             input.len(),
             self.input_dims,

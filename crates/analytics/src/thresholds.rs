@@ -14,19 +14,15 @@
 
 use crate::gmm::GaussianMixture;
 
-/// Default number of standard deviations allowed before a metric is
-/// considered to have deviated from a normal cluster.
-pub const DEFAULT_SIGMA_MULTIPLIER: f64 = 3.0;
-
 /// Absolute floor added to every threshold so that near-constant metrics do
 /// not fire on measurement noise.
-pub const ABSOLUTE_FLOOR: f64 = 1e-3;
+pub(crate) const ABSOLUTE_FLOOR: f64 = 1e-3;
 
 /// Relative floor: every threshold is at least this fraction of the cluster
 /// mean in that dimension, so that clusters learned from near-identical
 /// samples (e.g. a constant-load bootstrap phase) still tolerate ordinary
 /// measurement noise instead of firing on every epoch.
-pub const RELATIVE_FLOOR: f64 = 0.10;
+pub(crate) const RELATIVE_FLOOR: f64 = 0.10;
 
 /// The per-metric threshold vector `MT`.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,7 +40,7 @@ impl MetricThresholds {
     /// per-cluster standard deviation, so behaviours anywhere inside (or
     /// near) a normal cluster pass, and points well outside every cluster
     /// fail.
-    pub fn from_mixture(mixture: &GaussianMixture, sigma_multiplier: f64) -> Self {
+    pub(crate) fn from_mixture(mixture: &GaussianMixture, sigma_multiplier: f64) -> Self {
         assert!(sigma_multiplier > 0.0, "sigma multiplier must be positive");
         let dims = mixture
             .components
@@ -69,7 +65,7 @@ impl MetricThresholds {
     /// True when `point` lies within the thresholds of `center` in *every*
     /// dimension — the "within distance T from previous VM behaviors" test of
     /// Algorithm 1.
-    pub fn matches(&self, center: &[f64], point: &[f64]) -> bool {
+    pub(crate) fn matches(&self, center: &[f64], point: &[f64]) -> bool {
         assert_eq!(center.len(), point.len(), "dimension mismatch in matches");
         assert_eq!(
             center.len(),
@@ -86,17 +82,12 @@ impl MetricThresholds {
     /// Scales every threshold by `factor` (used by the sensitivity analysis:
     /// stricter thresholds ⇒ more analyzer invocations, looser ⇒ risk of
     /// false negatives).
-    pub fn scaled(&self, factor: f64) -> Self {
+    pub(crate) fn scaled(&self, factor: f64) -> Self {
         assert!(factor > 0.0, "scale factor must be positive");
         Self {
             per_metric: self.per_metric.iter().map(|t| t * factor).collect(),
             sigma_multiplier: self.sigma_multiplier * factor,
         }
-    }
-
-    /// Number of metric dimensions covered.
-    pub fn dims(&self) -> usize {
-        self.per_metric.len()
     }
 }
 
@@ -125,7 +116,7 @@ mod tests {
     #[test]
     fn thresholds_cover_every_dimension() {
         let mt = MetricThresholds::from_mixture(&tight_and_wide_clusters(), 3.0);
-        assert_eq!(mt.dims(), 2);
+        assert_eq!(mt.per_metric.len(), 2);
         assert!(mt.per_metric.iter().all(|t| *t > 0.0));
     }
 
@@ -162,7 +153,7 @@ mod tests {
     #[test]
     fn uniform_thresholds_have_requested_value() {
         let mt = uniform(4, 0.25);
-        assert_eq!(mt.dims(), 4);
+        assert_eq!(mt.per_metric.len(), 4);
         assert!(mt.matches(&[0.0; 4], &[0.2, -0.2, 0.1, 0.0]));
         assert!(!mt.matches(&[0.0; 4], &[0.3, 0.0, 0.0, 0.0]));
     }

@@ -35,7 +35,7 @@ use workloads::web_search::WebSearchConfig;
 /// Epochs simulated per trace hour in the trace-driven experiments.  One
 /// epoch is one second of "hardware time"; sampling a few epochs per hour
 /// keeps the three-day experiments fast while preserving the dynamics.
-pub const EPOCHS_PER_HOUR: usize = 4;
+pub(crate) const EPOCHS_PER_HOUR: usize = 4;
 
 // ---------------------------------------------------------------------------
 // Figure 1 — EC2 motivation
@@ -399,7 +399,7 @@ impl Fig6Scenario {
     ];
 
     /// Scenario label used in the printed output.
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             Fig6Scenario::LastLevelCache => "Scenario A (LLC)",
             Fig6Scenario::FrontSideBus => "Scenario B (FSB)",
@@ -408,7 +408,7 @@ impl Fig6Scenario {
     }
 
     /// The resources the analyzer is expected to blame in this scenario.
-    pub fn expected_culprits(&self, workload: CloudWorkload) -> Vec<Resource> {
+    pub(crate) fn expected_culprits(&self, workload: CloudWorkload) -> Vec<Resource> {
         match self {
             Fig6Scenario::LastLevelCache => vec![Resource::CacheMemory, Resource::MemoryBus],
             Fig6Scenario::FrontSideBus => vec![Resource::MemoryBus, Resource::CacheMemory],
@@ -436,7 +436,7 @@ impl Fig6Scenario {
 }
 
 /// Per-component stalled cycles per instruction, in Fig. 6's four categories.
-pub type StackCpi = [f64; 4];
+pub(crate) type StackCpi = [f64; 4];
 
 /// Result of one Fig. 6 cell (one workload × one scenario).
 #[derive(Debug, Clone, PartialEq)]

@@ -42,7 +42,7 @@ impl CloudWorkload {
     }
 
     /// Application identity used for this workload's VMs.
-    pub fn app_id(&self) -> AppId {
+    pub(crate) fn app_id(&self) -> AppId {
         match self {
             CloudWorkload::DataServing => AppId(1),
             CloudWorkload::WebSearch => AppId(2),
@@ -51,7 +51,7 @@ impl CloudWorkload {
     }
 
     /// Builds the workload generator for one VM.
-    pub fn workload(&self) -> Box<dyn Workload> {
+    pub(crate) fn workload(&self) -> Box<dyn Workload> {
         match self {
             CloudWorkload::DataServing => Box::new(DataServing::with_defaults(self.app_id())),
             CloudWorkload::WebSearch => Box::new(WebSearch::with_defaults(self.app_id())),
@@ -60,7 +60,7 @@ impl CloudWorkload {
     }
 
     /// Client emulator matching the workload's peak rate and base latency.
-    pub fn client(&self) -> ClientEmulator {
+    pub(crate) fn client(&self) -> ClientEmulator {
         match self {
             CloudWorkload::DataServing => ClientEmulator::new(8_000.0, 4.0),
             CloudWorkload::WebSearch => ClientEmulator::new(1_200.0, 25.0),
@@ -69,12 +69,12 @@ impl CloudWorkload {
     }
 
     /// Builds a victim VM running this workload.
-    pub fn victim_vm(&self, id: u64) -> Vm {
+    pub(crate) fn victim_vm(&self, id: u64) -> Vm {
         Vm::new(VmId(id), self.workload(), self.client())
     }
 
     /// The stress workload the paper co-locates with this victim (§5.3).
-    pub fn paired_stress(&self) -> StressKind {
+    pub(crate) fn paired_stress(&self) -> StressKind {
         match self {
             CloudWorkload::DataServing => StressKind::Memory,
             CloudWorkload::WebSearch => StressKind::Disk,
@@ -85,7 +85,7 @@ impl CloudWorkload {
 
 /// The three interfering workloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StressKind {
+pub(crate) enum StressKind {
     /// Bubble-Up-style memory/cache aggressor.
     Memory,
     /// iperf-style bidirectional UDP streams.
@@ -95,19 +95,10 @@ pub enum StressKind {
 }
 
 impl StressKind {
-    /// Display name used in figure output.
-    pub fn name(&self) -> &'static str {
-        match self {
-            StressKind::Memory => "memory-stress",
-            StressKind::Network => "network-stress",
-            StressKind::Disk => "disk-stress",
-        }
-    }
-
     /// Builds a stress VM at the given intensity in `[0, 1]`, mapped onto the
     /// paper's parameter sweeps: 6–512 MB working set, 50–700 Mbps, or
     /// 1–10 MB/s respectively.
-    pub fn vm(&self, id: u64, intensity: f64) -> Vm {
+    pub(crate) fn vm(&self, id: u64, intensity: f64) -> Vm {
         let intensity = intensity.clamp(0.0, 1.0);
         let workload: Box<dyn Workload> = match self {
             StressKind::Memory => Box::new(MemoryStress::new(
@@ -125,13 +116,13 @@ impl StressKind {
 }
 
 /// A cluster of `n` Xeon X5472 machines with the default (packed) scheduler.
-pub fn xeon_cluster(n: usize) -> Cluster {
+pub(crate) fn xeon_cluster(n: usize) -> Cluster {
     Cluster::homogeneous(n, MachineSpec::xeon_x5472(), Scheduler::default())
 }
 
 /// Places a victim running `workload` on machine 0 of a fresh Xeon cluster
 /// with `machines` machines and returns the cluster.
-pub fn victim_cluster(workload: CloudWorkload, machines: usize) -> Cluster {
+pub(crate) fn victim_cluster(workload: CloudWorkload, machines: usize) -> Cluster {
     let mut cluster = xeon_cluster(machines);
     cluster
         .place_on(PmId(0), workload.victim_vm(1))

@@ -18,7 +18,7 @@
 //!   power-domain counts for spread placement, they equal a recount from
 //!   the machines' resident lists.
 //! * **Capacity accounting is exact** — per machine, resident vCPUs never
-//!   exceed the spec's cores and [`cloudsim::pm::PhysicalMachine::free_cores`]
+//!   exceed the spec's cores and `cloudsim::pm::PhysicalMachine::free_cores`
 //!   equals spec cores minus resident vCPUs.
 //!
 //! Findings come back as human-readable strings (empty = clean); the chaos
@@ -27,18 +27,16 @@
 //! invariants (parked VMs are not resident, crashed machines host nothing)
 //! on top.
 //!
-//! [`check_spread`] is a separate, *advisory* check of the failure-domain
-//! spread policy: an application with two or more VMs should not have all
+//! The tests' `check_spread` is a separate, *advisory* check of the
+//! failure-domain spread policy: an application with two or more VMs should not have all
 //! of them behind one power domain.  It is not part of the hard invariant
 //! audit because capacity pressure can legitimately force co-location — the
 //! spread constraint is best-effort by design.
 //!
-//! [`cloudsim::pm::PhysicalMachine::free_cores`]: crate::pm::PhysicalMachine::free_cores
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::cluster::Cluster;
-use crate::faults::Topology;
 use crate::pm::PmId;
 use crate::vm::VmId;
 use workloads::AppId;
@@ -139,8 +137,8 @@ pub fn check_cluster(cluster: &Cluster) -> Vec<String> {
 /// This is advisory, not a hard invariant — under capacity pressure the
 /// service places wherever room exists rather than reject, so callers
 /// assert emptiness only in scenarios with known headroom.
-// simlint: test-accessor (the spread placement tests assert it)
-pub fn check_spread(cluster: &Cluster, topology: &Topology) -> Vec<String> {
+#[cfg(test)]
+pub(crate) fn check_spread(cluster: &Cluster, topology: &crate::faults::Topology) -> Vec<String> {
     let mut fleet_domains: BTreeSet<u64> = BTreeSet::new();
     let mut apps: BTreeMap<AppId, (usize, BTreeSet<u64>)> = BTreeMap::new();
     for machine in cluster.machines() {
@@ -172,6 +170,7 @@ pub fn check_spread(cluster: &Cluster, topology: &Topology) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::cluster::Cluster;
+    use crate::faults::Topology;
     use crate::scheduler::Scheduler;
     use crate::vm::Vm;
     use hwsim::MachineSpec;

@@ -218,7 +218,11 @@ impl Cluster {
     /// instead of dropping it — the building block for multi-attempt callers
     /// (the service's hint/scan and crash-evacuation paths), which would
     /// otherwise have to rebuild the VM per attempt.
-    pub fn place_on_returning(&mut self, pm: PmId, vm: Vm) -> Result<(), (Vm, ClusterError)> {
+    pub(crate) fn place_on_returning(
+        &mut self,
+        pm: PmId,
+        vm: Vm,
+    ) -> Result<(), (Vm, ClusterError)> {
         let (vm_id, app) = (vm.id, vm.app_id());
         let Some(machine) = self.machines.get_mut(pm.0 as usize) else {
             return Err((vm, ClusterError::UnknownPm(pm)));

@@ -62,17 +62,6 @@ impl EpochEngine {
         Self { seed, sparse: true }
     }
 
-    /// The cluster seed every stream derives from.
-    pub const fn seed(&self) -> ClusterSeed {
-        self.seed
-    }
-
-    /// Whether quiescent machines replay their cached reports (the default)
-    /// instead of resolving every epoch densely.
-    pub const fn sparse(&self) -> bool {
-        self.sparse
-    }
-
     /// Toggles sparse stepping (results are unaffected — bit-identical; see
     /// the [module docs](self)).  `false` forces a dense resolve of every
     /// machine every epoch — the reference the sparse ≡ dense tests compare
@@ -160,7 +149,6 @@ mod tests {
     fn step_advances_the_cluster_epoch() {
         let mut c = cluster(2, 2);
         let engine = EpochEngine::serial(ClusterSeed::new(1));
-        assert_eq!(engine.seed(), ClusterSeed::new(1));
         assert_eq!(c.epoch(), 0);
         let first = engine.step(&mut c, |_| 0.7);
         assert_eq!(c.epoch(), 1);
@@ -234,9 +222,7 @@ mod tests {
         };
         let mut dense_engine = EpochEngine::serial(ClusterSeed::new(31));
         dense_engine.set_sparse(false);
-        assert!(!dense_engine.sparse());
         let sparse_engine = EpochEngine::serial(ClusterSeed::new(31));
-        assert!(sparse_engine.sparse(), "sparse is the default");
         let mut dense_cluster = cluster(5, 12);
         let mut sparse_cluster = cluster(5, 12);
         let dense = step_n(&dense_engine, &mut dense_cluster, 8, load);

@@ -46,8 +46,7 @@
 //!   so a fault run is reproducible from its seeds alone.
 //! * [`audit`] — [`audit::check_cluster`]: the cluster invariant sweep (no
 //!   VM lost or doubly resident, id→index maps consistent, capacity
-//!   accounting exact) the chaos suite asserts after every epoch; plus
-//!   [`audit::check_spread`], the advisory failure-domain spread check.
+//!   accounting exact) the chaos suite asserts after every epoch.
 //!
 //! DeepDive (crate `deepdive`) reads the [`pm::VmEpochReport`]s' identities,
 //! widths, counter snapshots and demands; the client observations and stall
@@ -67,9 +66,9 @@ pub mod vm;
 pub use cluster::Cluster;
 pub use engine::EpochEngine;
 pub use faults::{FaultConfig, FaultPlane, Topology};
-pub use pm::{PhysicalMachine, PmId, VmEpochReport};
+pub use pm::{PmId, VmEpochReport};
 pub use rngs::ClusterSeed;
 pub use sandbox::{Sandbox, SandboxFleet};
 pub use scheduler::Scheduler;
-pub use service::{DatacenterService, ServiceConfig, ServiceError, ServiceStats};
+pub use service::{DatacenterService, ServiceConfig, ServiceStats};
 pub use vm::{Vm, VmId};

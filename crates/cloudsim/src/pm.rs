@@ -1,7 +1,7 @@
 //! Physical machines: hosting VMs and stepping simulation epochs.
 //!
-//! A [`PhysicalMachine`] owns the VMs placed on it.  Each call to
-//! [`PhysicalMachine::step_epoch`] asks every hosted VM's workload for its
+//! A [`PhysicalMachine`] owns the VMs placed on it.  Each epoch the engine
+//! steps it once, asking every hosted VM's workload for its
 //! intrinsic demand at the offered load, hands all demands to the hwsim
 //! contention resolver, and packages the result into one
 //! [`VmEpochReport`] per VM: the Table 1 counters DeepDive reads, plus the
@@ -22,8 +22,8 @@
 //! bit (the per-`(vm, epoch)` RNG draws are consumed and discarded, and a
 //! static demand ignores them by contract), so the machine clones the cache,
 //! patches the epoch index, and skips demand generation and contention
-//! resolution entirely.  [`PhysicalMachine::resolves`] /
-//! [`PhysicalMachine::quiescent_steps`] count both outcomes.
+//! resolution entirely.  `PhysicalMachine::resolves` /
+//! `PhysicalMachine::quiescent_steps` count both outcomes.
 
 use hwsim::contention::{EpochOutcome, PlacedDemand, StallBreakdown};
 use hwsim::{CounterSnapshot, EpochResolver, MachineSpec, ResourceDemand, EPOCH_SECONDS};
@@ -98,7 +98,7 @@ pub struct PhysicalMachine {
     /// generation it was filled at.
     generation: u64,
     /// Reusable epoch-resolution pipeline; it owns the machine's spec, and
-    /// its scratch buffers survive across `step_epoch` calls so the hot path
+    /// its scratch buffers survive across epochs so the hot path
     /// performs no per-epoch allocation beyond the returned reports.
     resolver: EpochResolver,
     loads: Vec<f64>,
@@ -147,18 +147,18 @@ impl PhysicalMachine {
     }
 
     /// Number of hosted VMs.
-    pub fn vm_count(&self) -> usize {
+    pub(crate) fn vm_count(&self) -> usize {
         self.vms.len()
     }
 
     /// Number of epochs this machine actually ran demand generation and
     /// contention resolution for (as opposed to serving the quiescent cache).
-    pub fn resolves(&self) -> u64 {
+    pub(crate) fn resolves(&self) -> u64 {
         self.resolves
     }
 
     /// Number of epochs served from the quiescent cache without resolving.
-    pub fn quiescent_steps(&self) -> u64 {
+    pub(crate) fn quiescent_steps(&self) -> u64 {
         self.quiescent_steps
     }
 
@@ -210,36 +210,13 @@ impl PhysicalMachine {
     }
 
     /// Unused core capacity.
-    pub fn free_cores(&self) -> usize {
+    pub(crate) fn free_cores(&self) -> usize {
         let used: usize = self.vms.iter().map(|v| v.vcpus).sum();
         self.spec().cores.saturating_sub(used)
     }
 
-    /// Advances the machine one epoch.
-    ///
-    /// `load_for` maps each VM id to its offered load for this epoch (the
-    /// trace-driven client intensity).  Each VM draws its demand from its
-    /// own `(vm, epoch)` stream derived from `seed`, so the reports are a
-    /// pure function of `(seed, epoch, loads, placement)` — independent of
-    /// how many other machines exist or the order they are stepped in.
-    /// Returns one report per hosted VM, in placement order.
-    pub fn step_epoch<F>(
-        &mut self,
-        epoch: u64,
-        load_for: &F,
-        seed: ClusterSeed,
-    ) -> Vec<VmEpochReport>
-    where
-        F: Fn(VmId) -> f64 + ?Sized,
-    {
-        let mut out = Vec::new();
-        self.step_epoch_into(epoch, load_for, seed, false, &mut out);
-        out
-    }
-
-    /// The stepping workhorse behind [`PhysicalMachine::step_epoch`] and the
-    /// epoch engine: appends this machine's reports (placement order) to
-    /// `out`.
+    /// Steps the machine one epoch for the epoch engine: appends this
+    /// machine's reports (placement order) to `out`.
     ///
     /// With `use_cache` the machine may skip demand generation and
     /// contention resolution entirely when it is provably quiescent: same
@@ -409,10 +386,21 @@ mod tests {
         PhysicalMachine::new(PmId(0), MachineSpec::xeon_x5472(), Scheduler::default())
     }
 
+    /// One uncached epoch of `pm`'s reports, in placement order.
+    fn step(
+        pm: &mut PhysicalMachine,
+        epoch: u64,
+        load_for: &dyn Fn(VmId) -> f64,
+    ) -> Vec<VmEpochReport> {
+        let mut out = Vec::new();
+        pm.step_epoch_into(epoch, load_for, seed(), false, &mut out);
+        out
+    }
+
     #[test]
     fn empty_machine_steps_to_empty_report() {
         let mut pm = machine();
-        assert!(pm.step_epoch(0, &|_| 1.0, seed()).is_empty());
+        assert!(step(&mut pm, 0, &|_| 1.0).is_empty());
     }
 
     #[test]
@@ -435,7 +423,7 @@ mod tests {
     fn solo_vm_reports_healthy_performance() {
         let mut pm = machine();
         pm.try_add_vm(serving_vm(1)).unwrap();
-        let reports = pm.step_epoch(0, &|_| 0.8, seed());
+        let reports = step(&mut pm, 0, &|_| 0.8);
         assert_eq!(reports.len(), 1);
         let r = &reports[0];
         assert_eq!(r.vm_id, VmId(1));
@@ -449,12 +437,12 @@ mod tests {
     fn colocated_aggressor_degrades_the_victim() {
         let mut solo = machine();
         solo.try_add_vm(serving_vm(1)).unwrap();
-        let solo_reports = solo.step_epoch(0, &|_| 1.0, seed());
+        let solo_reports = step(&mut solo, 0, &|_| 1.0);
 
         let mut shared = machine();
         shared.try_add_vm(serving_vm(1)).unwrap();
         shared.try_add_vm(aggressor_vm(2, 512.0)).unwrap();
-        let shared_reports = shared.step_epoch(0, &|_| 1.0, seed());
+        let shared_reports = step(&mut shared, 0, &|_| 1.0);
 
         let baseline = &solo_reports[0];
         let victim = &shared_reports[0];
@@ -470,7 +458,7 @@ mod tests {
         let mut pm = machine();
         pm.try_add_vm(serving_vm(1)).unwrap();
         pm.try_add_vm(serving_vm(2)).unwrap();
-        let reports = pm.step_epoch(0, &|id| if id == VmId(1) { 1.0 } else { 0.2 }, seed());
+        let reports = step(&mut pm, 0, &|id| if id == VmId(1) { 1.0 } else { 0.2 });
         assert!(reports[0].demand.instructions > 3.0 * reports[1].demand.instructions);
         assert!((reports[0].offered_load - 1.0).abs() < 1e-12);
         assert!((reports[1].offered_load - 0.2).abs() < 1e-12);
@@ -480,7 +468,7 @@ mod tests {
     fn reports_carry_the_epoch_index() {
         let mut pm = machine();
         pm.try_add_vm(serving_vm(1)).unwrap();
-        let reports = pm.step_epoch(17, &|_| 1.0, seed());
+        let reports = step(&mut pm, 17, &|_| 1.0);
         assert_eq!(reports[0].epoch, 17);
     }
 }

@@ -46,25 +46,20 @@ impl ClusterSeed {
         Self(seed)
     }
 
-    /// The root seed value.
-    pub const fn raw(self) -> u64 {
-        self.0
-    }
-
     /// The derived 64-bit seed of the `(vm, epoch)` stream.
     ///
     /// Two finalizer layers keep the three inputs from interacting
     /// additively: the VM id is avalanched before it touches the root seed,
     /// so `(vm: 1, epoch: 0)` and `(vm: 0, epoch: 1)` (and every other
     /// colliding sum) land in unrelated streams.
-    pub const fn stream_seed(self, vm: VmId, epoch: u64) -> u64 {
+    pub(crate) const fn stream_seed(self, vm: VmId, epoch: u64) -> u64 {
         splitmix64(splitmix64(self.0 ^ splitmix64(vm.0)) ^ epoch)
     }
 
     /// An independent, stable generator for one VM's demand draws in one
     /// epoch.  Pure function of `(self, vm, epoch)` — callers may derive it
     /// in any order, from any thread, any number of times.
-    pub fn vm_epoch_rng(self, vm: VmId, epoch: u64) -> StdRng {
+    pub(crate) fn vm_epoch_rng(self, vm: VmId, epoch: u64) -> StdRng {
         StdRng::seed_from_u64(self.stream_seed(vm, epoch))
     }
 }

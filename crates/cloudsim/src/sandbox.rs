@@ -180,7 +180,7 @@ impl SandboxFleet {
     /// # Panics
     /// Panics if `specs` is empty (via [`SandboxFleet::new`]) or a pool is
     /// malformed (via [`Sandbox::new`]).
-    pub fn for_specs<'a>(
+    pub(crate) fn for_specs<'a>(
         specs: impl IntoIterator<Item = &'a MachineSpec>,
         machines_per_pool: usize,
         clone_overhead_seconds: f64,
@@ -202,7 +202,7 @@ impl SandboxFleet {
 
     /// Derives the fleet a cluster actually needs: one pool per machine
     /// model present in it, so every analysis can replay on the victim's
-    /// host model.  This is what [`SandboxFleet::for_specs`] exists for;
+    /// host model.  This is what `SandboxFleet::for_specs` exists for;
     /// `deepdive`'s `DeepDive::for_cluster` calls it with its defaults.
     pub fn for_cluster(
         cluster: &Cluster,

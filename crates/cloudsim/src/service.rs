@@ -53,8 +53,8 @@
 //! Evacuees that find no capacity, and rejected
 //! arrivals (with or without a fault plane), are never dropped: they enter
 //! a *bounded retry queue* with epoch-based exponential backoff
-//! ([`RETRY_ATTEMPT_LIMIT`] attempts, doubling waits capped at
-//! [`RETRY_BACKOFF_CAP_EPOCHS`] epochs) and either land when capacity frees
+//! (`RETRY_ATTEMPT_LIMIT` attempts, doubling waits capped at
+//! `RETRY_BACKOFF_CAP_EPOCHS` epochs) and either land when capacity frees
 //! or are counted as abandoned.  All fault handling runs serially between
 //! engine steps as a pure function of the epoch index, so a run is
 //! reproducible from its seeds alone — and a disabled plane (or none)
@@ -80,7 +80,7 @@
 //! back to any surviving machine when every minimum-count domain is full.
 //! This keeps each application's VMs spread across failure domains — so a
 //! rack or domain outage clips every app instead of erasing one — while
-//! never rejecting a placeable VM ([`crate::audit::check_spread`] is
+//! never rejecting a placeable VM (the spread check its tests run is
 //! advisory for exactly this reason).  Spread is strictly opt-in and
 //! orthogonal to the fault plane: it changes placement whether or not
 //! faults are enabled, and leaving it `None` preserves the hint-queue +
@@ -159,11 +159,11 @@ impl ServiceConfig {
 }
 
 /// Most placement attempts a parked VM gets before it is abandoned.
-pub const RETRY_ATTEMPT_LIMIT: u32 = 6;
+pub(crate) const RETRY_ATTEMPT_LIMIT: u32 = 6;
 
 /// Longest epoch wait between two retry attempts (backoff doubles from one
 /// epoch up to this cap).
-pub const RETRY_BACKOFF_CAP_EPOCHS: u64 = 32;
+pub(crate) const RETRY_BACKOFF_CAP_EPOCHS: u64 = 32;
 
 /// Counters the service accumulates while running.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -201,42 +201,13 @@ pub struct ServiceStats {
     pub retry_admissions: u64,
     /// Epochs parked VMs spent waiting before a successful retry (sum).
     pub retry_wait_epochs: u64,
-    /// Parked VMs dropped after exhausting [`RETRY_ATTEMPT_LIMIT`].
+    /// Parked VMs dropped after exhausting `RETRY_ATTEMPT_LIMIT`.
     pub abandonments: u64,
-    /// Unexpected placement errors recorded (see
-    /// [`DatacenterService::errors`]) instead of aborting the run.
+    /// Unexpected placement errors counted instead of aborting the run.
     pub placement_errors: u64,
     /// Machine-epochs spent inside crash windows (availability accounting).
     pub down_machine_epochs: u64,
 }
-
-/// A non-fatal fault the service absorbed and recorded instead of
-/// panicking — an arrival must never abort the simulation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ServiceError {
-    /// Placement returned something other than `NoCapacity`; the service
-    /// skipped the machine and kept scanning.
-    UnexpectedPlacement {
-        /// The VM whose placement failed.
-        vm: VmId,
-        /// The machine that produced the error.
-        pm: PmId,
-        /// The underlying cluster error.
-        error: ClusterError,
-    },
-}
-
-impl std::fmt::Display for ServiceError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServiceError::UnexpectedPlacement { vm, pm, error } => {
-                write!(f, "placing {vm} on {pm} failed unexpectedly: {error}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ServiceError {}
 
 /// What a parked VM needs to try placement again.
 #[derive(Debug)]
@@ -311,8 +282,6 @@ pub struct DatacenterService {
     /// Parked VMs (rejected arrivals and stranded evacuees) waiting out
     /// their backoff.
     retry: VecDeque<RetryEntry>,
-    /// Non-fatal faults absorbed so far, in occurrence order.
-    errors: Vec<ServiceError>,
     /// VMs that left for good (departed or abandoned) during the latest
     /// [`DatacenterService::step_epoch`]; cleared at the start of the next.
     departed: Vec<VmId>,
@@ -353,7 +322,6 @@ impl DatacenterService {
             down: vec![false; machines],
             draining: vec![false; machines],
             retry: VecDeque::new(),
-            errors: Vec::new(),
             departed: Vec::new(),
         }
     }
@@ -386,11 +354,6 @@ impl DatacenterService {
     // simlint: test-accessor (the leak checks of the loop and chaos suites)
     pub fn parked(&self) -> usize {
         self.retry.len()
-    }
-
-    /// Non-fatal faults absorbed so far (see [`ServiceError`]).
-    pub fn errors(&self) -> &[ServiceError] {
-        &self.errors
     }
 
     /// Runs the cluster invariant audit ([`audit::check_cluster`]) plus the
@@ -499,7 +462,8 @@ impl DatacenterService {
 
     /// Runs `epochs` epochs, discarding reports, and returns the stats
     /// accumulated so far.
-    pub fn run_epochs(&mut self, epochs: u64) -> ServiceStats {
+    #[cfg(test)]
+    pub(crate) fn run_epochs(&mut self, epochs: u64) -> ServiceStats {
         for _ in 0..epochs {
             self.step_epoch();
         }
@@ -509,7 +473,8 @@ impl DatacenterService {
     /// True once every session has been admitted (or rejected and either
     /// re-admitted or abandoned), the retry queue is empty, and every
     /// admitted VM has departed.
-    pub fn drained(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn drained(&self) -> bool {
         self.events.is_empty() && self.retry.is_empty() && self.cluster.vm_count() == 0
     }
 
@@ -790,9 +755,8 @@ impl DatacenterService {
     /// right now).
     ///
     /// A placement error other than `NoCapacity` is a fault, not a
-    /// rejection: it is recorded in [`DatacenterService::errors`], counted
-    /// in `placement_errors`, and the scan keeps going — an arrival never
-    /// aborts the simulation.
+    /// rejection: it is counted in `placement_errors` and the scan keeps
+    /// going — an arrival never aborts the simulation.
     fn place_vm(&mut self, mut vm: Vm) -> Result<PmId, Vm> {
         if let Some(topology) = self.config.spread {
             return self.place_spread(vm, topology);
@@ -859,24 +823,18 @@ impl DatacenterService {
     }
 
     /// One placement attempt on machine `index`: the machine on success,
-    /// the VM back otherwise.  An error other than `NoCapacity` is recorded
+    /// the VM back otherwise.  An error other than `NoCapacity` is counted
     /// before the VM is handed back.
     fn try_place(&mut self, index: usize, vm: Vm) -> Result<PmId, Vm> {
         let pm = PmId(index as u64);
         match self.cluster.place_on_returning(pm, vm) {
             Ok(()) => Ok(pm),
             Err((returned, ClusterError::NoCapacity { .. })) => Err(returned),
-            Err((returned, error)) => {
-                self.record_placement_error(returned.id, pm, error);
+            Err((returned, _)) => {
+                self.stats.placement_errors += 1;
                 Err(returned)
             }
         }
-    }
-
-    fn record_placement_error(&mut self, vm: VmId, pm: PmId, error: ClusterError) {
-        self.stats.placement_errors += 1;
-        self.errors
-            .push(ServiceError::UnexpectedPlacement { vm, pm, error });
     }
 }
 
@@ -1255,17 +1213,15 @@ mod tests {
 
     #[test]
     fn unexpected_placement_errors_are_recorded_not_fatal() {
-        let mut svc = DatacenterService::new(
-            ServiceConfig::xeon_fleet(1, 6),
-            sessions(&[(0.0, 10.0, 0.5, 1)]),
-        );
+        let session = sessions(&[(0.0, 10.0, 0.5, 1)]);
+        let mut svc = DatacenterService::new(ServiceConfig::xeon_fleet(1, 6), session.clone());
         svc.step_epoch();
-        assert!(svc.errors().is_empty());
-        svc.record_placement_error(VmId(9), PmId(4), ClusterError::UnknownPm(PmId(4)));
+        assert_eq!(svc.stats().placement_errors, 0);
+        // Machine 4 does not exist: the cluster answers `UnknownPm`.
+        let vm = DatacenterService::session_vm(VmId(9), &session[0]);
+        let returned = svc.try_place(4, vm).expect_err("there is no machine 4");
+        assert_eq!(returned.id, VmId(9));
         assert_eq!(svc.stats().placement_errors, 1);
-        assert_eq!(svc.errors().len(), 1);
-        let shown = svc.errors()[0].to_string();
-        assert!(shown.contains("failed unexpectedly"), "got: {shown}");
         // The simulation keeps stepping normally afterwards.
         svc.run_epochs(15);
         assert!(svc.drained());

@@ -70,7 +70,7 @@ pub struct DeepDiveConfig {
     /// Failure-domain spread preference for mitigation migrations: with
     /// `Some(topology)`, acceptable destinations outside the afflicted
     /// machine's power domain win over same-domain ones (see
-    /// [`PlacementManager::with_spread`]).  `None` (the default) picks
+    /// `PlacementManager::with_spread`).  `None` (the default) picks
     /// purely by predicted interference.
     pub spread_topology: Option<cloudsim::Topology>,
 }
@@ -293,16 +293,6 @@ impl DeepDive {
         self.fault_plane = Some(plane);
     }
 
-    /// The attached fault plane, if any.
-    pub fn fault_plane(&self) -> Option<&cloudsim::FaultPlane> {
-        self.fault_plane.as_ref()
-    }
-
-    /// Mitigation migrations currently awaiting a backed-off retry.
-    pub fn pending_migrations(&self) -> usize {
-        self.pending_migrations.len()
-    }
-
     /// The running statistics.
     pub fn stats(&self) -> DeepDiveStats {
         self.stats
@@ -311,11 +301,6 @@ impl DeepDive {
     /// The behaviour repository (read access for the evaluation).
     pub fn repository(&self) -> &BehaviorRepository {
         &self.repository
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &DeepDiveConfig {
-        &self.config
     }
 
     /// True when the warning system still treats this application
@@ -334,7 +319,7 @@ impl DeepDive {
     /// analysis windows must survive.  A pending mitigation retry whose
     /// victim is forgotten still drains on schedule (as a
     /// `MigrationSkipped`), exactly as if the VM had only stopped reporting.
-    pub fn forget_vms(&mut self, gone: &[VmId]) {
+    pub(crate) fn forget_vms(&mut self, gone: &[VmId]) {
         for &vm in gone {
             self.vms.forget(vm);
         }
@@ -739,7 +724,10 @@ mod tests {
                 migration_retries: 1,
             }
         );
-        assert_eq!((deferred_analyses(&dd), dd.pending_migrations()), (0, 0));
+        assert_eq!(
+            (deferred_analyses(&dd), dd.pending_migrations.len()),
+            (0, 0)
+        );
         assert_eq!(cluster.locate(VmId(99)), Some(PmId(1)));
     }
 

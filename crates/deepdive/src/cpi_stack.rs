@@ -38,7 +38,7 @@ pub enum Resource {
 
 impl Resource {
     /// All attributable resources in display order.
-    pub const ALL: [Resource; 5] = [
+    pub(crate) const ALL: [Resource; 5] = [
         Resource::Core,
         Resource::CacheMemory,
         Resource::MemoryBus,
@@ -109,7 +109,7 @@ impl CpiStack {
     }
 
     /// Total time represented by the stack.
-    pub fn total_seconds(&self) -> f64 {
+    pub(crate) fn total_seconds(&self) -> f64 {
         self.core_seconds
             + self.cache_memory_seconds
             + self.memory_bus_seconds
@@ -118,7 +118,7 @@ impl CpiStack {
     }
 
     /// Component value for a resource.
-    pub fn component(&self, resource: Resource) -> f64 {
+    pub(crate) fn component(&self, resource: Resource) -> f64 {
         match resource {
             Resource::Core => self.core_seconds,
             Resource::CacheMemory => self.cache_memory_seconds,
@@ -148,7 +148,7 @@ impl CpiStack {
     /// window explained by *growth* relative to isolation.
     ///
     /// `Factor_r = (T_r^prod − T_r^iso) / T_overall^prod`, clamped at zero.
-    pub fn degradation_factors(
+    pub(crate) fn degradation_factors(
         production: &CpiStack,
         isolation: &CpiStack,
     ) -> Vec<(Resource, f64)> {

@@ -110,7 +110,7 @@ pub mod service;
 pub mod synthetic;
 pub mod warning;
 
-pub use analyzer::{AnalysisResult, InterferenceAnalyzer};
+pub use analyzer::InterferenceAnalyzer;
 pub use controller::{DeepDive, DeepDiveConfig, DeepDiveStats};
 pub use cpi_stack::{CpiStack, Resource};
 pub use metrics::BehaviorVector;

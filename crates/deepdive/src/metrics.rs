@@ -9,7 +9,7 @@
 use hwsim::CounterSnapshot;
 
 /// Names of the metric-space dimensions, in vector order.
-pub const DIMENSION_NAMES: [&str; 10] = [
+pub(crate) const DIMENSION_NAMES: [&str; 10] = [
     "cpi",
     "l1_misses_pki",
     "llc_lines_in_pki",
@@ -31,7 +31,7 @@ pub const DIMENSIONS: usize = DIMENSION_NAMES.len();
 /// steady-state epoch path can pass behaviours around without heap traffic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BehaviorVector {
-    /// The dimension values, in [`DIMENSION_NAMES`] order.
+    /// The dimension values, in `DIMENSION_NAMES` order.
     pub values: [f64; DIMENSIONS],
 }
 
@@ -66,7 +66,7 @@ impl BehaviorVector {
     }
 
     /// The dimension values as a `Vec`, for the clustering code.
-    pub fn to_vec(&self) -> Vec<f64> {
+    pub(crate) fn to_vec(self) -> Vec<f64> {
         self.values.to_vec()
     }
 
@@ -98,7 +98,7 @@ impl BehaviorVector {
 
     /// Approximate serialized footprint in bytes (used for the §5.5 memory
     /// overhead accounting: one f64 per dimension).
-    pub fn footprint_bytes(&self) -> usize {
+    pub(crate) fn footprint_bytes(&self) -> usize {
         DIMENSIONS * std::mem::size_of::<f64>()
     }
 

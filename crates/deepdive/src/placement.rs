@@ -25,7 +25,7 @@
 //! [`EpochResolver`] per machine model, and the clone's uncontended
 //! baseline is computed once per model, not once per candidate.
 //! A decision resolves only the candidates that can still win: a lower bound on
-//! each prediction skips the rest ([`PlacementManager::decide`] states the
+//! each prediction skips the rest (`PlacementManager::decide` states the
 //! bound, the visit order and the cost).
 
 use cloudsim::{PmId, Scheduler, Topology, VmId};
@@ -40,7 +40,7 @@ use crate::synthetic::SyntheticBenchmark;
 /// manager: its latest counters (for the aggressiveness ranking) and its
 /// latest behaviour (for the synthetic clone).
 #[derive(Debug, Clone, PartialEq)]
-pub struct ResidentVm {
+pub(crate) struct ResidentVm {
     /// The VM.
     pub vm_id: VmId,
     /// Its most recent counter snapshot.
@@ -103,7 +103,7 @@ impl PlacementManager {
     }
 
     /// Enables the failure-domain spread preference under `topology`.
-    pub fn with_spread(mut self, topology: Topology) -> Self {
+    pub(crate) fn with_spread(mut self, topology: Topology) -> Self {
         self.spread = Some(topology);
         self
     }
@@ -117,7 +117,7 @@ impl PlacementManager {
     /// counters cannot tell victim from culprit.  Per-instruction pressure
     /// can: the aggressor hammers the resource on every instruction it
     /// retires, the victim does not.
-    pub fn aggressiveness(behavior: &BehaviorVector, resource: Resource) -> f64 {
+    pub(crate) fn aggressiveness(behavior: &BehaviorVector, resource: Resource) -> f64 {
         // Dimension indices follow `metrics::DIMENSION_NAMES`.
         match resource {
             Resource::Core => behavior.values[0],        // cpi
@@ -130,7 +130,10 @@ impl PlacementManager {
 
     /// Selects the most aggressive VM on the culprit resource; `None` when
     /// there are no residents.
-    pub fn select_aggressor(residents: &[ResidentVm], culprit: Resource) -> Option<&ResidentVm> {
+    pub(crate) fn select_aggressor(
+        residents: &[ResidentVm],
+        culprit: Resource,
+    ) -> Option<&ResidentVm> {
         residents.iter().max_by(|a, b| {
             Self::aggressiveness(&a.behavior, culprit)
                 .partial_cmp(&Self::aggressiveness(&b.behavior, culprit))
@@ -180,7 +183,7 @@ impl PlacementManager {
     /// lowest-id empty candidate (it predicts 0.0, so no higher id can win),
     /// one joint resolve per candidate that can still win, and solo
     /// baselines only where the clone's slowdown allows.
-    pub fn decide(
+    pub(crate) fn decide(
         &self,
         aggressor: &ResidentVm,
         source: PmId,

@@ -23,7 +23,7 @@ use crate::metrics::{BehaviorVector, DIMENSIONS};
 
 /// A stored behaviour together with its label.
 #[derive(Debug, Clone, PartialEq)]
-pub struct StoredBehavior {
+pub(crate) struct StoredBehavior {
     /// The normalized behaviour vector.
     pub behavior: BehaviorVector,
     /// True when the analyzer confirmed this behaviour was interference.
@@ -35,7 +35,7 @@ pub struct StoredBehavior {
 /// Per-application behaviour store.
 ///
 /// Entries live in a ring buffer so capacity eviction is O(1), and every
-/// mutation bumps a [generation counter](Self::generation) so readers (the
+/// mutation bumps a generation counter so readers (the
 /// warning system) can detect staleness in O(1) without comparing contents.
 /// The generation counts *records*, not retained entries: once the store is
 /// at capacity its length stops changing but the generation keeps advancing,
@@ -55,19 +55,10 @@ static EMPTY_APP_BEHAVIORS: AppBehaviors = AppBehaviors {
 };
 
 impl AppBehaviors {
-    /// Confirmed-interference behaviours only.
-    pub fn interference(&self) -> Vec<&BehaviorVector> {
-        self.entries
-            .iter()
-            .filter(|e| e.interference)
-            .map(|e| &e.behavior)
-            .collect()
-    }
-
     /// All entries as labelled points for the constrained clustering code.
     ///
     /// Allocates a fresh vector per call; the hot path uses
-    /// [`Self::labelled_into`] with a reused buffer instead.
+    /// `Self::labelled_into` with a reused buffer instead.
     // simlint: test-accessor (the reference `labelled_into` is tested against)
     pub fn labelled(&self) -> Vec<LabelledBehaviour> {
         let mut out = Vec::new();
@@ -79,7 +70,7 @@ impl AppBehaviors {
     /// and the per-entry metric vectors already allocated in it, so repeated
     /// refreshes through the same scratch buffer stop allocating once the
     /// buffer has grown to the store's size.
-    pub fn labelled_into(&self, out: &mut Vec<LabelledBehaviour>) {
+    pub(crate) fn labelled_into(&self, out: &mut Vec<LabelledBehaviour>) {
         out.truncate(self.entries.len());
         let reused = out.len();
         for (slot, e) in out.iter_mut().zip(self.entries.iter()) {
@@ -96,19 +87,14 @@ impl AppBehaviors {
     }
 
     /// Number of stored entries.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.entries.len()
-    }
-
-    /// True when nothing has been stored yet.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 
     /// Monotonic mutation counter: bumped on every record, including records
     /// that evicted an old entry.  Equal generations imply identical
     /// contents, so a reader can skip re-processing in O(1).
-    pub fn generation(&self) -> u64 {
+    pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
 }
@@ -210,7 +196,7 @@ pub struct BehaviorRepository {
 
 /// Default retention: at one verified behaviour per hour this is roughly two
 /// weeks of history, well under the 5 KB/day budget of §5.5.
-pub const DEFAULT_CAPACITY_PER_APP: usize = 512;
+pub(crate) const DEFAULT_CAPACITY_PER_APP: usize = 512;
 
 impl BehaviorRepository {
     /// Creates an empty repository with the default per-application capacity.
@@ -258,12 +244,6 @@ impl BehaviorRepository {
     /// seen).  Borrowed, not cloned: callers read the history in place.
     pub fn behaviors(&self, app: AppId) -> &AppBehaviors {
         self.apps.get(&app.0).unwrap_or(&EMPTY_APP_BEHAVIORS)
-    }
-
-    /// The application's mutation generation (0 if never seen) — the O(1)
-    /// staleness check backing [`crate::warning::WarningSystem::refresh_model`].
-    pub fn generation(&self, app: AppId) -> u64 {
-        self.apps.get(&app.0).map(|s| s.generation).unwrap_or(0)
     }
 
     /// Number of verified-normal behaviours for an application.
@@ -373,13 +353,13 @@ mod tests {
     fn records_and_separates_normal_from_interference() {
         let mut repo = BehaviorRepository::new();
         let app = AppId(3);
-        assert!(repo.behaviors(app).is_empty());
+        assert!(repo.behaviors(app).entries.is_empty());
         repo.record_normal(app, behavior(1.0), 0);
         repo.record_normal(app, behavior(1.1), 1);
         repo.record_interference(app, behavior(9.0), 2);
         assert_eq!(repo.normal_count(app), 2);
         let stored = repo.behaviors(app);
-        assert_eq!(stored.interference().len(), 1);
+        assert_eq!(stored.entries.iter().filter(|e| e.interference).count(), 1);
         assert_eq!(stored.labelled().len(), 3);
     }
 
@@ -398,7 +378,7 @@ mod tests {
     #[test]
     fn unknown_apps_report_empty_behaviors() {
         let repo = BehaviorRepository::new();
-        assert!(repo.behaviors(AppId(9)).is_empty());
+        assert!(repo.behaviors(AppId(9)).entries.is_empty());
         assert_eq!(repo.normal_count(AppId(9)), 0);
         assert_eq!(repo.footprint_bytes(AppId(9)), 0);
     }
@@ -436,10 +416,10 @@ mod tests {
     fn generation_advances_on_every_record_even_at_capacity() {
         let mut repo = BehaviorRepository::with_capacity(2);
         let app = AppId(4);
-        assert_eq!(repo.generation(app), 0);
+        assert_eq!(repo.behaviors(app).generation(), 0);
         for i in 0..5u64 {
             repo.record_normal(app, behavior(i as f64), i);
-            assert_eq!(repo.generation(app), i + 1);
+            assert_eq!(repo.behaviors(app).generation(), i + 1);
         }
         // Length saturates at capacity, but the generation keeps moving —
         // that is what lets readers detect churn in a full store.
@@ -502,8 +482,11 @@ mod tests {
             repo.record_normal(AppId(1), behavior(i as f64), i);
         }
         let restored = BehaviorRepository::from_json(&repo.to_json()).unwrap();
-        assert_eq!(restored.generation(AppId(1)), repo.generation(AppId(1)));
-        assert_eq!(restored.generation(AppId(1)), 5);
+        assert_eq!(
+            restored.behaviors(AppId(1)).generation(),
+            repo.behaviors(AppId(1)).generation()
+        );
+        assert_eq!(restored.behaviors(AppId(1)).generation(), 5);
     }
 
     #[test]
@@ -515,7 +498,7 @@ mod tests {
         assert!(!legacy.contains("generation"));
         let restored = BehaviorRepository::from_json(&legacy).unwrap();
         assert_eq!(restored.behaviors(AppId(1)), repo.behaviors(AppId(1)));
-        assert_eq!(restored.generation(AppId(1)), 1);
+        assert_eq!(restored.behaviors(AppId(1)).generation(), 1);
     }
 
     #[test]

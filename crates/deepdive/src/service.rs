@@ -97,7 +97,8 @@ impl ManagedDatacenter {
     }
 
     /// Runs `epochs` closed-loop epochs, discarding per-epoch output.
-    pub fn run_epochs(&mut self, epochs: u64) -> (ServiceStats, DeepDiveStats) {
+    #[cfg(test)]
+    pub(crate) fn run_epochs(&mut self, epochs: u64) -> (ServiceStats, DeepDiveStats) {
         for _ in 0..epochs {
             self.step_epoch();
         }
@@ -147,7 +148,6 @@ mod tests {
         let mut dc = ManagedDatacenter::new(service, DeepDiveConfig::default());
         dc.set_fault_plane(FaultPlane::new(11, FaultConfig::light()));
         assert!(dc.service().fault_plane().is_some());
-        assert!(dc.controller().fault_plane().is_some());
         let (service_stats, _) = dc.run_epochs(300);
         assert!(
             service_stats.crashes > 0,

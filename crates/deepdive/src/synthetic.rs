@@ -47,7 +47,7 @@ pub struct BenchmarkInputs {
 impl BenchmarkInputs {
     /// Bounds of the input space used for both training and inversion:
     /// `(min, max)` per field in declaration order.
-    pub const BOUNDS: [(f64, f64); 6] = [
+    pub(crate) const BOUNDS: [(f64, f64); 6] = [
         (0.1e9, 6.0e9), // instructions
         (1.0, 512.0),   // working set MiB
         (0.0, 1.0),     // memory intensity
@@ -57,7 +57,7 @@ impl BenchmarkInputs {
     ];
 
     /// The inputs as a vector (training/inversion representation).
-    pub fn to_vec(&self) -> Vec<f64> {
+    pub(crate) fn to_vec(self) -> Vec<f64> {
         vec![
             self.instructions,
             self.working_set_mb,
@@ -72,7 +72,7 @@ impl BenchmarkInputs {
     ///
     /// # Panics
     /// Panics if `v` does not have six entries.
-    pub fn from_vec(v: &[f64]) -> Self {
+    pub(crate) fn from_vec(v: &[f64]) -> Self {
         assert_eq!(v.len(), 6, "benchmark inputs have six knobs");
         Self {
             instructions: v[0],
@@ -145,12 +145,6 @@ impl SyntheticBenchmark {
             model,
             training_error,
         }
-    }
-
-    /// The fitted inputs → metrics regression (exposed so determinism tests
-    /// can compare trainings bit-for-bit).
-    pub fn model(&self) -> &LinearRegression {
-        &self.model
     }
 
     /// Mean squared error of the trained regression on its own training set
@@ -357,7 +351,7 @@ mod tests {
         // also had a scoped-thread and a pooled one (PR 15's tree): the one
         // training path left is that serial one.
         let bench = SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 64, 11);
-        let weights = &bench.model().weights;
+        let weights = &bench.model.weights;
         assert_eq!(bench.training_error().to_bits(), 0x419d_5e69_789a_9e0a);
         assert_eq!(weights[0][0].to_bits(), 0x3e49_e263_6007_ab07);
         assert_eq!(weights[9][5].to_bits(), 0xbf87_8289_c761_df6a);

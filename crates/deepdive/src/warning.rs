@@ -155,16 +155,6 @@ impl WarningSystem {
         }
     }
 
-    /// Creates a warning system with the default configuration.
-    pub fn with_defaults() -> Self {
-        Self::new(WarningConfig::default())
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &WarningConfig {
-        &self.config
-    }
-
     /// Re-fits the cluster model for an application from the repository if
     /// the repository has changed since the last fit.
     ///
@@ -337,7 +327,7 @@ mod tests {
 
     #[test]
     fn unknown_app_starts_in_conservative_mode() {
-        let ws = WarningSystem::with_defaults();
+        let ws = WarningSystem::new(WarningConfig::default());
         let d = ws.evaluate(AppId(1), &behavior(1.5, 0.5), &[]);
         assert_eq!(d, WarningDecision::Bootstrap);
         assert!(ws.in_conservative_mode(AppId(1)));
@@ -347,7 +337,7 @@ mod tests {
     fn learned_behaviour_is_accepted_locally() {
         let app = AppId(1);
         let repo = trained_repository(app);
-        let mut ws = WarningSystem::with_defaults();
+        let mut ws = WarningSystem::new(WarningConfig::default());
         ws.refresh_model(app, &repo);
         assert!(!ws.in_conservative_mode(app));
         let d = ws.evaluate(app, &behavior(1.51, 0.52), &[]);
@@ -358,7 +348,7 @@ mod tests {
     fn interference_like_behaviour_is_escalated() {
         let app = AppId(1);
         let repo = trained_repository(app);
-        let mut ws = WarningSystem::with_defaults();
+        let mut ws = WarningSystem::new(WarningConfig::default());
         ws.refresh_model(app, &repo);
         let d = ws.evaluate(app, &behavior(4.0, 6.0), &[]);
         assert_eq!(d, WarningDecision::SuspectInterference);
@@ -368,7 +358,7 @@ mod tests {
     fn global_quorum_downgrades_shared_deviations_to_workload_change() {
         let app = AppId(1);
         let repo = trained_repository(app);
-        let mut ws = WarningSystem::with_defaults();
+        let mut ws = WarningSystem::new(WarningConfig::default());
         ws.refresh_model(app, &repo);
         // A new behaviour well outside the learned clusters...
         let new_behavior = behavior(2.6, 1.8);
@@ -403,7 +393,7 @@ mod tests {
     fn peers_are_pulled_only_after_a_local_miss() {
         let app = AppId(1);
         let repo = trained_repository(app);
-        let mut ws = WarningSystem::with_defaults();
+        let mut ws = WarningSystem::new(WarningConfig::default());
         let peers = vec![
             behavior(2.62, 1.81),
             behavior(2.58, 1.79),
@@ -438,7 +428,7 @@ mod tests {
     fn a_peer_iterator_decides_like_a_peer_slice() {
         let app = AppId(1);
         let repo = trained_repository(app);
-        let mut ws = WarningSystem::with_defaults();
+        let mut ws = WarningSystem::new(WarningConfig::default());
         ws.refresh_model(app, &repo);
         let new_behavior = behavior(2.6, 1.8);
         let quorum = vec![
@@ -468,7 +458,7 @@ mod tests {
     fn refresh_is_a_no_op_until_new_data_arrives() {
         let app = AppId(1);
         let repo = trained_repository(app);
-        let mut ws = WarningSystem::with_defaults();
+        let mut ws = WarningSystem::new(WarningConfig::default());
         ws.refresh_model(app, &repo);
         let before = ws.refit_counts();
         ws.refresh_model(app, &repo);
@@ -480,7 +470,7 @@ mod tests {
     fn unchanged_generation_performs_no_refit() {
         let app = AppId(1);
         let mut repo = trained_repository(app);
-        let mut ws = WarningSystem::with_defaults();
+        let mut ws = WarningSystem::new(WarningConfig::default());
         ws.refresh_model(app, &repo);
         assert_eq!(ws.refit_counts(), (1, 0), "first refresh is a cold fit");
         // Any number of refreshes against an unchanged repository is free.
@@ -537,7 +527,7 @@ mod tests {
         for i in 0..16u64 {
             repo.record_normal(app, behavior(1.5, 0.5), i);
         }
-        let mut ws = WarningSystem::with_defaults();
+        let mut ws = WarningSystem::new(WarningConfig::default());
         ws.refresh_model(app, &repo);
         let before = ws.refit_counts();
         // The store is full: every further record evicts one entry and the
@@ -565,7 +555,7 @@ mod tests {
         for i in 0..3 {
             repo.record_normal(app, behavior(1.5, 0.5), i);
         }
-        let mut ws = WarningSystem::with_defaults();
+        let mut ws = WarningSystem::new(WarningConfig::default());
         ws.refresh_model(app, &repo);
         assert!(ws.in_conservative_mode(app));
         assert_eq!(

@@ -35,7 +35,7 @@ pub struct CacheOutcome {
 /// epochs so resolving a cache group performs no heap allocation once the
 /// buffers have grown to the machine's VM count.
 #[derive(Debug, Default)]
-pub struct CacheScratch {
+pub(crate) struct CacheScratch {
     intensities: Vec<f64>,
     occupancy: Vec<f64>,
     capped: Vec<bool>,
@@ -72,7 +72,7 @@ pub fn resolve_cache_group<D: AsDemand>(cache_mb: f64, demands: &[D]) -> Vec<Cac
 /// owns the scratch buffers and the demand slice can be any placement record
 /// implementing [`AsDemand`], so per-group membership never has to be
 /// materialized as a fresh `Vec<&ResourceDemand>`.
-pub fn resolve_cache_group_members_into<D: AsDemand>(
+pub(crate) fn resolve_cache_group_members_into<D: AsDemand>(
     cache_mb: f64,
     demands: &[D],
     members: &[usize],

@@ -8,7 +8,7 @@
 //! contention resolver, matching the paper's definition of `T_core`.
 
 /// Cycles lost per mispredicted branch (pipeline refill on Core-2-era parts).
-pub const BRANCH_MISS_PENALTY_CYCLES: f64 = 15.0;
+pub(crate) const BRANCH_MISS_PENALTY_CYCLES: f64 = 15.0;
 
 /// Cycle cost of executing a given number of instructions in-core.
 #[derive(Debug, Clone, Copy, PartialEq)]

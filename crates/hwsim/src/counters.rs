@@ -17,7 +17,7 @@
 /// statistics; they are included here because DeepDive treats all of them
 /// uniformly as dimensions of its metric space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Metric {
+pub(crate) enum Metric {
     /// Clock cycles when the core was not halted.
     CpuUnhalted,
     /// Number of instructions retired.
@@ -50,7 +50,7 @@ pub enum Metric {
 
 impl Metric {
     /// All metrics, in a stable order used to build metric vectors.
-    pub const ALL: [Metric; 14] = [
+    pub(crate) const ALL: [Metric; 14] = [
         Metric::CpuUnhalted,
         Metric::InstRetired,
         Metric::L1dRepl,
@@ -66,26 +66,6 @@ impl Metric {
         Metric::DiskStallSeconds,
         Metric::NetStallSeconds,
     ];
-
-    /// Human-readable counter name matching the paper's Table 1.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Metric::CpuUnhalted => "cpu_unhalted",
-            Metric::InstRetired => "inst_retired",
-            Metric::L1dRepl => "l1d_repl",
-            Metric::L2Ifetch => "l2_ifetch",
-            Metric::L2LinesIn => "l2_lines_in",
-            Metric::MemLoad => "mem_load",
-            Metric::ResourceStalls => "resource_stalls",
-            Metric::BusTranAny => "bus_tran_any",
-            Metric::BusTransIfetch => "bus_trans_ifetch",
-            Metric::BusTranBrd => "bus_tran_brd",
-            Metric::BusReqOut => "bus_req_out",
-            Metric::BrMissPred => "br_miss_pred",
-            Metric::DiskStallSeconds => "iostat_t_disk",
-            Metric::NetStallSeconds => "netstat_t_net",
-        }
-    }
 }
 
 /// The values of every Table 1 metric for one VM over one monitoring epoch.
@@ -131,7 +111,7 @@ impl CounterSnapshot {
     }
 
     /// Looks up a single metric value by its [`Metric`] identifier.
-    pub fn get(&self, metric: Metric) -> f64 {
+    pub(crate) fn get(&self, metric: Metric) -> f64 {
         match metric {
             Metric::CpuUnhalted => self.cpu_unhalted,
             Metric::InstRetired => self.inst_retired,
@@ -151,7 +131,7 @@ impl CounterSnapshot {
     }
 
     /// Sets a single metric value by its [`Metric`] identifier.
-    pub fn set(&mut self, metric: Metric, value: f64) {
+    pub(crate) fn set(&mut self, metric: Metric, value: f64) {
         match metric {
             Metric::CpuUnhalted => self.cpu_unhalted = value,
             Metric::InstRetired => self.inst_retired = value,
@@ -170,44 +150,11 @@ impl CounterSnapshot {
         }
     }
 
-    /// Returns the snapshot as a vector in the canonical [`Metric::ALL`] order.
-    pub fn to_vec(&self) -> Vec<f64> {
-        Metric::ALL.iter().map(|m| self.get(*m)).collect()
-    }
-
-    /// Builds a snapshot from a vector in the canonical [`Metric::ALL`] order.
-    ///
-    /// # Panics
-    /// Panics if `values` does not have exactly [`Metric::ALL`] entries.
-    pub fn from_vec(values: &[f64]) -> Self {
-        assert_eq!(
-            values.len(),
-            Metric::ALL.len(),
-            "counter vector must have {} entries",
-            Metric::ALL.len()
-        );
-        let mut snap = Self::zero();
-        for (metric, value) in Metric::ALL.iter().zip(values) {
-            snap.set(*metric, *value);
-        }
-        snap
-    }
-
     /// Element-wise sum of two snapshots (accumulating over epochs).
     pub fn add(&self, other: &Self) -> Self {
         let mut out = Self::zero();
         for metric in Metric::ALL {
             out.set(metric, self.get(metric) + other.get(metric));
-        }
-        out
-    }
-
-    /// Element-wise difference (`self - other`), used to turn two cumulative
-    /// counter reads into a per-epoch delta.
-    pub fn delta(&self, other: &Self) -> Self {
-        let mut out = Self::zero();
-        for metric in Metric::ALL {
-            out.set(metric, self.get(metric) - other.get(metric));
         }
         out
     }
@@ -267,30 +214,24 @@ mod tests {
 
     #[test]
     fn metric_all_covers_every_field_exactly_once() {
-        // Round-tripping through to_vec/from_vec must be lossless, which only
-        // holds when ALL enumerates every field exactly once.
+        // Copying metric by metric must be lossless, which only holds when
+        // ALL enumerates every field exactly once.
         let snap = sample();
-        let round = CounterSnapshot::from_vec(&snap.to_vec());
+        let mut round = CounterSnapshot::zero();
+        for m in Metric::ALL {
+            round.set(m, snap.get(m));
+        }
         assert_eq!(snap, round);
         assert_eq!(Metric::ALL.len(), 14);
     }
 
     #[test]
-    fn metric_names_are_unique() {
-        let mut names: Vec<&str> = Metric::ALL.iter().map(|m| m.name()).collect();
-        names.sort();
-        names.dedup();
-        assert_eq!(names.len(), Metric::ALL.len());
-    }
-
-    #[test]
-    fn delta_and_add_are_inverse() {
+    fn add_sums_every_metric() {
         let a = sample();
         let b = sample().scale(2.5);
-        let d = b.delta(&a);
-        let b_again = a.add(&d);
+        let sum = a.add(&b);
         for m in Metric::ALL {
-            assert!((b.get(m) - b_again.get(m)).abs() < 1e-9 * b.get(m).abs().max(1.0));
+            assert_eq!(sum.get(m), a.get(m) + b.get(m));
         }
     }
 
@@ -310,11 +251,5 @@ mod tests {
         let mut neg = sample();
         neg.bus_tran_any = -1.0;
         assert!(!neg.is_well_formed());
-    }
-
-    #[test]
-    #[should_panic(expected = "counter vector must have")]
-    fn from_vec_rejects_wrong_length() {
-        CounterSnapshot::from_vec(&[1.0, 2.0]);
     }
 }

@@ -44,7 +44,7 @@ pub fn resolve_disk<D: AsDemand>(
 
 /// Allocation-free core of [`resolve_disk`]: leaves one [`DiskOutcome`] per
 /// demand in `out` (cleared first), reusing its capacity across epochs.
-pub fn resolve_disk_into<D: AsDemand>(
+pub(crate) fn resolve_disk_into<D: AsDemand>(
     seq_mbps: f64,
     rand_mbps: f64,
     demands: &[D],

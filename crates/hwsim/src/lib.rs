@@ -82,7 +82,7 @@ pub mod resolver;
 
 pub use contention::{EpochOutcome, PlacedDemand};
 pub use counters::CounterSnapshot;
-pub use demand::{AsDemand, ResourceDemand};
+pub use demand::ResourceDemand;
 pub use machine::MachineSpec;
 pub use resolver::EpochResolver;
 

@@ -23,16 +23,6 @@ pub enum MemoryInterconnect {
     QuickPath,
 }
 
-impl MemoryInterconnect {
-    /// Label used when printing CPI-stack breakdowns.
-    pub fn label(&self) -> &'static str {
-        match self {
-            MemoryInterconnect::FrontSideBus => "FSB",
-            MemoryInterconnect::QuickPath => "QPI",
-        }
-    }
-}
-
 /// Static description of a physical machine model.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineSpec {
@@ -168,11 +158,5 @@ mod tests {
         let mut spec2 = MachineSpec::xeon_x5472();
         spec2.nic_mbps = 0.0;
         assert!(!spec2.is_well_formed());
-    }
-
-    #[test]
-    fn interconnect_labels() {
-        assert_eq!(MemoryInterconnect::FrontSideBus.label(), "FSB");
-        assert_eq!(MemoryInterconnect::QuickPath.label(), "QPI");
     }
 }

@@ -15,10 +15,10 @@
 
 /// Cap on the queueing-delay multiplier so that a saturated bus produces a
 /// large but finite per-access latency.
-pub const MAX_LATENCY_MULTIPLIER: f64 = 12.0;
+pub(crate) const MAX_LATENCY_MULTIPLIER: f64 = 12.0;
 
 /// Utilization at which the M/M/1 term is clamped to avoid division by ~zero.
-pub const UTILIZATION_CLAMP: f64 = 0.95;
+pub(crate) const UTILIZATION_CLAMP: f64 = 0.95;
 
 /// Outcome of resolving the interconnect for one PM and one epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]

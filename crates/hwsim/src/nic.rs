@@ -41,7 +41,7 @@ pub fn resolve_nic<D: AsDemand>(
 
 /// Allocation-free core of [`resolve_nic`]: leaves one [`NicOutcome`] per
 /// demand in `out` (cleared first), reusing its capacity across epochs.
-pub fn resolve_nic_into<D: AsDemand>(
+pub(crate) fn resolve_nic_into<D: AsDemand>(
     nic_mbps: f64,
     demands: &[D],
     epoch_seconds: f64,

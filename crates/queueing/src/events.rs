@@ -30,12 +30,12 @@ pub struct JobOutcome {
 
 impl JobOutcome {
     /// Time spent waiting for a free server.
-    pub fn waiting_s(&self) -> f64 {
+    pub(crate) fn waiting_s(&self) -> f64 {
         self.start_s - self.job.arrival_s
     }
 
     /// Reaction time: waiting plus service (arrival to completion).
-    pub fn reaction_s(&self) -> f64 {
+    pub(crate) fn reaction_s(&self) -> f64 {
         self.finish_s - self.job.arrival_s
     }
 }
@@ -57,7 +57,7 @@ impl QueueResult {
     }
 
     /// Mean waiting time in seconds.
-    pub fn mean_waiting_s(&self) -> f64 {
+    pub(crate) fn mean_waiting_s(&self) -> f64 {
         if self.outcomes.is_empty() {
             return 0.0;
         }
@@ -73,7 +73,7 @@ impl QueueResult {
     /// Offered utilization: total service demand divided by the capacity the
     /// servers offer over the simulated horizon.  Values at or above 1 mean
     /// the system is unstable (the queue grows without bound).
-    pub fn utilization(&self, servers: usize, horizon_s: f64) -> f64 {
+    pub(crate) fn utilization(&self, servers: usize, horizon_s: f64) -> f64 {
         if horizon_s <= 0.0 || servers == 0 {
             return f64::INFINITY;
         }

@@ -26,7 +26,6 @@ pub mod profiler_farm;
 pub mod scenarios;
 pub mod schedule;
 
-pub use events::{simulate_queue, Job, JobOutcome, QueueResult};
-pub use profiler_farm::{FarmConfig, FarmResult, ProfilerFarm};
-pub use scenarios::{reaction_time_curve, CurvePoint, ScenarioConfig};
+pub use events::{simulate_queue, Job};
+pub use scenarios::{reaction_time_curve, ScenarioConfig};
 pub use schedule::EventQueue;

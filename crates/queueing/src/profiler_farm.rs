@@ -16,7 +16,7 @@ use crate::events::{simulate_queue, Job, QueueResult};
 
 /// Configuration of the profiling farm.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FarmConfig {
+pub(crate) struct FarmConfig {
     /// Number of dedicated profiling servers.
     pub servers: usize,
     /// Fraction of arriving VMs that undergo interference and need analysis.
@@ -51,7 +51,7 @@ impl Default for FarmConfig {
 
 /// Result of running the farm over an arrival stream.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FarmResult {
+pub(crate) struct FarmResult {
     /// The underlying queueing result.
     pub queue: QueueResult,
     /// Number of full analyzer runs performed.
@@ -66,20 +66,20 @@ pub struct FarmResult {
 
 impl FarmResult {
     /// Mean reaction time in minutes (the Fig. 13/14 y-axis).
-    pub fn mean_reaction_minutes(&self) -> f64 {
+    pub(crate) fn mean_reaction_minutes(&self) -> f64 {
         self.queue.mean_reaction_s() / 60.0
     }
 
     /// True when the farm kept up: utilization below one and acceptable
     /// waiting (the paper cuts its curves at a 10-minute wait).
-    pub fn is_stable(&self, max_wait_s: f64) -> bool {
+    pub(crate) fn is_stable(&self, max_wait_s: f64) -> bool {
         self.utilization < 1.0 && self.queue.mean_waiting_s() <= max_wait_s
     }
 }
 
 /// The profiling farm.
 #[derive(Debug, Clone)]
-pub struct ProfilerFarm {
+pub(crate) struct ProfilerFarm {
     config: FarmConfig,
 }
 
@@ -89,7 +89,7 @@ impl ProfilerFarm {
     /// # Panics
     /// Panics on zero servers, a fraction outside `[0, 1]`, or non-positive
     /// service times.
-    pub fn new(config: FarmConfig) -> Self {
+    pub(crate) fn new(config: FarmConfig) -> Self {
         assert!(config.servers > 0, "need at least one profiling server");
         assert!(
             (0.0..=1.0).contains(&config.interference_fraction),
@@ -111,13 +111,8 @@ impl ProfilerFarm {
         Self { config }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &FarmConfig {
-        &self.config
-    }
-
     /// Runs the farm over a VM-arrival stream spanning `horizon_s` seconds.
-    pub fn run(&self, arrivals: &[VmArrival], horizon_s: f64) -> FarmResult {
+    pub(crate) fn run(&self, arrivals: &[VmArrival], horizon_s: f64) -> FarmResult {
         assert!(horizon_s > 0.0, "horizon must be positive");
         let mut rng = StdRng::seed_from_u64(self.config.seed);
         let mut seen_apps = std::collections::HashSet::new();

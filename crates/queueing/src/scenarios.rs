@@ -13,7 +13,7 @@ use crate::profiler_farm::{FarmConfig, ProfilerFarm};
 
 /// Wait threshold beyond which the paper considers the system "excessively
 /// slow" and stops drawing the curve (10 minutes).
-pub const MAX_ACCEPTABLE_WAIT_S: f64 = 600.0;
+pub(crate) const MAX_ACCEPTABLE_WAIT_S: f64 = 600.0;
 
 /// Scenario parameters shared by a whole curve.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -74,7 +74,7 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event.
-    pub fn pop(&mut self) -> Option<(f64, E)> {
+    pub(crate) fn pop(&mut self) -> Option<(f64, E)> {
         self.heap.pop().map(|e| (e.at, e.event))
     }
 
@@ -90,13 +90,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Instant of the earliest pending event, if any.
-    pub fn next_at(&self) -> Option<f64> {
+    pub(crate) fn next_at(&self) -> Option<f64> {
         self.heap.peek().map(|e| e.at)
-    }
-
-    /// Number of pending events.
-    pub fn len(&self) -> usize {
-        self.heap.len()
     }
 
     /// True when no events are pending.
@@ -121,7 +116,7 @@ mod tests {
         q.push(5.0, "c");
         q.push(1.0, "a");
         q.push(3.0, "b");
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.heap.len(), 3);
         assert_eq!(q.next_at(), Some(1.0));
         assert_eq!(q.pop(), Some((1.0, "a")));
         assert_eq!(q.pop(), Some((3.0, "b")));
@@ -149,7 +144,7 @@ mod tests {
         assert_eq!(q.pop_due(2.0), Some((1.0, 'x')));
         assert_eq!(q.pop_due(2.0), Some((2.0, 'y')));
         assert_eq!(q.pop_due(2.0), None, "z is after the deadline");
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.heap.len(), 1);
         assert_eq!(q.pop_due(f64::INFINITY), Some((10.0, 'z')));
         assert_eq!(q.pop_due(f64::INFINITY), None, "empty queue");
     }

@@ -2,7 +2,7 @@
 //! and *literal contents* so the rule engine never fires on a `HashMap`
 //! mentioned in a doc comment or an `unsafe` inside a raw string.
 //!
-//! The lexer produces a [`MaskedFile`]: two same-shaped views of the source
+//! The lexer produces a `MaskedFile`: two same-shaped views of the source
 //! where every character is either kept or blanked to a space depending on
 //! its class, plus a per-line flag marking `#[cfg(test)]` module spans.
 //! Downstream rules do plain substring scanning on the masked views, which
@@ -18,7 +18,7 @@
 
 /// A source file split into per-character classes, line by line.
 #[derive(Debug)]
-pub struct MaskedFile {
+pub(crate) struct MaskedFile {
     /// Source lines with comment text and literal *contents* blanked to
     /// spaces.  Literal delimiters (quotes, prefixes, hashes) survive so
     /// the code structure stays readable; braces inside strings do not.
@@ -41,7 +41,7 @@ enum Class {
 }
 
 /// Lexes `source` into masked per-line views.
-pub fn lex(source: &str) -> MaskedFile {
+pub(crate) fn lex(source: &str) -> MaskedFile {
     let bytes = source.as_bytes();
     let mut classes = vec![Class::Code; bytes.len()];
     let mut i = 0;

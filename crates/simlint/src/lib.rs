@@ -19,7 +19,7 @@
 //!   justification-comment grammar.
 //!
 //! The `unwrap-budget` rule ratchets against
-//! `crates/simlint/unwrap_budget.txt` ([`BUDGET_PATH`]): a
+//! `crates/simlint/unwrap_budget.txt` (`BUDGET_PATH`): a
 //! committed per-crate baseline of `.unwrap()`/`.expect(` counts in non-test
 //! library code.  Counts above budget fail; counts *below* budget also fail
 //! with a message telling you to shrink the baseline — that keeps the file
@@ -40,10 +40,10 @@ pub mod rules;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub use rules::{Finding, FORBID_UNSAFE_CRATES};
+pub use rules::Finding;
 
 /// Workspace-relative path of the committed unwrap/expect baseline.
-pub const BUDGET_PATH: &str = "crates/simlint/unwrap_budget.txt";
+pub(crate) const BUDGET_PATH: &str = "crates/simlint/unwrap_budget.txt";
 
 /// Lints every workspace `.rs` file under `root` (shims and build
 /// artefacts excluded) and returns all findings, sorted by path and line.
@@ -57,7 +57,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
 
     let mut findings = Vec::new();
     let mut unwraps: Vec<(String, usize)> = Vec::new();
-    let mut forbid_missing: Vec<&str> = FORBID_UNSAFE_CRATES.to_vec();
+    let mut forbid_missing: Vec<&str> = rules::FORBID_UNSAFE_CRATES.to_vec();
     let mut sources = Vec::with_capacity(files.len());
     for rel in files {
         let source = fs::read_to_string(root.join(&rel)).map_err(|e| format!("{rel}: {e}"))?;

@@ -1,4 +1,4 @@
-//! The rule engine: project-invariant checks over [`crate::lexer::MaskedFile`]
+//! The rule engine: project-invariant checks over `crate::lexer::MaskedFile`
 //! views of every workspace source file.
 //!
 //! | rule id             | invariant                                        |
@@ -60,7 +60,7 @@ const ORDER_SENSITIVE_CRATES: &[&str] = &[
 ];
 
 /// Crates that must declare `#![forbid(unsafe_code)]` at their root.
-pub const FORBID_UNSAFE_CRATES: &[&str] = &[
+pub(crate) const FORBID_UNSAFE_CRATES: &[&str] = &[
     "analytics",
     "bench",
     "cloudsim",
@@ -75,7 +75,7 @@ pub const FORBID_UNSAFE_CRATES: &[&str] = &[
 
 /// The crate a workspace-relative path belongs to ("root" for the umbrella
 /// package's `src/`, `tests/`, `examples/`).
-pub fn crate_of(path: &str) -> &str {
+pub(crate) fn crate_of(path: &str) -> &str {
     path.strip_prefix("crates/")
         .and_then(|rest| rest.split('/').next())
         .unwrap_or("root")
@@ -83,7 +83,7 @@ pub fn crate_of(path: &str) -> &str {
 
 /// True for non-test *library* code: a crate's `src/` tree (or the
 /// umbrella's `src/`), as opposed to `tests/`, `benches/`, `examples/`.
-pub fn is_library_path(path: &str) -> bool {
+pub(crate) fn is_library_path(path: &str) -> bool {
     match path.strip_prefix("crates/") {
         Some(rest) => {
             let mut parts = rest.splitn(2, '/');
@@ -95,7 +95,7 @@ pub fn is_library_path(path: &str) -> bool {
 }
 
 /// Lints one file's source; `path` is workspace-relative with `/` separators.
-pub fn lint_file(path: &str, source: &str) -> Vec<Finding> {
+pub(crate) fn lint_file(path: &str, source: &str) -> Vec<Finding> {
     let masked = lex(source);
     let mut findings = Vec::new();
     check_wall_clock(path, &masked, &mut findings);
@@ -106,7 +106,7 @@ pub fn lint_file(path: &str, source: &str) -> Vec<Finding> {
 
 /// Counts `.unwrap()`/`.expect(` calls in non-test library lines of one
 /// file (0 for test files, fixtures and `#[cfg(test)]` spans).
-pub fn count_unwraps(path: &str, source: &str) -> usize {
+pub(crate) fn count_unwraps(path: &str, source: &str) -> usize {
     if !is_library_path(path) {
         return 0;
     }

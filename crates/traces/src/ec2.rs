@@ -29,7 +29,7 @@ pub struct InterferenceEpisode {
 
 impl InterferenceEpisode {
     /// Episode end (exclusive), in seconds.
-    pub fn end_s(&self) -> u64 {
+    pub(crate) fn end_s(&self) -> u64 {
         self.start_s + self.duration_s
     }
 

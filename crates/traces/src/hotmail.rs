@@ -54,7 +54,7 @@ impl LoadTrace {
     /// Load level at a given epoch (one epoch = one second), holding each
     /// hourly value for the whole hour and wrapping around at the end of the
     /// trace.
-    pub fn load_at_epoch(&self, epoch: u64) -> f64 {
+    pub(crate) fn load_at_epoch(&self, epoch: u64) -> f64 {
         let hour = (epoch / 3_600) as usize % self.hourly_load.len();
         self.hourly_load[hour]
     }
@@ -62,11 +62,6 @@ impl LoadTrace {
     /// Load level for a given hour index (wrapping).
     pub fn load_at_hour(&self, hour: usize) -> f64 {
         self.hourly_load[hour % self.hourly_load.len()]
-    }
-
-    /// Number of hours in the trace.
-    pub fn hours(&self) -> usize {
-        self.hourly_load.len()
     }
 }
 
@@ -77,7 +72,7 @@ mod tests {
     #[test]
     fn diurnal_trace_has_expected_length_and_range() {
         let t = LoadTrace::diurnal(3, 0.2, 0.9, 1);
-        assert_eq!(t.hours(), 72);
+        assert_eq!(t.hourly_load.len(), 72);
         assert!(t.hourly_load.iter().all(|l| (0.0..=1.0).contains(l)));
         let peak = t.hourly_load.iter().cloned().fold(0.0, f64::max);
         let trough = t.hourly_load.iter().cloned().fold(1.0, f64::min);

@@ -26,5 +26,5 @@ pub mod ec2;
 pub mod hotmail;
 
 pub use arrivals::{ec2_sessions, hotmail_sessions, ArrivalModel, VmArrival, VmSession};
-pub use ec2::{InterferenceEpisode, InterferenceSchedule};
+pub use ec2::InterferenceSchedule;
 pub use hotmail::LoadTrace;

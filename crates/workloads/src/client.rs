@@ -72,12 +72,6 @@ impl ClientEmulator {
             offered_rps,
         }
     }
-
-    /// The observation an unloaded, uncontended VM would produce at the given
-    /// offered load — the baseline for degradation computations.
-    pub fn baseline(&self, offered_load: f64) -> ClientObservation {
-        self.observe(offered_load, 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -96,7 +90,7 @@ mod tests {
     fn falling_behind_inflates_latency_and_drops_throughput() {
         let c = ClientEmulator::new(1_000.0, 5.0);
         let degraded = c.observe(1.0, 0.5);
-        let baseline = c.baseline(1.0);
+        let baseline = c.observe(1.0, 1.0);
         assert!((degraded.latency_ms - 2.0 * baseline.latency_ms).abs() < 1e-9);
         assert!((degraded.throughput_rps - 0.5 * baseline.throughput_rps).abs() < 1e-9);
     }
@@ -115,7 +109,7 @@ mod tests {
         // client-reported degradation exceeds 20% (§5.1): a 10% shortfall
         // stays under it, a 40% shortfall crosses it.
         let c = ClientEmulator::new(2_000.0, 8.0);
-        let baseline = c.baseline(0.9);
+        let baseline = c.observe(0.9, 1.0);
         let slight = c.observe(0.9, 0.9);
         let severe = c.observe(0.9, 0.6);
         assert!(slight.latency_ms / baseline.latency_ms - 1.0 < 0.2);

@@ -32,7 +32,7 @@ pub enum AnalyticsRole {
 
 /// Phase a worker is currently executing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnalyticsPhase {
+pub(crate) enum AnalyticsPhase {
     /// Scanning local splits (CPU + disk read).
     Map,
     /// Exchanging intermediate data (network).
@@ -116,7 +116,7 @@ impl DataAnalytics {
     }
 
     /// Phase the worker will execute on its next epoch.
-    pub fn current_phase(&self) -> AnalyticsPhase {
+    pub(crate) fn current_phase(&self) -> AnalyticsPhase {
         let c = &self.config;
         let cycle = c.map_epochs + c.shuffle_epochs + c.reduce_epochs;
         let pos = self.epoch_in_cycle % cycle;
@@ -127,16 +127,6 @@ impl DataAnalytics {
         } else {
             AnalyticsPhase::Reduce
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &DataAnalyticsConfig {
-        &self.config
-    }
-
-    /// The VM's role.
-    pub fn role(&self) -> AnalyticsRole {
-        self.role
     }
 }
 
@@ -242,7 +232,7 @@ mod tests {
     #[test]
     fn worker_cycles_through_phases_in_order() {
         let mut w = DataAnalytics::worker(AppId(5));
-        let c = w.config().clone();
+        let c = w.config.clone();
         let mut phases = Vec::new();
         let mut r = rng();
         for _ in 0..(c.map_epochs + c.shuffle_epochs + c.reduce_epochs) {
@@ -279,7 +269,7 @@ mod tests {
         );
         let mut r = rng();
         // Advance both into the shuffle phase.
-        for _ in 0..remote.config().map_epochs {
+        for _ in 0..remote.config.map_epochs {
             remote.next_demand(1.0, &mut r);
             local.next_demand(1.0, &mut r);
         }
@@ -296,7 +286,7 @@ mod tests {
         let mut r = rng();
         let map = w.next_demand(1.0, &mut r);
         assert!(map.disk_read_mb > 0.0 && map.disk_write_mb == 0.0);
-        for _ in 0..(w.config().map_epochs - 1 + w.config().shuffle_epochs) {
+        for _ in 0..(w.config.map_epochs - 1 + w.config.shuffle_epochs) {
             w.next_demand(1.0, &mut r);
         }
         assert_eq!(w.current_phase(), AnalyticsPhase::Reduce);

@@ -79,14 +79,9 @@ impl DataServing {
         Self::new(app_id, DataServingConfig::default())
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &DataServingConfig {
-        &self.config
-    }
-
     /// Working-set size implied by the key popularity: a highly skewed key
     /// distribution keeps a few MiB hot, a flat one touches tens of MiB.
-    pub fn working_set_mb(&self) -> f64 {
+    pub(crate) fn working_set_mb(&self) -> f64 {
         4.0 + (1.0 - self.config.key_popularity_skew) * 12.0
     }
 }

@@ -58,7 +58,7 @@ pub trait Workload {
 /// Small helper shared by the concrete workloads: clamps the load to `[0,1]`
 /// and applies a deterministic ±`jitter` relative perturbation drawn from
 /// the caller's RNG, modelling epoch-to-epoch measurement noise.
-pub fn effective_load(load: f64, jitter: f64, rng: &mut StdRng) -> f64 {
+pub(crate) fn effective_load(load: f64, jitter: f64, rng: &mut StdRng) -> f64 {
     use rand::Rng;
     let load = load.clamp(0.0, 1.0);
     if jitter <= 0.0 {

@@ -37,11 +37,6 @@ impl MemoryStress {
             working_set_mb,
         }
     }
-
-    /// Working-set size in MiB.
-    pub fn working_set_mb(&self) -> f64 {
-        self.working_set_mb
-    }
 }
 
 impl Workload for MemoryStress {
@@ -103,13 +98,8 @@ impl NetworkStress {
         }
     }
 
-    /// Configured throughput in megabits per second.
-    pub fn throughput_mbps(&self) -> f64 {
-        self.throughput_mbps
-    }
-
     /// Configured throughput converted to MiB per second.
-    pub fn throughput_mib_per_s(&self) -> f64 {
+    pub(crate) fn throughput_mib_per_s(&self) -> f64 {
         self.throughput_mbps / 8.0
     }
 }
@@ -166,11 +156,6 @@ impl DiskStress {
             app_id,
             transfer_mb_per_s,
         }
-    }
-
-    /// Configured transfer rate in MiB/s.
-    pub fn transfer_mb_per_s(&self) -> f64 {
-        self.transfer_mb_per_s
     }
 }
 

@@ -67,14 +67,9 @@ impl WebSearch {
         Self::new(app_id, WebSearchConfig::default())
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &WebSearchConfig {
-        &self.config
-    }
-
     /// Fraction of queries whose postings are not resident in memory and must
     /// be read from disk.
-    pub fn cold_query_fraction(&self) -> f64 {
+    pub(crate) fn cold_query_fraction(&self) -> f64 {
         0.3 * (1.0 - self.config.word_popularity_skew) + 0.02
     }
 }

@@ -207,9 +207,8 @@
 //!   machines rejoin with their placement caches invalidated.
 //!   `ServiceStats` accounts the whole story: crashes, repairs,
 //!   evacuations, retries, retry admissions, abandonments and
-//!   down-machine-epochs.  Unexpected placement errors surface as typed
-//!   `cloudsim::ServiceError` records (`DatacenterService::errors`), never
-//!   as panics.
+//!   down-machine-epochs.  Unexpected placement errors are counted
+//!   (`placement_errors`), never raised as panics.
 //! * **Controller degradation** — during a sandbox-pool outage, `DeepDive`
 //!   defers confirmed-warning analyses with a deadline (12 epochs, kept in
 //!   the VM's one controller record); if the outage outlives
