@@ -25,11 +25,12 @@
 //! with a message telling you to shrink the baseline — that keeps the file
 //! in lockstep with the tree, so the budget can only ever go down.
 //!
-//! The `test-only-pub` rule needs every file at once — a `pub fn` is
-//! test-only when no file outside `#[cfg(test)]` code and `tests/`
-//! directories names it — so it runs here, beside `forbid-unsafe`, with no
-//! baseline: every finding is deleted or justified with
-//! `// simlint: test-accessor`.
+//! The `test-only-pub` and `crate-local-pub` rules need every file at once —
+//! a `pub fn` is test-only when no file outside `#[cfg(test)]` code and
+//! `tests/` directories names it, and crate-local when no file outside its
+//! crate's library does — so one pass over all files runs here, beside
+//! `forbid-unsafe`, with no baseline: every finding is deleted, narrowed or
+//! justified with `// simlint: test-accessor`.
 //!
 //! Everything under `crates/shims/` is excluded: shims mimic external
 //! crates' APIs and live outside the project's own invariants.
@@ -77,7 +78,7 @@ pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
         }
         sources.push((rel, source));
     }
-    findings.extend(rules::check_test_only_pub(&sources));
+    findings.extend(rules::check_pub_surface(&sources));
 
     for crate_name in forbid_missing {
         findings.push(Finding {

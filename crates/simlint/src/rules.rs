@@ -8,12 +8,15 @@
 //! | `hashmap-iteration` | no iteration over `HashMap`/`HashSet` in simulation/control-plane crates without a `// simlint: order-independent` justification |
 //! | `forbid-unsafe`     | every functional crate declares `#![forbid(unsafe_code)]` |
 //! | `unwrap-budget`     | `.unwrap()`/`.expect(` in non-test library code never exceeds the committed per-crate baseline, which may only shrink |
-//! | `test-only-pub`     | no library `pub fn` whose name occurs, outside its own definition, only in `#[cfg(test)]` code and `tests/` directories, without a `// simlint: test-accessor` justification |
+//! | `test-only-pub`     | no library `pub fn`/`pub const` whose name occurs, outside its own definition, only in `#[cfg(test)]` code and `tests/` directories, without a `// simlint: test-accessor` justification — catches surface only tests reach |
+//! | `crate-local-pub`   | no library `pub fn`/`pub const` that real code calls but no file outside its crate's library names, without a `// simlint: test-accessor` justification — catches `pub` that should be `pub(crate)`, which also hides dead code from rustc |
 //!
 //! Suppression grammar: a justification comment holds on the flagged line
 //! or the line directly above it.  `// simlint: order-independent` is the
 //! only accepted justification for `hashmap-iteration`, and
-//! `// simlint: test-accessor` the only one for `test-only-pub`;
+//! `// simlint: test-accessor` the only one for `test-only-pub` and
+//! `crate-local-pub` (one pass yields at most one finding per item,
+//! `test-only-pub` first);
 //! `// SAFETY:` (or a `/// # Safety` doc section) is the only one for
 //! `safety-comment`.  Nothing suppresses `wall-clock`, `forbid-unsafe` or
 //! `unwrap-budget` — those are fixed by moving the code, adding the
@@ -420,71 +423,111 @@ fn has_marker(masked: &MaskedFile, idx: usize, marker: &str) -> bool {
     masked.comments[idx].contains(marker) || (idx > 0 && masked.comments[idx - 1].contains(marker))
 }
 
-// ------------------------------------------------------------ test-only-pub
+// ------------------------------------- test-only-pub and crate-local-pub
 
-/// Library `pub fn`s reached only from tests, across the whole workspace.
+/// Library `pub fn`s and `pub const`s that no other compilation unit
+/// needs, across the whole workspace.
 ///
-/// *Definitions* are `pub fn` / `pub const fn` lines of non-test library
-/// code; a binary's items (`src/bin/`) are not library surface.  *Uses* are
-/// identifier tokens on the code view of every file, the definition line
-/// excepted; a use is real unless it sits in a `#[cfg(test)]` span or
-/// under a `tests/` directory, so benches, examples and binaries are real
-/// callers.  A name defined more than once is skipped (collisions err
-/// toward silence), and `// simlint: test-accessor` justifies a finding.
-pub(crate) fn check_test_only_pub(files: &[(String, String)]) -> Vec<Finding> {
+/// *Definitions* are `pub fn` / `pub const fn` / `pub const NAME` lines of
+/// non-test library code; a binary's items (`src/bin/`) are not library
+/// surface.  *Uses* are identifier tokens on the code view of every file,
+/// the definition line excepted.  A definition is
+///
+/// * `test-only-pub` when no use outside `#[cfg(test)]` spans and `tests/`
+///   directories exists (benches, examples and binaries are real callers);
+/// * otherwise `crate-local-pub` when no file outside its crate's library
+///   names it.  The library is the crate's `src/` tree without `src/bin/`
+///   (the umbrella's `src/` for the root package); the crate's own
+///   `tests/`, `benches/` and `src/bin/` compile separately, so they count
+///   as outside.
+///
+/// A name defined more than once is skipped (collisions err toward
+/// silence), so common method names (`new`, `config`, `len`) are out of
+/// reach here: for them the compiler is the audit — narrow to
+/// `pub(crate)`, build every target, and give `pub` back where rustc asks
+/// (the procedure CHANGES.md records).  `// simlint: test-accessor`
+/// justifies either finding.
+pub(crate) fn check_pub_surface(files: &[(String, String)]) -> Vec<Finding> {
     let masked: Vec<MaskedFile> = files.iter().map(|(_, source)| lex(source)).collect();
+    // The crate whose library each file belongs to, if it is library code.
+    let library: Vec<Option<&str>> = files
+        .iter()
+        .map(|(path, _)| {
+            let binary = path.starts_with("src/bin/") || path.contains("/src/bin/");
+            (is_library_path(path) && !binary).then(|| crate_of(path))
+        })
+        .collect();
     let mut defs: BTreeMap<&str, Vec<(usize, usize)>> = BTreeMap::new();
-    for (f, (path, _)) in files.iter().enumerate() {
-        if !is_library_path(path) || path.starts_with("src/bin/") || path.contains("/src/bin/") {
+    for (f, file) in masked.iter().enumerate() {
+        if library[f].is_none() {
             continue;
         }
-        for (idx, line) in masked[f].code.iter().enumerate() {
-            if let Some(name) = defined_pub_fn(line).filter(|_| !masked[f].in_test[idx]) {
+        for (idx, line) in file.code.iter().enumerate() {
+            if let Some(name) = defined_pub_item(line).filter(|_| !file.in_test[idx]) {
                 defs.entry(name).or_default().push((f, idx));
             }
         }
     }
-    // The one definition of each uncontested name, and whether a real
-    // caller has been seen.
-    let mut unique: BTreeMap<&str, ((usize, usize), bool)> = defs
+    // The one definition of each uncontested name, whether a real caller
+    // has been seen, and whether a file outside its library names it.
+    let mut unique: BTreeMap<&str, ((usize, usize), bool, bool)> = defs
         .into_iter()
         .filter(|(_, at)| at.len() == 1)
-        .map(|(name, at)| (name, (at[0], false)))
+        .map(|(name, at)| (name, (at[0], false, false)))
         .collect();
     for (f, (path, _)) in files.iter().enumerate() {
         let test_dir = path.starts_with("tests/") || path.contains("/tests/");
         for (idx, line) in masked[f].code.iter().enumerate() {
             let real = !test_dir && !masked[f].in_test[idx];
             for token in identifiers(line) {
-                if let Some((def, used)) = unique.get_mut(token) {
+                if let Some((def, used, outside)) = unique.get_mut(token) {
                     *used |= real && *def != (f, idx);
+                    *outside |= library[f] != library[def.0];
                 }
             }
         }
     }
     unique
         .into_iter()
-        .filter(|&(_, ((f, idx), used))| {
-            !used && !has_marker(&masked[f], idx, "simlint: test-accessor")
+        .filter(|&(_, ((f, idx), used, outside))| {
+            !(used && outside || has_marker(&masked[f], idx, "simlint: test-accessor"))
         })
-        .map(|(name, ((f, idx), _))| Finding {
-            path: files[f].0.clone(),
-            line: idx + 1,
-            rule: "test-only-pub",
-            message: format!(
-                "`pub fn {name}` is reached only from tests: delete it, make it \
-                 private, or justify with `// simlint: test-accessor`"
-            ),
+        .map(|(name, ((f, idx), used, _))| {
+            let (rule, message) = if used {
+                (
+                    "crate-local-pub",
+                    format!(
+                        "`{name}` is `pub`, but nothing outside its crate's library \
+                         names it: make it `pub(crate)` or private"
+                    ),
+                )
+            } else {
+                (
+                    "test-only-pub",
+                    format!(
+                        "`{name}` is `pub`, but only tests reach it: delete it, make \
+                         it private, or justify with `// simlint: test-accessor`"
+                    ),
+                )
+            };
+            Finding {
+                path: files[f].0.clone(),
+                line: idx + 1,
+                rule,
+                message,
+            }
         })
         .collect()
 }
 
-/// The name a `pub fn` / `pub const fn` line defines (CI's `pub fn` count
-/// uses the same shape).
-fn defined_pub_fn(line: &str) -> Option<&str> {
+/// The name a `pub fn` / `pub const fn` / `pub const NAME` line defines
+/// (CI's `pub fn` and `pub const` counts use the same shapes).
+fn defined_pub_item(line: &str) -> Option<&str> {
     let rest = line.trim_start().strip_prefix("pub ")?;
-    let rest = rest.strip_prefix("const ").unwrap_or(rest);
-    identifiers(rest.strip_prefix("fn ")?).next()
+    match rest.strip_prefix("const ") {
+        Some(rest) => identifiers(rest.strip_prefix("fn ").unwrap_or(rest)).next(),
+        None => identifiers(rest.strip_prefix("fn ")?).next(),
+    }
 }
 
 /// The identifier tokens of a code line, in order.
@@ -682,16 +725,16 @@ mod tests {
         assert!(rules_at("crates/simlint/src/rules.rs", src).is_empty());
     }
 
-    // ---- test-only-pub -------------------------------------------------
+    // ---- test-only-pub and crate-local-pub ----------------------------
 
     fn test_only(files: &[(&str, &str)]) -> Vec<String> {
         let files: Vec<(String, String)> = files
             .iter()
             .map(|&(path, source)| (path.to_string(), source.to_string()))
             .collect();
-        check_test_only_pub(&files)
+        check_pub_surface(&files)
             .into_iter()
-            .map(|f| format!("{}:{}", f.path, f.line))
+            .map(|f| format!("{}:{}:{}", f.rule, f.path, f.line))
             .collect()
     }
 
@@ -705,7 +748,10 @@ mod tests {
             "crates/hwsim/tests/suite.rs",
             "fn t() { hwsim::helper(); }\n",
         );
-        assert_eq!(test_only(&[(LIB, lib), suite]), [format!("{LIB}:1")]);
+        assert_eq!(
+            test_only(&[(LIB, lib), suite]),
+            [format!("test-only-pub:{LIB}:1")]
+        );
     }
 
     #[test]
@@ -742,7 +788,55 @@ mod tests {
     fn test_only_pub_ignores_comments_and_strings() {
         let caller = "// helper() is great\nfn main() { let _ = \"helper\"; }\n";
         let files = [(LIB, DEF), ("examples/demo.rs", caller)];
-        assert_eq!(test_only(&files), [format!("{LIB}:1")]);
+        assert_eq!(test_only(&files), [format!("test-only-pub:{LIB}:1")]);
+    }
+
+    /// A real caller inside the defining crate's library.
+    const IN_CRATE: (&str, &str) = ("crates/hwsim/src/cache.rs", "fn f() { crate::helper(); }\n");
+
+    #[test]
+    fn crate_local_pub_fires_on_a_name_only_its_library_uses() {
+        let files = [(LIB, DEF), IN_CRATE];
+        assert_eq!(test_only(&files), [format!("crate-local-pub:{LIB}:1")]);
+        let konst = "pub const LIMIT: u32 = 3;\nfn f() -> u32 { LIMIT }\n";
+        assert_eq!(
+            test_only(&[(LIB, konst)]),
+            [format!("crate-local-pub:{LIB}:1")]
+        );
+    }
+
+    #[test]
+    fn crate_local_pub_is_silent_when_another_unit_names_it() {
+        for outside in [
+            "crates/cloudsim/src/lib.rs",
+            "crates/hwsim/tests/suite.rs",
+            "crates/hwsim/benches/fig.rs",
+            "crates/hwsim/src/bin/tool.rs",
+            "examples/demo.rs",
+        ] {
+            let files = [(LIB, DEF), IN_CRATE, (outside, "use hwsim::helper;\n")];
+            assert!(test_only(&files).is_empty(), "{outside}");
+        }
+    }
+
+    #[test]
+    fn crate_local_pub_is_justified_by_the_test_accessor_marker() {
+        let lib = "pub fn helper() {} // simlint: test-accessor\n";
+        assert!(test_only(&[(LIB, lib), IN_CRATE]).is_empty());
+    }
+
+    #[test]
+    fn crate_local_pub_skips_names_defined_twice() {
+        let other = ("crates/cloudsim/src/lib.rs", DEF);
+        let other_caller = ("crates/cloudsim/src/pm.rs", "fn f() { crate::helper(); }\n");
+        assert!(test_only(&[(LIB, DEF), IN_CRATE, other, other_caller]).is_empty());
+    }
+
+    #[test]
+    fn crate_local_pub_ignores_comments_and_strings() {
+        let mention = "// hwsim::helper() is great\nfn main() { let _ = \"helper\"; }\n";
+        let files = [(LIB, DEF), IN_CRATE, ("examples/demo.rs", mention)];
+        assert_eq!(test_only(&files), [format!("crate-local-pub:{LIB}:1")]);
     }
 
     // ---- unwrap budget counting ----------------------------------------
