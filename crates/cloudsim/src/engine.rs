@@ -23,12 +23,17 @@
 //! bit-identical to a dense resolve — the equivalence proptest pins sparse
 //! vs dense under arrival/departure/migration churn, with the dense sweep as
 //! the reference (which is why [`EpochEngine::set_sparse`] stays) — so
-//! sparseness is purely a throughput knob, never a results knob.  The
-//! event-driven datacenter front end ([`crate::service::DatacenterService`])
-//! leans on this: with 10% of machines active per epoch, the other 90% cost
-//! one cache-validity check and one report memcpy each, and
+//! sparseness is purely a throughput knob, never a results knob.
 //! [`Cluster::total_resolves`] / [`Cluster::total_quiescent_steps`] expose
-//! how much work was actually skipped.
+//! how much work was actually skipped.  How much that is depends on the
+//! loop: the share of machine steps that replay the cache (the benchmark's
+//! `cloudsim.engine.replay_ratio`) read 0.90 on `engine_quiescent`, a
+//! static fleet built for it, but 0.17–0.21 on `managed_hotmail`, 0.16 on
+//! `service_outage_domain`, 0.09 on `service_churn_ec2` and 0.014 on
+//! `interference_episodes`.  On `managed_hotmail` only about 397 of the
+//! 10 000 machines are occupied in an average epoch, and the cache does
+//! nothing for an empty machine.  Whether sparse stepping stays is ROADMAP
+//! item 16's decision.
 //!
 //! ## Panic policy
 //!

@@ -16,9 +16,11 @@
 //! quiescence contract: a VM runs at its session's `active_load` for the
 //! first part of its lifetime, then idles at load `0.0` (where the preset
 //! workloads are provably static, so the sparse engine stops resolving its
-//! host) until it departs.  With heavy-tailed lifetimes this converges to
-//! the regime the sparse engine is built for — a small active working set
-//! on top of a large quiescent fleet.
+//! host) until it departs.  Measured, that idle tail makes few machines
+//! replayable: 0.17–0.21 of machine steps replay the cache on
+//! `managed_hotmail`, 0.16 on `service_outage_domain` and 0.09 on
+//! `service_churn_ec2`, against 0.90 on the static `engine_quiescent`
+//! fleet (see the [`crate::engine`] module docs and ROADMAP item 16).
 //!
 //! ## Determinism
 //!
@@ -116,7 +118,8 @@ use crate::scheduler::Scheduler;
 use crate::vm::{Vm, VmId};
 
 /// Fraction of each VM's lifetime spent at its active load before it idles
-/// at load zero.  The idle tail is where the sparse engine earns its keep.
+/// at load zero.  The idle tail is what the sparse engine can replay; on
+/// `managed_hotmail` that is 0.17–0.21 of machine steps (ROADMAP item 16).
 const ACTIVE_FRACTION: f64 = 0.3;
 
 /// Configuration of the datacenter front end.

@@ -7,7 +7,7 @@
 
 use bench::{
     fig10_synthetic_accuracy, fig11_placement_robustness, fig12_profiling_overhead, fig8_detection,
-    CloudWorkload,
+    CloudWorkload, Fig8Result,
 };
 use deepdive::synthetic::SyntheticBenchmark;
 use hwsim::MachineSpec;
@@ -42,6 +42,40 @@ fn fig8_no_false_negatives_and_false_positives_decline() {
                 day.day
             );
         }
+    }
+}
+
+/// The three claims the seed-21 test above asserts, as one verdict.
+fn fig8_claims_hold(result: &Fig8Result) -> bool {
+    let (day1, day3) = (&result.days[0], &result.days[2]);
+    result.missed_episodes == 0
+        && day3.false_positive_rate <= day1.false_positive_rate
+        && result
+            .days
+            .iter()
+            .all(|day| (day.detection_rate - 1.0).abs() < 1e-9 || day.episodes == 0)
+}
+
+#[test]
+fn fig8_claims_hold_on_a_pinned_share_of_seeds() {
+    // The seed-21 claims swept over seeds 1-16.  Data Analytics misses one
+    // episode at seeds 2, 4, 14 and 15; a change to detection moves these
+    // counts and has to say so.
+    let pinned = [
+        (CloudWorkload::DataServing, 16),
+        (CloudWorkload::WebSearch, 16),
+        (CloudWorkload::DataAnalytics, 12),
+    ];
+    for (workload, passing) in pinned {
+        let failing: Vec<u64> = (1..=16)
+            .filter(|&seed| !fig8_claims_hold(&fig8_detection(workload, seed)))
+            .collect();
+        assert_eq!(
+            16 - failing.len(),
+            passing,
+            "{}: the Fig. 8 claims fail at seeds {failing:?}",
+            workload.name()
+        );
     }
 }
 
