@@ -28,10 +28,10 @@
 //! on top.
 //!
 //! The tests' `check_spread` is a separate, *advisory* check of the
-//! failure-domain spread policy: an application with two or more VMs should not have all
-//! of them behind one power domain.  It is not part of the hard invariant
-//! audit because capacity pressure can legitimately force co-location — the
-//! spread constraint is best-effort by design.
+//! failure-domain spread policy: an application with two or more VMs
+//! should not have all of them behind one power domain.  It is not part of
+//! the hard invariant audit because capacity pressure can legitimately
+//! force co-location — the spread constraint is best-effort by design.
 //!
 
 use std::collections::{BTreeMap, BTreeSet};

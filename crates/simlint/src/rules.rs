@@ -727,7 +727,7 @@ mod tests {
 
     // ---- test-only-pub and crate-local-pub ----------------------------
 
-    fn test_only(files: &[(&str, &str)]) -> Vec<String> {
+    fn pub_findings(files: &[(&str, &str)]) -> Vec<String> {
         let files: Vec<(String, String)> = files
             .iter()
             .map(|&(path, source)| (path.to_string(), source.to_string()))
@@ -749,7 +749,7 @@ mod tests {
             "fn t() { hwsim::helper(); }\n",
         );
         assert_eq!(
-            test_only(&[(LIB, lib), suite]),
+            pub_findings(&[(LIB, lib), suite]),
             [format!("test-only-pub:{LIB}:1")]
         );
     }
@@ -759,7 +759,7 @@ mod tests {
         let above = "// simlint: test-accessor (pins the reference)\npub fn helper() {}\n";
         let same = "pub fn helper() {} // simlint: test-accessor\n";
         for lib in [above, same] {
-            assert!(test_only(&[(LIB, lib)]).is_empty(), "{lib}");
+            assert!(pub_findings(&[(LIB, lib)]).is_empty(), "{lib}");
         }
     }
 
@@ -771,24 +771,24 @@ mod tests {
             "crates/bench/src/bin/e2e_bench/main.rs",
         ] {
             let files = [(LIB, DEF), (caller, "fn main() { hwsim::helper(); }\n")];
-            assert!(test_only(&files).is_empty(), "{caller}");
+            assert!(pub_findings(&files).is_empty(), "{caller}");
         }
         // A binary's own `pub fn`s are not library surface.
         let bin = ("crates/bench/src/bin/e2e_bench/run.rs", DEF);
-        assert!(test_only(&[bin]).is_empty());
+        assert!(pub_findings(&[bin]).is_empty());
     }
 
     #[test]
     fn test_only_pub_skips_names_defined_twice() {
         let other = ("crates/cloudsim/src/lib.rs", DEF);
-        assert!(test_only(&[(LIB, DEF), other]).is_empty());
+        assert!(pub_findings(&[(LIB, DEF), other]).is_empty());
     }
 
     #[test]
     fn test_only_pub_ignores_comments_and_strings() {
         let caller = "// helper() is great\nfn main() { let _ = \"helper\"; }\n";
         let files = [(LIB, DEF), ("examples/demo.rs", caller)];
-        assert_eq!(test_only(&files), [format!("test-only-pub:{LIB}:1")]);
+        assert_eq!(pub_findings(&files), [format!("test-only-pub:{LIB}:1")]);
     }
 
     /// A real caller inside the defining crate's library.
@@ -797,10 +797,10 @@ mod tests {
     #[test]
     fn crate_local_pub_fires_on_a_name_only_its_library_uses() {
         let files = [(LIB, DEF), IN_CRATE];
-        assert_eq!(test_only(&files), [format!("crate-local-pub:{LIB}:1")]);
+        assert_eq!(pub_findings(&files), [format!("crate-local-pub:{LIB}:1")]);
         let konst = "pub const LIMIT: u32 = 3;\nfn f() -> u32 { LIMIT }\n";
         assert_eq!(
-            test_only(&[(LIB, konst)]),
+            pub_findings(&[(LIB, konst)]),
             [format!("crate-local-pub:{LIB}:1")]
         );
     }
@@ -815,28 +815,28 @@ mod tests {
             "examples/demo.rs",
         ] {
             let files = [(LIB, DEF), IN_CRATE, (outside, "use hwsim::helper;\n")];
-            assert!(test_only(&files).is_empty(), "{outside}");
+            assert!(pub_findings(&files).is_empty(), "{outside}");
         }
     }
 
     #[test]
     fn crate_local_pub_is_justified_by_the_test_accessor_marker() {
         let lib = "pub fn helper() {} // simlint: test-accessor\n";
-        assert!(test_only(&[(LIB, lib), IN_CRATE]).is_empty());
+        assert!(pub_findings(&[(LIB, lib), IN_CRATE]).is_empty());
     }
 
     #[test]
     fn crate_local_pub_skips_names_defined_twice() {
         let other = ("crates/cloudsim/src/lib.rs", DEF);
         let other_caller = ("crates/cloudsim/src/pm.rs", "fn f() { crate::helper(); }\n");
-        assert!(test_only(&[(LIB, DEF), IN_CRATE, other, other_caller]).is_empty());
+        assert!(pub_findings(&[(LIB, DEF), IN_CRATE, other, other_caller]).is_empty());
     }
 
     #[test]
     fn crate_local_pub_ignores_comments_and_strings() {
         let mention = "// hwsim::helper() is great\nfn main() { let _ = \"helper\"; }\n";
         let files = [(LIB, DEF), IN_CRATE, ("examples/demo.rs", mention)];
-        assert_eq!(test_only(&files), [format!("crate-local-pub:{LIB}:1")]);
+        assert_eq!(pub_findings(&files), [format!("crate-local-pub:{LIB}:1")]);
     }
 
     // ---- unwrap budget counting ----------------------------------------

@@ -196,8 +196,8 @@
 //!   any surviving machine under capacity pressure), and
 //!   `deepdive::PlacementManager::with_spread` biases interference
 //!   migrations toward acceptable cross-domain destinations.
-//!   `cloudsim::audit::check_spread` is the advisory invariant: any app
-//!   with ≥ 2 VMs all in one power domain is flagged.
+//!   cloudsim's tests check the advisory invariant (`check_spread`): any
+//!   app with ≥ 2 VMs all in one power domain is flagged.
 //! * **Crash handling in the service** — when a machine's crash window
 //!   opens, `DatacenterService` drains it and evacuates the residents
 //!   first-fit across the surviving fleet; VMs that do not fit park in a
