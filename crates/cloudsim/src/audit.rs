@@ -17,6 +17,8 @@
 //! * **Domain counts are exact** — when the cluster keeps per-application
 //!   power-domain counts for spread placement, they equal a recount from
 //!   the machines' resident lists.
+//! * **The occupied set is exact** — the bitset the epoch engine walks
+//!   has a bit set for exactly the machines with residents.
 //! * **Capacity accounting is exact** — per machine, resident vCPUs never
 //!   exceed the spec's cores and `cloudsim::pm::PhysicalMachine::free_cores`
 //!   equals spec cores minus resident vCPUs.
@@ -52,12 +54,16 @@ pub fn check_cluster(cluster: &Cluster) -> Vec<String> {
         topology.domains_in_fleet(cluster.machines().len())
     });
     let mut recount: BTreeMap<AppId, Vec<u32>> = BTreeMap::new();
+    let mut occupied = vec![0u64; cluster.machines().len().div_ceil(64)];
 
     for (index, machine) in cluster.machines().iter().enumerate() {
         if machine.id != PmId(index as u64) {
             findings.push(format!("machine {index} carries id {}", machine.id));
         }
 
+        if !machine.vms().is_empty() {
+            occupied[index / 64] |= 1 << (index % 64);
+        }
         let mut used_vcpus = 0usize;
         for vm in machine.vms() {
             scanned += 1;
@@ -115,6 +121,13 @@ pub fn check_cluster(cluster: &Cluster) -> Vec<String> {
                 "domain counts drifted: kept {kept:?}, recount {recount:?}"
             ));
         }
+    }
+
+    if cluster.occupied() != occupied.as_slice() {
+        findings.push(format!(
+            "occupied-machine set drifted: kept {:x?}, recount {occupied:x?}",
+            cluster.occupied()
+        ));
     }
 
     if cluster.vm_count() != scanned {

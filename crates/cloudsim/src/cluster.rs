@@ -12,11 +12,19 @@
 //! index and, once a service asks for spread placement, the per-application
 //! power-domain counts.  A caller that moves a VM behind the service's back
 //! (DeepDive's migrations) therefore cannot leave either view stale.
+//! The same methods keep the occupied-machine set the epoch engine walks,
+//! one bit per machine.
+//!
+//! The cluster also owns the engine's working memory: one
+//! `StepScratch` (step buffers plus one resolver per distinct machine
+//! model), shared by every machine in turn, since the engine borrows
+//! itself shared and steps machines one at a time.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use crate::faults::Topology;
-use crate::pm::{PhysicalMachine, PmId};
+use crate::pm::{PhysicalMachine, PmId, StepScratch};
 use crate::scheduler::Scheduler;
 use crate::vm::{Vm, VmId};
 use hwsim::MachineSpec;
@@ -71,6 +79,12 @@ impl std::error::Error for ClusterError {}
 pub struct Cluster {
     /// The machines; machine `i` carries id `PmId(i)`.
     machines: Vec<PhysicalMachine>,
+    /// Bit `i % 64` of word `i / 64` is set while machine `i` hosts a VM;
+    /// kept by every membership change.
+    occupied: Vec<u64>,
+    /// The engine's step buffers and per-model resolvers, boxed so the
+    /// cluster stays small wherever it is moved by value.
+    scratch: Box<StepScratch>,
     epoch: u64,
     /// VM id → hosting machine, maintained by every placement, migration and
     /// removal; the backing store for O(1) [`Cluster::locate`].
@@ -87,11 +101,7 @@ pub struct Cluster {
 impl Cluster {
     /// Creates a cluster of `n` identical machines with the given scheduler.
     pub fn homogeneous(n: usize, spec: MachineSpec, scheduler: Scheduler) -> Self {
-        assert!(n > 0, "a cluster needs at least one machine");
-        let machines = (0..n)
-            .map(|i| PhysicalMachine::new(PmId(i as u64), spec.clone(), scheduler))
-            .collect();
-        Self::from_machines(machines)
+        Self::heterogeneous(&[(spec, n)], scheduler)
     }
 
     /// Creates a mixed-hardware cluster: for each `(spec, count)` group, in
@@ -100,22 +110,37 @@ impl Cluster {
     /// scenario (e.g. a Xeon X5472 rack extended with Core i7/Nehalem
     /// nodes, §4.4).
     ///
+    /// Equal specs in different groups are one model: the machines share
+    /// its spec and its resolver, numbered in first-appearance order.
+    ///
     /// # Panics
-    /// Panics if the groups describe zero machines in total.
+    /// Panics if the groups describe zero machines in total, or a spec is
+    /// malformed.
     pub fn heterogeneous(specs: &[(MachineSpec, usize)], scheduler: Scheduler) -> Self {
-        let machines: Vec<PhysicalMachine> = specs
-            .iter()
-            .flat_map(|(spec, count)| std::iter::repeat_n(spec, *count))
-            .enumerate()
-            .map(|(i, spec)| PhysicalMachine::new(PmId(i as u64), spec.clone(), scheduler))
-            .collect();
-        Self::from_machines(machines)
-    }
-
-    /// Wraps empty machines numbered `0..n`.
-    fn from_machines(machines: Vec<PhysicalMachine>) -> Self {
+        let mut models: Vec<Arc<MachineSpec>> = Vec::new();
+        let mut machines = Vec::new();
+        for (spec, count) in specs.iter().filter(|(_, count)| *count > 0) {
+            let model = models
+                .iter()
+                .position(|known| **known == *spec)
+                .unwrap_or_else(|| {
+                    models.push(Arc::new(spec.clone()));
+                    models.len() - 1
+                });
+            for _ in 0..*count {
+                let id = PmId(machines.len() as u64);
+                machines.push(PhysicalMachine::new(
+                    id,
+                    Arc::clone(&models[model]),
+                    model,
+                    scheduler,
+                ));
+            }
+        }
         assert!(!machines.is_empty(), "a cluster needs at least one machine");
         Self {
+            occupied: vec![0; machines.len().div_ceil(64)],
+            scratch: Box::new(StepScratch::new(&models)),
             machines,
             epoch: 0,
             vm_locations: HashMap::new(),
@@ -164,11 +189,35 @@ impl Cluster {
         &self.machines
     }
 
-    /// Mutable access to every machine at once, for the epoch engine's
-    /// machine loop (crate-private: VM membership must change through the
-    /// cluster's methods so the VM-location index stays consistent).
-    pub(crate) fn machines_mut(&mut self) -> &mut [PhysicalMachine] {
-        &mut self.machines
+    /// What the epoch engine's machine loop works on: the occupied-machine
+    /// bitset, mutable access to every machine, and the shared step scratch
+    /// (crate-private: VM membership must change through the cluster's
+    /// methods so the location index and the bitset stay consistent).
+    pub(crate) fn step_parts(&mut self) -> (&[u64], &mut [PhysicalMachine], &mut StepScratch) {
+        (&self.occupied, &mut self.machines, &mut self.scratch)
+    }
+
+    /// The occupied-machine bitset, for the audit.
+    pub(crate) fn occupied(&self) -> &[u64] {
+        &self.occupied
+    }
+
+    /// The step scratch, for tests of the engine's work bound.
+    #[cfg(test)]
+    pub(crate) fn scratch(&self) -> &StepScratch {
+        &self.scratch
+    }
+
+    /// Sets or clears `pm`'s occupied bit from its resident list; called
+    /// after every membership change on `pm`.
+    fn note_occupancy(&mut self, pm: PmId) {
+        let index = pm.0 as usize;
+        let bit = 1u64 << (index % 64);
+        if self.machines[index].vms().is_empty() {
+            self.occupied[index / 64] &= !bit;
+        } else {
+            self.occupied[index / 64] |= bit;
+        }
     }
 
     /// Marks one more epoch as completed (called by the epoch engine after
@@ -230,6 +279,7 @@ impl Cluster {
         match machine.try_add_vm(vm) {
             Ok(()) => {
                 self.vm_locations.insert(vm_id, pm);
+                self.note_occupancy(pm);
                 self.count_domain(app, pm, true);
                 Ok(())
             }
@@ -247,6 +297,7 @@ impl Cluster {
         };
         self.machines[pm.0 as usize].push_vm(vm);
         self.vm_locations.insert(vm_id, pm);
+        self.note_occupancy(pm);
         self.count_domain(app, pm, true);
         Ok(pm)
     }
@@ -258,6 +309,7 @@ impl Cluster {
         let pm = self.locate(vm)?;
         let removed = self.machines[pm.0 as usize].remove_vm(vm)?;
         self.vm_locations.remove(&vm);
+        self.note_occupancy(pm);
         self.count_domain(removed.app_id(), pm, false);
         Some(removed)
     }
@@ -286,6 +338,8 @@ impl Cluster {
         let app = moved.app_id();
         self.machines[to.0 as usize].push_vm(moved);
         self.vm_locations.insert(vm, to);
+        self.note_occupancy(from);
+        self.note_occupancy(to);
         self.count_domain(app, from, false);
         self.count_domain(app, to, true);
         Ok(())
@@ -429,6 +483,21 @@ mod tests {
         assert_consistent(&c);
         c.place_first_fit(serving_vm(40)).unwrap();
         assert_consistent(&c);
+    }
+
+    #[test]
+    fn the_audit_catches_a_stale_occupied_bit() {
+        let mut c = cluster(70);
+        c.place_on(PmId(65), serving_vm(1)).unwrap();
+        assert_eq!(crate::audit::check_cluster(&c), Vec::<String>::new());
+        // A removal path that forgot its bit, then one that set a phantom.
+        for (word, bits) in [(1, 0), (0, 1)] {
+            let kept = std::mem::replace(&mut c.occupied[word], bits);
+            let findings = crate::audit::check_cluster(&c);
+            assert_eq!(findings.len(), 1, "got: {findings:?}");
+            assert!(findings[0].contains("occupied-machine set drifted"));
+            c.occupied[word] = kept;
+        }
     }
 
     #[test]

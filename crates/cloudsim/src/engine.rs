@@ -3,10 +3,15 @@
 //! [`EpochEngine`] owns the policy of stepping a [`Cluster`]: the RNG policy
 //! (a [`ClusterSeed`] deriving an independent stream per `(vm, epoch)`, see
 //! [`crate::rngs`]) and whether quiescent machines replay their cached
-//! reports.  It walks the machines on the calling thread, in index order.
-//! Because every VM's demand stream is a pure function of its id, the epoch
-//! and the cluster seed, the reports do not depend on how many machines
-//! exist or where a VM sits (`tests/engine_equivalence.rs`).
+//! reports.  It walks the cluster's *occupied* machines on the calling
+//! thread, in ascending index order: the cluster keeps one bit per machine,
+//! set while the machine hosts a VM, so an empty machine costs a zero bit
+//! and never its 128-byte struct.  The buffers and per-model resolvers a
+//! step works in belong to the cluster (see [`crate::pm`]), not to the
+//! engine, which is borrowed shared.  Because every VM's demand stream is a
+//! pure function of its id, the epoch and the cluster seed, the reports do
+//! not depend on how many machines exist or where a VM sits
+//! (`tests/engine_equivalence.rs`).
 //!
 //! There is one entry point: [`EpochEngine::step`] advances one epoch and
 //! returns its reports.  DeepDive reads every VM's counters every epoch and
@@ -31,9 +36,9 @@
 //! static fleet built for it, but 0.17–0.21 on `managed_hotmail`, 0.16 on
 //! `service_outage_domain`, 0.09 on `service_churn_ec2` and 0.014 on
 //! `interference_episodes`.  On `managed_hotmail` only about 397 of the
-//! 10 000 machines are occupied in an average epoch, and the cache does
-//! nothing for an empty machine.  Whether sparse stepping stays is ROADMAP
-//! item 16's decision.
+//! 10 000 machines are occupied in an average epoch; the occupied walk
+//! skips the rest, so the cache now competes only on occupied machines.
+//! Whether sparse stepping stays is ROADMAP item 16's decision.
 //!
 //! ## Panic policy
 //!
@@ -82,6 +87,9 @@ impl EpochEngine {
     /// `load_for` maps a VM to its offered load for this epoch (driven by
     /// the trace substrate).
     ///
+    /// Work bound: the step visits only occupied machines, so machine
+    /// visits ≤ occupied machines, however large the fleet.
+    ///
     /// If `load_for` (or a workload model) panics, the panic unwinds from
     /// here with the epoch counter untouched (see the [module](self) docs).
     pub fn step<F>(&self, cluster: &mut Cluster, load_for: F) -> Vec<VmEpochReport>
@@ -94,10 +102,24 @@ impl EpochEngine {
         // machines that copy traffic would dominate the sparse path, whose
         // real work is only a memcpy per quiescent machine.
         let mut reports = Vec::with_capacity(cluster.vm_count());
-        for machine in cluster.machines_mut() {
-            // Reports land straight in the output vector — no per-machine
-            // allocation on either the dense or the cached path.
-            machine.step_epoch_into(epoch, &load_for, self.seed, self.sparse, &mut reports);
+        let (occupied, machines, scratch) = cluster.step_parts();
+        for (word_index, &word) in occupied.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let index = word_index * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                // Reports land straight in the output vector — no
+                // per-machine allocation on either the dense or the cached
+                // path.
+                machines[index].step_epoch_into(
+                    epoch,
+                    &load_for,
+                    self.seed,
+                    self.sparse,
+                    scratch,
+                    &mut reports,
+                );
+            }
         }
         cluster.advance_epoch();
         reports
@@ -113,25 +135,38 @@ mod tests {
     use hwsim::MachineSpec;
     use workloads::{AppId, ClientEmulator, DataServing, MemoryStress};
 
+    /// VM `id`: every third one a cache aggressor, the rest data serving.
+    fn vm(id: u64) -> Vm {
+        if id % 3 == 2 {
+            Vm::new(
+                VmId(id),
+                Box::new(MemoryStress::new(AppId(50), 256.0)),
+                ClientEmulator::new(1.0, 1.0),
+            )
+        } else {
+            Vm::new(
+                VmId(id),
+                Box::new(DataServing::with_defaults(AppId(1))),
+                ClientEmulator::new(8_000.0, 4.0),
+            )
+        }
+    }
+
     fn cluster(machines: usize, vms: usize) -> Cluster {
         let mut c = Cluster::homogeneous(machines, MachineSpec::xeon_x5472(), Scheduler::default());
         for i in 0..vms {
-            let vm = if i % 3 == 2 {
-                Vm::new(
-                    VmId(i as u64),
-                    Box::new(MemoryStress::new(AppId(50), 256.0)),
-                    ClientEmulator::new(1.0, 1.0),
-                )
-            } else {
-                Vm::new(
-                    VmId(i as u64),
-                    Box::new(DataServing::with_defaults(AppId(1))),
-                    ClientEmulator::new(8_000.0, 4.0),
-                )
-            };
-            c.place_first_fit(vm).expect("cluster has room");
+            c.place_first_fit(vm(i as u64)).expect("cluster has room");
         }
         c
+    }
+
+    /// One step of `c`: the machines it visited and the hosts of its
+    /// reports, in order.
+    fn visits_and_hosts(engine: &EpochEngine, c: &mut Cluster) -> (u64, Vec<u64>) {
+        let before = c.scratch().visits();
+        let reports = engine.step(c, |_| 0.6);
+        let hosts = reports.iter().map(|r| r.pm_id.0).collect();
+        (c.scratch().visits() - before, hosts)
     }
 
     /// `epochs` calls of `step` under an epoch-aware load, one report batch
@@ -178,6 +213,71 @@ mod tests {
     }
 
     #[test]
+    fn a_step_visits_only_occupied_machines() {
+        // The work bound in `step`'s doc: visits ≤ occupied machines, not
+        // the fleet size.
+        let mut c = Cluster::homogeneous(10_000, MachineSpec::xeon_x5472(), Scheduler::default());
+        for (id, pm) in [(0, 17), (1, 4_711), (2, 9_999)] {
+            c.place_on(PmId(pm), vm(id)).expect("empty machine");
+        }
+        let engine = EpochEngine::serial(ClusterSeed::new(2));
+        for _ in 0..3 {
+            assert_eq!(
+                visits_and_hosts(&engine, &mut c),
+                (3, vec![17, 4_711, 9_999])
+            );
+        }
+        // A migration that empties machine 4 711 drops it from the next
+        // step; a placement in another bitset word adds its machine, in
+        // index order.
+        c.migrate(VmId(1), PmId(17)).expect("machine 17 has room");
+        assert_eq!(visits_and_hosts(&engine, &mut c), (2, vec![17, 17, 9_999]));
+        c.place_on(PmId(64), vm(3)).expect("empty machine");
+        assert_eq!(
+            visits_and_hosts(&engine, &mut c),
+            (3, vec![17, 17, 64, 9_999])
+        );
+    }
+
+    #[test]
+    fn a_mixed_model_fleet_steps_each_machine_like_a_fleet_of_its_own() {
+        // Machines of a mixed fleet share one resolver per model; each must
+        // still report exactly what a one-machine cluster of its own model,
+        // holding the same VMs, reports.
+        let (xeon, i7) = (MachineSpec::xeon_x5472(), MachineSpec::core_i7_nehalem());
+        let models = [&xeon, &xeon, &i7, &i7, &xeon];
+        let mut mixed = Cluster::heterogeneous(
+            &[(xeon.clone(), 2), (i7.clone(), 2), (xeon.clone(), 1)],
+            Scheduler::default(),
+        );
+        assert_eq!(mixed.scratch().models(), 2, "one resolver per model");
+        let mut singles: Vec<Cluster> = models
+            .iter()
+            .map(|&spec| Cluster::homogeneous(1, spec.clone(), Scheduler::default()))
+            .collect();
+        for (pm, single) in singles.iter_mut().enumerate() {
+            for k in 0..3 {
+                let id = (3 * pm + k) as u64;
+                mixed.place_on(PmId(pm as u64), vm(id)).expect("room");
+                single.place_on(PmId(0), vm(id)).expect("room");
+            }
+        }
+        let engine = EpochEngine::serial(ClusterSeed::new(23));
+        let load = |epoch: u64, vm: VmId| 0.3 + 0.1 * ((vm.0 + epoch) % 7) as f64;
+        for epoch in 0..4 {
+            let from_mixed = engine.step(&mut mixed, |vm| load(epoch, vm));
+            let mut from_singles = Vec::new();
+            for (pm, single) in singles.iter_mut().enumerate() {
+                for mut report in engine.step(single, |vm| load(epoch, vm)) {
+                    report.pm_id = PmId(pm as u64);
+                    from_singles.push(report);
+                }
+            }
+            assert_eq!(from_mixed, from_singles, "epoch {epoch}");
+        }
+    }
+
+    #[test]
     fn demand_streams_do_not_depend_on_placement() {
         // The same VM ids spread across different machine counts must draw
         // identical demands each epoch: the stream belongs to the VM, not to
@@ -187,20 +287,7 @@ mod tests {
                                         // Same four VM ids (and workloads), one per machine, reverse order.
         let mut wide = Cluster::homogeneous(4, MachineSpec::xeon_x5472(), Scheduler::default());
         for i in 0..4u64 {
-            let vm = if i % 3 == 2 {
-                Vm::new(
-                    VmId(i),
-                    Box::new(MemoryStress::new(AppId(50), 256.0)),
-                    ClientEmulator::new(1.0, 1.0),
-                )
-            } else {
-                Vm::new(
-                    VmId(i),
-                    Box::new(DataServing::with_defaults(AppId(1))),
-                    ClientEmulator::new(8_000.0, 4.0),
-                )
-            };
-            wide.place_on(PmId(3 - i), vm).expect("empty machine");
+            wide.place_on(PmId(3 - i), vm(i)).expect("empty machine");
         }
         for _ in 0..3 {
             let mut packed = engine.step(&mut narrow, |_| 0.9);

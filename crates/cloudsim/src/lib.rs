@@ -17,14 +17,15 @@
 //!   yields per-VM reports (counters + client-side ground truth).
 //! * [`scheduler`] — the one fixed cache-group packing and admission policy.
 //! * [`cluster`] — the datacenter: a set of PMs (homogeneous or mixed
-//!   hardware) and VM migration.
+//!   hardware), VM migration, the occupied-machine set, and the step
+//!   scratch (buffers and one resolver per machine model) every PM steps in.
 //! * [`rngs`] — [`rngs::ClusterSeed`]: counter-based derivation of one
 //!   independent RNG stream per `(vm, epoch)`, making every VM's demand
 //!   sequence a pure function of its id, the epoch and the cluster seed —
 //!   independent of placement and stepping order.
 //! * [`engine`] — [`engine::EpochEngine`]: epoch stepping as a policy
-//!   object (seed and sparseness), walking the machines serially on the
-//!   calling thread, with one entry point: `step` advances an epoch and
+//!   object (seed and sparseness), walking the occupied machines serially
+//!   on the calling thread, with one entry point: `step` advances an epoch and
 //!   returns its reports.
 //! * [`service`] — [`service::DatacenterService`]: the event-driven
 //!   datacenter front end — VM sessions arrive, run hot, go idle and
@@ -45,8 +46,8 @@
 //!   entity, epoch)` — same SplitMix64 discipline as [`rngs::ClusterSeed`],
 //!   so a fault run is reproducible from its seeds alone.
 //! * [`audit`] — [`audit::check_cluster`]: the cluster invariant sweep (no
-//!   VM lost or doubly resident, id→index maps consistent, capacity
-//!   accounting exact) the chaos suite asserts after every epoch.
+//!   VM lost or doubly resident, location index, occupied set and domain
+//!   counts consistent, capacity accounting exact) the chaos suite asserts after every epoch.
 //!
 //! DeepDive (crate `deepdive`) reads the [`pm::VmEpochReport`]s' identities,
 //! widths, counter snapshots and demands; the client observations and stall

@@ -1,12 +1,25 @@
 //! Physical machines: hosting VMs and stepping simulation epochs.
 //!
 //! A [`PhysicalMachine`] owns the VMs placed on it.  Each epoch the engine
-//! steps it once, asking every hosted VM's workload for its
-//! intrinsic demand at the offered load, hands all demands to the hwsim
+//! steps every occupied machine once, asking every hosted VM's workload for
+//! its intrinsic demand at the offered load, hands all demands to the hwsim
 //! contention resolver, and packages the result into one
 //! [`VmEpochReport`] per VM: the Table 1 counters DeepDive reads, plus the
 //! client-observed performance and ground-truth stall breakdown the
 //! evaluation uses for scoring.
+//!
+//! ## Who owns the step's working memory
+//!
+//! A machine holds only what is its own: residents, scheduler, membership
+//! generation, quiescent cache and work counters, plus its hardware model
+//! as a shared [`Arc<MachineSpec>`] and that model's index.  Everything a
+//! step only borrows lives once per cluster in a `StepScratch`: the load,
+//! demand, placement and outcome buffers, and one [`EpochResolver`] per
+//! distinct machine model, picked by the machine's model index.  A machine
+//! steps alone, so one set of buffers serves the whole fleet, and a
+//! resolver's buffers are cleared on every call, so sharing it across the
+//! machines of one model cannot move a result.  This keeps a machine at
+//! two cache lines instead of a dozen cold heap blocks.
 //!
 //! ## Quiescence
 //!
@@ -24,6 +37,8 @@
 //! patches the epoch index, and skips demand generation and contention
 //! resolution entirely.  `PhysicalMachine::resolves` /
 //! `PhysicalMachine::quiescent_steps` count both outcomes.
+
+use std::sync::Arc;
 
 use hwsim::contention::{EpochOutcome, PlacedDemand, StallBreakdown};
 use hwsim::{CounterSnapshot, EpochResolver, MachineSpec, ResourceDemand, EPOCH_SECONDS};
@@ -88,42 +103,85 @@ struct QuiescentCache {
     reports: Vec<VmEpochReport>,
 }
 
+/// The working memory of one machine step, owned once per cluster (see the
+/// [module docs](self)).
+pub(crate) struct StepScratch {
+    /// One resolver per distinct machine model, indexed by
+    /// [`PhysicalMachine`]'s model index.
+    resolvers: Vec<EpochResolver>,
+    loads: Vec<f64>,
+    demands: Vec<ResourceDemand>,
+    placements: Vec<PlacedDemand>,
+    outcomes: Vec<EpochOutcome>,
+    /// Machines stepped since construction, empty or not; the engine's work
+    /// bound is stated over this count.
+    visits: u64,
+}
+
+impl StepScratch {
+    /// Scratch for a fleet whose machine models are `models`, in model-index
+    /// order.
+    pub(crate) fn new(models: &[Arc<MachineSpec>]) -> Self {
+        Self {
+            resolvers: models
+                .iter()
+                .map(|spec| EpochResolver::new(MachineSpec::clone(spec)))
+                .collect(),
+            loads: Vec::new(),
+            demands: Vec::new(),
+            placements: Vec::new(),
+            outcomes: Vec::new(),
+            visits: 0,
+        }
+    }
+
+    /// Number of resolvers, one per distinct machine model.
+    #[cfg(test)]
+    pub(crate) fn models(&self) -> usize {
+        self.resolvers.len()
+    }
+
+    /// Machines stepped since construction.
+    #[cfg(test)]
+    pub(crate) fn visits(&self) -> u64 {
+        self.visits
+    }
+}
+
 /// A physical machine hosting zero or more VMs.
 pub struct PhysicalMachine {
     /// Machine identity.
     pub id: PmId,
+    /// Hardware model, shared by every machine of that model.
+    spec: Arc<MachineSpec>,
+    /// Index of the model's resolver in the cluster's [`StepScratch`].
+    model: usize,
     scheduler: Scheduler,
     vms: Vec<Vm>,
     /// Bumped on every membership change; the quiescent cache stores the
     /// generation it was filled at.
     generation: u64,
-    /// Reusable epoch-resolution pipeline; it owns the machine's spec, and
-    /// its scratch buffers survive across epochs so the hot path
-    /// performs no per-epoch allocation beyond the returned reports.
-    resolver: EpochResolver,
-    loads: Vec<f64>,
-    demands: Vec<ResourceDemand>,
-    placements: Vec<PlacedDemand>,
-    outcomes: Vec<EpochOutcome>,
     cache: Option<QuiescentCache>,
     resolves: u64,
     quiescent_steps: u64,
 }
 
 impl PhysicalMachine {
-    /// Creates an empty machine.
-    pub fn new(id: PmId, spec: MachineSpec, scheduler: Scheduler) -> Self {
-        assert!(spec.is_well_formed(), "malformed machine spec");
+    /// Creates an empty machine of model `model` (its index in the
+    /// cluster's [`StepScratch`]), whose hardware is `spec`.
+    pub(crate) fn new(
+        id: PmId,
+        spec: Arc<MachineSpec>,
+        model: usize,
+        scheduler: Scheduler,
+    ) -> Self {
         Self {
             id,
+            spec,
+            model,
             scheduler,
             vms: Vec::new(),
             generation: 0,
-            resolver: EpochResolver::new(spec),
-            loads: Vec::new(),
-            demands: Vec::new(),
-            placements: Vec::new(),
-            outcomes: Vec::new(),
             cache: None,
             resolves: 0,
             quiescent_steps: 0,
@@ -132,7 +190,7 @@ impl PhysicalMachine {
 
     /// Hardware model, fixed at construction.
     pub fn spec(&self) -> &MachineSpec {
-        self.resolver.spec()
+        &self.spec
     }
 
     /// Placement/admission policy in force on this machine, fixed at
@@ -216,7 +274,8 @@ impl PhysicalMachine {
     }
 
     /// Steps the machine one epoch for the epoch engine: appends this
-    /// machine's reports (placement order) to `out`.
+    /// machine's reports (placement order) to `out`, working in the
+    /// cluster's shared `scratch`.
     ///
     /// With `use_cache` the machine may skip demand generation and
     /// contention resolution entirely when it is provably quiescent: same
@@ -235,23 +294,26 @@ impl PhysicalMachine {
         load_for: &F,
         seed: ClusterSeed,
         use_cache: bool,
+        scratch: &mut StepScratch,
         out: &mut Vec<VmEpochReport>,
     ) where
         F: Fn(VmId) -> f64 + ?Sized,
     {
+        scratch.visits += 1;
         if self.vms.is_empty() {
             return;
         }
         // 1. Evaluate the load closure (always — quiescence is defined over
         // its output, so it can never be skipped).
-        self.loads.clear();
+        let loads = &mut scratch.loads;
+        loads.clear();
         for vm in self.vms.iter() {
-            self.loads.push(load_for(vm.id).clamp(0.0, 1.0));
+            loads.push(load_for(vm.id).clamp(0.0, 1.0));
         }
         let start = out.len();
         if use_cache {
             if let Some(cache) = &self.cache {
-                if cache.generation == self.generation && cache.loads == self.loads {
+                if cache.generation == self.generation && cache.loads == *loads {
                     self.quiescent_steps += 1;
                     out.extend_from_slice(&cache.reports);
                     for report in &mut out[start..] {
@@ -264,42 +326,42 @@ impl PhysicalMachine {
 
         // 2. Collect intrinsic demands from every workload, each from its
         // own per-(vm, epoch) stream.
-        self.demands.clear();
-        for (vm, &load) in self.vms.iter_mut().zip(&self.loads) {
+        let demands = &mut scratch.demands;
+        demands.clear();
+        for (vm, &load) in self.vms.iter_mut().zip(loads.iter()) {
             let mut rng = seed.vm_epoch_rng(vm.id, epoch);
-            self.demands.push(vm.workload.next_demand(load, &mut rng));
+            demands.push(vm.workload.next_demand(load, &mut rng));
         }
 
-        // 3. Resolve hardware contention for the whole machine, reusing the
-        // machine's resolver and placement/outcome buffers across epochs.
-        let spec = self.resolver.spec();
-        self.placements.clear();
-        self.placements
-            .extend(
-                self.vms
-                    .iter()
-                    .enumerate()
-                    .zip(&self.demands)
-                    .map(|((slot, vm), demand)| {
-                        PlacedDemand::new(
-                            vm.id.0,
-                            demand.clone(),
-                            vm.vcpus,
-                            self.scheduler.cache_group_for_slot(spec, slot),
-                        )
-                    }),
-            );
-        self.resolver
-            .resolve_into(&self.placements, EPOCH_SECONDS, &mut self.outcomes);
+        // 3. Resolve hardware contention for the whole machine with its
+        // model's resolver and the cluster's placement/outcome buffers.
+        let spec = &*self.spec;
+        let placements = &mut scratch.placements;
+        placements.clear();
+        placements.extend(self.vms.iter().enumerate().zip(demands.iter()).map(
+            |((slot, vm), demand)| {
+                PlacedDemand::new(
+                    vm.id.0,
+                    demand.clone(),
+                    vm.vcpus,
+                    self.scheduler.cache_group_for_slot(spec, slot),
+                )
+            },
+        ));
+        scratch.resolvers[self.model].resolve_into(
+            placements,
+            EPOCH_SECONDS,
+            &mut scratch.outcomes,
+        );
         self.resolves += 1;
 
         // 4. Package per-VM reports.
         out.extend(
             self.vms
                 .iter()
-                .zip(&self.demands)
-                .zip(&self.loads)
-                .zip(&self.outcomes)
+                .zip(demands.iter())
+                .zip(loads.iter())
+                .zip(&scratch.outcomes)
                 .map(|(((vm, demand), &load), outcome)| VmEpochReport {
                     vm_id: vm.id,
                     pm_id: self.id,
@@ -323,7 +385,7 @@ impl PhysicalMachine {
             && self
                 .vms
                 .iter()
-                .zip(&self.loads)
+                .zip(loads.iter())
                 .all(|(vm, &load)| vm.workload.demand_is_static_at(load))
         {
             let reports = &out[start..];
@@ -331,14 +393,14 @@ impl PhysicalMachine {
                 Some(cache) => {
                     cache.generation = self.generation;
                     cache.loads.clear();
-                    cache.loads.extend_from_slice(&self.loads);
+                    cache.loads.extend_from_slice(loads);
                     cache.reports.clear();
                     cache.reports.extend_from_slice(reports);
                 }
                 None => {
                     self.cache = Some(QuiescentCache {
                         generation: self.generation,
-                        loads: self.loads.clone(),
+                        loads: loads.clone(),
                         reports: reports.to_vec(),
                     });
                 }
@@ -383,7 +445,8 @@ mod tests {
     }
 
     fn machine() -> PhysicalMachine {
-        PhysicalMachine::new(PmId(0), MachineSpec::xeon_x5472(), Scheduler::default())
+        let spec = Arc::new(MachineSpec::xeon_x5472());
+        PhysicalMachine::new(PmId(0), spec, 0, Scheduler::default())
     }
 
     /// One uncached epoch of `pm`'s reports, in placement order.
@@ -392,9 +455,17 @@ mod tests {
         epoch: u64,
         load_for: &dyn Fn(VmId) -> f64,
     ) -> Vec<VmEpochReport> {
+        let mut scratch = StepScratch::new(&[Arc::clone(&pm.spec)]);
         let mut out = Vec::new();
-        pm.step_epoch_into(epoch, load_for, seed(), false, &mut out);
+        pm.step_epoch_into(epoch, load_for, seed(), false, &mut scratch, &mut out);
         out
+    }
+
+    #[test]
+    fn a_machine_fits_in_two_cache_lines() {
+        // The step scratch lives in the cluster; a machine keeps only its
+        // own state, so the fleet array stays dense.
+        assert!(std::mem::size_of::<PhysicalMachine>() <= 128);
     }
 
     #[test]

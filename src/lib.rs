@@ -19,10 +19,10 @@
 //! *Dependency shims* below). From the repository root:
 //!
 //! ```text
-//! cargo build --release      # builds all 17 workspace crates
-//! cargo test -q              # ~560 unit + integration + doc tests, < 30 s
-//! cargo bench --no-run       # compiles the benches (13 figure/table + 4 throughput)
-//! cargo bench                # re-runs every paper experiment with timings
+//! cargo build --release      # builds all 15 workspace crates
+//! cargo test -q              # unit + integration + doc tests (CI prints the count)
+//! cargo bench --no-run       # compiles the 13 figure/table benches
+//! cargo bench                # prints every paper figure's data series; times nothing
 //! cargo run --example quickstart
 //! cargo run -p simlint       # static analysis: determinism + unsafety contracts
 //! cargo doc --workspace --no-deps   # rustdoc; CI denies warnings
@@ -66,10 +66,13 @@
 //!   `resolve_into(&mut self, placements, epoch_seconds, &mut out)`.
 //!   Steady-state resolution performs **zero heap allocations**; there is
 //!   no stateless entry point — one-off callers build a resolver and call
-//!   `resolve`.  `cloudsim::pm::PhysicalMachine` holds its own resolver
-//!   plus demand/placement buffers across epochs; the sandbox replayer
-//!   and `deepdive`'s synthetic-benchmark training reuse one resolver
-//!   across all their solo runs. Measured by `e2e_bench`'s
+//!   `resolve`.  A `cloudsim::Cluster` holds one resolver per distinct
+//!   machine model plus one set of load/demand/placement/outcome buffers,
+//!   shared by all its machines in turn, so a `PhysicalMachine` keeps only
+//!   its own state (residents, quiescent cache, counters, a shared spec)
+//!   in 128 bytes; the sandbox replayer and `deepdive`'s
+//!   synthetic-benchmark training reuse one resolver across all their
+//!   solo runs. Measured by `e2e_bench`'s
 //!   `hwsim.resolver.ns_per_vm` probe; pinned bit-identical to the
 //!   pre-refactor pipeline by
 //!   `crates/hwsim/tests/resolver_equivalence.rs`.
@@ -81,7 +84,9 @@
 //!   cannot perturb any other VM's stream (pinned by
 //!   `tests/engine_equivalence.rs`).
 //! * **The serial epoch engine** — `cloudsim::engine::EpochEngine` steps a
-//!   cluster's machines in index order on the calling thread; the library
+//!   cluster's occupied machines in index order on the calling thread,
+//!   walking a bitset the cluster keeps (one bit per machine), so an
+//!   epoch costs O(occupied machines), not O(fleet); the library
 //!   spawns no threads and holds no `unsafe` code (every functional crate
 //!   declares `#![forbid(unsafe_code)]`). One entry point: `EpochEngine::step`
 //!   advances one epoch and returns its reports — DeepDive reads every
@@ -89,8 +94,11 @@
 //!   stepping (`set_sparse(false)`) stays as the reference the sparse path
 //!   is pinned bit-identical to. A pooled engine was measured and removed:
 //!   on the closed loop it gained less than 1.15× on a 2-core host.
-//! * **O(1) bookkeeping** — `cloudsim::Cluster` keeps id→index maps so VM
-//!   location and machine lookups are O(1) per migration instead of scans.
+//! * **One owner for placement state** — machine ids are indices into the
+//!   cluster's machine list, and every membership change goes through
+//!   `cloudsim::Cluster`, which keeps the VM→machine index, the occupied
+//!   set and (under spread placement) per-application domain counts;
+//!   `cloudsim::audit::check_cluster` recounts all three.
 //! * **Incremental control plane** — the warning path (every VM, every
 //!   epoch) is generation-checked and warm-started:
 //!   `deepdive::BehaviorRepository` keeps a per-application generation

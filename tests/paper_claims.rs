@@ -7,7 +7,7 @@
 
 use bench::{
     fig10_synthetic_accuracy, fig11_placement_robustness, fig12_profiling_overhead, fig8_detection,
-    CloudWorkload, Fig8Result,
+    CloudWorkload, Fig12Result, Fig8Result,
 };
 use deepdive::synthetic::SyntheticBenchmark;
 use hwsim::MachineSpec;
@@ -133,6 +133,30 @@ fn fig12_deepdive_profiles_far_less_than_the_naive_baselines() {
     assert!(
         total_deepdive - day1 <= day1 + 1.0,
         "profiling kept accumulating after day 1 (day1 {day1:.1}, total {total_deepdive:.1})"
+    );
+}
+
+/// The three claims the seed-21 test above asserts, as one verdict.
+fn fig12_claims_hold(r: &Fig12Result) -> bool {
+    let total = |minutes: &[f64]| minutes.last().copied().unwrap_or(f64::NAN);
+    let total_deepdive = total(&r.deepdive);
+    let day1 = r.deepdive[23];
+    total_deepdive < total(&r.baseline_20)
+        && total(&r.baseline_20) <= total(&r.baseline_5)
+        && total_deepdive - day1 <= day1 + 1.0
+}
+
+#[test]
+fn fig12_claims_hold_on_a_pinned_share_of_seeds() {
+    // The seed-21 claims swept over seeds 1-16; they hold on every one, so
+    // a change to detection or profiling that breaks one names its seeds.
+    let failing: Vec<u64> = (1..=16)
+        .filter(|&seed| !fig12_claims_hold(&fig12_profiling_overhead(seed)))
+        .collect();
+    assert_eq!(
+        16 - failing.len(),
+        16,
+        "the Fig. 12 claims fail at seeds {failing:?}"
     );
 }
 
