@@ -19,7 +19,7 @@ pub struct Job {
 
 /// Completion record for one job.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct JobOutcome {
+pub(crate) struct JobOutcome {
     /// The job as submitted.
     pub job: Job,
     /// When a server started working on it.
@@ -44,7 +44,7 @@ impl JobOutcome {
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueueResult {
     /// Per-job outcomes, in arrival order.
-    pub outcomes: Vec<JobOutcome>,
+    pub(crate) outcomes: Vec<JobOutcome>,
 }
 
 impl QueueResult {
@@ -100,12 +100,16 @@ pub fn simulate_queue(jobs: &[Job], servers: usize) -> QueueResult {
             "jobs must be sorted by arrival time"
         );
         last_arrival = job.arrival_s;
-        // Pick the server that frees up first.
-        let (server, &earliest) = free_at
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite times"))
-            .expect("at least one server");
+        // Pick the server that frees up first (the lowest index among
+        // equals).
+        let server = (1..servers).fold(0, |best, s| {
+            if free_at[s].total_cmp(&free_at[best]).is_lt() {
+                s
+            } else {
+                best
+            }
+        });
+        let earliest = free_at[server];
         let start = job.arrival_s.max(earliest);
         let finish = start + job.service_s;
         free_at[server] = finish;

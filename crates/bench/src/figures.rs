@@ -17,7 +17,6 @@ use deepdive::synthetic::SyntheticBenchmark;
 use deepdive::warning::WarningConfig;
 use hwsim::contention::PlacedDemand;
 use hwsim::{CounterSnapshot, EpochResolver, MachineSpec, ResourceDemand};
-use queueing::scenarios::{paper_fractions, reaction_time_curve, ScenarioConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use traces::{ArrivalModel, InterferenceSchedule, LoadTrace};
@@ -25,6 +24,7 @@ use workloads::{
     AppId, ClientEmulator, DataAnalytics, DataServing, NetworkStress, WebSearch, Workload,
 };
 
+use crate::scenarios::{paper_fractions, reaction_time_curve, ScenarioConfig};
 use crate::setup::{victim_cluster, xeon_cluster, CloudWorkload, StressKind};
 
 // The workload configuration types used by the variant sweeps.

@@ -14,12 +14,37 @@
 //!   across experiments.
 //! * [`figures`] — one function per figure, returning printable data.
 //!
+//! ## The profiling-farm scalability model (§5.5, Figs. 13–14)
+//!
+//! The paper models DeepDive's interference analyzer as a queue: new VMs
+//! arrive at the datacenter (1000 per day), a configurable fraction of them
+//! eventually undergoes interference and therefore needs a profiling run on
+//! one of `k` dedicated sandbox machines, and the question is how quickly
+//! DeepDive can *react* — i.e. how long a VM waits before its analysis
+//! completes — as a function of the interference rate, the number of
+//! profiling servers, the arrival process (Poisson vs. bursty lognormal) and
+//! the application-popularity distribution that determines how often global
+//! information lets DeepDive skip a full profiling run.  The model is an
+//! offline M/G/k simulation fed synthetic `traces` arrivals; it shares no
+//! state with the closed loop, so it lives here, beside the figures that
+//! print it:
+//!
+//! * [`events`] — a deterministic multi-server FCFS queue simulator.
+//! * `profiler_farm` — DeepDive-specific job generation: which arrivals
+//!   need profiling, how long a run takes, and when global information
+//!   shortens it.
+//! * [`scenarios`] — the parameter sweeps that regenerate each curve of
+//!   Figs. 13 and 14.
+//!
 //! Performance is measured elsewhere: `src/bin/e2e_bench/` is the one
 //! benchmark (`BENCHMARK.json` at the workspace root is its contract) and
 //! times the closed loop end to end and layer by layer; this library holds
 //! no timing code and writes no files.
 
+pub mod events;
 pub mod figures;
+mod profiler_farm;
+pub mod scenarios;
 pub mod setup;
 
 pub use figures::*;

@@ -7,6 +7,7 @@
 //! (finite, right-sized) data, so a regression in any experiment path is
 //! caught even when no bench is run.
 
+use bench::scenarios::{paper_fractions, reaction_time_curve, ScenarioConfig};
 use bench::{
     fig10_synthetic_accuracy, fig11_placement_robustness, fig12_profiling_overhead,
     fig1_ec2_motivation, fig4_metric_clusters, fig5_global_information, fig6_cpi_breakdown,
@@ -15,7 +16,6 @@ use bench::{
 };
 use deepdive::synthetic::SyntheticBenchmark;
 use hwsim::MachineSpec;
-use queueing::scenarios::{paper_fractions, reaction_time_curve, ScenarioConfig};
 
 fn trained() -> SyntheticBenchmark {
     SyntheticBenchmark::train(MachineSpec::xeon_x5472(), 120, 7)

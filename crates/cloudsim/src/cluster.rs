@@ -247,15 +247,15 @@ impl Cluster {
     }
 
     /// Machine-epochs resolved densely (contention model actually run) since
-    /// the cluster was built, summed over all machines.
+    /// the cluster was built, over all machines.
     pub fn total_resolves(&self) -> u64 {
-        self.machines.iter().map(|m| m.resolves()).sum()
+        self.scratch.resolves
     }
 
     /// Machine-epochs served from the quiescent report cache instead of
-    /// being resolved, summed over all machines.
+    /// being resolved, over all machines.
     pub fn total_quiescent_steps(&self) -> u64 {
-        self.machines.iter().map(|m| m.quiescent_steps()).sum()
+        self.scratch.quiescent_steps
     }
 
     /// Places a VM on a specific machine.

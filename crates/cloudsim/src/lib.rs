@@ -29,9 +29,10 @@
 //!   returns its reports.
 //! * [`service`] — [`service::DatacenterService`]: the event-driven
 //!   datacenter front end — VM sessions arrive, run hot, go idle and
-//!   depart per a `traces` session stream, batched between epochs and fed
-//!   to the sparse engine (see `engine`'s "Service mode & sparse
-//!   stepping").
+//!   depart per a `traces` session stream, ordered by a crate-private
+//!   event queue (`schedule`: stable ties, total float order), batched
+//!   between epochs and fed to the sparse engine (see `engine`'s "Service
+//!   mode & sparse stepping").
 //! * [`sandbox`] — the sandboxed environment: dedicated machines on which a
 //!   recorded demand stream is re-run in isolation (non-work-conserving,
 //!   nothing co-located).  [`sandbox::Sandbox`] is one pool of a single
@@ -50,8 +51,8 @@
 //!   counts consistent, capacity accounting exact) the chaos suite asserts after every epoch.
 //!
 //! DeepDive (crate `deepdive`) reads the [`pm::VmEpochReport`]s' identities,
-//! widths, counter snapshots and demands; the client observations and stall
-//! breakdowns in the same struct are evaluation-only ground truth.
+//! widths, counter snapshots and demands; the client observations in the
+//! same struct are evaluation-only ground truth.
 
 pub mod audit;
 pub mod cluster;
@@ -60,6 +61,7 @@ pub mod faults;
 pub mod pm;
 pub mod rngs;
 pub mod sandbox;
+mod schedule;
 pub mod scheduler;
 pub mod service;
 pub mod vm;

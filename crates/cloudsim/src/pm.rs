@@ -5,21 +5,21 @@
 //! its intrinsic demand at the offered load, hands all demands to the hwsim
 //! contention resolver, and packages the result into one
 //! [`VmEpochReport`] per VM: the Table 1 counters DeepDive reads, plus the
-//! client-observed performance and ground-truth stall breakdown the
-//! evaluation uses for scoring.
+//! client-observed performance the evaluation uses for scoring.
 //!
 //! ## Who owns the step's working memory
 //!
 //! A machine holds only what is its own: residents, scheduler, membership
-//! generation, quiescent cache and work counters, plus its hardware model
-//! as a shared [`Arc<MachineSpec>`] and that model's index.  Everything a
-//! step only borrows lives once per cluster in a `StepScratch`: the load,
-//! demand, placement and outcome buffers, and one [`EpochResolver`] per
-//! distinct machine model, picked by the machine's model index.  A machine
-//! steps alone, so one set of buffers serves the whole fleet, and a
-//! resolver's buffers are cleared on every call, so sharing it across the
-//! machines of one model cannot move a result.  This keeps a machine at
-//! two cache lines instead of a dozen cold heap blocks.
+//! generation and quiescent cache, plus its hardware model as a shared
+//! [`Arc<MachineSpec>`] and that model's index.  Everything a step only
+//! borrows lives once per cluster in a `StepScratch`: the load, demand,
+//! placement and outcome buffers, one [`EpochResolver`] per distinct
+//! machine model, picked by the machine's model index, and the fleet's
+//! work counters.  A machine steps alone, so one set of buffers serves the
+//! whole fleet, and a resolver's buffers are cleared on every call, so
+//! sharing it across the machines of one model cannot move a result.  This
+//! keeps a machine within two cache lines instead of a dozen cold heap
+//! blocks.
 //!
 //! ## Quiescence
 //!
@@ -35,12 +35,12 @@
 //! bit (the per-`(vm, epoch)` RNG draws are consumed and discarded, and a
 //! static demand ignores them by contract), so the machine clones the cache,
 //! patches the epoch index, and skips demand generation and contention
-//! resolution entirely.  `PhysicalMachine::resolves` /
-//! `PhysicalMachine::quiescent_steps` count both outcomes.
+//! resolution entirely.  The step scratch's `resolves` /
+//! `quiescent_steps` count both outcomes over the whole fleet.
 
 use std::sync::Arc;
 
-use hwsim::contention::{EpochOutcome, PlacedDemand, StallBreakdown};
+use hwsim::contention::{EpochOutcome, PlacedDemand};
 use hwsim::{CounterSnapshot, EpochResolver, MachineSpec, ResourceDemand, EPOCH_SECONDS};
 use workloads::{AppId, ClientObservation};
 
@@ -84,8 +84,6 @@ pub struct VmEpochReport {
     pub achieved_fraction: f64,
     /// Client-visible performance (evaluation ground truth).
     pub observation: ClientObservation,
-    /// Ground-truth stall breakdown (evaluation ground truth).
-    pub breakdown: StallBreakdown,
 }
 
 /// Cached result of the machine's last fully-static resolve, reused
@@ -116,6 +114,10 @@ pub(crate) struct StepScratch {
     /// Machines stepped since construction, empty or not; the engine's work
     /// bound is stated over this count.
     visits: u64,
+    /// Machine-epochs that ran demand generation and contention resolution.
+    pub(crate) resolves: u64,
+    /// Machine-epochs served from a quiescent cache without resolving.
+    pub(crate) quiescent_steps: u64,
 }
 
 impl StepScratch {
@@ -132,6 +134,8 @@ impl StepScratch {
             placements: Vec::new(),
             outcomes: Vec::new(),
             visits: 0,
+            resolves: 0,
+            quiescent_steps: 0,
         }
     }
 
@@ -162,8 +166,6 @@ pub struct PhysicalMachine {
     /// generation it was filled at.
     generation: u64,
     cache: Option<QuiescentCache>,
-    resolves: u64,
-    quiescent_steps: u64,
 }
 
 impl PhysicalMachine {
@@ -183,8 +185,6 @@ impl PhysicalMachine {
             vms: Vec::new(),
             generation: 0,
             cache: None,
-            resolves: 0,
-            quiescent_steps: 0,
         }
     }
 
@@ -207,17 +207,6 @@ impl PhysicalMachine {
     /// Number of hosted VMs.
     pub(crate) fn vm_count(&self) -> usize {
         self.vms.len()
-    }
-
-    /// Number of epochs this machine actually ran demand generation and
-    /// contention resolution for (as opposed to serving the quiescent cache).
-    pub(crate) fn resolves(&self) -> u64 {
-        self.resolves
-    }
-
-    /// Number of epochs served from the quiescent cache without resolving.
-    pub(crate) fn quiescent_steps(&self) -> u64 {
-        self.quiescent_steps
     }
 
     /// True when the scheduler would admit `vm` here now.
@@ -314,7 +303,7 @@ impl PhysicalMachine {
         if use_cache {
             if let Some(cache) = &self.cache {
                 if cache.generation == self.generation && cache.loads == *loads {
-                    self.quiescent_steps += 1;
+                    scratch.quiescent_steps += 1;
                     out.extend_from_slice(&cache.reports);
                     for report in &mut out[start..] {
                         report.epoch = epoch;
@@ -353,7 +342,7 @@ impl PhysicalMachine {
             EPOCH_SECONDS,
             &mut scratch.outcomes,
         );
-        self.resolves += 1;
+        scratch.resolves += 1;
 
         // 4. Package per-VM reports.
         out.extend(
@@ -373,7 +362,6 @@ impl PhysicalMachine {
                     demand: demand.clone(),
                     achieved_fraction: outcome.achieved_fraction,
                     observation: vm.client.observe(load, outcome.achieved_fraction),
-                    breakdown: outcome.breakdown,
                 }),
         );
 
@@ -463,9 +451,10 @@ mod tests {
 
     #[test]
     fn a_machine_fits_in_two_cache_lines() {
-        // The step scratch lives in the cluster; a machine keeps only its
-        // own state, so the fleet array stays dense.
-        assert!(std::mem::size_of::<PhysicalMachine>() <= 128);
+        // The step scratch, work counters included, lives in the cluster;
+        // a machine keeps only its own state, so the fleet array stays
+        // dense.  112 bytes on a 64-bit target.
+        assert!(std::mem::size_of::<PhysicalMachine>() <= 112);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A deterministic time-ordered event queue.
 //!
-//! The event-driven datacenter front end (`cloudsim::service`) needs a
+//! The event-driven datacenter front end ([`crate::service`]) needs a
 //! priority queue over `f64` timestamps with two properties the standard
 //! [`std::collections::BinaryHeap`] does not give directly:
 //!
@@ -17,7 +17,7 @@
 
 /// A min-heap of `(time, event)` pairs with stable FIFO tie-breaking.
 #[derive(Debug, Clone)]
-pub struct EventQueue<E> {
+pub(crate) struct EventQueue<E> {
     heap: std::collections::BinaryHeap<Entry<E>>,
     /// Monotone insertion counter; the tie-breaker that makes same-instant
     /// events pop in the order they were pushed.
@@ -58,7 +58,7 @@ impl<E> PartialOrd for Entry<E> {
 
 impl<E> EventQueue<E> {
     /// An empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             heap: std::collections::BinaryHeap::new(),
             seq: 0,
@@ -67,7 +67,7 @@ impl<E> EventQueue<E> {
 
     /// Schedules `event` at instant `at` (seconds).  Instants may arrive in
     /// any order; equal instants preserve push order on pop.
-    pub fn push(&mut self, at: f64, event: E) {
+    pub(crate) fn push(&mut self, at: f64, event: E) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Entry { at, seq, event });
@@ -81,7 +81,7 @@ impl<E> EventQueue<E> {
     /// Removes and returns the earliest event only if it is due at or
     /// before `deadline` — the event loop's "drain everything up to the
     /// epoch boundary" primitive.
-    pub fn pop_due(&mut self, deadline: f64) -> Option<(f64, E)> {
+    pub(crate) fn pop_due(&mut self, deadline: f64) -> Option<(f64, E)> {
         if self.next_at()? <= deadline {
             self.pop()
         } else {
@@ -95,7 +95,8 @@ impl<E> EventQueue<E> {
     }
 
     /// True when no events are pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 }

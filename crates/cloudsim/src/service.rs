@@ -7,10 +7,10 @@
 //! simulator sustains that churn at fleet scale.  [`DatacenterService`] is
 //! that front end: it consumes [`traces::VmSession`] lifecycles (the
 //! Hotmail and EC2 presets in `traces::arrivals`, or any custom stream),
-//! schedules them on a deterministic event queue
-//! ([`queueing::EventQueue`]), batches the arrivals/idles/departures that
-//! fall inside each epoch, and drives the sparse [`EpochEngine`] over the
-//! resulting cluster.
+//! schedules them on a deterministic event queue (the crate-private
+//! `schedule` module: stable ties, total float order), batches the
+//! arrivals/idles/departures that fall inside each epoch, and drives the
+//! sparse [`EpochEngine`] over the resulting cluster.
 //!
 //! The lifecycle model is deliberately simple and exactly matches the
 //! quiescence contract: a VM runs at its session's `active_load` for the
@@ -104,7 +104,6 @@ use std::collections::VecDeque;
 use std::ops::Range;
 
 use hwsim::{MachineSpec, EPOCH_SECONDS};
-use queueing::EventQueue;
 use traces::VmSession;
 use workloads::{AppId, ClientEmulator, DataServing, WebSearch, Workload};
 
@@ -114,6 +113,7 @@ use crate::engine::EpochEngine;
 use crate::faults::{FaultCalendar, FaultPlane, Topology};
 use crate::pm::{PmId, VmEpochReport};
 use crate::rngs::ClusterSeed;
+use crate::schedule::EventQueue;
 use crate::scheduler::Scheduler;
 use crate::vm::{Vm, VmId};
 

@@ -56,7 +56,6 @@ const ORDER_SENSITIVE_CRATES: &[&str] = &[
     "cloudsim",
     "deepdive",
     "hwsim",
-    "queueing",
     "root",
     "traces",
     "workloads",
@@ -69,7 +68,6 @@ pub(crate) const FORBID_UNSAFE_CRATES: &[&str] = &[
     "cloudsim",
     "deepdive",
     "hwsim",
-    "queueing",
     "root",
     "simlint",
     "traces",

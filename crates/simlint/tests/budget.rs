@@ -28,11 +28,11 @@ fn rules_of<'a>(findings: &'a [simlint::Finding], rule: &str) -> Vec<&'a simlint
 fn over_budget_and_stale_baseline_both_fire() {
     let root = mini_workspace("budget_two_sided");
     // hwsim has budget 1 but two calls -> over budget.
-    // queueing has budget 3 but zero calls -> stale baseline.
+    // traces has budget 3 but zero calls -> stale baseline.
     write_file(
         &root,
         "crates/simlint/unwrap_budget.txt",
-        "# comment\nhwsim 1\nqueueing 3\n",
+        "# comment\nhwsim 1\ntraces 3\n",
     );
     write_file(
         &root,
@@ -48,7 +48,7 @@ fn over_budget_and_stale_baseline_both_fire() {
         .any(|f| f.message.contains("`hwsim` has 2") && f.message.contains("budget is 1")));
     assert!(budget
         .iter()
-        .any(|f| f.message.contains("stale baseline") && f.message.contains("`queueing`")));
+        .any(|f| f.message.contains("stale baseline") && f.message.contains("`traces`")));
 }
 
 #[test]
@@ -73,20 +73,20 @@ fn matching_budget_is_clean_and_test_code_is_free() {
 fn missing_forbid_attribute_is_reported_per_crate() {
     let root = mini_workspace("forbid_missing");
     write_file(&root, "crates/simlint/unwrap_budget.txt", "");
-    // hwsim declares the attribute, queueing and cloudsim do not.
+    // hwsim declares the attribute, traces and cloudsim do not.
     write_file(
         &root,
         "crates/hwsim/src/lib.rs",
         "#![forbid(unsafe_code)]\npub fn f() {}\n",
     );
-    write_file(&root, "crates/queueing/src/lib.rs", "pub fn g() {}\n");
+    write_file(&root, "crates/traces/src/lib.rs", "pub fn g() {}\n");
     write_file(&root, "crates/cloudsim/src/lib.rs", "pub fn h() {}\n");
 
     let findings = simlint::lint_workspace(&root).unwrap();
     let forbid = rules_of(&findings, "forbid-unsafe");
     assert!(forbid
         .iter()
-        .any(|f| f.path == "crates/queueing/src/lib.rs" && f.message.contains("`queueing`")));
+        .any(|f| f.path == "crates/traces/src/lib.rs" && f.message.contains("`traces`")));
     assert!(!forbid.iter().any(|f| f.message.contains("`hwsim`")));
     // No crate is exempt: cloudsim is held to the attribute too.
     assert!(forbid

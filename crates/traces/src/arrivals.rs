@@ -8,15 +8,15 @@
 //! Poisson process (Fig. 13) or a burstier lognormal process (Fig. 14).
 //!
 //! This module turns those ingredients into a concrete [`VmArrival`] stream
-//! consumed by the queueing simulator — and, for the event-driven
+//! consumed by the profiling-farm model in `bench` — and, for the event-driven
 //! datacenter front end, into full [`VmSession`] lifecycles (arrival,
 //! active lifetime at some load, departure) via the [`hotmail_sessions`]
 //! and [`ec2_sessions`] presets.
 
-use analytics::distributions::{lognormal_arrivals, lognormal_durations, poisson_arrivals, Zipf};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::distributions::{lognormal_arrivals, lognormal_durations, poisson_arrivals, Zipf};
 use crate::hotmail::LoadTrace;
 
 /// Which inter-arrival process generates the stream.
@@ -277,8 +277,7 @@ mod tests {
         );
         let gaps = |s: &[VmSession]| s.iter().map(|v| v.arrival_s).collect::<Vec<_>>();
         assert!(
-            analytics::distributions::burstiness(&gaps(&ec2))
-                > analytics::distributions::burstiness(&gaps(&hotmail)),
+            crate::stats::burstiness(&gaps(&ec2)) > crate::stats::burstiness(&gaps(&hotmail)),
             "lognormal arrivals must clump more than thinned Poisson"
         );
     }

@@ -1,30 +1,36 @@
-//! Random processes used by the evaluation: Zipf application popularity,
-//! Poisson and lognormal VM-arrival processes, and Pareto tail sampling.
+//! Random processes behind the VM-arrival traces: Zipf application
+//! popularity, Poisson and lognormal VM-arrival processes, and lognormal
+//! session lifetimes.
 //!
 //! Figures 13 and 14 of the paper drive the profiling-farm queueing model
 //! with: (i) a Poisson VM-arrival process, (ii) a lognormal arrival process
 //! for the "burstier" scenario, and (iii) a Zipf/Pareto distribution of how
 //! many VMs run the same application (the global-information experiments,
 //! with tail index α from 1.0 to 2.5).  All samplers are seeded and
-//! deterministic for reproducibility.
+//! deterministic for reproducibility; [`crate::arrivals`] is their only
+//! consumer.
+//!
+//! The two continuous laws are sampled by hand over the workspace `rand`
+//! stand-in: the exponential by inverse transform, the normal under the
+//! lognormal by Box–Muller.  Both match their laws exactly, and the draw
+//! order is part of every trace's bits.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rand_distr::{Distribution, Exp, LogNormal};
 
 /// Zipf distribution over ranks `1..=n` with exponent `alpha`.
 ///
 /// Used to model application popularity: a handful of tenants run their code
 /// on a large number of VMs while the long tail runs a few VMs each (§5.5).
 #[derive(Debug, Clone)]
-pub struct Zipf {
+pub(crate) struct Zipf {
     probabilities: Vec<f64>,
     cumulative: Vec<f64>,
 }
 
 impl Zipf {
     /// Builds a Zipf distribution over `n` ranks with tail index `alpha > 0`.
-    pub fn new(n: usize, alpha: f64) -> Self {
+    pub(crate) fn new(n: usize, alpha: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
         assert!(
             alpha > 0.0 && alpha.is_finite(),
@@ -50,12 +56,9 @@ impl Zipf {
     }
 
     /// Samples a rank in `1..=n`.
-    pub fn sample(&self, rng: &mut StdRng) -> usize {
+    pub(crate) fn sample(&self, rng: &mut StdRng) -> usize {
         let u: f64 = rng.gen_range(0.0..1.0);
-        match self
-            .cumulative
-            .binary_search_by(|c| c.partial_cmp(&u).expect("NaN in Zipf cdf"))
-        {
+        match self.cumulative.binary_search_by(|c| c.total_cmp(&u)) {
             Ok(idx) => idx + 1,
             Err(idx) => (idx + 1).min(self.probabilities.len()),
         }
@@ -64,16 +67,18 @@ impl Zipf {
 
 /// Generates arrival times (seconds from 0) over a horizon for a Poisson
 /// process with the given mean arrivals per day.
-pub fn poisson_arrivals(arrivals_per_day: f64, horizon_seconds: f64, seed: u64) -> Vec<f64> {
-    assert!(arrivals_per_day > 0.0, "arrival rate must be positive");
+pub(crate) fn poisson_arrivals(arrivals_per_day: f64, horizon_seconds: f64, seed: u64) -> Vec<f64> {
+    assert!(
+        arrivals_per_day > 0.0 && arrivals_per_day.is_finite(),
+        "arrival rate must be positive and finite"
+    );
     assert!(horizon_seconds > 0.0, "horizon must be positive");
     let rate_per_second = arrivals_per_day / 86_400.0;
-    let exp = Exp::new(rate_per_second).expect("valid exponential rate");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = 0.0;
     let mut arrivals = Vec::new();
     loop {
-        t += exp.sample(&mut rng);
+        t += exponential(&mut rng, rate_per_second);
         if t > horizon_seconds {
             break;
         }
@@ -87,25 +92,30 @@ pub fn poisson_arrivals(arrivals_per_day: f64, horizon_seconds: f64, seed: u64) 
 ///
 /// `sigma` controls burstiness (the paper uses this to model "burstier
 /// workload behaviors", Fig. 14); larger sigma means heavier clumping.
-pub fn lognormal_arrivals(
+pub(crate) fn lognormal_arrivals(
     arrivals_per_day: f64,
     horizon_seconds: f64,
     sigma: f64,
     seed: u64,
 ) -> Vec<f64> {
-    assert!(arrivals_per_day > 0.0, "arrival rate must be positive");
+    assert!(
+        arrivals_per_day > 0.0 && arrivals_per_day.is_finite(),
+        "arrival rate must be positive and finite"
+    );
     assert!(horizon_seconds > 0.0, "horizon must be positive");
-    assert!(sigma > 0.0, "lognormal sigma must be positive");
+    assert!(
+        sigma > 0.0 && sigma.is_finite(),
+        "lognormal sigma must be positive and finite"
+    );
     let mean_gap = 86_400.0 / arrivals_per_day;
     // For LogNormal(mu, sigma), mean = exp(mu + sigma^2 / 2); pick mu so the
     // mean inter-arrival gap matches the Poisson case.
     let mu = mean_gap.ln() - sigma * sigma / 2.0;
-    let dist = LogNormal::new(mu, sigma).expect("valid lognormal parameters");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut t = 0.0;
     let mut arrivals = Vec::new();
     loop {
-        t += dist.sample(&mut rng);
+        t += lognormal(&mut rng, mu, sigma);
         if t > horizon_seconds {
             break;
         }
@@ -121,33 +131,49 @@ pub fn lognormal_arrivals(
 /// distributions in production traces are heavy-tailed, with most sessions
 /// short and a long tail of near-permanent VMs.  The median (not the mean)
 /// is the natural anchor for a lognormal — `exp(mu)` exactly.
-pub fn lognormal_durations(median_s: f64, sigma: f64, count: usize, seed: u64) -> Vec<f64> {
-    assert!(median_s > 0.0, "median duration must be positive");
-    assert!(sigma > 0.0, "lognormal sigma must be positive");
-    let dist = LogNormal::new(median_s.ln(), sigma).expect("valid lognormal parameters");
+pub(crate) fn lognormal_durations(median_s: f64, sigma: f64, count: usize, seed: u64) -> Vec<f64> {
+    assert!(
+        median_s > 0.0 && median_s.is_finite(),
+        "median duration must be positive and finite"
+    );
+    assert!(
+        sigma > 0.0 && sigma.is_finite(),
+        "lognormal sigma must be positive and finite"
+    );
+    let mu = median_s.ln();
     let mut rng = StdRng::seed_from_u64(seed);
-    (0..count).map(|_| dist.sample(&mut rng)).collect()
+    (0..count).map(|_| lognormal(&mut rng, mu, sigma)).collect()
 }
 
-/// Squared coefficient of variation of the gaps between consecutive arrival
-/// times — a standard burstiness measure (1.0 for Poisson, larger for
-/// heavier-tailed processes).
-// simlint: test-accessor (the arrival-process tests compare streams by it)
-pub fn burstiness(arrivals: &[f64]) -> f64 {
-    if arrivals.len() < 3 {
-        return 0.0;
-    }
-    let gaps: Vec<f64> = arrivals.windows(2).map(|w| w[1] - w[0]).collect();
-    let mean = crate::stats::mean(&gaps);
-    if mean <= 0.0 {
-        return 0.0;
-    }
-    crate::stats::variance(&gaps) / (mean * mean)
+/// One exponential draw with rate `lambda` (mean `1/lambda`), by inverse
+/// transform; `1 - u` is in (0, 1], so the log is finite.
+fn exponential(rng: &mut StdRng, lambda: f64) -> f64 {
+    let u = rng.gen_f64();
+    -(1.0 - u).ln() / lambda
+}
+
+/// One lognormal draw, `exp(N(mu, sigma^2))`.
+fn lognormal(rng: &mut StdRng, mu: f64, sigma: f64) -> f64 {
+    (mu + sigma * standard_normal(rng)).exp()
+}
+
+/// One standard-normal draw via Box–Muller (two uniforms, the first
+/// redrawn while it is zero).
+fn standard_normal(rng: &mut StdRng) -> f64 {
+    let u1: f64 = loop {
+        let u = rng.gen_f64();
+        if u > 0.0 {
+            break u;
+        }
+    };
+    let u2 = rng.gen_f64();
+    (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::burstiness;
 
     #[test]
     fn zipf_probabilities_sum_to_one_and_decay() {
@@ -239,6 +265,36 @@ mod tests {
     fn burstiness_of_regular_sequence_is_zero() {
         let regular: Vec<f64> = (0..100).map(|i| i as f64).collect();
         assert!(burstiness(&regular) < 1e-12);
+    }
+
+    #[test]
+    fn exponential_mean_matches_rate() {
+        let mut rng = StdRng::seed_from_u64(1);
+        let n = 200_000;
+        let mean: f64 = (0..n).map(|_| exponential(&mut rng, 0.5)).sum::<f64>() / n as f64;
+        assert!((mean - 2.0).abs() < 0.05, "mean {mean}");
+    }
+
+    #[test]
+    fn lognormal_mean_matches_closed_form() {
+        let (mu, sigma) = (1.0, 0.5);
+        let mut rng = StdRng::seed_from_u64(2);
+        let n = 200_000;
+        let mean: f64 = (0..n).map(|_| lognormal(&mut rng, mu, sigma)).sum::<f64>() / n as f64;
+        let expected = (mu + sigma * sigma / 2.0_f64).exp();
+        assert!(
+            (mean / expected - 1.0).abs() < 0.02,
+            "mean {mean} vs {expected}"
+        );
+    }
+
+    #[test]
+    fn samples_are_positive() {
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..10_000 {
+            assert!(exponential(&mut rng, 1.0) >= 0.0);
+            assert!(lognormal(&mut rng, 0.0, 1.0) > 0.0);
+        }
     }
 
     #[test]

@@ -18,12 +18,16 @@
 //! The original traces are not publicly available, so this crate generates
 //! faithful synthetic equivalents: a diurnal load profile with day-to-day
 //! variation ([`hotmail`]), an episodic interference schedule with tunable
-//! intensity ([`ec2`]), and arrival streams built on the samplers in the
-//! `analytics` crate ([`arrivals`]).
+//! intensity ([`ec2`]), and arrival streams ([`arrivals`]) built on the
+//! crate's private samplers (`distributions`: Zipf popularity, Poisson and
+//! lognormal arrival processes, lognormal lifetimes).
 
 pub mod arrivals;
+mod distributions;
 pub mod ec2;
 pub mod hotmail;
+#[cfg(test)]
+mod stats;
 
 pub use arrivals::{ec2_sessions, hotmail_sessions, ArrivalModel, VmArrival, VmSession};
 pub use ec2::InterferenceSchedule;

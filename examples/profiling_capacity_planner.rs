@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example profiling_capacity_planner`
 
-use queueing::scenarios::{reaction_time_curve, ScenarioConfig};
+use bench::scenarios::{reaction_time_curve, ScenarioConfig};
 use traces::ArrivalModel;
 
 const TARGET_REACTION_MINUTES: f64 = 5.0;

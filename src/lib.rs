@@ -19,7 +19,7 @@
 //! *Dependency shims* below). From the repository root:
 //!
 //! ```text
-//! cargo build --release      # builds all 15 workspace crates
+//! cargo build --release      # builds all 13 workspace crates
 //! cargo test -q              # unit + integration + doc tests (CI prints the count)
 //! cargo bench --no-run       # compiles the 13 figure/table benches
 //! cargo bench                # prints every paper figure's data series; times nothing
@@ -37,14 +37,14 @@
 //! ```text
 //! hwsim                                  (machine + counter substrate)
 //!   └─► workloads                        (cloud + stress workloads)
-//! analytics                              (clustering, regression, dists)
-//!   └─► traces ─► queueing               (arrival traces; queueing model)
-//! hwsim + workloads + traces + queueing
+//! analytics                              (clustering, regression)
+//! traces                                 (load, episode, arrival traces)
+//! hwsim + workloads + traces
 //!   └─► cloudsim                         (VMs, PMs, service, sandbox)
 //! hwsim + workloads + cloudsim + analytics
 //!   └─► deepdive                         (the paper's contribution)
 //! everything
-//!   └─► bench                            (per-figure experiment harness)
+//!   └─► bench                            (figures + profiling-farm model)
 //! ```
 //!
 //! `simlint` (the static-analysis binary, see below) stands alone: it
@@ -144,7 +144,7 @@
 //! that shape first-class:
 //!
 //! * **The event-driven front end** — `cloudsim::service::DatacenterService`
-//!   owns a cluster plus a `queueing::EventQueue` of `traces::VmSession`
+//!   owns a cluster plus a deterministic event queue of `traces::VmSession`
 //!   lifecycles (the Hotmail and EC2 arrival presets in `traces::arrivals`,
 //!   or any custom stream).  Between epochs it drains every due event —
 //!   arrivals place VMs first-fit from a rotating scan cursor, lifetime
@@ -244,7 +244,7 @@
 //! # Test-suite map
 //!
 //! * per-crate unit tests — each module tests its own invariants (~470
-//!   tests across the 9 functional crates and the shims),
+//!   tests across the 8 functional crates and the shims),
 //! * `tests/end_to_end.rs` — the full pipeline: learn → detect →
 //!   attribute → migrate → recover,
 //! * `tests/paper_claims.rs` — the paper's headline qualitative claims
@@ -322,10 +322,12 @@
 //! # Dependency shims
 //!
 //! The build environment has no network access, so the handful of external
-//! crates the code uses (`rand`, `rand_distr`, `proptest`) are vendored as
-//! minimal in-tree stand-ins under `crates/shims/`, exposing exactly the API
-//! surface this workspace exercises; swapping those back to the real crates
-//! is a `[workspace.dependencies]` edit away. The `serde` and `serde_json`
+//! crates the code uses (`rand`, `proptest`) are vendored as minimal in-tree
+//! stand-ins under `crates/shims/`, exposing exactly the API surface this
+//! workspace exercises; swapping those back to the real crates is a
+//! `[workspace.dependencies]` edit away.  The exponential and lognormal
+//! samplers behind the arrival traces are not a shim: `traces` draws them
+//! itself, since the real `rand_distr` would not reproduce their bits. The `serde` and `serde_json`
 //! crates beside them are not stand-ins for their namesakes: they are the
 //! workspace's own JSON value model and text codec (no traits, no derives),
 //! used by `BehaviorRepository::{to_json, from_json}` and `e2e_bench`'s
@@ -336,18 +338,17 @@
 //! * [`hwsim`] — physical-machine / performance-counter substrate,
 //! * [`workloads`] — cloud and stress workload models,
 //! * [`cloudsim`] — VMs, PMs, cluster, sandbox and migration,
-//! * [`analytics`] — clustering, regression and distributions,
+//! * [`analytics`] — clustering and regression,
 //! * [`traces`] — load-intensity, interference and arrival traces,
 //! * [`deepdive`] — the warning system, interference analyzer and placement
 //!   manager (the paper's contribution),
-//! * [`queueing`] — the profiling-farm queueing simulator,
-//! * [`mod@bench`] — the experiment harness regenerating every figure.
+//! * [`mod@bench`] — the experiment harness regenerating every figure, and
+//!   the profiling-farm queueing model of Figs. 13–14.
 
 pub use analytics;
 pub extern crate bench;
 pub use cloudsim;
 pub use deepdive;
 pub use hwsim;
-pub use queueing;
 pub use traces;
 pub use workloads;

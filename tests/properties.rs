@@ -10,11 +10,11 @@
 //! * adding a co-runner never *increases* a VM's achieved fraction, and
 //! * the queueing model reacts monotonically to capacity.
 
+use bench::events::{simulate_queue, Job};
 use deepdive::metrics::BehaviorVector;
 use hwsim::contention::PlacedDemand;
 use hwsim::{EpochResolver, MachineSpec, ResourceDemand};
 use proptest::prelude::*;
-use queueing::events::{simulate_queue, Job};
 
 /// Strategy generating a plausible, well-formed resource demand.
 fn demand_strategy() -> impl Strategy<Value = ResourceDemand> {
