@@ -19,6 +19,8 @@
 //!   the machines' resident lists.
 //! * **The occupied set is exact** — the bitset the epoch engine walks
 //!   has a bit set for exactly the machines with residents.
+//! * **A down machine hosts nothing** — no machine whose down bit is set
+//!   has a resident.
 //! * **Capacity accounting is exact** — per machine, resident vCPUs never
 //!   exceed the spec's cores and `cloudsim::pm::PhysicalMachine::free_cores`
 //!   equals spec cores minus resident vCPUs.
@@ -26,8 +28,8 @@
 //! Findings come back as human-readable strings (empty = clean); the chaos
 //! suite asserts emptiness after every epoch, and
 //! [`crate::service::DatacenterService::audit`] layers the service-level
-//! invariants (parked VMs are not resident, crashed machines host nothing)
-//! on top.
+//! invariants (parked VMs are not resident, the down and draining bits are
+//! the fault calendar's) on top.
 //!
 //! The tests' `check_spread` is a separate, *advisory* check of the
 //! failure-domain spread policy: an application with two or more VMs
@@ -63,6 +65,13 @@ pub fn check_cluster(cluster: &Cluster) -> Vec<String> {
 
         if !machine.vms().is_empty() {
             occupied[index / 64] |= 1 << (index % 64);
+            if cluster.machine_down(machine.id) {
+                findings.push(format!(
+                    "{} is down but hosts {} VMs",
+                    machine.id,
+                    machine.vm_count()
+                ));
+            }
         }
         let mut used_vcpus = 0usize;
         for vm in machine.vms() {

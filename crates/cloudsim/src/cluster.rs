@@ -15,6 +15,11 @@
 //! The same methods keep the occupied-machine set the epoch engine walks,
 //! one bit per machine.
 //!
+//! It owns machine availability too: a down and a draining bit per
+//! machine, set by the service's fault sweep.  Every placement path and
+//! [`Cluster::migrate`] refuse a machine with either set, so the service
+//! and a controller get one answer to "can this machine take a VM now?".
+//!
 //! The cluster also owns the engine's working memory: one
 //! `StepScratch` (step buffers plus one resolver per distinct machine
 //! model), shared by every machine in turn, since the engine borrows
@@ -29,6 +34,12 @@ use crate::scheduler::Scheduler;
 use crate::vm::{Vm, VmId};
 use hwsim::MachineSpec;
 use workloads::AppId;
+
+/// Machine `i`'s status bit `2i + DOWN` is set inside a down window (crash,
+/// rack or domain outage, maintenance offline), `2i + DRAINING` inside a
+/// drain's notice window.
+pub(crate) const DOWN: usize = 0;
+pub(crate) const DRAINING: usize = 1;
 
 /// Errors returned by cluster operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,6 +68,13 @@ pub enum ClusterError {
         /// The machine it already occupies.
         pm: PmId,
     },
+    /// The destination machine is down or draining and accepts no VM.
+    Unavailable {
+        /// The VM that could not be placed.
+        vm: VmId,
+        /// The machine that is down or draining.
+        pm: PmId,
+    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -69,6 +87,9 @@ impl std::fmt::Display for ClusterError {
                 write!(f, "no machine in the cluster has capacity for {vm}")
             }
             ClusterError::AlreadyPlaced { vm, pm } => write!(f, "{vm} is already on {pm}"),
+            ClusterError::Unavailable { vm, pm } => {
+                write!(f, "{pm} is down or draining and takes no {vm}")
+            }
         }
     }
 }
@@ -82,6 +103,9 @@ pub struct Cluster {
     /// Bit `i % 64` of word `i / 64` is set while machine `i` hosts a VM;
     /// kept by every membership change.
     occupied: Vec<u64>,
+    /// Two bits per machine ([`DOWN`], [`DRAINING`]), set by the service's
+    /// fault sweep.
+    status: Box<[u64]>,
     /// The engine's step buffers and per-model resolvers, boxed so the
     /// cluster stays small wherever it is moved by value.
     scratch: Box<StepScratch>,
@@ -140,6 +164,7 @@ impl Cluster {
         assert!(!machines.is_empty(), "a cluster needs at least one machine");
         Self {
             occupied: vec![0; machines.len().div_ceil(64)],
+            status: vec![0; machines.len().div_ceil(32)].into_boxed_slice(),
             scratch: Box::new(StepScratch::new(&models)),
             machines,
             epoch: 0,
@@ -211,13 +236,33 @@ impl Cluster {
     /// Sets or clears `pm`'s occupied bit from its resident list; called
     /// after every membership change on `pm`.
     fn note_occupancy(&mut self, pm: PmId) {
-        let index = pm.0 as usize;
-        let bit = 1u64 << (index % 64);
-        if self.machines[index].vms().is_empty() {
-            self.occupied[index / 64] &= !bit;
-        } else {
-            self.occupied[index / 64] |= bit;
-        }
+        let occupied = !self.machines[pm.0 as usize].vms().is_empty();
+        set_bit(&mut self.occupied, pm.0 as usize, occupied);
+    }
+
+    /// True while `pm` is inside a down window (crash, rack or domain
+    /// outage, maintenance offline); always false unless a service with an
+    /// enabled fault plane drives the cluster.
+    pub fn machine_down(&self, pm: PmId) -> bool {
+        bit(&self.status, 2 * pm.0 as usize + DOWN)
+    }
+
+    /// True while `pm` is inside a maintenance drain's notice window —
+    /// still serving, but being migrated off and closed to new VMs.
+    pub fn machine_draining(&self, pm: PmId) -> bool {
+        bit(&self.status, 2 * pm.0 as usize + DRAINING)
+    }
+
+    /// True while `pm` takes no VM: down or draining.
+    pub(crate) fn closed(&self, pm: PmId) -> bool {
+        self.machine_down(pm) || self.machine_draining(pm)
+    }
+
+    /// Sets `pm`'s status bit `flag` to `on` and returns its previous
+    /// value: the service's fault sweep, as the machine enters or leaves a
+    /// window.
+    pub(crate) fn set_status(&mut self, pm: PmId, flag: usize, on: bool) -> bool {
+        set_bit(&mut self.status, 2 * pm.0 as usize + flag, on)
     }
 
     /// Marks one more epoch as completed (called by the epoch engine after
@@ -273,6 +318,9 @@ impl Cluster {
         vm: Vm,
     ) -> Result<(), (Vm, ClusterError)> {
         let (vm_id, app) = (vm.id, vm.app_id());
+        if self.closed(pm) {
+            return Err((vm, ClusterError::Unavailable { vm: vm_id, pm }));
+        }
         let Some(machine) = self.machines.get_mut(pm.0 as usize) else {
             return Err((vm, ClusterError::UnknownPm(pm)));
         };
@@ -287,19 +335,15 @@ impl Cluster {
         }
     }
 
-    /// Places a VM on the first machine with capacity (first-fit); returns
-    /// the chosen machine.
+    /// Places a VM on the first open machine with capacity (first-fit);
+    /// returns the chosen machine.
     // simlint: test-accessor (builds the test fleets)
     pub fn place_first_fit(&mut self, vm: Vm) -> Result<PmId, ClusterError> {
-        let (vm_id, app) = (vm.id, vm.app_id());
-        let Some(pm) = self.machines.iter().find(|m| m.admits(&vm)).map(|m| m.id) else {
-            return Err(ClusterError::ClusterFull { vm: vm_id });
+        let open = |m: &&PhysicalMachine| !self.closed(m.id) && m.admits(&vm);
+        let Some(pm) = self.machines.iter().find(open).map(|m| m.id) else {
+            return Err(ClusterError::ClusterFull { vm: vm.id });
         };
-        self.machines[pm.0 as usize].push_vm(vm);
-        self.vm_locations.insert(vm_id, pm);
-        self.note_occupancy(pm);
-        self.count_domain(app, pm, true);
-        Ok(pm)
+        self.place_on(pm, vm).map(|()| pm)
     }
 
     /// Removes a VM from the cluster (a departure, an evacuee leaving a
@@ -314,15 +358,19 @@ impl Cluster {
         Some(removed)
     }
 
-    /// Migrates a VM to the given destination machine.  Admission is checked
-    /// before anything moves, so on any error the VM stays where it was, in
-    /// its slot.
+    /// Migrates a VM to the given destination machine, which must be open
+    /// (neither down nor draining) and admit it.  Both are checked before
+    /// anything moves, so on any error the VM stays where it was, in its
+    /// slot.
     pub fn migrate(&mut self, vm: VmId, to: PmId) -> Result<(), ClusterError> {
         let from = self.locate(vm).ok_or(ClusterError::UnknownVm(vm))?;
         if from == to {
             return Err(ClusterError::AlreadyPlaced { vm, pm: to });
         }
         let destination = self.machine(to).ok_or(ClusterError::UnknownPm(to))?;
+        if self.closed(to) {
+            return Err(ClusterError::Unavailable { vm, pm: to });
+        }
         let source = &self.machines[from.0 as usize];
         let moving = source
             .vms()
@@ -344,6 +392,24 @@ impl Cluster {
         self.count_domain(app, to, true);
         Ok(())
     }
+}
+
+/// Bit `index` of a bitset; false past its end.
+fn bit(bits: &[u64], index: usize) -> bool {
+    bits.get(index / 64)
+        .is_some_and(|word| word >> (index % 64) & 1 == 1)
+}
+
+/// Sets bit `index` of a bitset to `on` and returns its previous value.
+fn set_bit(bits: &mut [u64], index: usize, on: bool) -> bool {
+    let (word, mask) = (&mut bits[index / 64], 1u64 << (index % 64));
+    let was = *word & mask != 0;
+    if on {
+        *word |= mask;
+    } else {
+        *word &= !mask;
+    }
+    was
 }
 
 impl std::fmt::Debug for Cluster {
@@ -498,6 +564,35 @@ mod tests {
             assert!(findings[0].contains("occupied-machine set drifted"));
             c.occupied[word] = kept;
         }
+    }
+
+    #[test]
+    fn a_down_or_draining_machine_takes_no_vm() {
+        for flag in [DOWN, DRAINING] {
+            let mut c = cluster(3);
+            c.place_on(PmId(0), serving_vm(1)).unwrap();
+            assert!(!c.set_status(PmId(1), flag, true), "bits start clear");
+            let refused = |vm| Err(ClusterError::Unavailable { vm, pm: PmId(1) });
+            assert_eq!(c.migrate(VmId(1), PmId(1)), refused(VmId(1)));
+            assert_eq!(c.locate(VmId(1)), Some(PmId(0)), "the VM stays put");
+            assert_eq!(c.place_on(PmId(1), serving_vm(2)), refused(VmId(2)));
+            assert_eq!(c.place_first_fit(serving_vm(3)), Ok(PmId(0)));
+            assert_eq!((c.machines()[1].vm_count(), c.vm_count()), (0, 2));
+            assert!(c.set_status(PmId(1), flag, false));
+            c.migrate(VmId(1), PmId(1)).unwrap();
+        }
+    }
+
+    #[test]
+    fn the_audit_catches_a_down_machine_that_hosts_a_vm() {
+        let mut c = cluster(2);
+        c.place_on(PmId(1), serving_vm(1)).unwrap();
+        c.set_status(PmId(1), DRAINING, true);
+        assert_eq!(crate::audit::check_cluster(&c), Vec::<String>::new());
+        // A sweep that flipped the bit but never evacuated.
+        c.set_status(PmId(1), DOWN, true);
+        let findings = crate::audit::check_cluster(&c);
+        assert_eq!(findings, ["pm-1 is down but hosts 1 VMs"]);
     }
 
     #[test]

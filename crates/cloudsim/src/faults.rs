@@ -55,13 +55,14 @@
 //! * **[`FaultPlane`] is the stateless reference.**  Each query scans the
 //!   bounded set of start epochs whose windows could still cover `t`, so
 //!   the plane holds no state, is `Copy`, and answers any `(entity,
-//!   epoch)` in any order.  The controller asks it pointwise, and not
-//!   cheaply: each mitigation filters its candidate destinations by
-//!   asking `machine_down` and `machine_draining` about every machine in
-//!   the fleet but the victim's host, and each query rescans every
-//!   stream's lookback (up to the longest window of crash, rack, domain
-//!   and drain starts).  One mitigation therefore costs in proportion to
-//!   fleet size × lookback; no counter records it yet.
+//!   epoch)` in any order.  Its machine streams are read only through
+//!   the service's calendar below; pointwise, the library asks it only
+//!   [`FaultPlane::sandbox_down`] and [`FaultPlane::migration_fails`]
+//!   (the controller), and tests and `e2e_bench`'s query probe ask
+//!   [`FaultPlane::machine_down`].  Which machines take VMs lives in the
+//!   [`crate::Cluster`]'s down and draining bits, which the service's
+//!   sweep writes from the calendar and placement, migration and the
+//!   controller read.
 //! * **The service reads a crate-private fault calendar.**  Asking the
 //!   reference about every machine every epoch re-derives the same cells
 //!   over and over, so `DatacenterService` keeps a calendar over its fleet

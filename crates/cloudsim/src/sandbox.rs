@@ -21,8 +21,7 @@
 //! That is what [`SandboxFleet`] provides; a one-pool fleet is the paper's
 //! single-pool setup and behaves identically to the bare [`Sandbox`].
 
-use hwsim::contention::PlacedDemand;
-use hwsim::{CounterSnapshot, EpochResolver, MachineSpec, ResourceDemand, EPOCH_SECONDS};
+use hwsim::{CounterSnapshot, EpochResolver, MachineSpec, ResourceDemand};
 
 use crate::cluster::Cluster;
 use crate::vm::VmId;
@@ -110,14 +109,8 @@ impl Sandbox {
         // One resolver serves the whole replayed window: the clone runs solo,
         // so every epoch reuses the same scratch buffers.
         let mut resolver = EpochResolver::new(self.spec.clone());
-        let mut outcomes = Vec::with_capacity(1);
         for demand in demands {
-            resolver.resolve_into(
-                &[PlacedDemand::new(vm_id.0, demand.clone(), vcpus, 0)],
-                EPOCH_SECONDS,
-                &mut outcomes,
-            );
-            let o = &outcomes[0];
+            let o = resolver.resolve_solo(vm_id.0, demand, vcpus);
             counters.push(o.counters);
             fractions.push(o.achieved_fraction);
         }
@@ -243,7 +236,7 @@ impl SandboxFleet {
 mod tests {
     use super::*;
     use crate::scheduler::Scheduler;
-    use hwsim::ResourceDemand;
+    use hwsim::contention::PlacedDemand;
 
     /// The pool `select_index` routes `spec` to, and whether it matched.
     fn select<'a>(fleet: &'a SandboxFleet, spec: &MachineSpec) -> (&'a Sandbox, bool) {

@@ -44,13 +44,14 @@
 //!
 //! The sweep reads the schedule from a fault calendar (see the
 //! [`crate::faults`] module docs) that draws each of the epoch's fault
-//! cells once, instead of asking [`FaultPlane::machine_down`] about every
-//! machine; the answers are the same bit for bit.  Machines still flip
-//! down or draining one at a time, in machine order, each interleaved
-//! with its own evacuation or drain step.  So an evacuee from machine `i`
-//! can land on a machine `j > i` whose outage starts this epoch but has
-//! not been swept yet, and is evacuated again when the sweep reaches `j`
-//! — that order is part of the result.
+//! cells once; its answers are [`FaultPlane::machine_down`]'s bit for bit.
+//! It writes them into the [`Cluster`]'s down and draining bits, which the
+//! service's placement and a controller's migrations both read.  Machines
+//! flip one at a time, in machine order, each interleaved with its own
+//! evacuation or drain step, so an evacuee from machine `i` can land on a
+//! machine `j > i` whose outage starts this epoch but has not been swept
+//! yet, and is evacuated again when the sweep reaches `j` — that order is
+//! part of the result.
 //!
 //! Evacuees that find no capacity, and rejected
 //! arrivals (with or without a fault plane), are never dropped: they enter
@@ -108,7 +109,7 @@ use traces::VmSession;
 use workloads::{AppId, ClientEmulator, DataServing, WebSearch, Workload};
 
 use crate::audit;
-use crate::cluster::{Cluster, ClusterError};
+use crate::cluster::{Cluster, ClusterError, DOWN, DRAINING};
 use crate::engine::EpochEngine;
 use crate::faults::{FaultCalendar, FaultPlane, Topology};
 use crate::pm::{PmId, VmEpochReport};
@@ -275,13 +276,6 @@ pub struct DatacenterService {
     /// The plane's machine streams drawn once per epoch, built at the
     /// first fault sweep after the plane is attached.
     calendar: Option<FaultCalendar>,
-    /// Edge-detection mirror of the plane's down windows, indexed by
-    /// machine.  Placement skips machines marked down.
-    down: Vec<bool>,
-    /// Edge-detection mirror of the plane's drain notice windows.
-    /// Placement skips draining machines; the drain sweep migrates their
-    /// residents out incrementally.
-    draining: Vec<bool>,
     /// Parked VMs (rejected arrivals and stranded evacuees) waiting out
     /// their backoff.
     retry: VecDeque<RetryEntry>,
@@ -309,7 +303,6 @@ impl DatacenterService {
         for (index, session) in sessions.iter().enumerate() {
             events.push(session.arrival_s, SessionEvent::Arrive(index));
         }
-        let machines = config.machines;
         Self {
             cluster,
             engine,
@@ -322,8 +315,6 @@ impl DatacenterService {
             stats: ServiceStats::default(),
             fault_plane: None,
             calendar: None,
-            down: vec![false; machines],
-            draining: vec![false; machines],
             retry: VecDeque::new(),
             departed: Vec::new(),
         }
@@ -336,33 +327,18 @@ impl DatacenterService {
         self.calendar = None;
     }
 
-    /// The attached fault plane, if any.
-    pub fn fault_plane(&self) -> Option<&FaultPlane> {
-        self.fault_plane.as_ref()
-    }
-
-    /// True while `pm` is inside a down window (always false without an
-    /// enabled fault plane).
-    pub fn machine_down(&self, pm: PmId) -> bool {
-        self.down.get(pm.0 as usize).copied().unwrap_or(false)
-    }
-
-    /// True while `pm` is inside a maintenance drain's notice window —
-    /// still serving, but being migrated off and closed to new placements.
-    pub fn machine_draining(&self, pm: PmId) -> bool {
-        self.draining.get(pm.0 as usize).copied().unwrap_or(false)
-    }
-
     /// VMs currently parked in the retry queue.
     // simlint: test-accessor (the leak checks of the loop and chaos suites)
     pub fn parked(&self) -> usize {
         self.retry.len()
     }
 
-    /// Runs the cluster invariant audit ([`audit::check_cluster`]) plus the
-    /// service-level invariants: parked VMs are not simultaneously
-    /// resident, and machines inside a crash window host nothing.  Returns
-    /// one message per violation (empty = consistent).
+    /// Runs the cluster invariant audit ([`audit::check_cluster`], which
+    /// includes "a down machine hosts nothing") plus the service-level
+    /// invariants: parked VMs are not simultaneously resident, and every
+    /// machine's down and draining bits are the fault calendar's answers
+    /// for the last swept epoch.  Returns one message per violation (empty
+    /// = consistent).
     pub fn audit(&self) -> Vec<String> {
         let mut findings = audit::check_cluster(&self.cluster);
         for entry in &self.retry {
@@ -373,16 +349,16 @@ impl DatacenterService {
                 ));
             }
         }
-        for (index, down) in self.down.iter().enumerate() {
-            if !down {
-                continue;
-            }
-            let pm = PmId(index as u64);
-            if let Some(machine) = self.cluster.machine(pm) {
-                if machine.vm_count() > 0 {
+        if let Some(calendar) = &self.calendar {
+            for pm in (0..self.config.machines as u64).map(PmId) {
+                let kept = (
+                    self.cluster.machine_down(pm),
+                    self.cluster.machine_draining(pm),
+                );
+                let swept = (calendar.machine_down(pm), calendar.machine_draining(pm));
+                if kept != swept {
                     findings.push(format!(
-                        "{pm} is inside a crash window but hosts {} VMs",
-                        machine.vm_count()
+                        "{pm}'s (down, draining) bits are {kept:?} but the fault calendar says {swept:?}"
                     ));
                 }
             }
@@ -489,10 +465,10 @@ impl DatacenterService {
     ///
     /// The calendar is advanced to `epoch` first, so each loop reads a
     /// machine's state instead of recomputing it.  The loops still flip
-    /// `down[i]` and `draining[i]` one machine at a time, in machine
-    /// order, interleaved with that machine's evacuation or drain step:
-    /// an evacuee from machine `i` may land on a machine `j > i` whose
-    /// flag has not flipped yet, and flipping every flag first would
+    /// the cluster's down and draining bits one machine at a time, in
+    /// machine order, interleaved with that machine's evacuation or drain
+    /// step: an evacuee from machine `i` may land on a machine `j > i`
+    /// whose bit has not flipped yet, and flipping every bit first would
     /// change where VMs land.
     fn apply_faults(&mut self, epoch: u64) {
         let Some(plane) = self.fault_plane else {
@@ -507,12 +483,11 @@ impl DatacenterService {
             .take()
             .unwrap_or_else(|| FaultCalendar::new(plane, machines, epoch));
         calendar.advance_to(epoch);
-        for index in 0..machines {
-            let pm = PmId(index as u64);
+        for pm in (0..machines as u64).map(PmId) {
             let now_down = calendar.machine_down(pm);
-            // Flip the flag *before* handling the edge so evacuation never
+            // Flip the bit *before* handling the edge so evacuation never
             // re-places a VM onto the machine that is going down.
-            let was_down = std::mem::replace(&mut self.down[index], now_down);
+            let was_down = self.cluster.set_status(pm, DOWN, now_down);
             if now_down {
                 self.stats.down_machine_epochs += 1;
                 if !was_down {
@@ -529,10 +504,9 @@ impl DatacenterService {
             }
         }
         if plane.config().machine_drain_per_epoch > 0.0 {
-            for index in 0..machines {
-                let pm = PmId(index as u64);
+            for pm in (0..machines as u64).map(PmId) {
                 let now_draining = calendar.machine_draining(pm);
-                let was = std::mem::replace(&mut self.draining[index], now_draining);
+                let was = self.cluster.set_status(pm, DRAINING, now_draining);
                 if now_draining {
                     self.stats.draining_machine_epochs += 1;
                     if !was {
@@ -765,7 +739,7 @@ impl DatacenterService {
             return self.place_spread(vm, topology);
         }
         while let Some(index) = self.free_hint.pop_front() {
-            if self.down[index] || self.draining[index] {
+            if self.cluster.closed(PmId(index as u64)) {
                 continue;
             }
             match self.try_place(index, vm) {
@@ -811,7 +785,7 @@ impl DatacenterService {
         ranges: impl Iterator<Item = Range<usize>> + Clone,
     ) -> Result<PmId, Vm> {
         for index in next_fit_order(self.scan_cursor, ranges) {
-            if self.down[index] || self.draining[index] {
+            if self.cluster.closed(PmId(index as u64)) {
                 continue;
             }
             match self.try_place(index, vm) {
@@ -1137,13 +1111,16 @@ mod tests {
         assert_eq!(svc.cluster.domain_counts(AppId(1)), [1, 1, 0]);
         // Domain 2, the app's only emptiest, goes down; the cursor sits in
         // it, so the fallback wraps.
-        svc.down[8..12].fill(true);
+        for pm in (8..12).map(PmId) {
+            svc.cluster.set_status(pm, DOWN, true);
+        }
         svc.scan_cursor = 10;
+        let down = |i: usize| svc.cluster.machine_down(PmId(i as u64));
         let emptiest = reference_order(12, 10, topo, &[false, false, true]);
-        assert!(emptiest.iter().all(|&i| svc.down[i]));
+        assert!(emptiest.iter().all(|&i| down(i)));
         let expected = reference_order(12, 10, topo, &[true; 3])
             .into_iter()
-            .find(|&i| !svc.down[i])
+            .find(|&i| !down(i))
             .expect("a surviving machine");
         let vm = DatacenterService::session_vm(VmId(2), &svc.sessions[0]);
         assert_eq!(svc.place_vm(vm).ok(), Some(PmId(expected as u64)));

@@ -7,8 +7,8 @@
 use std::collections::BTreeMap;
 
 use cloudsim::cluster::ClusterError;
-use cloudsim::pm::VmEpochReport;
-use cloudsim::{Cluster, PmId, VmId};
+use cloudsim::pm::{PhysicalMachine, VmEpochReport};
+use cloudsim::{Cluster, VmId};
 use hwsim::{MachineSpec, ResourceDemand};
 
 use super::{DeepDive, DeepDiveConfig, EpochEvent};
@@ -130,15 +130,6 @@ impl DeepDive {
         vec![failed]
     }
 
-    /// True while `pm` accepts no placements: inside any of the fault
-    /// plane's down windows (crash, rack or domain outage, maintenance
-    /// offline) or a maintenance drain's notice window, while the service
-    /// is emptying the machine before it goes offline.
-    fn machine_unavailable(&self, pm: PmId, epoch: u64) -> bool {
-        self.fault_plane
-            .is_some_and(|plane| plane.machine_down(pm, epoch) || plane.machine_draining(pm, epoch))
-    }
-
     /// Mitigates confirmed interference on the machine hosting `victim`.
     /// `attempt` is zero on the first try and counts up across
     /// backed-off retries of the same episode.  `index` is this epoch's
@@ -196,8 +187,9 @@ impl DeepDive {
         let Some(mover) = host.and_then(|h| h.vms().iter().find(|vm| vm.id == moved)) else {
             return vec![skipped(moved, "the aggressor left its machine")];
         };
-        // Candidate destinations: every other machine accepting placements,
-        // each with its own hardware model and its residents' latest demands
+        // Candidate destinations: every other machine accepting placements
+        // — neither down nor draining, as the cluster's bits say — each
+        // with its own hardware model and its residents' latest demands
         // and widths, so predictions run against the destination's actual
         // spec.  Both are copied out once in machine-group order — parallel
         // to the index's member list — so every candidate's residents are
@@ -211,18 +203,18 @@ impl DeepDive {
             .iter()
             .map(|&at| reports[at as usize].vcpus)
             .collect();
-        let available: Vec<_> = cluster
-            .machines()
-            .iter()
-            .filter(|m| m.id != pm && !self.machine_unavailable(m.id, epoch))
-            .collect();
-        if available.is_empty() {
+        let open = |m: &PhysicalMachine| {
+            m.id != pm && !cluster.machine_down(m.id) && !cluster.machine_draining(m.id)
+        };
+        if !cluster.machines().iter().any(open) {
             return vec![skipped(victim.vm_id, "no candidate destination machine")];
         }
         // Only machines whose scheduler admits the aggressor are candidates:
         // the same check `migrate` makes, cores and memory both.
-        let candidates: Vec<CandidateMachine> = available
-            .into_iter()
+        let candidates: Vec<CandidateMachine> = cluster
+            .machines()
+            .iter()
+            .filter(|m| open(m))
             .filter(|m| m.scheduler().admits(m.spec(), m.vms(), mover))
             .map(|m| {
                 let span = by_machine.span(m.id);

@@ -286,9 +286,12 @@ impl DeepDive {
     }
 
     /// Attaches the fault plane whose sandbox-outage and migration-failure
-    /// schedules the controller must degrade around.  Share the plane (it
-    /// is `Copy`) with the datacenter service so both layers see the same
-    /// schedule.  A disabled plane is byte-for-byte inert.
+    /// schedules the controller must degrade around; those are the only
+    /// streams it reads.  Which machines may take a migrated VM it reads
+    /// from the cluster's down and draining bits, which a
+    /// [`cloudsim::service::DatacenterService`] sweeping the same plane
+    /// keeps — share the plane (it is `Copy`) with that service so both
+    /// layers see one schedule.  A disabled plane is byte-for-byte inert.
     pub fn set_fault_plane(&mut self, plane: cloudsim::FaultPlane) {
         self.fault_plane = Some(plane);
     }
@@ -837,17 +840,17 @@ mod tests {
     #[test]
     fn mitigation_never_lands_on_a_down_or_draining_machine() {
         use cloudsim::faults::{FaultConfig, FaultPlane};
+        use cloudsim::service::{DatacenterService, ServiceConfig};
+        use traces::VmSession;
 
-        // Drains only, with a 40-epoch notice: machines spend about half
-        // their time in a notice window, where the service accepts no
-        // placements and migrates residents off.  Fault seed 2 has machine
-        // 1 — the first of two equally empty destinations — draining when
-        // the aggressor is confirmed at epoch 60, and machine 2 free.
-        let mut cluster = Cluster::homogeneous(3, MachineSpec::xeon_x5472(), Scheduler::default());
-        cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
-        let mut dd = controller(true, &cluster);
+        // Drains only, with a 40-epoch notice, swept by the service into
+        // the cluster's draining bits (all the machine state mitigation
+        // reads).  Fault seed 91 has machine 1 — the first of two equally
+        // empty destinations — draining through epochs 35..75 and machines
+        // 0 and 2 open throughout, so victim and aggressor stay together
+        // and mitigation must pass machine 1 over.
         let plane = FaultPlane::new(
-            2,
+            91,
             FaultConfig {
                 machine_drain_per_epoch: 0.02,
                 drain_notice_epochs: 40,
@@ -855,15 +858,25 @@ mod tests {
                 ..FaultConfig::disabled()
             },
         );
+        // A victim from epoch 0 and a tenant landing beside it at epoch 49,
+        // both busy past the run; the service builds only cloud workloads,
+        // so the tenant is swapped for an aggressor under its own id.
+        let sessions = [0.0, 48.5]
+            .map(|arrival_s| VmSession {
+                arrival_s,
+                lifetime_s: 1_000.0,
+                active_load: 0.8,
+                app_rank: 2,
+            })
+            .to_vec();
+        let mut svc = DatacenterService::new(ServiceConfig::xeon_fleet(3, 3), sessions);
+        svc.set_fault_plane(plane);
+        let mut dd = controller(true, svc.cluster());
         dd.set_fault_plane(plane);
-        let engine = EpochEngine::serial(ClusterSeed::new(3));
         let mut migrations = 0;
         for epoch in 0..90 {
-            if epoch == 50 {
-                cluster.place_on(PmId(0), aggressor_vm(99)).unwrap();
-            }
-            let reports = engine.step(&mut cluster, |_| 0.8);
-            for event in dd.process_epoch(&mut cluster, &reports) {
+            let reports = svc.step_epoch();
+            for event in dd.process_epoch(svc.cluster_mut(), &reports) {
                 if let EpochEvent::Migrated { to, .. } = event {
                     migrations += 1;
                     assert!(
@@ -872,9 +885,16 @@ mod tests {
                     );
                 }
             }
+            if epoch == 49 {
+                let cluster = svc.cluster_mut();
+                assert_eq!(cluster.locate(VmId(1)), Some(PmId(0)));
+                cluster.remove_vm(VmId(1));
+                cluster.place_on(PmId(0), aggressor_vm(1)).unwrap();
+            }
         }
+        assert_eq!(svc.audit(), Vec::<String>::new());
         assert_eq!(migrations, 1);
-        assert_eq!(cluster.locate(VmId(99)), Some(PmId(2)));
+        assert_eq!(svc.cluster().locate(VmId(1)), Some(PmId(2)));
     }
 
     #[test]

@@ -276,7 +276,6 @@ struct ClonePredictor {
     /// Outcomes of the last joint resolve: residents in slot order, clone
     /// last.
     joint: Vec<EpochOutcome>,
-    solo: Vec<EpochOutcome>,
     /// Contention resolves so far, the clone's baseline included.
     resolves: usize,
 }
@@ -290,7 +289,6 @@ impl ClonePredictor {
             clone_solo: 0.0,
             placements: Vec::new(),
             joint: Vec::new(),
-            solo: Vec::new(),
             resolves: 0,
         };
         predictor.clone_solo = predictor.solo_fraction(clone_demand, clone_vcpus);
@@ -362,11 +360,10 @@ impl ClonePredictor {
 
     /// `demand`'s achieved fraction alone on an idle machine of this model.
     fn solo_fraction(&mut self, demand: &ResourceDemand, vcpus: usize) -> f64 {
-        let alone = [PlacedDemand::new(0, demand.clone(), vcpus, 0)];
         self.resolves += 1;
         self.resolver
-            .resolve_into(&alone, EPOCH_SECONDS, &mut self.solo);
-        self.solo[0].achieved_fraction
+            .resolve_solo(0, demand, vcpus)
+            .achieved_fraction
     }
 }
 

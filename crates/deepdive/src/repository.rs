@@ -306,10 +306,12 @@ impl BehaviorRepository {
             ("apps", Value::Object(apps)),
             ("capacity_per_app", Value::U64(self.capacity_per_app as u64)),
         ]);
-        // The codec refuses only non-finite floats, and every stored value is
-        // finite: `record` takes well-formed behaviours (debug-asserted) and
-        // `from_json`'s parser rejects numbers that overflow an `f64`.
-        serde_json::to_string(&doc).expect("repository serializes")
+        // Every stored value is finite — `record` takes well-formed
+        // behaviours (debug-asserted) and `from_json`'s parser rejects
+        // numbers that overflow an `f64` — so the lossy writer writes what
+        // the strict one would; a non-finite value would come back as a
+        // `from_json` error, not a panic here.
+        serde_json::to_string_lossy(&doc)
     }
 
     /// Restores a repository from JSON produced by [`Self::to_json`].  A

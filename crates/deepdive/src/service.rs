@@ -45,9 +45,11 @@ impl ManagedDatacenter {
     }
 
     /// Attaches one shared fault plane to **both** layers: the service
-    /// sweeps its machine crash/repair windows, the controller degrades
-    /// around its sandbox outages and transient migration failures.  The
-    /// plane is `Copy`, so both sides read the same counter-derived
+    /// sweeps its machine streams (crashes, rack and domain outages,
+    /// drains) into the cluster's down and draining bits, which the
+    /// controller's mitigation reads; the controller reads the plane
+    /// itself only for sandbox outages and transient migration failures.
+    /// The plane is `Copy`, so both sides read the same counter-derived
     /// schedule; a disabled plane is byte-for-byte inert.
     pub fn set_fault_plane(&mut self, plane: cloudsim::FaultPlane) {
         self.service.set_fault_plane(plane);
@@ -147,7 +149,6 @@ mod tests {
         let service = DatacenterService::new(ServiceConfig::xeon_fleet(4, 33), busy_sessions(10));
         let mut dc = ManagedDatacenter::new(service, DeepDiveConfig::default());
         dc.set_fault_plane(FaultPlane::new(11, FaultConfig::light()));
-        assert!(dc.service().fault_plane().is_some());
         let (service_stats, _) = dc.run_epochs(300);
         assert!(
             service_stats.crashes > 0,

@@ -17,8 +17,7 @@
 
 use analytics::regression::{invert_inputs, LinearRegression};
 use cloudsim::rngs::splitmix64;
-use hwsim::contention::{EpochOutcome, PlacedDemand};
-use hwsim::{EpochResolver, MachineSpec, ResourceDemand, EPOCH_SECONDS};
+use hwsim::{EpochResolver, MachineSpec, ResourceDemand};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -134,9 +133,8 @@ impl SyntheticBenchmark {
         // One resolver serves every training run: each sample is a solo
         // resolve on the same machine model, so all scratch is shared.
         let mut resolver = EpochResolver::new(spec.clone());
-        let mut outcomes = Vec::with_capacity(1);
         let (inputs, outputs): (Vec<_>, Vec<_>) = (0..samples)
-            .map(|index| resolve_sample(seed, index, &mut resolver, &mut outcomes))
+            .map(|index| resolve_sample(seed, index, &mut resolver))
             .unzip();
         let model = LinearRegression::fit(&inputs, &outputs, 1e-6);
         let training_error = model.mse(&inputs, &outputs);
@@ -191,9 +189,8 @@ impl SyntheticBenchmark {
         // The refinement probes the machine model dozens of times; one
         // resolver shared across all probes keeps them allocation-free.
         let mut resolver = EpochResolver::new(self.spec.clone());
-        let mut outcomes = Vec::with_capacity(1);
         let mut objective = |inputs: &BenchmarkInputs| -> f64 {
-            run_solo_with(&mut resolver, inputs, &mut outcomes).max_relative_deviation(target)
+            run_solo_with(&mut resolver, inputs).max_relative_deviation(target)
         };
         let mut current = start.to_vec();
         let mut best = objective(&BenchmarkInputs::from_vec(&current));
@@ -228,37 +225,23 @@ impl SyntheticBenchmark {
 /// Draws and resolves one training sample from its own counter-derived
 /// stream: a pure function of `(seed, index)`, independent of every other
 /// sample.
-fn resolve_sample(
-    seed: u64,
-    index: usize,
-    resolver: &mut EpochResolver,
-    outcomes: &mut Vec<EpochOutcome>,
-) -> (Vec<f64>, Vec<f64>) {
+fn resolve_sample(seed: u64, index: usize, resolver: &mut EpochResolver) -> (Vec<f64>, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(splitmix64(seed ^ splitmix64(index as u64)));
     let raw: Vec<f64> = BenchmarkInputs::BOUNDS
         .iter()
         .map(|(lo, hi)| rng.gen_range(*lo..=*hi))
         .collect();
     let sample = BenchmarkInputs::from_vec(&raw);
-    let behavior = run_solo_with(resolver, &sample, outcomes);
+    let behavior = run_solo_with(resolver, &sample);
     (raw, behavior.to_vec())
 }
 
 /// Runs the benchmark with given inputs alone on `resolver`'s machine model
 /// and returns the observed normalized behaviour (training and refinement
 /// share one resolver across their runs).
-fn run_solo_with(
-    resolver: &mut EpochResolver,
-    inputs: &BenchmarkInputs,
-    outcomes: &mut Vec<EpochOutcome>,
-) -> BehaviorVector {
+fn run_solo_with(resolver: &mut EpochResolver, inputs: &BenchmarkInputs) -> BehaviorVector {
     let vcpus = inputs.parallelism.ceil().max(1.0) as usize;
-    resolver.resolve_into(
-        &[PlacedDemand::new(0, inputs.demand(), vcpus, 0)],
-        EPOCH_SECONDS,
-        outcomes,
-    );
-    BehaviorVector::from_counters(&outcomes[0].counters)
+    BehaviorVector::from_counters(&resolver.resolve_solo(0, &inputs.demand(), vcpus).counters)
 }
 
 #[cfg(test)]
@@ -270,11 +253,7 @@ mod tests {
     }
 
     fn run_solo(spec: &MachineSpec, inputs: &BenchmarkInputs) -> BehaviorVector {
-        run_solo_with(
-            &mut EpochResolver::new(spec.clone()),
-            inputs,
-            &mut Vec::new(),
-        )
+        run_solo_with(&mut EpochResolver::new(spec.clone()), inputs)
     }
 
     fn memory_heavy_inputs() -> BenchmarkInputs {
@@ -371,12 +350,12 @@ mod tests {
             Box::new(NetworkStress::new(AppId(2), 900.0)),
             Box::new(DiskStress::new(AppId(3), 80.0)),
         ];
+        let mut resolver = EpochResolver::new(bench.spec.clone());
         let mut bits = Vec::new();
         for mut stressor in stressors {
             let demand = stressor.next_demand(1.0, &mut rng);
-            let alone = [PlacedDemand::new(0, demand.clone(), 2, 0)];
-            let solo = EpochResolver::new(bench.spec.clone()).resolve(&alone);
-            let target = BehaviorVector::from_counters(&solo[0].counters);
+            let solo = resolver.resolve_solo(0, &demand, 2);
+            let target = BehaviorVector::from_counters(&solo.counters);
             let inputs = bench.mimic(&target, demand.instructions).to_vec();
             bits.extend(inputs.iter().map(|v| v.to_bits()));
         }

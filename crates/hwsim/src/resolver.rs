@@ -19,15 +19,18 @@
 //! applied to both) — a property pinned by the `resolver_equivalence`
 //! proptest suite.
 //!
-//! Every call site holds a resolver: the `cloudsim` physical machine, the
-//! sandbox replayer, synthetic-benchmark training and placement keep one and
-//! call `resolve_into` every epoch; one-off callers (figures, tests) build
+//! Every call site holds a resolver: the `cloudsim` physical machine and
+//! placement keep one and call `resolve_into` every epoch; the sandbox
+//! replayer, synthetic-benchmark training and placement's baselines ask
+//! "how fast does this demand run alone?" through
+//! [`EpochResolver::resolve_solo`]; one-off callers (figures, tests) build
 //! one per machine model and call [`EpochResolver::resolve`].
 
 use crate::cache::{resolve_cache_group_members_into, CacheScratch};
 use crate::contention::{EpochOutcome, PlacedDemand, StallBreakdown};
 use crate::core::core_cycles;
 use crate::counters::CounterSnapshot;
+use crate::demand::ResourceDemand;
 use crate::disk::{resolve_disk_into, DiskOutcome};
 use crate::machine::MachineSpec;
 use crate::membus::resolve_bus;
@@ -69,6 +72,8 @@ pub struct EpochResolver {
     cache_scratch: CacheScratch,
     disk_out: Vec<DiskOutcome>,
     nic_out: Vec<NicOutcome>,
+    /// The output slot of [`EpochResolver::resolve_solo`].
+    solo: Vec<EpochOutcome>,
 }
 
 impl EpochResolver {
@@ -92,6 +97,7 @@ impl EpochResolver {
             cache_scratch: CacheScratch::new(),
             disk_out: Vec::new(),
             nic_out: Vec::new(),
+            solo: Vec::new(),
         }
     }
 
@@ -106,6 +112,23 @@ impl EpochResolver {
         let mut out = Vec::with_capacity(placements.len());
         self.resolve_into(placements, EPOCH_SECONDS, &mut out);
         out
+    }
+
+    /// One default-length epoch of `demand` alone on an idle machine of
+    /// this model: bit for bit what [`EpochResolver::resolve_into`] gives
+    /// that one placement on cache group 0 (and panics where it does),
+    /// kept in the resolver so repeated calls allocate nothing.
+    pub fn resolve_solo(
+        &mut self,
+        vm_id: u64,
+        demand: &ResourceDemand,
+        vcpus: usize,
+    ) -> &EpochOutcome {
+        let alone = [PlacedDemand::new(vm_id, demand.clone(), vcpus, 0)];
+        let mut solo = std::mem::take(&mut self.solo);
+        self.resolve_into(&alone, EPOCH_SECONDS, &mut solo);
+        self.solo = solo;
+        &self.solo[0]
     }
 
     /// Resolves one epoch of execution for every VM placed on the machine,

@@ -30,7 +30,7 @@ use hwsim::counters::CounterSnapshot;
 use hwsim::disk::resolve_disk;
 use hwsim::membus::resolve_bus;
 use hwsim::nic::resolve_nic;
-use hwsim::{EpochResolver, MachineSpec, ResourceDemand, CACHE_LINE_BYTES};
+use hwsim::{EpochResolver, MachineSpec, ResourceDemand, CACHE_LINE_BYTES, EPOCH_SECONDS};
 use proptest::prelude::*;
 
 /// Fraction of memory references that are loads — must match the resolver.
@@ -262,6 +262,26 @@ proptest! {
             resolver.resolve_into(&pollution, 1.0, &mut out);
             resolver.resolve_into(&placements, epoch, &mut out);
             prop_assert_eq!(&out, &expected);
+        }
+    }
+
+    /// `resolve_solo` answers exactly what `resolve_into` gives the one
+    /// placement it stands for, after interleaved resolves of either kind.
+    #[test]
+    fn solo_resolve_is_bit_identical_to_resolving_one_placement(
+        demand in demand_strategy(),
+        vcpus in 1usize..=4,
+        vm_id in 0..u64::MAX,
+        pollution in placements_strategy(),
+    ) {
+        for spec in [MachineSpec::xeon_x5472(), MachineSpec::core_i7_nehalem()] {
+            let alone = [PlacedDemand::new(vm_id, demand.clone(), vcpus, 0)];
+            let mut out = Vec::new();
+            EpochResolver::new(spec.clone()).resolve_into(&alone, EPOCH_SECONDS, &mut out);
+            let mut resolver = EpochResolver::new(spec);
+            resolver.resolve_solo(vm_id ^ 1, &demand, vcpus);
+            resolver.resolve_into(&pollution, 1.0, &mut Vec::new());
+            prop_assert_eq!(resolver.resolve_solo(vm_id, &demand, vcpus), &out[0]);
         }
     }
 

@@ -1,9 +1,10 @@
 //! The workspace's JSON text codec.
 //!
 //! Renders the `serde` crate's [`Value`] tree to JSON text and parses it
-//! back: [`to_string`] and [`from_str`] are the whole API, and they have two
-//! consumers — the behaviour repository's durable-store round-trip
-//! (`deepdive::repository`) and `e2e_bench`'s result lines.  Not a
+//! back: [`to_string`], [`to_string_lossy`] and [`from_str`] are the whole
+//! API, and they have two consumers — the behaviour repository's
+//! durable-store round-trip (`deepdive::repository`, which writes lossily)
+//! and `e2e_bench`'s result lines.  Not a
 //! `serde_json`-compatible API (nothing here is generic over a type to
 //! serialize); the crate keeps the name and path because the benchmark's own
 //! manifest names it.  Floats are written with Rust's shortest round-trip
@@ -19,11 +20,21 @@ use serde::Value;
 /// bound a payload of `[[[[…` overflows the stack.
 const MAX_DEPTH: usize = 128;
 
-/// Renders a value as compact JSON text.
+/// Renders a value as compact JSON text; a non-finite float, which JSON
+/// cannot express, is an error.
 pub fn to_string(value: &Value) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(value, &mut out)?;
-    Ok(out)
+    let mut finite = true;
+    let text = write(value, &mut finite);
+    finite
+        .then_some(text)
+        .ok_or_else(|| Error::new("cannot serialize non-finite float as JSON"))
+}
+
+/// Renders a value as compact JSON text, writing a non-finite float as
+/// `null`: the text of [`to_string`] wherever that succeeds, and text
+/// whose reader refuses a number it expected where that fails.
+pub fn to_string_lossy(value: &Value) -> String {
+    write(value, &mut true)
 }
 
 /// Parses JSON text into a value.
@@ -31,18 +42,25 @@ pub fn from_str(s: &str) -> Result<Value, Error> {
     Parser::new(s).parse_document()
 }
 
-fn write_value(v: &Value, out: &mut String) -> Result<(), Error> {
+/// `value` as JSON text, each non-finite float as `null` with `finite`
+/// cleared.
+fn write(value: &Value, finite: &mut bool) -> String {
+    let mut out = String::new();
+    write_value(value, &mut out, finite);
+    out
+}
+
+fn write_value(v: &Value, out: &mut String, finite: &mut bool) {
     match v {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::U64(n) => out.push_str(&n.to_string()),
         Value::I64(n) => out.push_str(&n.to_string()),
-        Value::F64(x) => {
-            if !x.is_finite() {
-                return Err(Error::new("cannot serialize non-finite float as JSON"));
-            }
-            // `{:?}` is Rust's shortest representation that round-trips.
-            out.push_str(&format!("{x:?}"));
+        // `{:?}` is Rust's shortest representation that round-trips.
+        Value::F64(x) if x.is_finite() => out.push_str(&format!("{x:?}")),
+        Value::F64(_) => {
+            *finite = false;
+            out.push_str("null");
         }
         Value::Str(s) => write_string(s, out),
         Value::Array(items) => {
@@ -51,7 +69,7 @@ fn write_value(v: &Value, out: &mut String) -> Result<(), Error> {
                 if i > 0 {
                     out.push(',');
                 }
-                write_value(item, out)?;
+                write_value(item, out, finite);
             }
             out.push(']');
         }
@@ -63,12 +81,11 @@ fn write_value(v: &Value, out: &mut String) -> Result<(), Error> {
                 }
                 write_string(k, out);
                 out.push(':');
-                write_value(v, out)?;
+                write_value(v, out, finite);
             }
             out.push('}');
         }
     }
-    Ok(())
 }
 
 fn write_string(s: &str, out: &mut String) {
@@ -358,7 +375,11 @@ mod tests {
         ] {
             assert_eq!(round_trip(&v), v);
         }
-        assert!(to_string(&Value::F64(f64::NAN)).is_err());
+        let non_finite = Value::Array(vec![Value::F64(f64::NAN), Value::F64(1.0)]);
+        assert!(to_string(&non_finite).is_err());
+        assert_eq!(to_string_lossy(&non_finite), "[null,1.0]");
+        let finite = Value::Array(vec![Value::F64(0.5), Value::Null]);
+        assert_eq!(to_string_lossy(&finite), to_string(&finite).unwrap());
     }
 
     #[test]

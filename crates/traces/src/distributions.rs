@@ -24,7 +24,7 @@ use rand::{Rng, SeedableRng};
 /// on a large number of VMs while the long tail runs a few VMs each (§5.5).
 #[derive(Debug, Clone)]
 pub(crate) struct Zipf {
-    probabilities: Vec<f64>,
+    /// `cumulative[k]` is the probability of a rank at most `k + 1`.
     cumulative: Vec<f64>,
 }
 
@@ -38,21 +38,17 @@ impl Zipf {
         );
         let weights: Vec<f64> = (1..=n).map(|k| 1.0 / (k as f64).powf(alpha)).collect();
         let total: f64 = weights.iter().sum();
-        let probabilities: Vec<f64> = weights.iter().map(|w| w / total).collect();
         let mut cumulative = Vec::with_capacity(n);
         let mut acc = 0.0;
-        for p in &probabilities {
-            acc += p;
+        for w in &weights {
+            acc += w / total;
             cumulative.push(acc);
         }
         // Guard against floating-point drift in the final bucket.
         if let Some(last) = cumulative.last_mut() {
             *last = 1.0;
         }
-        Self {
-            probabilities,
-            cumulative,
-        }
+        Self { cumulative }
     }
 
     /// Samples a rank in `1..=n`.
@@ -60,7 +56,7 @@ impl Zipf {
         let u: f64 = rng.gen_range(0.0..1.0);
         match self.cumulative.binary_search_by(|c| c.total_cmp(&u)) {
             Ok(idx) => idx + 1,
-            Err(idx) => (idx + 1).min(self.probabilities.len()),
+            Err(idx) => (idx + 1).min(self.cumulative.len()),
         }
     }
 }
@@ -175,20 +171,29 @@ mod tests {
     use super::*;
     use crate::stats::burstiness;
 
+    /// Each rank's probability: the steps of the cumulative table.
+    fn probabilities(z: &Zipf) -> Vec<f64> {
+        let mut below = 0.0;
+        z.cumulative
+            .iter()
+            .map(|&c| c - std::mem::replace(&mut below, c))
+            .collect()
+    }
+
     #[test]
     fn zipf_probabilities_sum_to_one_and_decay() {
-        let z = Zipf::new(100, 1.5);
-        let p = &z.probabilities;
+        let p = probabilities(&Zipf::new(100, 1.5));
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
+        assert!(p.iter().all(|&q| q > 0.0));
         assert!(p[0] > p[1]);
         assert!(p[1] > p[49]);
     }
 
     #[test]
     fn zipf_higher_alpha_concentrates_mass_on_head() {
-        let light = Zipf::new(1000, 1.0);
-        let heavy = Zipf::new(1000, 2.5);
-        assert!(heavy.probabilities[0] > light.probabilities[0]);
+        let light = probabilities(&Zipf::new(1000, 1.0));
+        let heavy = probabilities(&Zipf::new(1000, 2.5));
+        assert!(heavy[0] > light[0]);
     }
 
     #[test]

@@ -185,7 +185,9 @@
 //!   rates zero (`FaultConfig::disabled`) is byte-for-byte inert, and
 //!   attaching no plane at all costs nothing.  The service's per-epoch
 //!   sweep reads the same schedule from a fault calendar that draws each
-//!   cell once per epoch; a proptest pins it to the plane's answers.
+//!   cell once per epoch (a proptest pins it to the plane's answers) and
+//!   writes each machine's state into the `cloudsim::Cluster`'s down and
+//!   draining bits, which placement, migration and the controller read.
 //! * **Topology and correlated failures** — `cloudsim::Topology` maps
 //!   machine ids to racks and power domains by pure id arithmetic
 //!   (`rack = pm / machines_per_rack`, `domain = rack / racks_per_domain`),

@@ -10,9 +10,10 @@
 //!   machines or lost, id→index maps consistent, capacity accounting
 //!   exact, parked VMs not resident, crashed machines empty
 //!   ([`DatacenterService::audit`]).
-//! * **The service sees the plane's schedule** — after every epoch each
-//!   machine's down and draining flags equal the plane's pointwise
-//!   answers, including for planes attached mid-run.
+//! * **The cluster sees the plane's schedule** — after every epoch each
+//!   machine's down and draining bits, which the service's sweep keeps in
+//!   the cluster, equal the plane's pointwise answers, including for
+//!   planes attached mid-run.
 //! * **Runs are reproducible** — re-running the same fault schedule
 //!   produces byte-identical report streams, stats and retry queues.
 //! * **A disabled plane is inert** — attaching a fault plane whose rates
@@ -28,7 +29,7 @@ use proptest::prelude::*;
 /// when `spread` is set and a plane is given), attach the plane before
 /// epoch `attach_epoch`, step `epochs` epochs, and return the full
 /// trajectory.  After every epoch the audit must be clean and the
-/// service's down and draining flags must equal the plane's pointwise
+/// cluster's down and draining bits must equal the plane's pointwise
 /// answers for that epoch.
 fn run_chaos(
     machines: usize,
@@ -55,16 +56,16 @@ fn run_chaos(
         trajectory.push(svc.step_epoch());
         let findings = svc.audit();
         assert_eq!(findings, Vec::<String>::new(), "invariants violated");
-        if let Some(plane) = svc.fault_plane() {
-            let stepped = svc.cluster().epoch() - 1;
+        if let Some(plane) = plane.filter(|_| epoch >= attach_epoch) {
+            let cluster = svc.cluster();
             for pm in (0..machines as u64).map(PmId) {
                 assert_eq!(
-                    (svc.machine_down(pm), svc.machine_draining(pm)),
+                    (cluster.machine_down(pm), cluster.machine_draining(pm)),
                     (
-                        plane.machine_down(pm, stepped),
-                        plane.machine_draining(pm, stepped)
+                        plane.machine_down(pm, epoch),
+                        plane.machine_draining(pm, epoch)
                     ),
-                    "{pm} at epoch {stepped}: service flags vs the plane's (down, draining)"
+                    "{pm} at epoch {epoch}: cluster bits vs the plane's (down, draining)"
                 );
             }
         }
