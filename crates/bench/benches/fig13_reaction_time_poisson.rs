@@ -2,8 +2,6 @@
 //! arrivals — (a) local information only, (b) with global information,
 //! (c) sweeping the Zipf popularity tail index.
 
-use traces::ArrivalModel;
-
 fn main() {
-    bench::print_reaction_time_figure(13, "Poisson", ArrivalModel::Poisson);
+    print!("{}", bench::Figure::Fig13.render());
 }

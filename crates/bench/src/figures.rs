@@ -1,7 +1,7 @@
 //! One function per paper figure.
 //!
 //! Each function re-runs the corresponding experiment on the simulated
-//! substrate and returns plain data that the bench targets print as the
+//! substrate and returns plain data that `crate::render` formats as the
 //! figure's rows/series.  Absolute numbers differ from the paper (our
 //! substrate is a simulator, not the authors' Xeon testbed), but the
 //! qualitative shape — what separates, what is detected, which resource is
@@ -19,12 +19,11 @@ use hwsim::contention::PlacedDemand;
 use hwsim::{CounterSnapshot, EpochResolver, MachineSpec, ResourceDemand};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use traces::{ArrivalModel, InterferenceSchedule, LoadTrace};
+use traces::{InterferenceSchedule, LoadTrace};
 use workloads::{
     AppId, ClientEmulator, DataAnalytics, DataServing, NetworkStress, WebSearch, Workload,
 };
 
-use crate::scenarios::{paper_fractions, reaction_time_curve, ScenarioConfig};
 use crate::setup::{victim_cluster, xeon_cluster, CloudWorkload, StressKind};
 
 // The workload configuration types used by the variant sweeps.
@@ -43,7 +42,7 @@ pub(crate) const EPOCHS_PER_HOUR: usize = 4;
 
 /// One hourly sample of the Fig. 1 trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig1Point {
+pub(crate) struct Fig1Point {
     /// Hour since the start of the three-day run.
     pub hour: usize,
     /// Client-observed throughput (requests/second).
@@ -56,7 +55,7 @@ pub struct Fig1Point {
 
 /// Reproduces Fig. 1: a Data Serving VM under a fixed workload whose
 /// performance periodically collapses when a co-located aggressor appears.
-pub fn fig1_ec2_motivation(seed: u64) -> Vec<Fig1Point> {
+pub(crate) fn fig1_ec2_motivation(seed: u64) -> Vec<Fig1Point> {
     let schedule = InterferenceSchedule::generate(3, 3, 3_600, 2 * 3_600, seed);
     let mut cluster = victim_cluster(CloudWorkload::DataServing, 1);
     let engine = EpochEngine::serial(ClusterSeed::new(seed));
@@ -95,7 +94,7 @@ pub fn fig1_ec2_motivation(seed: u64) -> Vec<Fig1Point> {
 
 /// One point of the Fig. 4 / Fig. 7 metric-space scatter.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MetricPoint {
+pub(crate) struct MetricPoint {
     /// Experimental setting label.
     pub setting: String,
     /// Normalized metric coordinates (the three plotted axes).
@@ -106,7 +105,7 @@ pub struct MetricPoint {
 
 /// Result of a metric-cluster experiment.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MetricClusters {
+pub(crate) struct MetricClusters {
     /// All points (interference and non-interference).
     pub points: Vec<MetricPoint>,
     /// Separation score: distance between the group centroids divided by the
@@ -287,14 +286,14 @@ fn metric_cluster_experiment(
 
 /// Fig. 4: normalized L1 / L2 / memory-stall metrics for one workload, with
 /// and without interference, on the Xeon testbed.
-pub fn fig4_metric_clusters(workload: CloudWorkload, seed: u64) -> MetricClusters {
+pub(crate) fn fig4_metric_clusters(workload: CloudWorkload, seed: u64) -> MetricClusters {
     // Axes: l1_misses_pki (1), llc_lines_in_pki (2), stall_cycles_pki (4).
     metric_cluster_experiment(workload, &MachineSpec::xeon_x5472(), [1, 2, 4], seed)
 }
 
 /// Fig. 7: the same separability demonstrated on the Core i7/Nehalem port,
 /// using the overall CPI, L3 and QPI axes the paper plots.
-pub fn fig7_i7_port(seed: u64) -> MetricClusters {
+pub(crate) fn fig7_i7_port(seed: u64) -> MetricClusters {
     // Axes: cpi (0), llc_lines_in_pki (2 — "L3"), bus_outstanding_pki (6 — "QPI").
     metric_cluster_experiment(
         CloudWorkload::DataServing,
@@ -310,7 +309,7 @@ pub fn fig7_i7_port(seed: u64) -> MetricClusters {
 
 /// One PM's Data Analytics worker in the Fig. 5 experiment.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig5Point {
+pub(crate) struct Fig5Point {
     /// Physical machine index.
     pub pm: usize,
     /// Whether an iperf aggressor runs on this PM (ground truth).
@@ -323,7 +322,7 @@ pub struct Fig5Point {
 
 /// Fig. 5: nine PMs run the same Data Analytics workload; iperf aggressors on
 /// a subset of PMs make those PMs' metrics deviate from the rest.
-pub fn fig5_global_information(interfered_pms: usize, seed: u64) -> Vec<Fig5Point> {
+pub(crate) fn fig5_global_information(interfered_pms: usize, seed: u64) -> Vec<Fig5Point> {
     assert!(interfered_pms <= 9, "at most nine PMs in this experiment");
     let mut cluster = xeon_cluster(9);
     for pm in 0..9u64 {
@@ -381,7 +380,7 @@ pub fn fig5_global_information(interfered_pms: usize, seed: u64) -> Vec<Fig5Poin
 
 /// The three interference scenarios of Fig. 6.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fig6Scenario {
+pub(crate) enum Fig6Scenario {
     /// Scenario A: last-level-cache interference.
     LastLevelCache,
     /// Scenario B: front-side-bus (memory interconnect) interference.
@@ -392,7 +391,7 @@ pub enum Fig6Scenario {
 
 impl Fig6Scenario {
     /// All scenarios in the paper's order.
-    pub const ALL: [Fig6Scenario; 3] = [
+    pub(crate) const ALL: [Fig6Scenario; 3] = [
         Fig6Scenario::LastLevelCache,
         Fig6Scenario::FrontSideBus,
         Fig6Scenario::Io,
@@ -440,7 +439,7 @@ pub(crate) type StackCpi = [f64; 4];
 
 /// Result of one Fig. 6 cell (one workload × one scenario).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Fig6Cell {
+pub(crate) struct Fig6Cell {
     /// The victim workload.
     pub workload: &'static str,
     /// The scenario.
@@ -463,7 +462,11 @@ fn stack_to_fig6(stack: &CpiStack, clock_hz: f64, instructions: f64) -> StackCpi
 
 /// Fig. 6: stalled-cycles-per-instruction breakdown in isolation vs
 /// production for one workload and scenario, plus the analyzer's culprit.
-pub fn fig6_cpi_breakdown(workload: CloudWorkload, scenario: Fig6Scenario, seed: u64) -> Fig6Cell {
+pub(crate) fn fig6_cpi_breakdown(
+    workload: CloudWorkload,
+    scenario: Fig6Scenario,
+    seed: u64,
+) -> Fig6Cell {
     let spec = MachineSpec::xeon_x5472();
     let epochs = 12usize;
     // One engine for both runs: the victim's per-(vm, epoch) streams are
@@ -748,7 +751,7 @@ pub fn fig12_profiling_overhead(seed: u64) -> Fig12Result {
 
 /// One bar group of Fig. 9: client-reported vs analyzer-estimated slowdown.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Fig9Point {
+pub(crate) struct Fig9Point {
     /// Stress intensity in `[0, 1]` (maps onto the paper's parameter sweep).
     pub intensity: f64,
     /// Client-reported performance degradation (latency / completion-time
@@ -760,7 +763,7 @@ pub struct Fig9Point {
 
 /// Fig. 9: for one workload, sweep the paired stress workload's intensity and
 /// compare client-reported degradation with the analyzer's estimate.
-pub fn fig9_degradation_accuracy(workload: CloudWorkload, seed: u64) -> Vec<Fig9Point> {
+pub(crate) fn fig9_degradation_accuracy(workload: CloudWorkload, seed: u64) -> Vec<Fig9Point> {
     let stress = workload.paired_stress();
     let analyzer = InterferenceAnalyzer::new(0.05);
     // Counters are interpreted with the sandbox pool's machine model — the
@@ -963,60 +966,12 @@ pub fn fig11_placement_robustness(benchmark: &SyntheticBenchmark, seed: u64) -> 
 }
 
 // ---------------------------------------------------------------------------
-// Figures 13 and 14 — profiling-farm reaction time
-// ---------------------------------------------------------------------------
-
-/// Prints Fig. 13 or 14: the profiling farm's mean reaction time under
-/// `arrival_model` (named `arrivals` in the header) — (a) local information
-/// only, (b) with global information, (c) four servers sweeping the
-/// popularity tail index.
-pub fn print_reaction_time_figure(figure: u32, arrivals: &str, arrival_model: ArrivalModel) {
-    let fractions = paper_fractions();
-    let print_curve = |label: &str, servers: usize, popularity: Option<(usize, f64)>| {
-        let config = ScenarioConfig {
-            servers,
-            arrival_model,
-            popularity,
-            ..Default::default()
-        };
-        for p in reaction_time_curve(&config, &fractions) {
-            let value = p
-                .mean_reaction_minutes
-                .map(|m| format!("{m:.2}"))
-                .unwrap_or_else(|| "unstable".into());
-            println!("{label},{:.1},{value}", p.interference_fraction);
-        }
-    };
-    println!("# Figure {figure}(a) — local information only, {arrivals} arrivals, 1000 VMs/day");
-    println!("servers,interference_fraction,mean_reaction_min");
-    for servers in [2usize, 4, 8, 16] {
-        print_curve(&servers.to_string(), servers, None);
-    }
-    println!("# Figure {figure}(b) — with global information (Zipf alpha = 1.5 over 200 apps)");
-    println!("servers,interference_fraction,mean_reaction_min");
-    for servers in [2usize, 4, 8, 16] {
-        print_curve(&servers.to_string(), servers, Some((200, 1.5)));
-    }
-    println!("# Figure {figure}(c) — four servers, sweeping the popularity tail index alpha");
-    println!("alpha,interference_fraction,mean_reaction_min");
-    for (label, popularity) in [
-        ("inf (no global info)", None),
-        ("2.5", Some((200usize, 2.5))),
-        ("2.0", Some((200, 2.0))),
-        ("1.5", Some((200, 1.5))),
-        ("1.0", Some((200, 1.0))),
-    ] {
-        print_curve(label, 4, popularity);
-    }
-}
-
-// ---------------------------------------------------------------------------
 // §5.5 — memory overhead
 // ---------------------------------------------------------------------------
 
 /// Behaviour-repository footprint for a VM analyzed once per hour for a day,
 /// in bytes (the paper bounds this at 5 KB).
-pub fn memory_overhead_bytes_per_vm_day() -> usize {
+pub(crate) fn memory_overhead_bytes_per_vm_day() -> usize {
     use deepdive::repository::BehaviorRepository;
     let mut repo = BehaviorRepository::new();
     let app = AppId(1);

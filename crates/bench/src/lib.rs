@@ -2,17 +2,17 @@
 //! # bench — experiment harness regenerating every figure of the paper
 //!
 //! Each figure or table of DeepDive's evaluation has a corresponding bench
-//! target under `benches/`: a plain `fn main()` that re-runs the experiment
-//! on the simulated substrate and prints the same series/rows the paper
-//! reports.
-//!
-//! The heavy lifting lives here, in plain library code, so integration tests
-//! can assert the *qualitative* claims (who wins, what is detected, which
-//! resource is blamed) under `cargo test`:
+//! target under `benches/`: a plain `fn main()` that prints one
+//! [`Figure::render`] — the experiment re-run on the simulated substrate,
+//! formatted as the series/rows the paper reports.  A unit test compares
+//! every rendering with its committed golden, and integration tests assert
+//! the *qualitative* claims (who wins, what is detected, which resource is
+//! blamed) under `cargo test`:
 //!
 //! * [`setup`] — builders for the victim/aggressor VMs and clusters used
 //!   across experiments.
-//! * [`figures`] — one function per figure, returning printable data.
+//! * [`figures`] — one function per figure, returning plain data.
+//! * `render` — one renderer per figure ([`Figure`]).
 //!
 //! ## The profiling-farm scalability model (§5.5, Figs. 13–14)
 //!
@@ -44,8 +44,10 @@
 pub mod events;
 pub mod figures;
 mod profiler_farm;
+mod render;
 pub mod scenarios;
 pub mod setup;
 
 pub use figures::*;
+pub use render::Figure;
 pub use setup::*;

@@ -322,7 +322,24 @@ impl DatacenterService {
 
     /// Attaches a fault plane.  A disabled plane is byte-for-byte inert:
     /// the run is identical to one with no plane at all.
+    ///
+    /// Replacing a plane mid-run ends the old plane's windows: the sweep
+    /// visits only the bits the new plane can set (none for a disabled
+    /// plane, no draining bits for a plane without drains), so the bits
+    /// it will not visit are cleared here, a down machine rejoining as a
+    /// repair.  The new plane's first sweep decides the rest.
     pub fn set_fault_plane(&mut self, plane: FaultPlane) {
+        let sweeps_down = plane.is_enabled();
+        let sweeps_draining = sweeps_down && plane.config().machine_drain_per_epoch > 0.0;
+        for pm in (0..self.config.machines as u64).map(PmId) {
+            if !sweeps_down && self.cluster.set_status(pm, DOWN, false) {
+                self.stats.repairs += 1;
+                self.note_capacity_freed(pm);
+            }
+            if !sweeps_draining {
+                self.cluster.set_status(pm, DRAINING, false);
+            }
+        }
         self.fault_plane = Some(plane);
         self.calendar = None;
     }
@@ -1167,6 +1184,73 @@ mod tests {
         let stats = svc.stats();
         assert!(stats.crashes > 0, "rack outages must fell machines");
         assert!(stats.arrivals > 0);
+    }
+
+    /// Runs an 8-machine service under frequent crashes and drains until
+    /// one machine is down while another is draining, swaps `next` in, and
+    /// steps once.  Returns the service and the (down, draining) machines
+    /// at the swap.
+    fn swap_planes_mid_run(next: FaultPlane) -> (DatacenterService, PmId, PmId) {
+        let stream = traces::hotmail_sessions(20_000.0, 0.01, 5);
+        let mut svc = DatacenterService::new(ServiceConfig::xeon_fleet(8, 21), stream);
+        svc.set_fault_plane(FaultPlane::new(
+            5,
+            crate::faults::FaultConfig {
+                machine_crash_per_epoch: 0.02,
+                repair_epochs: (20, 40),
+                machine_drain_per_epoch: 0.02,
+                drain_notice_epochs: 30,
+                ..crate::faults::FaultConfig::disabled()
+            },
+        ));
+        let find = |svc: &DatacenterService, draining: bool| {
+            (0..8).map(PmId).find(|&pm| {
+                let cluster = svc.cluster();
+                (cluster.machine_down(pm), cluster.machine_draining(pm)) == (!draining, draining)
+            })
+        };
+        for _ in 0..400 {
+            svc.step_epoch();
+            if let (Some(down), Some(draining)) = (find(&svc, false), find(&svc, true)) {
+                svc.set_fault_plane(next);
+                svc.step_epoch();
+                assert_eq!(svc.audit(), Vec::<String>::new());
+                return (svc, down, draining);
+            }
+        }
+        panic!("no epoch had a down and a draining machine at once");
+    }
+
+    /// A fresh VM for placing by hand.
+    fn spare_vm() -> Vm {
+        Vm::new(
+            VmId(1_000_000),
+            Box::new(DataServing::with_defaults(AppId(1))),
+            ClientEmulator::new(8_000.0, 4.0),
+        )
+    }
+
+    #[test]
+    fn swapping_in_a_disabled_plane_reopens_every_machine() {
+        let (mut svc, down, _) = swap_planes_mid_run(FaultPlane::disabled());
+        for pm in (0..8).map(PmId) {
+            let cluster = svc.cluster();
+            assert!(
+                !cluster.machine_down(pm) && !cluster.machine_draining(pm),
+                "{pm}"
+            );
+        }
+        assert_eq!(svc.cluster_mut().place_on(down, spare_vm()), Ok(()));
+    }
+
+    #[test]
+    fn swapping_in_a_plane_without_drains_clears_the_draining_bits() {
+        let next = FaultPlane::new(6, crate::faults::FaultConfig::light());
+        // The helper's clean audit already pins every bit to the new
+        // plane's calendar, which has no draining machine.
+        let (mut svc, _, draining) = swap_planes_mid_run(next);
+        assert!(!next.machine_down(draining, svc.cluster().epoch() - 1));
+        assert_eq!(svc.cluster_mut().place_on(draining, spare_vm()), Ok(()));
     }
 
     #[test]

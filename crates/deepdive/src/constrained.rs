@@ -25,7 +25,7 @@ const MAX_SHRINK_ITERS: usize = 60;
 
 /// A behaviour observation together with the analyzer's verdict about it.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LabelledBehaviour {
+pub(crate) struct LabelledBehaviour {
     /// Normalized metric vector.
     pub metrics: Vec<f64>,
     /// True when the interference analyzer confirmed this behaviour was
@@ -54,7 +54,7 @@ impl LabelledBehaviour {
 
 /// Result of the constrained clustering pass.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ConstrainedModel {
+pub(crate) struct ConstrainedModel {
     /// Mixture fitted over the normal behaviours only.
     pub mixture: GaussianMixture,
     /// Thresholds shrunk until they exclude the labelled interference points.
@@ -73,7 +73,7 @@ pub struct ConstrainedModel {
 ///
 /// The normal points are borrowed as slices straight out of `behaviours`;
 /// nothing is copied before the fit.
-pub fn fit_constrained(
+pub(crate) fn fit_constrained(
     behaviours: &[LabelledBehaviour],
     k: usize,
     sigma_multiplier: f64,
@@ -98,7 +98,7 @@ pub fn fit_constrained(
 /// Falls back to nothing-learned (an empty mixture that accepts no point)
 /// when there are no normal behaviours; callers should use
 /// [`fit_constrained`] when no previous mixture exists.
-pub fn fit_constrained_warm(
+pub(crate) fn fit_constrained_warm(
     behaviours: &[LabelledBehaviour],
     previous: &GaussianMixture,
     sigma_multiplier: f64,
@@ -153,7 +153,7 @@ fn constrain(
 impl ConstrainedModel {
     /// True when `point` is accepted by some normal cluster under the learned
     /// thresholds — i.e. the warning system would classify it as normal.
-    pub fn accepts(&self, point: &[f64]) -> bool {
+    pub(crate) fn accepts(&self, point: &[f64]) -> bool {
         self.mixture
             .components
             .iter()

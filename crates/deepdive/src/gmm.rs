@@ -16,7 +16,7 @@ const VARIANCE_FLOOR: f64 = 1e-6;
 
 /// One mixture component: a weight and an axis-aligned Gaussian.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Component {
+pub(crate) struct Component {
     /// Mixing weight (all weights sum to 1).
     pub weight: f64,
     /// Per-dimension mean.
@@ -27,7 +27,7 @@ pub struct Component {
 
 /// A fitted Gaussian-mixture model.
 #[derive(Debug, Clone, PartialEq)]
-pub struct GaussianMixture {
+pub(crate) struct GaussianMixture {
     /// The mixture components.
     pub components: Vec<Component>,
     /// Final per-point log-likelihood of the training data.
@@ -155,7 +155,7 @@ impl GaussianMixture {
     }
 
     /// Number of mixture components.
-    pub fn k(&self) -> usize {
+    pub(crate) fn k(&self) -> usize {
         self.components.len()
     }
 }

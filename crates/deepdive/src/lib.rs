@@ -34,6 +34,14 @@
 //! by the cluster simulator, and [`repository`] stores the learned
 //! behaviours (≈5 KB per VM per day, §5.5).
 //!
+//! The paper leans on Weka and Matlab for its learning code; here it is
+//! private modules implemented from scratch: `kmeans` (seeded k-means++,
+//! which initializes EM), `gmm` (diagonal-covariance Gaussian mixtures
+//! fitted by EM), `constrained` (cannot-link fits that keep behaviours
+//! labelled as interference out of the normal clusters), `thresholds`
+//! (the per-metric `MT` vector), `regression` (the synthetic benchmark's
+//! multivariate least squares and its input inversion) and `stats`.
+//!
 //! ## The control-plane hot path: generations and warm starts
 //!
 //! The warning system touches every VM every epoch, so its refresh path is
@@ -47,7 +55,7 @@
 //! * [`warning::WarningSystem::refresh_model`] short-circuits in O(1) when
 //!   the generation is unchanged; when the repository grew, it re-fits
 //!   **warm-started** from the previous mixture
-//!   ([`analytics::constrained::fit_constrained_warm`]) and falls back to a
+//!   (`constrained::fit_constrained_warm`) and falls back to a
 //!   full cold fit every [`warning::WarningConfig::cold_refit_interval`]
 //!   refits so warm-start drift cannot accumulate;
 //! * [`controller::DeepDive::process_epoch`] indexes the epoch's reports
@@ -100,14 +108,20 @@
 //! ```
 
 pub mod analyzer;
+mod constrained;
 pub mod controller;
 pub mod cpi_stack;
 mod epoch_index;
+mod gmm;
+mod kmeans;
 pub mod metrics;
 pub mod placement;
+mod regression;
 pub mod repository;
 pub mod service;
+mod stats;
 pub mod synthetic;
+mod thresholds;
 pub mod warning;
 
 pub use analyzer::InterferenceAnalyzer;

@@ -143,7 +143,7 @@ mod tests {
     fn normalization_makes_load_scaling_invisible() {
         let half = BehaviorVector::from_counters(&sample_counters(0.5));
         let full = BehaviorVector::from_counters(&sample_counters(1.0));
-        let distance = analytics::stats::euclidean(&half.values, &full.values);
+        let distance = crate::stats::euclidean(&half.values, &full.values);
         assert!(distance < 1e-9, "distance {distance}");
     }
 

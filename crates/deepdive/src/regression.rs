@@ -13,7 +13,7 @@
 
 /// A fitted multi-output linear model `y = W·x + b`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct LinearRegression {
+pub(crate) struct LinearRegression {
     /// One weight row per output dimension; each row has one entry per input.
     pub weights: Vec<Vec<f64>>,
     /// One intercept per output dimension.
@@ -30,7 +30,7 @@ impl LinearRegression {
     ///
     /// # Panics
     /// Panics on empty or ragged data, or when row counts differ.
-    pub fn fit(inputs: &[Vec<f64>], outputs: &[Vec<f64>], lambda: f64) -> Self {
+    pub(crate) fn fit(inputs: &[Vec<f64>], outputs: &[Vec<f64>], lambda: f64) -> Self {
         assert!(
             !inputs.is_empty(),
             "regression requires at least one sample"
@@ -105,7 +105,7 @@ impl LinearRegression {
     }
 
     /// Mean squared prediction error over a dataset.
-    pub fn mse(&self, inputs: &[Vec<f64>], outputs: &[Vec<f64>]) -> f64 {
+    pub(crate) fn mse(&self, inputs: &[Vec<f64>], outputs: &[Vec<f64>]) -> f64 {
         assert_eq!(inputs.len(), outputs.len());
         if inputs.is_empty() {
             return 0.0;
@@ -179,7 +179,7 @@ fn solve_multi(a: &mut [Vec<f64>], b: &mut [Vec<f64>]) -> Vec<Vec<f64>> {
 /// iteratively refined step sizes.
 ///
 /// Returns the best input vector found and its squared error.
-pub fn invert_inputs(
+pub(crate) fn invert_inputs(
     model: &LinearRegression,
     target: &[f64],
     bounds: &[(f64, f64)],

@@ -15,7 +15,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use analytics::constrained::LabelledBehaviour;
+use crate::constrained::LabelledBehaviour;
 use serde::{Error, Value};
 use workloads::AppId;
 
@@ -59,8 +59,8 @@ impl AppBehaviors {
     ///
     /// Allocates a fresh vector per call; the hot path uses
     /// `Self::labelled_into` with a reused buffer instead.
-    // simlint: test-accessor (the reference `labelled_into` is tested against)
-    pub fn labelled(&self) -> Vec<LabelledBehaviour> {
+    #[cfg(test)]
+    pub(crate) fn labelled(&self) -> Vec<LabelledBehaviour> {
         let mut out = Vec::new();
         self.labelled_into(&mut out);
         out

@@ -4,7 +4,7 @@
 ///
 /// # Panics
 /// Panics if the vectors have different lengths.
-pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn euclidean(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "distance requires equal-length vectors");
     a.iter()
         .zip(b)

@@ -12,10 +12,10 @@
 //! In this reproduction the "loops" are a parameterized
 //! [`hwsim::ResourceDemand`] generator ([`BenchmarkInputs`]), the training
 //! runs are solo executions on the target machine model, the regression is
-//! [`analytics::LinearRegression`], and the inversion is the bounded
-//! least-squares search in [`analytics::regression::invert_inputs`].
+//! `regression::LinearRegression`, and the inversion is the bounded
+//! least-squares search in `regression::invert_inputs`.
 
-use analytics::regression::{invert_inputs, LinearRegression};
+use crate::regression::{invert_inputs, LinearRegression};
 use cloudsim::rngs::splitmix64;
 use hwsim::{EpochResolver, MachineSpec, ResourceDemand};
 use rand::rngs::StdRng;

@@ -26,7 +26,7 @@ pub(crate) const RELATIVE_FLOOR: f64 = 0.10;
 
 /// The per-metric threshold vector `MT`.
 #[derive(Debug, Clone, PartialEq)]
-pub struct MetricThresholds {
+pub(crate) struct MetricThresholds {
     /// Allowed absolute deviation per metric dimension.
     pub per_metric: Vec<f64>,
     /// The σ-multiplier used to derive the thresholds.

@@ -13,7 +13,7 @@
 //!   analyzer (Fig. 3c).
 //!
 //! Clusters and per-metric thresholds `MT` come from the constrained EM fit
-//! in the `analytics` crate, re-fit whenever the repository gains new
+//! in the crate's `constrained` module, re-fit whenever the repository gains new
 //! verified behaviours.  Before any verified behaviour exists the system
 //! runs in the paper's *conservative mode*: everything escalates, which
 //! bootstraps learning and guarantees no interference goes undetected.
@@ -28,7 +28,7 @@
 //!   labelled-point extraction, no fit;
 //! * when the repository *did* grow, the refit is **warm-started** from the
 //!   previous model's mixture components
-//!   ([`analytics::constrained::fit_constrained_warm`]), converging in a
+//!   (`constrained::fit_constrained_warm`), converging in a
 //!   handful of EM iterations instead of a full from-scratch fit.  An
 //!   iteration costs, per point, `k × dims` divisions, `k` exponentials and
 //!   one logarithm; the density's logarithms are taken once per component;
@@ -39,7 +39,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 
-use analytics::constrained::{fit_constrained, fit_constrained_warm, ConstrainedModel};
+use crate::constrained::{fit_constrained, fit_constrained_warm, ConstrainedModel};
 use workloads::AppId;
 
 use crate::metrics::BehaviorVector;
@@ -121,7 +121,7 @@ pub struct WarningSystem {
     config: WarningConfig,
     models: HashMap<u64, AppModel>,
     /// Reused labelled-point buffer for refits (the only refresh scratch).
-    labelled_scratch: Vec<analytics::constrained::LabelledBehaviour>,
+    labelled_scratch: Vec<crate::constrained::LabelledBehaviour>,
     /// Full from-scratch fits performed (bookkeeping for tests/benches).
     cold_refits: u64,
     /// Warm-started fits performed.

@@ -52,7 +52,6 @@ impl std::fmt::Display for Finding {
 /// Crates whose `src/` trees feed the simulation or the control plane —
 /// the scope of the `hashmap-iteration` rule ("root" is the umbrella).
 const ORDER_SENSITIVE_CRATES: &[&str] = &[
-    "analytics",
     "cloudsim",
     "deepdive",
     "hwsim",
@@ -63,7 +62,6 @@ const ORDER_SENSITIVE_CRATES: &[&str] = &[
 
 /// Crates that must declare `#![forbid(unsafe_code)]` at their root.
 pub(crate) const FORBID_UNSAFE_CRATES: &[&str] = &[
-    "analytics",
     "bench",
     "cloudsim",
     "deepdive",
