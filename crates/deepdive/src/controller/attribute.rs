@@ -88,7 +88,8 @@ impl DeepDive {
             // rather than replay against the wrong hardware — and once the
             // deadline passes, degrade to a warning-only decision rather
             // than panic or analyze blind.
-            return match record.deferred_until {
+            // A deadline that passed while the VM was quiet is stale.
+            return match record.deferred_until.filter(|&d| epoch <= d) {
                 None => {
                     let deadline = epoch + ANALYSIS_DEFERRAL_EPOCHS;
                     record.deferred_until = Some(deadline);

@@ -735,6 +735,65 @@ mod tests {
     }
 
     #[test]
+    fn a_deferral_that_lapsed_while_the_vm_was_quiet_defers_its_next_warning() {
+        use cloudsim::faults::{FaultConfig, FaultPlane};
+
+        // One victim learns its behaviour with the sandbox pool up.  Then
+        // the pool goes down for good, and an aggressor beside the victim
+        // for epochs 70–71 defers its analysis until epoch 82.  The victim
+        // is quiet when that deadline passes, so its next warning — a
+        // second aggressor at epoch 120 — must start a fresh deferral
+        // rather than degrade on sight on the stale deadline.
+        let mut cluster = Cluster::homogeneous(1, MachineSpec::xeon_x5472(), Scheduler::default());
+        cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
+        let mut dd = controller(false, &cluster);
+        let engine = EpochEngine::serial(ClusterSeed::new(2));
+        let mut events = Vec::new();
+        for epoch in 0..140u64 {
+            match epoch {
+                70 => {
+                    dd.set_fault_plane(FaultPlane::new(
+                        3,
+                        FaultConfig {
+                            sandbox_outage_per_epoch: 1.0,
+                            outage_epochs: (1, 1),
+                            ..FaultConfig::disabled()
+                        },
+                    ));
+                    cluster.place_on(PmId(0), aggressor_vm(99)).unwrap();
+                }
+                72 => {
+                    cluster.remove_vm(VmId(99));
+                }
+                120 => cluster.place_on(PmId(0), aggressor_vm(98)).unwrap(),
+                _ => {}
+            }
+            let reports = engine.step(&mut cluster, |_| 0.8);
+            let emitted = dd.process_epoch(&mut cluster, &reports);
+            events.extend(emitted.into_iter().map(|e| (epoch, e)));
+        }
+        let victim_at_120: Vec<&EpochEvent> = events
+            .iter()
+            .filter(|(epoch, e)| {
+                *epoch == 120
+                    && matches!(e, EpochEvent::Analyzed { vm, .. }
+                        | EpochEvent::AnalysisDeferred { vm, .. }
+                        | EpochEvent::AnalysisDegraded { vm } if *vm == VmId(1))
+            })
+            .map(|(_, e)| e)
+            .collect();
+        assert_eq!(
+            victim_at_120,
+            [&EpochEvent::AnalysisDeferred {
+                vm: VmId(1),
+                deadline: 132
+            }],
+            "{}",
+            timeline(&events)
+        );
+    }
+
+    #[test]
     fn forgetting_a_vm_drops_its_history_and_its_deferred_analysis() {
         use cloudsim::faults::{FaultConfig, FaultPlane};
 
