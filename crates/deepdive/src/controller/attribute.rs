@@ -2,9 +2,9 @@
 //! explain replays the VM's recorded window on the sandbox pool matching
 //! its host, compares production with isolation, teaches the repository
 //! whatever the run verified, and hands confirmed interference to
-//! mitigation.  Around the analysis sit the two gates that keep it from
-//! running when it should not: the per-VM cooldown and the deferral that
-//! waits out a sandbox-pool outage.
+//! mitigation.  Whether the analysis runs at all — the per-VM cooldown and
+//! the deferral that waits out a sandbox-pool outage — is the VM's phase,
+//! which `records.rs` steps; this file routes and acts on the outcome.
 //!
 //! On heterogeneous clusters the controller holds a [`SandboxFleet`] — one
 //! sandbox pool per machine model — and routes every analysis to the pool
@@ -21,16 +21,11 @@ use cloudsim::pm::VmEpochReport;
 use cloudsim::{Cluster, SandboxFleet};
 use hwsim::{CounterSnapshot, ResourceDemand};
 
-use super::records::Ring;
+use super::records::{Event, Outcome, Ring};
 use super::{DeepDive, EpochEvent};
 use crate::analyzer::AnalysisResult;
 use crate::epoch_index::EpochIndex;
 use crate::warning::WarningDecision;
-
-/// Epochs a warning may wait for its sandbox pool to come back from an
-/// outage before the controller gives up on analyzing and falls back to a
-/// warning-only (degraded) decision.
-const ANALYSIS_DEFERRAL_EPOCHS: u64 = 12;
 
 impl DeepDive {
     /// The sandbox fleet backing the analyzer.
@@ -52,8 +47,8 @@ impl DeepDive {
     }
 
     /// Handles one warning the warning system escalated (`trigger` is
-    /// `SuspectInterference` or `Bootstrap`): cooldown gate, pool routing,
-    /// deferral, analysis, and — when interference is confirmed and
+    /// `SuspectInterference` or `Bootstrap`): pool routing, the phase's
+    /// verdict on it, analysis, and — when interference is confirmed and
     /// `auto_migrate` is on — mitigation.  `ring` is the VM's window as
     /// `process_epoch` left it after writing this epoch's row.  Returns the
     /// events produced.
@@ -68,10 +63,6 @@ impl DeepDive {
     ) -> Vec<EpochEvent> {
         let vm = report.vm_id;
         let epoch = report.epoch;
-        let record = self.vms.record_mut(ring);
-        if epoch < record.cooldown_until {
-            return Vec::new();
-        }
         // Route the analysis to the sandbox pool matching the victim's host
         // model — once: the outage check, the replay and the per-pool
         // accounting all use this index.  Reports come from machines in
@@ -80,47 +71,34 @@ impl DeepDive {
         let (pool_idx, matched) = cluster
             .machine(report.pm_id)
             .map_or((0, true), |host| self.fleet.select_index(host.spec()));
-        let pool_down = self
+        let pool_up = !self
             .fault_plane
             .is_some_and(|plane| plane.sandbox_down(pool_idx, epoch));
-        if pool_down {
-            // The victim's pool is inside an outage window: wait for it
-            // rather than replay against the wrong hardware — and once the
-            // deadline passes, degrade to a warning-only decision rather
-            // than panic or analyze blind.
-            // A deadline that passed while the VM was quiet is stale.
-            return match record.deferred_until.filter(|&d| epoch <= d) {
-                None => {
-                    let deadline = epoch + ANALYSIS_DEFERRAL_EPOCHS;
-                    record.deferred_until = Some(deadline);
-                    self.stats.analyses_deferred += 1;
-                    vec![EpochEvent::AnalysisDeferred { vm, deadline }]
-                }
-                Some(deadline) if epoch >= deadline => {
-                    record.deferred_until = None;
-                    record.cooldown_until = epoch + self.config.analysis_cooldown;
-                    self.stats.degraded_decisions += 1;
-                    vec![EpochEvent::AnalysisDegraded { vm }]
-                }
-                Some(_) => Vec::new(),
-            };
+        // A downed pool is waited for rather than replayed against the
+        // wrong hardware, and past the deadline the warning degrades to a
+        // warning-only decision rather than panic or analyze blind.
+        let escalation = Event::Escalation { epoch, pool_up };
+        match self.vms.step(ring, escalation, &self.config) {
+            Outcome::Analyze => {}
+            Outcome::Skip | Outcome::Wait => return Vec::new(),
+            Outcome::Defer { deadline } => {
+                self.stats.analyses_deferred += 1;
+                return vec![EpochEvent::AnalysisDeferred { vm, deadline }];
+            }
+            Outcome::Degrade => {
+                self.stats.degraded_decisions += 1;
+                return vec![EpochEvent::AnalysisDegraded { vm }];
+            }
         }
-        // The pool is up — if the VM was waiting for it, the wait is over.
-        record.deferred_until = None;
         let (counters, replay): (Vec<CounterSnapshot>, Vec<ResourceDemand>) =
             self.vms.window(ring).cloned().unzip();
         // The clone runs as wide as the VM.
         let result = self.run_analysis(report, pool_idx, matched, &counters, &replay);
-        let cooldown = if result.interference_confirmed {
-            self.config
-                .confirmed_cooldown
-                .max(self.config.analysis_cooldown)
-        } else {
-            self.config.analysis_cooldown
-        };
-        self.vms.record_mut(ring).cooldown_until = epoch + cooldown;
+        let confirmed = result.interference_confirmed;
+        self.vms
+            .step(ring, Event::Verdict { epoch, confirmed }, &self.config);
         let mitigation = match result.culprit {
-            Some(culprit) if result.interference_confirmed && self.config.auto_migrate => {
+            Some(culprit) if confirmed && self.config.auto_migrate => {
                 self.mitigate(cluster, reports, index, report, culprit, 0)
             }
             _ => Vec::new(),

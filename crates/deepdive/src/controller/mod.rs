@@ -14,10 +14,10 @@
 //!
 //! One type, three files along the loop's seam: this one holds the state,
 //! its constructors and *detect* ([`DeepDive::process_epoch`], §4.1);
-//! `attribute.rs` the cooldown and deferral gates, sandbox routing and the
-//! analysis (§4.2); `mitigate.rs` placement, migration and its retries
-//! (§4.3).  `records.rs` is the per-VM memory they share: each VM's record
-//! and its analysis window.
+//! `attribute.rs` sandbox routing and the analysis (§4.2); `mitigate.rs`
+//! placement, migration and its retries (§4.3).  `records.rs` is the per-VM
+//! memory they share: each VM's analysis window and its phase, whose one
+//! transition function gates every analysis (cooldown and deferral).
 
 mod attribute;
 mod mitigate;
@@ -202,8 +202,8 @@ pub struct DeepDive {
     /// experiments size profiling capacity from.
     profiling_by_pool: Vec<f64>,
     stats: DeepDiveStats,
-    /// All per-VM state — cooldown, deferral and the analysis window, in
-    /// one slab — dropped by [`DeepDive::forget_vms`].
+    /// All per-VM state — the phase (cooldown or deferral) and the
+    /// analysis window, in one slab — dropped by [`DeepDive::forget_vms`].
     vms: VmRecords,
     /// Counter-derived fault schedule shared with the datacenter service;
     /// `None` (or a disabled plane) leaves every degradation path inert.
@@ -312,9 +312,10 @@ impl DeepDive {
         self.warning.in_conservative_mode(app)
     }
 
-    /// Drops everything the controller keeps per VM — the one record holding
-    /// its cooldown and deferral, and its window's slot in the slab, which
-    /// the next new VM reuses — for VMs that left the datacenter for good
+    /// Drops everything the controller keeps per VM — its phase, so a
+    /// pending cooldown or deferral dies with it, and its window's slot in
+    /// the slab, which the next new VM reuses (`Watching`, with an empty
+    /// window) — for VMs that left the datacenter for good
     /// (departed or abandoned; see
     /// `DatacenterService::departed_last_epoch`).  Without it that state
     /// grows with every session ever admitted.  Do **not** pass VMs that
@@ -324,7 +325,7 @@ impl DeepDive {
     /// `MigrationSkipped`), exactly as if the VM had only stopped reporting.
     pub(crate) fn forget_vms(&mut self, gone: &[VmId]) {
         for &vm in gone {
-            self.vms.forget(vm);
+            self.vms.forget(vm, &self.config);
         }
     }
 
@@ -472,11 +473,10 @@ mod tests {
 
     /// Analyses currently waiting out a sandbox-pool outage.
     fn deferred_analyses(dd: &DeepDive) -> usize {
-        // A free slot holds a default record, so every slot can be counted.
-        dd.vms
-            .records()
-            .iter()
-            .filter(|vm| vm.deferred_until.is_some())
+        // A free slot is `Watching`, so every slot can be counted.
+        let phases = dd.vms.phases().iter();
+        phases
+            .filter(|phase| matches!(phase, records::VmPhase::Deferred { .. }))
             .count()
     }
 
@@ -829,14 +829,9 @@ mod tests {
         cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
         run(&mut cluster, &mut dd, &engine, 1, 0.8);
         let ring = dd.vms.ring(VmId(1)).unwrap();
-        let reborn = dd.vms.record(ring);
         assert_eq!(
-            (
-                dd.vms.window(ring).count(),
-                reborn.cooldown_until,
-                reborn.deferred_until
-            ),
-            (1, 0, Some(6 + 12))
+            (dd.vms.window(ring).count(), dd.vms.phase(ring)),
+            (1, records::VmPhase::Deferred { deadline: 6 + 12 })
         );
         assert_eq!((dd.tracked_vms(), deferred_analyses(&dd)), (2, 2));
         assert_eq!(dd.stats().analyses_deferred, 3);
