@@ -63,7 +63,8 @@ pub struct DeepDiveConfig {
     /// same application (disable to reproduce the "local only" curves).
     pub use_global_information: bool,
     /// Training samples for the synthetic benchmark (trained lazily on the
-    /// first placement decision).
+    /// first placement decision); training needs at least eight, so
+    /// [`DeepDive::new`] raises fewer to `8`.
     pub synthetic_training_samples: usize,
     /// RNG seed for the synthetic benchmark training.
     pub seed: u64,
@@ -237,28 +238,30 @@ impl DeepDive {
     ///
     /// Prefer [`DeepDive::for_cluster`], which derives one pool per machine
     /// model actually present instead of hard-coding the fleet.
+    ///
+    /// # Panics
+    ///
+    /// If `config.performance_threshold` lies outside (0, 1).
     pub fn new(mut config: DeepDiveConfig, fleet: SandboxFleet) -> Self {
-        // Clamped once, here: the analyzer needs at least one epoch.
+        // Clamped once, here: the analyzer needs at least one epoch, and
+        // training the synthetic benchmark at least eight samples.
         config.analysis_window = config.analysis_window.max(1);
-        let analyzer = InterferenceAnalyzer::new(config.performance_threshold);
+        config.synthetic_training_samples = config.synthetic_training_samples.max(8);
         let mut placement = PlacementManager::new(ACCEPTABLE_DESTINATION_INTERFERENCE);
         if let Some(topology) = config.spread_topology {
             placement = placement.with_spread(topology);
         }
-        let warning = WarningSystem::new(config.warning.clone());
-        let profiling_by_pool = vec![0.0; fleet.pools().len()];
-        let vms = VmRecords::new(config.analysis_window);
         Self {
-            config,
-            warning,
-            analyzer,
+            warning: WarningSystem::new(config.warning.clone()),
+            analyzer: InterferenceAnalyzer::new(config.performance_threshold),
             repository: BehaviorRepository::new(),
+            profiling_by_pool: vec![0.0; fleet.pools().len()],
             fleet,
             placement,
             synthetic: BTreeMap::new(),
-            profiling_by_pool,
             stats: DeepDiveStats::default(),
-            vms,
+            vms: VmRecords::new(config.analysis_window),
+            config,
             fault_plane: None,
             pending_migrations: Vec::new(),
             index: EpochIndex::default(),
@@ -1189,6 +1192,31 @@ mod tests {
         let (events, stats) = run_with(0);
         assert!(stats.analyzer_invocations >= 1, "bootstrap must analyze");
         assert_eq!((events, stats), run_with(1));
+    }
+
+    #[test]
+    fn too_few_training_samples_mitigate_like_the_fewest_training_accepts() {
+        // Regression: fewer than eight samples passed `DeepDive::new` and
+        // then panicked in the synthetic benchmark's training, at the run's
+        // first mitigation.
+        let run_with = |synthetic_training_samples: usize| {
+            let mut cluster =
+                Cluster::homogeneous(2, MachineSpec::xeon_x5472(), Scheduler::default());
+            cluster.place_on(PmId(0), serving_vm(1, 1)).unwrap();
+            let config = DeepDiveConfig {
+                synthetic_training_samples,
+                ..Default::default()
+            };
+            let mut dd = DeepDive::for_cluster(config, &cluster);
+            let engine = EpochEngine::serial(ClusterSeed::new(3));
+            let mut events = run(&mut cluster, &mut dd, &engine, 50, 0.8);
+            cluster.place_on(PmId(0), aggressor_vm(99)).unwrap();
+            events.extend(run(&mut cluster, &mut dd, &engine, 40, 0.8));
+            (events, dd.stats(), cluster.locate(VmId(99)))
+        };
+        let (events, stats, aggressor_on) = run_with(0);
+        assert_eq!((stats.migrations, aggressor_on), (1, Some(PmId(1))));
+        assert_eq!((events, stats, aggressor_on), run_with(8));
     }
 
     #[test]
