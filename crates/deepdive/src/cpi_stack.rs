@@ -172,7 +172,7 @@ impl CpiStack {
         Self::degradation_factors(production, isolation)
             .into_iter()
             .filter(|(r, _)| *r != Resource::Core)
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite factors"))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 }
 

@@ -136,8 +136,7 @@ impl PlacementManager {
     ) -> Option<&ResidentVm> {
         residents.iter().max_by(|a, b| {
             Self::aggressiveness(&a.behavior, culprit)
-                .partial_cmp(&Self::aggressiveness(&b.behavior, culprit))
-                .expect("finite aggressiveness")
+                .total_cmp(&Self::aggressiveness(&b.behavior, culprit))
         })
     }
 
