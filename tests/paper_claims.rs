@@ -207,20 +207,60 @@ fn fig12_claims_hold_on_a_pinned_share_of_seeds() {
     );
 }
 
+/// Fig. 13's mean reaction time, in minutes, with four profiling servers
+/// at a 20% interference rate; `None` if the farm is unstable there.
+fn fig13_four_server_minutes(seed: u64) -> Option<f64> {
+    let config = ScenarioConfig {
+        servers: 4,
+        seed,
+        ..Default::default()
+    };
+    reaction_time_curve(&config, &[0.2])[0].mean_reaction_minutes
+}
+
+/// Whether two servers with global information stay stable on at least
+/// as many points of the sweep as four without it, less one.
+fn fig13_global_information_halves_the_farm(seed: u64) -> bool {
+    let fractions = paper_fractions();
+    let stable = |servers: usize, popularity: Option<(usize, f64)>| {
+        let config = ScenarioConfig {
+            servers,
+            popularity,
+            seed,
+            ..Default::default()
+        };
+        let curve = reaction_time_curve(&config, &fractions);
+        curve
+            .iter()
+            .filter(|p| p.mean_reaction_minutes.is_some())
+            .count()
+    };
+    stable(2, Some((200, 2.0))) + 1 >= stable(4, None)
+}
+
+/// Whether eight servers stay stable across the sweep under bursty
+/// (lognormal) arrivals.
+fn fig14_eight_servers_stay_stable(seed: u64) -> bool {
+    let config = ScenarioConfig {
+        servers: 8,
+        arrival_model: traces::ArrivalModel::Lognormal { sigma: 2.0 },
+        popularity: Some((200, 1.5)),
+        seed,
+        ..Default::default()
+    };
+    let curve = reaction_time_curve(&config, &[0.2, 0.6, 1.0]);
+    curve.iter().all(|p| p.mean_reaction_minutes.is_some())
+}
+
+/// The seed every single-seed §5.5 test below runs.
+const SCENARIO_SEED: u64 = 0x5CEB;
+
 #[test]
 fn fig13_four_servers_meet_the_papers_reaction_target() {
     // §5.5: "only four profiling servers provide reaction time within four
     // minutes, even under an aggressive rate of 20% of VMs undergoing
     // interference."
-    let curve = reaction_time_curve(
-        &ScenarioConfig {
-            servers: 4,
-            ..Default::default()
-        },
-        &[0.2],
-    );
-    let minutes = curve[0]
-        .mean_reaction_minutes
+    let minutes = fig13_four_server_minutes(SCENARIO_SEED)
         .expect("four servers must be stable at a 20% interference rate");
     assert!(minutes <= 5.0, "mean reaction time {minutes:.1} min");
 }
@@ -230,44 +270,48 @@ fn fig13_global_information_roughly_halves_the_needed_farm() {
     // §5.5: global information "allows DeepDive to further reduce the number
     // of profiling servers required (by a factor of two)".  Check that at a
     // high interference rate, 2 servers with global information cover at
-    // least as much of the sweep as 4 servers without it.
-    let fractions = paper_fractions();
-    let stable = |servers: usize, popularity: Option<(usize, f64)>| {
-        reaction_time_curve(
-            &ScenarioConfig {
-                servers,
-                popularity,
-                ..Default::default()
-            },
-            &fractions,
-        )
-        .iter()
-        .filter(|p| p.mean_reaction_minutes.is_some())
-        .count()
-    };
-    let four_local = stable(4, None);
-    let two_global = stable(2, Some((200, 2.0)));
-    assert!(
-        two_global + 1 >= four_local,
-        "2 servers with global info cover {two_global} points vs {four_local} for 4 servers local-only"
-    );
+    // least as much of the sweep as 4 servers without it, less one point.
+    assert!(fig13_global_information_halves_the_farm(SCENARIO_SEED));
 }
 
 #[test]
 fn fig14_bursty_arrivals_still_need_under_ten_servers() {
     // §5.5: "fewer than 10 dedicated profiling machines are required, even
     // under this extreme new-VM arrival scenario."
-    let curve = reaction_time_curve(
-        &ScenarioConfig {
-            servers: 8,
-            arrival_model: traces::ArrivalModel::Lognormal { sigma: 2.0 },
-            popularity: Some((200, 1.5)),
-            ..Default::default()
-        },
-        &[0.2, 0.6, 1.0],
-    );
     assert!(
-        curve.iter().all(|p| p.mean_reaction_minutes.is_some()),
+        fig14_eight_servers_stay_stable(SCENARIO_SEED),
         "8 servers should remain stable across the sweep under bursty arrivals"
     );
+}
+
+#[test]
+fn fig13_and_fig14_claims_hold_on_a_pinned_share_of_seeds() {
+    // The three §5.5 claims above swept over seeds 1-16, and Fig. 13's
+    // worst seed's margin to the five-minute bound beside them.
+    let mut failing: [Vec<u64>; 3] = Default::default();
+    let mut worst = (0, f64::INFINITY);
+    for seed in 1..=16u64 {
+        match fig13_four_server_minutes(seed) {
+            Some(minutes) if minutes <= 5.0 => {
+                if 5.0 - minutes < worst.1 {
+                    worst = (seed, 5.0 - minutes);
+                }
+            }
+            _ => failing[0].push(seed),
+        }
+        if !fig13_global_information_halves_the_farm(seed) {
+            failing[1].push(seed);
+        }
+        if !fig14_eight_servers_stay_stable(seed) {
+            failing[2].push(seed);
+        }
+    }
+    assert_eq!(
+        failing.each_ref().map(|seeds| 16 - seeds.len()),
+        [16, 16, 16],
+        "the claims fail at seeds {failing:?} (four servers, global information, bursty arrivals)"
+    );
+    // Seed 9's mean reaction is 4.05 min: inside the five-minute bound,
+    // just outside the paper's four.
+    assert_eq!((worst.0, format!("{:.2}", worst.1)), (9, "0.95".into()));
 }
