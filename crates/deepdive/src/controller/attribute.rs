@@ -6,16 +6,12 @@
 //! the deferral that waits out a sandbox-pool outage — is the VM's phase,
 //! which `records.rs` steps; this file routes and acts on the outcome.
 //!
-//! On heterogeneous clusters the controller holds a [`SandboxFleet`] — one
-//! sandbox pool per machine model — and routes every analysis to the pool
-//! matching the victim's host, so isolation counters are never compared
-//! across machine models.  Profiling time is accounted both in total and
-//! per pool ([`DeepDive::profiling_seconds_by_pool`], the per-farm load of
-//! the Figs. 12–14 queueing picture), and analyses that had to fall back to
-//! a mismatched pool are counted in
-//! [`DeepDiveStats::sandbox_spec_fallbacks`](super::DeepDiveStats).  Build
-//! the controller with [`DeepDive::for_cluster`] to derive the fleet from
-//! the cluster's actual machine models.
+//! Every analysis replays on the [`SandboxFleet`] pool matching the
+//! victim's machine model (build the controller with
+//! [`DeepDive::for_cluster`] to derive one pool per model), so isolation
+//! counters are never compared across models; profiling time is booked per
+//! pool ([`DeepDive::profiling_seconds_by_pool`]) and mismatched fallbacks
+//! are counted ([`DeepDiveStats::sandbox_spec_fallbacks`](super::DeepDiveStats)).
 
 use cloudsim::pm::VmEpochReport;
 use cloudsim::{Cluster, SandboxFleet};
@@ -95,8 +91,8 @@ impl DeepDive {
         // The clone runs as wide as the VM.
         let result = self.run_analysis(report, pool_idx, matched, &counters, &replay);
         let confirmed = result.interference_confirmed;
-        self.vms
-            .step(ring, Event::Verdict { epoch, confirmed }, &self.config);
+        let verdict = Event::Verdict { epoch, confirmed };
+        self.vms.step(ring, verdict, &self.config);
         let mitigation = match result.culprit {
             Some(culprit) if confirmed && self.config.auto_migrate => {
                 self.mitigate(cluster, reports, index, report, culprit, 0)

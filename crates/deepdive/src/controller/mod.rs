@@ -117,7 +117,8 @@ pub struct DeepDiveStats {
     /// zero by construction.
     pub sandbox_spec_fallbacks: u64,
     /// Analyses deferred because the victim's sandbox pool was inside an
-    /// outage window (each deferral episode is counted once).
+    /// outage window, each deferral once; a deferral that lapsed while its
+    /// VM was quiet is over, so the VM's next deferral counts anew.
     pub analyses_deferred: u64,
     /// Deferred analyses whose deadline expired with the pool still down:
     /// the controller fell back to a warning-only decision instead of
@@ -315,15 +316,13 @@ impl DeepDive {
         self.warning.in_conservative_mode(app)
     }
 
-    /// Drops everything the controller keeps per VM — its phase, so a
-    /// pending cooldown or deferral dies with it, and its window's slot in
-    /// the slab, which the next new VM reuses (`Watching`, with an empty
-    /// window) — for VMs that left the datacenter for good
-    /// (departed or abandoned; see
-    /// `DatacenterService::departed_last_epoch`).  Without it that state
-    /// grows with every session ever admitted.  Do **not** pass VMs that
-    /// are merely parked between machines: they report again and their
-    /// analysis windows must survive.  A pending mitigation retry whose
+    /// Drops everything the controller keeps per VM — its phase, with any
+    /// cooldown or deferral, and its window's slot, which the next new VM
+    /// reuses from `Watching` — for VMs that left the datacenter for good
+    /// (departed or abandoned; see `DatacenterService::departed_last_epoch`);
+    /// without it that state grows with every session ever admitted.  Do
+    /// **not** pass VMs merely parked between machines: they report again
+    /// and their windows must survive.  A pending mitigation retry whose
     /// victim is forgotten still drains on schedule (as a
     /// `MigrationSkipped`), exactly as if the VM had only stopped reporting.
     pub(crate) fn forget_vms(&mut self, gone: &[VmId]) {

@@ -17,20 +17,20 @@
 //! | `CoolingDown`, *t* < `until` | escalation | unchanged | skip |
 //! | `Watching` or `Deferred` | escalation, pool up | `Watching` | analyze |
 //! | `Watching` | escalation, pool down | `Deferred` until *t* + 12 | defer |
-//! | `Deferred`, *t* < `deadline` | escalation, pool down | unchanged | wait |
+//! | `Deferred`, *t* < `deadline` | escalation, pool down¹ | unchanged | wait |
 //! | `Deferred`, *t* = `deadline` | escalation, pool down | cooled, ordinary | degrade |
-//! | any | verdict, confirmed or not | cooled, confirmed or ordinary | skip |
+//! | any | verdict, confirmed² or not | cooled, confirmed or ordinary | skip |
 //! | any | forget | `Watching` | skip |
 //!
 //! `CoolingDown` at or past `until` and `Deferred` past `deadline` read as
-//! `Watching`: a deferral that lapsed while its VM was quiet never degrades
-//! a later warning.  "Cooled, *n*" is `CoolingDown` until *t* + *n*, or
-//! `Watching` if *n* is 0, so no phase holds an epoch at or before *t*.
-//! Known limits: a new outage that begins before an old deadline shares
-//! it (the wait is bounded by [`ANALYSIS_DEFERRAL_EPOCHS`] either way), and
-//! a failed migration's retries are not a phase: they queue per episode by
-//! due epoch (`DeepDive::pending_migrations`), at *t* + 1, 3 and 7, and can
-//! outlive the victim's cooldown (fig8 runs with `confirmed_cooldown: 6`).
+//! `Watching`, so a deferral that lapsed while its VM was quiet never
+//! degrades a later warning.  Cooled, *n*, is `CoolingDown` until *t* + *n*
+//! (`Watching` if *n* is 0): no phase holds an epoch at or before *t*.
+//! ¹ Known limit: a new outage that begins before an old deadline shares
+//! it; the wait is bounded by [`ANALYSIS_DEFERRAL_EPOCHS`] either way.
+//! ² A failed mitigation is no phase: its retries queue per episode in
+//! `DeepDive::pending_migrations`, at *t* + 1, 3 and 7, and can outlive the
+//! victim's cooldown (fig8 runs with `confirmed_cooldown: 6`).
 
 use cloudsim::pm::VmEpochReport;
 use cloudsim::VmId;
