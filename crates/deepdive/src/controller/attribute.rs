@@ -6,12 +6,16 @@
 //! the deferral that waits out a sandbox-pool outage — is the VM's phase,
 //! which `records.rs` steps; this file routes and acts on the outcome.
 //!
-//! Every analysis replays on the [`SandboxFleet`] pool matching the
-//! victim's machine model (build the controller with
-//! [`DeepDive::for_cluster`] to derive one pool per model), so isolation
-//! counters are never compared across models; profiling time is booked per
-//! pool ([`DeepDive::profiling_seconds_by_pool`]) and mismatched fallbacks
-//! are counted ([`DeepDiveStats::sandbox_spec_fallbacks`](super::DeepDiveStats)).
+//! On heterogeneous clusters the controller holds a [`SandboxFleet`] — one
+//! sandbox pool per machine model — and routes every analysis to the pool
+//! matching the victim's host, so isolation counters are never compared
+//! across machine models.  Profiling time is accounted both in total and
+//! per pool ([`DeepDive::profiling_seconds_by_pool`], the per-farm load of
+//! the Figs. 12–14 queueing picture), and analyses that had to fall back to
+//! a mismatched pool are counted in
+//! [`DeepDiveStats::sandbox_spec_fallbacks`](super::DeepDiveStats).  Build
+//! the controller with [`DeepDive::for_cluster`] to derive the fleet from
+//! the cluster's actual machine models.
 
 use cloudsim::pm::VmEpochReport;
 use cloudsim::{Cluster, SandboxFleet};

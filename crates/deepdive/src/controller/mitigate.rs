@@ -72,10 +72,18 @@ impl DeepDive {
         epoch: u64,
     ) -> Vec<EpochEvent> {
         let mut events = Vec::new();
-        let (due, later) = std::mem::take(&mut self.pending_migrations)
-            .into_iter()
-            .partition(|pending| pending.next_epoch <= epoch);
-        self.pending_migrations = later;
+        if self.pending_migrations.is_empty() {
+            return events;
+        }
+        let mut due = Vec::new();
+        self.pending_migrations.retain(|pending| {
+            if pending.next_epoch <= epoch {
+                due.push(*pending);
+                false
+            } else {
+                true
+            }
+        });
         for pending in due {
             match reports.iter().find(|r| r.vm_id == pending.victim) {
                 Some(victim) => events.extend(self.mitigate(

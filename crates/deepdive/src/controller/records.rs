@@ -40,8 +40,17 @@ use super::DeepDiveConfig;
 use crate::epoch_index::MulMap;
 
 /// One epoch of a VM's window: the counters observed in production and the
-/// intrinsic demand that produced them, which the sandbox replays — the
-/// request-duplicating proxy that gives the clone "the same workload" (§4.2).
+/// demand to replay in the sandbox.
+///
+/// The window is the simulation's request-duplicating proxy: "DeepDive
+/// relies on a proxy that intercepts the clients' traffic to: 1) duplicate
+/// and send copies of the requests to the sandboxed environment, and 2)
+/// forward the traffic to/from the production VM" (§4.2), so the sandboxed
+/// clone experiences *the same workload* as the production VM.  Here "the
+/// same workload" is the intrinsic [`ResourceDemand`] the production VM
+/// generated each epoch, kept beside the counters that epoch produced.  The
+/// VM's last `analysis_window` epochs live in its slot of the slab, a ring
+/// its [`Ring`] indexes.
 pub(super) type WindowRow = (CounterSnapshot, ResourceDemand);
 
 /// How many reports ahead of the row being written the next rows are read.
@@ -68,8 +77,10 @@ pub(super) struct Ring {
 /// warning-only (degraded) decision.
 const ANALYSIS_DEFERRAL_EPOCHS: u64 = 12;
 
-/// Everything the controller remembers about one VM between warnings (the
-/// module doc's table), read and written only by [`step`].
+/// Everything the controller remembers about one VM between warnings
+/// besides its window: one phase, one owner ([`VmRecords`]), one lifetime
+/// (until [`super::DeepDive::forget_vms`]), read and written only by
+/// [`step`] (the module doc's table).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum VmPhase {
     /// No gate holds.

@@ -271,7 +271,10 @@ fn fig13_global_information_roughly_halves_the_needed_farm() {
     // of profiling servers required (by a factor of two)".  Check that at a
     // high interference rate, 2 servers with global information cover at
     // least as much of the sweep as 4 servers without it, less one point.
-    assert!(fig13_global_information_halves_the_farm(SCENARIO_SEED));
+    assert!(
+        fig13_global_information_halves_the_farm(SCENARIO_SEED),
+        "2 servers with global info cover fewer points than 4 local-only, less one"
+    );
 }
 
 #[test]
