@@ -252,15 +252,12 @@ fn fig14_eight_servers_stay_stable(seed: u64) -> bool {
     curve.iter().all(|p| p.mean_reaction_minutes.is_some())
 }
 
-/// The seed every single-seed §5.5 test below runs.
-const SCENARIO_SEED: u64 = 0x5CEB;
-
 #[test]
 fn fig13_four_servers_meet_the_papers_reaction_target() {
     // §5.5: "only four profiling servers provide reaction time within four
     // minutes, even under an aggressive rate of 20% of VMs undergoing
     // interference."
-    let minutes = fig13_four_server_minutes(SCENARIO_SEED)
+    let minutes = fig13_four_server_minutes(ScenarioConfig::default().seed)
         .expect("four servers must be stable at a 20% interference rate");
     assert!(minutes <= 5.0, "mean reaction time {minutes:.1} min");
 }
@@ -272,7 +269,7 @@ fn fig13_global_information_roughly_halves_the_needed_farm() {
     // high interference rate, 2 servers with global information cover at
     // least as much of the sweep as 4 servers without it, less one point.
     assert!(
-        fig13_global_information_halves_the_farm(SCENARIO_SEED),
+        fig13_global_information_halves_the_farm(ScenarioConfig::default().seed),
         "2 servers with global info cover fewer points than 4 local-only, less one"
     );
 }
@@ -282,7 +279,7 @@ fn fig14_bursty_arrivals_still_need_under_ten_servers() {
     // §5.5: "fewer than 10 dedicated profiling machines are required, even
     // under this extreme new-VM arrival scenario."
     assert!(
-        fig14_eight_servers_stay_stable(SCENARIO_SEED),
+        fig14_eight_servers_stay_stable(ScenarioConfig::default().seed),
         "8 servers should remain stable across the sweep under bursty arrivals"
     );
 }
